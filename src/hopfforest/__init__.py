@@ -11,11 +11,7 @@ from .algebra import (
     Rational,
     Tensor,
     mono,
-    mul_monomials,
     multiset,
-    multiset_union,
-    poly_arith,
-    tensor_mul,
 )
 from .antipode import (
     METHODS,
@@ -51,7 +47,6 @@ from .hopfspec import (
     load_spec,
     load_spec_file,
     save_spec,
-    validate_spec,
 )
 from .linearize import (
     Linearization,
@@ -76,7 +71,6 @@ from .prelie import (
     load_prelie,
     load_prelie_file,
     prelie_check,
-    prelie_monomials_up_to,
     rooted_tree_shapes,
     save_prelie,
     unshuffle_coproduct,
@@ -90,7 +84,6 @@ from .trees import (
     Forest,
     PosetView,
     TreeStats,
-    canonicalize,
     corolla_cuts,
     enumerate_forests,
     enumerate_trees,

@@ -5,7 +5,8 @@ Coefficients are ``fractions.Fraction`` (always in lowest terms, positive
 denominator), monomials are sorted multisets of positive generator indices,
 and polynomials/tensors are finitely supported coefficient maps that never
 store zeros, so ``==`` is structural equality.  Every value is immutable
-after construction and safe to share between threads.
+after construction and safe to share between threads.  (The specs that
+memoize derived values are not: see ``hopfspec.spec_memo``.)
 """
 
 from __future__ import annotations
@@ -32,11 +33,6 @@ def multiset(indices: Iterable[int]) -> Multiset:
         if not isinstance(i, int) or isinstance(i, bool) or i < 1:
             raise InputError(f"generator indices must be positive integers, got {i!r}")
     return out
-
-
-def multiset_union(a: Iterable[int], b: Iterable[int]) -> Multiset:
-    """Multiplicity-preserving union of two index multisets."""
-    return multiset(tuple(a) + tuple(b))
 
 
 @dataclass(frozen=True)
@@ -83,11 +79,6 @@ UNIT = Monomial()
 def mono(*indices: int) -> Monomial:
     """Convenience constructor: ``mono(1, 2, 2)`` is the monomial b1*b2*b2."""
     return Monomial(indices)
-
-
-def mul_monomials(a: Monomial, b: Monomial) -> Monomial:
-    """Product of monomials = multiplicity-preserving union of their indices."""
-    return a * b
 
 
 def _as_fraction(c: Scalar) -> Fraction:
@@ -196,26 +187,13 @@ class Polynomial:
         return self * other
 
     def render(self) -> str:
-        return _render_terms(self.terms(), _term_body)
+        return _render_terms(self.terms(), Monomial.render)
 
     def __str__(self) -> str:
         return self.render()
 
     def __repr__(self) -> str:
         return f"Polynomial<{self.render()}>"
-
-
-def poly_arith(
-    lhs: Polynomial, rhs: Polynomial, op: str = "add", scale: Scalar = 1
-) -> Polynomial:
-    """``scale * (lhs op rhs)`` with op in {"add", "mul"}; exact and normalized."""
-    if op == "add":
-        out = lhs + rhs
-    elif op == "mul":
-        out = lhs * rhs
-    else:
-        raise InputError(f"unknown polynomial op {op!r}")
-    return out * _as_fraction(scale)
 
 
 TensorKey = tuple[Monomial, ...]
@@ -355,15 +333,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor<rank {self._rank}: {self.render()}>"
-
-
-def tensor_mul(lhs: Tensor, rhs: Tensor) -> Tensor:
-    """Componentwise product of equal-rank tensors (bilinear extension)."""
-    return lhs * rhs
-
-
-def _term_body(m: Monomial) -> str:
-    return m.render()
 
 
 def _render_terms(terms, body) -> str:

@@ -20,15 +20,15 @@ from dataclasses import dataclass
 from .algebra import Monomial, Polynomial
 from .coproduct import Endomap, iterated_reduced, iterated_reduced_poly
 from .errors import InputError
-from .hopfspec import CoproductSpec
+from .hopfspec import CoproductSpec, spec_memo
 from .trees import (
     enumerate_trees,
+    height,
     tree_coefficient,
     tree_multiplicity,
     vertex_count,
     vertex_monomial,
 )
-from .linearize import k_linearizations
 
 METHODS = ("forest", "dyson-salam", "bogoliubov")
 
@@ -72,21 +72,19 @@ def dyson_salam_poly(spec: CoproductSpec, p: Polynomial) -> Polynomial:
     return out
 
 
+@spec_memo
 def antipode_bogoliubov(spec: CoproductSpec, i: int) -> Polynomial:
     """Triangular recursion through the coproduct table.  Every left leg is
     a single generator of strictly smaller degree, so the recursion is
     well-founded; results are memoized on the table instance."""
-    cache = spec._cache.setdefault("bogoliubov", {})
-    if i not in cache:
-        out = -Polynomial.variable(i)
-        for e in spec.entries_for(i):
-            out = out - (
-                antipode_bogoliubov(spec, e.left)
-                * Polynomial.single(Monomial(e.right))
-                * e.coeff
-            )
-        cache[i] = out
-    return cache[i]
+    out = -Polynomial.variable(i)
+    for e in spec.entries_for(i):
+        out = out - (
+            antipode_bogoliubov(spec, e.left)
+            * Polynomial.single(Monomial(e.right))
+            * e.coeff
+        )
+    return out
 
 
 _GENERATOR_METHODS = {
@@ -96,6 +94,7 @@ _GENERATOR_METHODS = {
 }
 
 
+@spec_memo
 def antipode_generator(spec: CoproductSpec, i: int, method: str = "forest") -> Polynomial:
     try:
         fn = _GENERATOR_METHODS[method]
@@ -103,10 +102,7 @@ def antipode_generator(spec: CoproductSpec, i: int, method: str = "forest") -> P
         raise InputError(
             f"unknown antipode method {method!r}; choose from {METHODS}"
         ) from None
-    cache = spec._cache.setdefault(("antipode", method), {})
-    if i not in cache:
-        cache[i] = fn(spec, i)
-    return cache[i]
+    return fn(spec, i)
 
 
 def antipode_poly(
@@ -132,7 +128,8 @@ def antipode_endomap(spec: CoproductSpec, method: str = "forest") -> Endomap:
 class TermStats:
     """Term counts contrasting the alternating-sum and forest views of the
     same antipode.  dyson_salam_terms counts (rank, tree) pairs where the
-    tree admits at least one linearization at that rank; forest_terms counts
+    tree admits at least one linearization at that rank, which happens
+    exactly for height <= rank <= vertex count; forest_terms counts
     realized trees once each.  tree_count_by_length histograms realized
     trees by vertex count."""
 
@@ -148,7 +145,7 @@ def term_stats(spec: CoproductSpec, i: int) -> TermStats:
     for t in trees:
         l = vertex_count(t)
         by_length[l] = by_length.get(l, 0) + 1
-        ds += sum(1 for k in range(1, l + 1) if k_linearizations(t, k))
+        ds += l - height(t) + 1
     return TermStats(
         dyson_salam_terms=ds,
         forest_terms=len(trees),

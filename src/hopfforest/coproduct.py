@@ -16,53 +16,44 @@ from typing import Callable
 
 from .algebra import Monomial, Polynomial, Tensor, mono
 from .errors import InputError
-from .hopfspec import CoproductSpec
+from .hopfspec import CoproductSpec, graded_monomials, spec_memo
 
 
+@spec_memo
 def reduced_coproduct_generator(spec: CoproductSpec, i: int) -> Tensor:
     """The table's rank-2 tensor for generator i (no primitive part)."""
-    cache = spec._cache.setdefault("reduced_gen", {})
-    if i not in cache:
-        spec.degree(i)  # raises InputError for unknown ids
-        cache[i] = Tensor(
-            2,
-            [
-                ((mono(e.left), Monomial(e.right)), e.coeff)
-                for e in spec.entries_for(i)
-            ],
-        )
-    return cache[i]
+    return Tensor(
+        2,
+        [((mono(e.left), Monomial(e.right)), e.coeff) for e in spec.entries_for(i)],
+    )
 
 
+@spec_memo
 def full_coproduct_generator(spec: CoproductSpec, i: int) -> Tensor:
     """b_i (x) 1 + 1 (x) b_i + reduced part."""
-    cache = spec._cache.setdefault("full_gen", {})
-    if i not in cache:
-        b = Polynomial.variable(i)
-        one = Polynomial.one()
-        cache[i] = (
-            Tensor.outer(b, one)
-            + Tensor.outer(one, b)
-            + reduced_coproduct_generator(spec, i)
-        )
-    return cache[i]
+    b = Polynomial.variable(i)
+    one = Polynomial.one()
+    return (
+        Tensor.outer(b, one)
+        + Tensor.outer(one, b)
+        + reduced_coproduct_generator(spec, i)
+    )
+
+
+@spec_memo
+def _coproduct_monomial(spec: CoproductSpec, m: Monomial) -> Tensor:
+    """Full coproduct of one monomial: the product of its factors' ones."""
+    out = Tensor.one(2)
+    for i in m:
+        out = out * full_coproduct_generator(spec, i)
+    return out
 
 
 def coproduct_poly(spec: CoproductSpec, p: Polynomial) -> Tensor:
     """Full coproduct, extended multiplicatively from generators."""
-    cache = spec._cache.setdefault("full_mono", {})
-
-    def of_monomial(m: Monomial) -> Tensor:
-        if m not in cache:
-            out = Tensor.one(2)
-            for i in m:
-                out = out * full_coproduct_generator(spec, i)
-            cache[m] = out
-        return cache[m]
-
     total = Tensor.zero(2)
     for m, c in p.terms():
-        total = total + of_monomial(m) * c
+        total = total + _coproduct_monomial(spec, m) * c
     return total
 
 
@@ -81,14 +72,16 @@ def reduced_coproduct_poly(spec: CoproductSpec, p: Polynomial) -> Tensor:
 
 
 def _splice(
-    spec: CoproductSpec, t: Tensor, leg: int
+    spec: CoproductSpec,
+    t: Tensor,
+    leg: int,
+    coproduct: Callable[[CoproductSpec, Polynomial], Tensor],
 ) -> Tensor:
-    """Apply the reduced coproduct to one leg of a tensor, raising the rank
-    by one."""
+    """Apply a rank-2 coproduct (full or reduced) to one leg of a tensor,
+    raising the rank by one."""
     out_terms: list[tuple[tuple[Monomial, ...], Fraction]] = []
     for key, c in t.terms():
-        target = Polynomial.single(key[leg])
-        expanded = reduced_coproduct_poly(spec, target)
+        expanded = coproduct(spec, Polynomial.single(key[leg]))
         for (a, b), c2 in expanded.terms():
             out_terms.append((key[:leg] + (a, b) + key[leg + 1 :], c * c2))
     return Tensor(t.rank + 1, out_terms)
@@ -108,19 +101,18 @@ def iterated_reduced_poly(
         raise InputError(f"leg must be 'right' or 'left', got {leg!r}")
     out = Tensor(1, [((m,), c) for m, c in p.terms()])
     for _ in range(k - 1):
-        out = _splice(spec, out, out.rank - 1 if leg == "right" else 0)
+        at = out.rank - 1 if leg == "right" else 0
+        out = _splice(spec, out, at, reduced_coproduct_poly)
         if out.is_zero:
             return Tensor.zero(k)
     return out
 
 
+@spec_memo
 def iterated_reduced(spec: CoproductSpec, i: int, k: int) -> Tensor:
     """Rank-k iterated reduced coproduct of generator i: k = 1 is b_i as a
     rank-1 tensor, k = 2 the table row, each further rank one more splice."""
-    cache = spec._cache.setdefault("iterated_gen", {})
-    if (i, k) not in cache:
-        cache[i, k] = iterated_reduced_poly(spec, Polynomial.variable(i), k)
-    return cache[i, k]
+    return iterated_reduced_poly(spec, Polynomial.variable(i), k)
 
 
 class Endomap:
@@ -149,23 +141,7 @@ class Endomap:
 def monomials_up_to(spec: CoproductSpec, max_degree: int) -> list[Monomial]:
     """All monomials of degree <= max_degree, including the unit, in
     canonical order."""
-    ids = spec.generator_ids()
-
-    def build(pos: int, budget: int) -> list[tuple[int, ...]]:
-        if pos == len(ids):
-            return [()]
-        i = ids[pos]
-        d = spec.degree(i)
-        out: list[tuple[int, ...]] = []
-        reps = 0
-        while reps * d <= budget:
-            for rest in build(pos + 1, budget - reps * d):
-                out.append((i,) * reps + rest)
-            reps += 1
-        return out
-
-    found = [Monomial(t) for t in build(0, max_degree)]
-    return sorted(found, key=lambda m: (spec.monomial_degree(m), m.sort_key))
+    return graded_monomials(spec.generators.values(), max_degree)
 
 
 def convolution_check(
@@ -191,18 +167,10 @@ def coassociativity_report(spec: CoproductSpec, max_degree: int) -> list[str]:
     """Check (coproduct (x) id) vs (id (x) coproduct) after one coproduct, on
     every monomial of degree <= max_degree."""
     problems: list[str] = []
-
-    def expand_leg(t: Tensor, leg: int) -> Tensor:
-        out_terms: list[tuple[tuple[Monomial, ...], Fraction]] = []
-        for key, c in t.terms():
-            inner = coproduct_poly(spec, Polynomial.single(key[leg]))
-            for (a, b), c2 in inner.terms():
-                out_terms.append((key[:leg] + (a, b) + key[leg + 1 :], c * c2))
-        return Tensor(t.rank + 1, out_terms)
-
     for m in monomials_up_to(spec, max_degree):
         once = coproduct_poly(spec, Polynomial.single(m))
-        if expand_leg(once, 0) != expand_leg(once, 1):
+        first, second = (_splice(spec, once, leg, coproduct_poly) for leg in (0, 1))
+        if first != second:
             problems.append(f"coassociativity failed on {m}")
     return problems
 

@@ -17,21 +17,42 @@ The on-disk format is JSON:
       "coproduct":  [{"source": 2, "left": 1, "right": [1], "coeff": "3"}, ...]
     }
 
-Coefficients are exact rationals written as "p" or "p/q" strings (plain
-JSON integers are accepted too).  The "right" list must be sorted ascending;
-it is a multiset, so repeats are meaningful.
+Coefficients are exact rationals written as "p" or "p/q" strings of signed
+decimal integers (plain JSON integers are accepted too).  The "right" list
+must be sorted ascending; it is a multiset, so repeats are meaningful.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from functools import lru_cache, wraps
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .algebra import Monomial, Multiset, Rational, multiset
 from .errors import InputError
+
+
+def spec_memo(fn: Callable) -> Callable:
+    """Memoize ``fn(spec, *key)`` in ``spec._cache[fn]``, so the memo lives
+    and dies with the spec.  Omitted trailing arguments take ``fn``'s
+    defaults; keyword arguments are not supported.  The memo is an
+    unsynchronized dict: threads sharing a spec may compute an entry twice."""
+    arity = fn.__code__.co_argcount - 1
+    defaults = fn.__defaults__ or ()
+
+    @wraps(fn)
+    def memoized(spec, *key):
+        if len(key) < arity:
+            key += defaults[len(key) - arity :]
+        memo = spec._cache.setdefault(fn, {})
+        if key not in memo:
+            memo[key] = fn(spec, *key)
+        return memo[key]
+
+    return memoized
 
 
 @dataclass(frozen=True)
@@ -61,10 +82,12 @@ class CoproductEntry:
 
 
 class CoproductSpec:
-    """An immutable generator table plus reduced-coproduct entries.
+    """A generator table plus reduced-coproduct entries.
 
-    Construction does not validate the algebraic laws; call `validate` (or
-    `validate_spec`) for the structural report.  Loading from JSON validates
+    The table itself never changes after construction; derived quantities
+    are memoized on the instance through `spec_memo`, in an unsynchronized
+    memo.  Construction does not validate the algebraic laws; call
+    `validate` for the structural report.  Loading from JSON validates
     automatically.
     """
 
@@ -85,8 +108,7 @@ class CoproductSpec:
             self._by_source.setdefault(e.source, ())
             self._by_source[e.source] += (e,)
         self._coeff = {(e.source, e.left, e.right): e.coeff for e in self.entries}
-        # Scratch space for memoized derived quantities (coproducts, antipodes,
-        # tree families).  Keys are namespaced by the computing module.
+        # The spec_memo store: one dict per memoized function.
         self._cache: dict = {}
 
     def generator_ids(self) -> list[int]:
@@ -149,9 +171,30 @@ class CoproductSpec:
         return problems
 
 
-def validate_spec(spec: CoproductSpec) -> list[str]:
-    """Structural validation report for a coproduct table."""
-    return spec.validate()
+def graded_monomials(
+    generators: Iterable[Generator], max_degree: int
+) -> list[Monomial]:
+    """All monomials in the given generators of degree <= max_degree,
+    including the unit, in canonical order (by degree, then length, then
+    indices)."""
+    degree = {g.id: g.degree for g in generators}
+    ids = sorted(degree)
+
+    def build(pos: int, budget: int) -> list[tuple[int, ...]]:
+        if pos == len(ids):
+            return [()]
+        i = ids[pos]
+        d = degree[i]
+        out: list[tuple[int, ...]] = []
+        reps = 0
+        while reps * d <= budget:
+            for rest in build(pos + 1, budget - reps * d):
+                out.append((i,) * reps + rest)
+            reps += 1
+        return out
+
+    found = [Monomial(t) for t in build(0, max_degree)]
+    return sorted(found, key=lambda m: (sum(degree[i] for i in m), m.sort_key))
 
 
 # --- Faa di Bruno style instance -------------------------------------------
@@ -201,23 +244,25 @@ def faa_di_bruno_spec(max_degree: int) -> CoproductSpec:
 
 # --- JSON serialization ------------------------------------------------------
 
-def _coeff_str(c: Fraction) -> str:
-    return str(c)  # Fraction renders "p" or "p/q" exactly as required
-
-
-def spec_to_dict(spec: CoproductSpec) -> dict:
-    gens = []
-    for g in sorted(spec.generators.values(), key=lambda g: g.id):
+def generators_to_list(generators: Iterable[Generator]) -> list[dict]:
+    """The JSON form of a generator (or basis) list, sorted by id."""
+    out = []
+    for g in sorted(generators, key=lambda g: g.id):
         item: dict = {"id": g.id, "degree": g.degree}
         if g.label is not None:
             item["label"] = g.label
-        gens.append(item)
+        out.append(item)
+    return out
+
+
+def spec_to_dict(spec: CoproductSpec) -> dict:
+    gens = generators_to_list(spec.generators.values())
     entries = [
         {
             "source": e.source,
             "left": e.left,
             "right": list(e.right),
-            "coeff": _coeff_str(e.coeff),
+            "coeff": str(e.coeff),  # Fraction renders "p" or "p/q"
         }
         for e in spec.entries
     ]
@@ -234,12 +279,15 @@ def _require(cond: bool, msg: str) -> None:
         raise InputError(msg)
 
 
+_COEFF = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _parse_coeff(raw: object, where: str) -> Fraction:
-    if isinstance(raw, bool):
-        raise InputError(f"{where}: coeff must be an integer or 'p/q' string")
-    if isinstance(raw, int):
+    if isinstance(raw, int) and not isinstance(raw, bool):
         return Fraction(raw)
     if isinstance(raw, str):
+        if not _COEFF.fullmatch(raw):
+            raise InputError(f"{where}: bad coefficient {raw!r} (not 'p' or 'p/q')")
         try:
             return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
@@ -253,18 +301,11 @@ def _parse_id(raw: object, where: str) -> int:
     return raw
 
 
-def spec_from_dict(doc: object) -> CoproductSpec:
-    _require(isinstance(doc, dict), "spec document must be a JSON object")
-    assert isinstance(doc, dict)
-    unknown = set(doc) - {"name", "generators", "coproduct"}
-    _require(not unknown, f"unknown top-level fields {sorted(unknown)}")
-    _require(isinstance(doc.get("name"), str), "spec needs a string 'name'")
-    _require(isinstance(doc.get("generators"), list), "spec needs a 'generators' list")
-    _require(isinstance(doc.get("coproduct"), list), "spec needs a 'coproduct' list")
-
+def parse_generators(doc: dict, field: str) -> list[Generator]:
+    """The strict {"id", "degree", "label"} records of ``doc[field]``."""
     gens: list[Generator] = []
-    for pos, item in enumerate(doc["generators"]):
-        where = f"generators[{pos}]"
+    for pos, item in enumerate(doc[field]):
+        where = f"{field}[{pos}]"
         _require(isinstance(item, dict), f"{where} must be an object")
         extra = set(item) - {"id", "degree", "label"}
         _require(not extra, f"{where}: unknown fields {sorted(extra)}")
@@ -280,7 +321,19 @@ def spec_from_dict(doc: object) -> CoproductSpec:
             f"{where}: label must be a string",
         )
         gens.append(Generator(gid, degree, label))
+    return gens
 
+
+def spec_from_dict(doc: object) -> CoproductSpec:
+    _require(isinstance(doc, dict), "spec document must be a JSON object")
+    assert isinstance(doc, dict)
+    unknown = set(doc) - {"name", "generators", "coproduct"}
+    _require(not unknown, f"unknown top-level fields {sorted(unknown)}")
+    _require(isinstance(doc.get("name"), str), "spec needs a string 'name'")
+    _require(isinstance(doc.get("generators"), list), "spec needs a 'generators' list")
+    _require(isinstance(doc.get("coproduct"), list), "spec needs a 'coproduct' list")
+
+    gens = parse_generators(doc, "generators")
     entries: list[CoproductEntry] = []
     for pos, item in enumerate(doc["coproduct"]):
         where = f"coproduct[{pos}]"
@@ -309,20 +362,34 @@ def spec_from_dict(doc: object) -> CoproductSpec:
     return spec
 
 
+def parse_json(text: Union[str, bytes]) -> object:
+    """json.loads with every failure mapped to InputError, including bytes
+    that do not decode, oversized integers and too-deep nesting."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError too
+        raise InputError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InputError("cannot parse JSON: nested too deeply") from None
+
+
+def read_text_file(path: str, what: str) -> str:
+    """The file's text, decoded as strict UTF-8; InputError when it cannot be
+    opened, read or decoded."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {what} file {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {what} file {path}: not UTF-8 ({exc})") from None
+
+
 def load_spec(text: Union[str, bytes]) -> CoproductSpec:
     """Parse and validate a JSON coproduct table; raises InputError on any
     structural problem."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"not valid JSON: {exc}") from None
-    return spec_from_dict(doc)
+    return spec_from_dict(parse_json(text))
 
 
 def load_spec_file(path: str) -> CoproductSpec:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read spec file {path}: {exc}") from None
-    return load_spec(text)
+    return load_spec(read_text_file(path, "spec"))

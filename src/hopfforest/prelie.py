@@ -41,11 +41,19 @@ from .hopfspec import (
     _parse_coeff,
     _parse_id,
     _require,
+    generators_to_list,
+    graded_monomials,
+    parse_generators,
+    parse_json,
+    read_text_file,
+    spec_memo,
 )
 
 
 class PreLieSpec:
-    """Structure constants of a truncated graded preLie algebra."""
+    """Structure constants of a truncated graded preLie algebra.  Brace
+    values are memoized on the instance through `spec_memo`, in an
+    unsynchronized memo."""
 
     def __init__(
         self,
@@ -153,6 +161,7 @@ def _apply_brace(
     return out, flag
 
 
+@spec_memo
 def brace_action(spec: PreLieSpec, i: int, right: Monomial) -> BraceResult:
     """The symmetric-brace extension of the product to a monomial right
     argument, by the recursion
@@ -164,39 +173,32 @@ def brace_action(spec: PreLieSpec, i: int, right: Monomial) -> BraceResult:
 
     peeling the canonically last factor.  The preLie identity makes the
     result independent of which factor is peeled; tests exercise that."""
-    key = (i, right.indices)
-    cache = spec._cache.setdefault("brace", {})
-    if key in cache:
-        return cache[key]
     spec.degree(i)  # raises for unknown ids
     if right.is_unit:
-        res = BraceResult(Polynomial.variable(i), False)
-    elif len(right) == 1:
-        res = prelie_product(spec, i, right.indices[0])
-    else:
-        rest = Monomial(right.indices[:-1])
-        last = right.indices[-1]
-        inner = brace_action(spec, i, rest)
-        total, flagged = _apply_brace(spec, inner.value, last)
-        flagged = flagged or inner.truncated
-        seen: set[int] = set()
-        for pos, j in enumerate(rest.indices):
-            if j in seen:
-                continue
-            seen.add(j)
-            mult = rest.indices.count(j)
-            removed = Monomial(rest.indices[:pos] + rest.indices[pos + 1 :])
-            jb = prelie_product(spec, j, last)
-            flagged = flagged or jb.truncated
-            for m, c in jb.value.terms():
-                sub = brace_action(spec, i, removed * m)
-                flagged = flagged or sub.truncated
-                total = total - sub.value * (c * mult)
-        if spec.degree(i) + spec.monomial_degree(right) > spec.truncation:
-            flagged = True
-        res = BraceResult(total, flagged)
-    cache[key] = res
-    return res
+        return BraceResult(Polynomial.variable(i), False)
+    if len(right) == 1:
+        return prelie_product(spec, i, right.indices[0])
+    rest = Monomial(right.indices[:-1])
+    last = right.indices[-1]
+    inner = brace_action(spec, i, rest)
+    total, flagged = _apply_brace(spec, inner.value, last)
+    flagged = flagged or inner.truncated
+    seen: set[int] = set()
+    for pos, j in enumerate(rest.indices):
+        if j in seen:
+            continue
+        seen.add(j)
+        mult = rest.indices.count(j)
+        removed = Monomial(rest.indices[:pos] + rest.indices[pos + 1 :])
+        jb = prelie_product(spec, j, last)
+        flagged = flagged or jb.truncated
+        for m, c in jb.value.terms():
+            sub = brace_action(spec, i, removed * m)
+            flagged = flagged or sub.truncated
+            total = total - sub.value * (c * mult)
+    if spec.degree(i) + spec.monomial_degree(right) > spec.truncation:
+        flagged = True
+    return BraceResult(total, flagged)
 
 
 def guin_oudom_mul(spec: PreLieSpec, a: Monomial, b: Monomial) -> BraceResult:
@@ -256,27 +258,6 @@ def unshuffle_poly(p: Polynomial) -> Tensor:
     return out
 
 
-def prelie_monomials_up_to(spec: PreLieSpec, max_degree: int) -> list[Monomial]:
-    """All monomials over the basis of degree <= max_degree, unit included."""
-    ids = spec.basis_ids()
-
-    def build(pos: int, budget: int) -> list[tuple[int, ...]]:
-        if pos == len(ids):
-            return [()]
-        i = ids[pos]
-        d = spec.degree(i)
-        out: list[tuple[int, ...]] = []
-        reps = 0
-        while reps * d <= budget:
-            for rest in build(pos + 1, budget - reps * d):
-                out.append((i,) * reps + rest)
-            reps += 1
-        return out
-
-    found = [Monomial(t) for t in build(0, max_degree)]
-    return sorted(found, key=lambda m: (spec.monomial_degree(m), m.sort_key))
-
-
 def prelie_check(spec: PreLieSpec) -> list[str]:
     """Evaluates the defining identity
 
@@ -314,7 +295,7 @@ def associativity_report(spec: PreLieSpec) -> list[str]:
     """Checks (a*b)*c = a*(b*c) for the enveloping product on every monomial
     triple whose total degree fits under the truncation (unit included)."""
     problems: list[str] = []
-    mons = prelie_monomials_up_to(spec, spec.truncation)
+    mons = graded_monomials(spec.basis.values(), spec.truncation)
     for a in mons:
         da = spec.monomial_degree(a)
         for b in mons:
@@ -339,7 +320,7 @@ def filtration_report(spec: PreLieSpec) -> list[str]:
     """Checks that a length-n monomial times a length-m monomial is
     supported in word lengths n..n+m, and stays degree-homogeneous."""
     problems: list[str] = []
-    mons = [m for m in prelie_monomials_up_to(spec, spec.truncation) if len(m)]
+    mons = graded_monomials(spec.basis.values(), spec.truncation)[1:]  # no unit
     for a in mons:
         for b in mons:
             degree = spec.monomial_degree(a) + spec.monomial_degree(b)
@@ -418,11 +399,9 @@ def grafting_instance(max_vertices: int) -> PreLieSpec:
         for t2 in shapes:
             if _shape_size(t1) + _shape_size(t2) > max_vertices:
                 continue
-            counts: dict[Monomial, int] = {}
-            for result in _graft_everywhere(t1, t2):
-                m = Monomial((ids[result],))
-                counts[m] = counts.get(m, 0) + 1
-            products[ids[t1], ids[t2]] = Polynomial(counts)
+            products[ids[t1], ids[t2]] = Polynomial(
+                (Monomial((ids[result],)), 1) for result in _graft_everywhere(t1, t2)
+            )
     return PreLieSpec(f"grafting-{max_vertices}", basis, products, max_vertices)
 
 
@@ -463,13 +442,12 @@ def dualize(spec: PreLieSpec, max_degree: int) -> CoproductSpec:
             + "; ".join(identity_problems)
         )
     gens = [
-        Generator(g.id, g.degree, g.label)
-        for g in sorted(spec.basis.values(), key=lambda g: g.id)
+        g for g in sorted(spec.basis.values(), key=lambda g: g.id)
         if g.degree <= max_degree
     ]
     entries: list[CoproductEntry] = []
     for g in gens:
-        for right in prelie_monomials_up_to(spec, max_degree - g.degree):
+        for right in graded_monomials(spec.basis.values(), max_degree - g.degree):
             if right.is_unit:
                 continue
             res = brace_action(spec, g.id, right)
@@ -497,12 +475,6 @@ def dualize(spec: PreLieSpec, max_degree: int) -> CoproductSpec:
 # --- JSON serialization -------------------------------------------------------
 
 def prelie_to_dict(spec: PreLieSpec) -> dict:
-    basis = []
-    for g in sorted(spec.basis.values(), key=lambda g: g.id):
-        item: dict = {"id": g.id, "degree": g.degree}
-        if g.label is not None:
-            item["label"] = g.label
-        basis.append(item)
     products = []
     for (i, j), value in sorted(spec.products.items()):
         products.append(
@@ -516,7 +488,7 @@ def prelie_to_dict(spec: PreLieSpec) -> dict:
         )
     return {
         "name": spec.name,
-        "basis": basis,
+        "basis": generators_to_list(spec.basis.values()),
         "products": products,
         "truncation": spec.truncation,
     }
@@ -544,24 +516,7 @@ def prelie_from_dict(doc: object) -> PreLieSpec:
         f"truncation must be a positive integer, got {truncation!r}",
     )
 
-    basis: list[Generator] = []
-    for pos, item in enumerate(doc["basis"]):
-        where = f"basis[{pos}]"
-        _require(isinstance(item, dict), f"{where} must be an object")
-        extra = set(item) - {"id", "degree", "label"}
-        _require(not extra, f"{where}: unknown fields {sorted(extra)}")
-        gid = _parse_id(item.get("id"), where)
-        degree = item.get("degree")
-        _require(
-            isinstance(degree, int) and not isinstance(degree, bool) and degree >= 1,
-            f"{where}: degree must be a positive integer, got {degree!r}",
-        )
-        label = item.get("label")
-        _require(
-            label is None or isinstance(label, str), f"{where}: label must be a string"
-        )
-        basis.append(Generator(gid, degree, label))
-
+    basis = parse_generators(doc, "basis")
     products: dict[tuple[int, int], Polynomial] = {}
     for pos, item in enumerate(doc["products"]):
         where = f"products[{pos}]"
@@ -573,17 +528,15 @@ def prelie_from_dict(doc: object) -> PreLieSpec:
         _require((i, j) not in products, f"{where}: duplicate pair ({i}, {j})")
         raw = item.get("result")
         _require(isinstance(raw, list), f"{where}: result must be a list")
-        terms: dict[Monomial, Fraction] = {}
+        terms: list[tuple[Monomial, Fraction]] = []
         for tpos, term in enumerate(raw):
             twhere = f"{where}.result[{tpos}]"
             _require(isinstance(term, dict), f"{twhere} must be an object")
             textra = set(term) - {"id", "coeff"}
             _require(not textra, f"{twhere}: unknown fields {sorted(textra)}")
             k = _parse_id(term.get("id"), twhere)
-            coeff = _parse_coeff(term.get("coeff"), twhere)
-            key = Monomial((k,))
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-        products[i, j] = Polynomial(terms)
+            terms.append((Monomial((k,)), _parse_coeff(term.get("coeff"), twhere)))
+        products[i, j] = Polynomial(terms)  # sums repeated ids
 
     spec = PreLieSpec(doc["name"], basis, products, truncation)
     problems = spec.validate()
@@ -593,17 +546,8 @@ def prelie_from_dict(doc: object) -> PreLieSpec:
 
 
 def load_prelie(text: Union[str, bytes]) -> PreLieSpec:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"not valid JSON: {exc}") from None
-    return prelie_from_dict(doc)
+    return prelie_from_dict(parse_json(text))
 
 
 def load_prelie_file(path: str) -> PreLieSpec:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read preLie spec file {path}: {exc}") from None
-    return load_prelie(text)
+    return load_prelie(read_text_file(path, "preLie spec"))

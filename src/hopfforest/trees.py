@@ -27,7 +27,7 @@ from typing import Iterable, NamedTuple, Optional, Union
 
 from .algebra import Monomial, Rational
 from .errors import InputError
-from .hopfspec import CoproductSpec
+from .hopfspec import CoproductSpec, spec_memo
 
 
 def _check_decoration(value: int, what: str) -> None:
@@ -85,12 +85,6 @@ def node(
     if not kids:
         raise InputError("an internal vertex needs children; use leaf() instead")
     return DecoratedTree(source, left, kids)
-
-
-def canonicalize(t: DecoratedTree) -> DecoratedTree:
-    """Rebuild a tree bottom-up, sorting children at every level.  All
-    constructors already do this, so the map is idempotent."""
-    return DecoratedTree(t.source, t.left, tuple(canonicalize(c) for c in t.children))
 
 
 @dataclass(frozen=True)
@@ -201,7 +195,7 @@ def tree_multiplicity(x: TreeLike) -> int:
     Coproduct expansions of products are sums over ordered choices: a table
     entry whose right leg repeats an index offers that many interchangeable
     slots, and filling them with distinct subtrees can be done in several
-    orders that all canonicalize to the same non-planar tree.  Sums indexed
+    orders that all sort to the same non-planar tree.  Sums indexed
     by distinct canonical trees must therefore weight each tree by the
     product, over every internal vertex and every group of equal-source
     siblings, of the multinomial coefficient of the distinct-subtree counts
@@ -228,6 +222,7 @@ def tree_multiplicity(x: TreeLike) -> int:
     return out
 
 
+@spec_memo
 def enumerate_trees(spec: CoproductSpec, i: int) -> tuple[DecoratedTree, ...]:
     """Every canonical tree with root source i realized by the table (all
     entry lookups nonzero), in canonical order, each exactly once.
@@ -239,22 +234,19 @@ def enumerate_trees(spec: CoproductSpec, i: int) -> tuple[DecoratedTree, ...]:
     smaller degree than the source.  Sums over this set that must match the
     iterated-coproduct expansion weight each tree by tree_multiplicity.
     """
-    cache = spec._cache.setdefault("trees", {})
-    if i not in cache:
-        spec.degree(i)  # raises for unknown ids
-        found = {leaf(i)}
-        for e in spec.entries_for(i):
-            pools = []
-            for j in sorted(set(e.right)):
-                mult = e.right.count(j)
-                pools.append(
-                    combinations_with_replacement(enumerate_trees(spec, j), mult)
-                )
-            for combo in iter_product(*pools):
-                children = tuple(t for group in combo for t in group)
-                found.add(node(i, e.left, children))
-        cache[i] = tuple(sorted(found, key=structure_key))
-    return cache[i]
+    spec.degree(i)  # raises for unknown ids
+    found = {leaf(i)}
+    for e in spec.entries_for(i):
+        pools = []
+        for j in sorted(set(e.right)):
+            mult = e.right.count(j)
+            pools.append(
+                combinations_with_replacement(enumerate_trees(spec, j), mult)
+            )
+        for combo in iter_product(*pools):
+            children = tuple(t for group in combo for t in group)
+            found.add(node(i, e.left, children))
+    return tuple(sorted(found, key=structure_key))
 
 
 def enumerate_forests(spec: CoproductSpec, indices: Iterable[int]) -> list[Forest]:

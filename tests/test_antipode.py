@@ -23,6 +23,8 @@ from hopfforest.hopfspec import (
     Generator,
     faa_di_bruno_spec,
 )
+from hopfforest.linearize import k_linearizations
+from hopfforest.trees import enumerate_trees, vertex_count
 
 GOLDEN = {
     1: "-1 b1",
@@ -136,3 +138,21 @@ def test_methods_agree_under_generator_relabeling(order):
         results = {m: antipode_generator(spec, i, m) for m in METHODS}
         assert results["forest"] == results["dyson-salam"] == results["bogoliubov"]
     assert convolution_check(spec, 4, antipode_endomap(spec, "forest")) == []
+
+
+def _linearization_count_oracle(spec, i):
+    """dyson_salam_terms by its definition: (rank, tree) pairs where the tree
+    has at least one level assignment at that rank."""
+    return sum(
+        sum(1 for k in range(1, vertex_count(t) + 1) if k_linearizations(t, k))
+        for t in enumerate_trees(spec, i)
+    )
+
+
+@pytest.mark.parametrize("table", ["fdb6", "dual4"])
+def test_term_stats_matches_linearization_count(request, table):
+    spec = request.getfixturevalue(table)
+    for i in spec.generator_ids():
+        stats = term_stats(spec, i)
+        assert stats.dyson_salam_terms == _linearization_count_oracle(spec, i)
+        assert stats.forest_terms == len(enumerate_trees(spec, i))

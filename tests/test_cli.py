@@ -13,7 +13,7 @@ from hopfforest.hopfspec import (
     save_spec,
     spec_to_dict,
 )
-from hopfforest.prelie import PreLieSpec, save_prelie
+from hopfforest.prelie import PreLieSpec, grafting_instance, save_prelie
 
 
 def invoke(capsys, *argv):
@@ -267,6 +267,51 @@ def test_exit_code_two_on_bad_input(capsys, fdb6_file, tmp_path):
         capsys, "antipode", "--spec", str(bad), "--element", "2", "--method", "forest"
     )
     assert code == 2 and "error:" in err
+
+
+UNREADABLE_FILES = {
+    "deeply nested": "[" * 200000,
+    "not UTF-8": b'{"name": "\xff"}',
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNREADABLE_FILES))
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "--spec", "{}", "--max-degree", "2"), ("prelie-verify", "--prelie", "{}")],
+    ids=["verify", "prelie-verify"],
+)
+def test_unreadable_input_file_exits_two(capsys, tmp_path, kind, argv):
+    path = tmp_path / "input.json"
+    content = UNREADABLE_FILES[kind]
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    code, out, err = invoke(capsys, *(a.format(path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("coeff", ["0.5", "1e3", "1e200000"])
+def test_coefficients_outside_the_grammar_exit_two(capsys, tmp_path, coeff):
+    doc = spec_to_dict(faa_di_bruno_spec(3))
+    doc["coproduct"][0]["coeff"] = coeff
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(doc))
+    prelie = json.loads(save_prelie(grafting_instance(3)))
+    prelie["products"][0]["result"][0]["coeff"] = coeff
+    prelie_path = tmp_path / "prelie.json"
+    prelie_path.write_text(json.dumps(prelie))
+    for argv in (
+        ("antipode", "--spec", str(spec_path), "--element", "3", "--method", "forest"),
+        ("prelie-verify", "--prelie", str(prelie_path)),
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "bad coefficient" in err
 
 
 def test_argparse_passthrough(capsys, fdb6_file):

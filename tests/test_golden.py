@@ -1,0 +1,98 @@
+"""Golden stdout: sha256 digests of whole CLI outputs on the degree-8
+composition table and on the degree-5 grafting dual.  Any change to what a
+command prints, down to one byte, fails here; refactors must keep them."""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from hopfforest.cli import run
+from hopfforest.prelie import grafting_instance, save_prelie
+
+METHODS = ("forest", "dyson-salam", "bogoliubov")
+FDB_DEGREE = 8
+DUAL_DEGREE = 5
+DUAL_ELEMENT = 17  # the last degree-5 generator of the grafting-5 dual
+
+
+def _stdout(*argv: str) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = run(list(argv))
+    assert code == 0, argv
+    return buf.getvalue()
+
+
+def _commands(spec_file: str, degree: int, element: int) -> dict[str, tuple]:
+    common = ("--spec", spec_file)
+    out = {
+        "verify": ("verify", *common, "--max-degree", str(degree)),
+        "compare": ("compare", *common, "--max-degree", str(degree)),
+        "coproduct": (
+            "coproduct", *common, "--element", str(element), "--iterate", "4",
+        ),
+    }
+    for method in METHODS:
+        out[f"antipode-{method}"] = (
+            "antipode", *common, "--element", str(element),
+            "--method", method, "--format", "json",
+        )
+    return out
+
+
+def golden_outputs(tmp_dir) -> dict[str, str]:
+    """stdout of every guarded command, keyed by a stable name."""
+    outputs: dict[str, str] = {}
+    fdb = outputs["fdb:gen"] = _stdout("gen", "fdb", "--max-degree", str(FDB_DEGREE))
+    fdb_file = tmp_dir / "fdb8.json"
+    fdb_file.write_text(fdb, encoding="utf-8")
+    graft_file = tmp_dir / "graft5.json"
+    graft_file.write_text(save_prelie(grafting_instance(DUAL_DEGREE)), encoding="utf-8")
+    dual = outputs["dual:dualize"] = _stdout(
+        "dualize", "--prelie", str(graft_file), "--max-degree", str(DUAL_DEGREE)
+    )
+    dual_file = tmp_dir / "dual5.json"
+    dual_file.write_text(dual, encoding="utf-8")
+    for prefix, path, degree, element in (
+        ("fdb", fdb_file, FDB_DEGREE, FDB_DEGREE),
+        ("dual", dual_file, DUAL_DEGREE, DUAL_ELEMENT),
+    ):
+        for name, argv in _commands(str(path), degree, element).items():
+            outputs[f"{prefix}:{name}"] = _stdout(*argv)
+    return outputs
+
+
+# Captured at commit 01cbc5a, before the plumbing refactor.
+GOLDEN_SHA256 = {
+    "dual:antipode-bogoliubov": "fc90ab15a5b4cf32511ca3d5072ca1af260998dd3e7b6347e408ec549ddee990",
+    "dual:antipode-dyson-salam": "13de2fb48f9f8e644f65b30520c35e705951f35972278fb012084a47638a5712",
+    "dual:antipode-forest": "680af57c6c3bd46cf8a5ffc01f3358ad0aab1cba08d7033aa48622e0dfb6abe8",
+    "dual:compare": "d0b1c3f8f971c951017c36929d8b5f92ba88ef5120bbecf2442af3e448f9893e",
+    "dual:coproduct": "1f65a7cb93432e7c9e360b2dba3040cffe5cfa79aef1855f7c6ef7b229b1b702",
+    "dual:dualize": "9081d9b19f8f6b2c18b877cd9f5ab5609eb67ae4f0946ae7ad8de8044537b447",
+    "dual:verify": "874dde543259208759f69fee7c6eefdc4cf58b0f996d90d63b96f55ac6342e1e",
+    "fdb:antipode-bogoliubov": "2c88bc35afc0b5f3c1f02b299c8e69a3c9bfe59c2d062ec4cd85f38631221355",
+    "fdb:antipode-dyson-salam": "aaa9333a2817dc295b15c207af779fee57f92ef6ddbbbbb29568bc20f6640bea",
+    "fdb:antipode-forest": "847b910631a2b2900f74e473502b71586deb1a9747ef42b5db13808e1ee05785",
+    "fdb:compare": "7a8d4be7826ca4c878bc200b783113b999afe04cb0318da0893fcf2e81517f52",
+    "fdb:coproduct": "02a5902f2132c02237a8b5e85262505a34789f385a9cbdd32f21acfac954fce0",
+    "fdb:gen": "7f6ac49e2fd4c797afedcd23c831c4c1029717adda5ce18a180c5270977474d9",
+    "fdb:verify": "874dde543259208759f69fee7c6eefdc4cf58b0f996d90d63b96f55ac6342e1e",
+}
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    return golden_outputs(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_stdout_is_byte_identical(outputs, name):
+    digest = hashlib.sha256(outputs[name].encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_SHA256[name]
+
+
+def test_every_output_is_guarded(outputs):
+    assert sorted(outputs) == sorted(GOLDEN_SHA256)

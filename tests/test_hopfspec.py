@@ -20,7 +20,6 @@ from hopfforest.hopfspec import (
     save_spec,
     spec_from_dict,
     spec_to_dict,
-    validate_spec,
 )
 
 
@@ -101,7 +100,7 @@ def _spec(generators, entries):
 
 def test_validate_flags_each_violation():
     g = (Generator(1, 1), Generator(2, 2))
-    assert validate_spec(_spec(g, [CoproductEntry(2, 1, (1,), 3)])) == []
+    assert _spec(g, [CoproductEntry(2, 1, (1,), 3)]).validate() == []
 
     dup_gen = _spec((Generator(1, 1), Generator(1, 2)), [])
     assert any("duplicate" in msg for msg in dup_gen.validate())

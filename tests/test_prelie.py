@@ -6,7 +6,7 @@ import pytest
 from hopfforest.algebra import Monomial, Polynomial, Tensor, mono
 from hopfforest.coproduct import coassociativity_report, counit_report
 from hopfforest.errors import ConstructionError, InputError
-from hopfforest.hopfspec import Generator
+from hopfforest.hopfspec import Generator, graded_monomials
 from hopfforest.prelie import (
     BraceResult,
     PreLieSpec,
@@ -20,7 +20,6 @@ from hopfforest.prelie import (
     load_prelie,
     prelie_check,
     prelie_from_dict,
-    prelie_monomials_up_to,
     prelie_product,
     prelie_to_dict,
     rooted_tree_shapes,
@@ -133,7 +132,7 @@ def reference_brace(spec, i, right):
 
 def test_brace_action_is_peel_order_independent(graft4):
     for i in graft4.basis_ids():
-        for right in prelie_monomials_up_to(graft4, 4 - graft4.degree(i)):
+        for right in graded_monomials(graft4.basis.values(), 4 - graft4.degree(i)):
             res = brace_action(graft4, i, right)
             if not res.truncated:
                 assert res.value == reference_brace(graft4, i, right)
@@ -250,10 +249,10 @@ def test_unshuffle_coproduct():
 
 
 def test_monomial_enumeration(graft4):
-    mons = prelie_monomials_up_to(graft4, 2)
+    mons = graded_monomials(graft4.basis.values(), 2)
     assert [m.render() for m in mons] == ["1", "b1", "b2", "b1b1"]
     assert all(
-        graft4.monomial_degree(m) <= 4 for m in prelie_monomials_up_to(graft4, 4)
+        graft4.monomial_degree(m) <= 4 for m in graded_monomials(graft4.basis.values(), 4)
     )
 
 
