@@ -26,7 +26,6 @@ from .antipode import (
     term_stats,
 )
 from .coproduct import (
-    Endomap,
     coassociativity_report,
     convolution_check,
     coproduct_poly,

@@ -11,6 +11,7 @@ memoize derived values are not: see ``hopfspec.spec_memo``.)
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
@@ -89,6 +90,16 @@ def _as_fraction(c: Scalar) -> Fraction:
     raise InputError(f"coefficients must be integers or Fractions, got {c!r}")
 
 
+def coefficient_text(c: Fraction) -> str:
+    """A coefficient as "p" or "p/q", the one place coefficients become text;
+    past Python's integer-to-text digit limit it raises InputError."""
+    try:
+        return str(c)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise InputError(f"coefficient too big to print: over {limit} digits") from None
+
+
 TermMap = Mapping[Monomial, Scalar]
 Terms = Union[TermMap, Iterable[tuple[Monomial, Scalar]]]
 
@@ -130,9 +141,6 @@ class Polynomial:
     def terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in canonical monomial order."""
         return sorted(self._terms.items(), key=lambda t: t[0].sort_key)
-
-    def monomials(self) -> list[Monomial]:
-        return [m for m, _ in self.terms()]
 
     def coefficient(self, m: Monomial) -> Fraction:
         return self._terms.get(m, Fraction(0))
@@ -341,7 +349,8 @@ def _render_terms(terms, body) -> str:
         return "0"
     chunks: list[str] = []
     for key, c in terms:
-        piece = f"{abs(c)} {body(key)}" if not _is_unit_key(key) else f"{abs(c)}"
+        piece = coefficient_text(abs(c))
+        piece = piece if _is_unit_key(key) else f"{piece} {body(key)}"
         if not chunks:
             chunks.append(piece if c > 0 else f"-{piece}")
         else:

@@ -16,9 +16,10 @@ commutative), with S(1) = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .algebra import Monomial, Polynomial
-from .coproduct import Endomap, iterated_reduced, iterated_reduced_poly
+from .coproduct import iterated_reduced_poly, reduced_coproduct_step
 from .errors import InputError
 from .hopfspec import CoproductSpec, spec_memo
 from .trees import (
@@ -38,37 +39,35 @@ def antipode_forest(spec: CoproductSpec, i: int) -> Polynomial:
     with sign (-1)^(vertex count), weighted by the number of ordered subtree
     assignments the canonical tree stands for; no like-term cancellation can
     occur between trees of different vertex parity, and the sum is exact."""
-    out = Polynomial.zero()
-    for t in enumerate_trees(spec, i):
-        sign = -1 if vertex_count(t) % 2 else 1
-        out = out + Polynomial.single(
+    return Polynomial(
+        (
             vertex_monomial(t),
-            tree_coefficient(t, spec) * tree_multiplicity(t) * sign,
+            tree_coefficient(t, spec)
+            * tree_multiplicity(t)
+            * (-1) ** vertex_count(t),
         )
-    return out
+        for t in enumerate_trees(spec, i)
+    )
 
 
 def antipode_dyson_salam(spec: CoproductSpec, i: int) -> Polynomial:
-    """Alternating sum of multiplied-out iterated reduced coproducts; the
-    iterates vanish once the rank exceeds the degree, so the sum is finite."""
-    out = Polynomial.zero()
-    for k in range(1, spec.degree(i) + 1):
-        out = out + iterated_reduced(spec, i, k).multiplied_out() * ((-1) ** k)
-    return out
+    """The Dyson-Salam route on one generator."""
+    return dyson_salam_poly(spec, Polynomial.variable(i))
 
 
 def dyson_salam_poly(spec: CoproductSpec, p: Polynomial) -> Polynomial:
-    """The same alternating sum run directly on a polynomial from the
-    augmentation ideal, without using multiplicativity of the antipode.
-    Exists as a cross-check for antipode_poly."""
+    """The Dyson-Salam route on an augmentation-ideal element: the sum over
+    k of (-1)^k times the multiplied-out rank-k iterated reduced coproduct,
+    each rank one step from the last, for k up to the degree of p (so an
+    ungraded table still terminates)."""
     if p.constant != 0:
         raise InputError("the alternating-sum antipode needs zero constant term")
-    bound = max(
-        (spec.monomial_degree(m) for m, _ in p.terms()), default=0
-    )
-    out = Polynomial.zero()
-    for k in range(1, bound + 1):
-        out = out + iterated_reduced_poly(spec, p, k).multiplied_out() * ((-1) ** k)
+    bound = max((spec.monomial_degree(m) for m, _ in p.terms()), default=0)
+    iterate = iterated_reduced_poly(spec, p, 1)
+    out = -iterate.multiplied_out()
+    for k in range(2, bound + 1):
+        iterate = reduced_coproduct_step(spec, iterate)
+        out = out + iterate.multiplied_out() * (-1) ** k
     return out
 
 
@@ -119,9 +118,11 @@ def antipode_poly(
     return out
 
 
-def antipode_endomap(spec: CoproductSpec, method: str = "forest") -> Endomap:
-    """The antipode as a convolution-algebra element."""
-    return Endomap(lambda m: antipode_poly(spec, Polynomial.single(m), method))
+def antipode_endomap(
+    spec: CoproductSpec, method: str = "forest"
+) -> Callable[[Monomial], Polynomial]:
+    """The antipode as a function on monomials, as convolution_check takes it."""
+    return lambda m: antipode_poly(spec, Polynomial.single(m), method)
 
 
 @dataclass(frozen=True)

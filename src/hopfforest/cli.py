@@ -12,6 +12,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
+from .algebra import coefficient_text
 from .antipode import (
     METHODS,
     antipode_endomap,
@@ -125,7 +126,7 @@ def _cmd_antipode(args: argparse.Namespace) -> int:
             "element": args.element,
             "method": args.method,
             "terms": [
-                {"monomial": list(m.indices), "coeff": str(c)}
+                {"monomial": list(m.indices), "coeff": coefficient_text(c)}
                 for m, c in value.terms()
             ],
         }
@@ -147,7 +148,7 @@ def _cmd_coproduct(args: argparse.Namespace) -> int:
             "terms": [
                 {
                     "factors": [list(m.indices) for m in key],
-                    "coeff": str(c),
+                    "coeff": coefficient_text(c),
                 }
                 for key, c in value.terms()
             ],
@@ -163,7 +164,7 @@ def _cmd_trees(args: argparse.Namespace) -> int:
         sign = "-1" if l % 2 else "+1"
         print(
             f"{tree_notation(t)} l={l} h={h} sign={sign} "
-            f"lambda={lam} v={value.render()}"
+            f"lambda={coefficient_text(lam)} v={value.render()}"
         )
     return 0
 

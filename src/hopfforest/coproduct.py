@@ -11,7 +11,6 @@ is what makes the degree-many-step antipode formulas finite.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable
 
 from .algebra import Monomial, Polynomial, Tensor, mono
@@ -71,20 +70,36 @@ def reduced_coproduct_poly(spec: CoproductSpec, p: Polynomial) -> Tensor:
     )
 
 
+@spec_memo
+def _reduced_coproduct_monomial(spec: CoproductSpec, m: Monomial) -> Tensor:
+    """Reduced coproduct of one monomial; the unit monomial has none and
+    raises InputError."""
+    return reduced_coproduct_poly(spec, Polynomial.single(m))
+
+
 def _splice(
-    spec: CoproductSpec,
-    t: Tensor,
-    leg: int,
-    coproduct: Callable[[CoproductSpec, Polynomial], Tensor],
+    spec: CoproductSpec, t: Tensor, leg: int, coproduct_monomial: Callable[..., Tensor]
 ) -> Tensor:
-    """Apply a rank-2 coproduct (full or reduced) to one leg of a tensor,
-    raising the rank by one."""
-    out_terms: list[tuple[tuple[Monomial, ...], Fraction]] = []
-    for key, c in t.terms():
-        expanded = coproduct(spec, Polynomial.single(key[leg]))
-        for (a, b), c2 in expanded.terms():
-            out_terms.append((key[:leg] + (a, b) + key[leg + 1 :], c * c2))
-    return Tensor(t.rank + 1, out_terms)
+    """Replace slot `leg` of every term of t by its rank-2 coproduct, read
+    from a memoized per-monomial map (full or reduced); the rank goes up
+    by one."""
+    return Tensor(
+        t.rank + 1,
+        (
+            (key[:leg] + pair + key[leg + 1 :], c * c2)
+            for key, c in t.terms()
+            for pair, c2 in coproduct_monomial(spec, key[leg]).terms()
+        ),
+    )
+
+
+def reduced_coproduct_step(spec: CoproductSpec, t: Tensor, leg: str = "right") -> Tensor:
+    """The next rank of an iterated reduced coproduct: the reduced coproduct
+    applied to the rightmost (or leftmost) slot of t."""
+    if leg not in ("right", "left"):
+        raise InputError(f"leg must be 'right' or 'left', got {leg!r}")
+    at = t.rank - 1 if leg == "right" else 0
+    return _splice(spec, t, at, _reduced_coproduct_monomial)
 
 
 def iterated_reduced_poly(
@@ -97,12 +112,9 @@ def iterated_reduced_poly(
     convention so tests can check that independence."""
     if k < 1:
         raise InputError(f"tensor rank must be >= 1, got {k}")
-    if leg not in ("right", "left"):
-        raise InputError(f"leg must be 'right' or 'left', got {leg!r}")
     out = Tensor(1, [((m,), c) for m, c in p.terms()])
     for _ in range(k - 1):
-        at = out.rank - 1 if leg == "right" else 0
-        out = _splice(spec, out, at, reduced_coproduct_poly)
+        out = reduced_coproduct_step(spec, out, leg)
         if out.is_zero:
             return Tensor.zero(k)
     return out
@@ -115,29 +127,6 @@ def iterated_reduced(spec: CoproductSpec, i: int, k: int) -> Tensor:
     return iterated_reduced_poly(spec, Polynomial.variable(i), k)
 
 
-class Endomap:
-    """A linear map of the polynomial algebra given by its action on
-    monomials, extended by linearity (not multiplicativity)."""
-
-    def __init__(self, on_monomial: Callable[[Monomial], Polynomial]) -> None:
-        self._on_monomial = on_monomial
-
-    def __call__(self, p: Polynomial) -> Polynomial:
-        out = Polynomial.zero()
-        for m, c in p.terms():
-            out = out + self._on_monomial(m) * c
-        return out
-
-    @classmethod
-    def identity(cls) -> "Endomap":
-        return cls(Polynomial.single)
-
-    @classmethod
-    def unit_counit(cls) -> "Endomap":
-        """The convolution unit: m -> counit(m) * 1."""
-        return cls(lambda m: Polynomial.one() if m.is_unit else Polynomial.zero())
-
-
 def monomials_up_to(spec: CoproductSpec, max_degree: int) -> list[Monomial]:
     """All monomials of degree <= max_degree, including the unit, in
     canonical order."""
@@ -145,17 +134,18 @@ def monomials_up_to(spec: CoproductSpec, max_degree: int) -> list[Monomial]:
 
 
 def convolution_check(
-    spec: CoproductSpec, max_degree: int, antipode: Endomap
+    spec: CoproductSpec, max_degree: int, antipode: Callable[[Monomial], Polynomial]
 ) -> list[str]:
     """Check (antipode * id)(x) = counit(x) 1 on every monomial of degree
-    <= max_degree, where * is convolution through the full coproduct.
-    Returns failure descriptions; empty means the antipode property holds."""
+    <= max_degree, where * is convolution through the full coproduct and
+    `antipode` maps a monomial to its image.  Returns failure descriptions;
+    empty means the antipode property holds."""
     problems: list[str] = []
     for m in monomials_up_to(spec, max_degree):
         expect = Polynomial.one() if m.is_unit else Polynomial.zero()
         got = Polynomial.zero()
-        for (a, b), c in coproduct_poly(spec, Polynomial.single(m)).terms():
-            got = got + antipode(Polynomial.single(a)) * Polynomial.single(b) * c
+        for (a, b), c in _coproduct_monomial(spec, m).terms():
+            got = got + antipode(a) * Polynomial.single(b, c)
         if got != expect:
             problems.append(
                 f"convolution failed on {m}: got {got}, expected {expect}"
@@ -168,8 +158,10 @@ def coassociativity_report(spec: CoproductSpec, max_degree: int) -> list[str]:
     every monomial of degree <= max_degree."""
     problems: list[str] = []
     for m in monomials_up_to(spec, max_degree):
-        once = coproduct_poly(spec, Polynomial.single(m))
-        first, second = (_splice(spec, once, leg, coproduct_poly) for leg in (0, 1))
+        once = _coproduct_monomial(spec, m)
+        first, second = (
+            _splice(spec, once, leg, _coproduct_monomial) for leg in (0, 1)
+        )
         if first != second:
             problems.append(f"coassociativity failed on {m}")
     return problems
@@ -180,13 +172,9 @@ def counit_report(spec: CoproductSpec, max_degree: int) -> list[str]:
     every monomial of degree <= max_degree."""
     problems: list[str] = []
     for m in monomials_up_to(spec, max_degree):
-        left = Polynomial.zero()
-        right = Polynomial.zero()
-        for (a, b), c in coproduct_poly(spec, Polynomial.single(m)).terms():
-            if a.is_unit:
-                left = left + Polynomial.single(b) * c
-            if b.is_unit:
-                right = right + Polynomial.single(a) * c
+        once = _coproduct_monomial(spec, m).terms()
+        left = Polynomial((b, c) for (a, b), c in once if a.is_unit)
+        right = Polynomial((a, c) for (a, b), c in once if b.is_unit)
         expect = Polynomial.single(m)
         if left != expect:
             problems.append(f"left counit failed on {m}: got {left}")

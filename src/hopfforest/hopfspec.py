@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache, wraps
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .algebra import Monomial, Multiset, Rational, multiset
+from .algebra import Monomial, Multiset, Rational, coefficient_text, multiset
 from .errors import InputError
 
 
@@ -262,7 +262,7 @@ def spec_to_dict(spec: CoproductSpec) -> dict:
             "source": e.source,
             "left": e.left,
             "right": list(e.right),
-            "coeff": str(e.coeff),  # Fraction renders "p" or "p/q"
+            "coeff": coefficient_text(e.coeff),
         }
         for e in spec.entries
     ]

@@ -31,7 +31,7 @@ from itertools import product as iter_product
 from math import factorial
 from typing import Iterable, Mapping, Union
 
-from .algebra import Monomial, Polynomial, Tensor
+from .algebra import Monomial, Polynomial, Tensor, coefficient_text
 from .coproduct import coassociativity_report, counit_report
 from .errors import ConstructionError, InputError
 from .hopfspec import (
@@ -482,7 +482,8 @@ def prelie_to_dict(spec: PreLieSpec) -> dict:
                 "left": i,
                 "right": j,
                 "result": [
-                    {"id": m.indices[0], "coeff": str(c)} for m, c in value.terms()
+                    {"id": m.indices[0], "coeff": coefficient_text(c)}
+                    for m, c in value.terms()
                 ],
             }
         )

@@ -55,9 +55,9 @@ def test_convolution_identity(fdb6, method):
 
 def test_antipode_is_an_involution_here(fdb6):
     # On a commutative algebra the antipode squares to the identity.
-    s = antipode_endomap(fdb6, "forest")
     for m in monomials_up_to(fdb6, 5):
-        assert s(s(Polynomial.single(m))) == Polynomial.single(m)
+        p = Polynomial.single(m)
+        assert antipode_poly(fdb6, antipode_poly(fdb6, p)) == p
 
 
 def test_antipode_poly_extends_multiplicatively(fdb6):
@@ -79,8 +79,24 @@ def test_alternating_sum_on_polynomials_cross_checks(fdb6):
     for m in [mono(1, 2), mono(2, 2), mono(1, 1, 2), mono(1, 3)]:
         p = Polynomial.single(m)
         assert dyson_salam_poly(fdb6, p) == antipode_poly(fdb6, p)
+    # Mixed degrees: each term's iterates vanish at a different rank.
+    mixed = Polynomial({mono(1, 2): 2, mono(3): -1, mono(1): 5})
+    assert dyson_salam_poly(fdb6, mixed) == antipode_poly(fdb6, mixed)
     with pytest.raises(InputError):
         dyson_salam_poly(fdb6, Polynomial.one())
+
+
+def test_dyson_salam_stops_at_the_degree_on_an_ungraded_table():
+    # The row (2; 1; [2]) breaks the grading, so the iterated reduced
+    # coproduct of b2 never vanishes; the degree bound still ends the sum.
+    spec = CoproductSpec(
+        "ungraded",
+        [Generator(1, 1), Generator(2, 2)],
+        [CoproductEntry(2, 1, (2,), 1)],
+    )
+    assert spec.validate()
+    got = antipode_generator(spec, 2, "dyson-salam")
+    assert got.render() == "-1 b2 + 1 b1b2"
 
 
 def test_unknown_method_rejected(fdb6):

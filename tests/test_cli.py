@@ -1,6 +1,7 @@
 """Command-line interface: output goldens, JSON schemas, exit codes."""
 
 import json
+import sys
 
 import pytest
 
@@ -312,6 +313,40 @@ def test_coefficients_outside_the_grammar_exit_two(capsys, tmp_path, coeff):
         assert code == 2
         assert out == ""
         assert "bad coefficient" in err
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this Python has no integer-to-text digit limit",
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_coefficients_too_large_to_print_exit_two(capsys, tmp_path, fmt):
+    # Each coefficient parses, but products of them pass the digit limit.
+    doc = spec_to_dict(faa_di_bruno_spec(3))
+    for row in doc["coproduct"]:
+        row["coeff"] = "9" * 3000
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = invoke(
+        capsys,
+        "antipode", "--spec", str(path), "--element", "3",
+        "--method", "bogoliubov", "--format", fmt,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "too big to print" in err
+
+
+def test_unsorted_right_leg_exits_two(capsys, tmp_path):
+    doc = spec_to_dict(faa_di_bruno_spec(4))
+    row = next(r for r in doc["coproduct"] if r["right"] == [1, 2])
+    row["right"] = [2, 1]
+    path = tmp_path / "unsorted.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = invoke(capsys, "verify", "--spec", str(path), "--max-degree", "4")
+    assert code == 2
+    assert out == ""
+    assert "right must be sorted ascending" in err
 
 
 def test_argparse_passthrough(capsys, fdb6_file):

@@ -1,13 +1,14 @@
 """Coproduct engine: reduced/full coproducts, multiplicative extension,
 iterated splitting, and the structural health checks."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfforest.algebra import UNIT, Polynomial, Tensor, mono
 from hopfforest.coproduct import (
-    Endomap,
     coassociativity_report,
     convolution_check,
     coproduct_poly,
@@ -20,6 +21,7 @@ from hopfforest.coproduct import (
     reduced_coproduct_poly,
 )
 from hopfforest.errors import InputError
+from hopfforest.hopfspec import CoproductSpec, faa_di_bruno_spec
 
 
 def test_reduced_coproduct_goldens(fdb6):
@@ -84,6 +86,13 @@ def test_reduced_poly_rejects_constants(fdb6):
     assert reduced_coproduct_poly(fdb6, Polynomial.zero()).is_zero
 
 
+def test_iterated_reduced_rejects_a_constant_term(fdb6):
+    # The splice must not treat the unit monomial as if it had a reduced
+    # coproduct of its own.
+    with pytest.raises(InputError):
+        iterated_reduced_poly(fdb6, Polynomial.one() + Polynomial.variable(2), 2)
+
+
 def test_iterated_reduced_rank_convention(fdb6):
     assert iterated_reduced(fdb6, 3, 1) == Tensor.single((mono(3),), 1)
     assert iterated_reduced(fdb6, 3, 2) == reduced_coproduct_generator(fdb6, 3)
@@ -119,16 +128,19 @@ def test_structure_reports_are_clean(fdb6):
     assert counit_report(fdb6, max_degree=5) == []
 
 
+def test_coassociativity_flags_every_single_coefficient_corruption():
+    base = faa_di_bruno_spec(5)
+    assert len(base.entries) == 18
+    for k, e in enumerate(base.entries):
+        entries = list(base.entries)
+        entries[k] = replace(e, coeff=e.coeff + 1)
+        spec = CoproductSpec("corrupt", base.generators.values(), entries)
+        assert coassociativity_report(spec, 5), e
+
+
 def test_convolution_check_rejects_non_antipode(fdb6):
     # The identity map is not an antipode, so the convolution unit must fail.
-    failures = convolution_check(fdb6, 3, Endomap.identity())
+    failures = convolution_check(fdb6, 3, Polynomial.single)
     assert failures
     assert any("b2" in line for line in failures)
 
-
-def test_endomap_composition_rules(fdb6):
-    ident = Endomap.identity()
-    unit_counit = Endomap.unit_counit()
-    p = Polynomial({mono(1): 2, mono(1, 2): 1}) + Polynomial.one() * 5
-    assert ident(p) == p
-    assert unit_counit(p) == Polynomial.one() * 5
