@@ -11,9 +11,11 @@ memoize derived values are not: see ``hopfspec.spec_memo``.)
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import InputError
@@ -104,22 +106,121 @@ TermMap = Mapping[Monomial, Scalar]
 Terms = Union[TermMap, Iterable[tuple[Monomial, Scalar]]]
 
 
-class Polynomial:
-    """A finitely supported Fraction-linear combination of monomials."""
+class _CoefficientMap:
+    """The body Polynomial and Tensor share: a finitely supported map from
+    keys to Fractions that never stores a zero and never changes once built.
+
+    A subclass supplies only what differs: the key check ``_key``, the key
+    product ``_key_mul``, the key text ``_key_text``, ``_like`` (a value of
+    the same kind and rank), and the term order in ``terms``.  ``__init__``,
+    ``__add__`` and ``__mul__`` are bound on each subclass too, so per-class
+    timings can tell polynomial work from tensor work."""
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Terms = ()) -> None:
-        acc: dict[Monomial, Fraction] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for m, c in items:
-            if not isinstance(m, Monomial):
-                raise InputError(f"polynomial keys must be Monomial, got {m!r}")
-            acc[m] = acc.get(m, Fraction(0)) + _as_fraction(c)
-        object.__setattr__(self, "_terms", {m: c for m, c in acc.items() if c})
+    def __init__(
+        self, terms: Union[Mapping[object, Scalar], Iterable[tuple[object, Scalar]]] = ()
+    ) -> None:
+        """The one place (key, coefficient) pairs become a value:
+        coefficients of repeated keys add up, and zero sums are dropped."""
+        acc: dict = {}
+        key_of = self._key
+        for key, c in terms.items() if isinstance(terms, Mapping) else terms:
+            key = key_of(key)
+            c = _as_fraction(c)
+            acc[key] = acc[key] + c if key in acc else c
+        object.__setattr__(self, "_terms", {k: c for k, c in acc.items() if c})
 
     def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Polynomial is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _check_rank(self, other: "_CoefficientMap") -> None:
+        if other._rank != self._rank:
+            raise InputError(f"tensor rank mismatch: {self._rank} vs {other._rank}")
+
+    def __add__(self, other):
+        self._check_rank(other)
+        return self._like(chain(self._terms.items(), other._terms.items()))
+
+    def __mul__(self, other):
+        """Product with a value of the same kind, or with a scalar."""
+        if not isinstance(other, _CoefficientMap):
+            c = _as_fraction(other)
+            return self._like((k, c0 * c) for k, c0 in self._terms.items())
+        self._check_rank(other)
+        key_mul = self._key_mul
+        return self._like(
+            (key_mul(k1, k2), c1 * c2)
+            for k1, c1 in self._terms.items()
+            for k2, c2 in other._terms.items()
+        )
+
+    def __neg__(self):
+        return self._like((k, -c) for k, c in self._terms.items())
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rmul__(self, other: Scalar):
+        return self * other
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._rank == other._rank and self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash((self._rank, frozenset(self._terms.items())))
+
+    def render(self) -> str:
+        # "p/q" coefficients rendered by Fraction; "-1 b3 + 10 b1b2 - 15 b1b1b1".
+        # Only a bare unit monomial collapses to its coefficient; tensor keys
+        # keep their slot structure ("1 (x) b2") so the rank stays visible.
+        chunks: list[str] = []
+        for key, c in self.terms():
+            piece = coefficient_text(abs(c))
+            if key != UNIT:
+                piece = f"{piece} {self._key_text(key)}"
+            if not chunks:
+                chunks.append(piece if c > 0 else f"-{piece}")
+            else:
+                chunks.append(("+ " if c > 0 else "- ") + piece)
+        return " ".join(chunks) or "0"
+
+    def __str__(self) -> str:
+        return self.render()
+
+
+class Polynomial(_CoefficientMap):
+    """A finitely supported Fraction-linear combination of monomials."""
+
+    __slots__ = ()
+    _rank = None  # a polynomial is not a tensor of any rank
+    _key_mul = staticmethod(operator.mul)
+    _key_text = staticmethod(Monomial.render)
+
+    __init__ = _CoefficientMap.__init__
+    __add__ = _CoefficientMap.__add__
+    __mul__ = _CoefficientMap.__mul__
+
+    @staticmethod
+    def _key(m: Monomial) -> Monomial:
+        if not isinstance(m, Monomial):
+            raise InputError(f"polynomial keys must be Monomial, got {m!r}")
+        return m
+
+    def _like(self, terms: Terms) -> "Polynomial":
+        return Polynomial(terms)
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -150,56 +251,6 @@ class Polynomial:
         """Coefficient of the unit monomial (the counit of the polynomial)."""
         return self._terms.get(UNIT, Fraction(0))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return Polynomial(out)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial({m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
-        if isinstance(other, Polynomial):
-            out: dict[Monomial, Fraction] = {}
-            for m1, c1 in self._terms.items():
-                for m2, c2 in other._terms.items():
-                    m = m1 * m2
-                    out[m] = out.get(m, Fraction(0)) + c1 * c2
-            return Polynomial(out)
-        c = _as_fraction(other)
-        return Polynomial({m: c0 * c for m, c0 in self._terms.items()})
-
-    def __rmul__(self, other: Scalar) -> "Polynomial":
-        return self * other
-
-    def render(self) -> str:
-        return _render_terms(self.terms(), Monomial.render)
-
-    def __str__(self) -> str:
-        return self.render()
-
     def __repr__(self) -> str:
         return f"Polynomial<{self.render()}>"
 
@@ -207,12 +258,12 @@ class Polynomial:
 TensorKey = tuple[Monomial, ...]
 
 
-class Tensor:
+class Tensor(_CoefficientMap):
     """A finitely supported linear combination of k-fold tensor products of
     monomials.  Tensors of distinct ranks are distinct values; there is no
     implicit flattening."""
 
-    __slots__ = ("_rank", "_terms")
+    __slots__ = ("_rank",)
 
     def __init__(
         self,
@@ -221,18 +272,25 @@ class Tensor:
     ) -> None:
         if not isinstance(rank, int) or rank < 1:
             raise InputError(f"tensor rank must be a positive integer, got {rank!r}")
-        acc: dict[TensorKey, Fraction] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for key, c in items:
-            key = tuple(key)
-            if len(key) != rank or not all(isinstance(m, Monomial) for m in key):
-                raise InputError(f"tensor key {key!r} does not have rank {rank}")
-            acc[key] = acc.get(key, Fraction(0)) + _as_fraction(c)
         object.__setattr__(self, "_rank", rank)
-        object.__setattr__(self, "_terms", {k: c for k, c in acc.items() if c})
+        super().__init__(terms)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Tensor is immutable")
+    def _key(self, key: TensorKey) -> TensorKey:
+        key = tuple(key)
+        if len(key) != self._rank or not all(isinstance(m, Monomial) for m in key):
+            raise InputError(f"tensor key {key!r} does not have rank {self._rank}")
+        return key
+
+    @staticmethod
+    def _key_mul(k1: TensorKey, k2: TensorKey) -> TensorKey:
+        return tuple(map(operator.mul, k1, k2))
+
+    @staticmethod
+    def _key_text(key: TensorKey) -> str:
+        return " (x) ".join(m.render() for m in key)
+
+    def _like(self, terms) -> "Tensor":
+        return Tensor(self._rank, terms)
 
     @property
     def rank(self) -> int:
@@ -273,92 +331,15 @@ class Tensor:
     def coefficient(self, key: TensorKey) -> Fraction:
         return self._terms.get(tuple(key), Fraction(0))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        return self._rank == other._rank and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash((self._rank, frozenset(self._terms.items())))
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        if other._rank != self._rank:
-            raise InputError(f"tensor rank mismatch: {self._rank} vs {other._rank}")
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return Tensor(self._rank, out)
-
-    def __neg__(self) -> "Tensor":
-        return Tensor(self._rank, {k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return self + (-other)
-
-    def __mul__(self, other: Union["Tensor", Scalar]) -> "Tensor":
-        if isinstance(other, Tensor):
-            if other._rank != self._rank:
-                raise InputError(
-                    f"tensor rank mismatch: {self._rank} vs {other._rank}"
-                )
-            out: dict[TensorKey, Fraction] = {}
-            for k1, c1 in self._terms.items():
-                for k2, c2 in other._terms.items():
-                    k = tuple(m1 * m2 for m1, m2 in zip(k1, k2))
-                    out[k] = out.get(k, Fraction(0)) + c1 * c2
-            return Tensor(self._rank, out)
-        c = _as_fraction(other)
-        return Tensor(self._rank, {k: c0 * c for k, c0 in self._terms.items()})
-
-    def __rmul__(self, other: Scalar) -> "Tensor":
-        return self * other
+    __add__ = _CoefficientMap.__add__
+    __mul__ = _CoefficientMap.__mul__
 
     def multiplied_out(self) -> Polynomial:
         """Multiply all slots together (the k-fold product applied to the tensor)."""
-        out: dict[Monomial, Fraction] = {}
-        for key, c in self._terms.items():
-            m = Monomial(tuple(i for f in key for i in f.indices))
-            out[m] = out.get(m, Fraction(0)) + c
-        return Polynomial(out)
-
-    def render(self) -> str:
-        return _render_terms(
-            self.terms(), lambda key: " (x) ".join(m.render() for m in key)
+        return Polynomial(
+            (Monomial(tuple(i for f in key for i in f.indices)), c)
+            for key, c in self._terms.items()
         )
-
-    def __str__(self) -> str:
-        return self.render()
 
     def __repr__(self) -> str:
         return f"Tensor<rank {self._rank}: {self.render()}>"
-
-
-def _render_terms(terms, body) -> str:
-    # "p/q" coefficients rendered by Fraction; "-1 b3 + 10 b1b2 - 15 b1b1b1".
-    if not terms:
-        return "0"
-    chunks: list[str] = []
-    for key, c in terms:
-        piece = coefficient_text(abs(c))
-        piece = piece if _is_unit_key(key) else f"{piece} {body(key)}"
-        if not chunks:
-            chunks.append(piece if c > 0 else f"-{piece}")
-        else:
-            chunks.append(("+ " if c > 0 else "- ") + piece)
-    return " ".join(chunks)
-
-
-def _is_unit_key(key) -> bool:
-    # Only bare unit monomials collapse to their coefficient; tensor keys keep
-    # their slot structure ("1 (x) b2") so the rank stays visible.
-    return isinstance(key, Monomial) and key.is_unit

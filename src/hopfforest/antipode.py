@@ -16,9 +16,10 @@ commutative), with S(1) = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import Callable
 
-from .algebra import Monomial, Polynomial
+from .algebra import Monomial, Polynomial, mono
 from .coproduct import iterated_reduced_poly, reduced_coproduct_step
 from .errors import InputError
 from .hopfspec import CoproductSpec, spec_memo
@@ -63,12 +64,17 @@ def dyson_salam_poly(spec: CoproductSpec, p: Polynomial) -> Polynomial:
     if p.constant != 0:
         raise InputError("the alternating-sum antipode needs zero constant term")
     bound = max((spec.monomial_degree(m) for m, _ in p.terms()), default=0)
-    iterate = iterated_reduced_poly(spec, p, 1)
-    out = -iterate.multiplied_out()
-    for k in range(2, bound + 1):
-        iterate = reduced_coproduct_step(spec, iterate)
-        out = out + iterate.multiplied_out() * (-1) ** k
-    return out
+    # ranks 1..bound, each one reduced-coproduct step from the last
+    iterates = accumulate(
+        range(2, bound + 1),
+        lambda t, _: reduced_coproduct_step(spec, t),
+        initial=iterated_reduced_poly(spec, p, 1),
+    )
+    return Polynomial(
+        (m, (-1) ** k * c)
+        for k, t in enumerate(iterates, 1)
+        for m, c in t.multiplied_out().terms()
+    )
 
 
 @spec_memo
@@ -76,14 +82,13 @@ def antipode_bogoliubov(spec: CoproductSpec, i: int) -> Polynomial:
     """Triangular recursion through the coproduct table.  Every left leg is
     a single generator of strictly smaller degree, so the recursion is
     well-founded; results are memoized on the table instance."""
-    out = -Polynomial.variable(i)
+    # Recursing in a plain loop, not from inside the sum or a comprehension,
+    # keeps the stack cost per level of the recursion at two frames.
+    rows = []
     for e in spec.entries_for(i):
-        out = out - (
-            antipode_bogoliubov(spec, e.left)
-            * Polynomial.single(Monomial(e.right))
-            * e.coeff
-        )
-    return out
+        rows.append((Monomial(e.right), -e.coeff, antipode_bogoliubov(spec, e.left)))
+    terms = ((m * right, c * cm) for right, c, lower in rows for m, cm in lower.terms())
+    return Polynomial(chain([(mono(i), -1)], terms))
 
 
 _GENERATOR_METHODS = {
@@ -109,12 +114,14 @@ def antipode_poly(
 ) -> Polynomial:
     """Multiplicative-linear extension: S(b_I) is the product of the
     generator antipodes, S(1) = 1."""
-    out = Polynomial.zero()
-    for m, c in p.terms():
-        piece = Polynomial.one()
-        for i in m:
-            piece = piece * antipode_generator(spec, i, method)
-        out = out + piece * c
+    pieces = ((_antipode_monomial(spec, m, method), c) for m, c in p.terms())
+    return Polynomial((m, c * cs) for s, c in pieces for m, cs in s.terms())
+
+
+def _antipode_monomial(spec: CoproductSpec, m: Monomial, method: str) -> Polynomial:
+    out = Polynomial.one()
+    for i in m:
+        out = out * antipode_generator(spec, i, method)
     return out
 
 
@@ -122,7 +129,7 @@ def antipode_endomap(
     spec: CoproductSpec, method: str = "forest"
 ) -> Callable[[Monomial], Polynomial]:
     """The antipode as a function on monomials, as convolution_check takes it."""
-    return lambda m: antipode_poly(spec, Polynomial.single(m), method)
+    return lambda m: _antipode_monomial(spec, m, method)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 when the command
 succeeds and every check passes, 1 when a verification or comparison fails,
-2 for malformed input or unknown ids.
+2 for malformed input, unknown ids, or a table nested too deeply to evaluate.
 """
 
 from __future__ import annotations
@@ -116,8 +116,15 @@ def _print_check(name: str, problems: list[str]) -> bool:
     return not problems
 
 
-def _cmd_antipode(args: argparse.Namespace) -> int:
+def _load_with_element(args: argparse.Namespace) -> CoproductSpec:
+    """The --spec table, once --element is checked against it for every route."""
     spec = load_spec_file(args.spec)
+    spec.degree(args.element)  # raises "unknown generator id N"
+    return spec
+
+
+def _cmd_antipode(args: argparse.Namespace) -> int:
+    spec = _load_with_element(args)
     value = antipode_generator(spec, args.element, args.method)
     if args.format == "text":
         print(value.render())
@@ -135,7 +142,7 @@ def _cmd_antipode(args: argparse.Namespace) -> int:
 
 
 def _cmd_coproduct(args: argparse.Namespace) -> int:
-    spec = load_spec_file(args.spec)
+    spec = _load_with_element(args)
     if args.iterate < 1:
         raise InputError(f"--iterate must be >= 1, got {args.iterate}")
     value = iterated_reduced(spec, args.element, args.iterate)
@@ -158,7 +165,7 @@ def _cmd_coproduct(args: argparse.Namespace) -> int:
 
 
 def _cmd_trees(args: argparse.Namespace) -> int:
-    spec = load_spec_file(args.spec)
+    spec = _load_with_element(args)
     for t in enumerate_trees(spec, args.element):
         l, h, lam, value = tree_stats(t, spec)
         sign = "-1" if l % 2 else "+1"
@@ -170,7 +177,7 @@ def _cmd_trees(args: argparse.Namespace) -> int:
 
 
 def _cmd_linearizations(args: argparse.Namespace) -> int:
-    spec = load_spec_file(args.spec)
+    spec = _load_with_element(args)
     if args.k < 1:
         raise InputError(f"--k must be >= 1, got {args.k}")
     for t in enumerate_trees(spec, args.element):
@@ -290,6 +297,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:  # a valid table nested too deeply: input, not a failed check
+        limit = sys.getrecursionlimit()
+        print(f"error: table nests deeper than recursion limit {limit}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -11,9 +11,10 @@ is what makes the degree-many-step antipode formulas finite.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable
 
-from .algebra import Monomial, Polynomial, Tensor, mono
+from .algebra import UNIT, Monomial, Polynomial, Tensor, mono
 from .errors import InputError
 from .hopfspec import CoproductSpec, graded_monomials, spec_memo
 
@@ -30,13 +31,9 @@ def reduced_coproduct_generator(spec: CoproductSpec, i: int) -> Tensor:
 @spec_memo
 def full_coproduct_generator(spec: CoproductSpec, i: int) -> Tensor:
     """b_i (x) 1 + 1 (x) b_i + reduced part."""
-    b = Polynomial.variable(i)
-    one = Polynomial.one()
-    return (
-        Tensor.outer(b, one)
-        + Tensor.outer(one, b)
-        + reduced_coproduct_generator(spec, i)
-    )
+    b = mono(i)
+    primitive = [((b, UNIT), 1), ((UNIT, b), 1)]
+    return Tensor(2, chain(primitive, reduced_coproduct_generator(spec, i).terms()))
 
 
 @spec_memo
@@ -50,10 +47,8 @@ def _coproduct_monomial(spec: CoproductSpec, m: Monomial) -> Tensor:
 
 def coproduct_poly(spec: CoproductSpec, p: Polynomial) -> Tensor:
     """Full coproduct, extended multiplicatively from generators."""
-    total = Tensor.zero(2)
-    for m, c in p.terms():
-        total = total + _coproduct_monomial(spec, m) * c
-    return total
+    pieces = ((_coproduct_monomial(spec, m), c) for m, c in p.terms())
+    return Tensor(2, ((key, c * ct) for t, c in pieces for key, ct in t.terms()))
 
 
 def reduced_coproduct_poly(spec: CoproductSpec, p: Polynomial) -> Tensor:
@@ -64,10 +59,8 @@ def reduced_coproduct_poly(spec: CoproductSpec, p: Polynomial) -> Tensor:
             "reduced coproduct needs a polynomial with zero constant term, "
             f"got constant {p.constant}"
         )
-    one = Polynomial.one()
-    return (
-        coproduct_poly(spec, p) - Tensor.outer(p, one) - Tensor.outer(one, p)
-    )
+    primitive = [(key, -c) for m, c in p.terms() for key in ((m, UNIT), (UNIT, m))]
+    return Tensor(2, chain(coproduct_poly(spec, p).terms(), primitive))
 
 
 @spec_memo
@@ -143,9 +136,11 @@ def convolution_check(
     problems: list[str] = []
     for m in monomials_up_to(spec, max_degree):
         expect = Polynomial.one() if m.is_unit else Polynomial.zero()
-        got = Polynomial.zero()
-        for (a, b), c in _coproduct_monomial(spec, m).terms():
-            got = got + antipode(a) * Polynomial.single(b, c)
+        got = Polynomial(
+            (sa * b, c * ca)
+            for (a, b), c in _coproduct_monomial(spec, m).terms()
+            for sa, ca in antipode(a).terms()
+        )
         if got != expect:
             problems.append(
                 f"convolution failed on {m}: got {got}, expected {expect}"

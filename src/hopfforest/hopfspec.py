@@ -32,6 +32,7 @@ from functools import lru_cache, wraps
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .algebra import Monomial, Multiset, Rational, coefficient_text, multiset
+from .algebra import _as_fraction
 from .errors import InputError
 
 
@@ -69,7 +70,8 @@ class Generator:
 
 @dataclass(frozen=True)
 class CoproductEntry:
-    """One term of a reduced coproduct: coeff * b_left (x) (product over right)."""
+    """One term of a reduced coproduct: coeff * b_left (x) (product over right).
+    The coefficient is an int (not a bool) or a Fraction, as in Polynomial."""
 
     source: int
     left: int
@@ -78,7 +80,7 @@ class CoproductEntry:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "right", multiset(self.right))
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
+        object.__setattr__(self, "coeff", _as_fraction(self.coeff))
 
 
 class CoproductSpec:

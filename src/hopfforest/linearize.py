@@ -105,6 +105,23 @@ def chain_of(x: Union[TreeLike, PosetView], lin: Linearization) -> Tensor:
     return Tensor.single(key)
 
 
+def _chain_sum(spec: CoproductSpec, posets: Iterable[TreeLike], k: int) -> Tensor:
+    """Sum over trees or forests of coefficient times ordered-assignment
+    multiplicity times every k-linearization chain."""
+    weighted = (
+        (view_of(x), tree_coefficient(x, spec) * tree_multiplicity(x)) for x in posets
+    )
+    return Tensor(
+        k,
+        (
+            (key, lam * c)
+            for view, lam in weighted
+            for lin in linearizations_of_view(view, k)
+            for key, c in chain_of(view, lin).terms()
+        ),
+    )
+
+
 def alternating_sum(t: DecoratedTree) -> int:
     """Sum over k of (-1)^k times the number of k-linearizations; equals
     (-1)^(vertex count) for every rooted tree."""
@@ -119,13 +136,7 @@ def tree_expansion(spec: CoproductSpec, i: int, k: int) -> Tensor:
     """The tree side of the iterated-coproduct identity: sum over realized
     trees of coefficient times ordered-assignment multiplicity times the sum
     of k-linearization chains."""
-    total = Tensor.zero(k)
-    for t in enumerate_trees(spec, i):
-        lam = tree_coefficient(t, spec) * tree_multiplicity(t)
-        view = PosetView.of_tree(t)
-        for lin in linearizations_of_view(view, k):
-            total = total + chain_of(view, lin) * lam
-    return total
+    return _chain_sum(spec, enumerate_trees(spec, i), k)
 
 
 def tree_expansion_report(spec: CoproductSpec, i: int, k: int) -> list[str]:
@@ -147,13 +158,7 @@ def forest_expansion(spec: CoproductSpec, indices: Iterable[int]) -> Tensor:
     """The forest side of the product-coproduct identity: rank-2 chains over
     every forest choice, weighted by forest coefficient times the components'
     ordered-assignment multiplicities."""
-    total = Tensor.zero(2)
-    for f in enumerate_forests(spec, indices):
-        lam = tree_coefficient(f, spec) * tree_multiplicity(f)
-        view = PosetView.of_forest(f)
-        for lin in linearizations_of_view(view, 2):
-            total = total + chain_of(view, lin) * lam
-    return total
+    return _chain_sum(spec, enumerate_forests(spec, indices), 2)
 
 
 def forest_expansion_report(

@@ -147,18 +147,18 @@ def prelie_product(spec: PreLieSpec, i: int, j: int) -> BraceResult:
     return BraceResult(spec.products.get((i, j), Polynomial.zero()), False)
 
 
-def _apply_brace(
-    spec: PreLieSpec, p: Polynomial, j: int
-) -> tuple[Polynomial, bool]:
+def _apply_brace(spec: PreLieSpec, p: Polynomial, j: int) -> BraceResult:
     """Linear extension of (.) acted on by b_j to polynomials over basis
     elements."""
-    out = Polynomial.zero()
-    flag = False
-    for m, c in p.terms():
-        res = prelie_product(spec, m.indices[0], j)
-        flag = flag or res.truncated
-        out = out + res.value * c
-    return out, flag
+    parts = [(prelie_product(spec, m.indices[0], j), c) for m, c in p.terms()]
+    return _weighted_sum(parts)
+
+
+def _weighted_sum(parts: list[tuple[BraceResult, Fraction]]) -> BraceResult:
+    """The sum of weight times value over (result, weight) pairs, flagged
+    when any part is."""
+    value = Polynomial((m, w * c) for res, w in parts for m, c in res.value.terms())
+    return BraceResult(value, any(res.truncated for res, _ in parts))
 
 
 @spec_memo
@@ -181,8 +181,8 @@ def brace_action(spec: PreLieSpec, i: int, right: Monomial) -> BraceResult:
     rest = Monomial(right.indices[:-1])
     last = right.indices[-1]
     inner = brace_action(spec, i, rest)
-    total, flagged = _apply_brace(spec, inner.value, last)
-    flagged = flagged or inner.truncated
+    flagged = inner.truncated
+    parts = [(_apply_brace(spec, inner.value, last), Fraction(1))]
     seen: set[int] = set()
     for pos, j in enumerate(rest.indices):
         if j in seen:
@@ -193,12 +193,11 @@ def brace_action(spec: PreLieSpec, i: int, right: Monomial) -> BraceResult:
         jb = prelie_product(spec, j, last)
         flagged = flagged or jb.truncated
         for m, c in jb.value.terms():
-            sub = brace_action(spec, i, removed * m)
-            flagged = flagged or sub.truncated
-            total = total - sub.value * (c * mult)
+            parts.append((brace_action(spec, i, removed * m), -c * mult))
+    total = _weighted_sum(parts)
     if spec.degree(i) + spec.monomial_degree(right) > spec.truncation:
         flagged = True
-    return BraceResult(total, flagged)
+    return BraceResult(total.value, flagged or total.truncated)
 
 
 def guin_oudom_mul(spec: PreLieSpec, a: Monomial, b: Monomial) -> BraceResult:
@@ -208,11 +207,11 @@ def guin_oudom_mul(spec: PreLieSpec, a: Monomial, b: Monomial) -> BraceResult:
     factor through the brace."""
     left = a.indices
     right = b.indices
-    total = Polynomial.zero()
+    pieces: list[tuple[Monomial, Polynomial]] = []  # (cofactor, brace product)
     flagged = False
     for assign in iter_product(range(len(left) + 1), repeat=len(right)):
         stay = Monomial(tuple(right[s] for s in range(len(right)) if assign[s] == 0))
-        piece = Polynomial.single(stay)
+        piece = Polynomial.one()
         for t in range(1, len(left) + 1):
             block = Monomial(
                 tuple(right[s] for s in range(len(right)) if assign[s] == t)
@@ -220,42 +219,32 @@ def guin_oudom_mul(spec: PreLieSpec, a: Monomial, b: Monomial) -> BraceResult:
             res = brace_action(spec, left[t - 1], block)
             flagged = flagged or res.truncated
             piece = piece * res.value
-        total = total + piece
+        pieces.append((stay, piece))
+    total = Polynomial((stay * m, c) for stay, piece in pieces for m, c in piece.terms())
     return BraceResult(total, flagged)
 
 
 def guin_oudom_poly(spec: PreLieSpec, p: Polynomial, q: Polynomial) -> BraceResult:
     """Bilinear extension of the enveloping product."""
-    total = Polynomial.zero()
-    flagged = False
-    for m1, c1 in p.terms():
-        for m2, c2 in q.terms():
-            res = guin_oudom_mul(spec, m1, m2)
-            flagged = flagged or res.truncated
-            total = total + res.value * (c1 * c2)
-    return BraceResult(total, flagged)
+    pairs = [(m1, m2, c1 * c2) for m1, c1 in p.terms() for m2, c2 in q.terms()]
+    return _weighted_sum([(guin_oudom_mul(spec, m1, m2), c) for m1, m2, c in pairs])
 
 
 def unshuffle_coproduct(m: Monomial) -> Tensor:
     """The coproduct making every basis element primitive, on one monomial:
     sum over splittings of the factor positions into left/right parts."""
     idx = m.indices
-    terms: dict[tuple[Monomial, Monomial], int] = {}
-    for mask in range(1 << len(idx)):
-        first = Monomial(tuple(idx[s] for s in range(len(idx)) if mask >> s & 1))
-        second = Monomial(
-            tuple(idx[s] for s in range(len(idx)) if not mask >> s & 1)
-        )
-        key = (first, second)
-        terms[key] = terms.get(key, 0) + 1
-    return Tensor(2, terms)
+    full = (1 << len(idx)) - 1
+
+    def part(mask: int) -> Monomial:
+        return Monomial(tuple(i for s, i in enumerate(idx) if mask >> s & 1))
+
+    return Tensor(2, (((part(mask), part(full ^ mask)), 1) for mask in range(full + 1)))
 
 
 def unshuffle_poly(p: Polynomial) -> Tensor:
-    out = Tensor.zero(2)
-    for m, c in p.terms():
-        out = out + unshuffle_coproduct(m) * c
-    return out
+    pieces = ((unshuffle_coproduct(m), c) for m, c in p.terms())
+    return Tensor(2, ((key, c * ct) for t, c in pieces for key, ct in t.terms()))
 
 
 def prelie_check(spec: PreLieSpec) -> list[str]:
@@ -284,11 +273,10 @@ def prelie_check(spec: PreLieSpec) -> list[str]:
 
 def _associator(spec: PreLieSpec, x: int, y: int, z: int) -> Polynomial:
     """(x . y) . z - x . (y . z); inputs must fit under the truncation."""
-    first, _ = _apply_brace(spec, prelie_product(spec, x, y).value, z)
-    second = Polynomial.zero()
-    for m, c in prelie_product(spec, y, z).value.terms():
-        second = second + prelie_product(spec, x, m.indices[0]).value * c
-    return first - second
+    first = _apply_brace(spec, prelie_product(spec, x, y).value, z)
+    yz = prelie_product(spec, y, z).value.terms()
+    second = _weighted_sum([(prelie_product(spec, x, m.indices[0]), c) for m, c in yz])
+    return first.value - second.value
 
 
 def associativity_report(spec: PreLieSpec) -> list[str]:

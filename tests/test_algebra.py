@@ -22,9 +22,21 @@ scalars = st.one_of(
     st.integers(min_value=-7, max_value=7),
     st.fractions(min_value=-3, max_value=3, max_denominator=4),
 )
-polynomials = st.lists(
-    st.tuples(monomials, st.integers(min_value=-6, max_value=6)), max_size=4
-).map(Polynomial)
+coefficients = st.integers(min_value=-6, max_value=6)
+polynomials = st.lists(st.tuples(monomials, coefficients), max_size=4).map(Polynomial)
+pair_keys = st.tuples(monomials, monomials)
+tensors = st.lists(st.tuples(pair_keys, coefficients), max_size=4).map(
+    lambda pairs: Tensor(2, pairs)
+)
+
+
+@st.composite
+def cancelling_pairs(draw, keys):
+    """(key, coefficient) pairs with repeated keys, some of them negated
+    copies of earlier pairs so their sums cancel to zero."""
+    pairs = draw(st.lists(st.tuples(keys, coefficients), max_size=6))
+    negated = draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
+    return pairs + [(key, -c) for key, c in negated]
 
 
 def test_multiset_sorts_and_validates():
@@ -88,10 +100,43 @@ def test_polynomial_ring_axioms(p, q, r):
     assert -p + p == Polynomial.zero()
 
 
-@given(polynomials, scalars)
-def test_polynomial_scalar_action(p, c):
+@given(polynomials, tensors, scalars, scalars)
+def test_polynomial_scalar_action(p, t, c, d):
     assert p * c == c * p
     assert (p * c).coefficient(mono(1)) == p.coefficient(mono(1)) * c
+    key = (mono(1), UNIT)
+    assert t * c == c * t
+    assert (t * c).coefficient(key) == t.coefficient(key) * c
+    assert (t * c) * d == t * (c * d)
+    assert t * (c + d) == t * c + t * d
+    assert t * 1 == t and (t * 0).is_zero
+
+
+@given(tensors, tensors, tensors)
+def test_tensor_additive_axioms(t, u, v):
+    assert t + u == u + t
+    assert (t + u) + v == t + (u + v)
+    assert t + Tensor.zero(2) == t
+    assert t - t == Tensor.zero(2)
+    assert -t + t == Tensor.zero(2)
+    assert t - u == t + (-u)
+    assert len(t) == len(t.terms())
+    assert (t == u) == (hash(t) == hash(u) and t.terms() == u.terms())
+
+
+@given(st.data())
+def test_constructor_sums_pairs_like_the_fold_of_singles(data):
+    for build, single, keys in (
+        (Polynomial, Polynomial.single, monomials),
+        (lambda pairs: Tensor(2, pairs), Tensor.single, pair_keys),
+    ):
+        pairs = data.draw(cancelling_pairs(keys))
+        folded = build([])
+        for key, c in pairs:
+            folded = folded + single(key, c)
+        built = build(pairs)
+        assert built == folded
+        assert all(c != 0 for _, c in built.terms())
 
 
 @given(polynomials, polynomials)
@@ -148,3 +193,9 @@ def test_tensor_render_keeps_unit_slots():
 def test_tensor_equality_requires_same_rank():
     assert Tensor.zero(2) != Tensor.zero(3)
     assert Tensor.one(2) == Tensor.single((UNIT, UNIT), 1)
+    # A polynomial is never a rank-1 tensor, even with the same terms.
+    p = Polynomial({mono(1): 2, UNIT: -1})
+    t = Tensor(1, {(mono(1),): 2, (UNIT,): -1})
+    assert p != t and t != p
+    assert Polynomial.zero() != Tensor.zero(1)
+    assert Polynomial.one() != Tensor.one(1)

@@ -8,6 +8,8 @@ import pytest
 from hopfforest.algebra import Polynomial
 from hopfforest.cli import run
 from hopfforest.hopfspec import (
+    CoproductEntry,
+    CoproductSpec,
     Generator,
     faa_di_bruno_spec,
     load_spec,
@@ -347,6 +349,50 @@ def test_unsorted_right_leg_exits_two(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "right must be sorted ascending" in err
+
+
+ELEMENT_COMMANDS = {
+    "coproduct": ("coproduct",),
+    "antipode-forest": ("antipode", "--method", "forest"),
+    "antipode-bogoliubov": ("antipode", "--method", "bogoliubov"),
+    "antipode-dyson-salam": ("antipode", "--method", "dyson-salam"),
+    "trees": ("trees",),
+    "linearizations": ("linearizations", "--k", "2"),
+}
+
+
+@pytest.mark.parametrize("element", [0, -3, 99])
+@pytest.mark.parametrize("command", sorted(ELEMENT_COMMANDS))
+def test_unknown_element_has_one_message(capsys, fdb6_file, command, element):
+    argv = ELEMENT_COMMANDS[command] + ("--spec", fdb6_file, f"--element={element}")
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: unknown generator id {element}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("antipode", "--method", "forest"), ("trees",), ("linearizations", "--k", "2")],
+    ids=["antipode-forest", "trees", "linearizations"],
+)
+def test_table_deeper_than_the_recursion_limit_exits_two(capsys, tmp_path, argv):
+    # A valid chain table: b_i has degree i and the one row (i; 1; [i-1]),
+    # so the realized trees of b_n nest n levels deep.
+    n = 1100
+    spec = CoproductSpec(
+        "chain",
+        [Generator(i, i) for i in range(1, n + 1)],
+        [CoproductEntry(i, 1, (i - 1,), 1) for i in range(2, n + 1)],
+    )
+    assert spec.validate() == []
+    path = tmp_path / "chain.json"
+    path.write_text(save_spec(spec))
+    code, out, err = invoke(capsys, *argv, "--spec", str(path), "--element", str(n))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "recursion limit" in err
+    assert "Traceback" not in err
 
 
 def test_argparse_passthrough(capsys, fdb6_file):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hopfforest.algebra import Polynomial, mono
 from hopfforest.errors import InputError
 from hopfforest.hopfspec import (
     CoproductEntry,
@@ -45,6 +46,16 @@ def test_entry_normalizes():
     e = CoproductEntry(3, 1, [2, 1, 1], 5)
     assert e.right == (1, 1, 2)
     assert e.coeff == Fraction(5)
+    assert CoproductEntry(2, 1, (1,), Fraction(3, 4)).coeff == Fraction(3, 4)
+
+
+@pytest.mark.parametrize("coeff", [0.1, True, "3", None])
+def test_entry_coefficient_follows_the_algebra_rule(coeff):
+    # The rule Polynomial applies: an int (not a bool) or a Fraction.
+    with pytest.raises(InputError):
+        CoproductEntry(2, 1, (1,), coeff)
+    with pytest.raises(InputError):
+        Polynomial({mono(1): coeff})
 
 
 def test_faa_di_bruno_low_degrees(fdb6):
