@@ -54,12 +54,10 @@ from .linearize import (
     forest_expansion,
     forest_expansion_report,
     k_linearizations,
-    linearizations_of_view,
     tree_expansion,
     tree_expansion_report,
 )
 from .prelie import (
-    BraceResult,
     PreLieSpec,
     brace_action,
     dualize,

@@ -59,8 +59,8 @@ def antipode_dyson_salam(spec: CoproductSpec, i: int) -> Polynomial:
 def dyson_salam_poly(spec: CoproductSpec, p: Polynomial) -> Polynomial:
     """The Dyson-Salam route on an augmentation-ideal element: the sum over
     k of (-1)^k times the multiplied-out rank-k iterated reduced coproduct,
-    each rank one step from the last, for k up to the degree of p (so an
-    ungraded table still terminates)."""
+    each rank one step from the last, for k up to the degree of p, past
+    which every iterate vanishes by grading."""
     if p.constant != 0:
         raise InputError("the alternating-sum antipode needs zero constant term")
     bound = max((spec.monomial_degree(m) for m, _ in p.terms()), default=0)

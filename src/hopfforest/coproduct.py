@@ -86,11 +86,15 @@ def _splice(
     )
 
 
+def _check_leg(leg: str) -> None:
+    if leg not in ("right", "left"):
+        raise InputError(f"leg must be 'right' or 'left', got {leg!r}")
+
+
 def reduced_coproduct_step(spec: CoproductSpec, t: Tensor, leg: str = "right") -> Tensor:
     """The next rank of an iterated reduced coproduct: the reduced coproduct
     applied to the rightmost (or leftmost) slot of t."""
-    if leg not in ("right", "left"):
-        raise InputError(f"leg must be 'right' or 'left', got {leg!r}")
+    _check_leg(leg)
     at = t.rank - 1 if leg == "right" else 0
     return _splice(spec, t, at, _reduced_coproduct_monomial)
 
@@ -105,6 +109,7 @@ def iterated_reduced_poly(
     convention so tests can check that independence."""
     if k < 1:
         raise InputError(f"tensor rank must be >= 1, got {k}")
+    _check_leg(leg)
     out = Tensor(1, [((m,), c) for m, c in p.terms()])
     for _ in range(k - 1):
         out = reduced_coproduct_step(spec, out, leg)

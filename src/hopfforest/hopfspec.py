@@ -86,11 +86,10 @@ class CoproductEntry:
 class CoproductSpec:
     """A generator table plus reduced-coproduct entries.
 
-    The table itself never changes after construction; derived quantities
-    are memoized on the instance through `spec_memo`, in an unsynchronized
-    memo.  Construction does not validate the algebraic laws; call
-    `validate` for the structural report.  Loading from JSON validates
-    automatically.
+    Construction raises InputError with the `validate` report on any
+    structural problem, so every spec is graded right-handed.  The table
+    never changes afterwards; derived quantities are memoized on the
+    instance through `spec_memo`, in an unsynchronized memo.
     """
 
     def __init__(
@@ -112,6 +111,9 @@ class CoproductSpec:
         self._coeff = {(e.source, e.left, e.right): e.coeff for e in self.entries}
         # The spec_memo store: one dict per memoized function.
         self._cache: dict = {}
+        problems = self.validate()
+        if problems:
+            raise InputError("invalid spec: " + "; ".join(problems))
 
     def generator_ids(self) -> list[int]:
         return sorted(self.generators)
@@ -356,12 +358,7 @@ def spec_from_dict(doc: object) -> CoproductSpec:
         )
         coeff = _parse_coeff(item.get("coeff"), where)
         entries.append(CoproductEntry(source, left, right, coeff))
-
-    spec = CoproductSpec(doc["name"], gens, entries)
-    problems = spec.validate()
-    if problems:
-        raise InputError("invalid spec: " + "; ".join(problems))
-    return spec
+    return CoproductSpec(doc["name"], gens, entries)
 
 
 def parse_json(text: Union[str, bytes]) -> object:
@@ -388,8 +385,8 @@ def read_text_file(path: str, what: str) -> str:
 
 
 def load_spec(text: Union[str, bytes]) -> CoproductSpec:
-    """Parse and validate a JSON coproduct table; raises InputError on any
-    structural problem."""
+    """Parse a JSON coproduct table; raises InputError on any malformed or
+    structurally invalid document."""
     return spec_from_dict(parse_json(text))
 
 

@@ -55,11 +55,14 @@ def _sort_key(lin: Linearization):
     return tuple(tuple(sorted(f)) for f in lin.fibers)
 
 
-def linearizations_of_view(view: PosetView, k: int) -> tuple[Linearization, ...]:
-    """All k-linearizations of an arbitrary poset view, by peeling a
-    nonempty subset of currently minimal vertices per level.  Remaining
-    vertex sets are always upward closed, so minimality is a direct-parent
-    check."""
+def k_linearizations(
+    x: Union[TreeLike, PosetView], k: int
+) -> tuple[Linearization, ...]:
+    """All k-linearizations of a tree or forest (or a prebuilt view), by
+    peeling a nonempty subset of currently minimal vertices per level.
+    Remaining vertex sets are always upward closed, so minimality is a
+    direct-parent check."""
+    view = view_of(x)
     if k < 1:
         raise InputError(f"level count must be >= 1, got {k}")
     found: list[Linearization] = []
@@ -80,13 +83,6 @@ def linearizations_of_view(view: PosetView, k: int) -> tuple[Linearization, ...]
 
     peel(frozenset(view.vertices), (), k)
     return tuple(sorted(found, key=_sort_key))
-
-
-def k_linearizations(
-    x: Union[TreeLike, PosetView], k: int
-) -> tuple[Linearization, ...]:
-    """All k-linearizations of a tree or forest (or a prebuilt view)."""
-    return linearizations_of_view(view_of(x), k)
 
 
 def chain_of(x: Union[TreeLike, PosetView], lin: Linearization) -> Tensor:
@@ -116,7 +112,7 @@ def _chain_sum(spec: CoproductSpec, posets: Iterable[TreeLike], k: int) -> Tenso
         (
             (key, lam * c)
             for view, lam in weighted
-            for lin in linearizations_of_view(view, k)
+            for lin in k_linearizations(view, k)
             for key, c in chain_of(view, lin).terms()
         ),
     )
@@ -128,7 +124,7 @@ def alternating_sum(t: DecoratedTree) -> int:
     view = PosetView.of_tree(t)
     total = 0
     for k in range(1, view.size() + 1):
-        total += (-1) ** k * len(linearizations_of_view(view, k))
+        total += (-1) ** k * len(k_linearizations(view, k))
     return total
 
 

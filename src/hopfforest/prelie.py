@@ -6,10 +6,10 @@ rooted-tree grafting instance, and graded dualization into a coproduct table.
 All elements live in the symmetric algebra over the basis: a basis element
 b_i is the singleton monomial, and preLie products are linear combinations
 of basis elements (degree-homogeneous).  Because interesting preLie algebras
-are infinite-dimensional, every spec carries a truncation degree D; products
-that would land above D are dropped and the result is flagged as truncated.
-Identity checkers only assert equalities whose every intermediate stays
-within D, where no flag can occur.
+are infinite-dimensional, every spec carries a truncation degree D; asking
+for a product that would land above D raises InputError, since the table
+cannot say what it is.  Identity checkers only evaluate equalities whose
+every intermediate stays within D.
 
 The on-disk format is JSON:
 
@@ -25,9 +25,8 @@ The on-disk format is JSON:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import chain, product as iter_product
 from math import factorial
 from typing import Iterable, Mapping, Union
 
@@ -51,9 +50,10 @@ from .hopfspec import (
 
 
 class PreLieSpec:
-    """Structure constants of a truncated graded preLie algebra.  Brace
-    values are memoized on the instance through `spec_memo`, in an
-    unsynchronized memo."""
+    """Structure constants of a truncated graded preLie algebra.
+    Construction raises InputError with the `validate` report on any
+    structural problem.  Brace values are memoized on the instance through
+    `spec_memo`, in an unsynchronized memo."""
 
     def __init__(
         self,
@@ -71,6 +71,9 @@ class PreLieSpec:
         }
         self.truncation = truncation
         self._cache: dict = {}
+        problems = self.validate()
+        if problems:
+            raise InputError("invalid preLie spec: " + "; ".join(problems))
 
     def basis_ids(self) -> list[int]:
         return sorted(self.basis)
@@ -95,9 +98,10 @@ class PreLieSpec:
                 problems.append(
                     f"basis element {g.id} has degree {g.degree}; must be >= 1"
                 )
-        if not isinstance(self.truncation, int) or self.truncation < 1:
+        t = self.truncation
+        if not isinstance(t, int) or isinstance(t, bool) or t < 1:
             problems.append(
-                f"truncation must be a positive integer, got {self.truncation!r}"
+                f"truncation must be a positive integer, got {t!r}"
             )
             return problems
         for (i, j), value in sorted(self.products.items()):
@@ -128,41 +132,21 @@ class PreLieSpec:
         return problems
 
 
-@dataclass(frozen=True)
-class BraceResult:
-    """A product value plus a flag recording whether any contribution was
-    dropped by the truncation.  Flagged values are lower bounds on the true
-    expansion, not equalities."""
-
-    value: Polynomial
-    truncated: bool
-
-
-def prelie_product(spec: PreLieSpec, i: int, j: int) -> BraceResult:
+def prelie_product(spec: PreLieSpec, i: int, j: int) -> Polynomial:
     """The basis product b_i acted on by b_j; zero when no structure
-    constant is declared, flagged when the result degree exceeds the
-    truncation."""
-    if spec.degree(i) + spec.degree(j) > spec.truncation:
-        return BraceResult(Polynomial.zero(), True)
-    return BraceResult(spec.products.get((i, j), Polynomial.zero()), False)
-
-
-def _apply_brace(spec: PreLieSpec, p: Polynomial, j: int) -> BraceResult:
-    """Linear extension of (.) acted on by b_j to polynomials over basis
-    elements."""
-    parts = [(prelie_product(spec, m.indices[0], j), c) for m, c in p.terms()]
-    return _weighted_sum(parts)
-
-
-def _weighted_sum(parts: list[tuple[BraceResult, Fraction]]) -> BraceResult:
-    """The sum of weight times value over (result, weight) pairs, flagged
-    when any part is."""
-    value = Polynomial((m, w * c) for res, w in parts for m, c in res.value.terms())
-    return BraceResult(value, any(res.truncated for res, _ in parts))
+    constant is declared.  Raises InputError when the result degree exceeds
+    the truncation."""
+    degree = spec.degree(i) + spec.degree(j)
+    if degree > spec.truncation:
+        raise InputError(
+            f"product ({i}, {j}) lands at degree {degree}, above the "
+            f"truncation {spec.truncation}"
+        )
+    return spec.products.get((i, j), Polynomial.zero())
 
 
 @spec_memo
-def brace_action(spec: PreLieSpec, i: int, right: Monomial) -> BraceResult:
+def brace_action(spec: PreLieSpec, i: int, right: Monomial) -> Polynomial:
     """The symmetric-brace extension of the product to a monomial right
     argument, by the recursion
 
@@ -172,17 +156,26 @@ def brace_action(spec: PreLieSpec, i: int, right: Monomial) -> BraceResult:
                                    a acted on by ((B without b') * (b' acted on by b))
 
     peeling the canonically last factor.  The preLie identity makes the
-    result independent of which factor is peeled; tests exercise that."""
-    spec.degree(i)  # raises for unknown ids
+    result independent of which factor is peeled; tests exercise that.
+    Raises InputError when a nonempty right argument takes the total degree
+    above the truncation."""
+    degree = spec.degree(i)  # raises for unknown ids
     if right.is_unit:
-        return BraceResult(Polynomial.variable(i), False)
+        return Polynomial.variable(i)
+    degree += spec.monomial_degree(right)
+    if degree > spec.truncation:
+        raise InputError(
+            f"brace ({i}; {right}) lands at degree {degree}, above the "
+            f"truncation {spec.truncation}"
+        )
     if len(right) == 1:
         return prelie_product(spec, i, right.indices[0])
     rest = Monomial(right.indices[:-1])
     last = right.indices[-1]
-    inner = brace_action(spec, i, rest)
-    flagged = inner.truncated
-    parts = [(_apply_brace(spec, inner.value, last), Fraction(1))]
+    parts = [
+        (prelie_product(spec, m.indices[0], last), c)
+        for m, c in brace_action(spec, i, rest).terms()
+    ]
     seen: set[int] = set()
     for pos, j in enumerate(rest.indices):
         if j in seen:
@@ -190,17 +183,12 @@ def brace_action(spec: PreLieSpec, i: int, right: Monomial) -> BraceResult:
         seen.add(j)
         mult = rest.indices.count(j)
         removed = Monomial(rest.indices[:pos] + rest.indices[pos + 1 :])
-        jb = prelie_product(spec, j, last)
-        flagged = flagged or jb.truncated
-        for m, c in jb.value.terms():
+        for m, c in prelie_product(spec, j, last).terms():
             parts.append((brace_action(spec, i, removed * m), -c * mult))
-    total = _weighted_sum(parts)
-    if spec.degree(i) + spec.monomial_degree(right) > spec.truncation:
-        flagged = True
-    return BraceResult(total.value, flagged or total.truncated)
+    return Polynomial((m, w * c) for value, w in parts for m, c in value.terms())
 
 
-def guin_oudom_mul(spec: PreLieSpec, a: Monomial, b: Monomial) -> BraceResult:
+def guin_oudom_mul(spec: PreLieSpec, a: Monomial, b: Monomial) -> Polynomial:
     """The enveloping (associative) product of monomials: sum over all maps
     from the right factors to {0} + left positions; factors mapped to 0 stay
     as a plain cofactor, the block over position t acts on the t-th left
@@ -208,7 +196,6 @@ def guin_oudom_mul(spec: PreLieSpec, a: Monomial, b: Monomial) -> BraceResult:
     left = a.indices
     right = b.indices
     pieces: list[tuple[Monomial, Polynomial]] = []  # (cofactor, brace product)
-    flagged = False
     for assign in iter_product(range(len(left) + 1), repeat=len(right)):
         stay = Monomial(tuple(right[s] for s in range(len(right)) if assign[s] == 0))
         piece = Polynomial.one()
@@ -216,18 +203,17 @@ def guin_oudom_mul(spec: PreLieSpec, a: Monomial, b: Monomial) -> BraceResult:
             block = Monomial(
                 tuple(right[s] for s in range(len(right)) if assign[s] == t)
             )
-            res = brace_action(spec, left[t - 1], block)
-            flagged = flagged or res.truncated
-            piece = piece * res.value
+            piece = piece * brace_action(spec, left[t - 1], block)
         pieces.append((stay, piece))
-    total = Polynomial((stay * m, c) for stay, piece in pieces for m, c in piece.terms())
-    return BraceResult(total, flagged)
+    return Polynomial((stay * m, c) for stay, piece in pieces for m, c in piece.terms())
 
 
-def guin_oudom_poly(spec: PreLieSpec, p: Polynomial, q: Polynomial) -> BraceResult:
+def guin_oudom_poly(spec: PreLieSpec, p: Polynomial, q: Polynomial) -> Polynomial:
     """Bilinear extension of the enveloping product."""
-    pairs = [(m1, m2, c1 * c2) for m1, c1 in p.terms() for m2, c2 in q.terms()]
-    return _weighted_sum([(guin_oudom_mul(spec, m1, m2), c) for m1, m2, c in pairs])
+    pairs = ((m1, m2, c1 * c2) for m1, c1 in p.terms() for m2, c2 in q.terms())
+    return Polynomial(
+        (m, w * c) for m1, m2, w in pairs for m, c in guin_oudom_mul(spec, m1, m2).terms()
+    )
 
 
 def unshuffle_coproduct(m: Monomial) -> Tensor:
@@ -273,10 +259,17 @@ def prelie_check(spec: PreLieSpec) -> list[str]:
 
 def _associator(spec: PreLieSpec, x: int, y: int, z: int) -> Polynomial:
     """(x . y) . z - x . (y . z); inputs must fit under the truncation."""
-    first = _apply_brace(spec, prelie_product(spec, x, y).value, z)
-    yz = prelie_product(spec, y, z).value.terms()
-    second = _weighted_sum([(prelie_product(spec, x, m.indices[0]), c) for m, c in yz])
-    return first.value - second.value
+    first = (
+        (m2, c * c2)
+        for m, c in prelie_product(spec, x, y).terms()
+        for m2, c2 in prelie_product(spec, m.indices[0], z).terms()
+    )
+    second = (
+        (m2, -c * c2)
+        for m, c in prelie_product(spec, y, z).terms()
+        for m2, c2 in prelie_product(spec, x, m.indices[0]).terms()
+    )
+    return Polynomial(chain(first, second))
 
 
 def associativity_report(spec: PreLieSpec) -> list[str]:
@@ -295,9 +288,9 @@ def associativity_report(spec: PreLieSpec) -> list[str]:
                 if dab + spec.monomial_degree(c) > spec.truncation:
                     continue
                 bc = guin_oudom_mul(spec, b, c)
-                lhs = guin_oudom_poly(spec, ab.value, Polynomial.single(c))
-                rhs = guin_oudom_poly(spec, Polynomial.single(a), bc.value)
-                if lhs.value != rhs.value:
+                lhs = guin_oudom_poly(spec, ab, Polynomial.single(c))
+                rhs = guin_oudom_poly(spec, Polynomial.single(a), bc)
+                if lhs != rhs:
                     problems.append(
                         f"enveloping product not associative on ({a}, {b}, {c})"
                     )
@@ -315,7 +308,7 @@ def filtration_report(spec: PreLieSpec) -> list[str]:
             if degree > spec.truncation:
                 continue
             res = guin_oudom_mul(spec, a, b)
-            for m, _ in res.value.terms():
+            for m, _ in res.terms():
                 if not len(a) <= len(m) <= len(a) + len(b):
                     problems.append(
                         f"product ({a})*({b}) leaves the length window "
@@ -409,9 +402,9 @@ def dualize(spec: PreLieSpec, max_degree: int) -> CoproductSpec:
     multiplicities, i.e. the graded pairing that makes distinct monomials
     dual to themselves).
 
-    The result must pass structural validation plus the coassociativity and
-    counit checks; any failure raises ConstructionError, because a table
-    that fails them is not a usable coproduct no matter how it was obtained.
+    The result must pass the coassociativity and counit checks; any failure
+    raises ConstructionError, because a table that fails them is not a
+    usable coproduct no matter how it was obtained.
     """
     if max_degree < 1:
         raise InputError(f"max_degree must be >= 1, got {max_degree}")
@@ -420,9 +413,6 @@ def dualize(spec: PreLieSpec, max_degree: int) -> CoproductSpec:
             f"max_degree {max_degree} exceeds the truncation {spec.truncation}; "
             "brace values above the truncation are unavailable"
         )
-    structural = spec.validate()
-    if structural:
-        raise InputError("invalid preLie spec: " + "; ".join(structural))
     identity_problems = prelie_check(spec)
     if identity_problems:
         raise ConstructionError(
@@ -438,20 +428,13 @@ def dualize(spec: PreLieSpec, max_degree: int) -> CoproductSpec:
         for right in graded_monomials(spec.basis.values(), max_degree - g.degree):
             if right.is_unit:
                 continue
-            res = brace_action(spec, g.id, right)
-            if res.truncated:
-                raise ConstructionError(
-                    f"brace value for ({g.id}, {right}) was truncated; "
-                    "raise the truncation degree"
-                )
             sym = _symmetry_factor(right)
-            for m, c in res.value.terms():
+            for m, c in brace_action(spec, g.id, right).terms():
                 entries.append(
                     CoproductEntry(m.indices[0], g.id, right.indices, c / sym)
                 )
     dual = CoproductSpec(f"{spec.name}-dual", gens, entries)
-    problems = dual.validate()
-    problems += coassociativity_report(dual, max_degree)
+    problems = coassociativity_report(dual, max_degree)
     problems += counit_report(dual, max_degree)
     if problems:
         raise ConstructionError(
@@ -526,12 +509,7 @@ def prelie_from_dict(doc: object) -> PreLieSpec:
             k = _parse_id(term.get("id"), twhere)
             terms.append((Monomial((k,)), _parse_coeff(term.get("coeff"), twhere)))
         products[i, j] = Polynomial(terms)  # sums repeated ids
-
-    spec = PreLieSpec(doc["name"], basis, products, truncation)
-    problems = spec.validate()
-    if problems:
-        raise InputError("invalid preLie spec: " + "; ".join(problems))
-    return spec
+    return PreLieSpec(doc["name"], basis, products, truncation)
 
 
 def load_prelie(text: Union[str, bytes]) -> PreLieSpec:

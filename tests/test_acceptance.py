@@ -28,7 +28,7 @@ from hopfforest.hopfspec import faa_di_bruno_spec, spec_to_dict
 from hopfforest.linearize import (
     Linearization,
     alternating_sum,
-    linearizations_of_view,
+    k_linearizations,
     tree_expansion_report,
 )
 from hopfforest.prelie import (
@@ -176,17 +176,17 @@ def check_cut_bijection(t, k):
     cuts = corolla_cuts(t)
     by_vertices = {c.vertices: c for c in cuts}
 
-    direct = linearizations_of_view(view, k + 1)
+    direct = k_linearizations(view, k + 1)
 
     # Triple side: every (cut, quotient assignment topping out on the cut's
     # minima, cut assignment) reconstructs to a valid (k+1)-level assignment
     # by splicing the cut's two levels in place of the quotient's top level.
     triples = set()
     for c in cuts:
-        for g in linearizations_of_view(c.quotient_view, k):
+        for g in k_linearizations(c.quotient_view, k):
             if g.fibers[-1] != c.meet:
                 continue
-            for h in linearizations_of_view(c.cut_view, 2):
+            for h in k_linearizations(c.cut_view, 2):
                 rebuilt = Linearization(g.fibers[: k - 1] + h.fibers)
                 assert rebuilt in direct
                 triples.add((c.vertices, g.fibers, h.fibers))
@@ -200,10 +200,10 @@ def check_cut_bijection(t, k):
         c = by_vertices[members]
         g_fibers = f.fibers[: k - 1] + (c.meet,)
         h_fibers = (f.fibers[k - 1], f.fibers[k])
-        assert Linearization(g_fibers) in linearizations_of_view(
+        assert Linearization(g_fibers) in k_linearizations(
             c.quotient_view, k
         )
-        assert Linearization(h_fibers) in linearizations_of_view(c.cut_view, 2)
+        assert Linearization(h_fibers) in k_linearizations(c.cut_view, 2)
         mapped.add((c.vertices, g_fibers, h_fibers))
 
     assert len(mapped) == len(direct)
@@ -236,9 +236,7 @@ def test_criterion_7_prelie_suite(capfd):
         assert prelie_check(pl) == []
 
         def brace(i, m):
-            res = brace_action(pl, i, m)
-            assert not res.truncated
-            return res.value
+            return brace_action(pl, i, m)
 
         ids = pl.basis_ids()
         # Two factors against one basis element:
@@ -248,7 +246,7 @@ def test_criterion_7_prelie_suite(capfd):
                 for b in ids:
                     if pl.degree(a1) + pl.degree(a2) + pl.degree(b) > 4:
                         continue
-                    got = guin_oudom_mul(pl, mono(a1, a2), mono(b)).value
+                    got = guin_oudom_mul(pl, mono(a1, a2), mono(b))
                     expected = (
                         Polynomial.single(mono(a1, a2, b))
                         + brace(a1, mono(b)) * Polynomial.variable(a2)
@@ -263,7 +261,7 @@ def test_criterion_7_prelie_suite(capfd):
                 for b2 in ids:
                     if pl.degree(a) + pl.degree(b1) + pl.degree(b2) > 4:
                         continue
-                    got = guin_oudom_mul(pl, mono(a), mono(b1, b2)).value
+                    got = guin_oudom_mul(pl, mono(a), mono(b1, b2))
                     nested = Polynomial.zero()
                     for m, c in brace(a, mono(b1)).terms():
                         nested = nested + brace(m.indices[0], mono(b2)) * c

@@ -1,8 +1,10 @@
 """The antipode computed three ways, its convolution characterization, and
 the term-count statistics."""
 
+from math import prod
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopfforest.algebra import Monomial, Polynomial, mono
@@ -15,7 +17,12 @@ from hopfforest.antipode import (
     dyson_salam_poly,
     term_stats,
 )
-from hopfforest.coproduct import convolution_check, monomials_up_to
+from hopfforest.coproduct import (
+    coassociativity_report,
+    convolution_check,
+    counit_report,
+    monomials_up_to,
+)
 from hopfforest.errors import InputError
 from hopfforest.hopfspec import (
     CoproductEntry,
@@ -86,17 +93,18 @@ def test_alternating_sum_on_polynomials_cross_checks(fdb6):
         dyson_salam_poly(fdb6, Polynomial.one())
 
 
-def test_dyson_salam_stops_at_the_degree_on_an_ungraded_table():
-    # The row (2; 1; [2]) breaks the grading, so the iterated reduced
-    # coproduct of b2 never vanishes; the degree bound still ends the sum.
-    spec = CoproductSpec(
-        "ungraded",
-        [Generator(1, 1), Generator(2, 2)],
-        [CoproductEntry(2, 1, (2,), 1)],
-    )
-    assert spec.validate()
-    got = antipode_generator(spec, 2, "dyson-salam")
-    assert got.render() == "-1 b2 + 1 b1b2"
+def test_ungraded_table_is_rejected_at_construction():
+    # Each row breaks the grading.  Built unchecked, (2; 1; [2]) sent tree
+    # enumeration into unbounded recursion while dyson-salam and bogoliubov
+    # returned -1 b2 + 1 b1b2, and (2; 2; [1]) sent bogoliubov into
+    # unbounded recursion.
+    for row in [(2, 1, (2,)), (2, 2, (1,))]:
+        with pytest.raises(InputError, match=r"^invalid spec: .*degrees 3 != degree\(2\) = 2"):
+            CoproductSpec(
+                "ungraded",
+                [Generator(1, 1), Generator(2, 2)],
+                [CoproductEntry(*row, 1)],
+            )
 
 
 def test_unknown_method_rejected(fdb6):
@@ -154,6 +162,49 @@ def test_methods_agree_under_generator_relabeling(order):
         results = {m: antipode_generator(spec, i, m) for m in METHODS}
         assert results["forest"] == results["dyson-salam"] == results["bogoliubov"]
     assert convolution_check(spec, 4, antipode_endomap(spec, "forest")) == []
+
+
+def _rescaled_faa_di_bruno(lam):
+    """The composition table in the basis b'_i = lam[i] b_i: the row
+    (i; l; J) with coefficient c becomes c lam_i / (lam_l prod_J lam_j)."""
+    base = faa_di_bruno_spec(len(lam))
+    entries = [
+        CoproductEntry(
+            e.source,
+            e.left,
+            e.right,
+            e.coeff * lam[e.source] / (lam[e.left] * prod(lam[j] for j in e.right)),
+        )
+        for e in base.entries
+    ]
+    return CoproductSpec("rescaled", base.generators.values(), entries)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.lists(
+        st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool),
+        min_size=6,
+        max_size=6,
+    )
+)
+@example([1, -1, 1, 1, 1, 1])
+def test_rescaled_table_with_signed_fractional_rows(scales):
+    lam = dict(enumerate(scales, 1))
+    spec = _rescaled_faa_di_bruno(lam)
+    base = faa_di_bruno_spec(6)
+    assert coassociativity_report(spec, 6) == []
+    assert counit_report(spec, 6) == []
+    for method in METHODS:
+        assert convolution_check(spec, 6, antipode_endomap(spec, method)) == []
+    # S(b'_i) = lam_i S(b_i) with each b_j written as b'_j / lam_j.
+    for i in spec.generator_ids():
+        expected = Polynomial(
+            (m, c * lam[i] / prod(lam[j] for j in m))
+            for m, c in antipode_generator(base, i).terms()
+        )
+        for method in METHODS:
+            assert antipode_generator(spec, i, method) == expected
 
 
 def _linearization_count_oracle(spec, i):

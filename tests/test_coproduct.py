@@ -100,8 +100,9 @@ def test_iterated_reduced_rank_convention(fdb6):
     assert iterated_reduced(fdb6, 3, 4).is_zero
     with pytest.raises(InputError):
         iterated_reduced(fdb6, 3, 0)
-    with pytest.raises(InputError):
-        iterated_reduced_poly(fdb6, Polynomial.variable(3), 2, leg="middle")
+    for k in (1, 2):
+        with pytest.raises(InputError):
+            iterated_reduced_poly(fdb6, Polynomial.variable(3), k, leg="middle")
 
 
 @pytest.mark.parametrize("i", [2, 3, 4, 5])

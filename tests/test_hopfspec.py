@@ -112,27 +112,24 @@ def _spec(generators, entries):
 def test_validate_flags_each_violation():
     g = (Generator(1, 1), Generator(2, 2))
     assert _spec(g, [CoproductEntry(2, 1, (1,), 3)]).validate() == []
-
-    dup_gen = _spec((Generator(1, 1), Generator(1, 2)), [])
-    assert any("duplicate" in msg for msg in dup_gen.validate())
-
-    bad_degree = _spec((Generator(1, 0),), [])
-    assert any("degree" in msg for msg in bad_degree.validate())
-
-    dup_entry = _spec(g, [CoproductEntry(2, 1, (1,), 3)] * 2)
-    assert any("duplicate" in msg for msg in dup_entry.validate())
-
-    unknown = _spec(g, [CoproductEntry(2, 1, (7,), 1)])
-    assert any("unknown" in msg for msg in unknown.validate())
-
-    empty_right = _spec(g, [CoproductEntry(2, 1, (), 1)])
-    assert any("right" in msg for msg in empty_right.validate())
-
-    zero_coeff = _spec(g, [CoproductEntry(2, 1, (1,), 0)])
-    assert any("zero" in msg for msg in zero_coeff.validate())
-
-    mismatch = _spec(g, [CoproductEntry(2, 2, (1,), 1)])
-    assert any("degree" in msg for msg in mismatch.validate())
+    cases = [
+        ((Generator(1, 1), Generator(1, 2)), [], "duplicate generator id 1"),
+        ((Generator(1, 0),), [], "generator 1 has degree 0"),
+        (
+            g,
+            [CoproductEntry(2, 1, (1,), 3)] * 2,
+            "duplicate entry source=2 left=1 right=[1]",
+        ),
+        (g, [CoproductEntry(2, 1, (7,), 1)], "unknown generator ids [7]"),
+        (g, [CoproductEntry(2, 1, (), 1)], "right leg must be a nonempty monomial"),
+        (g, [CoproductEntry(2, 1, (1,), 0)], "zero coefficient"),
+        (g, [CoproductEntry(2, 2, (1,), 1)], "degrees 3 != degree(2) = 2"),
+    ]
+    for generators, entries, message in cases:
+        with pytest.raises(InputError) as exc:
+            _spec(generators, entries)
+        assert str(exc.value).startswith("invalid spec: ")
+        assert message in str(exc.value)
 
 
 def test_json_roundtrip(fdb6):

@@ -15,7 +15,6 @@ from hopfforest.linearize import (
     chain_of,
     forest_expansion_report,
     k_linearizations,
-    linearizations_of_view,
     tree_expansion_report,
 )
 from hopfforest.trees import (
@@ -100,9 +99,9 @@ def test_counts_on_small_shapes():
 def test_enumeration_matches_brute_force(shape):
     view = view_of(shape)
     for k in range(1, view.size() + 1):
-        got = {lin.fibers for lin in linearizations_of_view(view, k)}
+        got = {lin.fibers for lin in k_linearizations(view, k)}
         assert got == brute_force_fibers(view, k)
-        assert len(got) == len(linearizations_of_view(view, k))
+        assert len(got) == len(k_linearizations(view, k))
 
 
 def test_top_rank_counts_linear_extensions():
@@ -118,12 +117,12 @@ def test_top_rank_counts_linear_extensions():
             if view.parent[v] is not None
         )
     )
-    assert len(linearizations_of_view(view, n)) == extensions
+    assert len(k_linearizations(view, n)) == extensions
 
 
 def test_chain_tensors():
     view = view_of(corolla())
-    (lin,) = linearizations_of_view(view, 2)
+    (lin,) = k_linearizations(view, 2)
     assert chain_of(view, lin) == Tensor.single((mono(1), mono(1, 1)), 1)
 
     pair = forest(leaf(1), leaf(2))
@@ -173,14 +172,14 @@ def test_insertion_recursion(parents):
     y = n - 1 if n == 1 else (n * 7 + 3) % n  # deterministic pick
     grown = PosetView.of_parent_table(parents + [y])
     for k in range(1, n + 2):
-        direct = len(linearizations_of_view(grown, k))
+        direct = len(k_linearizations(grown, k))
         via_same = sum(
-            k - lin.level_of((y,)) for lin in linearizations_of_view(view, k)
+            k - lin.level_of((y,)) for lin in k_linearizations(view, k)
         )
         via_fresh = (
             sum(
                 k - lin.level_of((y,))
-                for lin in linearizations_of_view(view, k - 1)
+                for lin in k_linearizations(view, k - 1)
             )
             if k >= 2
             else 0
@@ -193,7 +192,7 @@ def test_insertion_recursion(parents):
 def test_alternating_sum_is_parity(parents):
     view = PosetView.of_parent_table(parents)
     total = sum(
-        (-1) ** k * len(linearizations_of_view(view, k))
+        (-1) ** k * len(k_linearizations(view, k))
         for k in range(1, view.size() + 1)
     )
     assert total == (-1) ** view.size()
@@ -213,15 +212,15 @@ def test_top_levels_of_linearizations_come_from_cuts(t):
     corolla cut; counting through the cuts must reproduce the direct count."""
     view = view_of(t)
     for k in range(1, view.size()):
-        direct = len(linearizations_of_view(view, k + 1))
+        direct = len(k_linearizations(view, k + 1))
         routed = 0
         for c in corolla_cuts(t):
             tops = sum(
                 1
-                for g in linearizations_of_view(c.quotient_view, k)
+                for g in k_linearizations(c.quotient_view, k)
                 if g.fibers[-1] == c.meet
             )
-            routed += tops * len(linearizations_of_view(c.cut_view, 2))
+            routed += tops * len(k_linearizations(c.cut_view, 2))
         assert direct == routed
 
 

@@ -8,7 +8,6 @@ from hopfforest.coproduct import coassociativity_report, counit_report
 from hopfforest.errors import ConstructionError, InputError
 from hopfforest.hopfspec import Generator, graded_monomials
 from hopfforest.prelie import (
-    BraceResult,
     PreLieSpec,
     associativity_report,
     brace_action,
@@ -73,51 +72,59 @@ def test_grafting_instance_table(graft4):
 
 
 def test_basis_product_and_truncation_flag(graft4):
-    assert prelie_product(graft4, 2, 1) == BraceResult(
-        Polynomial({mono(3): 1, mono(4): 1}), False
-    )
-    # Degree 3 + 2 exceeds the truncation 4: dropped but flagged.
-    assert prelie_product(graft4, 3, 2) == BraceResult(Polynomial.zero(), True)
+    assert prelie_product(graft4, 2, 1) == Polynomial({mono(3): 1, mono(4): 1})
+    assert prelie_product(graft4, 3, 1) == Polynomial({mono(5): 1, mono(6): 2})
+    # Degree 3 + 2 exceeds the truncation 4: the table cannot say.
+    with pytest.raises(InputError, match="above the truncation 4"):
+        prelie_product(graft4, 3, 2)
     with pytest.raises(InputError):
         graft4.degree(99)
 
 
 def test_brace_action_goldens(graft4):
-    assert brace_action(graft4, 2, Monomial(())).value == Polynomial.variable(2)
-    assert brace_action(graft4, 1, mono(1)).value == Polynomial.variable(2)
+    assert brace_action(graft4, 2, Monomial(())) == Polynomial.variable(2)
+    assert brace_action(graft4, 1, mono(1)) == Polynomial.variable(2)
     # One vertex acted on by two single vertices: graft both, in either
     # nesting, minus the nested-first correction; only the cherry survives.
-    assert brace_action(graft4, 1, mono(1, 1)) == BraceResult(
-        Polynomial.variable(3), False
-    )
+    assert brace_action(graft4, 1, mono(1, 1)) == Polynomial.variable(3)
     # Hand expansion through the declared table:
     #   (2 . 1) . 1 - 2 . (1 . 1) = (b3 + b4) . 1 - 2 . b2
     #                             = (b5 + 2 b6) + (b6 + b7 + b8) - (b6 + b8)
-    assert brace_action(graft4, 2, mono(1, 1)).value == Polynomial(
+    assert brace_action(graft4, 2, mono(1, 1)) == Polynomial(
         {mono(5): 1, mono(6): 2, mono(7): 1}
     )
 
 
 def test_brace_action_flags_truncation(graft4):
-    assert brace_action(graft4, 3, mono(2)).truncated
-    assert brace_action(graft4, 2, mono(1, 1, 1)).truncated
+    # Degrees 3 + 2 and 2 + 3 both exceed the truncation 4.
+    with pytest.raises(InputError, match="above the truncation 4"):
+        brace_action(graft4, 3, mono(2))
+    with pytest.raises(InputError, match="above the truncation 4"):
+        brace_action(graft4, 2, mono(1, 1, 1))
+    # With every product zero, b1 . b1 vanishes before any product is read
+    # at degree 3, so only the degree check sees that b1 . b1b1 lies above.
+    zero = PreLieSpec("zero", [Generator(1, 1)], {}, 2)
+    assert brace_action(zero, 1, mono(1)).is_zero
+    with pytest.raises(InputError, match="above the truncation 2"):
+        brace_action(zero, 1, mono(1, 1))
+    # The unit argument is the element itself, whatever its degree.
+    assert brace_action(graft4, 8, Monomial(())) == Polynomial.variable(8)
     with pytest.raises(InputError):
         brace_action(graft4, 99, mono(1))
 
 
 def reference_brace(spec, i, right):
     """Same recursion as brace_action but peeling the FIRST factor; the
-    defining identity makes the two routes agree wherever nothing is
-    truncated."""
+    defining identity makes the two routes agree within the truncation."""
     if right.is_unit:
         return Polynomial.variable(i)
     if len(right) == 1:
-        return prelie_product(spec, i, right.indices[0]).value
+        return prelie_product(spec, i, right.indices[0])
     first = right.indices[0]
     rest = Monomial(right.indices[1:])
     total = Polynomial.zero()
     for m, c in reference_brace(spec, i, rest).terms():
-        total = total + prelie_product(spec, m.indices[0], first).value * c
+        total = total + prelie_product(spec, m.indices[0], first) * c
     seen = set()
     for pos, j in enumerate(rest.indices):
         if j in seen:
@@ -125,7 +132,7 @@ def reference_brace(spec, i, right):
         seen.add(j)
         mult = rest.indices.count(j)
         removed = Monomial(rest.indices[:pos] + rest.indices[pos + 1 :])
-        for m, c in prelie_product(spec, j, first).value.terms():
+        for m, c in prelie_product(spec, j, first).terms():
             total = total - reference_brace(spec, i, removed * m) * (c * mult)
     return total
 
@@ -133,18 +140,16 @@ def reference_brace(spec, i, right):
 def test_brace_action_is_peel_order_independent(graft4):
     for i in graft4.basis_ids():
         for right in graded_monomials(graft4.basis.values(), 4 - graft4.degree(i)):
-            res = brace_action(graft4, i, right)
-            if not res.truncated:
-                assert res.value == reference_brace(graft4, i, right)
+            assert brace_action(graft4, i, right) == reference_brace(graft4, i, right)
 
 
 def test_enveloping_product_goldens(graft4):
     unit = Monomial(())
-    assert guin_oudom_mul(graft4, mono(2), unit).value == Polynomial.variable(2)
-    assert guin_oudom_mul(graft4, unit, mono(2)).value == Polynomial.variable(2)
+    assert guin_oudom_mul(graft4, mono(2), unit) == Polynomial.variable(2)
+    assert guin_oudom_mul(graft4, unit, mono(2)) == Polynomial.variable(2)
     # Two factors against one: the three maps are stay, hit-first, hit-second.
-    lhs = guin_oudom_mul(graft4, mono(1, 1), mono(2)).value
-    hit = brace_action(graft4, 1, mono(2)).value
+    lhs = guin_oudom_mul(graft4, mono(1, 1), mono(2))
+    hit = brace_action(graft4, 1, mono(2))
     expected = (
         Polynomial.single(mono(1, 1, 2))
         + hit * Polynomial.variable(1)
@@ -152,29 +157,31 @@ def test_enveloping_product_goldens(graft4):
     )
     assert lhs == expected
     # One factor against two: stay-stay, one-in, other-in, both-in.
-    lhs = guin_oudom_mul(graft4, mono(1), mono(1, 2)).value
+    lhs = guin_oudom_mul(graft4, mono(1), mono(1, 2))
     expected = (
         Polynomial.single(mono(1, 1, 2))
-        + Polynomial.variable(2) * brace_action(graft4, 1, mono(1)).value
-        + Polynomial.variable(1) * brace_action(graft4, 1, mono(2)).value
-        + brace_action(graft4, 1, mono(1, 2)).value
+        + Polynomial.variable(2) * brace_action(graft4, 1, mono(1))
+        + Polynomial.variable(1) * brace_action(graft4, 1, mono(2))
+        + brace_action(graft4, 1, mono(1, 2))
     )
     assert lhs == expected
 
 
 def test_enveloping_product_on_single_generators(graft4):
     got = guin_oudom_mul(graft4, mono(1), mono(1))
-    assert got.value == Polynomial.single(mono(1, 1)) + Polynomial.variable(2)
-    assert not got.truncated
+    assert got == Polynomial.single(mono(1, 1)) + Polynomial.variable(2)
+    # b2 * b1b1b1 needs b2 . b1b1b1 at degree 5.
+    with pytest.raises(InputError, match="above the truncation 4"):
+        guin_oudom_mul(graft4, mono(2), mono(1, 1, 1))
 
 
 def test_enveloping_poly_is_bilinear(graft4):
     p = Polynomial({mono(1): 2})
     q = Polynomial({mono(1): 1, mono(2): 3})
-    got = guin_oudom_poly(graft4, p, q).value
+    got = guin_oudom_poly(graft4, p, q)
     expected = (
-        guin_oudom_mul(graft4, mono(1), mono(1)).value * 2
-        + guin_oudom_mul(graft4, mono(1), mono(2)).value * 6
+        guin_oudom_mul(graft4, mono(1), mono(1)) * 2
+        + guin_oudom_mul(graft4, mono(1), mono(2)) * 6
     )
     assert got == expected
 
@@ -208,32 +215,38 @@ def test_identity_checker_catches_violations():
 
 
 def test_validate_catches_structure_problems():
-    dup = PreLieSpec("d", [Generator(1, 1), Generator(1, 2)], {}, 3)
-    assert any("duplicate" in p for p in dup.validate())
-
-    above = PreLieSpec(
-        "a",
-        [Generator(1, 2), Generator(2, 4)],
-        {(1, 1): Polynomial.variable(2)},
-        3,
-    )
-    assert any("above the truncation" in p for p in above.validate())
-
-    not_basis = PreLieSpec(
-        "n",
-        [Generator(1, 1), Generator(2, 2)],
-        {(1, 1): Polynomial.single(mono(1, 1))},
-        4,
-    )
-    assert any("not a basis element" in p for p in not_basis.validate())
-
-    wrong_degree = PreLieSpec(
-        "w",
-        [Generator(1, 1), Generator(2, 3)],
-        {(1, 1): Polynomial.variable(2)},
-        4,
-    )
-    assert any("degree" in p for p in wrong_degree.validate())
+    g = [Generator(1, 1), Generator(2, 2)]
+    cases = [
+        ([Generator(1, 1), Generator(1, 2)], {}, 3, "duplicate basis id 1"),
+        ([Generator(1, 0)], {}, 3, "basis element 1 has degree 0"),
+        (g, {}, 0, "truncation must be a positive integer, got 0"),
+        (g, {}, True, "truncation must be a positive integer, got True"),
+        (g, {(1, 3): Polynomial.variable(2)}, 4, "product (1, 3): unknown basis ids"),
+        (
+            [Generator(1, 2), Generator(2, 4)],
+            {(1, 1): Polynomial.variable(2)},
+            3,
+            "product (1, 1): lands at degree 4, above the truncation 3",
+        ),
+        (
+            g,
+            {(1, 1): Polynomial.single(mono(1, 1))},
+            4,
+            "result term b1b1 is not a basis element",
+        ),
+        (g, {(1, 1): Polynomial.variable(5)}, 4, "unknown result id 5"),
+        (
+            [Generator(1, 1), Generator(2, 3)],
+            {(1, 1): Polynomial.variable(2)},
+            4,
+            "result b2 has degree 3, expected 2",
+        ),
+    ]
+    for basis, products, truncation, message in cases:
+        with pytest.raises(InputError) as exc:
+            PreLieSpec("bad", basis, products, truncation)
+        assert str(exc.value).startswith("invalid preLie spec: ")
+        assert message in str(exc.value)
 
 
 def test_unshuffle_coproduct():
