@@ -1,10 +1,14 @@
 """Exact free-module arithmetic: rational scalars, multiset monomials,
 polynomials and rank-k tensors.
 
-Coefficients are ``fractions.Fraction`` (always in lowest terms, positive
-denominator), monomials are sorted multisets of positive generator indices,
-and polynomials/tensors are finitely supported coefficient maps that never
-store zeros, so ``==`` is structural equality.  Every value is immutable
+Monomials are sorted multisets of positive generator indices, and
+polynomials/tensors are finitely supported coefficient maps that never
+store zeros, so ``==`` is structural equality.  A value stores a
+coefficient as an ``int`` until a denominator appears and as a
+``fractions.Fraction`` (lowest terms, positive denominator) after that;
+every public read (``terms``, ``coefficient``, ``constant``) returns a
+``Fraction``.  Since ``int`` and ``Fraction`` compare and hash alike, the
+stored form never shows in ``==`` or ``hash``.  Every value is immutable
 after construction and safe to share between threads.  (The specs that
 memoize derived values are not: see ``hopfspec.spec_memo``.)
 """
@@ -13,10 +17,10 @@ from __future__ import annotations
 
 import operator
 import sys
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import InputError
 
@@ -38,18 +42,40 @@ def multiset(indices: Iterable[int]) -> Multiset:
     return out
 
 
-@dataclass(frozen=True)
 class Monomial:
     """A commutative product of generators ``b_i``, stored as a sorted index
-    multiset.  The empty multiset is the unit monomial (the scalar 1)."""
+    multiset.  The empty multiset is the unit monomial (the scalar 1).
 
-    indices: Multiset = ()
+    The constructor checks the indices; a product only sorts the indices of
+    its two factors, which were checked when the factors were built.  The
+    hash is computed once, at construction."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "indices", multiset(self.indices))
+    __slots__ = ("indices", "_hash")
+
+    def __init__(self, indices: Iterable[int] = ()) -> None:
+        _fill(self, multiset(indices))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Monomial is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("Monomial is immutable")
+
+    def __reduce__(self):
+        return (Monomial, (self.indices,))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Monomial:
+            return NotImplemented
+        return self.indices == other.indices
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.indices + other.indices)
+        if type(other) is not Monomial:
+            return NotImplemented
+        return _sorted_monomial(self.indices + other.indices)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -76,6 +102,21 @@ class Monomial:
         return f"Monomial({self.indices!r})"
 
 
+_set_indices = Monomial.indices.__set__
+_set_hash = Monomial._hash.__set__
+
+
+def _fill(m: Monomial, indices: Multiset) -> Monomial:
+    _set_indices(m, indices)
+    _set_hash(m, hash(indices))
+    return m
+
+
+def _sorted_monomial(indices: tuple[int, ...]) -> Monomial:
+    """The monomial of already-checked indices, in any order."""
+    return _fill(object.__new__(Monomial), tuple(sorted(indices)))
+
+
 UNIT = Monomial()
 
 
@@ -84,12 +125,21 @@ def mono(*indices: int) -> Monomial:
     return Monomial(indices)
 
 
-def _as_fraction(c: Scalar) -> Fraction:
-    if isinstance(c, Fraction):
+def _scalar(c: Scalar) -> Scalar:
+    """A coefficient in stored form: an int, or a Fraction with a
+    denominator other than 1.  Anything else (a float, a bool) raises."""
+    if type(c) is int:
         return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int) and not isinstance(c, bool):
-        return Fraction(c)
+        return int(c)
     raise InputError(f"coefficients must be integers or Fractions, got {c!r}")
+
+
+def _fraction(c: Scalar) -> Fraction:
+    """A stored coefficient in its public form."""
+    return c if isinstance(c, Fraction) else Fraction(c)
 
 
 def coefficient_text(c: Fraction) -> str:
@@ -108,7 +158,10 @@ Terms = Union[TermMap, Iterable[tuple[Monomial, Scalar]]]
 
 class _CoefficientMap:
     """The body Polynomial and Tensor share: a finitely supported map from
-    keys to Fractions that never stores a zero and never changes once built.
+    keys to coefficients that never stores a zero and never changes once
+    built.  A coefficient is stored as an int until a denominator appears;
+    ``items`` yields that stored form, in no particular order, for the
+    package's internal sums, while ``terms`` sorts and returns Fractions.
 
     A subclass supplies only what differs: the key check ``_key``, the key
     product ``_key_mul``, the key text ``_key_text``, ``_like`` (a value of
@@ -127,7 +180,8 @@ class _CoefficientMap:
         key_of = self._key
         for key, c in terms.items() if isinstance(terms, Mapping) else terms:
             key = key_of(key)
-            c = _as_fraction(c)
+            if type(c) is not int:
+                c = _scalar(c)
             acc[key] = acc[key] + c if key in acc else c
         object.__setattr__(self, "_terms", {k: c for k, c in acc.items() if c})
 
@@ -145,7 +199,7 @@ class _CoefficientMap:
     def __mul__(self, other):
         """Product with a value of the same kind, or with a scalar."""
         if not isinstance(other, _CoefficientMap):
-            c = _as_fraction(other)
+            c = _scalar(other)
             return self._like((k, c0 * c) for k, c0 in self._terms.items())
         self._check_rank(other)
         key_mul = self._key_mul
@@ -163,6 +217,11 @@ class _CoefficientMap:
 
     def __rmul__(self, other: Scalar):
         return self * other
+
+    def items(self):
+        """The (key, coefficient) pairs in no particular order, each
+        coefficient an int or a Fraction: the read for internal sums."""
+        return self._terms.items()
 
     @property
     def is_zero(self) -> bool:
@@ -228,7 +287,7 @@ class Polynomial(_CoefficientMap):
 
     @classmethod
     def one(cls) -> "Polynomial":
-        return cls({UNIT: Fraction(1)})
+        return cls({UNIT: 1})
 
     @classmethod
     def single(cls, m: Monomial, c: Scalar = 1) -> "Polynomial":
@@ -237,19 +296,20 @@ class Polynomial(_CoefficientMap):
     @classmethod
     def variable(cls, i: int) -> "Polynomial":
         """The generator b_i as a polynomial."""
-        return cls({mono(i): Fraction(1)})
+        return cls({mono(i): 1})
 
     def terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in canonical monomial order."""
-        return sorted(self._terms.items(), key=lambda t: t[0].sort_key)
+        ordered = sorted(self._terms.items(), key=lambda t: t[0].sort_key)
+        return [(m, _fraction(c)) for m, c in ordered]
 
     def coefficient(self, m: Monomial) -> Fraction:
-        return self._terms.get(m, Fraction(0))
+        return _fraction(self._terms.get(m, 0))
 
     @property
     def constant(self) -> Fraction:
         """Coefficient of the unit monomial (the counit of the polynomial)."""
-        return self._terms.get(UNIT, Fraction(0))
+        return _fraction(self._terms.get(UNIT, 0))
 
     def __repr__(self) -> str:
         return f"Polynomial<{self.render()}>"
@@ -303,7 +363,7 @@ class Tensor(_CoefficientMap):
     @classmethod
     def one(cls, rank: int) -> "Tensor":
         """The unit tensor 1 (x) ... (x) 1."""
-        return cls(rank, {(UNIT,) * rank: Fraction(1)})
+        return cls(rank, {(UNIT,) * rank: 1})
 
     @classmethod
     def single(cls, key: TensorKey, c: Scalar = 1) -> "Tensor":
@@ -314,22 +374,20 @@ class Tensor(_CoefficientMap):
         """Tensor product of polynomials, one per slot."""
         if not factors:
             raise InputError("outer product needs at least one factor")
-        terms: list[tuple[TensorKey, Fraction]] = [((), Fraction(1))]  # grows rank
+        terms: list[tuple[TensorKey, Scalar]] = [((), 1)]  # grows rank
         for p in factors:
-            terms = [
-                (key + (m,), c * cm)
-                for key, c in terms
-                for m, cm in p.terms()
-            ]
+            terms = [(key + (m,), c * cm) for key, c in terms for m, cm in p.items()]
         return cls(len(factors), terms)
 
     def terms(self) -> list[tuple[TensorKey, Fraction]]:
-        return sorted(
+        """Terms in canonical order, slot by slot."""
+        ordered = sorted(
             self._terms.items(), key=lambda t: tuple(m.sort_key for m in t[0])
         )
+        return [(key, _fraction(c)) for key, c in ordered]
 
     def coefficient(self, key: TensorKey) -> Fraction:
-        return self._terms.get(tuple(key), Fraction(0))
+        return _fraction(self._terms.get(tuple(key), 0))
 
     __add__ = _CoefficientMap.__add__
     __mul__ = _CoefficientMap.__mul__
@@ -337,7 +395,7 @@ class Tensor(_CoefficientMap):
     def multiplied_out(self) -> Polynomial:
         """Multiply all slots together (the k-fold product applied to the tensor)."""
         return Polynomial(
-            (Monomial(tuple(i for f in key for i in f.indices)), c)
+            (_sorted_monomial(sum((m.indices for m in key), ())), c)
             for key, c in self._terms.items()
         )
 

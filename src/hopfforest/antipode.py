@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import Callable
 
-from .algebra import Monomial, Polynomial, mono
+from .algebra import Monomial, Polynomial, _scalar, mono
 from .coproduct import iterated_reduced_poly, reduced_coproduct_step
 from .errors import InputError
 from .hopfspec import CoproductSpec, spec_memo
@@ -63,7 +63,7 @@ def dyson_salam_poly(spec: CoproductSpec, p: Polynomial) -> Polynomial:
     which every iterate vanishes by grading."""
     if p.constant != 0:
         raise InputError("the alternating-sum antipode needs zero constant term")
-    bound = max((spec.monomial_degree(m) for m, _ in p.terms()), default=0)
+    bound = max((spec.monomial_degree(m) for m, _ in p.items()), default=0)
     # ranks 1..bound, each one reduced-coproduct step from the last
     iterates = accumulate(
         range(2, bound + 1),
@@ -73,7 +73,7 @@ def dyson_salam_poly(spec: CoproductSpec, p: Polynomial) -> Polynomial:
     return Polynomial(
         (m, (-1) ** k * c)
         for k, t in enumerate(iterates, 1)
-        for m, c in t.multiplied_out().terms()
+        for m, c in t.multiplied_out().items()
     )
 
 
@@ -86,8 +86,10 @@ def antipode_bogoliubov(spec: CoproductSpec, i: int) -> Polynomial:
     # keeps the stack cost per level of the recursion at two frames.
     rows = []
     for e in spec.entries_for(i):
-        rows.append((Monomial(e.right), -e.coeff, antipode_bogoliubov(spec, e.left)))
-    terms = ((m * right, c * cm) for right, c, lower in rows for m, cm in lower.terms())
+        # the row coefficient in stored form, so integer tables multiply ints
+        c = _scalar(-e.coeff)
+        rows.append((Monomial(e.right), c, antipode_bogoliubov(spec, e.left)))
+    terms = ((m * right, c * cm) for right, c, lower in rows for m, cm in lower.items())
     return Polynomial(chain([(mono(i), -1)], terms))
 
 
@@ -114,8 +116,8 @@ def antipode_poly(
 ) -> Polynomial:
     """Multiplicative-linear extension: S(b_I) is the product of the
     generator antipodes, S(1) = 1."""
-    pieces = ((_antipode_monomial(spec, m, method), c) for m, c in p.terms())
-    return Polynomial((m, c * cs) for s, c in pieces for m, cs in s.terms())
+    pieces = ((_antipode_monomial(spec, m, method), c) for m, c in p.items())
+    return Polynomial((m, c * cs) for s, c in pieces for m, cs in s.items())
 
 
 def _antipode_monomial(spec: CoproductSpec, m: Monomial, method: str) -> Polynomial:

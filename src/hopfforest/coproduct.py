@@ -33,7 +33,7 @@ def full_coproduct_generator(spec: CoproductSpec, i: int) -> Tensor:
     """b_i (x) 1 + 1 (x) b_i + reduced part."""
     b = mono(i)
     primitive = [((b, UNIT), 1), ((UNIT, b), 1)]
-    return Tensor(2, chain(primitive, reduced_coproduct_generator(spec, i).terms()))
+    return Tensor(2, chain(primitive, reduced_coproduct_generator(spec, i).items()))
 
 
 @spec_memo
@@ -47,8 +47,8 @@ def _coproduct_monomial(spec: CoproductSpec, m: Monomial) -> Tensor:
 
 def coproduct_poly(spec: CoproductSpec, p: Polynomial) -> Tensor:
     """Full coproduct, extended multiplicatively from generators."""
-    pieces = ((_coproduct_monomial(spec, m), c) for m, c in p.terms())
-    return Tensor(2, ((key, c * ct) for t, c in pieces for key, ct in t.terms()))
+    pieces = ((_coproduct_monomial(spec, m), c) for m, c in p.items())
+    return Tensor(2, ((key, c * ct) for t, c in pieces for key, ct in t.items()))
 
 
 def reduced_coproduct_poly(spec: CoproductSpec, p: Polynomial) -> Tensor:
@@ -59,8 +59,8 @@ def reduced_coproduct_poly(spec: CoproductSpec, p: Polynomial) -> Tensor:
             "reduced coproduct needs a polynomial with zero constant term, "
             f"got constant {p.constant}"
         )
-    primitive = [(key, -c) for m, c in p.terms() for key in ((m, UNIT), (UNIT, m))]
-    return Tensor(2, chain(coproduct_poly(spec, p).terms(), primitive))
+    primitive = [(key, -c) for m, c in p.items() for key in ((m, UNIT), (UNIT, m))]
+    return Tensor(2, chain(coproduct_poly(spec, p).items(), primitive))
 
 
 @spec_memo
@@ -80,8 +80,8 @@ def _splice(
         t.rank + 1,
         (
             (key[:leg] + pair + key[leg + 1 :], c * c2)
-            for key, c in t.terms()
-            for pair, c2 in coproduct_monomial(spec, key[leg]).terms()
+            for key, c in t.items()
+            for pair, c2 in coproduct_monomial(spec, key[leg]).items()
         ),
     )
 
@@ -110,7 +110,7 @@ def iterated_reduced_poly(
     if k < 1:
         raise InputError(f"tensor rank must be >= 1, got {k}")
     _check_leg(leg)
-    out = Tensor(1, [((m,), c) for m, c in p.terms()])
+    out = Tensor(1, [((m,), c) for m, c in p.items()])
     for _ in range(k - 1):
         out = reduced_coproduct_step(spec, out, leg)
         if out.is_zero:
@@ -143,8 +143,8 @@ def convolution_check(
         expect = Polynomial.one() if m.is_unit else Polynomial.zero()
         got = Polynomial(
             (sa * b, c * ca)
-            for (a, b), c in _coproduct_monomial(spec, m).terms()
-            for sa, ca in antipode(a).terms()
+            for (a, b), c in _coproduct_monomial(spec, m).items()
+            for sa, ca in antipode(a).items()
         )
         if got != expect:
             problems.append(
@@ -172,7 +172,7 @@ def counit_report(spec: CoproductSpec, max_degree: int) -> list[str]:
     every monomial of degree <= max_degree."""
     problems: list[str] = []
     for m in monomials_up_to(spec, max_degree):
-        once = _coproduct_monomial(spec, m).terms()
+        once = _coproduct_monomial(spec, m).items()
         left = Polynomial((b, c) for (a, b), c in once if a.is_unit)
         right = Polynomial((a, c) for (a, b), c in once if b.is_unit)
         expect = Polynomial.single(m)

@@ -29,10 +29,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
+from types import MappingProxyType
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .algebra import Monomial, Multiset, Rational, coefficient_text, multiset
-from .algebra import _as_fraction
+from .algebra import _fraction, _scalar
 from .errors import InputError
 
 
@@ -71,7 +72,9 @@ class Generator:
 @dataclass(frozen=True)
 class CoproductEntry:
     """One term of a reduced coproduct: coeff * b_left (x) (product over right).
-    The coefficient is an int (not a bool) or a Fraction, as in Polynomial."""
+    The coefficient is given as an int (not a bool) or a Fraction, as in
+    Polynomial, and reads back as a Fraction; values built from the entry
+    hold it as an int until a denominator appears."""
 
     source: int
     left: int
@@ -80,7 +83,7 @@ class CoproductEntry:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "right", multiset(self.right))
-        object.__setattr__(self, "coeff", _as_fraction(self.coeff))
+        object.__setattr__(self, "coeff", _fraction(_scalar(self.coeff)))
 
 
 class CoproductSpec:
@@ -100,7 +103,7 @@ class CoproductSpec:
     ) -> None:
         self.name = str(name)
         self._generator_list = list(generators)
-        self.generators = {g.id: g for g in self._generator_list}
+        self.generators = MappingProxyType({g.id: g for g in self._generator_list})
         self.entries = tuple(
             sorted(entries, key=lambda e: (e.source, e.left, e.right))
         )

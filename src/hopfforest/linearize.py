@@ -113,7 +113,7 @@ def _chain_sum(spec: CoproductSpec, posets: Iterable[TreeLike], k: int) -> Tenso
             (key, lam * c)
             for view, lam in weighted
             for lin in k_linearizations(view, k)
-            for key, c in chain_of(view, lin).terms()
+            for key, c in chain_of(view, lin).items()
         ),
     )
 

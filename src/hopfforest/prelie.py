@@ -28,6 +28,7 @@ import json
 from fractions import Fraction
 from itertools import chain, product as iter_product
 from math import factorial
+from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 from .algebra import Monomial, Polynomial, Tensor, coefficient_text
@@ -64,11 +65,11 @@ class PreLieSpec:
     ) -> None:
         self.name = str(name)
         self._basis_list = list(basis)
-        self.basis = {g.id: g for g in self._basis_list}
+        self.basis = MappingProxyType({g.id: g for g in self._basis_list})
         # Zero products are equivalent to absent ones; normalize away.
-        self.products = {
-            key: value for key, value in products.items() if not value.is_zero
-        }
+        self.products = MappingProxyType(
+            {key: value for key, value in products.items() if not value.is_zero}
+        )
         self.truncation = truncation
         self._cache: dict = {}
         problems = self.validate()
@@ -174,7 +175,7 @@ def brace_action(spec: PreLieSpec, i: int, right: Monomial) -> Polynomial:
     last = right.indices[-1]
     parts = [
         (prelie_product(spec, m.indices[0], last), c)
-        for m, c in brace_action(spec, i, rest).terms()
+        for m, c in brace_action(spec, i, rest).items()
     ]
     seen: set[int] = set()
     for pos, j in enumerate(rest.indices):
@@ -183,9 +184,9 @@ def brace_action(spec: PreLieSpec, i: int, right: Monomial) -> Polynomial:
         seen.add(j)
         mult = rest.indices.count(j)
         removed = Monomial(rest.indices[:pos] + rest.indices[pos + 1 :])
-        for m, c in prelie_product(spec, j, last).terms():
+        for m, c in prelie_product(spec, j, last).items():
             parts.append((brace_action(spec, i, removed * m), -c * mult))
-    return Polynomial((m, w * c) for value, w in parts for m, c in value.terms())
+    return Polynomial((m, w * c) for value, w in parts for m, c in value.items())
 
 
 def guin_oudom_mul(spec: PreLieSpec, a: Monomial, b: Monomial) -> Polynomial:
@@ -205,14 +206,14 @@ def guin_oudom_mul(spec: PreLieSpec, a: Monomial, b: Monomial) -> Polynomial:
             )
             piece = piece * brace_action(spec, left[t - 1], block)
         pieces.append((stay, piece))
-    return Polynomial((stay * m, c) for stay, piece in pieces for m, c in piece.terms())
+    return Polynomial((stay * m, c) for stay, piece in pieces for m, c in piece.items())
 
 
 def guin_oudom_poly(spec: PreLieSpec, p: Polynomial, q: Polynomial) -> Polynomial:
     """Bilinear extension of the enveloping product."""
-    pairs = ((m1, m2, c1 * c2) for m1, c1 in p.terms() for m2, c2 in q.terms())
+    pairs = ((m1, m2, c1 * c2) for m1, c1 in p.items() for m2, c2 in q.items())
     return Polynomial(
-        (m, w * c) for m1, m2, w in pairs for m, c in guin_oudom_mul(spec, m1, m2).terms()
+        (m, w * c) for m1, m2, w in pairs for m, c in guin_oudom_mul(spec, m1, m2).items()
     )
 
 
@@ -229,8 +230,8 @@ def unshuffle_coproduct(m: Monomial) -> Tensor:
 
 
 def unshuffle_poly(p: Polynomial) -> Tensor:
-    pieces = ((unshuffle_coproduct(m), c) for m, c in p.terms())
-    return Tensor(2, ((key, c * ct) for t, c in pieces for key, ct in t.terms()))
+    pieces = ((unshuffle_coproduct(m), c) for m, c in p.items())
+    return Tensor(2, ((key, c * ct) for t, c in pieces for key, ct in t.items()))
 
 
 def prelie_check(spec: PreLieSpec) -> list[str]:
@@ -261,13 +262,13 @@ def _associator(spec: PreLieSpec, x: int, y: int, z: int) -> Polynomial:
     """(x . y) . z - x . (y . z); inputs must fit under the truncation."""
     first = (
         (m2, c * c2)
-        for m, c in prelie_product(spec, x, y).terms()
-        for m2, c2 in prelie_product(spec, m.indices[0], z).terms()
+        for m, c in prelie_product(spec, x, y).items()
+        for m2, c2 in prelie_product(spec, m.indices[0], z).items()
     )
     second = (
         (m2, -c * c2)
-        for m, c in prelie_product(spec, y, z).terms()
-        for m2, c2 in prelie_product(spec, x, m.indices[0]).terms()
+        for m, c in prelie_product(spec, y, z).items()
+        for m2, c2 in prelie_product(spec, x, m.indices[0]).items()
     )
     return Polynomial(chain(first, second))
 
@@ -429,7 +430,7 @@ def dualize(spec: PreLieSpec, max_degree: int) -> CoproductSpec:
             if right.is_unit:
                 continue
             sym = _symmetry_factor(right)
-            for m, c in brace_action(spec, g.id, right).terms():
+            for m, c in brace_action(spec, g.id, right).items():
                 entries.append(
                     CoproductEntry(m.indices[0], g.id, right.indices, c / sym)
                 )

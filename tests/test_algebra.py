@@ -39,6 +39,24 @@ def cancelling_pairs(draw, keys):
     return pairs + [(key, -c) for key, c in negated]
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Monomial((0,)),
+        lambda: Monomial((True,)),
+        lambda: Monomial((1.0,)),
+        lambda: Polynomial({(1,): 1}),
+        lambda: Polynomial({mono(1): 0.5}),
+        lambda: Polynomial({mono(1): True}),
+        lambda: Tensor(2, {(mono(1),): 1}),
+        lambda: Polynomial.variable(1) * 0.5,
+    ],
+)
+def test_public_constructors_check_their_input(build):
+    with pytest.raises(InputError):
+        build()
+
+
 def test_multiset_sorts_and_validates():
     assert multiset([3, 1, 2, 1]) == (1, 1, 2, 3)
     assert multiset((1, 3) + (2,)) == (1, 2, 3)
@@ -68,6 +86,25 @@ def test_monomial_product_and_order():
     # Grading by length first, then lexicographic: b3 < b1b2 < b1b1b1.
     keys = [mono(3).sort_key, mono(1, 2).sort_key, mono(1, 1, 1).sort_key]
     assert keys == sorted(keys)
+
+
+@given(st.lists(indices, max_size=4), st.lists(indices, max_size=4))
+def test_monomial_product_is_the_checked_monomial(a, b):
+    product = Monomial(a) * Monomial(b)
+    assert product == Monomial(a + b)
+    assert hash(product) == hash(Monomial(a + b))
+    assert product.indices == tuple(sorted(a + b))
+
+
+def test_monomial_is_immutable():
+    m = mono(1, 2)
+    with pytest.raises(AttributeError):
+        m.indices = (3,)
+    with pytest.raises(AttributeError):
+        m.extra = 1
+    with pytest.raises(AttributeError):
+        del m.indices
+    assert m == mono(1, 2) and hash(m) == hash(mono(2, 1))
 
 
 @given(monomials, monomials, monomials)
@@ -199,3 +236,43 @@ def test_tensor_equality_requires_same_rank():
     assert p != t and t != p
     assert Polynomial.zero() != Tensor.zero(1)
     assert Polynomial.one() != Tensor.one(1)
+
+
+int_pairs = st.lists(st.tuples(monomials, coefficients), max_size=4)
+
+
+def _read_back(value):
+    """Check the coefficient forms of one value and return its public terms."""
+    for _, c in value.items():
+        assert type(c) in (int, Fraction)
+    for key, c in value.terms():
+        assert type(c) is Fraction
+        assert type(value.coefficient(key)) is Fraction
+    if isinstance(value, Polynomial):
+        assert type(value.constant) is Fraction
+    return value.terms()
+
+
+@given(int_pairs, int_pairs, scalars)
+def test_coefficients_read_back_as_fractions_in_any_stored_form(p_pairs, q_pairs, c):
+    """Values store ints until a denominator appears; every public read is a
+    Fraction, and a value built from ints equals and hashes like the same
+    value built from Fractions."""
+
+    def results(p, q):
+        half = p * Fraction(1, 2)
+        t = Tensor.outer(p, q)
+        return [
+            p + q, p - q, -p, p * c, c * p, p * q, half, half * 2, half * half * 4,
+            t, t + Tensor.outer(q, p), -t, t * c, t * Fraction(1, 2) * 2,
+            t * Tensor.outer(q, half), t.multiplied_out(), Tensor.outer(half, q, p),
+        ]
+
+    as_ints = results(Polynomial(p_pairs), Polynomial(q_pairs))
+    as_fractions = results(
+        Polynomial((m, Fraction(x)) for m, x in p_pairs),
+        Polynomial((m, Fraction(x)) for m, x in q_pairs),
+    )
+    for a, b in zip(as_ints, as_fractions):
+        assert a == b and hash(a) == hash(b)
+        assert _read_back(a) == _read_back(b)

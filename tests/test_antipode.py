@@ -1,7 +1,8 @@
 """The antipode computed three ways, its convolution characterization, and
 the term-count statistics."""
 
-from math import prod
+from collections import Counter
+from math import factorial, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -205,6 +206,47 @@ def test_rescaled_table_with_signed_fractional_rows(scales):
         )
         for method in METHODS:
             assert antipode_generator(spec, i, method) == expected
+
+
+def _symmetric_functions_table(n):
+    """Symmetric functions on the complete homogeneous h_1..h_n, deg h_k = k:
+    the reduced coproduct of h_k deconcatenates, one row (k; j; [k-j]) with
+    coefficient 1 for each 1 <= j < k."""
+    generators = [Generator(k, k) for k in range(1, n + 1)]
+    rows = [
+        CoproductEntry(k, j, (k - j,), 1) for k in range(2, n + 1) for j in range(1, k)
+    ]
+    return CoproductSpec(f"sym-{n}", generators, rows)
+
+
+def _partitions(n, largest):
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+def _antipode_of_h(n):
+    """Closed form (Macdonald, ch. I.2): S(h_n) = (-1)^n e_n, which is the
+    sum over partitions lambda of n of (-1)^l(lambda) l(lambda)! /
+    prod_i m_i(lambda)!  h_lambda."""
+    terms = {}
+    for parts in _partitions(n, n):
+        count = factorial(len(parts))
+        for m in Counter(parts).values():
+            count //= factorial(m)
+        terms[Monomial(parts)] = (-1) ** len(parts) * count
+    return Polynomial(terms)
+
+
+@pytest.mark.parametrize(
+    "method, n", [("bogoliubov", 30), ("dyson-salam", 16), ("forest", 12)]
+)
+def test_symmetric_functions_antipode_matches_the_closed_form(method, n):
+    spec = _symmetric_functions_table(n)
+    assert antipode_generator(spec, n, method) == _antipode_of_h(n)
 
 
 def _linearization_count_oracle(spec, i):

@@ -45,7 +45,7 @@ def test_generator_display():
 def test_entry_normalizes():
     e = CoproductEntry(3, 1, [2, 1, 1], 5)
     assert e.right == (1, 1, 2)
-    assert e.coeff == Fraction(5)
+    assert e.coeff == Fraction(5) and type(e.coeff) is Fraction
     assert CoproductEntry(2, 1, (1,), Fraction(3, 4)).coeff == Fraction(3, 4)
 
 
@@ -88,6 +88,15 @@ def test_faa_di_bruno_coefficients_match_partition_counts():
             sizes = sorted([p + 1 for p in blocks] + [1] * (e.left + 1 - len(blocks)))
             assert sum(sizes) == i + 1
             assert e.coeff == partitions_with_sizes(i + 1, sizes)
+
+
+def test_generators_are_frozen_after_construction():
+    spec = faa_di_bruno_spec(3)
+    with pytest.raises(TypeError):
+        spec.generators[2] = Generator(2, 5)
+    with pytest.raises(TypeError):
+        del spec.generators[1]
+    assert spec.validate() == []
 
 
 def test_faa_di_bruno_rejects_bad_degree():

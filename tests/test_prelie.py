@@ -71,6 +71,17 @@ def test_grafting_instance_table(graft4):
     assert prelie_check(graft4) == []
 
 
+def test_basis_and_products_are_frozen_after_construction():
+    spec = grafting_instance(3)
+    with pytest.raises(TypeError):
+        spec.basis[2] = Generator(2, 5)
+    with pytest.raises(TypeError):
+        spec.products[1, 1] = Polynomial.variable(3)
+    with pytest.raises(TypeError):
+        del spec.products[1, 1]
+    assert spec.validate() == []
+
+
 def test_basis_product_and_truncation_flag(graft4):
     assert prelie_product(graft4, 2, 1) == Polynomial({mono(3): 1, mono(4): 1})
     assert prelie_product(graft4, 3, 1) == Polynomial({mono(5): 1, mono(6): 2})
