@@ -46,6 +46,7 @@ from .hopfspec import (
     load_spec,
     load_spec_file,
     save_spec,
+    sym_spec,
 )
 from .linearize import (
     Linearization,

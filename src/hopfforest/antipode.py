@@ -5,9 +5,17 @@ algebra, all exact and provably equal:
   multiplied-out k-fold iterated reduced coproduct; the grading truncates
   the sum at k = degree.
 * "bogoliubov": the triangular recursion S(b) = -b - sum of coeff * S(left) *
-  right over the reduced-coproduct table row, memoized per generator.
-* "forest": the cancellation-free expansion: sum over realized trees of
-  (-1)^(vertex count) * coefficient * vertex monomial.
+  right over the reduced-coproduct table row, through left legs.
+* "forest": the cancellation-free expansion, the sum over realized trees of
+  (-1)^(vertex count) * coefficient * multiplicity * vertex monomial,
+  factored at the root: F(b) = -b - sum of coeff * left * product of F(j)
+  over the right leg, through right legs.  The trees are never listed.
+
+Both recursions are filled bottom-up: every generator below b along the
+route's own leg is evaluated in ascending degree through a memoized step,
+so each step finds the lower values in its memo and the Python stack stays
+flat however deep the table nests.  The term counts of `term_stats` come
+from the same tree recursion in closed form.
 
 On products the antipode is extended multiplicatively (the algebra is
 commutative), with S(1) = 1.
@@ -15,40 +23,68 @@ commutative), with S(1) = 1.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from functools import reduce
+from itertools import accumulate
+from math import comb, prod
 from typing import Callable
 
 from .algebra import Monomial, Polynomial, _scalar, mono
 from .coproduct import iterated_reduced_poly, reduced_coproduct_step
 from .errors import InputError
 from .hopfspec import CoproductSpec, spec_memo
-from .trees import (
-    enumerate_trees,
-    height,
-    tree_coefficient,
-    tree_multiplicity,
-    vertex_count,
-    vertex_monomial,
-)
 
 METHODS = ("forest", "dyson-salam", "bogoliubov")
+
+
+def _below(spec: CoproductSpec, i: int, leg: str) -> list[int]:
+    """i and every generator it reaches through ``leg`` ("left" or "right")
+    legs of its table rows, in ascending degree.  A leg has strictly smaller
+    degree than its source, so each generator comes after all it reaches."""
+    seen = {i}
+    todo = [i]
+    while todo:
+        for e in spec.entries_for(todo.pop()):
+            for j in e.right if leg == "right" else (e.left,):
+                if j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+    return sorted(seen, key=lambda j: (spec.degree(j), j))
+
+
+def _bottom_up(step: Callable, spec: CoproductSpec, i: int, leg: str) -> Polynomial:
+    """step(spec, i) after step(spec, j) for every j below i along ``leg``:
+    step is memoized and looks up only generators below its argument, so
+    each of those lookups is a memo hit."""
+    for j in _below(spec, i, leg):
+        value = step(spec, j)
+    return value
 
 
 def antipode_forest(spec: CoproductSpec, i: int) -> Polynomial:
     """Cancellation-free antipode: every realized tree contributes one term
     with sign (-1)^(vertex count), weighted by the number of ordered subtree
     assignments the canonical tree stands for; no like-term cancellation can
-    occur between trees of different vertex parity, and the sum is exact."""
-    return Polynomial(
-        (
-            vertex_monomial(t),
-            tree_coefficient(t, spec)
-            * tree_multiplicity(t)
-            * (-1) ** vertex_count(t),
-        )
-        for t in enumerate_trees(spec, i)
-    )
+    occur between trees of different vertex parity, and the sum is exact.
+    Factoring the sum at the root gives the right-leg recursion of
+    `_forest_step`: the ordered product over a right leg that repeats an
+    index counts each canonical tree with its multiplicity."""
+    return _bottom_up(_forest_step, spec, i, "right")
+
+
+@spec_memo
+def _forest_step(spec: CoproductSpec, i: int) -> Polynomial:
+    """F(b_i) = -b_i - sum over rows (i; l; J) of c * b_l * prod_{j in J} F(b_j):
+    the leaf, then each tree with root row (i; l; J), whose extra vertex
+    flips the sign of the product of its subtree sums."""
+    terms = [(mono(i), -1)]
+    for e in spec.entries_for(i):
+        # the row coefficient in stored form, so integer tables multiply ints
+        root = Polynomial.single(mono(e.left), _scalar(-e.coeff))
+        trees = reduce(lambda p, j: p * _forest_step(spec, j), e.right, root)
+        terms.extend(trees.items())
+    return Polynomial(terms)
 
 
 def antipode_dyson_salam(spec: CoproductSpec, i: int) -> Polynomial:
@@ -77,20 +113,26 @@ def dyson_salam_poly(spec: CoproductSpec, p: Polynomial) -> Polynomial:
     )
 
 
-@spec_memo
 def antipode_bogoliubov(spec: CoproductSpec, i: int) -> Polynomial:
     """Triangular recursion through the coproduct table.  Every left leg is
     a single generator of strictly smaller degree, so the recursion is
-    well-founded; results are memoized on the table instance."""
-    # Recursing in a plain loop, not from inside the sum or a comprehension,
-    # keeps the stack cost per level of the recursion at two frames.
-    rows = []
+    well-founded; it is filled bottom-up along left legs, and the value of
+    each generator is memoized on the table instance."""
+    return _bottom_up(_bogoliubov_step, spec, i, "left")
+
+
+@spec_memo
+def _bogoliubov_step(spec: CoproductSpec, i: int) -> Polynomial:
+    """S(b_i) = -b_i - sum over rows (i; l; J) of c * S(b_l) * b_J."""
+    terms = [(mono(i), -1)]
     for e in spec.entries_for(i):
         # the row coefficient in stored form, so integer tables multiply ints
         c = _scalar(-e.coeff)
-        rows.append((Monomial(e.right), c, antipode_bogoliubov(spec, e.left)))
-    terms = ((m * right, c * cm) for right, c, lower in rows for m, cm in lower.items())
-    return Polynomial(chain([(mono(i), -1)], terms))
+        right = Monomial(e.right)
+        terms.extend(
+            (m * right, c * cm) for m, cm in _bogoliubov_step(spec, e.left).items()
+        )
+    return Polynomial(terms)
 
 
 _GENERATOR_METHODS = {
@@ -141,23 +183,63 @@ class TermStats:
     tree admits at least one linearization at that rank, which happens
     exactly for height <= rank <= vertex count; forest_terms counts
     realized trees once each.  tree_count_by_length histograms realized
-    trees by vertex count."""
+    trees by vertex count.  All three are counted, not enumerated: see
+    `term_stats`."""
 
     dyson_salam_terms: int
     forest_terms: int
     tree_count_by_length: dict[int, int]
 
 
+def _add_multisets(
+    dist: dict[int, int], pool: dict[int, int], size: int
+) -> dict[int, int]:
+    """dist (vertex count: ways) extended by a multiset of ``size`` trees
+    drawn from a pool holding pool[l] trees of vertex count l: a multichoose
+    within each vertex-count class of the pool."""
+    ways = {(0, total): w for total, w in dist.items()}  # (drawn, total): ways
+    for length, count in pool.items():
+        step: dict[tuple[int, int], int] = {}
+        for (drawn, total), w in ways.items():
+            for k in range(size - drawn + 1):
+                key = (drawn + k, total + k * length)
+                step[key] = step.get(key, 0) + w * comb(count + k - 1, k)
+        ways = step
+    return {total: w for (drawn, total), w in ways.items() if drawn == size}
+
+
 def term_stats(spec: CoproductSpec, i: int) -> TermStats:
-    trees = enumerate_trees(spec, i)
-    by_length: dict[int, int] = {}
-    ds = 0
-    for t in trees:
-        l = vertex_count(t)
-        by_length[l] = by_length.get(l, 0) + 1
-        ds += l - height(t) + 1
+    """The realized trees of b_i counted through the tree recursion, bottom-up
+    over the generators below i along right legs: a tree is the leaf, or a
+    root row (i; l; J) with a multiset of realized subtrees for each distinct
+    j of J, so counts multiply as multichooses.  Per generator this keeps
+    the trees by vertex count, and T_k, the trees of height at most k; then
+    sum(h) = sum over k >= 0 of (T - T_k) and dyson_salam_terms =
+    sum(l) - sum(h) + T."""
+    depth = spec.degree(i)  # a tree's height is at most its root's degree
+    by_length: dict[int, dict[int, int]] = {}
+    by_height: dict[int, list[int]] = {}  # j: [T_0(j), ..., T_depth(j)]
+    for j in _below(spec, i, "right"):
+        lengths = {1: 1}
+        heights = [0] + [1] * depth
+        for e in spec.entries_for(j):
+            legs = Counter(e.right)
+            row = {1: 1}  # the root vertex
+            for r, m in legs.items():
+                row = _add_multisets(row, by_length[r], m)
+            for total, w in row.items():
+                lengths[total] = lengths.get(total, 0) + w
+            for k in range(1, depth + 1):
+                heights[k] += prod(
+                    comb(by_height[r][k - 1] + m - 1, m) for r, m in legs.items()
+                )
+        by_length[j] = lengths
+        by_height[j] = heights
+    trees = by_height[i][depth]
+    sum_l = sum(l * w for l, w in by_length[i].items())
+    sum_h = sum(trees - t for t in by_height[i][:depth])
     return TermStats(
-        dyson_salam_terms=ds,
-        forest_terms=len(trees),
-        tree_count_by_length=dict(sorted(by_length.items())),
+        dyson_salam_terms=sum_l - sum_h + trees,
+        forest_terms=trees,
+        tree_count_by_length=dict(sorted(by_length[i].items())),
     )

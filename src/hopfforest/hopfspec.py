@@ -249,6 +249,20 @@ def faa_di_bruno_spec(max_degree: int) -> CoproductSpec:
     return CoproductSpec(f"faa-di-bruno-{max_degree}", gens, entries)
 
 
+def sym_spec(n: int) -> CoproductSpec:
+    """Symmetric functions on the complete homogeneous generators h_1..h_n,
+    deg h_k = k: the reduced coproduct of h_k deconcatenates, one row
+    (k; j; [k-j]) with coefficient 1 for each 1 <= j < k.  Its antipode has
+    the closed form S(h_n) = (-1)^n e_n (Macdonald, ch. I.2)."""
+    if n < 1:
+        raise InputError(f"n must be >= 1, got {n}")
+    gens = [Generator(k, k) for k in range(1, n + 1)]
+    entries = [
+        CoproductEntry(k, j, (k - j,), 1) for k in range(2, n + 1) for j in range(1, k)
+    ]
+    return CoproductSpec(f"sym-{n}", gens, entries)
+
+
 # --- JSON serialization ------------------------------------------------------
 
 def generators_to_list(generators: Iterable[Generator]) -> list[dict]:

@@ -13,6 +13,7 @@ from hopfforest.antipode import (
     METHODS,
     TermStats,
     antipode_endomap,
+    antipode_forest,
     antipode_generator,
     antipode_poly,
     dyson_salam_poly,
@@ -30,9 +31,18 @@ from hopfforest.hopfspec import (
     CoproductSpec,
     Generator,
     faa_di_bruno_spec,
+    sym_spec,
 )
 from hopfforest.linearize import k_linearizations
-from hopfforest.trees import enumerate_trees, vertex_count
+from hopfforest.prelie import dualize, grafting_instance
+from hopfforest.trees import (
+    enumerate_trees,
+    height,
+    tree_coefficient,
+    tree_multiplicity,
+    vertex_count,
+    vertex_monomial,
+)
 
 GOLDEN = {
     1: "-1 b1",
@@ -126,11 +136,41 @@ def test_term_stats_goldens(fdb6):
 def test_forest_expansion_is_cancellation_free(fdb6):
     # Within each vertex parity all weights share a sign, so no like-term
     # cancellation is possible: every monomial's weight has the parity sign.
-    for i in range(1, 7):
-        s = antipode_generator(fdb6, i, "forest")
+    # Past fdb 9 and sym 14 this is out of reach of tree enumeration.
+    cases = [(fdb6, i) for i in range(1, 7)]
+    cases += [(faa_di_bruno_spec(16), 16), (sym_spec(30), 30)]
+    for spec, i in cases:
+        s = antipode_generator(spec, i, "forest")
         for m, c in s.terms():
             assert c != 0
             assert (c > 0) == (len(m) % 2 == 0)
+
+
+def _tree_sum(spec, i):
+    """The forest formula term by term, over the enumerated realized trees."""
+    return Polynomial(
+        (
+            vertex_monomial(t),
+            tree_coefficient(t, spec) * tree_multiplicity(t) * (-1) ** vertex_count(t),
+        )
+        for t in enumerate_trees(spec, i)
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: faa_di_bruno_spec(9),
+        lambda: sym_spec(14),
+        lambda: dualize(grafting_instance(5), 5),
+        lambda: dualize(grafting_instance(6), 6),
+    ],
+    ids=["fdb9", "sym14", "graft5-dual", "graft6-dual"],
+)
+def test_forest_route_is_the_enumerated_tree_sum(build):
+    spec = build()
+    for i in spec.generator_ids():
+        assert antipode_forest(spec, i) == _tree_sum(spec, i)
 
 
 def _relabeled_faa_di_bruno(order):
@@ -206,17 +246,7 @@ def test_rescaled_table_with_signed_fractional_rows(scales):
         )
         for method in METHODS:
             assert antipode_generator(spec, i, method) == expected
-
-
-def _symmetric_functions_table(n):
-    """Symmetric functions on the complete homogeneous h_1..h_n, deg h_k = k:
-    the reduced coproduct of h_k deconcatenates, one row (k; j; [k-j]) with
-    coefficient 1 for each 1 <= j < k."""
-    generators = [Generator(k, k) for k in range(1, n + 1)]
-    rows = [
-        CoproductEntry(k, j, (k - j,), 1) for k in range(2, n + 1) for j in range(1, k)
-    ]
-    return CoproductSpec(f"sym-{n}", generators, rows)
+        assert antipode_forest(spec, i) == _tree_sum(spec, i)
 
 
 def _partitions(n, largest):
@@ -242,10 +272,10 @@ def _antipode_of_h(n):
 
 
 @pytest.mark.parametrize(
-    "method, n", [("bogoliubov", 30), ("dyson-salam", 16), ("forest", 12)]
+    "method, n", [("bogoliubov", 30), ("dyson-salam", 16), ("forest", 30)]
 )
 def test_symmetric_functions_antipode_matches_the_closed_form(method, n):
-    spec = _symmetric_functions_table(n)
+    spec = sym_spec(n)
     assert antipode_generator(spec, n, method) == _antipode_of_h(n)
 
 
@@ -265,3 +295,31 @@ def test_term_stats_matches_linearization_count(request, table):
         stats = term_stats(spec, i)
         assert stats.dyson_salam_terms == _linearization_count_oracle(spec, i)
         assert stats.forest_terms == len(enumerate_trees(spec, i))
+
+
+def _enumerated_term_stats(spec, i):
+    """TermStats read off the enumerated realized trees one by one."""
+    trees = enumerate_trees(spec, i)
+    lengths = Counter(vertex_count(t) for t in trees)
+    return TermStats(
+        dyson_salam_terms=sum(vertex_count(t) - height(t) + 1 for t in trees),
+        forest_terms=len(trees),
+        tree_count_by_length=dict(sorted(lengths.items())),
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: faa_di_bruno_spec(9),
+        lambda: sym_spec(12),
+        lambda: dualize(grafting_instance(6), 6),
+    ],
+    ids=["fdb9", "sym12", "graft6-dual"],
+)
+def test_counted_term_stats_match_enumeration(build):
+    spec = build()
+    for i in spec.generator_ids():
+        assert term_stats(spec, i) == _enumerated_term_stats(spec, i)
+    with pytest.raises(InputError, match="unknown generator id 99"):
+        term_stats(spec, 99)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from hopfforest import trees
 from hopfforest.algebra import Polynomial
 from hopfforest.cli import run
 from hopfforest.hopfspec import (
@@ -175,6 +176,31 @@ def test_compare(capsys, fdb6_file):
         "b5: dyson-salam=53 forest=33 agree=yes",
         "b6: dyson-salam=166 forest=90 agree=yes",
     ]
+
+
+def test_antipode_and_compare_list_no_trees(capsys, tmp_path, monkeypatch):
+    # The forest route and the compare counts sum and count the realized
+    # trees without listing them, so they run with enumeration unavailable.
+    def refuse(spec, i):
+        raise AssertionError("enumerate_trees called")
+
+    # every module that imported it holds its own binding
+    original = trees.enumerate_trees
+    for name, module in list(sys.modules.items()):
+        held = getattr(module, "enumerate_trees", None)
+        if name.startswith("hopfforest") and held is original:
+            monkeypatch.setattr(module, "enumerate_trees", refuse)
+    path = tmp_path / "fdb8.json"
+    path.write_text(save_spec(faa_di_bruno_spec(8)))
+    code, out, _ = invoke(
+        capsys, "antipode", "--spec", str(path), "--element", "8", "--method", "forest"
+    )
+    assert code == 0 and out.startswith("-1 b8 + ")
+    code, out, _ = invoke(capsys, "compare", "--spec", str(path), "--max-degree", "8")
+    assert code == 0
+    assert out.splitlines()[-1] == "b8: dyson-salam=1885 forest=766 agree=yes"
+    with pytest.raises(AssertionError):
+        invoke(capsys, "trees", "--spec", str(path), "--element", "8")
 
 
 def test_gen_fdb(capsys):
@@ -371,28 +397,70 @@ def test_unknown_element_has_one_message(capsys, fdb6_file, command, element):
     assert err == f"error: unknown generator id {element}\n"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [("antipode", "--method", "forest"), ("trees",), ("linearizations", "--k", "2")],
-    ids=["antipode-forest", "trees", "linearizations"],
-)
-def test_table_deeper_than_the_recursion_limit_exits_two(capsys, tmp_path, argv):
-    # A valid chain table: b_i has degree i and the one row (i; 1; [i-1]),
-    # so the realized trees of b_n nest n levels deep.
-    n = 1100
-    spec = CoproductSpec(
+def _chain_table(n, row):
+    """b_1..b_n, deg b_i = i, and for each i >= 2 the one row row(i), of
+    coefficient 1.  It passes structural validation but is not coassociative
+    (bench/DESIGN.md): it only makes a table as deep as it is long."""
+    return CoproductSpec(
         "chain",
         [Generator(i, i) for i in range(1, n + 1)],
-        [CoproductEntry(i, 1, (i - 1,), 1) for i in range(2, n + 1)],
+        [CoproductEntry(*row(i), 1) for i in range(2, n + 1)],
     )
-    assert spec.validate() == []
+
+
+def _right_deep(i):
+    return (i, 1, (i - 1,))
+
+
+def _left_deep(i):
+    return (i, i - 1, (1,))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("trees",), ("linearizations", "--k", "2")],
+    ids=["trees", "linearizations"],
+)
+def test_table_deeper_than_the_recursion_limit_exits_two(capsys, tmp_path, argv):
+    # The realized trees of b_n in the right-deep chain nest n levels deep,
+    # and listing them recurses once per level.
+    n = 1100
     path = tmp_path / "chain.json"
-    path.write_text(save_spec(spec))
+    path.write_text(save_spec(_chain_table(n, _right_deep)))
     code, out, err = invoke(capsys, *argv, "--spec", str(path), "--element", str(n))
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "recursion limit" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "method, row",
+    [("forest", _right_deep), ("bogoliubov", _left_deep)],
+    ids=["forest-right-deep", "bogoliubov-left-deep"],
+)
+def test_antipode_of_a_table_deeper_than_the_recursion_limit(capsys, tmp_path, method, row):
+    # Each route walks its own leg bottom-up, so a chain along that leg
+    # longer than the recursion limit still evaluates.  The limit is lowered
+    # instead of the chain lengthened: the forest route's cost is cubic in
+    # the chain length.  S(b_n) = sum over k < n of (-1)^(k+1) b1^k b_(n-k).
+    n = 300
+    path = tmp_path / "chain.json"
+    path.write_text(save_spec(_chain_table(n, row)))
+    argv = ("antipode", "--spec", str(path), "--element", str(n), "--method", method)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        code, out, err = invoke(capsys, *argv, "--format", "json")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (code, err) == (0, "")
+    terms = json.loads(out)["terms"]
+    assert len(terms) == n
+    assert all(t["coeff"] == str((-1) ** len(t["monomial"])) for t in terms)
+    assert sorted(t["monomial"] for t in terms) == sorted(
+        [1] * k + [n - k] for k in range(n)
+    )
 
 
 def test_argparse_passthrough(capsys, fdb6_file):

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hopfforest.algebra import Polynomial, mono
+from hopfforest.coproduct import coassociativity_report, counit_report
 from hopfforest.errors import InputError
 from hopfforest.hopfspec import (
     CoproductEntry,
@@ -21,6 +22,7 @@ from hopfforest.hopfspec import (
     save_spec,
     spec_from_dict,
     spec_to_dict,
+    sym_spec,
 )
 
 
@@ -102,6 +104,16 @@ def test_generators_are_frozen_after_construction():
 def test_faa_di_bruno_rejects_bad_degree():
     with pytest.raises(InputError):
         faa_di_bruno_spec(0)
+
+
+def test_sym_table_is_a_hopf_table():
+    spec = sym_spec(8)
+    assert coassociativity_report(spec, 8) == []
+    assert counit_report(spec, 8) == []
+    rows = [(e.left, e.right) for e in spec.entries_for(4)]
+    assert rows == [(1, (3,)), (2, (2,)), (3, (1,))]
+    with pytest.raises(InputError):
+        sym_spec(0)
 
 
 def test_coefficient_lookup(fdb6):
