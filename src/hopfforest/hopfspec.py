@@ -185,23 +185,18 @@ def graded_monomials(
     including the unit, in canonical order (by degree, then length, then
     indices)."""
     degree = {g.id: g.degree for g in generators}
-    ids = sorted(degree)
-
-    def build(pos: int, budget: int) -> list[tuple[int, ...]]:
-        if pos == len(ids):
-            return [()]
-        i = ids[pos]
+    # One pass per generator, so tables with more generators than the
+    # recursion limit still enumerate.
+    found: list[tuple[tuple[int, ...], int]] = [((), 0)] if max_degree >= 0 else []
+    for i in sorted(degree):
         d = degree[i]
-        out: list[tuple[int, ...]] = []
-        reps = 0
-        while reps * d <= budget:
-            for rest in build(pos + 1, budget - reps * d):
-                out.append((i,) * reps + rest)
-            reps += 1
-        return out
-
-    found = [Monomial(t) for t in build(0, max_degree)]
-    return sorted(found, key=lambda m: (sum(degree[i] for i in m), m.sort_key))
+        found += [
+            (t + (i,) * reps, used + reps * d)
+            for t, used in found
+            for reps in range(1, (max_degree - used) // d + 1)
+        ]
+    found.sort(key=lambda f: (f[1], len(f[0]), f[0]))
+    return [Monomial(t) for t, _ in found]
 
 
 # --- Faa di Bruno style instance -------------------------------------------

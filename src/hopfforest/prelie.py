@@ -1,7 +1,9 @@
 """Finite-dimensional (truncated) preLie algebras: structure constants, the
 symmetric-brace extension of the product to monomial right arguments, the
-associative enveloping product on polynomials, identity checkers, the free
-rooted-tree grafting instance, and graded dualization into a coproduct table.
+associative enveloping product on polynomials (the Guin–Oudom recursion over
+the unshuffle coproduct, which also gives the brace its derivation term),
+identity checkers, the free rooted-tree grafting instance, and graded
+dualization into a coproduct table.
 
 All elements live in the symmetric algebra over the basis: a basis element
 b_i is the singleton monomial, and preLie products are linear combinations
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import chain, product as iter_product
+from itertools import chain
 from math import factorial
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
@@ -153,10 +155,12 @@ def brace_action(spec: PreLieSpec, i: int, right: Monomial) -> Polynomial:
 
         a acted on by 1        = a
         a acted on by (B * b)  = (a acted on by B) acted on by b
-                                 - sum over occurrences b' of B of
-                                   a acted on by ((B without b') * (b' acted on by b))
+                                 - a acted on by (B acted on by b)
 
-    peeling the canonically last factor.  The preLie identity makes the
+    peeling the canonically last factor b.  Here B acted on by b is the
+    derivation that lets b act on each factor of B in turn, read off the
+    enveloping product as guin_oudom_mul(B, b) - B * b; the two functions
+    recurse on strictly shorter arguments.  The preLie identity makes the
     result independent of which factor is peeled; tests exercise that.
     Raises InputError when a nonempty right argument takes the total degree
     above the truncation."""
@@ -169,44 +173,44 @@ def brace_action(spec: PreLieSpec, i: int, right: Monomial) -> Polynomial:
             f"brace ({i}; {right}) lands at degree {degree}, above the "
             f"truncation {spec.truncation}"
         )
-    if len(right) == 1:
-        return prelie_product(spec, i, right.indices[0])
-    rest = Monomial(right.indices[:-1])
     last = right.indices[-1]
+    if len(right) == 1:
+        return prelie_product(spec, i, last)
+    rest = Monomial(right.indices[:-1])
+    derivation = guin_oudom_mul(spec, rest, Monomial((last,))) - Polynomial.single(right)
     parts = [
         (prelie_product(spec, m.indices[0], last), c)
         for m, c in brace_action(spec, i, rest).items()
     ]
-    seen: set[int] = set()
-    for pos, j in enumerate(rest.indices):
-        if j in seen:
-            continue
-        seen.add(j)
-        mult = rest.indices.count(j)
-        removed = Monomial(rest.indices[:pos] + rest.indices[pos + 1 :])
-        for m, c in prelie_product(spec, j, last).items():
-            parts.append((brace_action(spec, i, removed * m), -c * mult))
+    parts += [(brace_action(spec, i, m), -c) for m, c in derivation.items()]
     return Polynomial((m, w * c) for value, w in parts for m, c in value.items())
 
 
+@spec_memo
 def guin_oudom_mul(spec: PreLieSpec, a: Monomial, b: Monomial) -> Polynomial:
-    """The enveloping (associative) product of monomials: sum over all maps
-    from the right factors to {0} + left positions; factors mapped to 0 stay
-    as a plain cofactor, the block over position t acts on the t-th left
-    factor through the brace."""
-    left = a.indices
-    right = b.indices
-    pieces: list[tuple[Monomial, Polynomial]] = []  # (cofactor, brace product)
-    for assign in iter_product(range(len(left) + 1), repeat=len(right)):
-        stay = Monomial(tuple(right[s] for s in range(len(right)) if assign[s] == 0))
-        piece = Polynomial.one()
-        for t in range(1, len(left) + 1):
-            block = Monomial(
-                tuple(right[s] for s in range(len(right)) if assign[s] == t)
-            )
-            piece = piece * brace_action(spec, left[t - 1], block)
-        pieces.append((stay, piece))
-    return Polynomial((stay * m, c) for stay, piece in pieces for m, c in piece.items())
+    """The enveloping (associative) product of monomials, by the Guin–Oudom
+    recursion on the first left factor x of a = x * a', summed over the
+    unshuffle coproduct of b:
+
+        1 * b         = b
+        (x * a') * b  = sum over (b) of (x acted on by b1) * (a' * b2)
+
+    Raises InputError when some left factor acted on by all of b lands
+    above the truncation."""
+    if a.is_unit:
+        return Polynomial.single(b)
+    x = a.indices[0]
+    rest = Monomial(a.indices[1:])
+    pieces = [
+        (brace_action(spec, x, b1), guin_oudom_mul(spec, rest, b2), c)
+        for (b1, b2), c in unshuffle_coproduct(b).items()
+    ]
+    return Polynomial(
+        (m1 * m2, c * c1 * c2)
+        for hit, rest_product, c in pieces
+        for m1, c1 in hit.items()
+        for m2, c2 in rest_product.items()
+    )
 
 
 def guin_oudom_poly(spec: PreLieSpec, p: Polynomial, q: Polynomial) -> Polynomial:
@@ -481,14 +485,6 @@ def prelie_from_dict(doc: object) -> PreLieSpec:
     _require(
         isinstance(doc.get("products"), list), "preLie spec needs a 'products' list"
     )
-    truncation = doc.get("truncation")
-    _require(
-        isinstance(truncation, int)
-        and not isinstance(truncation, bool)
-        and truncation >= 1,
-        f"truncation must be a positive integer, got {truncation!r}",
-    )
-
     basis = parse_generators(doc, "basis")
     products: dict[tuple[int, int], Polynomial] = {}
     for pos, item in enumerate(doc["products"]):
@@ -510,7 +506,7 @@ def prelie_from_dict(doc: object) -> PreLieSpec:
             k = _parse_id(term.get("id"), twhere)
             terms.append((Monomial((k,)), _parse_coeff(term.get("coeff"), twhere)))
         products[i, j] = Polynomial(terms)  # sums repeated ids
-    return PreLieSpec(doc["name"], basis, products, truncation)
+    return PreLieSpec(doc["name"], basis, products, doc.get("truncation"))
 
 
 def load_prelie(text: Union[str, bytes]) -> PreLieSpec:

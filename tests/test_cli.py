@@ -248,8 +248,14 @@ def test_prelie_verify_fails_on_non_prelie_table(capsys, tmp_path):
     path.write_text(broken_prelie_text())
     code, out, err = invoke(capsys, "prelie-verify", "--prelie", str(path))
     assert code == 1
-    assert "preLie identity: FAIL" in out
-    assert "VERIFY: FAIL" in out
+    # The enveloping product of a non-preLie table is not associative, but
+    # it still respects the length filtration.
+    assert out.splitlines() == [
+        "preLie identity: FAIL",
+        "product associativity: FAIL",
+        "length filtration: ok",
+        "VERIFY: FAIL",
+    ]
     assert err  # the offending triples are reported on stderr
 
 
@@ -262,6 +268,20 @@ def test_dualize_refuses_non_prelie_table(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "error:" in err
+
+
+@pytest.mark.parametrize("truncation", [0, True, None])
+def test_bad_prelie_truncation_is_a_structural_error(capsys, tmp_path, truncation):
+    doc = json.loads(save_prelie(grafting_instance(3)))
+    doc["truncation"] = truncation
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = invoke(capsys, "prelie-verify", "--prelie", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: invalid preLie spec: truncation must be a positive integer, "
+        f"got {truncation!r}\n"
+    )
 
 
 def test_exit_code_two_on_bad_input(capsys, fdb6_file, tmp_path):
@@ -461,6 +481,34 @@ def test_antipode_of_a_table_deeper_than_the_recursion_limit(capsys, tmp_path, m
     assert sorted(t["monomial"] for t in terms) == sorted(
         [1] * k + [n - k] for k in range(n)
     )
+
+
+def test_verify_of_a_table_with_more_generators_than_the_recursion_limit(capsys, tmp_path):
+    # A flat table nests nothing, so it verifies however many generators it
+    # has; the limit is lowered instead of the table widened.
+    n = 300
+    path = tmp_path / "flat.json"
+    flat = CoproductSpec("flat", [Generator(i, 1) for i in range(1, n + 1)], [])
+    path.write_text(save_spec(flat))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        code, out, err = invoke(
+            capsys, "verify", "--spec", str(path), "--max-degree", "1"
+        )
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "structural validation: ok",
+        "coassociativity: ok",
+        "counit: ok",
+        "method agreement: ok",
+        "antipode convolution (forest): ok",
+        "antipode convolution (dyson-salam): ok",
+        "antipode convolution (bogoliubov): ok",
+        "VERIFY: PASS",
+    ]
 
 
 def test_argparse_passthrough(capsys, fdb6_file):

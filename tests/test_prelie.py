@@ -1,6 +1,8 @@
 """Truncated preLie algebras: brace extension, enveloping product, identity
 checkers, the free grafting instance, and graded dualization."""
 
+from itertools import product as iter_product
+
 import pytest
 
 from hopfforest.algebra import Monomial, Polynomial, Tensor, mono
@@ -215,6 +217,86 @@ def broken_prelie():
         (1, 3): Polynomial.variable(4),
     }
     return PreLieSpec("broken", basis, products, 4)
+
+
+def occurrence_brace(spec, i, right):
+    """Reference brace: peels the last factor b of B * b like brace_action,
+    but sums the derivation B acted on by b over the occurrences of each
+    distinct factor of B."""
+    degree = spec.degree(i) + spec.monomial_degree(right)
+    if right.is_unit:
+        return Polynomial.variable(i)
+    if degree > spec.truncation:
+        raise InputError(f"brace lands at degree {degree}")
+    if len(right) == 1:
+        return prelie_product(spec, i, right.indices[0])
+    rest = Monomial(right.indices[:-1])
+    last = right.indices[-1]
+    total = Polynomial.zero()
+    for m, c in occurrence_brace(spec, i, rest).terms():
+        total = total + prelie_product(spec, m.indices[0], last) * c
+    for j in set(rest.indices):
+        pos = rest.indices.index(j)
+        removed = Monomial(rest.indices[:pos] + rest.indices[pos + 1 :])
+        mult = rest.indices.count(j)
+        for m, c in prelie_product(spec, j, last).terms():
+            total = total - occurrence_brace(spec, i, removed * m) * (c * mult)
+    return total
+
+
+def assignment_mul(spec, a, b):
+    """Reference enveloping product: the sum over all maps from the right
+    factors to {0} + left positions; factors mapped to 0 stay as a plain
+    cofactor, the block over position t acts on the t-th left factor."""
+    left, right = a.indices, b.indices
+    total = Polynomial.zero()
+    for assign in iter_product(range(len(left) + 1), repeat=len(right)):
+        piece = Polynomial.single(
+            Monomial(r for r, t in zip(right, assign) if t == 0)
+        )
+        for t, x in enumerate(left, start=1):
+            block = Monomial(r for r, s in zip(right, assign) if s == t)
+            piece = piece * occurrence_brace(spec, x, block)
+        total = total + piece
+    return total
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: grafting_instance(4), lambda: grafting_instance(5), broken_prelie],
+    ids=["grafting-4", "grafting-5", "broken"],
+)
+def test_recursions_match_the_reference_definitions(make):
+    # Both identities are pure combinatorics, so they hold on the broken
+    # table too.  One degree past the truncation, an input raises
+    # InputError under both definitions or under neither.
+    spec = make()
+    top = spec.truncation + 1
+
+    def outcome(fn, *args):
+        try:
+            return fn(spec, *args)
+        except InputError:
+            return InputError
+
+    for i in spec.basis_ids():
+        for right in graded_monomials(spec.basis.values(), top - spec.degree(i)):
+            got = outcome(brace_action, i, right)
+            assert got == outcome(occurrence_brace, i, right), (i, right)
+            fits = spec.degree(i) + spec.monomial_degree(right) <= spec.truncation
+            assert (got is not InputError) == (fits or right.is_unit)
+    mons = graded_monomials(spec.basis.values(), top)
+    raised = 0
+    for a in mons:
+        for b in mons:
+            degree = spec.monomial_degree(a) + spec.monomial_degree(b)
+            if degree > top:
+                continue
+            got = outcome(guin_oudom_mul, a, b)
+            assert got == outcome(assignment_mul, a, b), (a, b)
+            assert got is not InputError or degree == top
+            raised += got is InputError
+    assert raised
 
 
 def test_identity_checker_catches_violations():
