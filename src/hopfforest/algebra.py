@@ -1,16 +1,17 @@
 """Exact free-module arithmetic: rational scalars, multiset monomials,
 polynomials and rank-k tensors.
 
-Monomials are sorted multisets of positive generator indices, and
-polynomials/tensors are finitely supported coefficient maps that never
-store zeros, so ``==`` is structural equality.  A value stores a
-coefficient as an ``int`` until a denominator appears and as a
-``fractions.Fraction`` (lowest terms, positive denominator) after that;
-every public read (``terms``, ``coefficient``, ``constant``) returns a
-``Fraction``.  Since ``int`` and ``Fraction`` compare and hash alike, the
-stored form never shows in ``==`` or ``hash``.  Every value is immutable
-after construction and safe to share between threads.  (The specs that
-memoize derived values are not: see ``hopfspec.spec_memo``.)
+Monomials are sorted tuples of positive generator indices (a ``tuple``
+subclass, so hashing and dict hits stay in C), and polynomials/tensors are
+finitely supported coefficient maps that never store zeros, so ``==`` is
+structural equality.  A value stores a coefficient as an ``int`` until a
+denominator appears and as a ``fractions.Fraction`` (lowest terms,
+positive denominator) after that; every public read (``terms``,
+``coefficient``, ``constant``) returns a ``Fraction``.  Since ``int`` and
+``Fraction`` compare and hash alike, the stored form never shows in ``==``
+or ``hash``.  Every value is immutable after construction and safe to
+share between threads.  (The specs that memoize derived values are not:
+see ``hopfspec.spec_memo``.)
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 from .errors import InputError
 
@@ -42,79 +43,64 @@ def multiset(indices: Iterable[int]) -> Multiset:
     return out
 
 
-class Monomial:
-    """A commutative product of generators ``b_i``, stored as a sorted index
-    multiset.  The empty multiset is the unit monomial (the scalar 1).
+class Monomial(tuple):
+    """A commutative product of generators ``b_i``: a ``tuple`` subclass
+    holding the sorted generator indices.  The empty tuple is the unit
+    monomial (the scalar 1).
 
     The constructor checks the indices; a product only sorts the indices of
-    its two factors, which were checked when the factors were built.  The
-    hash is computed once, at construction."""
+    its two factors, which were checked when the factors were built.  Hash
+    and equality are tuple's, so a monomial equals (and hashes like) the
+    plain tuple of its indices; ``Polynomial`` and ``Tensor`` still refuse
+    keys that are not monomials.  The tuple's own ``+`` and ``*`` (joining
+    and repeating) raise ``TypeError``: the only product is monomial times
+    monomial."""
 
-    __slots__ = ("indices", "_hash")
+    __slots__ = ()
 
-    def __init__(self, indices: Iterable[int] = ()) -> None:
-        _fill(self, multiset(indices))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Monomial is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("Monomial is immutable")
+    def __new__(cls, indices: Iterable[int] = ()) -> "Monomial":
+        return tuple.__new__(cls, multiset(indices))
 
     def __reduce__(self):
-        return (Monomial, (self.indices,))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not Monomial:
-            return NotImplemented
-        return self.indices == other.indices
+        return (Monomial, (tuple(self),))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if type(other) is not Monomial:
-            return NotImplemented
-        return _sorted_monomial(self.indices + other.indices)
+            self._refuse(other)
+        return _sorted_monomial([*self, *other])
 
-    def __len__(self) -> int:
-        return len(self.indices)
+    def _refuse(self, other: object):
+        # raise, not NotImplemented: CPython would then fall back to tuple's
+        # repetition and joining, which must never pass for monomial arithmetic
+        raise TypeError(f"unsupported operand for Monomial: {other!r}")
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.indices)
+    __add__ = __radd__ = __rmul__ = _refuse
+
+    #: The sorted index multiset as a plain tuple.
+    indices = property(tuple)
 
     @property
     def is_unit(self) -> bool:
-        return not self.indices
+        return not self
 
     @property
     def sort_key(self) -> tuple[int, Multiset]:
         # Canonical term order: shorter products first, then index-lexicographic.
-        return (len(self.indices), self.indices)
+        return (len(self), self)
 
     def render(self) -> str:
-        return "".join(f"b{i}" for i in self.indices) or "1"
+        return "".join(f"b{i}" for i in self) or "1"
 
     def __str__(self) -> str:
         return self.render()
 
     def __repr__(self) -> str:
-        return f"Monomial({self.indices!r})"
+        return f"Monomial({tuple(self)!r})"
 
 
-_set_indices = Monomial.indices.__set__
-_set_hash = Monomial._hash.__set__
-
-
-def _fill(m: Monomial, indices: Multiset) -> Monomial:
-    _set_indices(m, indices)
-    _set_hash(m, hash(indices))
-    return m
-
-
-def _sorted_monomial(indices: tuple[int, ...]) -> Monomial:
+def _sorted_monomial(indices: Iterable[int]) -> Monomial:
     """The monomial of already-checked indices, in any order."""
-    return _fill(object.__new__(Monomial), tuple(sorted(indices)))
+    return tuple.__new__(Monomial, sorted(indices))
 
 
 UNIT = Monomial()
@@ -395,7 +381,7 @@ class Tensor(_CoefficientMap):
     def multiplied_out(self) -> Polynomial:
         """Multiply all slots together (the k-fold product applied to the tensor)."""
         return Polynomial(
-            (_sorted_monomial(sum((m.indices for m in key), ())), c)
+            (_sorted_monomial(chain.from_iterable(key)), c)
             for key, c in self._terms.items()
         )
 

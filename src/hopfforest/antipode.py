@@ -30,7 +30,7 @@ from itertools import accumulate
 from math import comb, prod
 from typing import Callable
 
-from .algebra import Monomial, Polynomial, _scalar, mono
+from .algebra import Monomial, Polynomial, _scalar, _sorted_monomial, mono
 from .coproduct import iterated_reduced_poly, reduced_coproduct_step
 from .errors import InputError
 from .hopfspec import CoproductSpec, spec_memo
@@ -142,15 +142,19 @@ _GENERATOR_METHODS = {
 }
 
 
-@spec_memo
-def antipode_generator(spec: CoproductSpec, i: int, method: str = "forest") -> Polynomial:
+def _route(method: str) -> Callable[[CoproductSpec, int], Polynomial]:
+    """The generator antipode of a method name; an unknown name raises."""
     try:
-        fn = _GENERATOR_METHODS[method]
+        return _GENERATOR_METHODS[method]
     except KeyError:
         raise InputError(
             f"unknown antipode method {method!r}; choose from {METHODS}"
         ) from None
-    return fn(spec, i)
+
+
+@spec_memo
+def antipode_generator(spec: CoproductSpec, i: int, method: str = "forest") -> Polynomial:
+    return _route(method)(spec, i)
 
 
 def antipode_poly(
@@ -158,21 +162,40 @@ def antipode_poly(
 ) -> Polynomial:
     """Multiplicative-linear extension: S(b_I) is the product of the
     generator antipodes, S(1) = 1."""
+    _route(method)
     pieces = ((_antipode_monomial(spec, m, method), c) for m, c in p.items())
     return Polynomial((m, c * cs) for s, c in pieces for m, cs in s.items())
 
 
+@spec_memo
 def _antipode_monomial(spec: CoproductSpec, m: Monomial, method: str) -> Polynomial:
-    out = Polynomial.one()
-    for i in m:
-        out = out * antipode_generator(spec, i, method)
-    return out
+    """S(b_I), with S(1) = 1, memoized per monomial and method, so each
+    route keeps its own values.  The prefixes of I are evaluated shortest
+    first through the memoized `_prefix_step`, so each step finds its own
+    prefix in the memo, the Python stack stays flat for any length, and a
+    miss costs one step per prefix not seen before."""
+    if m.is_unit:
+        return Polynomial.one()
+    for k in range(1, len(m) + 1):
+        value = _prefix_step(spec, _sorted_monomial(m[:k]), method)
+    return value
+
+
+@spec_memo
+def _prefix_step(spec: CoproductSpec, m: Monomial, method: str) -> Polynomial:
+    """S(b_I) = S(b_I') * S(b_last) for a non-unit monomial, where I' is I
+    without its last index."""
+    last = antipode_generator(spec, m[-1], method)
+    if len(m) == 1:
+        return last
+    return _prefix_step(spec, _sorted_monomial(m[:-1]), method) * last
 
 
 def antipode_endomap(
     spec: CoproductSpec, method: str = "forest"
 ) -> Callable[[Monomial], Polynomial]:
     """The antipode as a function on monomials, as convolution_check takes it."""
+    _route(method)
     return lambda m: _antipode_monomial(spec, m, method)
 
 

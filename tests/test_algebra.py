@@ -1,5 +1,7 @@
 """Exact-arithmetic layer: monomials, polynomials, tensors."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -50,6 +52,10 @@ def cancelling_pairs(draw, keys):
         lambda: Polynomial({mono(1): True}),
         lambda: Tensor(2, {(mono(1),): 1}),
         lambda: Polynomial.variable(1) * 0.5,
+        # a monomial equals the plain tuple of its indices, but only a
+        # monomial is a key
+        lambda: Tensor(2, {((1,), (2,)): 1}),
+        lambda: Tensor(1, {((1, 2),): 1}),
     ],
 )
 def test_public_constructors_check_their_input(build):
@@ -105,6 +111,29 @@ def test_monomial_is_immutable():
     with pytest.raises(AttributeError):
         del m.indices
     assert m == mono(1, 2) and hash(m) == hash(mono(2, 1))
+
+
+def test_monomial_round_trips_through_pickle_and_deepcopy():
+    m = mono(3, 1, 1)
+    for copied in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m), copy.deepcopy(UNIT)):
+        assert type(copied) is Monomial
+    assert pickle.loads(pickle.dumps(m)) == copy.deepcopy(m) == m
+    assert copy.deepcopy(UNIT) == UNIT
+
+
+@pytest.mark.parametrize(
+    "op",
+    [lambda m: m * 2, lambda m: 2 * m, lambda m: m + m, lambda m: (1,) + m],
+    ids=["m*2", "2*m", "m+m", "tuple+m"],
+)
+def test_monomial_has_no_tuple_repetition_or_concatenation(op):
+    with pytest.raises(TypeError):
+        op(mono(1, 2))
+
+
+def test_monomial_equals_its_index_tuple():
+    m = mono(2, 1)
+    assert m == (1, 2) and hash(m) == hash((1, 2))
 
 
 @given(monomials, monomials, monomials)

@@ -1,13 +1,17 @@
 """The antipode computed three ways, its convolution characterization, and
 the term-count statistics."""
 
+import random
+import sys
 from collections import Counter
+from fractions import Fraction
 from math import factorial, prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hopfforest import antipode
 from hopfforest.algebra import Monomial, Polynomial, mono
 from hopfforest.antipode import (
     METHODS,
@@ -43,6 +47,7 @@ from hopfforest.trees import (
     vertex_count,
     vertex_monomial,
 )
+from series_reversion import evaluate, lagrange_antipode
 
 GOLDEN = {
     1: "-1 b1",
@@ -121,6 +126,50 @@ def test_ungraded_table_is_rejected_at_construction():
 def test_unknown_method_rejected(fdb6):
     with pytest.raises(InputError):
         antipode_generator(fdb6, 2, "newton")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # the unit's antipode needs no generator, so only an entry check sees it
+        lambda spec: antipode_poly(spec, Polynomial.one(), "newton"),
+        lambda spec: antipode_endomap(spec, "newton"),
+    ],
+    ids=["poly-of-unit", "endomap"],
+)
+def test_unknown_method_rejected_on_entry(fdb6, call):
+    with pytest.raises(InputError, match="^unknown antipode method 'newton'"):
+        call(fdb6)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_antipode_of_a_monomial_longer_than_the_recursion_limit(method):
+    # S(b1) = -b1 and S(b2) = -b2 + 3 b1b1, so S(b1^300) = b1^300 and
+    # S(b1^298 b2) = -b1^298 b2 + 3 b1^300.  The product is memoized per
+    # prefix, and a fresh spec fills all 300 prefixes in one call.
+    spec = faa_di_bruno_spec(3)
+    b1_300, b1_298_b2 = Monomial([1] * 300), Monomial([1] * 298 + [2])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        got = antipode_poly(spec, Polynomial({b1_300: 1, b1_298_b2: 1}), method)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == Polynomial({b1_300: 4, b1_298_b2: -1})
+
+
+@pytest.mark.parametrize("wrong", METHODS)
+def test_each_route_has_its_own_convolution_check(monkeypatch, wrong):
+    # S(b) = -b holds only on primitive generators, so the patched route
+    # must fail its check, while the memoized monomial antipodes of the
+    # other routes stay apart from it and pass.
+    monkeypatch.setitem(
+        antipode._GENERATOR_METHODS, wrong, lambda spec, i: -Polynomial.variable(i)
+    )
+    spec = faa_di_bruno_spec(4)
+    for method in METHODS:
+        problems = convolution_check(spec, 4, antipode_endomap(spec, method))
+        assert bool(problems) == (method == wrong), method
 
 
 def test_term_stats_goldens(fdb6):
@@ -277,6 +326,25 @@ def _antipode_of_h(n):
 def test_symmetric_functions_antipode_matches_the_closed_form(method, n):
     spec = sym_spec(n)
     assert antipode_generator(spec, n, method) == _antipode_of_h(n)
+
+
+@pytest.fixture(scope="module")
+def fdb20():
+    return faa_di_bruno_spec(20)
+
+
+@pytest.mark.parametrize(
+    "method, n", [("bogoliubov", 20), ("forest", 20), ("dyson-salam", 12)]
+)
+def test_composition_antipode_matches_lagrange_inversion(fdb20, method, n):
+    # b_n has the same rows in every table of degree >= n, so the
+    # degree-20 table serves n = 12 too.
+    rng = random.Random(n)
+    value = antipode_generator(fdb20, n, method)
+    poly = {m.indices: c for m, c in value.terms()}
+    for _ in range(3):
+        point = {i: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for i in range(1, n + 1)}
+        assert evaluate(poly, point) == lagrange_antipode(n, point)
 
 
 def _linearization_count_oracle(spec, i):
