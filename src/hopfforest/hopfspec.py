@@ -29,10 +29,12 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
+from itertools import groupby
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .algebra import Monomial, Multiset, Rational, coefficient_text, multiset
+from .algebra import Monomial, Multiset, Rational, Scalar, coefficient_text, multiset
 from .algebra import _fraction, _scalar
 from .errors import InputError
 
@@ -83,7 +85,16 @@ class CoproductEntry:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "right", multiset(self.right))
-        object.__setattr__(self, "coeff", _fraction(_scalar(self.coeff)))
+        if type(self.coeff) is not Fraction:
+            object.__setattr__(self, "coeff", _fraction(_scalar(self.coeff)))
+
+
+#: An entry's table key: (source, left, right).
+_entry_key = attrgetter("source", "left", "right")
+
+
+def _entry_text(e: CoproductEntry) -> str:
+    return f"entry source={e.source} left={e.left} right={list(e.right)}"
 
 
 class CoproductSpec:
@@ -104,14 +115,12 @@ class CoproductSpec:
         self.name = str(name)
         self._generator_list = list(generators)
         self.generators = MappingProxyType({g.id: g for g in self._generator_list})
-        self.entries = tuple(
-            sorted(entries, key=lambda e: (e.source, e.left, e.right))
-        )
-        self._by_source: dict[int, tuple[CoproductEntry, ...]] = {}
-        for e in self.entries:
-            self._by_source.setdefault(e.source, ())
-            self._by_source[e.source] += (e,)
-        self._coeff = {(e.source, e.left, e.right): e.coeff for e in self.entries}
+        self.entries = tuple(sorted(entries, key=_entry_key))
+        self._by_source = {
+            source: tuple(rows)
+            for source, rows in groupby(self.entries, attrgetter("source"))
+        }
+        self._coeff = {_entry_key(e): e.coeff for e in self.entries}
         # The spec_memo store: one dict per memoized function.
         self._cache: dict = {}
         problems = self.validate()
@@ -150,30 +159,33 @@ class CoproductSpec:
                 problems.append(
                     f"generator {g.id} has degree {g.degree}; degrees must be >= 1"
                 )
-        seen_keys: set[tuple[int, int, Multiset]] = set()
+        degree = {i: g.degree for i, g in self.generators.items()}
+        # Sorted by key, so a repeated key follows its first occurrence.
+        previous = None
         for e in self.entries:
-            where = f"entry source={e.source} left={e.left} right={list(e.right)}"
-            key = (e.source, e.left, e.right)
-            if key in seen_keys:
-                problems.append(f"duplicate {where}")
-            seen_keys.add(key)
-            unknown = [
-                i
-                for i in (e.source, e.left, *e.right)
-                if i not in self.generators
-            ]
-            if unknown:
-                problems.append(f"{where}: unknown generator ids {sorted(set(unknown))}")
+            key = _entry_key(e)
+            if key == previous:
+                problems.append(f"duplicate {_entry_text(e)}")
+            previous = key
+            try:
+                total = degree[e.left] + sum(map(degree.__getitem__, e.right))
+                expect = degree[e.source]
+            except KeyError:
+                unknown = {i for i in (e.source, e.left, *e.right) if i not in degree}
+                problems.append(
+                    f"{_entry_text(e)}: unknown generator ids {sorted(unknown)}"
+                )
                 continue
             if not e.right:
-                problems.append(f"{where}: right leg must be a nonempty monomial")
-            if e.coeff == 0:
-                problems.append(f"{where}: zero coefficient")
-            total = self.degree(e.left) + sum(self.degree(j) for j in e.right)
-            if e.right and total != self.degree(e.source):
                 problems.append(
-                    f"{where}: degrees {total} != degree({e.source}) = "
-                    f"{self.degree(e.source)}"
+                    f"{_entry_text(e)}: right leg must be a nonempty monomial"
+                )
+            if e.coeff == 0:
+                problems.append(f"{_entry_text(e)}: zero coefficient")
+            if e.right and total != expect:
+                problems.append(
+                    f"{_entry_text(e)}: degrees {total} != "
+                    f"degree({e.source}) = {expect}"
                 )
         return problems
 
@@ -290,86 +302,100 @@ def save_spec(spec: CoproductSpec) -> str:
     return json.dumps(spec_to_dict(spec), indent=2) + "\n"
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise InputError(msg)
+# --- JSON deserialization ----------------------------------------------------
+#
+# Each item parser checks one JSON item and raises InputError with the tail of
+# its message (": ..." or " must be an object"); `_parse_items` puts the item's
+# position in front, so no location text is built unless an item fails.
 
-
-_COEFF = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-
-
-def _parse_coeff(raw: object, where: str) -> Fraction:
-    if isinstance(raw, int) and not isinstance(raw, bool):
-        return Fraction(raw)
-    if isinstance(raw, str):
-        if not _COEFF.fullmatch(raw):
-            raise InputError(f"{where}: bad coefficient {raw!r} (not 'p' or 'p/q')")
+def _parse_items(items: list, field: str, parse: Callable[[object], object]) -> list:
+    """``parse`` of each item of a JSON list; a failure names its item as
+    ``field[pos]``."""
+    out = []
+    for pos, item in enumerate(items):
         try:
-            return Fraction(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"{where}: bad coefficient {raw!r} ({exc})") from None
-    raise InputError(f"{where}: coeff must be an integer or 'p/q' string, got {raw!r}")
+            out.append(parse(item))
+        except InputError as exc:
+            raise InputError(f"{field}[{pos}]{exc}") from None
+    return out
 
 
-def _parse_id(raw: object, where: str) -> int:
+def _check_fields(item: object, fields: frozenset) -> None:
+    if not isinstance(item, dict):
+        raise InputError(" must be an object")
+    if not item.keys() <= fields:
+        raise InputError(f": unknown fields {sorted(item.keys() - fields)}")
+
+
+def _parse_id(raw: object) -> int:
     if not isinstance(raw, int) or isinstance(raw, bool) or raw < 1:
-        raise InputError(f"{where}: generator ids must be positive integers, got {raw!r}")
+        raise InputError(f": generator ids must be positive integers, got {raw!r}")
     return raw
 
 
-def parse_generators(doc: dict, field: str) -> list[Generator]:
-    """The strict {"id", "degree", "label"} records of ``doc[field]``."""
-    gens: list[Generator] = []
-    for pos, item in enumerate(doc[field]):
-        where = f"{field}[{pos}]"
-        _require(isinstance(item, dict), f"{where} must be an object")
-        extra = set(item) - {"id", "degree", "label"}
-        _require(not extra, f"{where}: unknown fields {sorted(extra)}")
-        gid = _parse_id(item.get("id"), where)
-        degree = item.get("degree")
-        _require(
-            isinstance(degree, int) and not isinstance(degree, bool) and degree >= 1,
-            f"{where}: degree must be a positive integer, got {degree!r}",
-        )
-        label = item.get("label")
-        _require(
-            label is None or isinstance(label, str),
-            f"{where}: label must be a string",
-        )
-        gens.append(Generator(gid, degree, label))
-    return gens
+_COEFF = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _parse_coeff(raw: object) -> Scalar:
+    """A JSON integer or "p" string as an int, a "p/q" string as a Fraction."""
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
+    if not isinstance(raw, str):
+        raise InputError(f": coeff must be an integer or 'p/q' string, got {raw!r}")
+    match = _COEFF.fullmatch(raw)
+    if match is None:
+        raise InputError(f": bad coefficient {raw!r} (not 'p' or 'p/q')")
+    num, den = match.groups()
+    try:  # int() refuses digits past Python's limit; Fraction(n, 0) raises
+        return int(num) if den is None else Fraction(int(num), int(den))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f": bad coefficient {raw!r} ({exc})") from None
+
+
+_GENERATOR_FIELDS = frozenset(("id", "degree", "label"))
+_ROW_FIELDS = frozenset(("source", "left", "right", "coeff"))
+
+
+def _parse_generator(item: object) -> Generator:
+    """A strict {"id", "degree", "label"} record, as in both spec kinds."""
+    _check_fields(item, _GENERATOR_FIELDS)
+    gid = _parse_id(item.get("id"))
+    degree = item.get("degree")
+    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
+        raise InputError(f": degree must be a positive integer, got {degree!r}")
+    label = item.get("label")
+    if label is not None and not isinstance(label, str):
+        raise InputError(": label must be a string")
+    return Generator(gid, degree, label)
+
+
+def _parse_row(item: object) -> CoproductEntry:
+    _check_fields(item, _ROW_FIELDS)
+    source = _parse_id(item.get("source"))
+    left = _parse_id(item.get("left"))
+    raw = item.get("right")
+    if not isinstance(raw, list) or not raw:
+        raise InputError(": right must be a nonempty list of generator ids")
+    right = list(map(_parse_id, raw))
+    if right != sorted(right):
+        raise InputError(f": right must be sorted ascending, got {right}")
+    return CoproductEntry(source, left, right, _parse_coeff(item.get("coeff")))
 
 
 def spec_from_dict(doc: object) -> CoproductSpec:
-    _require(isinstance(doc, dict), "spec document must be a JSON object")
-    assert isinstance(doc, dict)
-    unknown = set(doc) - {"name", "generators", "coproduct"}
-    _require(not unknown, f"unknown top-level fields {sorted(unknown)}")
-    _require(isinstance(doc.get("name"), str), "spec needs a string 'name'")
-    _require(isinstance(doc.get("generators"), list), "spec needs a 'generators' list")
-    _require(isinstance(doc.get("coproduct"), list), "spec needs a 'coproduct' list")
-
-    gens = parse_generators(doc, "generators")
-    entries: list[CoproductEntry] = []
-    for pos, item in enumerate(doc["coproduct"]):
-        where = f"coproduct[{pos}]"
-        _require(isinstance(item, dict), f"{where} must be an object")
-        extra = set(item) - {"source", "left", "right", "coeff"}
-        _require(not extra, f"{where}: unknown fields {sorted(extra)}")
-        source = _parse_id(item.get("source"), where)
-        left = _parse_id(item.get("left"), where)
-        right_raw = item.get("right")
-        _require(
-            isinstance(right_raw, list) and right_raw,
-            f"{where}: right must be a nonempty list of generator ids",
-        )
-        right = tuple(_parse_id(r, where) for r in right_raw)
-        _require(
-            list(right) == sorted(right),
-            f"{where}: right must be sorted ascending, got {list(right)}",
-        )
-        coeff = _parse_coeff(item.get("coeff"), where)
-        entries.append(CoproductEntry(source, left, right, coeff))
+    if not isinstance(doc, dict):
+        raise InputError("spec document must be a JSON object")
+    unknown = doc.keys() - {"name", "generators", "coproduct"}
+    if unknown:
+        raise InputError(f"unknown top-level fields {sorted(unknown)}")
+    if not isinstance(doc.get("name"), str):
+        raise InputError("spec needs a string 'name'")
+    if not isinstance(doc.get("generators"), list):
+        raise InputError("spec needs a 'generators' list")
+    if not isinstance(doc.get("coproduct"), list):
+        raise InputError("spec needs a 'coproduct' list")
+    gens = _parse_items(doc["generators"], "generators", _parse_generator)
+    entries = _parse_items(doc["coproduct"], "coproduct", _parse_row)
     return CoproductSpec(doc["name"], gens, entries)
 
 

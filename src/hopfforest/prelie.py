@@ -33,19 +33,20 @@ from math import factorial
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
-from .algebra import Monomial, Polynomial, Tensor, coefficient_text
+from .algebra import Monomial, Polynomial, Scalar, Tensor, coefficient_text
 from .coproduct import coassociativity_report, counit_report
 from .errors import ConstructionError, InputError
 from .hopfspec import (
     CoproductEntry,
     CoproductSpec,
     Generator,
+    _check_fields,
     _parse_coeff,
+    _parse_generator,
     _parse_id,
-    _require,
+    _parse_items,
     generators_to_list,
     graded_monomials,
-    parse_generators,
     parse_json,
     read_text_file,
     spec_memo,
@@ -107,29 +108,27 @@ class PreLieSpec:
                 f"truncation must be a positive integer, got {t!r}"
             )
             return problems
+        degree = {i: g.degree for i, g in self.basis.items()}
         for (i, j), value in sorted(self.products.items()):
-            where = f"product ({i}, {j})"
-            if i not in self.basis or j not in self.basis:
-                problems.append(f"{where}: unknown basis ids")
+            if i not in degree or j not in degree:
+                problems.append(f"product ({i}, {j}): unknown basis ids")
                 continue
-            expect = self.degree(i) + self.degree(j)
-            if expect > self.truncation:
+            expect = degree[i] + degree[j]
+            if expect > t:
                 problems.append(
-                    f"{where}: lands at degree {expect}, above the truncation "
-                    f"{self.truncation}; such products must be omitted"
+                    f"product ({i}, {j}): lands at degree {expect}, above the "
+                    f"truncation {t}; such products must be omitted"
                 )
             for m, _ in value.terms():
                 if len(m) != 1:
                     problems.append(
-                        f"{where}: result term {m} is not a basis element"
+                        f"product ({i}, {j}): result term {m} is not a basis element"
                     )
-                    continue
-                k = m.indices[0]
-                if k not in self.basis:
-                    problems.append(f"{where}: unknown result id {k}")
-                elif self.degree(k) != expect:
+                elif m[0] not in degree:
+                    problems.append(f"product ({i}, {j}): unknown result id {m[0]}")
+                elif degree[m[0]] != expect:
                     problems.append(
-                        f"{where}: result {m} has degree {self.degree(k)}, "
+                        f"product ({i}, {j}): result {m} has degree {degree[m[0]]}, "
                         f"expected {expect}"
                     )
         return problems
@@ -245,21 +244,17 @@ def prelie_check(spec: PreLieSpec) -> list[str]:
 
     on every ordered basis triple whose total degree fits under the
     truncation; returns one message per violated triple."""
-    problems: list[str] = []
-    ids = spec.basis_ids()
-    for x in ids:
-        for y in ids:
-            for z in ids:
-                if (
-                    spec.degree(x) + spec.degree(y) + spec.degree(z)
-                    > spec.truncation
-                ):
-                    continue
-                if _associator(spec, x, y, z) != _associator(spec, x, z, y):
-                    problems.append(
-                        f"preLie identity fails on basis triple ({x}, {y}, {z})"
-                    )
-    return problems
+    t = spec.truncation
+    degree = {i: g.degree for i, g in spec.basis.items()}
+    # up_to[d]: the ids of degree <= d, in id order
+    up_to = [[i for i in spec.basis_ids() if degree[i] <= d] for d in range(t + 1)]
+    return [
+        f"preLie identity fails on basis triple ({x}, {y}, {z})"
+        for x in up_to[t]
+        for y in up_to[t - degree[x]]
+        for z in up_to[t - degree[x] - degree[y]]
+        if _associator(spec, x, y, z) != _associator(spec, x, z, y)
+    ]
 
 
 def _associator(spec: PreLieSpec, x: int, y: int, z: int) -> Polynomial:
@@ -280,18 +275,17 @@ def _associator(spec: PreLieSpec, x: int, y: int, z: int) -> Polynomial:
 def associativity_report(spec: PreLieSpec) -> list[str]:
     """Checks (a*b)*c = a*(b*c) for the enveloping product on every monomial
     triple whose total degree fits under the truncation (unit included)."""
+    t = spec.truncation
+    mons = _monomial_degrees(spec)
     problems: list[str] = []
-    mons = graded_monomials(spec.basis.values(), spec.truncation)
-    for a in mons:
-        da = spec.monomial_degree(a)
-        for b in mons:
-            dab = da + spec.monomial_degree(b)
-            if dab > spec.truncation:
-                continue
+    for a, da in mons:
+        for b, db in mons:
+            if da + db > t:
+                break
             ab = guin_oudom_mul(spec, a, b)
-            for c in mons:
-                if dab + spec.monomial_degree(c) > spec.truncation:
-                    continue
+            for c, dc in mons:
+                if da + db + dc > t:
+                    break
                 bc = guin_oudom_mul(spec, b, c)
                 lhs = guin_oudom_poly(spec, ab, Polynomial.single(c))
                 rhs = guin_oudom_poly(spec, Polynomial.single(a), bc)
@@ -305,25 +299,39 @@ def associativity_report(spec: PreLieSpec) -> list[str]:
 def filtration_report(spec: PreLieSpec) -> list[str]:
     """Checks that a length-n monomial times a length-m monomial is
     supported in word lengths n..n+m, and stays degree-homogeneous."""
+    t = spec.truncation
+    mons = _monomial_degrees(spec)
+    # Every monomial in the basis ids of degree <= t is a key, so a term that
+    # is missing lies above the truncation.
+    degree_of = dict(mons)
+    mons = mons[1:]  # no unit
     problems: list[str] = []
-    mons = graded_monomials(spec.basis.values(), spec.truncation)[1:]  # no unit
-    for a in mons:
-        for b in mons:
-            degree = spec.monomial_degree(a) + spec.monomial_degree(b)
-            if degree > spec.truncation:
-                continue
-            res = guin_oudom_mul(spec, a, b)
-            for m, _ in res.terms():
+    for a, da in mons:
+        for b, db in mons:
+            degree = da + db
+            if degree > t:
+                break
+            for m, _ in guin_oudom_mul(spec, a, b).terms():
                 if not len(a) <= len(m) <= len(a) + len(b):
                     problems.append(
                         f"product ({a})*({b}) leaves the length window "
                         f"[{len(a)}, {len(a) + len(b)}]: term {m}"
                     )
-                if spec.monomial_degree(m) != degree:
+                if degree_of.get(m) != degree:
                     problems.append(
                         f"product ({a})*({b}) is not homogeneous: term {m}"
                     )
     return problems
+
+
+def _monomial_degrees(spec: PreLieSpec) -> list[tuple[Monomial, int]]:
+    """(monomial, degree) for every monomial up to the truncation, unit
+    first, ascending in degree."""
+    degree = {i: g.degree for i, g in spec.basis.items()}
+    return [
+        (m, sum(map(degree.__getitem__, m)))
+        for m in graded_monomials(spec.basis.values(), spec.truncation)
+    ]
 
 
 # --- Free rooted-tree instance ----------------------------------------------
@@ -475,37 +483,43 @@ def save_prelie(spec: PreLieSpec) -> str:
     return json.dumps(prelie_to_dict(spec), indent=2) + "\n"
 
 
+_PRODUCT_FIELDS = frozenset(("left", "right", "result"))
+_TERM_FIELDS = frozenset(("id", "coeff"))
+
+
+def _parse_term(item: object) -> tuple[Monomial, Scalar]:
+    _check_fields(item, _TERM_FIELDS)
+    return Monomial((_parse_id(item.get("id")),)), _parse_coeff(item.get("coeff"))
+
+
 def prelie_from_dict(doc: object) -> PreLieSpec:
-    _require(isinstance(doc, dict), "preLie document must be a JSON object")
-    assert isinstance(doc, dict)
-    unknown = set(doc) - {"name", "basis", "products", "truncation"}
-    _require(not unknown, f"unknown top-level fields {sorted(unknown)}")
-    _require(isinstance(doc.get("name"), str), "preLie spec needs a string 'name'")
-    _require(isinstance(doc.get("basis"), list), "preLie spec needs a 'basis' list")
-    _require(
-        isinstance(doc.get("products"), list), "preLie spec needs a 'products' list"
-    )
-    basis = parse_generators(doc, "basis")
-    products: dict[tuple[int, int], Polynomial] = {}
-    for pos, item in enumerate(doc["products"]):
-        where = f"products[{pos}]"
-        _require(isinstance(item, dict), f"{where} must be an object")
-        extra = set(item) - {"left", "right", "result"}
-        _require(not extra, f"{where}: unknown fields {sorted(extra)}")
-        i = _parse_id(item.get("left"), where)
-        j = _parse_id(item.get("right"), where)
-        _require((i, j) not in products, f"{where}: duplicate pair ({i}, {j})")
+    if not isinstance(doc, dict):
+        raise InputError("preLie document must be a JSON object")
+    unknown = doc.keys() - {"name", "basis", "products", "truncation"}
+    if unknown:
+        raise InputError(f"unknown top-level fields {sorted(unknown)}")
+    if not isinstance(doc.get("name"), str):
+        raise InputError("preLie spec needs a string 'name'")
+    if not isinstance(doc.get("basis"), list):
+        raise InputError("preLie spec needs a 'basis' list")
+    if not isinstance(doc.get("products"), list):
+        raise InputError("preLie spec needs a 'products' list")
+    basis = _parse_items(doc["basis"], "basis", _parse_generator)
+    seen: set[tuple[int, int]] = set()
+
+    def parse_product(item: object) -> tuple[tuple[int, int], Polynomial]:
+        _check_fields(item, _PRODUCT_FIELDS)
+        i, j = _parse_id(item.get("left")), _parse_id(item.get("right"))
+        if (i, j) in seen:
+            raise InputError(f": duplicate pair ({i}, {j})")
+        seen.add((i, j))
         raw = item.get("result")
-        _require(isinstance(raw, list), f"{where}: result must be a list")
-        terms: list[tuple[Monomial, Fraction]] = []
-        for tpos, term in enumerate(raw):
-            twhere = f"{where}.result[{tpos}]"
-            _require(isinstance(term, dict), f"{twhere} must be an object")
-            textra = set(term) - {"id", "coeff"}
-            _require(not textra, f"{twhere}: unknown fields {sorted(textra)}")
-            k = _parse_id(term.get("id"), twhere)
-            terms.append((Monomial((k,)), _parse_coeff(term.get("coeff"), twhere)))
-        products[i, j] = Polynomial(terms)  # sums repeated ids
+        if not isinstance(raw, list):
+            raise InputError(": result must be a list")
+        # the constructor sums repeated ids
+        return (i, j), Polynomial(_parse_items(raw, ".result", _parse_term))
+
+    products = dict(_parse_items(doc["products"], "products", parse_product))
     return PreLieSpec(doc["name"], basis, products, doc.get("truncation"))
 
 

@@ -24,6 +24,7 @@ from hopfforest.hopfspec import (
     spec_to_dict,
     sym_spec,
 )
+from hopfforest.prelie import dualize, grafting_instance
 
 
 def partitions_with_sizes(n, sizes):
@@ -126,6 +127,10 @@ def test_coefficient_lookup(fdb6):
         fdb6.degree(0)
 
 
+def _grafting_dual():
+    return dualize(grafting_instance(6), 6)
+
+
 def _spec(generators, entries):
     return CoproductSpec("t", tuple(generators), tuple(entries))
 
@@ -171,22 +176,98 @@ def test_json_layout_is_stable(fdb6):
     assert set(first) == {"source", "left", "right", "coeff"}
 
 
-@pytest.mark.parametrize(
-    "mutate",
-    [
-        lambda d: d.update(extra=1),
-        lambda d: d.pop("name"),
-        lambda d: d["generators"][0].update(extra=1),
-        lambda d: d["coproduct"][0].update(extra=1),
-        lambda d: d["coproduct"][0].update(right=[2, 1]),
-        lambda d: d["coproduct"][0].update(coeff="1/0"),
-        lambda d: d["coproduct"][0].update(coeff="abc"),
-        lambda d: d["coproduct"][0].update(coeff=1.5),
-        lambda d: d["coproduct"][0].update(coeff=True),
-        lambda d: d["generators"][0].update(id="1"),
-        lambda d: d["generators"][0].update(degree=0),
-    ],
+def _row(pos, **fields):
+    return lambda d: d["coproduct"][pos].update(**fields)
+
+
+BIG = "1" * 5000
+INT_LIMIT = (
+    "Exceeds the limit (4300 digits) for integer string conversion: value has "
+    "5000 digits; use sys.set_int_max_str_digits() to increase the limit"
 )
+
+
+# The loader's messages, pinned verbatim: a problem found while reading a row
+# names its position, a structural one names the entry.  Rows of the base
+# document, in order: (3; 1; [1, 1]; 3), (2; 1; [1]; 3), (3; 1; [2]; 4),
+# (3; 2; [1]; 6), then the degree-4 rows.
+LOADER_CASES = [
+    (lambda d: d.update(extra=1), "unknown top-level fields ['extra']"),
+    (lambda d: d.pop("name"), "spec needs a string 'name'"),
+    (
+        lambda d: d["generators"][0].update(extra=1),
+        "generators[0]: unknown fields ['extra']",
+    ),
+    (_row(0, extra=1), "coproduct[0]: unknown fields ['extra']"),
+    (_row(0, right=[2, 1]), "coproduct[0]: right must be sorted ascending, got [2, 1]"),
+    (_row(0, coeff="1/0"), "coproduct[0]: bad coefficient '1/0' (Fraction(1, 0))"),
+    (_row(0, coeff="abc"), "coproduct[0]: bad coefficient 'abc' (not 'p' or 'p/q')"),
+    (
+        _row(0, coeff=1.5),
+        "coproduct[0]: coeff must be an integer or 'p/q' string, got 1.5",
+    ),
+    (
+        _row(0, coeff=True),
+        "coproduct[0]: coeff must be an integer or 'p/q' string, got True",
+    ),
+    (
+        lambda d: d["generators"][0].update(id="1"),
+        "generators[0]: generator ids must be positive integers, got '1'",
+    ),
+    (
+        lambda d: d["generators"][0].update(degree=0),
+        "generators[0]: degree must be a positive integer, got 0",
+    ),
+    (
+        _row(1, source=True),
+        "coproduct[1]: generator ids must be positive integers, got True",
+    ),
+    (
+        _row(1, right="1"),
+        "coproduct[1]: right must be a nonempty list of generator ids",
+    ),
+    (_row(2, right=[]), "coproduct[2]: right must be a nonempty list of generator ids"),
+    # ids are checked in list order, before the order of the list
+    (
+        _row(2, right=[2, 0]),
+        "coproduct[2]: generator ids must be positive integers, got 0",
+    ),
+    (
+        _row(1, coeff="-0"),
+        "invalid spec: entry source=2 left=1 right=[1]: zero coefficient",
+    ),
+    (_row(1, coeff="1/0"), "coproduct[1]: bad coefficient '1/0' (Fraction(1, 0))"),
+    (_row(1, coeff=BIG), f"coproduct[1]: bad coefficient '{BIG}' ({INT_LIMIT})"),
+    (
+        _row(1, left=9),
+        "invalid spec: entry source=2 left=9 right=[1]: unknown generator ids [9]",
+    ),
+    (
+        lambda d: d["coproduct"].append(dict(d["coproduct"][2])),
+        "invalid spec: duplicate entry source=3 left=1 right=[2]",
+    ),
+    (
+        _row(1, source=4),
+        "invalid spec: entry source=4 left=1 right=[1]: degrees 2 != degree(4) = 4",
+    ),
+    (
+        lambda d: (_row(1, coeff="0")(d), _row(3, right=[7])(d)),
+        "invalid spec: entry source=2 left=1 right=[1]: zero coefficient; "
+        "entry source=3 left=2 right=[7]: unknown generator ids [7]",
+    ),
+    (
+        lambda d: (_row(1, coeff="x")(d), _row(3, right=[0])(d)),
+        "coproduct[1]: bad coefficient 'x' (not 'p' or 'p/q')",
+    ),
+    (
+        _row(1, right=[2, 1], coeff="x"),
+        "coproduct[1]: right must be sorted ascending, got [2, 1]",
+    ),
+]
+
+
+# Parametrized on the mutation alone, so the earlier cases keep their test ids.
+@pytest.mark.parametrize("mutate", [mutate for mutate, _ in LOADER_CASES])
 def test_loader_is_strict(mutate):
     doc = spec_to_dict(faa_di_bruno_spec(4))
     # Put an entry with a 2-element right leg first so the unsorted-right
@@ -195,8 +276,32 @@ def test_loader_is_strict(mutate):
     doc["coproduct"].remove(target)
     doc["coproduct"].insert(0, target)
     mutate(doc)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as exc:
         spec_from_dict(doc)
+    assert str(exc.value) == dict(LOADER_CASES)[mutate]
+
+
+@pytest.mark.parametrize(
+    "raw, value", [("+3", 3), ("007", 7), ("-2/6", Fraction(-1, 3)), (5, 5)]
+)
+def test_loader_reads_coefficients_exactly(raw, value):
+    doc = spec_to_dict(faa_di_bruno_spec(3))
+    doc["coproduct"][1]["coeff"] = raw
+    entry = spec_from_dict(doc).entries[1]
+    assert entry.coeff == value and type(entry.coeff) is Fraction
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: faa_di_bruno_spec(12), lambda: sym_spec(30), _grafting_dual],
+    ids=["fdb-12", "sym-30", "grafting-6-dual"],
+)
+def test_save_load_is_a_fixed_point(make):
+    spec = make()
+    text = save_spec(spec)
+    again = load_spec(text)
+    assert save_spec(again) == text
+    assert again.entries == spec.entries
+    assert all(type(e.coeff) is Fraction for e in again.entries)
 
 
 def test_loader_rejects_malformed_text(tmp_path):

@@ -1,6 +1,7 @@
 """Truncated preLie algebras: brace extension, enveloping product, identity
 checkers, the free grafting instance, and graded dualization."""
 
+from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
@@ -404,34 +405,181 @@ def test_dualize_input_rules(graft4):
 
 
 def test_json_roundtrip(graft4):
-    text = save_prelie(graft4)
-    again = load_prelie(text)
-    assert again.name == graft4.name
-    assert again.truncation == graft4.truncation
-    assert again.basis == graft4.basis
-    assert again.products == graft4.products
-    assert save_prelie(again) == text
-    assert load_prelie(text.encode()).products == graft4.products
+    for spec in (graft4, grafting_instance(6)):
+        text = save_prelie(spec)
+        again = load_prelie(text)
+        assert again.name == spec.name
+        assert again.truncation == spec.truncation
+        assert again.basis == spec.basis
+        assert again.products == spec.products
+        assert save_prelie(again) == text
+        assert load_prelie(text.encode()).products == spec.products
 
 
-@pytest.mark.parametrize(
-    "mutate",
-    [
-        lambda d: d.update(extra=1),
-        lambda d: d.pop("truncation"),
-        lambda d: d.update(truncation=True),
-        lambda d: d["basis"][0].update(extra=1),
-        lambda d: d["products"][0].update(extra=1),
-        lambda d: d["products"][0]["result"][0].update(coeff="1/0"),
-        lambda d: d["products"].append(dict(d["products"][0])),
-        lambda d: d["products"][0]["result"][0].update(id=99),
-    ],
+def _product(pos, **fields):
+    return lambda d: d["products"][pos].update(**fields)
+
+
+def _term(pos, **fields):
+    return lambda d: d["products"][pos]["result"][0].update(**fields)
+
+
+BIG = "1" * 5000
+INT_LIMIT = (
+    "Exceeds the limit (4300 digits) for integer string conversion: value has "
+    "5000 digits; use sys.set_int_max_str_digits() to increase the limit"
 )
+
+
+# The loader's messages, pinned verbatim.  The first products of grafting-4
+# are (1, 1) -> b2, (1, 2) -> b4, (1, 3) -> b7 and (1, 4) -> b8.
+LOADER_CASES = [
+    (lambda d: d.update(extra=1), "unknown top-level fields ['extra']"),
+    (
+        lambda d: d.pop("truncation"),
+        "invalid preLie spec: truncation must be a positive integer, got None",
+    ),
+    (
+        lambda d: d.update(truncation=True),
+        "invalid preLie spec: truncation must be a positive integer, got True",
+    ),
+    (lambda d: d["basis"][0].update(extra=1), "basis[0]: unknown fields ['extra']"),
+    (_product(0, extra=1), "products[0]: unknown fields ['extra']"),
+    (
+        _term(0, coeff="1/0"),
+        "products[0].result[0]: bad coefficient '1/0' (Fraction(1, 0))",
+    ),
+    (
+        lambda d: d["products"].append(dict(d["products"][0])),
+        "products[8]: duplicate pair (1, 1)",
+    ),
+    (_term(0, id=99), "invalid preLie spec: product (1, 1): unknown result id 99"),
+    (
+        _product(1, left=True),
+        "products[1]: generator ids must be positive integers, got True",
+    ),
+    (_product(1, result="x"), "products[1]: result must be a list"),
+    (_product(1, result=[3]), "products[1].result[0] must be an object"),
+    (
+        _term(1, id=0),
+        "products[1].result[0]: generator ids must be positive integers, got 0",
+    ),
+    (_term(1, extra=1), "products[1].result[0]: unknown fields ['extra']"),
+    (
+        _term(1, coeff=1.5),
+        "products[1].result[0]: coeff must be an integer or 'p/q' string, got 1.5",
+    ),
+    (
+        _term(1, coeff="1/0"),
+        "products[1].result[0]: bad coefficient '1/0' (Fraction(1, 0))",
+    ),
+    (
+        _term(1, coeff=BIG),
+        f"products[1].result[0]: bad coefficient '{BIG}' ({INT_LIMIT})",
+    ),
+    (
+        lambda d: d["products"].append(dict(d["products"][2])),
+        "products[8]: duplicate pair (1, 3)",
+    ),
+    (
+        _term(1, id=1),
+        "invalid preLie spec: product (1, 2): result b1 has degree 1, expected 3",
+    ),
+    (
+        lambda d: (_term(1, id=99)(d), _term(3, id=1)(d)),
+        "invalid preLie spec: product (1, 2): unknown result id 99; "
+        "product (1, 4): result b1 has degree 1, expected 4",
+    ),
+    (
+        lambda d: (_term(1, coeff="x")(d), _term(3, id=0)(d)),
+        "products[1].result[0]: bad coefficient 'x' (not 'p' or 'p/q')",
+    ),
+]
+
+
+# Parametrized on the mutation alone, so the earlier cases keep their test ids.
+@pytest.mark.parametrize("mutate", [mutate for mutate, _ in LOADER_CASES])
 def test_prelie_loader_is_strict(graft4, mutate):
     doc = prelie_to_dict(graft4)
     mutate(doc)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as exc:
         prelie_from_dict(doc)
+    assert str(exc.value) == dict(LOADER_CASES)[mutate]
+
+
+def test_prelie_loader_reads_coefficients_exactly(graft4):
+    doc = prelie_to_dict(graft4)
+    doc["products"][1]["result"][0]["coeff"] = "+3"
+    doc["products"][2]["result"][0]["coeff"] = "-0"  # a zero product is no product
+    doc["products"][3]["result"].append({"id": 8, "coeff": "1/2"})
+    products = prelie_from_dict(doc).products
+    assert products[1, 2] == Polynomial.variable(4) * 3
+    assert (1, 3) not in products
+    assert products[1, 4].terms() == [(mono(8), Fraction(3, 2))]
+
+
+def reference_prelie_check(spec):
+    """prelie_check over every ordered basis triple, degrees summed afresh."""
+    ids = spec.basis_ids()
+    return [
+        f"preLie identity fails on basis triple ({x}, {y}, {z})"
+        for x, y, z in iter_product(ids, repeat=3)
+        if spec.degree(x) + spec.degree(y) + spec.degree(z) <= spec.truncation
+        and _reference_associator(spec, x, y, z) != _reference_associator(spec, x, z, y)
+    ]
+
+
+def _reference_associator(spec, x, y, z):
+    """(x . y) . z - x . (y . z), one basis product at a time."""
+    total = Polynomial.zero()
+    for m, c in prelie_product(spec, x, y).terms():
+        total = total + prelie_product(spec, m.indices[0], z) * c
+    for m, c in prelie_product(spec, y, z).terms():
+        total = total - prelie_product(spec, x, m.indices[0]) * c
+    return total
+
+
+def reference_associativity(spec):
+    """associativity_report over every monomial triple."""
+    mons = graded_monomials(spec.basis.values(), spec.truncation)
+    problems = []
+    for a, b, c in iter_product(mons, repeat=3):
+        if spec.monomial_degree(a * b * c) > spec.truncation:
+            continue
+        lhs = guin_oudom_poly(spec, guin_oudom_mul(spec, a, b), Polynomial.single(c))
+        rhs = guin_oudom_poly(spec, Polynomial.single(a), guin_oudom_mul(spec, b, c))
+        if lhs != rhs:
+            problems.append(f"enveloping product not associative on ({a}, {b}, {c})")
+    return problems
+
+
+def reference_filtration(spec):
+    """filtration_report over every pair of non-unit monomials."""
+    mons = graded_monomials(spec.basis.values(), spec.truncation)[1:]
+    problems = []
+    for a, b in iter_product(mons, repeat=2):
+        degree = spec.monomial_degree(a * b)
+        if degree > spec.truncation:
+            continue
+        for m, _ in guin_oudom_mul(spec, a, b).terms():
+            if not len(a) <= len(m) <= len(a) + len(b):
+                problems.append(
+                    f"product ({a})*({b}) leaves the length window "
+                    f"[{len(a)}, {len(a) + len(b)}]: term {m}"
+                )
+            if spec.monomial_degree(m) != degree:
+                problems.append(f"product ({a})*({b}) is not homogeneous: term {m}")
+    return problems
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: grafting_instance(5), broken_prelie], ids=["grafting-5", "broken"]
+)
+def test_reports_match_all_tuples_references(make):
+    spec = make()
+    assert prelie_check(spec) == reference_prelie_check(spec)
+    assert associativity_report(spec) == reference_associativity(spec)
+    assert filtration_report(spec) == reference_filtration(spec)
 
 
 def test_prelie_loader_rejects_malformed_text():
