@@ -74,7 +74,6 @@ from .prelie import (
     unshuffle_coproduct,
     unshuffle_poly,
 )
-from .prelie import associativity_report as star_associativity_report
 from .trees import (
     Address,
     CorollaCut,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from .algebra import coefficient_text
 from .antipode import (
@@ -42,71 +42,6 @@ from .trees import (
     tree_notation,
     tree_stats,
 )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hopfforest",
-        description=(
-            "Exact antipode computations for graded right-handed polynomial "
-            "Hopf algebras, by alternating-sum, recursive and cancellation-"
-            "free tree methods."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("antipode", help="antipode of one generator")
-    p.add_argument("--spec", required=True, help="coproduct table (JSON file)")
-    p.add_argument("--element", required=True, type=int, help="generator id")
-    p.add_argument("--method", required=True, choices=METHODS)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser(
-        "coproduct", help="iterated reduced coproduct of one generator"
-    )
-    p.add_argument("--spec", required=True)
-    p.add_argument("--element", required=True, type=int)
-    p.add_argument(
-        "--iterate",
-        type=int,
-        default=2,
-        metavar="K",
-        help="tensor rank K of the iterate (default 2: the reduced coproduct)",
-    )
-    p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("trees", help="realized trees behind one generator")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--element", required=True, type=int)
-
-    p = sub.add_parser(
-        "linearizations", help="level assignments of each realized tree"
-    )
-    p.add_argument("--spec", required=True)
-    p.add_argument("--element", required=True, type=int)
-    p.add_argument("--k", required=True, type=int, help="number of levels")
-
-    p = sub.add_parser("verify", help="run every consistency check")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--max-degree", required=True, type=int)
-
-    p = sub.add_parser("compare", help="method agreement and term counts")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--max-degree", required=True, type=int)
-
-    p = sub.add_parser("gen", help="emit built-in spec documents")
-    gen_sub = p.add_subparsers(dest="generator", required=True)
-    g = gen_sub.add_parser("fdb", help="composition Hopf algebra table")
-    g.add_argument("--max-degree", required=True, type=int)
-
-    p = sub.add_parser("dualize", help="coproduct table dual to a preLie spec")
-    p.add_argument("--prelie", required=True, help="preLie spec (JSON file)")
-    p.add_argument("--max-degree", required=True, type=int)
-
-    p = sub.add_parser("prelie-verify", help="preLie identity and product checks")
-    p.add_argument("--prelie", required=True)
-
-    return parser
 
 
 def _print_check(name: str, problems: list[str]) -> bool:
@@ -258,29 +193,120 @@ def _cmd_prelie_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+_SPEC = ("--spec", {"required": True})
+_ELEMENT = ("--element", {"required": True, "type": int})
+_MAX_DEGREE = ("--max-degree", {"required": True, "type": int})
+_FORMAT = ("--format", {"choices": ("text", "json"), "default": "text"})
+
+#: Each subcommand's handler, help line and (flag, add_argument keywords)
+#: pairs, in the order `--help` lists them.  The arguments of `gen` belong to
+#: its one generator, `fdb`.
 _COMMANDS = {
-    "antipode": _cmd_antipode,
-    "coproduct": _cmd_coproduct,
-    "trees": _cmd_trees,
-    "linearizations": _cmd_linearizations,
-    "verify": _cmd_verify,
-    "compare": _cmd_compare,
-    "gen": _cmd_gen,
-    "dualize": _cmd_dualize,
-    "prelie-verify": _cmd_prelie_verify,
+    "antipode": (
+        _cmd_antipode,
+        "antipode of one generator",
+        (
+            ("--spec", {"required": True, "help": "coproduct table (JSON file)"}),
+            ("--element", {"required": True, "type": int, "help": "generator id"}),
+            ("--method", {"required": True, "choices": METHODS}),
+            _FORMAT,
+        ),
+    ),
+    "coproduct": (
+        _cmd_coproduct,
+        "iterated reduced coproduct of one generator",
+        (
+            _SPEC,
+            _ELEMENT,
+            (
+                "--iterate",
+                {
+                    "type": int,
+                    "default": 2,
+                    "metavar": "K",
+                    "help": "tensor rank K of the iterate "
+                    "(default 2: the reduced coproduct)",
+                },
+            ),
+            _FORMAT,
+        ),
+    ),
+    "trees": (_cmd_trees, "realized trees behind one generator", (_SPEC, _ELEMENT)),
+    "linearizations": (
+        _cmd_linearizations,
+        "level assignments of each realized tree",
+        (
+            _SPEC,
+            _ELEMENT,
+            ("--k", {"required": True, "type": int, "help": "number of levels"}),
+        ),
+    ),
+    "verify": (_cmd_verify, "run every consistency check", (_SPEC, _MAX_DEGREE)),
+    "compare": (
+        _cmd_compare, "method agreement and term counts", (_SPEC, _MAX_DEGREE)
+    ),
+    "gen": (_cmd_gen, "emit built-in spec documents", (_MAX_DEGREE,)),
+    "dualize": (
+        _cmd_dualize,
+        "coproduct table dual to a preLie spec",
+        (
+            ("--prelie", {"required": True, "help": "preLie spec (JSON file)"}),
+            _MAX_DEGREE,
+        ),
+    ),
+    "prelie-verify": (
+        _cmd_prelie_verify,
+        "preLie identity and product checks",
+        (("--prelie", {"required": True}),),
+    ),
 }
+
+
+def build_parser(
+    commands: Optional[Collection[str]] = None,
+) -> argparse.ArgumentParser:
+    """The argument parser with a subparser for each of `commands`, by default
+    all of them.  A parser with only some still names every subcommand in its
+    usage line, so its messages read as the full parser's."""
+    parser = argparse.ArgumentParser(
+        prog="hopfforest",
+        description=(
+            "Exact antipode computations for graded right-handed polynomial "
+            "Hopf algebras, by alternating-sum, recursive and cancellation-"
+            "free tree methods."
+        ),
+    )
+    names = [name for name in _COMMANDS if commands is None or name in commands]
+    # The full parser keeps the default metavar: argparse also names the
+    # argument by its metavar in "invalid choice" and "required" messages.
+    every = "{" + ",".join(_COMMANDS) + "}"
+    metavar = None if len(names) == len(_COMMANDS) else every
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        _, help_text, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        if name == "gen":
+            gen_sub = p.add_subparsers(dest="generator", required=True)
+            p = gen_sub.add_parser("fdb", help="composition Hopf algebra table")
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+    return parser
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse and execute one command; returns the process exit code."""
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Build only the named subcommand's parser; --help, no arguments or an
+    # unknown name get the full parser and its messages.
+    known = bool(argv) and argv[0] in _COMMANDS
+    parser = build_parser(argv[:1] if known else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

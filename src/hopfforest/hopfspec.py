@@ -88,6 +88,16 @@ class CoproductEntry:
         if type(self.coeff) is not Fraction:
             object.__setattr__(self, "coeff", _fraction(_scalar(self.coeff)))
 
+    @classmethod
+    def _checked(
+        cls, source: int, left: int, right: Multiset, coeff: Fraction
+    ) -> "CoproductEntry":
+        """An entry from values the loader already checked and normalized:
+        positive ids, `right` a sorted tuple, `coeff` a Fraction."""
+        entry = object.__new__(cls)
+        entry.__dict__.update(source=source, left=left, right=right, coeff=coeff)
+        return entry
+
 
 #: An entry's table key: (source, left, right).
 _entry_key = attrgetter("source", "left", "right")
@@ -369,7 +379,9 @@ def _parse_generator(item: object) -> Generator:
     return Generator(gid, degree, label)
 
 
-def _parse_row(item: object) -> CoproductEntry:
+def _parse_row(item: object, coeffs: dict[str, Fraction]) -> CoproductEntry:
+    """A strict coproduct row; `coeffs` holds the values of the coefficient
+    texts read so far in this load, as a table repeats few of them."""
     _check_fields(item, _ROW_FIELDS)
     source = _parse_id(item.get("source"))
     left = _parse_id(item.get("left"))
@@ -379,7 +391,14 @@ def _parse_row(item: object) -> CoproductEntry:
     right = list(map(_parse_id, raw))
     if right != sorted(right):
         raise InputError(f": right must be sorted ascending, got {right}")
-    return CoproductEntry(source, left, right, _parse_coeff(item.get("coeff")))
+    raw = item.get("coeff")
+    if type(raw) is not str:
+        coeff = _fraction(_parse_coeff(raw))
+    elif raw in coeffs:
+        coeff = coeffs[raw]
+    else:
+        coeff = coeffs[raw] = _fraction(_parse_coeff(raw))
+    return CoproductEntry._checked(source, left, tuple(right), coeff)
 
 
 def spec_from_dict(doc: object) -> CoproductSpec:
@@ -395,7 +414,10 @@ def spec_from_dict(doc: object) -> CoproductSpec:
     if not isinstance(doc.get("coproduct"), list):
         raise InputError("spec needs a 'coproduct' list")
     gens = _parse_items(doc["generators"], "generators", _parse_generator)
-    entries = _parse_items(doc["coproduct"], "coproduct", _parse_row)
+    coeffs: dict[str, Fraction] = {}
+    entries = _parse_items(
+        doc["coproduct"], "coproduct", lambda item: _parse_row(item, coeffs)
+    )
     return CoproductSpec(doc["name"], gens, entries)
 
 

@@ -5,9 +5,9 @@ import sys
 
 import pytest
 
-from hopfforest import trees
+from hopfforest import cli, trees
 from hopfforest.algebra import Polynomial
-from hopfforest.cli import run
+from hopfforest.cli import build_parser, run
 from hopfforest.hopfspec import (
     CoproductEntry,
     CoproductSpec,
@@ -522,3 +522,51 @@ def test_argparse_passthrough(capsys, fdb6_file):
     code, out, _ = invoke(capsys, "--help")
     assert code == 0
     assert "antipode" in out
+
+
+# Arguments each subcommand accepts, so that one more word is a usage error
+# of the top-level parser.
+_ACCEPTED = {
+    "antipode": ["--spec", "s", "--element", "1", "--method", "forest"],
+    "coproduct": ["--spec", "s", "--element", "1"],
+    "trees": ["--spec", "s", "--element", "1"],
+    "linearizations": ["--spec", "s", "--element", "1", "--k", "1"],
+    "verify": ["--spec", "s", "--max-degree", "1"],
+    "compare": ["--spec", "s", "--max-degree", "1"],
+    "gen": ["fdb", "--max-degree", "1"],
+    "dualize": ["--prelie", "p", "--max-degree", "1"],
+    "prelie-verify": ["--prelie", "p"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        [],
+        ["bogus"],
+        ["gen", "fdb", "--help"],
+        ["gen", "bogus"],
+        ["gen", "fdb"],
+        *([name, "--help"] for name in _ACCEPTED),
+        *([name] for name in _ACCEPTED),
+        *([name, "--element", "x"] for name in _ACCEPTED),
+        *([name, *accepted, "extra"] for name, accepted in _ACCEPTED.items()),
+    ],
+)
+def test_run_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        expect = (int(exc.code or 0), captured.out, captured.err)
+    assert expect[0] in (0, 2) and (expect[1] or expect[2])
+    built = []
+
+    def recording(commands):
+        built.append(commands)
+        return build_parser(commands)
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    assert invoke(capsys, *argv) == expect
+    assert built == [argv[:1] if argv and argv[0] in _ACCEPTED else None]

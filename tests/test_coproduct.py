@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from hopfforest.algebra import UNIT, Polynomial, Tensor, mono
 from hopfforest.coproduct import (
+    _coproduct_monomial,
+    _splice,
     coassociativity_report,
     convolution_check,
     coproduct_poly,
@@ -21,7 +23,8 @@ from hopfforest.coproduct import (
     reduced_coproduct_poly,
 )
 from hopfforest.errors import InputError
-from hopfforest.hopfspec import CoproductSpec, faa_di_bruno_spec
+from hopfforest.hopfspec import CoproductSpec, faa_di_bruno_spec, sym_spec
+from hopfforest.prelie import dualize, grafting_instance
 
 
 def test_reduced_coproduct_goldens(fdb6):
@@ -127,6 +130,78 @@ def test_monomials_up_to(fdb6):
 def test_structure_reports_are_clean(fdb6):
     assert coassociativity_report(fdb6, max_degree=5) == []
     assert counit_report(fdb6, max_degree=5) == []
+
+
+# The per-monomial reports the generator reports replaced, kept as oracles:
+# they check each identity on every monomial instead of relying on the
+# coproduct being an algebra morphism.
+
+def _coassociativity_per_monomial(spec, max_degree):
+    problems = []
+    for m in monomials_up_to(spec, max_degree):
+        once = _coproduct_monomial(spec, m)
+        first, second = (
+            _splice(spec, once, leg, _coproduct_monomial) for leg in (0, 1)
+        )
+        if first != second:
+            problems.append(f"coassociativity failed on {m}")
+    return problems
+
+
+def _counit_per_monomial(spec, max_degree):
+    problems = []
+    for m in monomials_up_to(spec, max_degree):
+        once = _coproduct_monomial(spec, m).items()
+        left = Polynomial((b, c) for (a, b), c in once if a.is_unit)
+        right = Polynomial((a, c) for (a, b), c in once if b.is_unit)
+        expect = Polynomial.single(m)
+        if left != expect:
+            problems.append(f"left counit failed on {m}: got {left}")
+        if right != expect:
+            problems.append(f"right counit failed on {m}: got {right}")
+    return problems
+
+
+def _single_coefficient_corruptions(base):
+    for k, e in enumerate(base.entries):
+        entries = list(base.entries)
+        entries[k] = replace(e, coeff=e.coeff + 1)
+        yield CoproductSpec("corrupt", base.generators.values(), entries)
+
+
+@pytest.mark.parametrize(
+    "make, degree",
+    [
+        (lambda: faa_di_bruno_spec(6), 6),
+        (lambda: dualize(grafting_instance(5), 5), 5),
+    ],
+    ids=["fdb-6", "grafting-5-dual"],
+)
+def test_generator_reports_flag_the_tables_the_per_monomial_reports_flag(
+    make, degree
+):
+    base = make()
+    assert coassociativity_report(base, degree) == []
+    assert counit_report(base, degree) == []
+    assert _coassociativity_per_monomial(base, degree) == []
+    assert _counit_per_monomial(base, degree) == []
+    for spec in _single_coefficient_corruptions(base):
+        got = coassociativity_report(spec, degree)
+        # Every corruption is flagged by both; a generator is a monomial, so
+        # each line is one the oracle prints too.
+        assert got and set(got) <= set(_coassociativity_per_monomial(spec, degree))
+        assert counit_report(spec, degree) == _counit_per_monomial(spec, degree) == []
+
+
+@pytest.mark.parametrize(
+    "make, degree",
+    [(lambda: sym_spec(16), 16), (lambda: faa_di_bruno_spec(12), 12)],
+    ids=["sym-16", "fdb-12"],
+)
+def test_structure_reports_are_clean_past_degree_6(make, degree):
+    spec = make()
+    assert coassociativity_report(spec, degree) == []
+    assert counit_report(spec, degree) == []
 
 
 def test_coassociativity_flags_every_single_coefficient_corruption():

@@ -263,6 +263,10 @@ LOADER_CASES = [
         _row(1, right=[2, 1], coeff="x"),
         "coproduct[1]: right must be sorted ascending, got [2, 1]",
     ),
+    (
+        lambda d: (_row(0, coeff="1")(d), _row(1, coeff=True)(d)),
+        "coproduct[1]: coeff must be an integer or 'p/q' string, got True",
+    ),
 ]
 
 
@@ -289,6 +293,17 @@ def test_loader_reads_coefficients_exactly(raw, value):
     doc["coproduct"][1]["coeff"] = raw
     entry = spec_from_dict(doc).entries[1]
     assert entry.coeff == value and type(entry.coeff) is Fraction
+
+
+def test_loaded_entries_are_the_constructors_entries():
+    doc = spec_to_dict(faa_di_bruno_spec(4))
+    # one coefficient written three ways, the text twice
+    for row, raw in zip(doc["coproduct"], ["10", 10, "10", "20/2"]):
+        row["coeff"] = raw
+    for e in spec_from_dict(doc).entries:
+        built = CoproductEntry(e.source, e.left, list(e.right), e.coeff)
+        assert (e, hash(e), repr(e)) == (built, hash(built), repr(built))
+        assert type(e.right) is tuple and type(e.coeff) is Fraction
 
 
 @pytest.mark.parametrize(
