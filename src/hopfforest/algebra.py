@@ -138,8 +138,16 @@ def coefficient_text(c: Fraction) -> str:
         raise InputError(f"coefficient too big to print: over {limit} digits") from None
 
 
-TermMap = Mapping[Monomial, Scalar]
-Terms = Union[TermMap, Iterable[tuple[Monomial, Scalar]]]
+def _accumulate(pairs: Iterable[tuple[object, Scalar]]) -> dict:
+    """The one place (key, coefficient) pairs become a value's terms: each
+    coefficient goes to stored form (a float or a bool raises), coefficients
+    of repeated keys add up, and zero sums are dropped."""
+    acc: dict = {}
+    for key, c in pairs:
+        if type(c) is not int:
+            c = _scalar(c)
+        acc[key] = acc[key] + c if key in acc else c
+    return {k: c for k, c in acc.items() if c}
 
 
 class _CoefficientMap:
@@ -153,23 +161,23 @@ class _CoefficientMap:
     product ``_key_mul``, the key text ``_key_text``, ``_like`` (a value of
     the same kind and rank), and the term order in ``terms``.  ``__init__``,
     ``__add__`` and ``__mul__`` are bound on each subclass too, so per-class
-    timings can tell polynomial work from tensor work."""
+    timings can tell polynomial work from tensor work.
+
+    Only the public constructors check keys.  A value derived from values
+    that passed that check (a sum, product, negation or scalar multiple
+    here, and the package's internal sums elsewhere) is built by
+    ``_checked``, which skips ``_key`` and keeps the coefficient check."""
 
     __slots__ = ("_terms",)
 
     def __init__(
         self, terms: Union[Mapping[object, Scalar], Iterable[tuple[object, Scalar]]] = ()
     ) -> None:
-        """The one place (key, coefficient) pairs become a value:
-        coefficients of repeated keys add up, and zero sums are dropped."""
-        acc: dict = {}
+        """The public constructor: checks each key with ``_key``, then sums
+        the pairs through `_accumulate`."""
         key_of = self._key
-        for key, c in terms.items() if isinstance(terms, Mapping) else terms:
-            key = key_of(key)
-            if type(c) is not int:
-                c = _scalar(c)
-            acc[key] = acc[key] + c if key in acc else c
-        object.__setattr__(self, "_terms", {k: c for k, c in acc.items() if c})
+        pairs = terms.items() if isinstance(terms, Mapping) else terms
+        object.__setattr__(self, "_terms", _accumulate((key_of(k), c) for k, c in pairs))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -264,8 +272,16 @@ class Polynomial(_CoefficientMap):
             raise InputError(f"polynomial keys must be Monomial, got {m!r}")
         return m
 
-    def _like(self, terms: Terms) -> "Polynomial":
-        return Polynomial(terms)
+    @classmethod
+    def _checked(cls, terms: Iterable[tuple[Monomial, Scalar]]) -> "Polynomial":
+        """A polynomial of pairs whose keys are monomials of checked values:
+        no ``_key`` call."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "_terms", _accumulate(terms))
+        return out
+
+    def _like(self, terms: Iterable[tuple[Monomial, Scalar]]) -> "Polynomial":
+        return Polynomial._checked(terms)
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -335,8 +351,17 @@ class Tensor(_CoefficientMap):
     def _key_text(key: TensorKey) -> str:
         return " (x) ".join(m.render() for m in key)
 
-    def _like(self, terms) -> "Tensor":
-        return Tensor(self._rank, terms)
+    @classmethod
+    def _checked(cls, rank: int, terms: Iterable[tuple[TensorKey, Scalar]]) -> "Tensor":
+        """A rank-`rank` tensor of pairs whose keys are tuples of `rank`
+        monomials of checked values: no ``_key`` call."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "_rank", rank)
+        object.__setattr__(out, "_terms", _accumulate(terms))
+        return out
+
+    def _like(self, terms: Iterable[tuple[TensorKey, Scalar]]) -> "Tensor":
+        return Tensor._checked(self._rank, terms)
 
     @property
     def rank(self) -> int:
@@ -380,7 +405,7 @@ class Tensor(_CoefficientMap):
 
     def multiplied_out(self) -> Polynomial:
         """Multiply all slots together (the k-fold product applied to the tensor)."""
-        return Polynomial(
+        return Polynomial._checked(
             (_sorted_monomial(chain.from_iterable(key)), c)
             for key, c in self._terms.items()
         )

@@ -3,7 +3,9 @@ algebra, all exact and provably equal:
 
 * "dyson-salam": the geometric-series formula, summing (-1)^k times the
   multiplied-out k-fold iterated reduced coproduct; the grading truncates
-  the sum at k = degree.
+  the sum at k = degree.  No rank-k tensor is built: the iterate is held
+  as (product of the first k-1 slots) (x) (last slot), which is all the
+  multiplied-out sum and the next rank need.
 * "bogoliubov": the triangular recursion S(b) = -b - sum of coeff * S(left) *
   right over the reduced-coproduct table row, through left legs.
 * "forest": the cancellation-free expansion, the sum over realized trees of
@@ -14,8 +16,9 @@ algebra, all exact and provably equal:
 Both recursions are filled bottom-up: every generator below b along the
 route's own leg is evaluated in ascending degree through a memoized step,
 so each step finds the lower values in its memo and the Python stack stays
-flat however deep the table nests.  The term counts of `term_stats` come
-from the same tree recursion in closed form.
+flat however deep the table nests.  Dyson-Salam is a loop over ranks and
+reads reduced coproducts only, never an antipode value.  The term counts
+of `term_stats` come from the same tree recursion in closed form.
 
 On products the antipode is extended multiplicatively (the algebra is
 commutative), with S(1) = 1.
@@ -26,12 +29,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate
 from math import comb, prod
 from typing import Callable
 
-from .algebra import Monomial, Polynomial, _scalar, _sorted_monomial, mono
-from .coproduct import iterated_reduced_poly, reduced_coproduct_step
+from .algebra import UNIT, Monomial, Polynomial, Tensor, _scalar, _sorted_monomial, mono
+from .coproduct import _reduced_coproduct_monomial
 from .errors import InputError
 from .hopfspec import CoproductSpec, spec_memo
 
@@ -84,7 +86,7 @@ def _forest_step(spec: CoproductSpec, i: int) -> Polynomial:
         root = Polynomial.single(mono(e.left), _scalar(-e.coeff))
         trees = reduce(lambda p, j: p * _forest_step(spec, j), e.right, root)
         terms.extend(trees.items())
-    return Polynomial(terms)
+    return Polynomial._checked(terms)
 
 
 def antipode_dyson_salam(spec: CoproductSpec, i: int) -> Polynomial:
@@ -95,22 +97,35 @@ def antipode_dyson_salam(spec: CoproductSpec, i: int) -> Polynomial:
 def dyson_salam_poly(spec: CoproductSpec, p: Polynomial) -> Polynomial:
     """The Dyson-Salam route on an augmentation-ideal element: the sum over
     k of (-1)^k times the multiplied-out rank-k iterated reduced coproduct,
-    each rank one step from the last, for k up to the degree of p, past
-    which every iterate vanishes by grading."""
+    for k up to the degree of p, past which every iterate vanishes by
+    grading.
+
+    Only the product of the slots is summed, and the next rank expands only
+    the last slot, so the rank-k iterate is held in two slots: a rank-2
+    tensor sum of c * (slot 1 ... slot k-1) (x) (slot k), with the empty
+    product 1 at k = 1.  Each rank applies the reduced coproduct to the last
+    slot and multiplies its left factor into the first, and adds the
+    multiplied-out a * b with sign (-1)^k.  The sum over k is kept as it
+    stands: folding it into one recursion per monomial would give the
+    Bogoliubov recursion, and the route would no longer be independent of
+    it.  The route reads reduced coproducts only, never an antipode value."""
     if p.constant != 0:
         raise InputError("the alternating-sum antipode needs zero constant term")
     bound = max((spec.monomial_degree(m) for m, _ in p.items()), default=0)
-    # ranks 1..bound, each one reduced-coproduct step from the last
-    iterates = accumulate(
-        range(2, bound + 1),
-        lambda t, _: reduced_coproduct_step(spec, t),
-        initial=iterated_reduced_poly(spec, p, 1),
-    )
-    return Polynomial(
-        (m, (-1) ** k * c)
-        for k, t in enumerate(iterates, 1)
-        for m, c in t.multiplied_out().items()
-    )
+    iterate = Tensor._checked(2, (((UNIT, m), c) for m, c in p.items()))
+    terms = []
+    for k in range(1, bound + 1):
+        sign = (-1) ** k
+        terms.extend((a * b, sign * c) for (a, b), c in iterate.items())
+        iterate = Tensor._checked(
+            2,
+            (
+                ((a * left, right), c * c2)
+                for (a, b), c in iterate.items()
+                for (left, right), c2 in _reduced_coproduct_monomial(spec, b).items()
+            ),
+        )
+    return Polynomial._checked(terms)
 
 
 def antipode_bogoliubov(spec: CoproductSpec, i: int) -> Polynomial:
@@ -132,7 +147,7 @@ def _bogoliubov_step(spec: CoproductSpec, i: int) -> Polynomial:
         terms.extend(
             (m * right, c * cm) for m, cm in _bogoliubov_step(spec, e.left).items()
         )
-    return Polynomial(terms)
+    return Polynomial._checked(terms)
 
 
 _GENERATOR_METHODS = {
@@ -164,7 +179,7 @@ def antipode_poly(
     generator antipodes, S(1) = 1."""
     _route(method)
     pieces = ((_antipode_monomial(spec, m, method), c) for m, c in p.items())
-    return Polynomial((m, c * cs) for s, c in pieces for m, cs in s.items())
+    return Polynomial._checked((m, c * cs) for s, c in pieces for m, cs in s.items())
 
 
 @spec_memo

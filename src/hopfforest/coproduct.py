@@ -4,7 +4,11 @@ verification reports (coassociativity, counit, antipode convolution).
 
 The reduced coproduct of a generator comes straight from the table; the full
 coproduct adds the primitive part b (x) 1 + 1 (x) b.  On products both are
-determined by multiplicativity of the full coproduct.  Iterating the reduced
+determined by multiplicativity of the full coproduct: the coproduct of a
+monomial is built over its prefixes, shortest first, each one the product of
+the memoized coproduct of the prefix before it and one generator's, so the
+Python stack stays flat for any length.  A monomial's reduced coproduct is
+its full coproduct without the two primitive terms.  Iterating the reduced
 coproduct always terminates with zero once the rank exceeds the degree, which
 is what makes the degree-many-step antipode formulas finite.
 
@@ -19,7 +23,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Callable
 
-from .algebra import UNIT, Monomial, Polynomial, Tensor, mono
+from .algebra import UNIT, Monomial, Polynomial, Tensor, _sorted_monomial, mono
 from .errors import InputError
 from .hopfspec import CoproductSpec, graded_monomials, spec_memo
 
@@ -27,7 +31,7 @@ from .hopfspec import CoproductSpec, graded_monomials, spec_memo
 @spec_memo
 def reduced_coproduct_generator(spec: CoproductSpec, i: int) -> Tensor:
     """The table's rank-2 tensor for generator i (no primitive part)."""
-    return Tensor(
+    return Tensor._checked(
         2,
         [((mono(e.left), Monomial(e.right)), e.coeff) for e in spec.entries_for(i)],
     )
@@ -38,41 +42,65 @@ def full_coproduct_generator(spec: CoproductSpec, i: int) -> Tensor:
     """b_i (x) 1 + 1 (x) b_i + reduced part."""
     b = mono(i)
     primitive = [((b, UNIT), 1), ((UNIT, b), 1)]
-    return Tensor(2, chain(primitive, reduced_coproduct_generator(spec, i).items()))
+    return Tensor._checked(2, chain(primitive, reduced_coproduct_generator(spec, i).items()))
 
 
 @spec_memo
 def _coproduct_monomial(spec: CoproductSpec, m: Monomial) -> Tensor:
-    """Full coproduct of one monomial: the product of its factors' ones."""
-    out = Tensor.one(2)
-    for i in m:
-        out = out * full_coproduct_generator(spec, i)
-    return out
+    """Full coproduct of one monomial, memoized.  The prefixes of m are
+    evaluated shortest first through the memoized `_coproduct_prefix`, so
+    each step finds its own prefix in the memo and the Python stack stays
+    flat for any length."""
+    value = Tensor.one(2)
+    for k in range(1, len(m) + 1):
+        value = _coproduct_prefix(spec, _sorted_monomial(m[:k]))
+    return value
+
+
+@spec_memo
+def _coproduct_prefix(spec: CoproductSpec, m: Monomial) -> Tensor:
+    """Delta(b_I) = Delta(b_I') * Delta(b_last) for a non-unit monomial,
+    where I' is I without its last index: the coproduct is an algebra
+    morphism."""
+    last = full_coproduct_generator(spec, m[-1])
+    if len(m) == 1:
+        return last
+    return _coproduct_prefix(spec, _sorted_monomial(m[:-1])) * last
 
 
 def coproduct_poly(spec: CoproductSpec, p: Polynomial) -> Tensor:
     """Full coproduct, extended multiplicatively from generators."""
     pieces = ((_coproduct_monomial(spec, m), c) for m, c in p.items())
-    return Tensor(2, ((key, c * ct) for t, c in pieces for key, ct in t.items()))
+    return Tensor._checked(2, ((key, c * ct) for t, c in pieces for key, ct in t.items()))
+
+
+def _reject_constant(c: object) -> None:
+    raise InputError(
+        f"reduced coproduct needs a polynomial with zero constant term, got constant {c}"
+    )
 
 
 def reduced_coproduct_poly(spec: CoproductSpec, p: Polynomial) -> Tensor:
     """Full coproduct minus both primitive legs; defined on augmentation-ideal
     elements (zero constant term) only."""
     if p.constant != 0:
-        raise InputError(
-            "reduced coproduct needs a polynomial with zero constant term, "
-            f"got constant {p.constant}"
-        )
-    primitive = [(key, -c) for m, c in p.items() for key in ((m, UNIT), (UNIT, m))]
-    return Tensor(2, chain(coproduct_poly(spec, p).items(), primitive))
+        _reject_constant(p.constant)
+    pieces = ((_reduced_coproduct_monomial(spec, m), c) for m, c in p.items())
+    return Tensor._checked(2, ((key, c * ct) for t, c in pieces for key, ct in t.items()))
 
 
 @spec_memo
 def _reduced_coproduct_monomial(spec: CoproductSpec, m: Monomial) -> Tensor:
-    """Reduced coproduct of one monomial; the unit monomial has none and
-    raises InputError."""
-    return reduced_coproduct_poly(spec, Polynomial.single(m))
+    """Reduced coproduct of one monomial: its full coproduct without the two
+    primitive terms m (x) 1 and 1 (x) m.  Each has coefficient 1 there,
+    since a table row has a generator on the left and a nonempty right leg.
+    The unit monomial has none and raises InputError."""
+    if m.is_unit:
+        _reject_constant(1)
+    primitive = ((m, UNIT), (UNIT, m))
+    return Tensor._checked(
+        2, (t for t in _coproduct_monomial(spec, m).items() if t[0] not in primitive)
+    )
 
 
 def _splice(
@@ -81,7 +109,7 @@ def _splice(
     """Replace slot `leg` of every term of t by its rank-2 coproduct, read
     from a memoized per-monomial map (full or reduced); the rank goes up
     by one."""
-    return Tensor(
+    return Tensor._checked(
         t.rank + 1,
         (
             (key[:leg] + pair + key[leg + 1 :], c * c2)
@@ -115,7 +143,7 @@ def iterated_reduced_poly(
     if k < 1:
         raise InputError(f"tensor rank must be >= 1, got {k}")
     _check_leg(leg)
-    out = Tensor(1, [((m,), c) for m, c in p.items()])
+    out = Tensor._checked(1, [((m,), c) for m, c in p.items()])
     for _ in range(k - 1):
         out = reduced_coproduct_step(spec, out, leg)
         if out.is_zero:
@@ -146,7 +174,7 @@ def convolution_check(
     problems: list[str] = []
     for m in monomials_up_to(spec, max_degree):
         expect = Polynomial.one() if m.is_unit else Polynomial.zero()
-        got = Polynomial(
+        got = Polynomial._checked(
             (sa * b, c * ca)
             for (a, b), c in _coproduct_monomial(spec, m).items()
             for sa, ca in antipode(a).items()
@@ -190,8 +218,8 @@ def counit_report(spec: CoproductSpec, max_degree: int) -> list[str]:
     problems: list[str] = []
     for i in _generators_up_to(spec, max_degree):
         once = full_coproduct_generator(spec, i).items()
-        left = Polynomial((b, c) for (a, b), c in once if a.is_unit)
-        right = Polynomial((a, c) for (a, b), c in once if b.is_unit)
+        left = Polynomial._checked((b, c) for (a, b), c in once if a.is_unit)
+        right = Polynomial._checked((a, c) for (a, b), c in once if b.is_unit)
         expect = Polynomial.variable(i)
         if left != expect:
             problems.append(f"left counit failed on {mono(i)}: got {left}")

@@ -182,7 +182,7 @@ def brace_action(spec: PreLieSpec, i: int, right: Monomial) -> Polynomial:
         for m, c in brace_action(spec, i, rest).items()
     ]
     parts += [(brace_action(spec, i, m), -c) for m, c in derivation.items()]
-    return Polynomial((m, w * c) for value, w in parts for m, c in value.items())
+    return Polynomial._checked((m, w * c) for value, w in parts for m, c in value.items())
 
 
 @spec_memo
@@ -204,7 +204,7 @@ def guin_oudom_mul(spec: PreLieSpec, a: Monomial, b: Monomial) -> Polynomial:
         (brace_action(spec, x, b1), guin_oudom_mul(spec, rest, b2), c)
         for (b1, b2), c in unshuffle_coproduct(b).items()
     ]
-    return Polynomial(
+    return Polynomial._checked(
         (m1 * m2, c * c1 * c2)
         for hit, rest_product, c in pieces
         for m1, c1 in hit.items()
@@ -215,7 +215,7 @@ def guin_oudom_mul(spec: PreLieSpec, a: Monomial, b: Monomial) -> Polynomial:
 def guin_oudom_poly(spec: PreLieSpec, p: Polynomial, q: Polynomial) -> Polynomial:
     """Bilinear extension of the enveloping product."""
     pairs = ((m1, m2, c1 * c2) for m1, c1 in p.items() for m2, c2 in q.items())
-    return Polynomial(
+    return Polynomial._checked(
         (m, w * c) for m1, m2, w in pairs for m, c in guin_oudom_mul(spec, m1, m2).items()
     )
 
@@ -229,12 +229,14 @@ def unshuffle_coproduct(m: Monomial) -> Tensor:
     def part(mask: int) -> Monomial:
         return Monomial(tuple(i for s, i in enumerate(idx) if mask >> s & 1))
 
-    return Tensor(2, (((part(mask), part(full ^ mask)), 1) for mask in range(full + 1)))
+    return Tensor._checked(
+        2, (((part(mask), part(full ^ mask)), 1) for mask in range(full + 1))
+    )
 
 
 def unshuffle_poly(p: Polynomial) -> Tensor:
     pieces = ((unshuffle_coproduct(m), c) for m, c in p.items())
-    return Tensor(2, ((key, c * ct) for t, c in pieces for key, ct in t.items()))
+    return Tensor._checked(2, ((key, c * ct) for t, c in pieces for key, ct in t.items()))
 
 
 def prelie_check(spec: PreLieSpec) -> list[str]:
@@ -269,7 +271,7 @@ def _associator(spec: PreLieSpec, x: int, y: int, z: int) -> Polynomial:
         for m, c in prelie_product(spec, y, z).items()
         for m2, c2 in prelie_product(spec, x, m.indices[0]).items()
     )
-    return Polynomial(chain(first, second))
+    return Polynomial._checked(chain(first, second))
 
 
 def associativity_report(spec: PreLieSpec) -> list[str]:

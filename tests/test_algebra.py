@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hopfforest import antipode, cli, coproduct, prelie
 from hopfforest.algebra import (
     UNIT,
     Monomial,
@@ -17,6 +18,8 @@ from hopfforest.algebra import (
     multiset,
 )
 from hopfforest.errors import InputError
+from hopfforest.hopfspec import faa_di_bruno_spec, load_spec_file, save_spec
+from hopfforest.prelie import grafting_instance, save_prelie
 
 indices = st.integers(min_value=1, max_value=5)
 monomials = st.lists(indices, max_size=4).map(lambda xs: mono(*xs))
@@ -61,6 +64,53 @@ def cancelling_pairs(draw, keys):
 def test_public_constructors_check_their_input(build):
     with pytest.raises(InputError):
         build()
+
+
+def test_derived_values_pass_the_public_check(monkeypatch, tmp_path, capsys):
+    # Values built from checked values skip the key check; every one made
+    # while verifying two tables must still be what the public constructor
+    # builds from its pairs.
+    made: dict[str, list] = {}
+
+    def record(kind, fn):
+        def recorded(*args):
+            value = fn(*args)
+            made.setdefault(kind, []).append(value)
+            return value
+
+        return recorded
+
+    for cls in (Polynomial, Tensor):
+        monkeypatch.setattr(cls, "_checked", classmethod(record("built", cls._checked.__func__)))
+        monkeypatch.setattr(cls, "__add__", record("sum", cls.__add__))
+        monkeypatch.setattr(cls, "__mul__", record("product", cls.__mul__))
+    monkeypatch.setattr(coproduct, "_splice", record("splice", coproduct._splice))
+    for name, route in list(antipode._GENERATOR_METHODS.items()):
+        monkeypatch.setitem(antipode._GENERATOR_METHODS, name, record("route", route))
+    monkeypatch.setattr(prelie, "guin_oudom_mul", record("guin-oudom", prelie.guin_oudom_mul))
+
+    fdb8, graft5, dual5 = (tmp_path / name for name in ("fdb8", "graft5", "dual5"))
+    fdb8.write_text(save_spec(faa_di_bruno_spec(8)))
+    graft5.write_text(save_prelie(grafting_instance(5)))
+    assert cli.run(["verify", "--spec", str(fdb8), "--max-degree", "8"]) == 0
+    capsys.readouterr()
+    assert cli.run(["dualize", "--prelie", str(graft5), "--max-degree", "5"]) == 0
+    dual5.write_text(capsys.readouterr().out)
+    assert cli.run(["verify", "--spec", str(dual5), "--max-degree", "5"]) == 0
+    for path in (fdb8, dual5):
+        spec = load_spec_file(str(path))
+        for i in spec.generator_ids():
+            for k in range(1, spec.degree(i) + 1):
+                iterate = coproduct.iterated_reduced(spec, i, k)
+                made.setdefault("multiplied out", []).append(iterate.multiplied_out())
+
+    kinds = {"built", "sum", "product", "splice", "route", "guin-oudom", "multiplied out"}
+    assert set(made) == kinds
+    for value in (v for values in made.values() for v in values):
+        if isinstance(value, Tensor):
+            assert Tensor(value.rank, value.items()) == value
+        else:
+            assert Polynomial(value.items()) == value
 
 
 def test_multiset_sorts_and_validates():

@@ -5,14 +5,14 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopfforest import antipode
-from hopfforest.algebra import Monomial, Polynomial, mono
+from hopfforest.algebra import Monomial, Polynomial, Tensor, mono
 from hopfforest.antipode import (
     METHODS,
     TermStats,
@@ -27,6 +27,8 @@ from hopfforest.coproduct import (
     coassociativity_report,
     convolution_check,
     counit_report,
+    coproduct_poly,
+    iterated_reduced_poly,
     monomials_up_to,
 )
 from hopfforest.errors import InputError
@@ -109,6 +111,45 @@ def test_alternating_sum_on_polynomials_cross_checks(fdb6):
         dyson_salam_poly(fdb6, Polynomial.one())
 
 
+def _dyson_salam_by_tensors(spec, p):
+    """The Dyson-Salam sum through whole tensors: each rank-k iterated
+    reduced coproduct built in full, multiplied out, then summed with sign
+    (-1)^k."""
+    bound = max(spec.monomial_degree(m) for m, _ in p.items())
+    total = Polynomial.zero()
+    for k in range(1, bound + 1):
+        total = total + iterated_reduced_poly(spec, p, k).multiplied_out() * (-1) ** k
+    return total
+
+
+@pytest.fixture(scope="module")
+def dual6():
+    return dualize(grafting_instance(6), 6)
+
+
+@pytest.mark.parametrize(
+    "table, element",
+    [("fdb-9", 9), ("sym-14", 14), ("fdb-6", "mixed")]
+    # the grafting-6 dual has one generator per rooted tree of <= 6 vertices
+    + [("grafting-6-dual", i) for i in range(1, 38)],
+)
+def test_two_slot_dyson_salam_matches_the_tensor_route(dual6, table, element):
+    if table == "grafting-6-dual":
+        assert dual6.generator_ids() == list(range(1, 38))
+    spec = {
+        "fdb-9": lambda: faa_di_bruno_spec(9),
+        "sym-14": lambda: sym_spec(14),
+        "fdb-6": lambda: faa_di_bruno_spec(6),
+        "grafting-6-dual": lambda: dual6,
+    }[table]()
+    if element == "mixed":
+        # mixed degrees: each term's iterates vanish at a different rank
+        p = Polynomial({mono(1, 2): 2, mono(3): -1, mono(1): 5})
+    else:
+        p = Polynomial.variable(element)
+    assert dyson_salam_poly(spec, p) == _dyson_salam_by_tensors(spec, p)
+
+
 def test_ungraded_table_is_rejected_at_construction():
     # Each row breaks the grading.  Built unchecked, (2; 1; [2]) sent tree
     # enumeration into unbounded recursion while dyson-salam and bogoliubov
@@ -156,6 +197,43 @@ def test_antipode_of_a_monomial_longer_than_the_recursion_limit(method):
     finally:
         sys.setrecursionlimit(limit)
     assert got == Polynomial({b1_300: 4, b1_298_b2: -1})
+
+
+def test_coproduct_of_a_monomial_longer_than_the_recursion_limit():
+    # Delta(b1) = b1 (x) 1 + 1 (x) b1 and Delta(b2) = b2 (x) 1 + 1 (x) b2
+    # + 3 b1 (x) b1, so Delta(b1^n) = sum_j C(n, j) b1^j (x) b1^(n-j), and
+    # Delta(b1^298 b2) is that for n = 298 times Delta(b2).  The coproduct is
+    # memoized per prefix, and a fresh spec fills all 300 prefixes in one
+    # call.  The convolution check runs on b1^300 and every shorter power of
+    # the one-generator table, and by hand on both monomials of p.
+    spec, line = faa_di_bruno_spec(3), faa_di_bruno_spec(1)
+    b2 = mono(2)
+    power = [Monomial([1] * n) for n in range(301)]
+    p = Polynomial({power[300]: 1, power[298] * b2: 1})
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        delta = coproduct_poly(spec, p)
+        antipode_of = antipode_endomap(spec, "bogoliubov")
+        convolved = Polynomial(
+            (sa * b, c * ca)
+            for (a, b), c in delta.items()
+            for sa, ca in antipode_of(a).items()
+        )
+        problems = convolution_check(line, 300, antipode_endomap(line, "bogoliubov"))
+    finally:
+        sys.setrecursionlimit(limit)
+    terms = Counter()
+    for j in range(301):
+        terms[power[j], power[300 - j]] += comb(300, j)
+    for j in range(299):
+        c = comb(298, j)
+        terms[power[j] * b2, power[298 - j]] += c
+        terms[power[j], power[298 - j] * b2] += c
+        terms[power[j + 1], power[299 - j]] += 3 * c
+    assert delta == Tensor(2, terms)
+    assert convolved.is_zero
+    assert problems == []
 
 
 @pytest.mark.parametrize("wrong", METHODS)
@@ -321,7 +399,7 @@ def _antipode_of_h(n):
 
 
 @pytest.mark.parametrize(
-    "method, n", [("bogoliubov", 30), ("dyson-salam", 16), ("forest", 30)]
+    "method, n", [("bogoliubov", 30), ("dyson-salam", 30), ("forest", 30)]
 )
 def test_symmetric_functions_antipode_matches_the_closed_form(method, n):
     spec = sym_spec(n)
@@ -334,11 +412,11 @@ def fdb20():
 
 
 @pytest.mark.parametrize(
-    "method, n", [("bogoliubov", 20), ("forest", 20), ("dyson-salam", 12)]
+    "method, n", [("bogoliubov", 20), ("forest", 20), ("dyson-salam", 16)]
 )
 def test_composition_antipode_matches_lagrange_inversion(fdb20, method, n):
     # b_n has the same rows in every table of degree >= n, so the
-    # degree-20 table serves n = 12 too.
+    # degree-20 table serves n = 16 too.
     rng = random.Random(n)
     value = antipode_generator(fdb20, n, method)
     poly = {m.indices: c for m, c in value.terms()}
