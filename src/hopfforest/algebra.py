@@ -48,13 +48,12 @@ class Monomial(tuple):
     holding the sorted generator indices.  The empty tuple is the unit
     monomial (the scalar 1).
 
-    The constructor checks the indices; a product only sorts the indices of
-    its two factors, which were checked when the factors were built.  Hash
-    and equality are tuple's, so a monomial equals (and hashes like) the
-    plain tuple of its indices; ``Polynomial`` and ``Tensor`` still refuse
-    keys that are not monomials.  The tuple's own ``+`` and ``*`` (joining
-    and repeating) raise ``TypeError``: the only product is monomial times
-    monomial."""
+    The constructor checks the indices; a product does not re-check them,
+    since they were checked when its factors were built.  Hash and equality
+    are tuple's, so a monomial equals (and hashes like) the plain tuple of
+    its indices; ``Polynomial`` and ``Tensor`` still refuse keys that are
+    not monomials.  The tuple's own ``+`` and ``*`` (joining and repeating)
+    raise ``TypeError``: the only product is monomial times monomial."""
 
     __slots__ = ()
 
@@ -65,9 +64,18 @@ class Monomial(tuple):
         return (Monomial, (tuple(self),))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
+        """The product monomial.  Anything but a Monomial raises TypeError,
+        the unit included as a plain tuple; a unit factor returns the other
+        factor itself, and any other product sorts the joined indices once."""
         if type(other) is not Monomial:
             self._refuse(other)
-        return _sorted_monomial([*self, *other])
+        if not other:
+            return self
+        if not self:
+            return other
+        indices = [*self, *other]
+        indices.sort()
+        return tuple.__new__(Monomial, indices)
 
     def _refuse(self, other: object):
         # raise, not NotImplemented: CPython would then fall back to tuple's
@@ -99,7 +107,8 @@ class Monomial(tuple):
 
 
 def _sorted_monomial(indices: Iterable[int]) -> Monomial:
-    """The monomial of already-checked indices, in any order."""
+    """The monomial of already-checked indices, in any order: a product, a
+    slice or a copy of the indices of checked monomials or table rows."""
     return tuple.__new__(Monomial, sorted(indices))
 
 
@@ -143,10 +152,12 @@ def _accumulate(pairs: Iterable[tuple[object, Scalar]]) -> dict:
     coefficient goes to stored form (a float or a bool raises), coefficients
     of repeated keys add up, and zero sums are dropped."""
     acc: dict = {}
+    get = acc.get
     for key, c in pairs:
         if type(c) is not int:
             c = _scalar(c)
-        acc[key] = acc[key] + c if key in acc else c
+        before = get(key)
+        acc[key] = c if before is None else before + c
     return {k: c for k, c in acc.items() if c}
 
 

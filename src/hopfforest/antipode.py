@@ -55,7 +55,7 @@ def _below(spec: CoproductSpec, i: int, leg: str) -> list[int]:
     return sorted(seen, key=lambda j: (spec.degree(j), j))
 
 
-def _bottom_up(step: Callable, spec: CoproductSpec, i: int, leg: str) -> Polynomial:
+def _bottom_up(step: Callable, spec: CoproductSpec, i: int, leg: str):
     """step(spec, i) after step(spec, j) for every j below i along ``leg``:
     step is memoized and looks up only generators below its argument, so
     each of those lookups is a memo hit."""
@@ -143,7 +143,7 @@ def _bogoliubov_step(spec: CoproductSpec, i: int) -> Polynomial:
     for e in spec.entries_for(i):
         # the row coefficient in stored form, so integer tables multiply ints
         c = _scalar(-e.coeff)
-        right = Monomial(e.right)
+        right = _sorted_monomial(e.right)
         terms.extend(
             (m * right, c * cm) for m, cm in _bogoliubov_step(spec, e.left).items()
         )
@@ -248,36 +248,42 @@ def _add_multisets(
 
 def term_stats(spec: CoproductSpec, i: int) -> TermStats:
     """The realized trees of b_i counted through the tree recursion, bottom-up
-    over the generators below i along right legs: a tree is the leaf, or a
-    root row (i; l; J) with a multiset of realized subtrees for each distinct
-    j of J, so counts multiply as multichooses.  Per generator this keeps
-    the trees by vertex count, and T_k, the trees of height at most k; then
+    over the generators below i along right legs (see `_tree_counts`): T is
+    the number of trees and T_k the number of height at most k, so
     sum(h) = sum over k >= 0 of (T - T_k) and dyson_salam_terms =
     sum(l) - sum(h) + T."""
-    depth = spec.degree(i)  # a tree's height is at most its root's degree
-    by_length: dict[int, dict[int, int]] = {}
-    by_height: dict[int, list[int]] = {}  # j: [T_0(j), ..., T_depth(j)]
-    for j in _below(spec, i, "right"):
-        lengths = {1: 1}
-        heights = [0] + [1] * depth
-        for e in spec.entries_for(j):
-            legs = Counter(e.right)
-            row = {1: 1}  # the root vertex
-            for r, m in legs.items():
-                row = _add_multisets(row, by_length[r], m)
-            for total, w in row.items():
-                lengths[total] = lengths.get(total, 0) + w
-            for k in range(1, depth + 1):
-                heights[k] += prod(
-                    comb(by_height[r][k - 1] + m - 1, m) for r, m in legs.items()
-                )
-        by_length[j] = lengths
-        by_height[j] = heights
-    trees = by_height[i][depth]
-    sum_l = sum(l * w for l, w in by_length[i].items())
-    sum_h = sum(trees - t for t in by_height[i][:depth])
+    by_length, heights = _bottom_up(_tree_counts, spec, i, "right")
+    trees = heights[-1]
+    sum_l = sum(l * w for l, w in by_length.items())
+    sum_h = sum(trees - t for t in heights[:-1])
     return TermStats(
         dyson_salam_terms=sum_l - sum_h + trees,
         forest_terms=trees,
-        tree_count_by_length=dict(sorted(by_length[i].items())),
+        tree_count_by_length=dict(sorted(by_length.items())),
     )
+
+
+@spec_memo
+def _tree_counts(spec: CoproductSpec, j: int) -> tuple[dict[int, int], list[int]]:
+    """The realized trees of b_j by vertex count, and [T_0, ..., T_deg(j)]
+    with T_k the trees of height at most k.  A tree is the leaf, or a root
+    row (j; l; J) with a multiset of realized subtrees for each distinct r
+    of J, so counts multiply as multichooses.  A tree's height is at most
+    its root's degree, so T_k = T_deg(r) for k past deg(r).  The caller
+    must not change the returned values: they are memoized."""
+    depth = spec.degree(j)
+    lengths = {1: 1}
+    heights = [0] + [1] * depth
+    for e in spec.entries_for(j):
+        legs = [(_tree_counts(spec, r), m) for r, m in Counter(e.right).items()]
+        row = {1: 1}  # the root vertex
+        for (sub_lengths, _), m in legs:
+            row = _add_multisets(row, sub_lengths, m)
+        for total, w in row.items():
+            lengths[total] = lengths.get(total, 0) + w
+        for k in range(1, depth + 1):
+            heights[k] += prod(
+                comb(sub[min(k - 1, len(sub) - 1)] + m - 1, m)
+                for (_, sub), m in legs
+            )
+    return lengths, heights

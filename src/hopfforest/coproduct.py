@@ -33,7 +33,7 @@ def reduced_coproduct_generator(spec: CoproductSpec, i: int) -> Tensor:
     """The table's rank-2 tensor for generator i (no primitive part)."""
     return Tensor._checked(
         2,
-        [((mono(e.left), Monomial(e.right)), e.coeff) for e in spec.entries_for(i)],
+        [((mono(e.left), _sorted_monomial(e.right)), e.coeff) for e in spec.entries_for(i)],
     )
 
 

@@ -39,11 +39,16 @@ from .algebra import _fraction, _scalar
 from .errors import InputError
 
 
+_MISSING = object()
+
+
 def spec_memo(fn: Callable) -> Callable:
     """Memoize ``fn(spec, *key)`` in ``spec._cache[fn]``, so the memo lives
     and dies with the spec.  Omitted trailing arguments take ``fn``'s
-    defaults; keyword arguments are not supported.  The memo is an
-    unsynchronized dict: threads sharing a spec may compute an entry twice."""
+    defaults; keyword arguments are not supported.  A hit is two dict
+    lookups and returns the stored object itself; a call that raises stores
+    nothing, so the next call raises again.  The memo is an unsynchronized
+    dict: threads sharing a spec may compute an entry twice."""
     arity = fn.__code__.co_argcount - 1
     defaults = fn.__defaults__ or ()
 
@@ -51,10 +56,13 @@ def spec_memo(fn: Callable) -> Callable:
     def memoized(spec, *key):
         if len(key) < arity:
             key += defaults[len(key) - arity :]
-        memo = spec._cache.setdefault(fn, {})
-        if key not in memo:
-            memo[key] = fn(spec, *key)
-        return memo[key]
+        memo = spec._cache.get(fn)
+        if memo is None:
+            memo = spec._cache[fn] = {}
+        value = memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = memo[key] = fn(spec, *key)
+        return value
 
     return memoized
 

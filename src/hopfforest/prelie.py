@@ -34,6 +34,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 from .algebra import Monomial, Polynomial, Scalar, Tensor, coefficient_text
+from .algebra import _sorted_monomial
 from .coproduct import coassociativity_report, counit_report
 from .errors import ConstructionError, InputError
 from .hopfspec import (
@@ -172,11 +173,12 @@ def brace_action(spec: PreLieSpec, i: int, right: Monomial) -> Polynomial:
             f"brace ({i}; {right}) lands at degree {degree}, above the "
             f"truncation {spec.truncation}"
         )
-    last = right.indices[-1]
+    last = right[-1]
     if len(right) == 1:
         return prelie_product(spec, i, last)
-    rest = Monomial(right.indices[:-1])
-    derivation = guin_oudom_mul(spec, rest, Monomial((last,))) - Polynomial.single(right)
+    rest = _sorted_monomial(right[:-1])
+    derivation = guin_oudom_mul(spec, rest, _sorted_monomial((last,)))
+    derivation -= Polynomial.single(right)
     parts = [
         (prelie_product(spec, m.indices[0], last), c)
         for m, c in brace_action(spec, i, rest).items()
@@ -198,8 +200,8 @@ def guin_oudom_mul(spec: PreLieSpec, a: Monomial, b: Monomial) -> Polynomial:
     above the truncation."""
     if a.is_unit:
         return Polynomial.single(b)
-    x = a.indices[0]
-    rest = Monomial(a.indices[1:])
+    x = a[0]
+    rest = _sorted_monomial(a[1:])
     pieces = [
         (brace_action(spec, x, b1), guin_oudom_mul(spec, rest, b2), c)
         for (b1, b2), c in unshuffle_coproduct(b).items()
@@ -227,7 +229,7 @@ def unshuffle_coproduct(m: Monomial) -> Tensor:
     full = (1 << len(idx)) - 1
 
     def part(mask: int) -> Monomial:
-        return Monomial(tuple(i for s, i in enumerate(idx) if mask >> s & 1))
+        return _sorted_monomial([i for s, i in enumerate(idx) if mask >> s & 1])
 
     return Tensor._checked(
         2, (((part(mask), part(full ^ mask)), 1) for mask in range(full + 1))
@@ -278,19 +280,19 @@ def associativity_report(spec: PreLieSpec) -> list[str]:
     """Checks (a*b)*c = a*(b*c) for the enveloping product on every monomial
     triple whose total degree fits under the truncation (unit included)."""
     t = spec.truncation
-    mons = _monomial_degrees(spec)
+    mons = [(m, d, Polynomial.single(m)) for m, d in _monomial_degrees(spec, t)]
     problems: list[str] = []
-    for a, da in mons:
-        for b, db in mons:
+    for a, da, single_a in mons:
+        for b, db, _ in mons:
             if da + db > t:
                 break
             ab = guin_oudom_mul(spec, a, b)
-            for c, dc in mons:
+            for c, dc, single_c in mons:
                 if da + db + dc > t:
                     break
                 bc = guin_oudom_mul(spec, b, c)
-                lhs = guin_oudom_poly(spec, ab, Polynomial.single(c))
-                rhs = guin_oudom_poly(spec, Polynomial.single(a), bc)
+                lhs = guin_oudom_poly(spec, ab, single_c)
+                rhs = guin_oudom_poly(spec, single_a, bc)
                 if lhs != rhs:
                     problems.append(
                         f"enveloping product not associative on ({a}, {b}, {c})"
@@ -302,7 +304,7 @@ def filtration_report(spec: PreLieSpec) -> list[str]:
     """Checks that a length-n monomial times a length-m monomial is
     supported in word lengths n..n+m, and stays degree-homogeneous."""
     t = spec.truncation
-    mons = _monomial_degrees(spec)
+    mons = _monomial_degrees(spec, t)
     # Every monomial in the basis ids of degree <= t is a key, so a term that
     # is missing lies above the truncation.
     degree_of = dict(mons)
@@ -326,13 +328,14 @@ def filtration_report(spec: PreLieSpec) -> list[str]:
     return problems
 
 
-def _monomial_degrees(spec: PreLieSpec) -> list[tuple[Monomial, int]]:
-    """(monomial, degree) for every monomial up to the truncation, unit
-    first, ascending in degree."""
+def _monomial_degrees(spec: PreLieSpec, max_degree: int) -> list[tuple[Monomial, int]]:
+    """(monomial, degree) for every monomial of degree <= max_degree, unit
+    first, in the canonical order of `graded_monomials`: ascending in
+    degree, so the monomials up to a lower degree are a prefix."""
     degree = {i: g.degree for i, g in spec.basis.items()}
     return [
         (m, sum(map(degree.__getitem__, m)))
-        for m in graded_monomials(spec.basis.values(), spec.truncation)
+        for m in graded_monomials(spec.basis.values(), max_degree)
     ]
 
 
@@ -438,11 +441,14 @@ def dualize(spec: PreLieSpec, max_degree: int) -> CoproductSpec:
         g for g in sorted(spec.basis.values(), key=lambda g: g.id)
         if g.degree <= max_degree
     ]
+    # every right leg fits under max_degree - 1; each generator reads the
+    # prefix that fits beside it
+    rights = _monomial_degrees(spec, max_degree - 1)[1:]  # no unit
     entries: list[CoproductEntry] = []
     for g in gens:
-        for right in graded_monomials(spec.basis.values(), max_degree - g.degree):
-            if right.is_unit:
-                continue
+        for right, degree in rights:
+            if degree > max_degree - g.degree:
+                break
             sym = _symmetry_factor(right)
             for m, c in brace_action(spec, g.id, right).items():
                 entries.append(

@@ -67,9 +67,11 @@ def test_public_constructors_check_their_input(build):
 
 
 def test_derived_values_pass_the_public_check(monkeypatch, tmp_path, capsys):
-    # Values built from checked values skip the key check; every one made
-    # while verifying two tables must still be what the public constructor
-    # builds from its pairs.
+    # Values built from checked values skip the key check, and monomials
+    # sliced or copied from checked ones skip the index check; every value
+    # made while verifying two tables, checking a preLie table and
+    # dualizing it must still be what the public constructors build from
+    # its pairs and indices.
     made: dict[str, list] = {}
 
     def record(kind, fn):
@@ -93,6 +95,7 @@ def test_derived_values_pass_the_public_check(monkeypatch, tmp_path, capsys):
     fdb8.write_text(save_spec(faa_di_bruno_spec(8)))
     graft5.write_text(save_prelie(grafting_instance(5)))
     assert cli.run(["verify", "--spec", str(fdb8), "--max-degree", "8"]) == 0
+    assert cli.run(["prelie-verify", "--prelie", str(graft5)]) == 0
     capsys.readouterr()
     assert cli.run(["dualize", "--prelie", str(graft5), "--max-degree", "5"]) == 0
     dual5.write_text(capsys.readouterr().out)
@@ -109,8 +112,12 @@ def test_derived_values_pass_the_public_check(monkeypatch, tmp_path, capsys):
     for value in (v for values in made.values() for v in values):
         if isinstance(value, Tensor):
             assert Tensor(value.rank, value.items()) == value
+            keys = [m for key, _ in value.items() for m in key]
         else:
             assert Polynomial(value.items()) == value
+            keys = [m for m, _ in value.items()]
+        for m in keys:
+            assert m == Monomial(tuple(m))
 
 
 def test_multiset_sorts_and_validates():
@@ -173,8 +180,16 @@ def test_monomial_round_trips_through_pickle_and_deepcopy():
 
 @pytest.mark.parametrize(
     "op",
-    [lambda m: m * 2, lambda m: 2 * m, lambda m: m + m, lambda m: (1,) + m],
-    ids=["m*2", "2*m", "m+m", "tuple+m"],
+    [
+        lambda m: m * 2,
+        lambda m: 2 * m,
+        lambda m: m + m,
+        lambda m: (1,) + m,
+        # the monomial check comes before the unit shortcut of the product
+        lambda m: m * (),
+        lambda m: UNIT * (1,),
+    ],
+    ids=["m*2", "2*m", "m+m", "tuple+m", "m*()", "UNIT*(1,)"],
 )
 def test_monomial_has_no_tuple_repetition_or_concatenation(op):
     with pytest.raises(TypeError):

@@ -21,6 +21,7 @@ from hopfforest.hopfspec import (
     load_spec_file,
     save_spec,
     spec_from_dict,
+    spec_memo,
     spec_to_dict,
     sym_spec,
 )
@@ -100,6 +101,33 @@ def test_generators_are_frozen_after_construction():
     with pytest.raises(TypeError):
         del spec.generators[1]
     assert spec.validate() == []
+
+
+def test_spec_memo_fills_defaults_stores_hits_and_no_failures():
+    calls = []
+
+    @spec_memo
+    def scaled(spec, i, scale=2):
+        calls.append((i, scale))
+        if i < 0:
+            raise InputError("negative")
+        return [i * scale] if i else None
+
+    spec = sym_spec(2)
+    first = scaled(spec, 3)
+    assert first == [6]
+    # trailing defaults fill the key, and a hit returns the stored object
+    assert scaled(spec, 3, 2) is first and scaled(spec, 3) is first
+    assert scaled(spec, 3, 5) == [15]
+    assert scaled(spec, 0) is None and scaled(spec, 0) is None
+    assert calls == [(3, 2), (3, 5), (0, 2)]
+    # a call that raises stores nothing, so the next call raises again
+    for _ in range(2):
+        with pytest.raises(InputError):
+            scaled(spec, -1)
+    assert calls[3:] == [(-1, 2), (-1, 2)]
+    # the memo lives on the spec it was called with
+    assert scaled(sym_spec(2), 3) == [6] and calls[-1] == (3, 2)
 
 
 def test_faa_di_bruno_rejects_bad_degree():
