@@ -150,15 +150,23 @@ def coefficient_text(c: Fraction) -> str:
 def _accumulate(pairs: Iterable[tuple[object, Scalar]]) -> dict:
     """The one place (key, coefficient) pairs become a value's terms: each
     coefficient goes to stored form (a float or a bool raises), coefficients
-    of repeated keys add up, and zero sums are dropped."""
+    of repeated keys add up, and no zero is ever stored: a zero is not
+    inserted, and a key whose sum reaches zero is deleted in place."""
     acc: dict = {}
     get = acc.get
     for key, c in pairs:
         if type(c) is not int:
             c = _scalar(c)
         before = get(key)
-        acc[key] = c if before is None else before + c
-    return {k: c for k, c in acc.items() if c}
+        if before is not None:
+            c += before
+            if not c:
+                del acc[key]
+                continue
+        elif not c:
+            continue
+        acc[key] = c
+    return acc
 
 
 class _CoefficientMap:

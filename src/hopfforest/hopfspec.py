@@ -138,7 +138,6 @@ class CoproductSpec:
             source: tuple(rows)
             for source, rows in groupby(self.entries, attrgetter("source"))
         }
-        self._coeff = {_entry_key(e): e.coeff for e in self.entries}
         # The spec_memo store: one dict per memoized function.
         self._cache: dict = {}
         problems = self.validate()
@@ -163,7 +162,8 @@ class CoproductSpec:
         return self._by_source.get(i, ())
 
     def coefficient(self, source: int, left: int, right: Sequence[int]) -> Fraction:
-        return self._coeff.get((source, left, multiset(right)), Fraction(0))
+        """The row's coefficient, or 0 for a row the table does not have."""
+        return _coefficients(self).get((source, left, multiset(right)), Fraction(0))
 
     def validate(self) -> list[str]:
         """Structural problems, as human-readable strings; empty means ok."""
@@ -177,35 +177,44 @@ class CoproductSpec:
                 problems.append(
                     f"generator {g.id} has degree {g.degree}; degrees must be >= 1"
                 )
-        degree = {i: g.degree for i, g in self.generators.items()}
+        known = frozenset(self.generators)
+        degree = {i: g.degree for i, g in self.generators.items()}.get
         # Sorted by key, so a repeated key follows its first occurrence.
         previous = None
         for e in self.entries:
-            key = _entry_key(e)
+            source, left, right = key = (e.source, e.left, e.right)
             if key == previous:
                 problems.append(f"duplicate {_entry_text(e)}")
             previous = key
-            try:
-                total = degree[e.left] + sum(map(degree.__getitem__, e.right))
-                expect = degree[e.source]
-            except KeyError:
-                unknown = {i for i in (e.source, e.left, *e.right) if i not in degree}
+            expect = degree(source)
+            total = degree(left)
+            if expect is None or total is None or not known.issuperset(right):
+                unknown = {i for i in key[:2] + right if i not in known}
                 problems.append(
                     f"{_entry_text(e)}: unknown generator ids {sorted(unknown)}"
                 )
                 continue
-            if not e.right:
+            for j in right:
+                total += degree(j)
+            if not right:
                 problems.append(
                     f"{_entry_text(e)}: right leg must be a nonempty monomial"
                 )
-            if e.coeff == 0:
+            if not e.coeff:
                 problems.append(f"{_entry_text(e)}: zero coefficient")
-            if e.right and total != expect:
+            if right and total != expect:
                 problems.append(
                     f"{_entry_text(e)}: degrees {total} != "
-                    f"degree({e.source}) = {expect}"
+                    f"degree({source}) = {expect}"
                 )
         return problems
+
+
+@spec_memo
+def _coefficients(spec: CoproductSpec) -> dict[tuple, Fraction]:
+    """The (source, left, right) -> coeff index of the table, built on the
+    first `coefficient` call: only the tree views read it."""
+    return {_entry_key(e): e.coeff for e in spec.entries}
 
 
 def graded_monomials(
@@ -387,9 +396,10 @@ def _parse_generator(item: object) -> Generator:
     return Generator(gid, degree, label)
 
 
-def _parse_row(item: object, coeffs: dict[str, Fraction]) -> CoproductEntry:
-    """A strict coproduct row; `coeffs` holds the values of the coefficient
-    texts read so far in this load, as a table repeats few of them."""
+def _parse_row(item: object) -> CoproductEntry:
+    """A strict coproduct row, checked field by field in the order the
+    messages name them; `_parse_rows` calls it only for a row that fails its
+    inline check, so it raises, or accepts int and dict subclasses."""
     _check_fields(item, _ROW_FIELDS)
     source = _parse_id(item.get("source"))
     left = _parse_id(item.get("left"))
@@ -399,14 +409,49 @@ def _parse_row(item: object, coeffs: dict[str, Fraction]) -> CoproductEntry:
     right = list(map(_parse_id, raw))
     if right != sorted(right):
         raise InputError(f": right must be sorted ascending, got {right}")
-    raw = item.get("coeff")
-    if type(raw) is not str:
-        coeff = _fraction(_parse_coeff(raw))
-    elif raw in coeffs:
-        coeff = coeffs[raw]
-    else:
-        coeff = coeffs[raw] = _fraction(_parse_coeff(raw))
+    coeff = _fraction(_parse_coeff(item.get("coeff")))
     return CoproductEntry._checked(source, left, tuple(right), coeff)
+
+
+def _ascending_ids(ids: list) -> bool:
+    """Whether a list holds plain ints >= 1 in ascending order, in one loop."""
+    low = 1
+    for i in ids:
+        if type(i) is not int or i < low:
+            return False
+        low = i
+    return True
+
+
+def _parse_rows(items: list) -> list[CoproductEntry]:
+    """The coproduct rows in one pass.  A row of the exact types json.loads
+    returns, with positive ids and a nonempty ascending right list, is read
+    inline; any other row goes through `_parse_row`, which raises the row's
+    first problem or reads the row as it stands.  `coeffs` holds the values
+    of the coefficient texts read so far, as a table repeats few of them."""
+    coeffs: dict[str, Fraction] = {}
+    entries = []
+    for pos, item in enumerate(items):
+        try:
+            if not (
+                type(item) is dict
+                and item.keys() <= _ROW_FIELDS
+                and type(source := item.get("source")) is int and source >= 1
+                and type(left := item.get("left")) is int and left >= 1
+                and type(right := item.get("right")) is list and right
+                and _ascending_ids(right)
+            ):
+                entries.append(_parse_row(item))
+                continue
+            raw = item.get("coeff")
+            if type(raw) is not str:
+                coeff = _fraction(_parse_coeff(raw))
+            elif (coeff := coeffs.get(raw)) is None:
+                coeff = coeffs[raw] = _fraction(_parse_coeff(raw))
+            entries.append(CoproductEntry._checked(source, left, tuple(right), coeff))
+        except InputError as exc:
+            raise InputError(f"coproduct[{pos}]{exc}") from None
+    return entries
 
 
 def spec_from_dict(doc: object) -> CoproductSpec:
@@ -422,11 +467,7 @@ def spec_from_dict(doc: object) -> CoproductSpec:
     if not isinstance(doc.get("coproduct"), list):
         raise InputError("spec needs a 'coproduct' list")
     gens = _parse_items(doc["generators"], "generators", _parse_generator)
-    coeffs: dict[str, Fraction] = {}
-    entries = _parse_items(
-        doc["coproduct"], "coproduct", lambda item: _parse_row(item, coeffs)
-    )
-    return CoproductSpec(doc["name"], gens, entries)
+    return CoproductSpec(doc["name"], gens, _parse_rows(doc["coproduct"]))
 
 
 def parse_json(text: Union[str, bytes]) -> object:

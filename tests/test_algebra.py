@@ -216,6 +216,27 @@ def test_polynomial_constructors_drop_zeros():
     assert Polynomial.one().constant == 1
     assert Polynomial.variable(2) == Polynomial.single(mono(2), 1)
     assert Polynomial.single(mono(1), 0).is_zero
+    # a key that cancels is deleted, and one added again after that is back
+    p = Polynomial([(mono(1), 2), (mono(2), 1), (mono(1), -2), (mono(1), 5)])
+    assert p.terms() == [(mono(1), Fraction(5)), (mono(2), Fraction(1))]
+    assert Polynomial([(mono(1), 2), (mono(1), -2)]).is_zero
+    # zero pairs are never stored, whatever their stored form
+    t = Tensor(
+        2,
+        [((UNIT, mono(1)), 0), ((mono(1), UNIT), Fraction(0)), ((UNIT, mono(2)), 3)],
+    )
+    assert t.terms() == [((UNIT, mono(2)), Fraction(3))]
+    # Fraction sums that reach zero, with and without an int among them
+    third = Fraction(1, 3)
+    q = Polynomial(
+        [(mono(1), third), (mono(2), third), (mono(1), -third), (mono(2), 2 * third)]
+        + [(mono(2), -1)]
+    )
+    assert q.is_zero and len(q) == 0
+    back = Polynomial([(mono(3), third), (mono(3), -third), (mono(3), 1)])
+    assert back.terms() == [(mono(3), Fraction(1))]
+    for value in (p, t, q, back):
+        assert all(value._terms.values())
 
 
 @given(polynomials, polynomials, polynomials)

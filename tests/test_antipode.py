@@ -4,6 +4,7 @@ the term-count statistics."""
 import random
 import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial, prod
 
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopfforest import antipode
-from hopfforest.algebra import Monomial, Polynomial, Tensor, mono
+from hopfforest.algebra import UNIT, Monomial, Polynomial, Tensor, mono
 from hopfforest.antipode import (
     METHODS,
     TermStats,
@@ -24,6 +25,7 @@ from hopfforest.antipode import (
     term_stats,
 )
 from hopfforest.coproduct import (
+    _reduced_coproduct_monomial,
     coassociativity_report,
     convolution_check,
     counit_report,
@@ -148,6 +150,80 @@ def test_two_slot_dyson_salam_matches_the_tensor_route(dual6, table, element):
     else:
         p = Polynomial.variable(element)
     assert dyson_salam_poly(spec, p) == _dyson_salam_by_tensors(spec, p)
+
+
+def _dyson_salam_first_slot(spec, i):
+    """The two-slot Dyson-Salam sum on b_i with the first slot expanded
+    instead of the last: (slot 1) (x) (slot 2 ... slot k)."""
+    iterate = Tensor(2, {(mono(i), UNIT): 1})
+    total = Polynomial.zero()
+    for k in range(1, spec.degree(i) + 1):
+        total = total + iterate.multiplied_out() * (-1) ** k
+        iterate = Tensor(
+            2,
+            [
+                ((left, right * b), c * c2)
+                for (a, b), c in iterate.items()
+                for (left, right), c2 in _reduced_coproduct_monomial(spec, a).items()
+            ],
+        )
+    return total
+
+
+@pytest.mark.parametrize(
+    "make, bogoliubov_differs",
+    [
+        (lambda: faa_di_bruno_spec(6), 29),
+        (lambda: dualize(grafting_instance(5), 5), 68),
+    ],
+    ids=["fdb-6", "grafting-5-dual"],
+)
+def test_dyson_salam_is_the_forest_recursion_on_corrupted_tables(
+    make, bogoliubov_differs
+):
+    # Expanding the last slot of b's iterate gives -b - sum of c * b_l times
+    # the route on b_J, the forest recursion; expanding the first slot gives
+    # Bogoliubov's.  On a table that is not coassociative the two differ, and
+    # the route must stay with the forest.  Each table below has one row
+    # coefficient raised by 1.  Bogoliubov agrees only on the fdb-6 rows
+    # (6; 3; [3]) and (6; 2; [1, 1, 2]), where c * S(b_l) * b_J and
+    # c * b_l * prod S(b_j) are the same product.
+    base = make()
+    differs = 0
+    for k, e in enumerate(base.entries):
+        entries = list(base.entries)
+        entries[k] = replace(e, coeff=e.coeff + 1)
+        spec = CoproductSpec("corrupt", base.generators.values(), entries)
+        routes = [
+            [antipode_generator(spec, i, method) for i in spec.generator_ids()]
+            for method in ("dyson-salam", "forest", "bogoliubov")
+        ]
+        assert routes[0] == routes[1], e
+        first_slot = [_dyson_salam_first_slot(spec, i) for i in spec.generator_ids()]
+        assert routes[2] == first_slot
+        differs += routes[2] != routes[1]
+    assert differs == bogoliubov_differs
+
+
+def test_dyson_salam_is_the_forest_recursion_on_a_chain_table():
+    # Rows (b_i; b_1; [b_(i-1)]): not coassociative from b3 on.  The forest
+    # route gives S(b_n) = sum over k < n of (-1)^(k+1) b1^k b_(n-k), and
+    # Bogoliubov gives -b_n + b1 b_(n-1).
+    n = 12
+    spec = CoproductSpec(
+        "chain",
+        [Generator(i, i) for i in range(1, n + 1)],
+        [CoproductEntry(i, 1, (i - 1,), 1) for i in range(2, n + 1)],
+    )
+    for i in range(1, n + 1):
+        forest = antipode_generator(spec, i, "forest")
+        assert forest == Polynomial(
+            (Monomial([1] * k + [i - k]), (-1) ** (k + 1)) for k in range(i)
+        )
+        assert antipode_generator(spec, i, "dyson-salam") == forest
+        bogoliubov = antipode_generator(spec, i, "bogoliubov")
+        assert bogoliubov == _dyson_salam_first_slot(spec, i)
+        assert (bogoliubov == forest) == (i <= 2)
 
 
 def test_ungraded_table_is_rejected_at_construction():

@@ -2,6 +2,8 @@
 family, and the JSON interchange format."""
 
 import json
+from collections import OrderedDict
+from enum import IntEnum
 from fractions import Fraction
 from math import factorial
 
@@ -295,6 +297,40 @@ LOADER_CASES = [
         lambda d: (_row(0, coeff="1")(d), _row(1, coeff=True)(d)),
         "coproduct[1]: coeff must be an integer or 'p/q' string, got True",
     ),
+    (
+        lambda d: d["coproduct"].__setitem__(1, [2, 1, [1], "3"]),
+        "coproduct[1] must be an object",
+    ),
+    (_row(1, left=0), "coproduct[1]: generator ids must be positive integers, got 0"),
+    (
+        _row(1, source=2.0),
+        "coproduct[1]: generator ids must be positive integers, got 2.0",
+    ),
+    (
+        _row(1, right=[1, True]),
+        "coproduct[1]: generator ids must be positive integers, got True",
+    ),
+    (
+        _row(1, right=[1.5]),
+        "coproduct[1]: generator ids must be positive integers, got 1.5",
+    ),
+    (
+        _row(1, coeff=None),
+        "coproduct[1]: coeff must be an integer or 'p/q' string, got None",
+    ),
+    (
+        lambda d: d["coproduct"].__setitem__(1, OrderedDict(d["coproduct"][1], x=1)),
+        "coproduct[1]: unknown fields ['x']",
+    ),
+    # True equals 1 as a dict key, so only coefficient texts may be reused
+    (
+        lambda d: (_row(0, coeff=1)(d), _row(1, coeff=True)(d)),
+        "coproduct[1]: coeff must be an integer or 'p/q' string, got True",
+    ),
+    (
+        _row(1, coeff=[1]),
+        "coproduct[1]: coeff must be an integer or 'p/q' string, got [1]",
+    ),
 ]
 
 
@@ -321,6 +357,44 @@ def test_loader_reads_coefficients_exactly(raw, value):
     doc["coproduct"][1]["coeff"] = raw
     entry = spec_from_dict(doc).entries[1]
     assert entry.coeff == value and type(entry.coeff) is Fraction
+
+
+class Id(IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+def test_loader_accepts_int_and_dict_subclasses():
+    # Not what json.loads returns, but a document built in Python may hold
+    # them; an IntEnum id and a dict-subclass row load as their plain values.
+    doc = spec_to_dict(faa_di_bruno_spec(4))
+    plain = spec_from_dict(doc)
+    row = doc["coproduct"][0]
+    assert (row["source"], row["left"], row["right"]) == (2, 1, [1])
+    doc["coproduct"][0] = OrderedDict(row, source=Id.TWO, left=Id.ONE, right=[Id.ONE])
+    doc["coproduct"][1] = OrderedDict(doc["coproduct"][1])
+    doc["generators"][0]["id"] = Id.ONE
+    loaded = spec_from_dict(doc)
+    assert loaded.entries == plain.entries
+    assert loaded.coefficient(2, 1, [1]) == 3
+    assert save_spec(loaded) == save_spec(plain)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: faa_di_bruno_spec(6), lambda: dualize(grafting_instance(5), 5)],
+    ids=["fdb-6", "grafting-5-dual"],
+)
+def test_coefficient_reads_each_row_and_zero_elsewhere(make):
+    spec = make()  # fresh, so the first lookup builds the index
+    assert all(
+        spec.coefficient(e.source, e.left, e.right) == e.coeff for e in spec.entries
+    )
+    e = spec.entries[-1]
+    absent = [(e.source, e.left, e.right + (1,)), (e.source, e.source, e.right)]
+    for key in absent:
+        got = spec.coefficient(*key)
+        assert got == 0 and type(got) is Fraction
 
 
 def test_loaded_entries_are_the_constructors_entries():
