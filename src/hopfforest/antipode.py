@@ -35,7 +35,7 @@ from typing import Callable
 from .algebra import UNIT, Monomial, Polynomial, Tensor, _scalar, _sorted_monomial, mono
 from .coproduct import _reduced_coproduct_monomial
 from .errors import InputError
-from .hopfspec import CoproductSpec, spec_memo
+from .hopfspec import CoproductSpec, multiplicative_memo, spec_memo
 
 METHODS = ("forest", "dyson-salam", "bogoliubov")
 
@@ -191,28 +191,9 @@ def antipode_poly(
     return Polynomial._checked((m, c * cs) for s, c in pieces for m, cs in s.items())
 
 
-@spec_memo
-def _antipode_monomial(spec: CoproductSpec, m: Monomial, method: str) -> Polynomial:
-    """S(b_I), with S(1) = 1, memoized per monomial and method, so each
-    route keeps its own values.  The prefixes of I are evaluated shortest
-    first through the memoized `_prefix_step`, so each step finds its own
-    prefix in the memo, the Python stack stays flat for any length, and a
-    miss costs one step per prefix not seen before."""
-    if m.is_unit:
-        return Polynomial.one()
-    for k in range(1, len(m) + 1):
-        value = _prefix_step(spec, _sorted_monomial(m[:k]), method)
-    return value
-
-
-@spec_memo
-def _prefix_step(spec: CoproductSpec, m: Monomial, method: str) -> Polynomial:
-    """S(b_I) = S(b_I') * S(b_last) for a non-unit monomial, where I' is I
-    without its last index."""
-    last = antipode_generator(spec, m[-1], method)
-    if len(m) == 1:
-        return last
-    return _prefix_step(spec, _sorted_monomial(m[:-1]), method) * last
+#: S(b_I) = product of the generator antipodes, S(1) = 1, memoized per
+#: monomial and method, so each route keeps its own values.
+_antipode_monomial = multiplicative_memo(antipode_generator, Polynomial.one())
 
 
 def antipode_endomap(

@@ -5,12 +5,12 @@ verification reports (coassociativity, counit, antipode convolution).
 The reduced coproduct of a generator comes straight from the table; the full
 coproduct adds the primitive part b (x) 1 + 1 (x) b.  On products both are
 determined by multiplicativity of the full coproduct: the coproduct of a
-monomial is built over its prefixes, shortest first, each one the product of
-the memoized coproduct of the prefix before it and one generator's, so the
-Python stack stays flat for any length.  A monomial's reduced coproduct is
-its full coproduct without the two primitive terms.  Iterating the reduced
-coproduct always terminates with zero once the rank exceeds the degree, which
-is what makes the degree-many-step antipode formulas finite.
+monomial is `hopfspec.multiplicative_memo` of the generators' coproducts,
+filled prefix by prefix, so the Python stack stays flat for any length.  A
+monomial's reduced coproduct is its full coproduct without the two primitive
+terms.  Iterating the reduced coproduct always terminates with zero once the
+rank exceeds the degree, which is what makes the degree-many-step antipode
+formulas finite.
 
 Because the coproduct is an algebra morphism, coassociativity and counit hold
 on every monomial once they hold on the generators, so those two reports visit
@@ -25,7 +25,7 @@ from typing import Callable
 
 from .algebra import UNIT, Monomial, Polynomial, Tensor, _sorted_monomial, mono
 from .errors import InputError
-from .hopfspec import CoproductSpec, graded_monomials, spec_memo
+from .hopfspec import CoproductSpec, graded_monomials, multiplicative_memo, spec_memo
 
 
 @spec_memo
@@ -45,27 +45,8 @@ def full_coproduct_generator(spec: CoproductSpec, i: int) -> Tensor:
     return Tensor._checked(2, chain(primitive, reduced_coproduct_generator(spec, i).items()))
 
 
-@spec_memo
-def _coproduct_monomial(spec: CoproductSpec, m: Monomial) -> Tensor:
-    """Full coproduct of one monomial, memoized.  The prefixes of m are
-    evaluated shortest first through the memoized `_coproduct_prefix`, so
-    each step finds its own prefix in the memo and the Python stack stays
-    flat for any length."""
-    value = Tensor.one(2)
-    for k in range(1, len(m) + 1):
-        value = _coproduct_prefix(spec, _sorted_monomial(m[:k]))
-    return value
-
-
-@spec_memo
-def _coproduct_prefix(spec: CoproductSpec, m: Monomial) -> Tensor:
-    """Delta(b_I) = Delta(b_I') * Delta(b_last) for a non-unit monomial,
-    where I' is I without its last index: the coproduct is an algebra
-    morphism."""
-    last = full_coproduct_generator(spec, m[-1])
-    if len(m) == 1:
-        return last
-    return _coproduct_prefix(spec, _sorted_monomial(m[:-1])) * last
+#: Full coproduct of one monomial, memoized: Delta is an algebra morphism.
+_coproduct_monomial = multiplicative_memo(full_coproduct_generator, Tensor.one(2))
 
 
 def coproduct_poly(spec: CoproductSpec, p: Polynomial) -> Tensor:
@@ -119,33 +100,16 @@ def _splice(
     )
 
 
-def _check_leg(leg: str) -> None:
-    if leg not in ("right", "left"):
-        raise InputError(f"leg must be 'right' or 'left', got {leg!r}")
-
-
-def reduced_coproduct_step(spec: CoproductSpec, t: Tensor, leg: str = "right") -> Tensor:
-    """The next rank of an iterated reduced coproduct: the reduced coproduct
-    applied to the rightmost (or leftmost) slot of t."""
-    _check_leg(leg)
-    at = t.rank - 1 if leg == "right" else 0
-    return _splice(spec, t, at, _reduced_coproduct_monomial)
-
-
-def iterated_reduced_poly(
-    spec: CoproductSpec, p: Polynomial, k: int, leg: str = "right"
-) -> Tensor:
+def iterated_reduced_poly(spec: CoproductSpec, p: Polynomial, k: int) -> Tensor:
     """The rank-k iterated reduced coproduct: k = 1 is the element itself,
     k = 2 the reduced coproduct, and each further rank applies the reduced
-    coproduct to one more leg.  By coassociativity the result is independent
-    of which leg each step expands; `leg` selects the rightmost or leftmost
-    convention so tests can check that independence."""
+    coproduct to the last slot.  By coassociativity the result does not
+    depend on which slot each step expands."""
     if k < 1:
         raise InputError(f"tensor rank must be >= 1, got {k}")
-    _check_leg(leg)
     out = Tensor._checked(1, [((m,), c) for m, c in p.items()])
     for _ in range(k - 1):
-        out = reduced_coproduct_step(spec, out, leg)
+        out = _splice(spec, out, out.rank - 1, _reduced_coproduct_monomial)
         if out.is_zero:
             return Tensor.zero(k)
     return out

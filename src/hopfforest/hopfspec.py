@@ -28,14 +28,16 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import wraps
+from inspect import signature
 from itertools import groupby
+from math import comb
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .algebra import Monomial, Multiset, Rational, Scalar, coefficient_text, multiset
-from .algebra import _fraction, _scalar
+from .algebra import _fraction, _scalar, _sorted_monomial
 from .errors import InputError
 
 
@@ -45,16 +47,22 @@ _MISSING = object()
 def spec_memo(fn: Callable) -> Callable:
     """Memoize ``fn(spec, *key)`` in ``spec._cache[fn]``, so the memo lives
     and dies with the spec.  Omitted trailing arguments take ``fn``'s
-    defaults; keyword arguments are not supported.  A hit is two dict
-    lookups and returns the stored object itself; a call that raises stores
-    nothing, so the next call raises again.  The memo is an unsynchronized
-    dict: threads sharing a spec may compute an entry twice."""
+    defaults, and keyword arguments are bound through ``fn``'s signature, so
+    a keyword call and its positional twin share one entry.  A positional
+    hit is two dict lookups and returns the stored object itself; a call
+    that raises stores nothing, so the next call raises again.  The memo is
+    an unsynchronized dict: threads sharing a spec may compute an entry
+    twice."""
     arity = fn.__code__.co_argcount - 1
     defaults = fn.__defaults__ or ()
 
     @wraps(fn)
-    def memoized(spec, *key):
-        if len(key) < arity:
+    def memoized(spec, *key, **named):
+        if named:
+            bound = signature(fn).bind(spec, *key, **named)
+            bound.apply_defaults()
+            key = bound.args[1:]
+        elif len(key) < arity:
             key += defaults[len(key) - arity :]
         memo = spec._cache.get(fn)
         if memo is None:
@@ -65,6 +73,44 @@ def spec_memo(fn: Callable) -> Callable:
         return value
 
     return memoized
+
+
+def multiplicative_memo(generator: Callable, one: object) -> Callable:
+    """The monomial map ``f(spec, m, *key)`` of an algebra morphism fixed by
+    its generator map ``generator(spec, i, *key)``: f(1) = one and
+    f(b_I) = f(b_I') * generator(b_last), where I' is I without its last
+    index.  Its memo is one dict per spec in ``spec._cache``, keyed by
+    ``(m, *key)``, so a hit is one lookup in it.  A miss walks back to the
+    longest memoized prefix of m and multiplies in the remaining generators
+    one at a time, storing each prefix: a monomial whose prefix is known
+    costs one product, and the Python stack stays flat for any length.
+    ``key`` is positional only."""
+
+    def monomial_map(spec, *key):
+        memo = spec._cache.get(monomial_map)
+        if memo is None:
+            memo = spec._cache[monomial_map] = {}
+        value = memo.get(key, _MISSING)
+        if value is not _MISSING:
+            return value
+        m, rest = key[0], key[1:]
+        if not m:
+            value = memo[key] = one
+            return value
+        todo = [key]  # the prefixes of m to fill, longest first
+        for k in range(len(m) - 1, 0, -1):
+            prefix = (_sorted_monomial(m[:k]),) + rest
+            value = memo.get(prefix, _MISSING)
+            if value is not _MISSING:
+                break
+            todo.append(prefix)
+        else:
+            value = memo[todo.pop()] = generator(spec, m[0], *rest)
+        for prefix in reversed(todo):
+            value = memo[prefix] = value * generator(spec, prefix[0][-1], *rest)
+        return value
+
+    return monomial_map
 
 
 @dataclass(frozen=True)
@@ -240,22 +286,20 @@ def graded_monomials(
 
 # --- Faa di Bruno style instance -------------------------------------------
 
-@lru_cache(maxsize=None)
-def _bell_partial(n: int, k: int) -> dict[Multiset, int]:
-    """Partial Bell polynomial B_{n,k} as {multiset of block sizes: count},
-    via the recurrence  B_{n,k} = sum_j C(n-1, j-1) x_j B_{n-j,k-1}."""
-    from math import comb
-
-    if n == 0 and k == 0:
-        return {(): 1}
-    if n <= 0 or k <= 0:
-        return {}
-    out: dict[Multiset, int] = {}
-    for j in range(1, n - k + 2):
-        for sizes, c in _bell_partial(n - j, k - 1).items():
-            key = multiset(sizes + (j,))
-            out[key] = out.get(key, 0) + comb(n - 1, j - 1) * c
-    return out
+def _bell_partials(top: int) -> dict[tuple[int, int], dict[Multiset, int]]:
+    """The partial Bell polynomials B_{n,k} for k <= n <= top, as
+    {(n, k): {multiset of block sizes: count}}, filled bottom-up in k by
+    B_{n,k} = sum_j C(n-1, j-1) x_j B_{n-j,k-1}."""
+    bell: dict[tuple[int, int], dict[Multiset, int]] = {(0, 0): {(): 1}}
+    for k in range(1, top + 1):
+        for n in range(k, top + 1):
+            out: dict[Multiset, int] = {}
+            for j in range(1, n - k + 2):
+                for sizes, c in bell.get((n - j, k - 1), {}).items():
+                    key = multiset(sizes + (j,))
+                    out[key] = out.get(key, 0) + comb(n - 1, j - 1) * c
+            bell[n, k] = out
+    return bell
 
 
 def faa_di_bruno_spec(max_degree: int) -> CoproductSpec:
@@ -267,6 +311,7 @@ def faa_di_bruno_spec(max_degree: int) -> CoproductSpec:
     if max_degree < 1:
         raise InputError(f"max_degree must be >= 1, got {max_degree}")
     gens = [Generator(n, n, f"b{n}") for n in range(1, max_degree + 1)]
+    bell = _bell_partials(max_degree + 1)
     entries: list[CoproductEntry] = []
     for n in range(2, max_degree + 1):
         # Reduced terms of b_n: left leg b_{k-1} for k = 2..n, right leg the
@@ -275,7 +320,7 @@ def faa_di_bruno_spec(max_degree: int) -> CoproductSpec:
         # would give an empty right leg; those are the primitive/group-like
         # pieces that the reduced coproduct omits.
         for k in range(2, n + 1):
-            for sizes, count in _bell_partial(n + 1, k).items():
+            for sizes, count in bell[n + 1, k].items():
                 right = multiset(p - 1 for p in sizes if p >= 2)
                 if not right:
                     continue

@@ -275,7 +275,41 @@ def test_antipode_of_a_monomial_longer_than_the_recursion_limit(method):
     assert got == Polynomial({b1_300: 4, b1_298_b2: -1})
 
 
-def test_coproduct_of_a_monomial_longer_than_the_recursion_limit():
+@pytest.fixture
+def products(monkeypatch):
+    """Counts of Polynomial and Tensor products, by class name."""
+    calls = Counter()
+    for cls in (Polynomial, Tensor):
+
+        def counted(self, other, mul=cls.__mul__, name=cls.__name__):
+            calls[name] += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(cls, "__mul__", counted)
+    return calls
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_monomial_antipode_costs_one_product_per_new_prefix(products, method):
+    # S(b1) = -b1 needs no product on any route.  S(b_I) is memoized per
+    # monomial, and a miss multiplies the longest memoized prefix by one
+    # generator at a time, so a fresh b1^1000 costs 999 products, a repeat
+    # none, and b1^k right after b1^(k-1) one.
+    spec = faa_di_bruno_spec(3)
+    power = Monomial([1] * 1000)
+    assert antipode_poly(spec, Polynomial.single(power), method) == Polynomial.single(power)
+    assert products["Polynomial"] == 999
+    assert antipode_poly(spec, Polynomial.single(power), method) == Polynomial.single(power)
+    assert products["Polynomial"] == 999
+    fresh = antipode_endomap(faa_di_bruno_spec(3), method)
+    products.clear()
+    for k in range(1, 40):
+        assert fresh(Monomial([1] * k)) == Polynomial.single(Monomial([1] * k), (-1) ** k)
+        assert products["Polynomial"] == k - 1
+    assert products["Tensor"] == 0
+
+
+def test_coproduct_of_a_monomial_longer_than_the_recursion_limit(products):
     # Delta(b1) = b1 (x) 1 + 1 (x) b1 and Delta(b2) = b2 (x) 1 + 1 (x) b2
     # + 3 b1 (x) b1, so Delta(b1^n) = sum_j C(n, j) b1^j (x) b1^(n-j), and
     # Delta(b1^298 b2) is that for n = 298 times Delta(b2).  The coproduct is
@@ -310,6 +344,10 @@ def test_coproduct_of_a_monomial_longer_than_the_recursion_limit():
     assert delta == Tensor(2, terms)
     assert convolved.is_zero
     assert problems == []
+    # One coproduct product per prefix: 299 fill b1^2..b1^300 and one more
+    # gives b1^298 b2 from the memoized b1^298, then the convolution check
+    # walks b1^2..b1^300 of the one-generator table, one product each.
+    assert products["Tensor"] == 300 + 299
 
 
 @pytest.mark.parametrize("wrong", METHODS)

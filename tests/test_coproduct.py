@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hopfforest.algebra import UNIT, Polynomial, Tensor, mono
 from hopfforest.coproduct import (
     _coproduct_monomial,
+    _reduced_coproduct_monomial,
     _splice,
     coassociativity_report,
     convolution_check,
@@ -103,18 +104,18 @@ def test_iterated_reduced_rank_convention(fdb6):
     assert iterated_reduced(fdb6, 3, 4).is_zero
     with pytest.raises(InputError):
         iterated_reduced(fdb6, 3, 0)
-    for k in (1, 2):
-        with pytest.raises(InputError):
-            iterated_reduced_poly(fdb6, Polynomial.variable(3), k, leg="middle")
 
 
 @pytest.mark.parametrize("i", [2, 3, 4, 5])
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_iterated_reduced_leg_independence(fdb6, i, k):
+    # iterated_reduced_poly expands the last slot; by coassociativity,
+    # expanding the first slot instead gives the same tensor.
     p = Polynomial.variable(i)
-    assert iterated_reduced_poly(fdb6, p, k, leg="right") == iterated_reduced_poly(
-        fdb6, p, k, leg="left"
-    )
+    left = Tensor.single((mono(i),))
+    for _ in range(k - 1):
+        left = _splice(fdb6, left, 0, _reduced_coproduct_monomial)
+    assert iterated_reduced_poly(fdb6, p, k) == left
     assert iterated_reduced_poly(fdb6, p, k) == iterated_reduced(fdb6, i, k)
 
 

@@ -1,18 +1,23 @@
 """Coproduct tables: construction, validation, the built-in composition
 family, and the JSON interchange format."""
 
+import ast
+import inspect
 import json
 from collections import OrderedDict
 from enum import IntEnum
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hopfforest
 from hopfforest.algebra import Polynomial, mono
-from hopfforest.coproduct import coassociativity_report, counit_report
+from hopfforest.antipode import antipode_generator
+from hopfforest.coproduct import coassociativity_report, counit_report, iterated_reduced
 from hopfforest.errors import InputError
 from hopfforest.hopfspec import (
     CoproductEntry,
@@ -130,6 +135,40 @@ def test_spec_memo_fills_defaults_stores_hits_and_no_failures():
     assert calls[3:] == [(-1, 2), (-1, 2)]
     # the memo lives on the spec it was called with
     assert scaled(sym_spec(2), 3) == [6] and calls[-1] == (3, 2)
+
+
+def test_spec_memo_binds_keywords_to_the_positional_entry():
+    spec = faa_di_bruno_spec(4)
+    by_position = antipode_generator(spec, 3, "bogoliubov")
+    assert antipode_generator(spec, 3, method="bogoliubov") is by_position
+    assert antipode_generator(spec, i=3, method="bogoliubov") is by_position
+    assert antipode_generator(spec, 3, method="forest") is antipode_generator(spec, 3)
+    assert iterated_reduced(spec, 3, k=2) is iterated_reduced(spec, 3, 2)
+    memo = spec._cache[inspect.unwrap(iterated_reduced)]
+    assert list(memo) == [(3, 2)]
+    with pytest.raises(TypeError):
+        iterated_reduced(spec, 3, rank=2)
+    with pytest.raises(TypeError):
+        antipode_generator(spec, 3, "forest", method="forest")
+
+
+def test_no_functools_cache_in_the_package():
+    # Every memo lives on a spec (spec_memo, multiplicative_memo), so
+    # nothing is cached across specs or CLI calls.
+    caches = {"lru_cache", "cache"}
+    found = []
+    for path in sorted(Path(hopfforest.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [(path.name, a.name) for a in node.names if a.name in caches]
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr in caches
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "functools"
+            ):
+                found.append((path.name, node.attr))
+    assert found == []
 
 
 def test_faa_di_bruno_rejects_bad_degree():
