@@ -199,7 +199,8 @@ _antipode_monomial = multiplicative_memo(antipode_generator, Polynomial.one())
 def antipode_endomap(
     spec: CoproductSpec, method: str = "forest"
 ) -> Callable[[Monomial], Polynomial]:
-    """The antipode as a function on monomials, as convolution_check takes it."""
+    """The antipode on monomials, multiplicative with S(1) = 1: what lets
+    convolution_check visit generators only."""
     _route(method)
     return lambda m: _antipode_monomial(spec, m, method)
 

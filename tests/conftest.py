@@ -1,9 +1,12 @@
 """Session-shared fixtures: the worked composition-algebra table, the free
-grafting preLie instance, and its dualized coproduct table."""
+grafting preLie instance, its dualized coproduct table, and their
+single-coefficient corruptions."""
+
+from dataclasses import replace
 
 import pytest
 
-from hopfforest.hopfspec import faa_di_bruno_spec, save_spec
+from hopfforest.hopfspec import CoproductSpec, faa_di_bruno_spec, save_spec
 from hopfforest.prelie import dualize, grafting_instance, save_prelie
 
 
@@ -34,3 +37,24 @@ def graft4_file(graft4, tmp_path_factory):
     path = tmp_path_factory.mktemp("prelie") / "graft4.json"
     path.write_text(save_prelie(graft4))
     return str(path)
+
+
+@pytest.fixture(
+    scope="session",
+    params=[
+        ("fdb-6", lambda: faa_di_bruno_spec(6), 6),
+        ("grafting-5-dual", lambda: dualize(grafting_instance(5), 5), 5),
+    ],
+    ids=lambda param: param[0],
+)
+def corrupted(request):
+    """(name, clean table, its top degree, every copy of the table with one
+    row coefficient raised by 1), shared so the copies' memos fill once."""
+    name, make, degree = request.param
+    base = make()
+    tables = []
+    for k, e in enumerate(base.entries):
+        entries = list(base.entries)
+        entries[k] = replace(e, coeff=e.coeff + 1)
+        tables.append(CoproductSpec("corrupt", base.generators.values(), entries))
+    return name, base, degree, tables

@@ -4,7 +4,6 @@ the term-count statistics."""
 import random
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial, prod
 
@@ -30,6 +29,7 @@ from hopfforest.coproduct import (
     convolution_check,
     counit_report,
     coproduct_poly,
+    full_coproduct_generator,
     iterated_reduced_poly,
     monomials_up_to,
 )
@@ -39,6 +39,7 @@ from hopfforest.hopfspec import (
     CoproductSpec,
     Generator,
     faa_di_bruno_spec,
+    graded_monomials,
     sym_spec,
 )
 from hopfforest.linearize import k_linearizations
@@ -52,6 +53,7 @@ from hopfforest.trees import (
     vertex_monomial,
 )
 from series_reversion import evaluate, lagrange_antipode
+from test_coproduct import _convolution_per_monomial
 
 GOLDEN = {
     1: "-1 b1",
@@ -170,39 +172,70 @@ def _dyson_salam_first_slot(spec, i):
     return total
 
 
-@pytest.mark.parametrize(
-    "make, bogoliubov_differs",
-    [
-        (lambda: faa_di_bruno_spec(6), 29),
-        (lambda: dualize(grafting_instance(5), 5), 68),
-    ],
-    ids=["fdb-6", "grafting-5-dual"],
-)
-def test_dyson_salam_is_the_forest_recursion_on_corrupted_tables(
-    make, bogoliubov_differs
-):
+#: The corruptions of each `corrupted` table on which Bogoliubov's values
+#: differ from the forest route's: all but the fdb-6 rows (6; 3; [3]) and
+#: (6; 2; [1, 1, 2]), where c * S(b_l) * b_J and c * b_l * prod S(b_j) are
+#: the same product.
+BOGOLIUBOV_DIFFERS = {"fdb-6": 29, "grafting-5-dual": 68}
+
+
+def test_dyson_salam_is_the_forest_recursion_on_corrupted_tables(corrupted):
     # Expanding the last slot of b's iterate gives -b - sum of c * b_l times
     # the route on b_J, the forest recursion; expanding the first slot gives
     # Bogoliubov's.  On a table that is not coassociative the two differ, and
-    # the route must stay with the forest.  Each table below has one row
-    # coefficient raised by 1.  Bogoliubov agrees only on the fdb-6 rows
-    # (6; 3; [3]) and (6; 2; [1, 1, 2]), where c * S(b_l) * b_J and
-    # c * b_l * prod S(b_j) are the same product.
-    base = make()
+    # the route must stay with the forest.  Each table has one row
+    # coefficient raised by 1.
+    name, _, _, tables = corrupted
     differs = 0
-    for k, e in enumerate(base.entries):
-        entries = list(base.entries)
-        entries[k] = replace(e, coeff=e.coeff + 1)
-        spec = CoproductSpec("corrupt", base.generators.values(), entries)
+    for spec in tables:
         routes = [
             [antipode_generator(spec, i, method) for i in spec.generator_ids()]
             for method in ("dyson-salam", "forest", "bogoliubov")
         ]
-        assert routes[0] == routes[1], e
+        assert routes[0] == routes[1]
         first_slot = [_dyson_salam_first_slot(spec, i) for i in spec.generator_ids()]
         assert routes[2] == first_slot
         differs += routes[2] != routes[1]
-    assert differs == bogoliubov_differs
+    assert differs == BOGOLIUBOV_DIFFERS[name]
+
+
+def _right_convolution(spec, max_degree, antipode):
+    """The generators of degree <= max_degree on which (id * antipode) does
+    not vanish, the mirror image of `convolution_check`."""
+    return [
+        i
+        for i in spec.generator_ids()
+        if spec.degree(i) <= max_degree
+        and not Polynomial(
+            (a * sb, c * cb)
+            for (a, b), c in full_coproduct_generator(spec, i).items()
+            for sb, cb in antipode(b).items()
+        ).is_zero
+    ]
+
+
+def test_each_route_can_fail_only_the_convolution_its_recursion_leaves_open(
+    corrupted,
+):
+    # On a generator, (S * id)(b) = 0 is Bogoliubov's recursion and
+    # (id * S)(b) = 0 the forest recursion, which Dyson-Salam follows too.
+    # So the bogoliubov convolution line of verify passes on every table,
+    # and the forest and Dyson-Salam lines fail exactly when their values
+    # differ from Bogoliubov's; the right convolution is the mirror image.
+    # Each table has one row coefficient raised by 1.
+    name, _, degree, tables = corrupted
+    failed = {(side, method): 0 for side in ("left", "right") for method in METHODS}
+    for spec in tables:
+        for method in METHODS:
+            antipode = antipode_endomap(spec, method)
+            failed["left", method] += bool(convolution_check(spec, degree, antipode))
+            failed["right", method] += bool(_right_convolution(spec, degree, antipode))
+    caught = BOGOLIUBOV_DIFFERS[name]
+    left = {"forest": caught, "dyson-salam": caught, "bogoliubov": 0}
+    assert {m: failed["left", m] for m in METHODS} == left
+    right = {"forest": 0, "dyson-salam": 0, "bogoliubov": caught}
+    assert {m: failed["right", m] for m in METHODS} == right
+    assert len(tables) == {"fdb-6": 31, "grafting-5-dual": 68}[name]
 
 
 def test_dyson_salam_is_the_forest_recursion_on_a_chain_table():
@@ -314,9 +347,9 @@ def test_coproduct_of_a_monomial_longer_than_the_recursion_limit(products):
     # + 3 b1 (x) b1, so Delta(b1^n) = sum_j C(n, j) b1^j (x) b1^(n-j), and
     # Delta(b1^298 b2) is that for n = 298 times Delta(b2).  The coproduct is
     # memoized per prefix, and a fresh spec fills all 300 prefixes in one
-    # call.  The convolution check runs on b1^300 and every shorter power of
-    # the one-generator table, and by hand on both monomials of p.
-    spec, line = faa_di_bruno_spec(3), faa_di_bruno_spec(1)
+    # call.  The per-monomial convolution check then runs on b1^300 and every
+    # shorter power, and by hand on both monomials of p.
+    spec = faa_di_bruno_spec(3)
     b2 = mono(2)
     power = [Monomial([1] * n) for n in range(301)]
     p = Polynomial({power[300]: 1, power[298] * b2: 1})
@@ -325,12 +358,12 @@ def test_coproduct_of_a_monomial_longer_than_the_recursion_limit(products):
     try:
         delta = coproduct_poly(spec, p)
         antipode_of = antipode_endomap(spec, "bogoliubov")
+        problems = _convolution_per_monomial(spec, power, antipode_of)
         convolved = Polynomial(
             (sa * b, c * ca)
             for (a, b), c in delta.items()
             for sa, ca in antipode_of(a).items()
         )
-        problems = convolution_check(line, 300, antipode_endomap(line, "bogoliubov"))
     finally:
         sys.setrecursionlimit(limit)
     terms = Counter()
@@ -345,9 +378,9 @@ def test_coproduct_of_a_monomial_longer_than_the_recursion_limit(products):
     assert convolved.is_zero
     assert problems == []
     # One coproduct product per prefix: 299 fill b1^2..b1^300 and one more
-    # gives b1^298 b2 from the memoized b1^298, then the convolution check
-    # walks b1^2..b1^300 of the one-generator table, one product each.
-    assert products["Tensor"] == 300 + 299
+    # gives b1^298 b2 from the memoized b1^298.  The check's coproducts of
+    # the powers are all memo hits on the same table.
+    assert products["Tensor"] == 299 + 1
 
 
 @pytest.mark.parametrize("wrong", METHODS)
@@ -446,10 +479,9 @@ def test_methods_agree_under_generator_relabeling(order):
     assert convolution_check(spec, 4, antipode_endomap(spec, "forest")) == []
 
 
-def _rescaled_faa_di_bruno(lam):
-    """The composition table in the basis b'_i = lam[i] b_i: the row
-    (i; l; J) with coefficient c becomes c lam_i / (lam_l prod_J lam_j)."""
-    base = faa_di_bruno_spec(len(lam))
+def _rescaled(base, lam):
+    """The table in the basis b'_i = lam[i] b_i: the row (i; l; J) with
+    coefficient c becomes c lam_i / (lam_l prod_J lam_j)."""
     entries = [
         CoproductEntry(
             e.source,
@@ -473,8 +505,8 @@ def _rescaled_faa_di_bruno(lam):
 @example([1, -1, 1, 1, 1, 1])
 def test_rescaled_table_with_signed_fractional_rows(scales):
     lam = dict(enumerate(scales, 1))
-    spec = _rescaled_faa_di_bruno(lam)
     base = faa_di_bruno_spec(6)
+    spec = _rescaled(base, lam)
     assert coassociativity_report(spec, 6) == []
     assert counit_report(spec, 6) == []
     for method in METHODS:
@@ -488,6 +520,67 @@ def test_rescaled_table_with_signed_fractional_rows(scales):
         for method in METHODS:
             assert antipode_generator(spec, i, method) == expected
         assert antipode_forest(spec, i) == _tree_sum(spec, i)
+
+
+_coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+
+
+@st.composite
+def _graded_tables(draw):
+    """A table that passes `validate`, built by degree: up to five
+    generators of degree 1 to 4, and for each a few rows (i; l; J) with
+    deg(l) + deg(J) = deg(i), so every leg lies strictly below its source.
+    Past degree 2 such a table is seldom coassociative."""
+    degrees = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    degree = dict(enumerate(degrees, 1))
+    generators = [Generator(i, d) for i, d in degree.items()]
+    entries = []
+    for i, d in degree.items():
+        rows = [
+            (l, m)
+            for l in degree
+            if degree[l] < d
+            for m in graded_monomials(generators, d - degree[l])
+            if sum(degree[j] for j in m) == d - degree[l]
+        ]
+        if not rows:
+            continue
+        for l, m in draw(st.lists(st.sampled_from(rows), unique=True, max_size=3)):
+            entries.append(CoproductEntry(i, l, tuple(m), draw(_coefficients)))
+    return CoproductSpec("random", generators, entries)
+
+
+@st.composite
+def _rescaled_tables(draw):
+    """A composition or symmetric-function table of degree 2 to 5 in a
+    rescaled basis: coassociative, with fractional and signed rows."""
+    n = draw(st.integers(2, 5))
+    base = draw(st.sampled_from([faa_di_bruno_spec, sym_spec]))(n)
+    scales = draw(st.lists(_coefficients, min_size=n, max_size=n))
+    return _rescaled(base, dict(enumerate(scales, 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_graded_tables(), _rescaled_tables()))
+def test_route_identities_on_random_tables(spec):
+    top = max(g.degree for g in spec.generators.values())
+    values = {
+        method: [antipode_generator(spec, i, method) for i in spec.generator_ids()]
+        for method in METHODS
+    }
+    assert values["dyson-salam"] == values["forest"]
+    if not coassociativity_report(spec, top):
+        assert values["bogoliubov"] == values["forest"]
+    monomials = monomials_up_to(spec, top)
+    generators = [m for m in monomials if len(m) == 1]
+    for method in METHODS:
+        antipode = antipode_endomap(spec, method)
+        got = convolution_check(spec, top, antipode)
+        assert got == _convolution_per_monomial(spec, generators, antipode)
+        assert bool(got) == bool(_convolution_per_monomial(spec, monomials, antipode))
+    # Each recursion solves its own side of the convolution on every table.
+    assert convolution_check(spec, top, antipode_endomap(spec, "bogoliubov")) == []
+    assert _right_convolution(spec, top, antipode_endomap(spec, "forest")) == []
 
 
 def _partitions(n, largest):

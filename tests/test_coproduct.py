@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfforest import cli
 from hopfforest.algebra import UNIT, Polynomial, Tensor, mono
+from hopfforest.antipode import METHODS, antipode_endomap
 from hopfforest.coproduct import (
     _coproduct_monomial,
     _reduced_coproduct_monomial,
@@ -25,7 +27,6 @@ from hopfforest.coproduct import (
 )
 from hopfforest.errors import InputError
 from hopfforest.hopfspec import CoproductSpec, faa_di_bruno_spec, sym_spec
-from hopfforest.prelie import dualize, grafting_instance
 
 
 def test_reduced_coproduct_goldens(fdb6):
@@ -163,30 +164,29 @@ def _counit_per_monomial(spec, max_degree):
     return problems
 
 
-def _single_coefficient_corruptions(base):
-    for k, e in enumerate(base.entries):
-        entries = list(base.entries)
-        entries[k] = replace(e, coeff=e.coeff + 1)
-        yield CoproductSpec("corrupt", base.generators.values(), entries)
+def _convolution_per_monomial(spec, monomials, antipode):
+    """The convolution check on each monomial given, from that monomial's
+    own coproduct and antipode rather than from its generators'."""
+    problems = []
+    for m in monomials:
+        expect = Polynomial.one() if m.is_unit else Polynomial.zero()
+        got = Polynomial(
+            (sa * b, c * ca)
+            for (a, b), c in _coproduct_monomial(spec, m).items()
+            for sa, ca in antipode(a).items()
+        )
+        if got != expect:
+            problems.append(f"convolution failed on {m}: got {got}, expected {expect}")
+    return problems
 
 
-@pytest.mark.parametrize(
-    "make, degree",
-    [
-        (lambda: faa_di_bruno_spec(6), 6),
-        (lambda: dualize(grafting_instance(5), 5), 5),
-    ],
-    ids=["fdb-6", "grafting-5-dual"],
-)
-def test_generator_reports_flag_the_tables_the_per_monomial_reports_flag(
-    make, degree
-):
-    base = make()
+def test_generator_reports_flag_the_tables_the_per_monomial_reports_flag(corrupted):
+    _, base, degree, tables = corrupted
     assert coassociativity_report(base, degree) == []
     assert counit_report(base, degree) == []
     assert _coassociativity_per_monomial(base, degree) == []
     assert _counit_per_monomial(base, degree) == []
-    for spec in _single_coefficient_corruptions(base):
+    for spec in tables:
         got = coassociativity_report(spec, degree)
         # Every corruption is flagged by both; a generator is a monomial, so
         # each line is one the oracle prints too.
@@ -221,3 +221,34 @@ def test_convolution_check_rejects_non_antipode(fdb6):
     assert failures
     assert any("b2" in line for line in failures)
 
+
+def test_generator_convolution_check_gives_the_per_monomial_verdict(
+    corrupted, monkeypatch, capsys
+):
+    # Every single-coefficient corruption under every route: the generator
+    # check fails exactly when some monomial of degree <= D does, and it
+    # prints what the per-monomial check prints on the generators.  The
+    # verify lines before the convolution come from unchanged reports, so
+    # its stdout is the one the per-monomial check gave.  verify reads the
+    # table in hand, so both share its memos.
+    _, _, degree, tables = corrupted
+    for spec in tables:
+        monkeypatch.setattr(cli, "load_spec_file", lambda path: spec)
+        assert cli.run(["verify", "--spec", "-", "--max-degree", str(degree)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[:3] == [
+            "structural validation: ok", "coassociativity: FAIL", "counit: ok"
+        ]
+        monomials = monomials_up_to(spec, degree)
+        generators = [m for m in monomials if len(m) == 1]
+        verdicts = []
+        for method in METHODS:
+            antipode = antipode_endomap(spec, method)
+            got = convolution_check(spec, degree, antipode)
+            assert got == _convolution_per_monomial(spec, generators, antipode)
+            everywhere = _convolution_per_monomial(spec, monomials, antipode)
+            assert bool(got) == bool(everywhere), method
+            verdicts.append(
+                f"antipode convolution ({method}): {'FAIL' if everywhere else 'ok'}"
+            )
+        assert out[4:] == verdicts + ["VERIFY: FAIL"]
