@@ -376,9 +376,11 @@ def save_spec(spec: CoproductSpec) -> str:
 
 # --- JSON deserialization ----------------------------------------------------
 #
-# Each item parser checks one JSON item and raises InputError with the tail of
-# its message (": ..." or " must be an object"); `_parse_items` puts the item's
-# position in front, so no location text is built unless an item fails.
+# Each JSON field has one parser: a value of the exact type json.loads gives
+# returns at once, and any other goes on to the checks that name its problem
+# or read an int or dict subclass.  A parser raises InputError with the tail
+# of its message (": ..." or " must be an object"); the row reader puts the
+# row's position in front, so no location text is built unless a row fails.
 
 def _parse_items(items: list, field: str, parse: Callable[[object], object]) -> list:
     """``parse`` of each item of a JSON list; a failure names its item as
@@ -392,7 +394,27 @@ def _parse_items(items: list, field: str, parse: Callable[[object], object]) -> 
     return out
 
 
+def _check_document(
+    doc: object, kind: str, noun: str, lists: tuple, optional: tuple = ()
+) -> None:
+    """The top-level checks of either table kind: an object of known fields,
+    a string 'name' and the ``lists``; ``kind`` and ``noun`` name the
+    document and the spec in the messages."""
+    if not isinstance(doc, dict):
+        raise InputError(f"{kind} document must be a JSON object")
+    unknown = doc.keys() - {"name", *lists, *optional}
+    if unknown:
+        raise InputError(f"unknown top-level fields {sorted(unknown)}")
+    if not isinstance(doc.get("name"), str):
+        raise InputError(f"{noun} needs a string 'name'")
+    for field in lists:
+        if not isinstance(doc.get(field), list):
+            raise InputError(f"{noun} needs a '{field}' list")
+
+
 def _check_fields(item: object, fields: frozenset) -> None:
+    if type(item) is dict and item.keys() <= fields:
+        return
     if not isinstance(item, dict):
         raise InputError(" must be an object")
     if not item.keys() <= fields:
@@ -400,9 +422,30 @@ def _check_fields(item: object, fields: frozenset) -> None:
 
 
 def _parse_id(raw: object) -> int:
+    if type(raw) is int and raw >= 1:
+        return raw
     if not isinstance(raw, int) or isinstance(raw, bool) or raw < 1:
         raise InputError(f": generator ids must be positive integers, got {raw!r}")
     return raw
+
+
+def _parse_right(raw: object) -> Multiset:
+    """A nonempty ascending list of generator ids, as a tuple; the ids are
+    checked in list order, before the order of the list."""
+    if type(raw) is list and raw:
+        low = 1
+        for i in raw:
+            if type(i) is not int or i < low:
+                break
+            low = i
+        else:
+            return tuple(raw)
+    if not isinstance(raw, list) or not raw:
+        raise InputError(": right must be a nonempty list of generator ids")
+    right = list(map(_parse_id, raw))
+    if right != sorted(right):
+        raise InputError(f": right must be sorted ascending, got {right}")
+    return tuple(right)
 
 
 _COEFF = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
@@ -410,10 +453,11 @@ _COEFF = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 def _parse_coeff(raw: object) -> Scalar:
     """A JSON integer or "p" string as an int, a "p/q" string as a Fraction."""
-    if isinstance(raw, int) and not isinstance(raw, bool):
-        return raw
-    if not isinstance(raw, str):
-        raise InputError(f": coeff must be an integer or 'p/q' string, got {raw!r}")
+    if type(raw) is not str:
+        if isinstance(raw, int) and not isinstance(raw, bool):
+            return raw
+        if not isinstance(raw, str):
+            raise InputError(f": coeff must be an integer or 'p/q' string, got {raw!r}")
     match = _COEFF.fullmatch(raw)
     if match is None:
         raise InputError(f": bad coefficient {raw!r} (not 'p' or 'p/q')")
@@ -441,76 +485,37 @@ def _parse_generator(item: object) -> Generator:
     return Generator(gid, degree, label)
 
 
-def _parse_row(item: object) -> CoproductEntry:
-    """A strict coproduct row, checked field by field in the order the
-    messages name them; `_parse_rows` calls it only for a row that fails its
-    inline check, so it raises, or accepts int and dict subclasses."""
-    _check_fields(item, _ROW_FIELDS)
-    source = _parse_id(item.get("source"))
-    left = _parse_id(item.get("left"))
-    raw = item.get("right")
-    if not isinstance(raw, list) or not raw:
-        raise InputError(": right must be a nonempty list of generator ids")
-    right = list(map(_parse_id, raw))
-    if right != sorted(right):
-        raise InputError(f": right must be sorted ascending, got {right}")
-    coeff = _fraction(_parse_coeff(item.get("coeff")))
-    return CoproductEntry._checked(source, left, tuple(right), coeff)
-
-
-def _ascending_ids(ids: list) -> bool:
-    """Whether a list holds plain ints >= 1 in ascending order, in one loop."""
-    low = 1
-    for i in ids:
-        if type(i) is not int or i < low:
-            return False
-        low = i
-    return True
-
-
 def _parse_rows(items: list) -> list[CoproductEntry]:
-    """The coproduct rows in one pass.  A row of the exact types json.loads
-    returns, with positive ids and a nonempty ascending right list, is read
-    inline; any other row goes through `_parse_row`, which raises the row's
-    first problem or reads the row as it stands.  `coeffs` holds the values
-    of the coefficient texts read so far, as a table repeats few of them."""
+    """The coproduct rows in one pass, each field through its parser in the
+    order the messages name them; the exact-type tests of the row, `source`
+    and `left` are inlined, as every command loads a table.  `coeffs` holds
+    the values of the coefficient texts read so far: a table repeats few."""
     coeffs: dict[str, Fraction] = {}
     entries = []
     for pos, item in enumerate(items):
         try:
-            if not (
-                type(item) is dict
-                and item.keys() <= _ROW_FIELDS
-                and type(source := item.get("source")) is int and source >= 1
-                and type(left := item.get("left")) is int and left >= 1
-                and type(right := item.get("right")) is list and right
-                and _ascending_ids(right)
-            ):
-                entries.append(_parse_row(item))
-                continue
+            if type(item) is not dict or not item.keys() <= _ROW_FIELDS:
+                _check_fields(item, _ROW_FIELDS)
+            source = item.get("source")
+            if type(source) is not int or source < 1:
+                source = _parse_id(source)
+            left = item.get("left")
+            if type(left) is not int or left < 1:
+                left = _parse_id(left)
+            right = _parse_right(item.get("right"))
             raw = item.get("coeff")
             if type(raw) is not str:
                 coeff = _fraction(_parse_coeff(raw))
             elif (coeff := coeffs.get(raw)) is None:
                 coeff = coeffs[raw] = _fraction(_parse_coeff(raw))
-            entries.append(CoproductEntry._checked(source, left, tuple(right), coeff))
+            entries.append(CoproductEntry._checked(source, left, right, coeff))
         except InputError as exc:
             raise InputError(f"coproduct[{pos}]{exc}") from None
     return entries
 
 
 def spec_from_dict(doc: object) -> CoproductSpec:
-    if not isinstance(doc, dict):
-        raise InputError("spec document must be a JSON object")
-    unknown = doc.keys() - {"name", "generators", "coproduct"}
-    if unknown:
-        raise InputError(f"unknown top-level fields {sorted(unknown)}")
-    if not isinstance(doc.get("name"), str):
-        raise InputError("spec needs a string 'name'")
-    if not isinstance(doc.get("generators"), list):
-        raise InputError("spec needs a 'generators' list")
-    if not isinstance(doc.get("coproduct"), list):
-        raise InputError("spec needs a 'coproduct' list")
+    _check_document(doc, "spec", "spec", ("generators", "coproduct"))
     gens = _parse_items(doc["generators"], "generators", _parse_generator)
     return CoproductSpec(doc["name"], gens, _parse_rows(doc["coproduct"]))
 

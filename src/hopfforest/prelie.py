@@ -41,6 +41,7 @@ from .hopfspec import (
     CoproductEntry,
     CoproductSpec,
     Generator,
+    _check_document,
     _check_fields,
     _parse_coeff,
     _parse_generator,
@@ -495,67 +496,33 @@ _PRODUCT_FIELDS = frozenset(("left", "right", "result"))
 _TERM_FIELDS = frozenset(("id", "coeff"))
 
 
-def _parse_term(item: object) -> tuple[Monomial, Scalar]:
-    """A strict result term, checked field by field; `_parse_products` calls
-    it only for a term that fails its inline check."""
-    _check_fields(item, _TERM_FIELDS)
-    return Monomial((_parse_id(item.get("id")),)), _parse_coeff(item.get("coeff"))
-
-
 def _parse_products(items: list) -> dict[tuple[int, int], Polynomial]:
-    """The products in one pass, as in `hopfspec._parse_rows`: a product or
-    a result term of the exact types json.loads returns, with positive ids,
-    is read inline, and any other goes through the field-by-field checks,
-    which raise its first problem or read it as it stands."""
+    """The products in one pass, each field of a product or a result term
+    through its parser in the order the messages name them."""
     products: dict[tuple[int, int], Polynomial] = {}
-    for pos, item in enumerate(items):
-        try:
-            if not (
-                type(item) is dict
-                and item.keys() <= _PRODUCT_FIELDS
-                and type(i := item.get("left")) is int and i >= 1
-                and type(j := item.get("right")) is int and j >= 1
-            ):
-                _check_fields(item, _PRODUCT_FIELDS)
-                i, j = _parse_id(item.get("left")), _parse_id(item.get("right"))
-            if (i, j) in products:
-                raise InputError(f": duplicate pair ({i}, {j})")
-            raw = item.get("result")
-            if not isinstance(raw, list):
-                raise InputError(": result must be a list")
-            terms = []
-            for tpos, term in enumerate(raw):
-                try:
-                    if (
-                        type(term) is dict
-                        and term.keys() <= _TERM_FIELDS
-                        and type(k := term.get("id")) is int and k >= 1
-                    ):
-                        c = _parse_coeff(term.get("coeff"))
-                        terms.append((_sorted_monomial((k,)), c))
-                    else:
-                        terms.append(_parse_term(term))
-                except InputError as exc:
-                    raise InputError(f".result[{tpos}]{exc}") from None
-            # the constructor sums repeated ids
-            products[i, j] = Polynomial._checked(terms)
-        except InputError as exc:
-            raise InputError(f"products[{pos}]{exc}") from None
+
+    def term(item: object) -> tuple[Monomial, Scalar]:
+        _check_fields(item, _TERM_FIELDS)
+        k = _parse_id(item.get("id"))
+        return _sorted_monomial((k,)), _parse_coeff(item.get("coeff"))
+
+    def product(item: object) -> None:
+        _check_fields(item, _PRODUCT_FIELDS)
+        i, j = _parse_id(item.get("left")), _parse_id(item.get("right"))
+        if (i, j) in products:
+            raise InputError(f": duplicate pair ({i}, {j})")
+        raw = item.get("result")
+        if not isinstance(raw, list):
+            raise InputError(": result must be a list")
+        # the constructor sums repeated ids
+        products[i, j] = Polynomial._checked(_parse_items(raw, ".result", term))
+
+    _parse_items(items, "products", product)
     return products
 
 
 def prelie_from_dict(doc: object) -> PreLieSpec:
-    if not isinstance(doc, dict):
-        raise InputError("preLie document must be a JSON object")
-    unknown = doc.keys() - {"name", "basis", "products", "truncation"}
-    if unknown:
-        raise InputError(f"unknown top-level fields {sorted(unknown)}")
-    if not isinstance(doc.get("name"), str):
-        raise InputError("preLie spec needs a string 'name'")
-    if not isinstance(doc.get("basis"), list):
-        raise InputError("preLie spec needs a 'basis' list")
-    if not isinstance(doc.get("products"), list):
-        raise InputError("preLie spec needs a 'products' list")
+    _check_document(doc, "preLie", "preLie spec", ("basis", "products"), ("truncation",))
     basis = _parse_items(doc["basis"], "basis", _parse_generator)
     products = _parse_products(doc["products"])
     return PreLieSpec(doc["name"], basis, products, doc.get("truncation"))

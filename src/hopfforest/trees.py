@@ -461,15 +461,6 @@ def _assemble_cut(
     dropped = {c for x in chosen for c in view.children[x]}
     members = meet | dropped
 
-    components = [
-        node(
-            view.source_of[x],
-            view.left_of[x],
-            tuple(leaf(view.source_of[c]) for c in view.children[x]),
-        )
-        for x in chosen
-    ] + [leaf(view.source_of[y]) for y in bare]
-
     cut_view = PosetView(
         vertices=tuple(a for a in view.vertices if a in members),
         parent={
@@ -502,7 +493,7 @@ def _assemble_cut(
     return CorollaCut(
         vertices=frozenset(members),
         meet=meet,
-        cut=forest(*components),
+        cut=forest(*(_tree_from_view(cut_view, a) for a in cut_view.roots)),
         quotient=_tree_from_view(quotient_view, ()),
         cut_view=cut_view,
         quotient_view=quotient_view,

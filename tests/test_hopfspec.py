@@ -32,7 +32,7 @@ from hopfforest.hopfspec import (
     spec_to_dict,
     sym_spec,
 )
-from hopfforest.prelie import dualize, grafting_instance
+from hopfforest.prelie import dualize, grafting_instance, prelie_from_dict
 
 
 def partitions_with_sizes(n, sizes):
@@ -370,6 +370,8 @@ LOADER_CASES = [
         _row(1, coeff=[1]),
         "coproduct[1]: coeff must be an integer or 'p/q' string, got [1]",
     ),
+    (lambda d: d.update(generators={}), "spec needs a 'generators' list"),
+    (lambda d: d.pop("coproduct"), "spec needs a 'coproduct' list"),
 ]
 
 
@@ -386,6 +388,21 @@ def test_loader_is_strict(mutate):
     with pytest.raises(InputError) as exc:
         spec_from_dict(doc)
     assert str(exc.value) == dict(LOADER_CASES)[mutate]
+
+
+@pytest.mark.parametrize(
+    "load, message",
+    [
+        (spec_from_dict, "spec document must be a JSON object"),
+        (prelie_from_dict, "preLie document must be a JSON object"),
+    ],
+    ids=["spec", "prelie"],
+)
+@pytest.mark.parametrize("doc", [[], "x", None], ids=["list", "string", "null"])
+def test_loaders_need_an_object_document(load, message, doc):
+    with pytest.raises(InputError) as exc:
+        load(doc)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """Truncated preLie algebras: brace extension, enveloping product, identity
 checkers, the free grafting instance, and graded dualization."""
 
+from collections import OrderedDict
+from enum import IntEnum
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -494,6 +496,27 @@ LOADER_CASES = [
         lambda d: (_term(1, coeff="x")(d), _term(3, id=0)(d)),
         "products[1].result[0]: bad coefficient 'x' (not 'p' or 'p/q')",
     ),
+    (lambda d: d.update(name=3), "preLie spec needs a string 'name'"),
+    (lambda d: d.pop("basis"), "preLie spec needs a 'basis' list"),
+    (lambda d: d.update(products={}), "preLie spec needs a 'products' list"),
+    (
+        lambda d: d["products"].__setitem__(1, [1, 2, []]),
+        "products[1] must be an object",
+    ),
+    # within a product or a term, the first field in message order wins
+    (_product(1, extra=1, left=True), "products[1]: unknown fields ['extra']"),
+    (
+        _product(1, left=0, right=True),
+        "products[1]: generator ids must be positive integers, got 0",
+    ),
+    (
+        lambda d: d["products"].append(dict(d["products"][0], result="x")),
+        "products[8]: duplicate pair (1, 1)",
+    ),
+    (
+        _term(1, id=0, coeff=1.5),
+        "products[1].result[0]: generator ids must be positive integers, got 0",
+    ),
 ]
 
 
@@ -505,6 +528,26 @@ def test_prelie_loader_is_strict(graft4, mutate):
     with pytest.raises(InputError) as exc:
         prelie_from_dict(doc)
     assert str(exc.value) == dict(LOADER_CASES)[mutate]
+
+
+class Id(IntEnum):
+    ONE = 1
+    TWO = 2
+    FOUR = 4
+
+
+def test_prelie_loader_accepts_int_and_dict_subclasses(graft4):
+    # As for coproduct tables: IntEnum ids and dict-subclass products and
+    # terms load as their plain values.
+    doc = prelie_to_dict(graft4)
+    plain = prelie_from_dict(doc)
+    product = doc["products"][1]
+    assert (product["left"], product["right"], product["result"][0]["id"]) == (1, 2, 4)
+    term = OrderedDict(product["result"][0], id=Id.FOUR)
+    doc["products"][1] = OrderedDict(product, left=Id.ONE, right=Id.TWO, result=[term])
+    loaded = prelie_from_dict(doc)
+    assert loaded.products == plain.products
+    assert save_prelie(loaded) == save_prelie(plain)
 
 
 def test_prelie_loader_reads_coefficients_exactly(graft4):
