@@ -32,7 +32,7 @@ from functools import wraps
 from inspect import signature
 from itertools import groupby
 from math import comb
-from operator import attrgetter
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -125,36 +125,32 @@ class Generator:
         return self.label if self.label is not None else f"b{self.id}"
 
 
-@dataclass(frozen=True)
-class CoproductEntry:
-    """One term of a reduced coproduct: coeff * b_left (x) (product over right).
-    The coefficient is given as an int (not a bool) or a Fraction, as in
-    Polynomial, and reads back as a Fraction; values built from the entry
-    hold it as an int until a denominator appears."""
+class CoproductEntry(tuple):
+    """One term of a reduced coproduct: coeff * b_left (x) (product over right),
+    a tuple (source, left, right, coeff), as `Monomial` is a tuple of indices.
+    `right` is sorted into a tuple.  The coefficient is given as an int (not
+    a bool) or a Fraction, as in Polynomial, and reads back as a Fraction;
+    values built from the entry hold it as an int until a denominator
+    appears."""
 
-    source: int
-    left: int
-    right: Multiset
-    coeff: Rational
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "right", multiset(self.right))
-        if type(self.coeff) is not Fraction:
-            object.__setattr__(self, "coeff", _fraction(_scalar(self.coeff)))
+    def __new__(cls, source: int, left: int, right: Iterable[int], coeff: Rational):
+        if type(coeff) is not Fraction:
+            coeff = _fraction(_scalar(coeff))
+        return tuple.__new__(cls, (source, left, multiset(right), coeff))
 
-    @classmethod
-    def _checked(
-        cls, source: int, left: int, right: Multiset, coeff: Fraction
-    ) -> "CoproductEntry":
-        """An entry from values the loader already checked and normalized:
-        positive ids, `right` a sorted tuple, `coeff` a Fraction."""
-        entry = object.__new__(cls)
-        entry.__dict__.update(source=source, left=left, right=right, coeff=coeff)
-        return entry
+    def __reduce__(self):
+        return (CoproductEntry, tuple(self))
+
+    source = property(itemgetter(0))
+    left = property(itemgetter(1))
+    right = property(itemgetter(2))
+    coeff = property(itemgetter(3))
 
 
 #: An entry's table key: (source, left, right).
-_entry_key = attrgetter("source", "left", "right")
+_entry_key = itemgetter(0, 1, 2)
 
 
 def _entry_text(e: CoproductEntry) -> str:
@@ -182,7 +178,7 @@ class CoproductSpec:
         self.entries = tuple(sorted(entries, key=_entry_key))
         self._by_source = {
             source: tuple(rows)
-            for source, rows in groupby(self.entries, attrgetter("source"))
+            for source, rows in groupby(self.entries, itemgetter(0))
         }
         # The spec_memo store: one dict per memoized function.
         self._cache: dict = {}
@@ -228,7 +224,7 @@ class CoproductSpec:
         # Sorted by key, so a repeated key follows its first occurrence.
         previous = None
         for e in self.entries:
-            source, left, right = key = (e.source, e.left, e.right)
+            source, left, right = key = e[:3]
             if key == previous:
                 problems.append(f"duplicate {_entry_text(e)}")
             previous = key
@@ -430,16 +426,8 @@ def _parse_id(raw: object) -> int:
 
 
 def _parse_right(raw: object) -> Multiset:
-    """A nonempty ascending list of generator ids, as a tuple; the ids are
-    checked in list order, before the order of the list."""
-    if type(raw) is list and raw:
-        low = 1
-        for i in raw:
-            if type(i) is not int or i < low:
-                break
-            low = i
-        else:
-            return tuple(raw)
+    """A nonempty ascending list of generator ids, as a tuple, for a list the
+    row reader's inline test refused: ids first, in list order, then order."""
     if not isinstance(raw, list) or not raw:
         raise InputError(": right must be a nonempty list of generator ids")
     right = list(map(_parse_id, raw))
@@ -487,9 +475,9 @@ def _parse_generator(item: object) -> Generator:
 
 def _parse_rows(items: list) -> list[CoproductEntry]:
     """The coproduct rows in one pass, each field through its parser in the
-    order the messages name them; the exact-type tests of the row, `source`
-    and `left` are inlined, as every command loads a table.  `coeffs` holds
-    the values of the coefficient texts read so far: a table repeats few."""
+    order the messages name them.  Every command loads a table, so the
+    exact-type tests of the row and of its ids are inlined, and each row is
+    built as a tuple.  `coeffs` maps the coefficient texts read so far."""
     coeffs: dict[str, Fraction] = {}
     entries = []
     for pos, item in enumerate(items):
@@ -502,13 +490,23 @@ def _parse_rows(items: list) -> list[CoproductEntry]:
             left = item.get("left")
             if type(left) is not int or left < 1:
                 left = _parse_id(left)
-            right = _parse_right(item.get("right"))
+            right = item.get("right")
+            if type(right) is list and right:
+                low = 1
+                for i in right:
+                    if type(i) is not int or i < low:
+                        break
+                    low = i
+                else:
+                    right = tuple(right)
+            if type(right) is not tuple:
+                right = _parse_right(right)
             raw = item.get("coeff")
             if type(raw) is not str:
                 coeff = _fraction(_parse_coeff(raw))
             elif (coeff := coeffs.get(raw)) is None:
                 coeff = coeffs[raw] = _fraction(_parse_coeff(raw))
-            entries.append(CoproductEntry._checked(source, left, right, coeff))
+            entries.append(tuple.__new__(CoproductEntry, (source, left, right, coeff)))
         except InputError as exc:
             raise InputError(f"coproduct[{pos}]{exc}") from None
     return entries

@@ -2,11 +2,14 @@
 grafting preLie instance, its dualized coproduct table, and their
 single-coefficient corruptions."""
 
-from dataclasses import replace
-
 import pytest
 
-from hopfforest.hopfspec import CoproductSpec, faa_di_bruno_spec, save_spec
+from hopfforest.hopfspec import (
+    CoproductEntry,
+    CoproductSpec,
+    faa_di_bruno_spec,
+    save_spec,
+)
 from hopfforest.prelie import dualize, grafting_instance, save_prelie
 
 
@@ -55,6 +58,6 @@ def corrupted(request):
     tables = []
     for k, e in enumerate(base.entries):
         entries = list(base.entries)
-        entries[k] = replace(e, coeff=e.coeff + 1)
+        entries[k] = CoproductEntry(e.source, e.left, e.right, e.coeff + 1)
         tables.append(CoproductSpec("corrupt", base.generators.values(), entries))
     return name, base, degree, tables

@@ -1,8 +1,6 @@
 """Coproduct engine: reduced/full coproducts, multiplicative extension,
 iterated splitting, and the structural health checks."""
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +24,13 @@ from hopfforest.coproduct import (
     reduced_coproduct_poly,
 )
 from hopfforest.errors import InputError
-from hopfforest.hopfspec import CoproductSpec, faa_di_bruno_spec, sym_spec
+from hopfforest.hopfspec import (
+    CoproductEntry,
+    CoproductSpec,
+    faa_di_bruno_spec,
+    sym_spec,
+)
+from hopfforest.prelie import dualize, grafting_instance
 
 
 def test_reduced_coproduct_goldens(fdb6):
@@ -115,7 +119,7 @@ def test_iterated_reduced_leg_independence(fdb6, i, k):
     p = Polynomial.variable(i)
     left = Tensor.single((mono(i),))
     for _ in range(k - 1):
-        left = _splice(fdb6, left, 0, _reduced_coproduct_monomial)
+        left = _splice(fdb6, left, 0)
     assert iterated_reduced_poly(fdb6, p, k) == left
     assert iterated_reduced_poly(fdb6, p, k) == iterated_reduced(fdb6, i, k)
 
@@ -134,20 +138,42 @@ def test_structure_reports_are_clean(fdb6):
     assert counit_report(fdb6, max_degree=5) == []
 
 
-# The per-monomial reports the generator reports replaced, kept as oracles:
-# they check each identity on every monomial instead of relying on the
-# coproduct being an algebra morphism.
+# The reports the generator reports replaced, kept as oracles: they check
+# each identity through the full coproduct, and the per-monomial ones on
+# every monomial instead of relying on the coproduct being an algebra
+# morphism.
 
-def _coassociativity_per_monomial(spec, max_degree):
+def _full_splice(spec, t, leg):
+    """Slot `leg` of every term of t replaced by its full coproduct."""
+    return Tensor(
+        t.rank + 1,
+        (
+            (key[:leg] + pair + key[leg + 1 :], c * c2)
+            for key, c in t.items()
+            for pair, c2 in _coproduct_monomial(spec, key[leg]).items()
+        ),
+    )
+
+
+def _full_coassociativity(spec, monomials):
+    """(coproduct (x) id) vs (id (x) coproduct) after one full coproduct."""
     problems = []
-    for m in monomials_up_to(spec, max_degree):
+    for m in monomials:
         once = _coproduct_monomial(spec, m)
-        first, second = (
-            _splice(spec, once, leg, _coproduct_monomial) for leg in (0, 1)
-        )
-        if first != second:
+        if _full_splice(spec, once, 0) != _full_splice(spec, once, 1):
             problems.append(f"coassociativity failed on {m}")
     return problems
+
+
+def _coassociativity_full_splice(spec, max_degree):
+    """The full-coproduct report on the generators of degree <= max_degree,
+    by degree, then id."""
+    monomials = monomials_up_to(spec, max_degree)
+    return _full_coassociativity(spec, [m for m in monomials if len(m) == 1])
+
+
+def _coassociativity_per_monomial(spec, max_degree):
+    return _full_coassociativity(spec, monomials_up_to(spec, max_degree))
 
 
 def _counit_per_monomial(spec, max_degree):
@@ -210,9 +236,34 @@ def test_coassociativity_flags_every_single_coefficient_corruption():
     assert len(base.entries) == 18
     for k, e in enumerate(base.entries):
         entries = list(base.entries)
-        entries[k] = replace(e, coeff=e.coeff + 1)
+        entries[k] = CoproductEntry(e.source, e.left, e.right, e.coeff + 1)
         spec = CoproductSpec("corrupt", base.generators.values(), entries)
         assert coassociativity_report(spec, 5), e
+
+
+@pytest.mark.parametrize(
+    "make, degree, rows",
+    [
+        (lambda: faa_di_bruno_spec(6), 6, 31),
+        (lambda: faa_di_bruno_spec(8), 8, 79),
+        (lambda: dualize(grafting_instance(5), 5), 5, 68),
+    ],
+    ids=["fdb-6", "fdb-8", "grafting-5-dual"],
+)
+def test_reduced_coassociativity_gives_the_full_splice_report(make, degree, rows):
+    # The full iterates differ by the reduced iterates' difference, so the
+    # two reports print the same lines on every table, and every
+    # single-coefficient corruption fails both.
+    base = make()
+    assert len(base.entries) == rows
+    assert coassociativity_report(base, degree) == []
+    assert _coassociativity_full_splice(base, degree) == []
+    for k, e in enumerate(base.entries):
+        entries = list(base.entries)
+        entries[k] = CoproductEntry(e.source, e.left, e.right, e.coeff + 1)
+        spec = CoproductSpec("corrupt", base.generators.values(), entries)
+        got = coassociativity_report(spec, degree)
+        assert got and got == _coassociativity_full_splice(spec, degree), e
 
 
 def test_convolution_check_rejects_non_antipode(fdb6):

@@ -2,8 +2,10 @@
 family, and the JSON interchange format."""
 
 import ast
+import copy
 import inspect
 import json
+import pickle
 from collections import OrderedDict
 from enum import IntEnum
 from fractions import Fraction
@@ -55,9 +57,29 @@ def test_generator_display():
 
 def test_entry_normalizes():
     e = CoproductEntry(3, 1, [2, 1, 1], 5)
-    assert e.right == (1, 1, 2)
+    assert e.right == (1, 1, 2) and type(e.right) is tuple
     assert e.coeff == Fraction(5) and type(e.coeff) is Fraction
+    assert e == (3, 1, (1, 1, 2), Fraction(5)) and isinstance(e, tuple)
+    assert (e.source, e.left, e.right, e.coeff) == tuple(e)
     assert CoproductEntry(2, 1, (1,), Fraction(3, 4)).coeff == Fraction(3, 4)
+
+
+def test_entry_is_read_only():
+    e = CoproductEntry(3, 1, (1, 2), 5)
+    for field in ("source", "left", "right", "coeff", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(e, field, 1)
+    with pytest.raises(AttributeError):
+        del e.coeff
+    assert e == (3, 1, (1, 2), 5)
+
+
+def test_entry_round_trips_through_pickle_and_deepcopy():
+    e = CoproductEntry(3, 1, (1, 2), Fraction(-3, 4))
+    for copied in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
+        assert type(copied) is CoproductEntry
+        assert copied == e and hash(copied) == hash(e)
+        assert (copied.right, copied.coeff) == ((1, 2), Fraction(-3, 4))
 
 
 @pytest.mark.parametrize("coeff", [0.1, True, "3", None])
@@ -465,8 +487,15 @@ def test_loaded_entries_are_the_constructors_entries():
 
 
 @pytest.mark.parametrize(
-    "make", [lambda: faa_di_bruno_spec(12), lambda: sym_spec(30), _grafting_dual],
-    ids=["fdb-12", "sym-30", "grafting-6-dual"],
+    "make",
+    [
+        lambda: faa_di_bruno_spec(6),
+        lambda: faa_di_bruno_spec(12),
+        lambda: sym_spec(30),
+        lambda: dualize(grafting_instance(5), 5),
+        _grafting_dual,
+    ],
+    ids=["fdb-6", "fdb-12", "sym-30", "grafting-5-dual", "grafting-6-dual"],
 )
 def test_save_load_is_a_fixed_point(make):
     spec = make()
@@ -475,6 +504,9 @@ def test_save_load_is_a_fixed_point(make):
     assert save_spec(again) == text
     assert again.entries == spec.entries
     assert all(type(e.coeff) is Fraction for e in again.entries)
+    assert all(type(e) is CoproductEntry for e in again.entries)
+    for i in spec.generator_ids():
+        assert again.entries_for(i) == spec.entries_for(i)
 
 
 def test_loader_rejects_malformed_text(tmp_path):

@@ -8,7 +8,7 @@ from itertools import product as iter_product
 
 import pytest
 
-from hopfforest.algebra import Monomial, Polynomial, Tensor, mono
+from hopfforest.algebra import UNIT, Monomial, Polynomial, Tensor, mono
 from hopfforest.coproduct import coassociativity_report, counit_report
 from hopfforest.errors import ConstructionError, InputError
 from hopfforest.hopfspec import Generator, graded_monomials
@@ -594,6 +594,67 @@ def reference_associativity(spec):
         if lhs != rhs:
             problems.append(f"enveloping product not associative on ({a}, {b}, {c})")
     return problems
+
+
+def _associativity_with_unit(spec):
+    """The associativity report over every monomial triple under the
+    truncation, unit included, by the nested loop the report ran before it
+    skipped unit factors."""
+    t = spec.truncation
+    mons = [
+        (m, spec.monomial_degree(m), Polynomial.single(m))
+        for m in graded_monomials(spec.basis.values(), t)
+    ]
+    problems = []
+    for a, da, single_a in mons:
+        for b, db, _ in mons:
+            if da + db > t:
+                break
+            ab = guin_oudom_mul(spec, a, b)
+            for c, dc, single_c in mons:
+                if da + db + dc > t:
+                    break
+                lhs = guin_oudom_poly(spec, ab, single_c)
+                rhs = guin_oudom_poly(spec, single_a, guin_oudom_mul(spec, b, c))
+                if lhs != rhs:
+                    problems.append(
+                        f"enveloping product not associative on ({a}, {b}, {c})"
+                    )
+    return problems
+
+
+def _single_constant_corruptions(spec):
+    """Every copy of the table with one structure constant raised by 1."""
+    for key, value in sorted(spec.products.items()):
+        for m, _ in value.terms():
+            products = dict(spec.products)
+            products[key] = value + Polynomial.single(m)
+            yield PreLieSpec("corrupt", spec.basis.values(), products, spec.truncation)
+
+
+def test_associativity_without_unit_triples_gives_the_full_report():
+    # A unit factor is an identity of guin_oudom_mul on every table, so the
+    # triples the report skips never fail.
+    base = grafting_instance(5)
+    tables = list(_single_constant_corruptions(base))
+    assert len(tables) == 39
+    failing = 0
+    for spec in tables:
+        got = associativity_report(spec)
+        assert got == _associativity_with_unit(spec)
+        failing += bool(got)
+        for a in graded_monomials(spec.basis.values(), spec.truncation):
+            assert guin_oudom_mul(spec, a, UNIT) == Polynomial.single(a)
+            assert guin_oudom_mul(spec, UNIT, a) == Polynomial.single(a)
+    assert failing == 36
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_unit_is_a_two_sided_identity_of_the_enveloping_product(n):
+    spec = grafting_instance(n)
+    for a in graded_monomials(spec.basis.values(), n):
+        assert guin_oudom_mul(spec, a, UNIT) == Polynomial.single(a)
+        assert guin_oudom_mul(spec, UNIT, a) == Polynomial.single(a)
 
 
 def reference_filtration(spec):
