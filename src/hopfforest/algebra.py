@@ -34,11 +34,17 @@ Scalar = Union[Fraction, int]
 Multiset = tuple[int, ...]
 
 
+def _positive_int(x: object) -> bool:
+    """Whether x is an int >= 1 that is not a bool: the test of every id,
+    degree, rank and count of the package."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
+
+
 def multiset(indices: Iterable[int]) -> Multiset:
     """Normalize an iterable of generator indices to a sorted multiset."""
     out = tuple(sorted(indices))
     for i in out:
-        if not isinstance(i, int) or isinstance(i, bool) or i < 1:
+        if not _positive_int(i):
             raise InputError(f"generator indices must be positive integers, got {i!r}")
     return out
 
@@ -351,7 +357,7 @@ class Tensor(_CoefficientMap):
         rank: int,
         terms: Union[Mapping[TensorKey, Scalar], Iterable[tuple[TensorKey, Scalar]]] = (),
     ) -> None:
-        if not isinstance(rank, int) or rank < 1:
+        if not _positive_int(rank):
             raise InputError(f"tensor rank must be a positive integer, got {rank!r}")
         object.__setattr__(self, "_rank", rank)
         super().__init__(terms)

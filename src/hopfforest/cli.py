@@ -124,6 +124,14 @@ def _cmd_linearizations(args: argparse.Namespace) -> int:
     return 0
 
 
+def _route_values(spec: CoproductSpec, max_degree: int):
+    """(id, {method: antipode}) for each generator of degree <= max_degree, in
+    id order."""
+    for i in spec.generator_ids():
+        if spec.degree(i) <= max_degree:
+            yield i, {method: antipode_generator(spec, i, method) for method in METHODS}
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     spec = load_spec_file(args.spec)
     if args.max_degree < 1:
@@ -131,16 +139,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _print_check("structural validation", [])  # the loader validated the table
     ok = _print_check("coassociativity", coassociativity_report(spec, args.max_degree))
     ok &= _print_check("counit", counit_report(spec, args.max_degree))
-    agreement: list[str] = []
-    for i in spec.generator_ids():
-        if spec.degree(i) > args.max_degree:
-            continue
-        values = {method: antipode_generator(spec, i, method) for method in METHODS}
-        if len(set(values.values())) != 1:
-            agreement.append(
-                f"methods disagree on generator {i}: "
-                + "; ".join(f"{m}: {v.render()}" for m, v in values.items())
-            )
+    agreement = [
+        f"methods disagree on generator {i}: "
+        + "; ".join(f"{m}: {v.render()}" for m, v in values.items())
+        for i, values in _route_values(spec, args.max_degree)
+        if len(set(values.values())) != 1
+    ]
     ok &= _print_check("method agreement", agreement)
     for method in METHODS:
         ok &= _print_check(
@@ -156,11 +160,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.max_degree < 1:
         raise InputError(f"--max-degree must be >= 1, got {args.max_degree}")
     all_agree = True
-    for i in spec.generator_ids():
-        if spec.degree(i) > args.max_degree:
-            continue
-        values = [antipode_generator(spec, i, method) for method in METHODS]
-        agree = len(set(values)) == 1
+    for i, values in _route_values(spec, args.max_degree):
+        agree = len(set(values.values())) == 1
         all_agree &= agree
         stats = term_stats(spec, i)
         label = spec.generators[i].display()

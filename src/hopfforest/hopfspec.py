@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
 from inspect import signature
@@ -34,10 +33,10 @@ from itertools import groupby
 from math import comb
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .algebra import Monomial, Multiset, Rational, Scalar, coefficient_text, multiset
-from .algebra import _fraction, _scalar, _sorted_monomial
+from .algebra import _fraction, _positive_int, _scalar, _sorted_monomial
 from .errors import InputError
 
 
@@ -113,8 +112,7 @@ def multiplicative_memo(generator: Callable, one: object) -> Callable:
     return monomial_map
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     """A graded generator of the polynomial algebra."""
 
     id: int
@@ -304,7 +302,7 @@ def faa_di_bruno_spec(max_degree: int) -> CoproductSpec:
     from the partial Bell polynomials; every reduced-coproduct term has a
     single generator on the left, which is what the tree and forest
     machinery requires."""
-    if max_degree < 1:
+    if not _positive_int(max_degree):
         raise InputError(f"max_degree must be >= 1, got {max_degree}")
     gens = [Generator(n, n, f"b{n}") for n in range(1, max_degree + 1)]
     bell = _bell_partials(max_degree + 1)
@@ -329,7 +327,7 @@ def sym_spec(n: int) -> CoproductSpec:
     deg h_k = k: the reduced coproduct of h_k deconcatenates, one row
     (k; j; [k-j]) with coefficient 1 for each 1 <= j < k.  Its antipode has
     the closed form S(h_n) = (-1)^n e_n (Macdonald, ch. I.2)."""
-    if n < 1:
+    if not _positive_int(n):
         raise InputError(f"n must be >= 1, got {n}")
     gens = [Generator(k, k) for k in range(1, n + 1)]
     entries = [
@@ -420,7 +418,7 @@ def _check_fields(item: object, fields: frozenset) -> None:
 def _parse_id(raw: object) -> int:
     if type(raw) is int and raw >= 1:
         return raw
-    if not isinstance(raw, int) or isinstance(raw, bool) or raw < 1:
+    if not _positive_int(raw):
         raise InputError(f": generator ids must be positive integers, got {raw!r}")
     return raw
 
@@ -465,7 +463,7 @@ def _parse_generator(item: object) -> Generator:
     _check_fields(item, _GENERATOR_FIELDS)
     gid = _parse_id(item.get("id"))
     degree = item.get("degree")
-    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
+    if not _positive_int(degree):
         raise InputError(f": degree must be a positive integer, got {degree!r}")
     label = item.get("label")
     if label is not None and not isinstance(label, str):

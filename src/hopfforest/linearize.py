@@ -25,6 +25,7 @@ from .trees import (
     DecoratedTree,
     PosetView,
     TreeLike,
+    _subsets,
     enumerate_forests,
     enumerate_trees,
     tree_coefficient,
@@ -75,11 +76,9 @@ def k_linearizations(
         if levels_left == 0 or len(remaining) < levels_left:
             return
         minimal = sorted(a for a in remaining if view.parent[a] not in remaining)
-        for mask in range(1, 1 << len(minimal)):
-            fiber = frozenset(
-                minimal[j] for j in range(len(minimal)) if mask >> j & 1
-            )
-            peel(remaining - fiber, prefix + (fiber,), levels_left - 1)
+        for fiber in map(frozenset, _subsets(minimal)):
+            if fiber:
+                peel(remaining - fiber, prefix + (fiber,), levels_left - 1)
 
     peel(frozenset(view.vertices), (), k)
     return tuple(sorted(found, key=_sort_key))

@@ -27,14 +27,15 @@ The on-disk format is JSON:
 from __future__ import annotations
 
 import json
+from collections import Counter
 from fractions import Fraction
 from itertools import chain
-from math import factorial
+from math import factorial, prod
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 from .algebra import Monomial, Polynomial, Scalar, Tensor, coefficient_text
-from .algebra import _sorted_monomial
+from .algebra import _positive_int, _sorted_monomial
 from .coproduct import coassociativity_report, counit_report
 from .errors import ConstructionError, InputError
 from .hopfspec import (
@@ -105,7 +106,7 @@ class PreLieSpec:
                     f"basis element {g.id} has degree {g.degree}; must be >= 1"
                 )
         t = self.truncation
-        if not isinstance(t, int) or isinstance(t, bool) or t < 1:
+        if not _positive_int(t):
             problems.append(
                 f"truncation must be a positive integer, got {t!r}"
             )
@@ -368,24 +369,16 @@ def _graft_everywhere(host: ShapeTree, graft: ShapeTree) -> list[ShapeTree]:
 
 def rooted_tree_shapes(max_vertices: int) -> list[ShapeTree]:
     """All unlabeled rooted trees with at most max_vertices vertices, as
-    canonical nested tuples, ordered by (size, shape)."""
-    if max_vertices < 1:
+    canonical nested tuples, ordered by (size, shape).  Every tree of n > 1
+    vertices is one of n - 1 vertices with a leaf grafted on, so each size
+    is the previous one grafted everywhere."""
+    if not _positive_int(max_vertices):
         raise InputError(f"max_vertices must be >= 1, got {max_vertices}")
-    pool: list[tuple[ShapeTree, int]] = [((), 1)]
-    for n in range(2, max_vertices + 1):
-        def child_forests(total: int, start: int):
-            if total == 0:
-                yield ()
-                return
-            for idx in range(start, len(pool)):
-                t, size = pool[idx]
-                if size <= total:
-                    for rest in child_forests(total - size, idx):
-                        yield (t,) + rest
-
-        fresh = sorted({tuple(sorted(f)) for f in child_forests(n - 1, 0)})
-        pool.extend((t, n) for t in fresh)
-    return [t for t, _ in pool]
+    shapes, layer = [()], [()]
+    for _ in range(max_vertices - 1):
+        layer = sorted({g for t in layer for g in _graft_everywhere(t, ())})
+        shapes += layer
+    return shapes
 
 
 def grafting_instance(max_vertices: int) -> PreLieSpec:
@@ -411,10 +404,7 @@ def grafting_instance(max_vertices: int) -> PreLieSpec:
 # --- Graded dualization -------------------------------------------------------
 
 def _symmetry_factor(m: Monomial) -> Fraction:
-    out = 1
-    for i in set(m.indices):
-        out *= factorial(m.indices.count(i))
-    return Fraction(out)
+    return Fraction(prod(map(factorial, Counter(m).values())))
 
 
 def dualize(spec: PreLieSpec, max_degree: int) -> CoproductSpec:

@@ -23,15 +23,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product as iter_product
 from math import factorial
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Collection, Iterable, NamedTuple, Optional, Union
 
-from .algebra import Monomial, Rational
+from .algebra import Monomial, Rational, _positive_int
 from .errors import InputError
 from .hopfspec import CoproductSpec, spec_memo
 
 
 def _check_decoration(value: int, what: str) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+    if not _positive_int(value):
         raise InputError(f"{what} must be a positive integer, got {value!r}")
 
 
@@ -237,12 +237,10 @@ def enumerate_trees(spec: CoproductSpec, i: int) -> tuple[DecoratedTree, ...]:
     spec.degree(i)  # raises for unknown ids
     found = {leaf(i)}
     for e in spec.entries_for(i):
-        pools = []
-        for j in sorted(set(e.right)):
-            mult = e.right.count(j)
-            pools.append(
-                combinations_with_replacement(enumerate_trees(spec, j), mult)
-            )
+        pools = [
+            combinations_with_replacement(enumerate_trees(spec, j), mult)
+            for j, mult in Counter(e.right).items()
+        ]
         for combo in iter_product(*pools):
             children = tuple(t for group in combo for t in group)
             found.add(node(i, e.left, children))
@@ -416,6 +414,8 @@ class CorollaCut:
 
 
 def _subsets(items: list[Address]):
+    """Every sublist of items, the empty one first, in mask order: bit k of
+    the mask picks items[k]."""
     for mask in range(1 << len(items)):
         yield [items[k] for k in range(len(items)) if mask >> k & 1]
 
@@ -454,42 +454,32 @@ def corolla_cuts(t: DecoratedTree) -> tuple[CorollaCut, ...]:
     return tuple(out)
 
 
+def _restrict(
+    view: PosetView, keep: Collection[Address], relabel: Collection[Address] = ()
+) -> PosetView:
+    """The view on the vertices in `keep`: a vertex whose parent is dropped
+    becomes a root, dropped children vanish, and each vertex of `relabel`
+    emits its source."""
+    vertices = tuple(a for a in view.vertices if a in keep)
+    return PosetView(
+        vertices,
+        {a: (view.parent[a] if view.parent[a] in keep else None) for a in vertices},
+        {a: tuple(c for c in view.children[a] if c in keep) for a in vertices},
+        {a: view.source_of[a] for a in vertices},
+        {a: (view.source_of if a in relabel else view.left_of)[a] for a in vertices},
+    )
+
+
 def _assemble_cut(
     view: PosetView, chosen: list[Address], bare: list[Address]
 ) -> CorollaCut:
     meet = frozenset(chosen) | frozenset(bare)
     dropped = {c for x in chosen for c in view.children[x]}
     members = meet | dropped
-
-    cut_view = PosetView(
-        vertices=tuple(a for a in view.vertices if a in members),
-        parent={
-            a: (view.parent[a] if view.parent[a] in members else None)
-            for a in view.vertices
-            if a in members
-        },
-        children={
-            a: (view.children[a] if a in chosen else ())
-            for a in view.vertices
-            if a in members
-        },
-        source_of={a: view.source_of[a] for a in members},
-        left_of={a: view.left_of[a] for a in members},
-    )
-
-    keep = [a for a in view.vertices if a not in dropped]
-    chosen_set = set(chosen)
-    quotient_view = PosetView(
-        vertices=tuple(keep),
-        parent={a: view.parent[a] for a in keep},
-        children={a: (() if a in chosen_set else view.children[a]) for a in keep},
-        source_of={a: view.source_of[a] for a in keep},
-        left_of={
-            a: (view.source_of[a] if a in chosen_set else view.left_of[a])
-            for a in keep
-        },
-    )
-
+    # The cut keeps its corollas whole; the quotient collapses each corolla
+    # onto its root, which then emits its source as a leaf.
+    cut_view = _restrict(view, members)
+    quotient_view = _restrict(view, view.parent.keys() - dropped, relabel=chosen)
     return CorollaCut(
         vertices=frozenset(members),
         meet=meet,

@@ -309,8 +309,11 @@ def test_polynomial_render_goldens():
 def test_tensor_rank_discipline():
     t = Tensor.single((mono(1), mono(2)), 3)
     assert t.rank == 2
-    with pytest.raises(InputError):
-        Tensor.zero(0)
+    for bad in (0, True, 1.0):
+        with pytest.raises(
+            InputError, match=f"tensor rank must be a positive integer, got {bad}"
+        ):
+            Tensor.zero(bad)
     with pytest.raises(InputError):
         t + Tensor.zero(3)
     with pytest.raises(InputError):

@@ -1,6 +1,7 @@
 """Golden stdout: sha256 digests of whole CLI outputs on the degree-8
-composition table and on the degree-5 grafting dual.  Any change to what a
-command prints, down to one byte, fails here; refactors must keep them."""
+composition table and on the degree-5 grafting dual, including the tree
+commands.  Any change to what a command prints, down to one byte, fails
+here; refactors must keep them."""
 
 import contextlib
 import hashlib
@@ -15,6 +16,8 @@ METHODS = ("forest", "dyson-salam", "bogoliubov")
 FDB_DEGREE = 8
 DUAL_DEGREE = 5
 DUAL_ELEMENT = 17  # the last degree-5 generator of the grafting-5 dual
+# the elements of the `trees` and `linearizations --k 3` runs, per table
+TREE_ELEMENTS = {"fdb": (FDB_DEGREE, 6), "dual": (DUAL_ELEMENT,)}
 
 
 def _stdout(*argv: str) -> str:
@@ -61,6 +64,12 @@ def golden_outputs(tmp_dir) -> dict[str, str]:
     ):
         for name, argv in _commands(str(path), degree, element).items():
             outputs[f"{prefix}:{name}"] = _stdout(*argv)
+        for tree_element in TREE_ELEMENTS[prefix]:
+            common = ("--spec", str(path), "--element", str(tree_element))
+            outputs[f"{prefix}:trees-{tree_element}"] = _stdout("trees", *common)
+            outputs[f"{prefix}:linearizations-{tree_element}"] = _stdout(
+                "linearizations", *common, "--k", "3"
+            )
     return outputs
 
 
@@ -80,6 +89,13 @@ GOLDEN_SHA256 = {
     "fdb:coproduct": "02a5902f2132c02237a8b5e85262505a34789f385a9cbdd32f21acfac954fce0",
     "fdb:gen": "7f6ac49e2fd4c797afedcd23c831c4c1029717adda5ce18a180c5270977474d9",
     "fdb:verify": "874dde543259208759f69fee7c6eefdc4cf58b0f996d90d63b96f55ac6342e1e",
+    # Captured at commit f9a5845, before the tree walks were deduplicated.
+    "dual:linearizations-17": "57f4f5361b7258a68c30062e5f02bb1dc40229ff4570a688d32528387c4aff32",
+    "dual:trees-17": "4fc2ea945f4de5b845e482e67c237bd1f7c5b01d86ff504ffbf0dade00fb8b61",
+    "fdb:linearizations-6": "fc557f6b0edbef3c61839b27d0d1c545994870e78a9d082af4da00760453983e",
+    "fdb:linearizations-8": "ed15d0a27fe0263b5efd22ffd07557cba2175d6a86154e1377754ac29d27ee08",
+    "fdb:trees-6": "bc2437d7e3c5716d6153a01fb5f2afe0820e50da6b32fa01affcbf19c831d796",
+    "fdb:trees-8": "65ab336a066063ce782b763b6bfc82690b594b4098c453e8897d139ae31a9170",
 }
 
 

@@ -55,6 +55,17 @@ def test_generator_display():
     assert Generator(2, 2, label="x").display() == "x"
 
 
+def test_generator_fields_repr_and_read_only_attributes():
+    g = Generator(3, 2, label="x")
+    assert (g.id, g.degree, g.label) == (3, 2, "x")
+    assert Generator(3, 2).label is None
+    assert repr(g) == "Generator(id=3, degree=2, label='x')"
+    assert g == Generator(id=3, degree=2, label="x") and hash(g) == hash(Generator(3, 2, "x"))
+    for field in ("id", "degree", "label"):
+        with pytest.raises(AttributeError):
+            setattr(g, field, 1)
+
+
 def test_entry_normalizes():
     e = CoproductEntry(3, 1, [2, 1, 1], 5)
     assert e.right == (1, 1, 2) and type(e.right) is tuple
@@ -194,8 +205,9 @@ def test_no_functools_cache_in_the_package():
 
 
 def test_faa_di_bruno_rejects_bad_degree():
-    with pytest.raises(InputError):
-        faa_di_bruno_spec(0)
+    for bad in (0, True):
+        with pytest.raises(InputError, match=f"max_degree must be >= 1, got {bad}"):
+            faa_di_bruno_spec(bad)
 
 
 def test_sym_table_is_a_hopf_table():
@@ -204,8 +216,9 @@ def test_sym_table_is_a_hopf_table():
     assert counit_report(spec, 8) == []
     rows = [(e.left, e.right) for e in spec.entries_for(4)]
     assert rows == [(1, (3,)), (2, (2,)), (3, (1,))]
-    with pytest.raises(InputError):
-        sym_spec(0)
+    for bad in (0, True):
+        with pytest.raises(InputError, match=f"n must be >= 1, got {bad}"):
+            sym_spec(bad)
 
 
 def test_coefficient_lookup(fdb6):

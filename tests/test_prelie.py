@@ -4,7 +4,7 @@ checkers, the free grafting instance, and graded dualization."""
 from collections import OrderedDict
 from enum import IntEnum
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import accumulate, product as iter_product
 
 import pytest
 
@@ -60,8 +60,41 @@ def test_rooted_tree_shapes():
     assert len(shapes) == 8
     assert shapes[0] == ()
     assert rooted_tree_shapes(1) == [()]
-    with pytest.raises(InputError):
-        rooted_tree_shapes(0)
+    for bad in (0, True):
+        with pytest.raises(InputError, match=f"max_vertices must be >= 1, got {bad}"):
+            rooted_tree_shapes(bad)
+
+
+def reference_shapes(max_vertices):
+    """Oracle: the shapes of each size n as the multisets of smaller shapes
+    whose sizes sum to n - 1, drawn from a (shape, size) pool."""
+    pool = [((), 1)]
+    for n in range(2, max_vertices + 1):
+        def child_forests(total, start):
+            if total == 0:
+                yield ()
+                return
+            for idx in range(start, len(pool)):
+                t, size = pool[idx]
+                if size <= total:
+                    for rest in child_forests(total - size, idx):
+                        yield (t,) + rest
+
+        fresh = sorted({tuple(sorted(f)) for f in child_forests(n - 1, 0)})
+        pool.extend((t, n) for t in fresh)
+    return [t for t, _ in pool]
+
+
+# OEIS A000081: rooted trees with n unlabeled vertices, n = 1..11.
+ROOTED_TREES = (1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842)
+
+
+def test_rooted_tree_shapes_match_the_child_forest_oracle_and_oeis():
+    expected = reference_shapes(len(ROOTED_TREES))
+    counts = list(accumulate(ROOTED_TREES))
+    assert counts == [1, 2, 4, 8, 17, 37, 85, 200, 486, 1205, 3047]
+    for n, count in enumerate(counts, start=1):
+        assert rooted_tree_shapes(n) == expected[:count]
 
 
 def test_grafting_instance_table(graft4):

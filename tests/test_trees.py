@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from hopfforest.algebra import mono
 from hopfforest.errors import InputError
+from hopfforest.hopfspec import faa_di_bruno_spec
+from hopfforest.prelie import dualize, grafting_instance
 from hopfforest.trees import (
     DecoratedTree,
     Forest,
@@ -32,6 +34,7 @@ from hopfforest.trees import (
     vertex_monomial,
     view_of,
 )
+from hopfforest.trees import _tree_from_view
 
 
 def example_tree():
@@ -318,3 +321,100 @@ def test_corolla_cut_invariants_hold_generically(t):
         assert c.quotient.source == t.source
         kept = set(c.quotient_view.vertices)
         assert c.meet <= kept <= set(view.vertices)
+
+
+def reference_corolla_cuts(t):
+    """Oracle: the corolla cuts as (vertices, meet, cut, quotient, cut view,
+    quotient view), with both views built by hand, vertex by vertex, in the
+    mask order of the terminal corollas and then of the free leaves."""
+    view = PosetView.of_tree(t)
+    if view.size() == 1:
+        return []
+    leaves = [a for a in view.vertices if view.is_leaf_vertex(a)]
+    terminal = [
+        a
+        for a in view.vertices
+        if view.children[a] and all(view.is_leaf_vertex(c) for c in view.children[a])
+    ]
+
+    def subsets(items):
+        for mask in range(1 << len(items)):
+            yield [items[k] for k in range(len(items)) if mask >> k & 1]
+
+    out = []
+    for chosen in subsets(terminal):
+        covered = {c for x in chosen for c in view.children[x]}
+        for bare in subsets([a for a in leaves if a not in covered]):
+            if not chosen and not bare:
+                continue
+            meet = frozenset(chosen) | frozenset(bare)
+            dropped = {c for x in chosen for c in view.children[x]}
+            members = meet | dropped
+            cut_view = PosetView(
+                vertices=tuple(a for a in view.vertices if a in members),
+                parent={
+                    a: (view.parent[a] if view.parent[a] in members else None)
+                    for a in view.vertices
+                    if a in members
+                },
+                children={
+                    a: (view.children[a] if a in chosen else ())
+                    for a in view.vertices
+                    if a in members
+                },
+                source_of={a: view.source_of[a] for a in members},
+                left_of={a: view.left_of[a] for a in members},
+            )
+            keep = [a for a in view.vertices if a not in dropped]
+            quotient_view = PosetView(
+                vertices=tuple(keep),
+                parent={a: view.parent[a] for a in keep},
+                children={a: (() if a in chosen else view.children[a]) for a in keep},
+                source_of={a: view.source_of[a] for a in keep},
+                left_of={
+                    a: (view.source_of[a] if a in chosen else view.left_of[a])
+                    for a in keep
+                },
+            )
+            out.append(
+                (
+                    frozenset(members),
+                    meet,
+                    forest(*(_tree_from_view(cut_view, a) for a in cut_view.roots)),
+                    _tree_from_view(quotient_view, ()),
+                    cut_view,
+                    quotient_view,
+                )
+            )
+    return out
+
+
+def _view_maps(view):
+    return (view.vertices, view.parent, view.children, view.source_of, view.left_of)
+
+
+@pytest.mark.parametrize(
+    "make, count",
+    [
+        (lambda: faa_di_bruno_spec(7), 2092),
+        (lambda: dualize(grafting_instance(5), 5), 423),
+    ],
+    ids=["fdb-7", "grafting-5-dual"],
+)
+def test_corolla_cuts_match_the_hand_built_views(make, count):
+    spec = make()
+    seen = 0
+    for i in spec.generator_ids():
+        for t in enumerate_trees(spec, i):
+            cuts = corolla_cuts(t)
+            expected = reference_corolla_cuts(t)
+            assert len(cuts) == len(expected)
+            for c, (vertices, meet, cut, quotient, cut_view, quotient_view) in zip(
+                cuts, expected
+            ):
+                assert (c.vertices, c.meet) == (vertices, meet)
+                assert (c.cut, c.quotient) == (cut, quotient)
+                assert _view_maps(c.cut_view) == _view_maps(cut_view)
+                assert _view_maps(c.quotient_view) == _view_maps(quotient_view)
+            seen += len(cuts)
+    assert seen == count
