@@ -5,7 +5,7 @@ algebra, all exact and provably equal:
   multiplied-out k-fold iterated reduced coproduct; the grading truncates
   the sum at k = degree.  No rank-k tensor is built: the iterate is held
   as (product of the first k-1 slots) (x) (last slot), which is all the
-  multiplied-out sum and the next rank need.
+  multiplied-out sum and the next rank need, on packed integer keys.
 * "bogoliubov": the triangular recursion S(b) = -b - sum of coeff * S(left) *
   right over the reduced-coproduct table row, through left legs.
 * "forest": the cancellation-free expansion, the sum over realized trees of
@@ -17,7 +17,7 @@ Both recursions are filled bottom-up: every generator below b along the
 route's own leg is evaluated in ascending degree through a memoized step,
 so each step finds the lower values in its memo and the Python stack stays
 flat however deep the table nests.  Dyson-Salam is a loop over ranks and
-reads reduced coproducts only, never an antipode value.  The term counts
+reads table rows only, never an antipode value.  The term counts
 of `term_stats` come from the same tree recursion in closed form.
 
 On products the antipode is extended multiplicatively (the algebra is
@@ -29,26 +29,31 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from math import comb, prod
+from fractions import Fraction
+from math import comb, lcm, prod
 from typing import Callable
 
-from .algebra import UNIT, Monomial, Polynomial, Tensor, _scalar, _sorted_monomial, mono
-from .coproduct import _reduced_coproduct_monomial
+from .algebra import Monomial, Polynomial, _accumulate, _scalar, _sorted_monomial, mono
 from .errors import InputError
 from .hopfspec import CoproductSpec, multiplicative_memo, spec_memo
 
 METHODS = ("forest", "dyson-salam", "bogoliubov")
 
 
-def _below(spec: CoproductSpec, i: int, leg: str) -> list[int]:
-    """i and every generator it reaches through ``leg`` ("left" or "right")
-    legs of its table rows, in ascending degree.  A leg has strictly smaller
-    degree than its source, so each generator comes after all it reaches."""
-    seen = {i}
-    todo = [i]
+def _below(spec: CoproductSpec, starts: set[int], leg: str) -> list[int]:
+    """starts and every generator they reach through ``leg`` ("left",
+    "right" or "both") legs of their table rows, in ascending degree.  A leg
+    has strictly smaller degree than its source, so each generator comes
+    after all it reaches."""
+    seen = set(starts)
+    todo = list(seen)
     while todo:
         for e in spec.entries_for(todo.pop()):
-            for j in e.right if leg == "right" else (e.left,):
+            if leg == "both":
+                legs = (e.left, *e.right)
+            else:
+                legs = e.right if leg == "right" else (e.left,)
+            for j in legs:
                 if j not in seen:
                     seen.add(j)
                     todo.append(j)
@@ -59,7 +64,7 @@ def _bottom_up(step: Callable, spec: CoproductSpec, i: int, leg: str):
     """step(spec, i) after step(spec, j) for every j below i along ``leg``:
     step is memoized and looks up only generators below its argument, so
     each of those lookups is a memo hit."""
-    for j in _below(spec, i, leg):
+    for j in _below(spec, {i}, leg):
         value = step(spec, j)
     return value
 
@@ -105,8 +110,26 @@ def dyson_salam_poly(spec: CoproductSpec, p: Polynomial) -> Polynomial:
     tensor sum of c * (slot 1 ... slot k-1) (x) (slot k), with the empty
     product 1 at k = 1.  Each rank applies the reduced coproduct to the last
     slot and multiplies its left factor into the first, and adds the
-    multiplied-out a * b with sign (-1)^k.  The route reads reduced
-    coproducts only, never an antipode value.
+    multiplied-out a * b with sign (-1)^k.  The route reads table rows
+    only, never an antipode value.
+
+    Keys are packed integers, numbered per call: each generator p reaches
+    through left and right legs gets, in id order, a field of
+    bound.bit_length() bits for its exponent (bound is the degree of p), and
+    a pair (a, b) is a + (b << shift).  The slot degrees of every iterate
+    add up to at most bound, so no field ever carries: a monomial product,
+    and a pair product, is one integer addition.  A monomial's reduced
+    coproduct is the product of its generators' packed full coproducts
+    without its two primitive keys, memoized for this call only.  Keys
+    become monomials once per output term.
+
+    The rows are read in the basis b_j / scale, with scale the common
+    denominator of the rows reached, so a row's c becomes the integer
+    c * scale^len(J) and the loop multiplies integers when p's coefficients
+    are integers; an output c * b_M is c / scale^len(M) * b_M back in the
+    table's basis.  The rescaling is an algebra isomorphism carrying the
+    table's coproduct to the rescaled one, so no value changes, on any
+    table.
 
     Expanding the last slot, the iterate of b_i past rank 1 is the sum over
     its rows of c * b_l (x) (the iterate of b_J), so the route on b_i is
@@ -121,20 +144,76 @@ def dyson_salam_poly(spec: CoproductSpec, p: Polynomial) -> Polynomial:
     if p.constant != 0:
         raise InputError("the alternating-sum antipode needs zero constant term")
     bound = max((spec.monomial_degree(m) for m, _ in p.items()), default=0)
-    iterate = Tensor._checked(2, (((UNIT, m), c) for m, c in p.items()))
+    ids = sorted(_below(spec, {j for m, _ in p.items() for j in m}, "both"))
+    width = bound.bit_length()
+    field = {j: 1 << width * n for n, j in enumerate(ids)}
+    shift = width * len(ids)
+    mask = (1 << shift) - 1
+
+    def pack(m) -> int:
+        return sum(map(field.__getitem__, m))
+
+    def spread(parts) -> dict:
+        """The sum of c * c2 at key + k2 over (key, c, terms) in parts and
+        (k2, c2) in terms."""
+        acc: dict = {}
+        get = acc.get
+        for key, c, terms in parts:
+            for k2, c2 in terms.items():
+                k2 += key
+                acc[k2] = get(k2, 0) + c * c2
+        return _accumulate(acc.items())
+
+    # the full coproduct of each numbered generator in the basis b_j / scale,
+    # then of each monomial met; a table has no zero or repeated row
+    scale = lcm(*(e.coeff.denominator for j in ids for e in spec.entries_for(j)))
+    full = {field[j]: {field[j]: 1, field[j] << shift: 1} for j in ids}
+    for j in ids:
+        for e in spec.entries_for(j):
+            c = e.coeff
+            full[field[j]][field[e.left] + (pack(e.right) << shift)] = (
+                c.numerator * (scale ** len(e.right) // c.denominator)
+            )
+    reduced: dict[int, dict] = {}
+
+    def reduced_of(b: int) -> dict:
+        value = reduced.get(b)
+        if value is not None:
+            return value
+        todo = []  # b, then each quotient by its lowest generator, until one is known
+        m = b
+        while m not in full:
+            unit = 1 << width * (((m & -m).bit_length() - 1) // width)
+            todo.append((m, unit))
+            m -= unit
+        value = full[m]
+        for m, unit in reversed(todo):
+            value = full[m] = spread((k, c, full[unit]) for k, c in value.items())
+        value = reduced[b] = {k: c for k, c in value.items() if k != b and k != b << shift}
+        return value
+
+    def decode(m: int) -> Monomial:
+        indices = []
+        while m:
+            n = ((m & -m).bit_length() - 1) // width
+            e = m >> width * n & (1 << width) - 1
+            indices += [ids[n]] * e
+            m -= e << width * n
+        return _sorted_monomial(indices)
+
+    iterate = {pack(m) << shift: c * scale ** len(m) for m, c in p.items()}
     terms = []
     for k in range(1, bound + 1):
         sign = (-1) ** k
-        terms.extend((a * b, sign * c) for (a, b), c in iterate.items())
-        iterate = Tensor._checked(
-            2,
-            (
-                ((a * left, right), c * c2)
-                for (a, b), c in iterate.items()
-                for (left, right), c2 in _reduced_coproduct_monomial(spec, b).items()
-            ),
-        )
-    return Polynomial._checked(terms)
+        terms.extend(((key & mask) + (key >> shift), sign * c) for key, c in iterate.items())
+        if k < bound:
+            iterate = spread(
+                (key & mask, c, reduced_of(key >> shift)) for key, c in iterate.items()
+            )
+    out = ((decode(m), c) for m, c in _accumulate(terms).items())
+    if scale > 1:
+        out = ((m, Fraction(c, scale ** len(m))) for m, c in out)
+    return Polynomial._checked(out)
 
 
 def antipode_bogoliubov(spec: CoproductSpec, i: int) -> Polynomial:

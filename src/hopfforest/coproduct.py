@@ -23,7 +23,8 @@ from __future__ import annotations
 from itertools import chain
 from typing import Callable
 
-from .algebra import UNIT, Monomial, Polynomial, Tensor, _sorted_monomial, mono
+from .algebra import UNIT, Monomial, Polynomial, Tensor, mono
+from .algebra import _positive_int, _sorted_monomial
 from .errors import InputError
 from .hopfspec import CoproductSpec, graded_monomials, multiplicative_memo, spec_memo
 
@@ -102,7 +103,7 @@ def iterated_reduced_poly(spec: CoproductSpec, p: Polynomial, k: int) -> Tensor:
     k = 2 the reduced coproduct, and each further rank applies the reduced
     coproduct to the last slot.  By coassociativity the result does not
     depend on which slot each step expands."""
-    if k < 1:
+    if not _positive_int(k):
         raise InputError(f"tensor rank must be >= 1, got {k}")
     out = Tensor._checked(1, [((m,), c) for m, c in p.items()])
     for _ in range(k - 1):

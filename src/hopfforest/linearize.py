@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .algebra import Monomial, Polynomial, Tensor
+from .algebra import Monomial, Polynomial, Tensor, _positive_int
 from .coproduct import iterated_reduced, reduced_coproduct_poly
 from .errors import InputError
 from .hopfspec import CoproductSpec
@@ -64,7 +64,7 @@ def k_linearizations(
     Remaining vertex sets are always upward closed, so minimality is a
     direct-parent check."""
     view = view_of(x)
-    if k < 1:
+    if not _positive_int(k):
         raise InputError(f"level count must be >= 1, got {k}")
     found: list[Linearization] = []
 
@@ -137,7 +137,7 @@ def tree_expansion(spec: CoproductSpec, i: int, k: int) -> Tensor:
 def tree_expansion_report(spec: CoproductSpec, i: int, k: int) -> list[str]:
     """Compares the k-fold iterated reduced coproduct of generator i with
     its tree/linearization expansion; returns failure descriptions."""
-    if k < 1:
+    if not _positive_int(k):
         raise InputError(f"level count must be >= 1, got {k}")
     direct = iterated_reduced(spec, i, k)
     expanded = tree_expansion(spec, i, k)

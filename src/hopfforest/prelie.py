@@ -418,7 +418,7 @@ def dualize(spec: PreLieSpec, max_degree: int) -> CoproductSpec:
     raises ConstructionError, because a table that fails them is not a
     usable coproduct no matter how it was obtained.
     """
-    if max_degree < 1:
+    if not _positive_int(max_degree):
         raise InputError(f"max_degree must be >= 1, got {max_degree}")
     if max_degree > spec.truncation:
         raise InputError(

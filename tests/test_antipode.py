@@ -131,11 +131,25 @@ def dual6():
     return dualize(grafting_instance(6), 6)
 
 
+#: fdb 6 relabelled so that id order, degree order and field order differ
+_SPARSE = [1000, 3, 17, 2, 40, 5]
+
+
 @pytest.mark.parametrize(
     "table, element",
     [("fdb-9", 9), ("sym-14", 14), ("fdb-6", "mixed")]
     # the grafting-6 dual has one generator per rooted tree of <= 6 vertices
-    + [("grafting-6-dual", i) for i in range(1, 38)],
+    + [("grafting-6-dual", i) for i in range(1, 38)]
+    # packed keys: exponents that fill their field (b1^7 fills 3 bits),
+    # sparse ids, and 300 fields
+    + [("fdb-1", (1,) * k) for k in (1, 3, 7, 8)]
+    + [("fdb-3", (1,) * 7 + (2,))]
+    + [("fdb-6-sparse", i) for i in _SPARSE]
+    + [("fdb-6-sparse", "sparse-mixed")]
+    + [("flat-300", "all"), ("flat-300", "all-and-far")]
+    # rows rescaled to integers, with Fraction coefficients on the input too
+    + [("grafting-6-dual", "fractions")],
+    ids=lambda v: Monomial(v).render() if isinstance(v, tuple) else None,
 )
 def test_two_slot_dyson_salam_matches_the_tensor_route(dual6, table, element):
     if table == "grafting-6-dual":
@@ -145,13 +159,37 @@ def test_two_slot_dyson_salam_matches_the_tensor_route(dual6, table, element):
         "sym-14": lambda: sym_spec(14),
         "fdb-6": lambda: faa_di_bruno_spec(6),
         "grafting-6-dual": lambda: dual6,
+        "fdb-1": lambda: faa_di_bruno_spec(1),
+        "fdb-3": lambda: faa_di_bruno_spec(3),
+        "fdb-6-sparse": lambda: _relabeled_faa_di_bruno(_SPARSE),
+        # the flat table of tests/test_cli.py: 300 generators, no rows
+        "flat-300": lambda: CoproductSpec(
+            "flat", [Generator(i, 1) for i in range(1, 301)], []
+        ),
     }[table]()
-    if element == "mixed":
-        # mixed degrees: each term's iterates vanish at a different rank
-        p = Polynomial({mono(1, 2): 2, mono(3): -1, mono(1): 5})
-    else:
+    flat = {mono(i): i for i in range(1, 301)}
+    if isinstance(element, int):
         p = Polynomial.variable(element)
-    assert dyson_salam_poly(spec, p) == _dyson_salam_by_tensors(spec, p)
+    elif isinstance(element, tuple):
+        p = Polynomial.single(Monomial(element))
+    else:
+        p = Polynomial({
+            # mixed degrees: each term's iterates vanish at a different rank
+            "mixed": {mono(1, 2): 2, mono(3): -1, mono(1): 5},
+            "sparse-mixed": {mono(1000, 3): 2, mono(17): -1, mono(1000): 5},
+            "all": flat,
+            "all-and-far": {**flat, mono(1, 150, 300): -2},
+            "fractions": {
+                mono(2, 3): Fraction(2, 3),
+                mono(37): Fraction(-5, 7),
+                mono(1): 3,
+                mono(1, 1, 9): Fraction(1, 2),
+            },
+        }[element])
+    got = dyson_salam_poly(spec, p)
+    assert got == _dyson_salam_by_tensors(spec, p)
+    if table == "fdb-1":
+        assert got == Polynomial.single(Monomial(element), (-1) ** len(element))
 
 
 def _dyson_salam_first_slot(spec, i):
@@ -619,11 +657,11 @@ def fdb20():
 
 
 @pytest.mark.parametrize(
-    "method, n", [("bogoliubov", 20), ("forest", 20), ("dyson-salam", 16)]
+    "method, n", [("bogoliubov", 20), ("forest", 20), ("dyson-salam", 18)]
 )
 def test_composition_antipode_matches_lagrange_inversion(fdb20, method, n):
     # b_n has the same rows in every table of degree >= n, so the
-    # degree-20 table serves n = 16 too.
+    # degree-20 table serves n = 18 too.
     rng = random.Random(n)
     value = antipode_generator(fdb20, n, method)
     poly = {m.indices: c for m, c in value.terms()}

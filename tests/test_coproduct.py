@@ -111,6 +111,15 @@ def test_iterated_reduced_rank_convention(fdb6):
         iterated_reduced(fdb6, 3, 0)
 
 
+def test_iterated_reduced_rejects_a_bool_rank():
+    # a fresh table: True must not pass as k = 1 and return a rank-1 tensor
+    spec = faa_di_bruno_spec(3)
+    with pytest.raises(InputError, match="tensor rank must be >= 1, got True"):
+        iterated_reduced(spec, 3, True)
+    with pytest.raises(InputError, match="tensor rank must be >= 1, got True"):
+        iterated_reduced_poly(spec, Polynomial.variable(3), True)
+
+
 @pytest.mark.parametrize("i", [2, 3, 4, 5])
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_iterated_reduced_leg_independence(fdb6, i, k):

@@ -84,6 +84,11 @@ def test_counts_on_small_shapes():
         k_linearizations(corolla(), 0)
 
 
+def test_k_linearizations_rejects_a_bool_count():
+    with pytest.raises(InputError, match="level count must be >= 1, got True"):
+        k_linearizations(corolla(), True)
+
+
 @pytest.mark.parametrize(
     "shape",
     [
@@ -233,6 +238,12 @@ def test_tree_expansion_matches_iterated_coproduct(fdb6, i, k):
 def test_tree_expansion_rejects_bad_rank(fdb6):
     with pytest.raises(InputError):
         tree_expansion_report(fdb6, 3, 0)
+
+
+def test_tree_expansion_rejects_a_bool_rank(fdb6):
+    # its own message, not the Tensor constructor's rank message
+    with pytest.raises(InputError, match="level count must be >= 1, got True"):
+        tree_expansion_report(fdb6, 3, True)
 
 
 @pytest.mark.parametrize(

@@ -439,6 +439,11 @@ def test_dualize_input_rules(graft4):
         dualize(broken_prelie(), 4)
 
 
+def test_dualize_rejects_a_bool_max_degree(graft4):
+    with pytest.raises(InputError, match="max_degree must be >= 1, got True"):
+        dualize(graft4, True)
+
+
 def test_json_roundtrip(graft4):
     for spec in (graft4, grafting_instance(6)):
         text = save_prelie(spec)
