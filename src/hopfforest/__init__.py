@@ -35,7 +35,6 @@ from .coproduct import (
     iterated_reduced_poly,
     monomials_up_to,
     reduced_coproduct_generator,
-    reduced_coproduct_poly,
 )
 from .errors import ConstructionError, InputError
 from .hopfspec import (
@@ -72,7 +71,6 @@ from .prelie import (
     rooted_tree_shapes,
     save_prelie,
     unshuffle_coproduct,
-    unshuffle_poly,
 )
 from .trees import (
     Address,

@@ -290,70 +290,49 @@ class TermStats:
     same antipode.  dyson_salam_terms counts (rank, tree) pairs where the
     tree admits at least one linearization at that rank, which happens
     exactly for height <= rank <= vertex count; forest_terms counts
-    realized trees once each.  tree_count_by_length histograms realized
-    trees by vertex count.  All three are counted, not enumerated: see
+    realized trees once each.  Both are counted, not enumerated: see
     `term_stats`."""
 
     dyson_salam_terms: int
     forest_terms: int
-    tree_count_by_length: dict[int, int]
-
-
-def _add_multisets(
-    dist: dict[int, int], pool: dict[int, int], size: int
-) -> dict[int, int]:
-    """dist (vertex count: ways) extended by a multiset of ``size`` trees
-    drawn from a pool holding pool[l] trees of vertex count l: a multichoose
-    within each vertex-count class of the pool."""
-    ways = {(0, total): w for total, w in dist.items()}  # (drawn, total): ways
-    for length, count in pool.items():
-        step: dict[tuple[int, int], int] = {}
-        for (drawn, total), w in ways.items():
-            for k in range(size - drawn + 1):
-                key = (drawn + k, total + k * length)
-                step[key] = step.get(key, 0) + w * comb(count + k - 1, k)
-        ways = step
-    return {total: w for (drawn, total), w in ways.items() if drawn == size}
 
 
 def term_stats(spec: CoproductSpec, i: int) -> TermStats:
     """The realized trees of b_i counted through the tree recursion, bottom-up
-    over the generators below i along right legs (see `_tree_counts`): T is
-    the number of trees and T_k the number of height at most k, so
-    sum(h) = sum over k >= 0 of (T - T_k) and dyson_salam_terms =
-    sum(l) - sum(h) + T."""
-    by_length, heights = _bottom_up(_tree_counts, spec, i, "right")
+    over the generators below i along right legs (see `_tree_counts`): L is
+    their total vertex count, T the number of trees and T_k the number of
+    height at most k, so sum(h) = sum over k >= 0 of (T - T_k) and
+    dyson_salam_terms = L - sum(h) + T."""
+    vertices, heights = _bottom_up(_tree_counts, spec, i, "right")
     trees = heights[-1]
-    sum_l = sum(l * w for l, w in by_length.items())
     sum_h = sum(trees - t for t in heights[:-1])
-    return TermStats(
-        dyson_salam_terms=sum_l - sum_h + trees,
-        forest_terms=trees,
-        tree_count_by_length=dict(sorted(by_length.items())),
-    )
+    return TermStats(dyson_salam_terms=vertices - sum_h + trees, forest_terms=trees)
 
 
 @spec_memo
-def _tree_counts(spec: CoproductSpec, j: int) -> tuple[dict[int, int], list[int]]:
-    """The realized trees of b_j by vertex count, and [T_0, ..., T_deg(j)]
-    with T_k the trees of height at most k.  A tree is the leaf, or a root
-    row (j; l; J) with a multiset of realized subtrees for each distinct r
-    of J, so counts multiply as multichooses.  A tree's height is at most
-    its root's degree, so T_k = T_deg(r) for k past deg(r).  The caller
-    must not change the returned values: they are memoized."""
+def _tree_counts(spec: CoproductSpec, j: int) -> tuple[int, list[int]]:
+    """The total vertex count L of the realized trees of b_j, and
+    [T_0, ..., T_deg(j)] with T_k the trees of height at most k.  A tree is
+    the leaf, or a root row (j; l; J) with a multiset of m realized subtrees
+    of b_r for each distinct r of J, so a row has n = prod of
+    w_r = C(T_r + m - 1, m) trees.  Across the w_r multisets each subtree of
+    b_r appears C(T_r + m - 1, m - 1) times, so the row adds
+    n + sum of L_r * C(T_r + m - 1, m - 1) * n / w_r vertices.  A tree's
+    height is at most its root's degree, so T_k = T_deg(r) for k past
+    deg(r).  The caller must not change the returned list: it is memoized."""
     depth = spec.degree(j)
-    lengths = {1: 1}
+    vertices = 1
     heights = [0] + [1] * depth
     for e in spec.entries_for(j):
-        legs = [(_tree_counts(spec, r), m) for r, m in Counter(e.right).items()]
-        row = {1: 1}  # the root vertex
-        for (sub_lengths, _), m in legs:
-            row = _add_multisets(row, sub_lengths, m)
-        for total, w in row.items():
-            lengths[total] = lengths.get(total, 0) + w
+        legs = [(*_tree_counts(spec, r), m) for r, m in Counter(e.right).items()]
+        ways = [comb(sub[-1] + m - 1, m) for _, sub, m in legs]
+        n = prod(ways)
+        vertices += n + sum(
+            sub_vertices * comb(sub[-1] + m - 1, m - 1) * n // w
+            for (sub_vertices, sub, m), w in zip(legs, ways)
+        )
         for k in range(1, depth + 1):
             heights[k] += prod(
-                comb(sub[min(k - 1, len(sub) - 1)] + m - 1, m)
-                for (_, sub), m in legs
+                comb(sub[min(k - 1, len(sub) - 1)] + m - 1, m) for _, sub, m in legs
             )
-    return lengths, heights
+    return vertices, heights

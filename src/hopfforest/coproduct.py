@@ -56,21 +56,6 @@ def coproduct_poly(spec: CoproductSpec, p: Polynomial) -> Tensor:
     return Tensor._checked(2, ((key, c * ct) for t, c in pieces for key, ct in t.items()))
 
 
-def _reject_constant(c: object) -> None:
-    raise InputError(
-        f"reduced coproduct needs a polynomial with zero constant term, got constant {c}"
-    )
-
-
-def reduced_coproduct_poly(spec: CoproductSpec, p: Polynomial) -> Tensor:
-    """Full coproduct minus both primitive legs; defined on augmentation-ideal
-    elements (zero constant term) only."""
-    if p.constant != 0:
-        _reject_constant(p.constant)
-    pieces = ((_reduced_coproduct_monomial(spec, m), c) for m, c in p.items())
-    return Tensor._checked(2, ((key, c * ct) for t, c in pieces for key, ct in t.items()))
-
-
 @spec_memo
 def _reduced_coproduct_monomial(spec: CoproductSpec, m: Monomial) -> Tensor:
     """Reduced coproduct of one monomial: its full coproduct without the two
@@ -78,7 +63,9 @@ def _reduced_coproduct_monomial(spec: CoproductSpec, m: Monomial) -> Tensor:
     since a table row has a generator on the left and a nonempty right leg.
     The unit monomial has none and raises InputError."""
     if m.is_unit:
-        _reject_constant(1)
+        raise InputError(
+            "reduced coproduct needs a polynomial with zero constant term, got constant 1"
+        )
     primitive = ((m, UNIT), (UNIT, m))
     return Tensor._checked(
         2, (t for t in _coproduct_monomial(spec, m).items() if t[0] not in primitive)
@@ -113,7 +100,6 @@ def iterated_reduced_poly(spec: CoproductSpec, p: Polynomial, k: int) -> Tensor:
     return out
 
 
-@spec_memo
 def iterated_reduced(spec: CoproductSpec, i: int, k: int) -> Tensor:
     """Rank-k iterated reduced coproduct of generator i: k = 1 is b_i as a
     rank-1 tensor, k = 2 the table row, each further rank one more splice."""

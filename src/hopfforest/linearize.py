@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .algebra import Monomial, Polynomial, Tensor, _positive_int
-from .coproduct import iterated_reduced, reduced_coproduct_poly
+from .algebra import Monomial, Tensor, _positive_int
+from .coproduct import _reduced_coproduct_monomial, iterated_reduced
 from .errors import InputError
 from .hopfspec import CoproductSpec
 from .trees import (
@@ -164,7 +164,7 @@ def forest_expansion_report(
     indices = tuple(indices)
     if not indices:
         raise InputError("the expansion needs at least one generator index")
-    direct = reduced_coproduct_poly(spec, Polynomial.single(Monomial(indices)))
+    direct = _reduced_coproduct_monomial(spec, Monomial(indices))
     expanded = forest_expansion(spec, indices)
     if direct != expanded:
         return [

@@ -238,11 +238,6 @@ def unshuffle_coproduct(m: Monomial) -> Tensor:
     )
 
 
-def unshuffle_poly(p: Polynomial) -> Tensor:
-    pieces = ((unshuffle_coproduct(m), c) for m, c in p.items())
-    return Tensor._checked(2, ((key, c * ct) for t, c in pieces for key, ct in t.items()))
-
-
 def prelie_check(spec: PreLieSpec) -> list[str]:
     """Evaluates the defining identity
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product as iter_product
 from math import factorial
-from typing import Collection, Iterable, NamedTuple, Optional, Union
+from typing import Collection, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .algebra import Monomial, Rational, _positive_int
 from .errors import InputError
@@ -117,24 +117,26 @@ def _components(x: TreeLike) -> tuple[DecoratedTree, ...]:
     raise InputError(f"expected a DecoratedTree or Forest, got {x!r}")
 
 
+def _vertices(x: TreeLike) -> Iterator[tuple[DecoratedTree, int]]:
+    """Every (vertex, depth) of a tree or forest in preorder, roots at depth
+    1, walked with an explicit stack so any depth fits."""
+    stack = [(t, 1) for t in reversed(_components(x))]
+    while stack:
+        t, depth = stack.pop()
+        yield t, depth
+        stack.extend((c, depth + 1) for c in reversed(t.children))
+
+
 def vertex_count(x: TreeLike) -> int:
     """The statistic l: total number of vertices (additive over forests)."""
-
-    def count(t: DecoratedTree) -> int:
-        return 1 + sum(count(c) for c in t.children)
-
-    return sum(count(t) for t in _components(x))
+    return sum(1 for _ in _vertices(x))
 
 
 def height(x: TreeLike) -> int:
     """The statistic h: vertices on a longest root-to-leaf path (a single
     leaf has height 1); maximum over forest components, 0 for the empty
     forest."""
-
-    def depth(t: DecoratedTree) -> int:
-        return 1 + max((depth(c) for c in t.children), default=0)
-
-    return max((depth(t) for t in _components(x)), default=0)
+    return max((depth for _, depth in _vertices(x)), default=0)
 
 
 def tree_coefficient(x: TreeLike, spec: CoproductSpec) -> Rational:
@@ -142,36 +144,18 @@ def tree_coefficient(x: TreeLike, spec: CoproductSpec) -> Rational:
     (source; left; children's sources).  A vertex with no matching table
     entry contributes 0: the tree is not realized by this table.
     Multiplicative over forests; leaves contribute 1."""
-
-    def of_tree(t: DecoratedTree) -> Fraction:
-        if t.is_leaf:
-            return Fraction(1)
-        out = spec.coefficient(t.source, t.left, [c.source for c in t.children])
-        for c in t.children:
-            if not out:
-                return Fraction(0)
-            out *= of_tree(c)
-        return out
-
     out = Fraction(1)
-    for t in _components(x):
-        out *= of_tree(t)
+    for t, _ in _vertices(x):
+        if t.children:
+            out *= spec.coefficient(t.source, t.left, [c.source for c in t.children])
+            if not out:
+                break
     return out
 
 
 def vertex_monomial(x: TreeLike) -> Monomial:
     """The statistic v: the monomial collecting b_left over all vertices."""
-
-    def walk(t: DecoratedTree) -> list[int]:
-        out = [t.left]
-        for c in t.children:
-            out.extend(walk(c))
-        return out
-
-    indices: list[int] = []
-    for t in _components(x):
-        indices.extend(walk(t))
-    return Monomial(tuple(indices))
+    return Monomial(t.left for t, _ in _vertices(x))
 
 
 class TreeStats(NamedTuple):
@@ -203,22 +187,15 @@ def tree_multiplicity(x: TreeLike) -> int:
     (in particular everything of total degree < 5 in the divided-power
     composition table) have multiplicity 1.
     """
-
-    def of_tree(t: DecoratedTree) -> int:
-        out = 1
+    out = 1
+    for t, _ in _vertices(x):
         groups: dict[int, Counter] = {}
         for c in t.children:
             groups.setdefault(c.source, Counter())[c] += 1
-            out *= of_tree(c)
         for group in groups.values():
             out *= factorial(sum(group.values()))
             for count in group.values():
                 out //= factorial(count)
-        return out
-
-    out = 1
-    for t in _components(x):
-        out *= of_tree(t)
     return out
 
 

@@ -436,12 +436,11 @@ def test_each_route_has_its_own_convolution_check(monkeypatch, wrong):
 
 
 def test_term_stats_goldens(fdb6):
-    assert term_stats(fdb6, 3) == TermStats(6, 5, {1: 1, 2: 2, 3: 2})
+    assert term_stats(fdb6, 3) == TermStats(6, 5)
     expected = {1: (1, 1), 2: (2, 2), 3: (6, 5), 4: (16, 12), 5: (53, 33), 6: (166, 90)}
     for i, (ds, forest_count) in expected.items():
         stats = term_stats(fdb6, i)
         assert (stats.dyson_salam_terms, stats.forest_terms) == (ds, forest_count)
-        assert sum(stats.tree_count_by_length.values()) == forest_count
         assert stats.forest_terms <= stats.dyson_salam_terms
 
 
@@ -691,11 +690,9 @@ def test_term_stats_matches_linearization_count(request, table):
 def _enumerated_term_stats(spec, i):
     """TermStats read off the enumerated realized trees one by one."""
     trees = enumerate_trees(spec, i)
-    lengths = Counter(vertex_count(t) for t in trees)
     return TermStats(
         dyson_salam_terms=sum(vertex_count(t) - height(t) + 1 for t in trees),
         forest_terms=len(trees),
-        tree_count_by_length=dict(sorted(lengths.items())),
     )
 
 

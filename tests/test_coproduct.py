@@ -21,7 +21,6 @@ from hopfforest.coproduct import (
     iterated_reduced_poly,
     monomials_up_to,
     reduced_coproduct_generator,
-    reduced_coproduct_poly,
 )
 from hopfforest.errors import InputError
 from hopfforest.hopfspec import (
@@ -65,8 +64,7 @@ def test_full_coproduct_adds_primitive_part(fdb6):
 def test_coproduct_of_squared_generator(fdb6):
     # Hand-expanded from the product rule: the mixed middle term appears with
     # both orders of the two factors, so its weight doubles.
-    p = Polynomial.single(mono(2, 2), 1)
-    reduced = reduced_coproduct_poly(fdb6, p)
+    reduced = _reduced_coproduct_monomial(fdb6, mono(2, 2))
     assert reduced.coefficient((mono(2), mono(2))) == 2
     assert reduced.coefficient((mono(1, 2), mono(1))) == 6
     assert reduced.coefficient((mono(1), mono(1, 2))) == 6
@@ -91,8 +89,9 @@ def test_coproduct_is_multiplicative(fdb6, a, b):
 
 def test_reduced_poly_rejects_constants(fdb6):
     with pytest.raises(InputError):
-        reduced_coproduct_poly(fdb6, Polynomial.one())
-    assert reduced_coproduct_poly(fdb6, Polynomial.zero()).is_zero
+        _reduced_coproduct_monomial(fdb6, UNIT)
+    # the zero polynomial has no monomials to split
+    assert iterated_reduced_poly(fdb6, Polynomial.zero(), 2).is_zero
 
 
 def test_iterated_reduced_rejects_a_constant_term(fdb6):
@@ -112,8 +111,10 @@ def test_iterated_reduced_rank_convention(fdb6):
 
 
 def test_iterated_reduced_rejects_a_bool_rank():
-    # a fresh table: True must not pass as k = 1 and return a rank-1 tensor
+    # True must not pass as k = 1 and return a rank-1 tensor, even after
+    # the rank-1 call on the same table
     spec = faa_di_bruno_spec(3)
+    assert iterated_reduced(spec, 3, 1) == Tensor.single((mono(3),), 1)
     with pytest.raises(InputError, match="tensor rank must be >= 1, got True"):
         iterated_reduced(spec, 3, True)
     with pytest.raises(InputError, match="tensor rank must be >= 1, got True"):

@@ -99,6 +99,17 @@ GOLDEN_SHA256 = {
 }
 
 
+def test_compare_to_degree_twelve(tmp_path):
+    # 68,954 realized trees under b12, counted in closed form.
+    fdb12 = tmp_path / "fdb12.json"
+    fdb12.write_text(_stdout("gen", "fdb", "--max-degree", "12"), encoding="utf-8")
+    out = _stdout("compare", "--spec", str(fdb12), "--max-degree", "12")
+    # Captured at commit 14d505a, before the vertex-count histogram was dropped.
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "8014537727b1368d850d8b5d7f8f22e223c505ed6d44278fa6accedf8b786761"
+    )
+
+
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     return golden_outputs(tmp_path_factory.mktemp("golden"))

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import hopfforest
 from hopfforest.algebra import Polynomial, mono
 from hopfforest.antipode import antipode_generator
-from hopfforest.coproduct import coassociativity_report, counit_report, iterated_reduced
+from hopfforest.coproduct import coassociativity_report, counit_report
 from hopfforest.errors import InputError
 from hopfforest.hopfspec import (
     CoproductEntry,
@@ -34,7 +34,7 @@ from hopfforest.hopfspec import (
     spec_to_dict,
     sym_spec,
 )
-from hopfforest.prelie import dualize, grafting_instance, prelie_from_dict
+from hopfforest.prelie import brace_action, dualize, grafting_instance, prelie_from_dict
 
 
 def partitions_with_sizes(n, sizes):
@@ -176,11 +176,12 @@ def test_spec_memo_binds_keywords_to_the_positional_entry():
     assert antipode_generator(spec, 3, method="bogoliubov") is by_position
     assert antipode_generator(spec, i=3, method="bogoliubov") is by_position
     assert antipode_generator(spec, 3, method="forest") is antipode_generator(spec, 3)
-    assert iterated_reduced(spec, 3, k=2) is iterated_reduced(spec, 3, 2)
-    memo = spec._cache[inspect.unwrap(iterated_reduced)]
-    assert list(memo) == [(3, 2)]
+    graft4 = grafting_instance(4)
+    assert brace_action(graft4, 1, right=mono(1)) is brace_action(graft4, 1, mono(1))
+    memo = graft4._cache[inspect.unwrap(brace_action)]
+    assert list(memo) == [(1, mono(1))]
     with pytest.raises(TypeError):
-        iterated_reduced(spec, 3, rank=2)
+        brace_action(graft4, 1, monomial=mono(1))
     with pytest.raises(TypeError):
         antipode_generator(spec, 3, "forest", method="forest")
 

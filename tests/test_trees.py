@@ -2,6 +2,7 @@
 against a coproduct table, poset views, and corolla cuts."""
 
 import random
+import sys
 from collections import Counter
 from itertools import permutations, product as iter_product
 
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfforest.algebra import mono
+from hopfforest.algebra import Monomial, mono
 from hopfforest.errors import InputError
-from hopfforest.hopfspec import faa_di_bruno_spec
+from hopfforest.hopfspec import CoproductEntry, CoproductSpec, Generator, faa_di_bruno_spec
 from hopfforest.prelie import dualize, grafting_instance
 from hopfforest.trees import (
     DecoratedTree,
@@ -109,6 +110,35 @@ def test_statistics(fdb6):
     assert height(Forest(())) == 0
     assert vertex_monomial(f) == mono(2, 1, 1)
     assert tree_coefficient(f, fdb6) == 3
+
+
+def test_statistics_of_a_tree_deeper_than_the_recursion_limit():
+    # b_1..b_300 with the rows (b_i; b_1; [b_(i-1)]) of coefficient 2: the
+    # chain of all of them, built at the default limit, is realized.
+    n = 300
+    spec = CoproductSpec(
+        "chain",
+        [Generator(i, i) for i in range(1, n + 1)],
+        [CoproductEntry(i, 1, (i - 1,), 2) for i in range(2, n + 1)],
+    )
+    chain = leaf(1)
+    for i in range(2, n + 1):
+        chain = node(i, 1, [chain])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        stats = (
+            vertex_count(chain),
+            height(chain),
+            vertex_monomial(chain),
+            tree_coefficient(chain, spec),
+            tree_stats(chain, spec),
+        )
+    finally:
+        sys.setrecursionlimit(limit)
+    b1_300 = Monomial([1] * n)
+    assert stats[:4] == (n, n, b1_300, 2 ** (n - 1))
+    assert stats[4] == (n, n, 2 ** (n - 1), b1_300)
 
 
 def test_unrealized_vertex_gives_zero_coefficient(fdb6):
