@@ -87,7 +87,6 @@ from .trees import (
     height,
     leaf,
     node,
-    structure_key,
     tree_coefficient,
     tree_multiplicity,
     tree_notation,

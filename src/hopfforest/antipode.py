@@ -27,11 +27,10 @@ commutative), with S(1) = 1.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import reduce
 from fractions import Fraction
 from math import comb, lcm, prod
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .algebra import Monomial, Polynomial, _accumulate, _scalar, _sorted_monomial, mono
 from .errors import InputError
@@ -284,8 +283,7 @@ def antipode_endomap(
     return lambda m: _antipode_monomial(spec, m, method)
 
 
-@dataclass(frozen=True)
-class TermStats:
+class TermStats(NamedTuple):
     """Term counts contrasting the alternating-sum and forest views of the
     same antipode.  dyson_salam_terms counts (rank, tree) pairs where the
     tree admits at least one linearization at that rank, which happens

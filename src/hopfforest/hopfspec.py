@@ -28,7 +28,6 @@ import json
 import re
 from fractions import Fraction
 from functools import wraps
-from inspect import signature
 from itertools import groupby
 from math import comb
 from operator import itemgetter
@@ -46,18 +45,19 @@ _MISSING = object()
 def spec_memo(fn: Callable) -> Callable:
     """Memoize ``fn(spec, *key)`` in ``spec._cache[fn]``, so the memo lives
     and dies with the spec.  Omitted trailing arguments take ``fn``'s
-    defaults, and keyword arguments are bound through ``fn``'s signature, so
-    a keyword call and its positional twin share one entry.  A positional
-    hit is two dict lookups and returns the stored object itself; a call
-    that raises stores nothing, so the next call raises again.  The memo is
-    an unsynchronized dict: threads sharing a spec may compute an entry
-    twice."""
+    defaults, and keyword arguments are bound through ``fn``'s signature
+    (only this path imports ``inspect``), so a keyword call and its
+    positional twin share one entry.  A positional hit is two dict lookups
+    and returns the stored object itself; a call that raises stores nothing,
+    so the next call raises again.  The memo is an unsynchronized dict:
+    threads sharing a spec may compute an entry twice."""
     arity = fn.__code__.co_argcount - 1
     defaults = fn.__defaults__ or ()
 
     @wraps(fn)
     def memoized(spec, *key, **named):
         if named:
+            from inspect import signature
             bound = signature(fn).bind(spec, *key, **named)
             bound.apply_defaults()
             key = bound.args[1:]

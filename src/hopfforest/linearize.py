@@ -13,8 +13,7 @@ version over forests reproduces the reduced coproduct of product monomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .algebra import Monomial, Tensor, _positive_int
 from .coproduct import _reduced_coproduct_monomial, iterated_reduced
@@ -34,8 +33,7 @@ from .trees import (
 )
 
 
-@dataclass(frozen=True)
-class Linearization:
+class Linearization(NamedTuple):
     """Levels presented as fibers: fibers[t] is the set of vertex addresses
     at level t+1.  Fibers are nonempty and partition the poset's vertices."""
 

@@ -9,20 +9,21 @@ left i0 whose children have sources I corresponds to the coproduct entry
 (i; i0; I); the product of those entry coefficients over all internal
 vertices is the tree's coefficient.
 
-Trees are non-planar: children are kept sorted by a fixed total order
-(source, then left, then child lists lexicographically), so equal trees are
-structurally equal and hashing is sound.  The file format / CLI notation is
-"L(i)" for leaves, "N(i;j)[child,child,...]" for internal vertices, and
-"*" to join forest components.
+A tree is the tuple (source, left, children) and a forest the tuple of its
+trees; both keep their members sorted by tuple order (source, then left,
+then child lists lexicographically), the one canonical order, so equal
+trees are equal tuples and hash and compare in C.  The file format / CLI
+notation is "L(i)" for leaves, "N(i;j)[child,child,...]" for internal
+vertices, and "*" to join forest components.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product as iter_product
 from math import factorial
+from operator import itemgetter
 from typing import Collection, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .algebra import Monomial, Rational, _positive_int
@@ -35,41 +36,41 @@ def _check_decoration(value: int, what: str) -> None:
         raise InputError(f"{what} must be a positive integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class DecoratedTree:
-    """A rooted tree whose vertices carry (source, left) decorations;
-    children are canonically sorted at construction."""
+class DecoratedTree(tuple):
+    """A rooted tree of (source, left) vertices: (source, left, sorted children)."""
 
-    source: int
-    left: int
-    children: tuple["DecoratedTree", ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_decoration(self.source, "source decoration")
-        _check_decoration(self.left, "left decoration")
-        kids = tuple(self.children)
+    def __new__(cls, source: int, left: int, children: Iterable[DecoratedTree] = ()):
+        _check_decoration(source, "source decoration")
+        _check_decoration(left, "left decoration")
+        kids = tuple(children)
         for c in kids:
             if not isinstance(c, DecoratedTree):
                 raise InputError(f"children must be DecoratedTree, got {c!r}")
-        if not kids and self.source != self.left:
+        if not kids and source != left:
             raise InputError(
-                f"a leaf has a single decoration; got source {self.source} "
-                f"!= left {self.left}"
+                f"a leaf has a single decoration; got source {source} "
+                f"!= left {left}"
             )
-        object.__setattr__(self, "children", tuple(sorted(kids, key=structure_key)))
+        return tuple.__new__(cls, (source, left, tuple(sorted(kids))))
+
+    def __reduce__(self):
+        return (DecoratedTree, tuple(self))
+
+    source = property(itemgetter(0))
+    left = property(itemgetter(1))
+    children = property(itemgetter(2))
 
     @property
     def is_leaf(self) -> bool:
-        return not self.children
+        return not self[2]
+
+    def __repr__(self) -> str:
+        return "DecoratedTree(source=%r, left=%r, children=%r)" % self
 
     def __str__(self) -> str:
         return tree_notation(self)
-
-
-def structure_key(t: DecoratedTree):
-    """Total order used for canonical forms: (source, left), then the child
-    key lists compared lexicographically."""
-    return (t.source, t.left, tuple(structure_key(c) for c in t.children))
 
 
 def leaf(i: int) -> DecoratedTree:
@@ -87,16 +88,18 @@ def node(
     return DecoratedTree(source, left, kids)
 
 
-@dataclass(frozen=True)
-class Forest:
-    """A multiset of decorated trees (a commutative product)."""
+class Forest(tuple):
+    """A multiset of decorated trees (a commutative product): its sorted trees."""
 
-    trees: tuple[DecoratedTree, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "trees", tuple(sorted(self.trees, key=structure_key))
-        )
+    def __new__(cls, trees: Iterable[DecoratedTree] = ()):
+        return tuple.__new__(cls, sorted(trees))
+
+    trees = property(tuple)
+
+    def __repr__(self) -> str:
+        return f"Forest(trees={tuple(self)!r})"
 
     def __str__(self) -> str:
         return forest_notation(self)
@@ -113,7 +116,7 @@ def _components(x: TreeLike) -> tuple[DecoratedTree, ...]:
     if isinstance(x, DecoratedTree):
         return (x,)
     if isinstance(x, Forest):
-        return x.trees
+        return x
     raise InputError(f"expected a DecoratedTree or Forest, got {x!r}")
 
 
@@ -221,7 +224,7 @@ def enumerate_trees(spec: CoproductSpec, i: int) -> tuple[DecoratedTree, ...]:
         for combo in iter_product(*pools):
             children = tuple(t for group in combo for t in group)
             found.add(node(i, e.left, children))
-    return tuple(sorted(found, key=structure_key))
+    return tuple(sorted(found))
 
 
 def enumerate_forests(spec: CoproductSpec, indices: Iterable[int]) -> list[Forest]:
@@ -235,14 +238,21 @@ def enumerate_forests(spec: CoproductSpec, indices: Iterable[int]) -> list[Fores
 
 
 def tree_notation(t: DecoratedTree) -> str:
-    if t.is_leaf:
-        return f"L({t.source})"
-    inner = ",".join(tree_notation(c) for c in t.children)
-    return f"N({t.source};{t.left})[{inner}]"
+    """The notation of t, read off `_vertices`.  Each internal vertex on the
+    path to the current one holds an open "["; a vertex that follows a leaf
+    first closes those below its parent and writes a comma."""
+    out: list[str] = []
+    opened = 0
+    for (source, left, children), depth in _vertices(t):
+        if out and out[-1][-1] != "[":
+            out.append("]" * (opened - depth + 1) + ",")
+        out.append(f"N({source};{left})[" if children else f"L({source})")
+        opened = depth if children else depth - 1
+    return "".join(out) + "]" * opened
 
 
 def forest_notation(f: Forest) -> str:
-    return "*".join(tree_notation(t) for t in f.trees) or "1"
+    return "*".join(map(tree_notation, f)) or "1"
 
 
 # --- Address-level poset views ----------------------------------------------
@@ -252,8 +262,7 @@ def forest_notation(f: Forest) -> str:
 Address = tuple[int, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class PosetView:
+class PosetView(NamedTuple):
     """A concrete poset presentation of a tree or forest: vertices are
     addresses, and x < y means x is a strict ancestor of y (roots are
     minimal).  Views exist so that linearizations and corolla cuts can talk
@@ -267,24 +276,21 @@ class PosetView:
 
     @classmethod
     def _build(cls, rooted: list[tuple[Address, DecoratedTree]]) -> "PosetView":
+        """The view of the rooted trees in preorder, from an explicit stack."""
         order: list[Address] = []
         parent: dict[Address, Optional[Address]] = {}
         children: dict[Address, tuple[Address, ...]] = {}
         source_of: dict[Address, int] = {}
         left_of: dict[Address, int] = {}
-
-        def walk(addr: Address, t: DecoratedTree, par: Optional[Address]) -> None:
+        stack = [(addr, t, None) for addr, t in reversed(rooted)]
+        while stack:
+            addr, (source, left, kids), par = stack.pop()
             order.append(addr)
             parent[addr] = par
-            source_of[addr] = t.source
-            left_of[addr] = t.left
-            kids = tuple(addr + (k,) for k in range(len(t.children)))
-            children[addr] = kids
-            for k, c in enumerate(t.children):
-                walk(kids[k], c, addr)
-
-        for addr, t in rooted:
-            walk(addr, t, None)
+            source_of[addr] = source
+            left_of[addr] = left
+            kid_addrs = children[addr] = tuple(addr + (k,) for k in range(len(kids)))
+            stack.extend((a, c, addr) for a, c in zip(kid_addrs[::-1], kids[::-1]))
         return cls(tuple(order), parent, children, source_of, left_of)
 
     @classmethod
@@ -293,7 +299,7 @@ class PosetView:
 
     @classmethod
     def of_forest(cls, f: Forest) -> "PosetView":
-        return cls._build([((k,), t) for k, t in enumerate(f.trees)])
+        return cls._build([((k,), t) for k, t in enumerate(f)])
 
     @classmethod
     def of_parent_table(
@@ -364,8 +370,7 @@ def view_of(x: Union[TreeLike, PosetView]) -> PosetView:
 
 # --- Corolla cuts -------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class CorollaCut:
+class CorollaCut(NamedTuple):
     """An upward-closed vertex set whose components are single leaves or
     full terminal corollas (an internal vertex together with all of its
     children, those children all being leaves).
@@ -397,14 +402,11 @@ def _subsets(items: list[Address]):
         yield [items[k] for k in range(len(items)) if mask >> k & 1]
 
 
-def _tree_from_view(view: PosetView, root: Address) -> DecoratedTree:
-    def build(a: Address) -> DecoratedTree:
-        kids = view.children[a]
-        if not kids:
-            return leaf(view.left_of[a])
-        return node(view.source_of[a], view.left_of[a], tuple(build(c) for c in kids))
-
-    return build(root)
+def _tree_from_view(view: PosetView, a: Address) -> DecoratedTree:
+    if not view.children[a]:
+        return leaf(view.left_of[a])
+    kids = [_tree_from_view(view, c) for c in view.children[a]]
+    return node(view.source_of[a], view.left_of[a], kids)
 
 
 def corolla_cuts(t: DecoratedTree) -> tuple[CorollaCut, ...]:

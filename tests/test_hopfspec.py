@@ -5,7 +5,10 @@ import ast
 import copy
 import inspect
 import json
+import os
 import pickle
+import subprocess
+import sys
 from collections import OrderedDict
 from enum import IntEnum
 from fractions import Fraction
@@ -203,6 +206,34 @@ def test_no_functools_cache_in_the_package():
             ):
                 found.append((path.name, node.attr))
     assert found == []
+
+
+def test_no_dataclasses_in_the_package():
+    # Records are tuples (tuple subclasses or NamedTuples).
+    found = []
+    for path in sorted(Path(hopfforest.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                found += [path.name for a in node.names if a.name == "dataclasses"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                found.append(path.name)
+    assert found == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    code = (
+        "import sys; before = set(sys.modules); import hopfforest.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    root = str(Path(hopfforest.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": root},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout == "[]\n"
 
 
 def test_faa_di_bruno_rejects_bad_degree():

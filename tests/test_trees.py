@@ -1,6 +1,7 @@
 """Decorated trees and forests: canonical forms, statistics, enumeration
 against a coproduct table, poset views, and corolla cuts."""
 
+import pickle
 import random
 import sys
 from collections import Counter
@@ -11,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfforest.algebra import Monomial, mono
+from hopfforest.antipode import term_stats
 from hopfforest.errors import InputError
 from hopfforest.hopfspec import CoproductEntry, CoproductSpec, Generator, faa_di_bruno_spec
+from hopfforest.linearize import Linearization
 from hopfforest.prelie import dualize, grafting_instance
 from hopfforest.trees import (
     DecoratedTree,
@@ -26,7 +29,6 @@ from hopfforest.trees import (
     height,
     leaf,
     node,
-    structure_key,
     tree_coefficient,
     tree_multiplicity,
     tree_notation,
@@ -41,6 +43,12 @@ from hopfforest.trees import _tree_from_view
 def example_tree():
     """Six vertices, two terminal corollas under the root."""
     return node(6, 1, [node(2, 1, [leaf(1)]), node(3, 1, [leaf(1), leaf(1)])])
+
+
+def structure_key(t):
+    """The recursive order key trees were once sorted by: (source, left),
+    then the child keys lexicographically.  Tuple order must agree."""
+    return (t.source, t.left, tuple(structure_key(c) for c in t.children))
 
 
 @st.composite
@@ -84,7 +92,39 @@ def test_canonical_form_ignores_child_order(t, seed):
         return DecoratedTree(u.source, u.left, tuple(kids))
 
     assert shuffled(t) == t
-    assert structure_key(shuffled(t)) == structure_key(t)
+
+
+@settings(max_examples=80)
+@given(st.lists(decorated_trees(), max_size=8))
+def test_tuple_order_is_the_structure_key_order(ts):
+    assert sorted(ts) == sorted(ts, key=structure_key)
+    for t in ts:
+        assert list(t.children) == sorted(t.children, key=structure_key)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: faa_di_bruno_spec(8), lambda: dualize(grafting_instance(5), 5)],
+    ids=["fdb-8", "grafting-5-dual"],
+)
+def test_enumeration_is_in_structure_key_order(make):
+    spec = make()
+    for i in spec.generator_ids():
+        trees = enumerate_trees(spec, i)
+        assert list(trees) == sorted(trees, key=structure_key)
+
+
+def recursive_notation(t):
+    if t.is_leaf:
+        return f"L({t.source})"
+    inner = ",".join(recursive_notation(c) for c in t.children)
+    return f"N({t.source};{t.left})[{inner}]"
+
+
+@settings(max_examples=80)
+@given(decorated_trees(depth=4))
+def test_notation_matches_the_recursive_notation(t):
+    assert tree_notation(t) == recursive_notation(t)
 
 
 def test_notation():
@@ -94,6 +134,70 @@ def test_notation():
     assert forest_notation(forest(leaf(2), leaf(1))) == "L(1)*L(2)"
     assert forest_notation(Forest(())) == "1"
     assert str(example_tree()).startswith("N(6;1)")
+
+
+RECORDS = {
+    "tree": (lambda spec: example_tree(), ("source", "left", "children")),
+    "forest": (lambda spec: forest(example_tree(), leaf(2)), ("trees",)),
+    "view": (
+        lambda spec: PosetView.of_tree(example_tree()),
+        ("vertices", "parent", "children", "source_of", "left_of"),
+    ),
+    "cut": (
+        lambda spec: corolla_cuts(example_tree())[-1],
+        ("vertices", "meet", "cut", "quotient", "cut_view", "quotient_view"),
+    ),
+    "linearization": (
+        lambda spec: Linearization((frozenset({(0,)}),)),
+        ("fibers",),
+    ),
+    "term-stats": (
+        lambda spec: term_stats(spec, 3),
+        ("dyson_salam_terms", "forest_terms"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_records_are_read_only_and_round_trip(fdb6, name):
+    make, fields = RECORDS[name]
+    record = make(fdb6)
+    values = {f: getattr(record, f) for f in fields}
+    assert type(record)(**values) == record == type(record)(*values.values())
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, f, values[f])
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    back = pickle.loads(pickle.dumps(record))
+    assert type(back) is type(record) and back == record
+
+
+def test_record_reprs_are_the_dataclass_reprs(fdb6):
+    leaf1 = "DecoratedTree(source=1, left=1, children=())"
+    tree = (
+        f"DecoratedTree(source=6, left=1, children=(DecoratedTree(source=2, "
+        f"left=1, children=({leaf1},)), DecoratedTree(source=3, left=1, "
+        f"children=({leaf1}, {leaf1}))))"
+    )
+    assert repr(example_tree()) == tree
+    assert repr(forest(example_tree(), leaf(2))) == (
+        f"Forest(trees=(DecoratedTree(source=2, left=2, children=()), {tree}))"
+    )
+    assert repr(Linearization((frozenset({(0,)}),))) == (
+        "Linearization(fibers=(frozenset({(0,)}),))"
+    )
+    assert repr(term_stats(fdb6, 3)) == "TermStats(dyson_salam_terms=6, forest_terms=5)"
+
+
+def test_trees_and_forests_are_tuples_of_their_fields():
+    t = example_tree()
+    assert leaf(2) == (2, 2, ()) and hash(leaf(2)) == hash((2, 2, ()))
+    assert t == (t.source, t.left, t.children) and t.is_leaf is False
+    assert forest(t, leaf(2)) == (leaf(2), t) == forest(t, leaf(2)).trees
+    assert leaf(2) < t and Forest(()) == ()
+    with pytest.raises(TypeError):
+        hash(PosetView.of_tree(t))
 
 
 def test_statistics(fdb6):
@@ -134,11 +238,29 @@ def test_statistics_of_a_tree_deeper_than_the_recursion_limit():
             tree_coefficient(chain, spec),
             tree_stats(chain, spec),
         )
+        hashes = hash(chain), hash(node(n + 1, 1, [chain]))
+        multiplicity = tree_multiplicity(chain)
+        notation = tree_notation(chain)
+        view = PosetView.of_tree(chain)
     finally:
         sys.setrecursionlimit(limit)
     b1_300 = Monomial([1] * n)
     assert stats[:4] == (n, n, b1_300, 2 ** (n - 1))
     assert stats[4] == (n, n, 2 ** (n - 1), b1_300)
+    assert hashes[0] == hash(chain) and hashes[0] != hashes[1]
+    assert multiplicity == 1
+    assert notation == (
+        "".join(f"N({i};1)[" for i in range(n, 1, -1)) + "L(1)" + "]" * (n - 1)
+    )
+    assert view.size() == n and view.vertices[-1] == (0,) * (n - 1)
+    assert view.parent[view.vertices[-1]] == view.vertices[-2]
+
+    # Building a tree sorts its children by tuple order, which a chain of
+    # one child per vertex never compares: it builds at the default limit.
+    deep = leaf(1)
+    for i in range(2, 3001):
+        deep = node(i, 1, [deep])
+    assert (vertex_count(deep), height(deep)) == (3000, 3000)
 
 
 def test_unrealized_vertex_gives_zero_coefficient(fdb6):
