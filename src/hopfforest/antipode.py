@@ -1,50 +1,52 @@
 """Three routes to the antipode of a graded right-handed polynomial Hopf
-algebra, all exact and provably equal:
+algebra, all exact and provably equal, on one packed frame per command.
 
-* "dyson-salam": the geometric-series formula, summing (-1)^k times the
-  multiplied-out k-fold iterated reduced coproduct; the grading truncates
-  the sum at k = degree.  No rank-k tensor is built: the iterate is held
-  as (product of the first k-1 slots) (x) (last slot), which is all the
-  multiplied-out sum and the next rank need, on packed integer keys.
-* "bogoliubov": the triangular recursion S(b) = -b - sum of coeff * S(left) *
-  right over the reduced-coproduct table row, through left legs.
-* "forest": the cancellation-free expansion, the sum over realized trees of
+A frame numbers what a command starts from (the element of `antipode`, the
+generators of degree <= D of `verify` and `compare`, those of a polynomial)
+and all it reaches through left and right legs of table rows.  Each gets, in
+id order, a field of width bits, the bit length of the largest degree a
+value must hold; no exponent passes its monomial's degree, so a monomial is
+the sum of its generators' fields and a product one addition that never
+carries.  Rows are read in the basis beta_j = b_j / scale, scale the common
+denominator of the rows reached: a row (i; l; J) of coefficient c becomes
+the integer c' = c * scale^|J|.  The rescaling is an algebra isomorphism, so
+no value changes, and on a generator every route multiplies integers; an
+output c * beta_M is c * scale / scale^|M| * b_M.
+
+* "forest": the cancellation-free sum over realized trees of
   (-1)^(vertex count) * coefficient * multiplicity * vertex monomial,
-  factored at the root: F(b) = -b - sum of coeff * left * product of F(j)
-  over the right leg, through right legs.  The trees are never listed.
+  factored at the root: F(beta_i) = -beta_i - sum of c' * beta_l *
+  prod_{j in J} F(beta_j) over the rows of b_i.  No tree is listed.
+* "bogoliubov": the triangular recursion S(beta_i) = -beta_i - sum of
+  c' * S(beta_l) * beta_J over the rows of b_i.
+* "dyson-salam": the geometric series, the sum of (-1)^k times the
+  multiplied-out k-fold iterated reduced coproduct up to k = degree; it
+  reads rows only, never an antipode value (see `_Frame.dyson_salam`).
 
-Both recursions are filled bottom-up: every generator below b along the
-route's own leg is evaluated in ascending degree through a memoized step,
-so each step finds the lower values in its memo and the Python stack stays
-flat however deep the table nests.  Dyson-Salam is a loop over ranks and
-reads table rows only, never an antipode value.  The term counts
-of `term_stats` come from the same tree recursion in closed form.
-
-On products the antipode is extended multiplicatively (the algebra is
-commutative), with S(1) = 1.
+Each recursion reads only its own lower values, memoized on the frame and
+filled bottom-up along its own leg, so the Python stack stays flat.  The
+antipode is multiplicative, with S(1) = 1; `term_stats` counts trees.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import reduce
 from fractions import Fraction
 from math import comb, lcm, prod
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
-from .algebra import Monomial, Polynomial, _accumulate, _scalar, _sorted_monomial, mono
+from .algebra import Monomial, Polynomial, _positive_int, _sorted_monomial, mono
 from .errors import InputError
 from .hopfspec import CoproductSpec, multiplicative_memo, spec_memo
 
 METHODS = ("forest", "dyson-salam", "bogoliubov")
 
 
-def _below(spec: CoproductSpec, starts: set[int], leg: str) -> list[int]:
-    """starts and every generator they reach through ``leg`` ("left",
-    "right" or "both") legs of their table rows, in ascending degree.  A leg
-    has strictly smaller degree than its source, so each generator comes
-    after all it reaches."""
-    seen = set(starts)
+def _below(spec: CoproductSpec, starts, leg: str, known=()) -> list[int]:
+    """starts and all they reach through ``leg`` ("left", "right" or "both")
+    legs of table rows, but not through ``known``, in ascending degree: a
+    leg has smaller degree than its source, so it comes first."""
+    seen = {j for j in starts if j not in known}
     todo = list(seen)
     while todo:
         for e in spec.entries_for(todo.pop()):
@@ -53,133 +55,95 @@ def _below(spec: CoproductSpec, starts: set[int], leg: str) -> list[int]:
             else:
                 legs = e.right if leg == "right" else (e.left,)
             for j in legs:
-                if j not in seen:
+                if j not in seen and j not in known:
                     seen.add(j)
                     todo.append(j)
     return sorted(seen, key=lambda j: (spec.degree(j), j))
 
 
-def _bottom_up(step: Callable, spec: CoproductSpec, i: int, leg: str):
-    """step(spec, i) after step(spec, j) for every j below i along ``leg``:
-    step is memoized and looks up only generators below its argument, so
-    each of those lookups is a memo hit."""
-    for j in _below(spec, {i}, leg):
-        value = step(spec, j)
-    return value
+def _spread(acc: dict, parts) -> dict:
+    """acc plus c * c2 at key + k2 for (key, c, terms) in parts and (k2, c2)
+    in terms: packed keys add where monomials multiply.  Zeros stay."""
+    get = acc.get
+    for key, c, terms in parts:
+        for k2, c2 in terms.items():
+            k2 += key
+            acc[k2] = get(k2, 0) + c * c2
+    return acc
 
 
-def antipode_forest(spec: CoproductSpec, i: int) -> Polynomial:
-    """Cancellation-free antipode: every realized tree contributes one term
-    with sign (-1)^(vertex count), weighted by the number of ordered subtree
-    assignments the canonical tree stands for; no like-term cancellation can
-    occur between trees of different vertex parity, and the sum is exact.
-    Factoring the sum at the root gives the right-leg recursion of
-    `_forest_step`: the ordered product over a right leg that repeats an
-    index counts each canonical tree with its multiplicity."""
-    return _bottom_up(_forest_step, spec, i, "right")
+def _nonzero(acc: dict) -> dict:
+    return acc if all(acc.values()) else {k: c for k, c in acc.items() if c}
 
 
-@spec_memo
-def _forest_step(spec: CoproductSpec, i: int) -> Polynomial:
-    """F(b_i) = -b_i - sum over rows (i; l; J) of c * b_l * prod_{j in J} F(b_j):
-    the leaf, then each tree with root row (i; l; J), whose extra vertex
-    flips the sign of the product of its subtree sums."""
-    terms = [(mono(i), -1)]
-    for e in spec.entries_for(i):
-        # the row coefficient in stored form, so integer tables multiply ints
-        root = Polynomial.single(mono(e.left), _scalar(-e.coeff))
-        trees = reduce(lambda p, j: p * _forest_step(spec, j), e.right, root)
-        terms.extend(trees.items())
-    return Polynomial._checked(terms)
+class _Frame:
+    """The numbering of what ``starts`` reach, for values of degree up to
+    ``degree`` (by default the largest start's): each row as (c', l, J,
+    packed b_l, packed b_J), each route's packed values and coproducts."""
 
+    def __init__(self, spec: CoproductSpec, starts, degree: Optional[int] = None):
+        ids = sorted(_below(spec, starts, "both"))
+        for i in starts:
+            if not _positive_int(i):
+                raise InputError(f"generator indices must be positive integers, got {i!r}")
+        degree = max(map(spec.degree, starts), default=0) if degree is None else degree
+        scale = lcm(*(e.coeff.denominator for j in ids for e in spec.entries_for(j)))
+        self.ids, self.width, self.scale = ids, degree.bit_length(), scale
+        self.field = field = {j: 1 << self.width * n for n, j in enumerate(ids)}
+        self.shift = shift = self.width * len(ids)
+        self.rows = {
+            j: [(int(e.coeff * scale ** len(e.right)), e.left, e.right, field[e.left],
+                 self.pack(e.right)) for e in spec.entries_for(j)]
+            for j in ids
+        }
+        self.forest, self.bogoliubov, self.reduced = {}, {}, {}
+        # the full coproduct of each generator, then of each monomial met
+        self.full = {
+            b: {b: 1, b << shift: 1, **{l + (r << shift): c for c, *_, l, r in self.rows[j]}}
+            for j, b in field.items()
+        }
 
-def antipode_dyson_salam(spec: CoproductSpec, i: int) -> Polynomial:
-    """The Dyson-Salam route on one generator."""
-    return dyson_salam_poly(spec, Polynomial.variable(i))
+    def pack(self, m) -> int:
+        return sum(map(self.field.__getitem__, m))
 
+    def dyson_salam(self, iterate: dict, bound: int) -> dict:
+        """The sum over k <= ``bound`` of (-1)^k times the multiplied-out
+        rank-k iterated reduced coproduct of ``iterate``; past bound every
+        iterate vanishes by grading.  Only the product of the slots is summed
+        and the next rank expands only the last slot, so the iterate is held
+        in two slots, c * (slot 1 ... slot k-1) (x) (slot k) packed as the
+        pair a + (b << shift), the empty product 1 at k = 1: the forest
+        recursion, not Bogoliubov's, on any table (tests/test_antipode.py)."""
+        shift, reduced, reduced_of = self.shift, self.reduced, self._reduced_of
+        mask = (1 << shift) - 1
+        terms: dict = {}
+        get = terms.get
+        for k in range(1, bound + 1):
+            sign = (-1) ** k
+            for key, c in iterate.items():
+                key = (key & mask) + (key >> shift)
+                terms[key] = get(key, 0) + sign * c
+            if k < bound:
+                acc: dict = {}
+                put = acc.get
+                for key, c in iterate.items():
+                    b = key >> shift
+                    cut = reduced.get(b)
+                    if cut is None:
+                        cut = reduced_of(b)
+                    key &= mask
+                    for k2, c2 in cut.items():
+                        k2 += key
+                        acc[k2] = put(k2, 0) + c * c2
+                iterate = _nonzero(acc)
+        return _nonzero(terms)
 
-def dyson_salam_poly(spec: CoproductSpec, p: Polynomial) -> Polynomial:
-    """The Dyson-Salam route on an augmentation-ideal element: the sum over
-    k of (-1)^k times the multiplied-out rank-k iterated reduced coproduct,
-    for k up to the degree of p, past which every iterate vanishes by
-    grading.
-
-    Only the product of the slots is summed, and the next rank expands only
-    the last slot, so the rank-k iterate is held in two slots: a rank-2
-    tensor sum of c * (slot 1 ... slot k-1) (x) (slot k), with the empty
-    product 1 at k = 1.  Each rank applies the reduced coproduct to the last
-    slot and multiplies its left factor into the first, and adds the
-    multiplied-out a * b with sign (-1)^k.  The route reads table rows
-    only, never an antipode value.
-
-    Keys are packed integers, numbered per call: each generator p reaches
-    through left and right legs gets, in id order, a field of
-    bound.bit_length() bits for its exponent (bound is the degree of p), and
-    a pair (a, b) is a + (b << shift).  The slot degrees of every iterate
-    add up to at most bound, so no field ever carries: a monomial product,
-    and a pair product, is one integer addition.  A monomial's reduced
-    coproduct is the product of its generators' packed full coproducts
-    without its two primitive keys, memoized for this call only.  Keys
-    become monomials once per output term.
-
-    The rows are read in the basis b_j / scale, with scale the common
-    denominator of the rows reached, so a row's c becomes the integer
-    c * scale^len(J) and the loop multiplies integers when p's coefficients
-    are integers; an output c * b_M is c / scale^len(M) * b_M back in the
-    table's basis.  The rescaling is an algebra isomorphism carrying the
-    table's coproduct to the rescaled one, so no value changes, on any
-    table.
-
-    Expanding the last slot, the iterate of b_i past rank 1 is the sum over
-    its rows of c * b_l (x) (the iterate of b_J), so the route on b_i is
-    -b_i minus the sum of c * b_l * (the route on b_J): the forest
-    recursion of `_forest_step`, not Bogoliubov's.  Measured, the route
-    equals the forest route term for term on tables that are not
-    coassociative too: on every generator of every single-coefficient
-    corruption of fdb 6 and of the grafting-5 dual, and on a chain table,
-    where Bogoliubov differs from both on 97 of the 99 corruptions.
-    Expanding the first slot instead gives Bogoliubov's values on all of
-    them (tests/test_antipode.py pins both)."""
-    if p.constant != 0:
-        raise InputError("the alternating-sum antipode needs zero constant term")
-    bound = max((spec.monomial_degree(m) for m, _ in p.items()), default=0)
-    ids = sorted(_below(spec, {j for m, _ in p.items() for j in m}, "both"))
-    width = bound.bit_length()
-    field = {j: 1 << width * n for n, j in enumerate(ids)}
-    shift = width * len(ids)
-    mask = (1 << shift) - 1
-
-    def pack(m) -> int:
-        return sum(map(field.__getitem__, m))
-
-    def spread(parts) -> dict:
-        """The sum of c * c2 at key + k2 over (key, c, terms) in parts and
-        (k2, c2) in terms."""
-        acc: dict = {}
-        get = acc.get
-        for key, c, terms in parts:
-            for k2, c2 in terms.items():
-                k2 += key
-                acc[k2] = get(k2, 0) + c * c2
-        return _accumulate(acc.items())
-
-    # the full coproduct of each numbered generator in the basis b_j / scale,
-    # then of each monomial met; a table has no zero or repeated row
-    scale = lcm(*(e.coeff.denominator for j in ids for e in spec.entries_for(j)))
-    full = {field[j]: {field[j]: 1, field[j] << shift: 1} for j in ids}
-    for j in ids:
-        for e in spec.entries_for(j):
-            c = e.coeff
-            full[field[j]][field[e.left] + (pack(e.right) << shift)] = (
-                c.numerator * (scale ** len(e.right) // c.denominator)
-            )
-    reduced: dict[int, dict] = {}
-
-    def reduced_of(b: int) -> dict:
-        value = reduced.get(b)
-        if value is not None:
-            return value
-        todo = []  # b, then each quotient by its lowest generator, until one is known
+    def _reduced_of(self, b: int) -> dict:
+        """The reduced coproduct of packed monomial b, not yet memoized: its
+        full coproduct without b (x) 1 and 1 (x) b, the full coproduct being
+        filled quotient by quotient, each times its lowest generator's."""
+        full, width = self.full, self.width
+        todo = []
         m = b
         while m not in full:
             unit = 1 << width * (((m & -m).bit_length() - 1) // width)
@@ -187,54 +151,93 @@ def dyson_salam_poly(spec: CoproductSpec, p: Polynomial) -> Polynomial:
             m -= unit
         value = full[m]
         for m, unit in reversed(todo):
-            value = full[m] = spread((k, c, full[unit]) for k, c in value.items())
-        value = reduced[b] = {k: c for k, c in value.items() if k != b and k != b << shift}
+            parts = ((k, c, full[unit]) for k, c in value.items())
+            value = full[m] = _nonzero(_spread({}, parts))
+        primitive = (b, b << self.shift)
+        value = self.reduced[b] = {k: c for k, c in value.items() if k not in primitive}
         return value
 
-    def decode(m: int) -> Monomial:
-        indices = []
-        while m:
-            n = ((m & -m).bit_length() - 1) // width
-            e = m >> width * n & (1 << width) - 1
-            indices += [ids[n]] * e
-            m -= e << width * n
-        return _sorted_monomial(indices)
+    def polynomial(self, packed: dict, lift: int) -> Polynomial:
+        """sum c * beta_M over packed in the table's basis, each term
+        c * scale^lift / scale^|M| * b_M."""
+        width, ids, scale = self.width, self.ids, self.scale
+        out = []
+        for m, c in packed.items():
+            indices = []
+            while m:
+                n = ((m & -m).bit_length() - 1) // width
+                e = m >> width * n & (1 << width) - 1
+                indices += [ids[n]] * e
+                m -= e << width * n
+            if scale > 1:
+                c = Fraction(c, scale ** (len(indices) - lift))
+            out.append((_sorted_monomial(indices), c))
+        return Polynomial._checked(out)
 
-    iterate = {pack(m) << shift: c * scale ** len(m) for m, c in p.items()}
-    terms = []
-    for k in range(1, bound + 1):
-        sign = (-1) ** k
-        terms.extend(((key & mask) + (key >> shift), sign * c) for key, c in iterate.items())
-        if k < bound:
-            iterate = spread(
-                (key & mask, c, reduced_of(key >> shift)) for key, c in iterate.items()
-            )
-    out = ((decode(m), c) for m, c in _accumulate(terms).items())
-    if scale > 1:
-        out = ((m, Fraction(c, scale ** len(m))) for m, c in out)
-    return Polynomial._checked(out)
+
+def share_frame(spec: CoproductSpec, ids) -> None:
+    """One frame over ids that every route on spec reads for each of them
+    from now on, so each lower value and packed coproduct is computed once."""
+    spec._cache[_Frame] = _Frame(spec, ids)
+
+
+def _frame_of(spec: CoproductSpec, i: int) -> _Frame:
+    """spec's frame if it numbers i, else a new one over {i}, now spec's."""
+    frame = spec._cache.get(_Frame)
+    if frame is None or not _positive_int(i) or i not in frame.field:
+        frame = spec._cache[_Frame] = _Frame(spec, (i,))
+    return frame
+
+
+def antipode_forest(spec: CoproductSpec, i: int) -> Polynomial:
+    """Cancellation-free antipode: every realized tree contributes one term
+    with sign (-1)^(vertex count), weighted by the number of ordered subtree
+    assignments the canonical tree stands for.  Factored at the root it is
+    the right-leg recursion filled here: the ordered product over a right
+    leg that repeats an index counts each tree with its multiplicity."""
+    frame = _frame_of(spec, i)
+    memo = frame.forest
+    for j in _below(spec, (i,), "right", memo):
+        acc = {frame.field[j]: -1}
+        for c, _, right, left, _ in frame.rows[j]:
+            trees = {left: -c}
+            for r in right[:-1]:
+                trees = _spread({}, ((k, c1, memo[r]) for k, c1 in trees.items()))
+            _spread(acc, ((k, c1, memo[right[-1]]) for k, c1 in trees.items()))
+        memo[j] = _nonzero(acc)
+    return frame.polynomial(memo[i], 1)
+
+
+def antipode_dyson_salam(spec: CoproductSpec, i: int) -> Polynomial:
+    """The Dyson-Salam route on one generator."""
+    mono(i)  # checks i
+    frame = _frame_of(spec, i)
+    packed = frame.dyson_salam({frame.field[i] << frame.shift: 1}, spec.degree(i))
+    return frame.polynomial(packed, 1)
+
+
+def dyson_salam_poly(spec: CoproductSpec, p: Polynomial) -> Polynomial:
+    """The Dyson-Salam route on an augmentation-ideal element, on a frame
+    over p's generators sized by p's degree, which bounds every slot's."""
+    if p.constant != 0:
+        raise InputError("the alternating-sum antipode needs zero constant term")
+    bound = max((spec.monomial_degree(m) for m, _ in p.items()), default=0)
+    frame = _Frame(spec, {j for m, _ in p.items() for j in m}, bound)
+    scale, shift = frame.scale, frame.shift
+    iterate = {frame.pack(m) << shift: c * scale ** len(m) for m, c in p.items()}
+    return frame.polynomial(frame.dyson_salam(iterate, bound), 0)
 
 
 def antipode_bogoliubov(spec: CoproductSpec, i: int) -> Polynomial:
     """Triangular recursion through the coproduct table.  Every left leg is
     a single generator of strictly smaller degree, so the recursion is
-    well-founded; it is filled bottom-up along left legs, and the value of
-    each generator is memoized on the table instance."""
-    return _bottom_up(_bogoliubov_step, spec, i, "left")
-
-
-@spec_memo
-def _bogoliubov_step(spec: CoproductSpec, i: int) -> Polynomial:
-    """S(b_i) = -b_i - sum over rows (i; l; J) of c * S(b_l) * b_J."""
-    terms = [(mono(i), -1)]
-    for e in spec.entries_for(i):
-        # the row coefficient in stored form, so integer tables multiply ints
-        c = _scalar(-e.coeff)
-        right = _sorted_monomial(e.right)
-        terms.extend(
-            (m * right, c * cm) for m, cm in _bogoliubov_step(spec, e.left).items()
-        )
-    return Polynomial._checked(terms)
+    well-founded; it is filled bottom-up along left legs."""
+    frame = _frame_of(spec, i)
+    memo = frame.bogoliubov
+    for j in _below(spec, (i,), "left", memo):
+        parts = ((right, -c, memo[l]) for c, l, _, _, right in frame.rows[j])
+        memo[j] = _nonzero(_spread({frame.field[j]: -1}, parts))
+    return frame.polynomial(memo[i], 1)
 
 
 _GENERATOR_METHODS = {
@@ -246,12 +249,9 @@ _GENERATOR_METHODS = {
 
 def _route(method: str) -> Callable[[CoproductSpec, int], Polynomial]:
     """The generator antipode of a method name; an unknown name raises."""
-    try:
-        return _GENERATOR_METHODS[method]
-    except KeyError:
-        raise InputError(
-            f"unknown antipode method {method!r}; choose from {METHODS}"
-        ) from None
+    if method not in _GENERATOR_METHODS:
+        raise InputError(f"unknown antipode method {method!r}; choose from {METHODS}")
+    return _GENERATOR_METHODS[method]
 
 
 @spec_memo
@@ -259,9 +259,7 @@ def antipode_generator(spec: CoproductSpec, i: int, method: str = "forest") -> P
     return _route(method)(spec, i)
 
 
-def antipode_poly(
-    spec: CoproductSpec, p: Polynomial, method: str = "forest"
-) -> Polynomial:
+def antipode_poly(spec: CoproductSpec, p: Polynomial, method: str = "forest") -> Polynomial:
     """Multiplicative-linear extension: S(b_I) is the product of the
     generator antipodes, S(1) = 1."""
     _route(method)
@@ -301,7 +299,8 @@ def term_stats(spec: CoproductSpec, i: int) -> TermStats:
     their total vertex count, T the number of trees and T_k the number of
     height at most k, so sum(h) = sum over k >= 0 of (T - T_k) and
     dyson_salam_terms = L - sum(h) + T."""
-    vertices, heights = _bottom_up(_tree_counts, spec, i, "right")
+    for j in _below(spec, (i,), "right"):
+        vertices, heights = _tree_counts(spec, j)
     trees = heights[-1]
     sum_h = sum(trees - t for t in heights[:-1])
     return TermStats(dyson_salam_terms=vertices - sum_h + trees, forest_terms=trees)

@@ -192,13 +192,14 @@ def tree_multiplicity(x: TreeLike) -> int:
     """
     out = 1
     for t, _ in _vertices(x):
-        groups: dict[int, Counter] = {}
+        groups: dict[int, list] = {}
         for c in t.children:
-            groups.setdefault(c.source, Counter())[c] += 1
+            groups.setdefault(c.source, []).append(c)
         for group in groups.values():
-            out *= factorial(sum(group.values()))
-            for count in group.values():
-                out //= factorial(count)
+            if len(group) > 1:  # only then hash the subtrees: a lone child has no twin
+                out *= factorial(len(group))
+                for count in Counter(group).values():
+                    out //= factorial(count)
     return out
 
 

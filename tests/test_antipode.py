@@ -2,6 +2,7 @@
 the term-count statistics."""
 
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -21,6 +22,7 @@ from hopfforest.antipode import (
     antipode_generator,
     antipode_poly,
     dyson_salam_poly,
+    share_frame,
     term_stats,
 )
 from hopfforest.coproduct import (
@@ -52,6 +54,7 @@ from hopfforest.trees import (
     vertex_count,
     vertex_monomial,
 )
+from route_recursions import bogoliubov_recursion, forest_recursion
 from series_reversion import evaluate, lagrange_antipode
 from test_coproduct import _convolution_per_monomial
 
@@ -235,6 +238,77 @@ def test_dyson_salam_is_the_forest_recursion_on_corrupted_tables(corrupted):
         assert routes[2] == first_slot
         differs += routes[2] != routes[1]
     assert differs == BOGOLIUBOV_DIFFERS[name]
+
+
+def _assert_routes_follow_their_recursions(spec, shared):
+    """Each packed route equals its own recursion on every generator of spec,
+    term for term, and Dyson-Salam equals the forest's.  With ``shared``,
+    one frame over all generators serves every route, as in `verify`;
+    without, each call numbers what its generator reaches."""
+    ids = spec.generator_ids()
+    if shared:
+        share_frame(spec, ids)
+    forest, bogoliubov = {}, {}
+    for i in ids:
+        oracle = forest_recursion(spec, i, forest)
+        for method in ("forest", "dyson-salam"):
+            assert antipode._GENERATOR_METHODS[method](spec, i).terms() == oracle.terms()
+        oracle = bogoliubov_recursion(spec, i, bogoliubov)
+        assert antipode._GENERATOR_METHODS["bogoliubov"](spec, i).terms() == oracle.terms()
+    return sum(forest[i] != bogoliubov[i] for i in ids)
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["own-frame", "shared-frame"])
+@pytest.mark.parametrize(
+    "build",
+    [lambda: faa_di_bruno_spec(12), lambda: dualize(grafting_instance(6), 6)],
+    ids=["fdb12", "graft6-dual"],
+)
+def test_packed_routes_follow_their_own_recursions(build, shared):
+    assert _assert_routes_follow_their_recursions(build(), shared) == 0
+
+
+def test_packed_routes_follow_their_own_recursions_on_corrupted_tables(corrupted):
+    # Bogoliubov must reproduce its own recursion where the two disagree,
+    # not the forest's.  Fresh copies, so no memo of another test answers.
+    name, _, _, tables = corrupted
+    differs = 0
+    for k, table in enumerate(tables):
+        spec = CoproductSpec("corrupt", table.generators.values(), table.entries)
+        differs += bool(_assert_routes_follow_their_recursions(spec, k % 2 == 1))
+    assert differs == BOGOLIUBOV_DIFFERS[name]
+
+
+@pytest.mark.parametrize("bad", [True, 0, -1])
+def test_routes_reject_ids_that_are_not_positive_integers(bad):
+    # The recursions look the id up in the table first, so 0 and -1 are
+    # unknown ids there; Dyson-Salam checks the monomial b_i first.
+    positive = f"generator indices must be positive integers, got {bad!r}"
+    unknown = positive if bad is True else f"unknown generator id {bad}"
+    expected = {"forest": unknown, "dyson-salam": positive, "bogoliubov": unknown}
+    spec = faa_di_bruno_spec(3)
+    for method in METHODS:
+        with pytest.raises(InputError, match=f"^{re.escape(expected[method])}$"):
+            antipode._GENERATOR_METHODS[method](spec, bad)
+        with pytest.raises(InputError, match=f"^{re.escape(expected[method])}$"):
+            antipode_generator(spec, bad, method)
+    with pytest.raises(InputError, match=f"^{re.escape(positive)}$"):
+        dyson_salam_poly(spec, Polynomial.variable(bad))
+    for method in METHODS:
+        for i in reversed(spec.generator_ids()):
+            value = antipode_generator(spec, i, method)
+            assert all(type(j) is int for m, _ in value.items() for j in m)
+
+
+def test_a_frame_that_numbers_1_rejects_true():
+    # True equals 1 as a dict key, so only an explicit check keeps it out of
+    # the frame b3 left on the table, which numbers b1, and out of every
+    # output monomial.
+    spec = faa_di_bruno_spec(3)
+    for method in METHODS:
+        antipode._GENERATOR_METHODS[method](spec, 3)
+        with pytest.raises(InputError, match="^generator indices must be positive"):
+            antipode._GENERATOR_METHODS[method](spec, True)
 
 
 def _right_convolution(spec, max_degree, antipode):
@@ -618,6 +692,12 @@ def test_route_identities_on_random_tables(spec):
     # Each recursion solves its own side of the convolution on every table.
     assert convolution_check(spec, top, antipode_endomap(spec, "bogoliubov")) == []
     assert _right_convolution(spec, top, antipode_endomap(spec, "forest")) == []
+
+
+@settings(max_examples=15, deadline=None)
+@given(_rescaled_tables(), st.booleans())
+def test_packed_routes_follow_their_own_recursions_on_fractional_rows(spec, shared):
+    assert _assert_routes_follow_their_recursions(spec, shared) == 0
 
 
 def _partitions(n, largest):

@@ -6,6 +6,7 @@ import random
 import sys
 from collections import Counter
 from itertools import permutations, product as iter_product
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -257,10 +258,14 @@ def test_statistics_of_a_tree_deeper_than_the_recursion_limit():
 
     # Building a tree sorts its children by tuple order, which a chain of
     # one child per vertex never compares: it builds at the default limit.
+    # Its multiplicity hashes no subtree, since no vertex has two children
+    # of one source; counting every child rehashed whole subtrees, which
+    # took seconds at 6,000 vertices.
     deep = leaf(1)
-    for i in range(2, 3001):
+    for i in range(2, 6001):
         deep = node(i, 1, [deep])
-    assert (vertex_count(deep), height(deep)) == (3000, 3000)
+    assert (vertex_count(deep), height(deep)) == (6000, 6000)
+    assert tree_multiplicity(deep) == 1
 
 
 def test_unrealized_vertex_gives_zero_coefficient(fdb6):
@@ -361,6 +366,35 @@ def test_multiplicity_goldens():
     assert tree_multiplicity(mixed) == 2
     assert tree_multiplicity(node(6, 1, [mixed])) == 2
     assert tree_multiplicity(forest(mixed, mixed)) == 4
+
+
+def _multiplicity_by_counting(t):
+    """tree_multiplicity as it was computed before it grouped children by
+    source first: every child of every vertex counted in a Counter."""
+    groups = {}
+    for c in t.children:
+        groups.setdefault(c.source, Counter())[c] += 1
+    out = prod(_multiplicity_by_counting(c) for c in t.children)
+    for group in groups.values():
+        out *= factorial(sum(group.values()))
+        for count in group.values():
+            out //= factorial(count)
+    return out
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: faa_di_bruno_spec(8), lambda: dualize(grafting_instance(5), 5)],
+    ids=["fdb8", "graft5-dual"],
+)
+def test_multiplicity_matches_the_counting_oracle(build):
+    spec = build()
+    above_one = 0
+    for i in spec.generator_ids():
+        for t in enumerate_trees(spec, i):
+            assert tree_multiplicity(t) == _multiplicity_by_counting(t)
+            above_one += tree_multiplicity(t) > 1
+    assert above_one > 0
 
 
 def test_multiplicity_one_below_degree_five(fdb6):
