@@ -34,7 +34,6 @@ from .coproduct import (
     iterated_reduced,
     iterated_reduced_poly,
     monomials_up_to,
-    reduced_coproduct_generator,
 )
 from .errors import ConstructionError, InputError
 from .hopfspec import (

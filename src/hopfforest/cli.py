@@ -13,11 +13,12 @@ import sys
 from typing import Collection, Optional, Sequence
 
 from .algebra import coefficient_text
-from .antipode import METHODS, antipode_endomap, antipode_generator, share_frame, term_stats
+from .antipode import METHODS, antipode_endomap, antipode_generator, term_stats
 from .coproduct import (
     coassociativity_report,
     convolution_check,
     counit_report,
+    frame_over,
     iterated_reduced,
 )
 from .errors import ConstructionError, InputError
@@ -123,7 +124,7 @@ def _route_values(spec: CoproductSpec, max_degree: int):
     """(id, {method: antipode}) for each generator of degree <= max_degree, in
     id order, every route reading one frame over all of them."""
     ids = [i for i in spec.generator_ids() if spec.degree(i) <= max_degree]
-    share_frame(spec, ids)
+    frame_over(spec, ids)
     for i in ids:
         yield i, {method: antipode_generator(spec, i, method) for method in METHODS}
 

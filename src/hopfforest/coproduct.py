@@ -1,88 +1,230 @@
-"""Coproduct engine: reduced and full coproducts, their multiplicative
-extension to arbitrary polynomials, iterated reduced coproducts, and the
-verification reports (coassociativity, counit, antipode convolution).
+"""Coproduct engine: the packed frame, which computes every monomial
+coproduct of the package, iterated reduced coproducts, and the verification
+reports (coassociativity, counit, antipode convolution).
 
-The reduced coproduct of a generator comes straight from the table; the full
-coproduct adds the primitive part b (x) 1 + 1 (x) b.  On products both are
-determined by multiplicativity of the full coproduct: the coproduct of a
-monomial is `hopfspec.multiplicative_memo` of the generators' coproducts,
-filled prefix by prefix, so the Python stack stays flat for any length.  A
-monomial's reduced coproduct is its full coproduct without the two primitive
-terms.  Iterating the reduced coproduct always terminates with zero once the
-rank exceeds the degree, which is what makes the degree-many-step antipode
-formulas finite.
+A frame numbers what it starts from and all it reaches through left and
+right legs of table rows.  Each gets, in id order, a field of width bits,
+the bit length of the largest degree a value must hold, so a monomial is the
+sum of its generators' fields and a product one addition that never
+carries; a rank-k key packs its k slots shift bits apart, slot 0 lowest.
+Rows are read in the basis beta_j = b_j / scale, scale the common
+denominator of the rows reached, so a row (i; l; J) of coefficient c becomes
+the integer c' = c * scale^|J|; the rescaling is an algebra isomorphism, so
+no value changes.
 
-Because the coproduct is an algebra morphism, coassociativity and counit hold
-on every monomial once they hold on the generators.  So does the convolution
+A monomial's full coproduct is the product of its generators' (the
+coproduct is an algebra morphism), filled quotient by quotient so the Python
+stack stays flat; its reduced coproduct drops the two primitive terms.
+Iterating the reduced coproduct ends with zero once the rank exceeds the
+degree, which makes the degree-many-step antipode formulas finite.  As the
+coproduct is an algebra morphism, coassociativity and counit hold on every
+monomial once they hold on the generators, and so does the convolution
 identity, given an antipode multiplicative on monomials, as the algebra is
-commutative; all three reports visit generators only.
+commutative: all three reports visit generators only.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import chain
-from typing import Callable
+from math import lcm
+from typing import Callable, Optional
 
 from .algebra import UNIT, Monomial, Polynomial, Tensor, mono
 from .algebra import _positive_int, _sorted_monomial
 from .errors import InputError
-from .hopfspec import CoproductSpec, graded_monomials, multiplicative_memo, spec_memo
+from .hopfspec import CoproductSpec, graded_monomials, spec_memo
 
 
-@spec_memo
-def reduced_coproduct_generator(spec: CoproductSpec, i: int) -> Tensor:
-    """The table's rank-2 tensor for generator i (no primitive part)."""
-    return Tensor._checked(
-        2,
-        [((mono(e.left), _sorted_monomial(e.right)), e.coeff) for e in spec.entries_for(i)],
-    )
+def _below(spec: CoproductSpec, starts, leg: str, known=()) -> list[int]:
+    """starts and all they reach through ``leg`` ("left", "right" or "both")
+    legs of table rows, but not through ``known``, in ascending degree: a
+    leg has smaller degree than its source, so it comes first."""
+    seen = {j for j in starts if j not in known}
+    todo = list(seen)
+    while todo:
+        for e in spec.entries_for(todo.pop()):
+            if leg == "both":
+                legs = (e.left, *e.right)
+            else:
+                legs = e.right if leg == "right" else (e.left,)
+            for j in legs:
+                if j not in seen and j not in known:
+                    seen.add(j)
+                    todo.append(j)
+    return sorted(seen, key=lambda j: (spec.degree(j), j))
+
+
+def _spread(acc: dict, parts) -> dict:
+    """acc plus c * c2 at key + k2 for (key, c, terms) in parts and (k2, c2)
+    in terms: packed keys add where monomials multiply.  Zeros stay."""
+    get = acc.get
+    for key, c, terms in parts:
+        for k2, c2 in terms.items():
+            k2 += key
+            acc[k2] = get(k2, 0) + c * c2
+    return acc
+
+
+def _nonzero(acc: dict) -> dict:
+    return acc if all(acc.values()) else {k: c for k, c in acc.items() if c}
+
+
+class _Frame:
+    """The numbering of what ``starts`` reach, for values of degree up to
+    ``degree`` (by default the largest start's): each row as (c', l, J,
+    packed b_l, packed b_J), each antipode route's packed values, and the
+    full and reduced coproducts of every packed monomial met."""
+
+    def __init__(self, spec: CoproductSpec, starts, degree: Optional[int] = None):
+        ids = sorted(_below(spec, starts, "both"))
+        for i in starts:
+            if not _positive_int(i):
+                raise InputError(f"generator indices must be positive integers, got {i!r}")
+        degree = max(map(spec.degree, starts), default=0) if degree is None else degree
+        scale = lcm(*(e.coeff.denominator for j in ids for e in spec.entries_for(j)))
+        self.ids, self.degree, self.width, self.scale = ids, degree, degree.bit_length(), scale
+        self.field = field = {j: 1 << self.width * n for n, j in enumerate(ids)}
+        self.shift = shift = self.width * len(ids)
+        # c' = c * scale^|J| is an integer: c's denominator divides scale
+        self.rows = {
+            j: [(c.numerator * scale ** len(right) // c.denominator, left, right, field[left],
+                 self.pack(right)) for _, left, right, c in spec.entries_for(j)]
+            for j in ids
+        }
+        self.forest, self.bogoliubov, self.reduced = {}, {}, {}
+        # full coproducts: the unit's, each generator's, then each monomial met's
+        self.full = {0: {0: 1}} | {
+            b: {b: 1, b << shift: 1, **{l + (r << shift): c for c, *_, l, r in self.rows[j]}}
+            for j, b in field.items()
+        }
+
+    def pack(self, m) -> int:
+        return sum(map(self.field.__getitem__, m))
+
+    def full_of(self, b: int) -> dict:
+        """The full coproduct of packed monomial b, memoized with every
+        quotient met: each is its quotient's times its lowest generator's."""
+        full, width = self.full, self.width
+        todo = []
+        m = b
+        while m not in full:
+            unit = 1 << width * (((m & -m).bit_length() - 1) // width)
+            todo.append((m, unit))
+            m -= unit
+        value = full[m]
+        for m, unit in reversed(todo):
+            parts = ((k, c, full[unit]) for k, c in value.items())
+            value = full[m] = _nonzero(_spread({}, parts))
+        return value
+
+    def _reduced_of(self, b: int) -> dict:
+        """The reduced coproduct of packed monomial b, not yet memoized: its
+        full coproduct without b (x) 1 and 1 (x) b.  The unit has none."""
+        if not b:
+            raise InputError("reduced coproduct needs a polynomial with zero constant "
+                             "term, got constant 1")
+        primitive = (b, b << self.shift)
+        value = self.reduced[b] = {k: c for k, c in self.full_of(b).items() if k not in primitive}
+        return value
+
+    def splice(self, iterate: dict, leg: int) -> dict:
+        """The packed rank-k terms of ``iterate`` with slot ``leg`` replaced
+        by its reduced coproduct: rank k + 1, the slots above moved up one."""
+        shift, reduced, reduced_of = self.shift, self.reduced, self._reduced_of
+        low = shift * leg
+        below, slot = (1 << low) - 1, (1 << shift) - 1
+        acc: dict = {}
+        get = acc.get
+        for key, c in iterate.items():
+            b = key >> low & slot
+            cut = reduced.get(b)
+            if cut is None:
+                cut = reduced_of(b)
+            key = (key & below) + (key >> low + shift << low + 2 * shift)
+            for k2, c2 in cut.items():
+                k2 = key + (k2 << low)
+                acc[k2] = get(k2, 0) + c * c2
+        return _nonzero(acc)
+
+    def _monomial(self, m: int) -> Monomial:
+        width, ids = self.width, self.ids
+        indices = []
+        while m:
+            n = ((m & -m).bit_length() - 1) // width
+            e = m >> width * n & (1 << width) - 1
+            indices += [ids[n]] * e
+            m -= e << width * n
+        return _sorted_monomial(indices)
+
+    def polynomial(self, packed: dict, lift: int) -> Polynomial:
+        """Packed c * beta_M as c * scale^lift / scale^|M| * b_M, summed."""
+        scale, monomial = self.scale, self._monomial
+        out = []
+        for m, c in packed.items():
+            m = monomial(m)
+            if scale > 1:
+                c = Fraction(c, scale ** (len(m) - lift))
+            out.append((m, c))
+        return Polynomial._checked(out)
+
+    def tensor(self, packed: dict, rank: int) -> Tensor:
+        """Packed rank-``rank`` terms in the table's basis, slots decoded once."""
+        shift, scale = self.shift, self.scale
+        slot = (1 << shift) - 1
+        decoded: dict = {}
+        out = []
+        for key, c in packed.items():
+            slots = []
+            for _ in range(rank):
+                m = key & slot
+                key >>= shift
+                monomial = decoded.get(m)
+                if monomial is None:
+                    monomial = decoded[m] = self._monomial(m)
+                slots.append(monomial)
+            if scale > 1:
+                c = Fraction(c, scale ** sum(map(len, slots)))
+            out.append((tuple(slots), c))
+        return Tensor._checked(rank, out)
+
+
+def frame_over(spec: CoproductSpec, starts) -> _Frame:
+    """spec's frame if it numbers every start, else a new frame over starts,
+    now spec's: what one command reads, so each lower value and packed
+    coproduct is computed once.  A bool never hits, though True == 1."""
+    frame = spec._cache.get(_Frame)
+    field = {} if frame is None else frame.field
+    for i in starts:  # a plain loop keeps a route's one-id hit cheap
+        if not (_positive_int(i) and i in field):
+            break
+    else:
+        if frame is not None:
+            return frame
+    frame = spec._cache[_Frame] = _Frame(spec, starts)
+    return frame
+
+
+def _poly_frame(spec: CoproductSpec, p: Polynomial) -> tuple[_Frame, dict]:
+    """A private frame over p's generators sized by p's degree, which bounds
+    every slot's, and p packed in its basis."""
+    bound = max((spec.monomial_degree(m) for m, _ in p.items()), default=0)
+    frame = _Frame(spec, {j for m, _ in p.items() for j in m}, bound)
+    return frame, {frame.pack(m): c * frame.scale ** len(m) for m, c in p.items()}
 
 
 @spec_memo
 def full_coproduct_generator(spec: CoproductSpec, i: int) -> Tensor:
-    """b_i (x) 1 + 1 (x) b_i + reduced part."""
+    """b_i (x) 1 + 1 (x) b_i + the table's rows for b_i."""
     b = mono(i)
-    primitive = [((b, UNIT), 1), ((UNIT, b), 1)]
-    return Tensor._checked(2, chain(primitive, reduced_coproduct_generator(spec, i).items()))
-
-
-#: Full coproduct of one monomial, memoized: Delta is an algebra morphism.
-_coproduct_monomial = multiplicative_memo(full_coproduct_generator, Tensor.one(2))
+    rows = (((mono(e.left), _sorted_monomial(e.right)), e.coeff) for e in spec.entries_for(i))
+    return Tensor._checked(2, chain([((b, UNIT), 1), ((UNIT, b), 1)], rows))
 
 
 def coproduct_poly(spec: CoproductSpec, p: Polynomial) -> Tensor:
     """Full coproduct, extended multiplicatively from generators."""
-    pieces = ((_coproduct_monomial(spec, m), c) for m, c in p.items())
-    return Tensor._checked(2, ((key, c * ct) for t, c in pieces for key, ct in t.items()))
-
-
-@spec_memo
-def _reduced_coproduct_monomial(spec: CoproductSpec, m: Monomial) -> Tensor:
-    """Reduced coproduct of one monomial: its full coproduct without the two
-    primitive terms m (x) 1 and 1 (x) m.  Each has coefficient 1 there,
-    since a table row has a generator on the left and a nonempty right leg.
-    The unit monomial has none and raises InputError."""
-    if m.is_unit:
-        raise InputError(
-            "reduced coproduct needs a polynomial with zero constant term, got constant 1"
-        )
-    primitive = ((m, UNIT), (UNIT, m))
-    return Tensor._checked(
-        2, (t for t in _coproduct_monomial(spec, m).items() if t[0] not in primitive)
-    )
-
-
-def _splice(spec: CoproductSpec, t: Tensor, leg: int) -> Tensor:
-    """Replace slot `leg` of every term of t by its reduced coproduct, read
-    from the memoized per-monomial map; the rank goes up by one."""
-    return Tensor._checked(
-        t.rank + 1,
-        (
-            (key[:leg] + pair + key[leg + 1 :], c * c2)
-            for key, c in t.items()
-            for pair, c2 in _reduced_coproduct_monomial(spec, key[leg]).items()
-        ),
-    )
+    frame, packed = _poly_frame(spec, p)
+    return frame.tensor(_spread({}, ((0, c, frame.full_of(b)) for b, c in packed.items())), 2)
 
 
 def iterated_reduced_poly(spec: CoproductSpec, p: Polynomial, k: int) -> Tensor:
@@ -92,12 +234,12 @@ def iterated_reduced_poly(spec: CoproductSpec, p: Polynomial, k: int) -> Tensor:
     depend on which slot each step expands."""
     if not _positive_int(k):
         raise InputError(f"tensor rank must be >= 1, got {k}")
-    out = Tensor._checked(1, [((m,), c) for m, c in p.items()])
-    for _ in range(k - 1):
-        out = _splice(spec, out, out.rank - 1)
-        if out.is_zero:
-            return Tensor.zero(k)
-    return out
+    frame, iterate = _poly_frame(spec, p)
+    for leg in range(k - 1):
+        if not iterate:
+            break
+        iterate = frame.splice(iterate, leg)
+    return frame.tensor(iterate, k)
 
 
 def iterated_reduced(spec: CoproductSpec, i: int, k: int) -> Tensor:
@@ -123,7 +265,9 @@ def convolution_check(
     monomial fails exactly when one of its generators does.  Returns failure
     descriptions; empty means the antipode property holds."""
     problems: list[str] = []
-    for i in _generators_up_to(spec, max_degree):
+    ids = _generators_up_to(spec, max_degree)
+    frame_over(spec, ids)  # one frame for every route value the antipode reads
+    for i in ids:
         got = Polynomial._checked(
             (sa * b, c * ca)
             for (a, b), c in full_coproduct_generator(spec, i).items()
@@ -148,11 +292,13 @@ def coassociativity_report(spec: CoproductSpec, max_degree: int) -> list[str]:
     difference: the reduced coproduct of a monomial drops two terms of
     coefficient 1, and those legs cancel.  Both full iterates are algebra
     morphisms, so they agree on all monomials when they agree on the
-    generators."""
+    generators.  Both sides are compared packed, on spec's frame."""
     problems: list[str] = []
-    for i in _generators_up_to(spec, max_degree):
-        once = reduced_coproduct_generator(spec, i)
-        if _splice(spec, once, 0) != _splice(spec, once, 1):
+    ids = _generators_up_to(spec, max_degree)
+    frame = frame_over(spec, ids)
+    for i in ids:
+        once = frame.splice({frame.field[i]: 1}, 0)
+        if frame.splice(once, 0) != frame.splice(once, 1):
             problems.append(f"coassociativity failed on {mono(i)}")
     return problems
 

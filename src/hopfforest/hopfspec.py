@@ -35,7 +35,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .algebra import Monomial, Multiset, Rational, Scalar, coefficient_text, multiset
-from .algebra import _fraction, _positive_int, _scalar, _sorted_monomial
+from .algebra import _fraction, _positive_int, _scalar
 from .errors import InputError
 
 
@@ -72,44 +72,6 @@ def spec_memo(fn: Callable) -> Callable:
         return value
 
     return memoized
-
-
-def multiplicative_memo(generator: Callable, one: object) -> Callable:
-    """The monomial map ``f(spec, m, *key)`` of an algebra morphism fixed by
-    its generator map ``generator(spec, i, *key)``: f(1) = one and
-    f(b_I) = f(b_I') * generator(b_last), where I' is I without its last
-    index.  Its memo is one dict per spec in ``spec._cache``, keyed by
-    ``(m, *key)``, so a hit is one lookup in it.  A miss walks back to the
-    longest memoized prefix of m and multiplies in the remaining generators
-    one at a time, storing each prefix: a monomial whose prefix is known
-    costs one product, and the Python stack stays flat for any length.
-    ``key`` is positional only."""
-
-    def monomial_map(spec, *key):
-        memo = spec._cache.get(monomial_map)
-        if memo is None:
-            memo = spec._cache[monomial_map] = {}
-        value = memo.get(key, _MISSING)
-        if value is not _MISSING:
-            return value
-        m, rest = key[0], key[1:]
-        if not m:
-            value = memo[key] = one
-            return value
-        todo = [key]  # the prefixes of m to fill, longest first
-        for k in range(len(m) - 1, 0, -1):
-            prefix = (_sorted_monomial(m[:k]),) + rest
-            value = memo.get(prefix, _MISSING)
-            if value is not _MISSING:
-                break
-            todo.append(prefix)
-        else:
-            value = memo[todo.pop()] = generator(spec, m[0], *rest)
-        for prefix in reversed(todo):
-            value = memo[prefix] = value * generator(spec, prefix[0][-1], *rest)
-        return value
-
-    return monomial_map
 
 
 class Generator(NamedTuple):

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Union
 
-from .algebra import Monomial, Tensor, _positive_int
-from .coproduct import _reduced_coproduct_monomial, iterated_reduced
+from .algebra import Monomial, Polynomial, Tensor, _positive_int
+from .coproduct import iterated_reduced, iterated_reduced_poly
 from .errors import InputError
 from .hopfspec import CoproductSpec
 from .trees import (
@@ -162,7 +162,7 @@ def forest_expansion_report(
     indices = tuple(indices)
     if not indices:
         raise InputError("the expansion needs at least one generator index")
-    direct = _reduced_coproduct_monomial(spec, Monomial(indices))
+    direct = iterated_reduced_poly(spec, Polynomial.single(Monomial(indices)), 2)
     expanded = forest_expansion(spec, indices)
     if direct != expanded:
         return [

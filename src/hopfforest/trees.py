@@ -203,7 +203,6 @@ def tree_multiplicity(x: TreeLike) -> int:
     return out
 
 
-@spec_memo
 def enumerate_trees(spec: CoproductSpec, i: int) -> tuple[DecoratedTree, ...]:
     """Every canonical tree with root source i realized by the table (all
     entry lookups nonzero), in canonical order, each exactly once.
@@ -214,7 +213,14 @@ def enumerate_trees(spec: CoproductSpec, i: int) -> tuple[DecoratedTree, ...]:
     grading makes the recursion finite: right-leg indices have strictly
     smaller degree than the source.  Sums over this set that must match the
     iterated-coproduct expansion weight each tree by tree_multiplicity.
+    Memoized on spec per id; an id that is not a positive int skips the
+    memo, where True would find b1's entry, and raises.
     """
+    return (_realized_trees if _positive_int(i) else _realized_trees.__wrapped__)(spec, i)
+
+
+@spec_memo
+def _realized_trees(spec: CoproductSpec, i: int) -> tuple[DecoratedTree, ...]:
     spec.degree(i)  # raises for unknown ids
     found = {leaf(i)}
     for e in spec.entries_for(i):

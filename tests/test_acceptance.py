@@ -22,7 +22,6 @@ from hopfforest.cli import run as cli_run
 from hopfforest.coproduct import (
     convolution_check,
     iterated_reduced,
-    reduced_coproduct_generator,
 )
 from hopfforest.hopfspec import faa_di_bruno_spec, spec_to_dict
 from hopfforest.linearize import (
@@ -83,11 +82,11 @@ def criterion(capfd, number, name, budget_seconds):
 def test_criterion_1_golden_values(capfd):
     with criterion(capfd, 1, "golden coproducts and antipode", 1.0):
         spec = faa_di_bruno_spec(6)
-        assert reduced_coproduct_generator(spec, 1).is_zero
-        assert reduced_coproduct_generator(spec, 2) == Tensor.single(
+        assert iterated_reduced(spec, 1, 2).is_zero
+        assert iterated_reduced(spec, 2, 2) == Tensor.single(
             (mono(1), mono(1)), 3
         )
-        three = reduced_coproduct_generator(spec, 3)
+        three = iterated_reduced(spec, 3, 2)
         assert three == (
             Tensor.single((mono(2), mono(1)), 6)
             + Tensor.single((mono(1), mono(1, 1)), 3)

@@ -6,6 +6,7 @@ import re
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, prod
 
 import pytest
@@ -22,15 +23,14 @@ from hopfforest.antipode import (
     antipode_generator,
     antipode_poly,
     dyson_salam_poly,
-    share_frame,
     term_stats,
 )
 from hopfforest.coproduct import (
-    _reduced_coproduct_monomial,
     coassociativity_report,
     convolution_check,
     counit_report,
     coproduct_poly,
+    frame_over,
     full_coproduct_generator,
     iterated_reduced_poly,
     monomials_up_to,
@@ -49,11 +49,13 @@ from hopfforest.prelie import dualize, grafting_instance
 from hopfforest.trees import (
     enumerate_trees,
     height,
+    leaf,
     tree_coefficient,
     tree_multiplicity,
     vertex_count,
     vertex_monomial,
 )
+import coproduct_oracle as oracle
 from route_recursions import bogoliubov_recursion, forest_recursion
 from series_reversion import evaluate, lagrange_antipode
 from test_coproduct import _convolution_per_monomial
@@ -199,7 +201,7 @@ def _dyson_salam_first_slot(spec, i):
     """The two-slot Dyson-Salam sum on b_i with the first slot expanded
     instead of the last: (slot 1) (x) (slot 2 ... slot k)."""
     iterate = Tensor(2, {(mono(i), UNIT): 1})
-    total = Polynomial.zero()
+    total, memo = Polynomial.zero(), {}
     for k in range(1, spec.degree(i) + 1):
         total = total + iterate.multiplied_out() * (-1) ** k
         iterate = Tensor(
@@ -207,7 +209,7 @@ def _dyson_salam_first_slot(spec, i):
             [
                 ((left, right * b), c * c2)
                 for (a, b), c in iterate.items()
-                for (left, right), c2 in _reduced_coproduct_monomial(spec, a).items()
+                for (left, right), c2 in oracle.reduced_coproduct(spec, a, memo).items()
             ],
         )
     return total
@@ -247,7 +249,7 @@ def _assert_routes_follow_their_recursions(spec, shared):
     without, each call numbers what its generator reaches."""
     ids = spec.generator_ids()
     if shared:
-        share_frame(spec, ids)
+        frame_over(spec, ids)
     forest, bogoliubov = {}, {}
     for i in ids:
         oracle = forest_recursion(spec, i, forest)
@@ -407,8 +409,8 @@ def test_unknown_method_rejected_on_entry(fdb6, call):
 @pytest.mark.parametrize("method", METHODS)
 def test_antipode_of_a_monomial_longer_than_the_recursion_limit(method):
     # S(b1) = -b1 and S(b2) = -b2 + 3 b1b1, so S(b1^300) = b1^300 and
-    # S(b1^298 b2) = -b1^298 b2 + 3 b1^300.  The product is memoized per
-    # prefix, and a fresh spec fills all 300 prefixes in one call.
+    # S(b1^298 b2) = -b1^298 b2 + 3 b1^300.  Each is a product of
+    # generator antipodes taken in turn, with no recursion.
     spec = faa_di_bruno_spec(3)
     b1_300, b1_298_b2 = Monomial([1] * 300), Monomial([1] * 298 + [2])
     limit = sys.getrecursionlimit()
@@ -418,6 +420,22 @@ def test_antipode_of_a_monomial_longer_than_the_recursion_limit(method):
     finally:
         sys.setrecursionlimit(limit)
     assert got == Polynomial({b1_300: 4, b1_298_b2: -1})
+
+
+def test_a_bool_id_never_reads_the_memo_of_b1():
+    # True == 1 as a dict key, so a memo read before the id check would give
+    # True the value of b1 once an int call had stored it.  Both orders: on a
+    # fresh table, then after the int calls.
+    spec = faa_di_bruno_spec(3)
+    for _ in range(2):
+        for method in METHODS:
+            with pytest.raises(InputError, match="^generator indices must be positive integers, got True$"):
+                antipode_generator(spec, True, method)
+        with pytest.raises(InputError, match="^source decoration must be a positive integer, got True$"):
+            enumerate_trees(spec, True)
+        for method in METHODS:
+            assert antipode_generator(spec, 1, method) == -Polynomial.variable(1)
+        assert enumerate_trees(spec, 1) == (leaf(1),)
 
 
 @pytest.fixture
@@ -435,32 +453,34 @@ def products(monkeypatch):
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_a_monomial_antipode_costs_one_product_per_new_prefix(products, method):
-    # S(b1) = -b1 needs no product on any route.  S(b_I) is memoized per
-    # monomial, and a miss multiplies the longest memoized prefix by one
-    # generator at a time, so a fresh b1^1000 costs 999 products, a repeat
-    # none, and b1^k right after b1^(k-1) one.
+def test_a_monomial_antipode_costs_one_product_per_factor(products, method):
+    # S(b1) = -b1 needs no product on any route.  S(b_I) multiplies the
+    # memoized generator antipodes in turn, so the unit and a generator cost
+    # no product, b1^k costs k - 1, and b1^1000 costs 999 on every call.
     spec = faa_di_bruno_spec(3)
     power = Monomial([1] * 1000)
-    assert antipode_poly(spec, Polynomial.single(power), method) == Polynomial.single(power)
-    assert products["Polynomial"] == 999
-    assert antipode_poly(spec, Polynomial.single(power), method) == Polynomial.single(power)
-    assert products["Polynomial"] == 999
+    for calls in (1, 2):
+        assert antipode_poly(spec, Polynomial.single(power), method) == Polynomial.single(power)
+        assert products["Polynomial"] == 999 * calls
     fresh = antipode_endomap(faa_di_bruno_spec(3), method)
     products.clear()
+    assert fresh(UNIT) == Polynomial.one()
+    assert fresh(mono(2)) == Polynomial({mono(2): -1, mono(1, 1): 3})
+    assert products["Polynomial"] == 0
     for k in range(1, 40):
         assert fresh(Monomial([1] * k)) == Polynomial.single(Monomial([1] * k), (-1) ** k)
         assert products["Polynomial"] == k - 1
+        products.clear()
     assert products["Tensor"] == 0
 
 
 def test_coproduct_of_a_monomial_longer_than_the_recursion_limit(products):
     # Delta(b1) = b1 (x) 1 + 1 (x) b1 and Delta(b2) = b2 (x) 1 + 1 (x) b2
     # + 3 b1 (x) b1, so Delta(b1^n) = sum_j C(n, j) b1^j (x) b1^(n-j), and
-    # Delta(b1^298 b2) is that for n = 298 times Delta(b2).  The coproduct is
-    # memoized per prefix, and a fresh spec fills all 300 prefixes in one
-    # call.  The per-monomial convolution check then runs on b1^300 and every
-    # shorter power, and by hand on both monomials of p.
+    # Delta(b1^298 b2) is that for n = 298 times Delta(b2).  The frame fills
+    # the coproduct quotient by quotient, all 300 of them in one call.  The
+    # per-monomial convolution check then runs on b1^300 and every shorter
+    # power, and by hand on both monomials of p.
     spec = faa_di_bruno_spec(3)
     b2 = mono(2)
     power = [Monomial([1] * n) for n in range(301)]
@@ -469,7 +489,8 @@ def test_coproduct_of_a_monomial_longer_than_the_recursion_limit(products):
     sys.setrecursionlimit(250)
     try:
         delta = coproduct_poly(spec, p)
-        antipode_of = antipode_endomap(spec, "bogoliubov")
+        # the check asks for every power's image, so keep each one
+        antipode_of = cache(antipode_endomap(spec, "bogoliubov"))
         problems = _convolution_per_monomial(spec, power, antipode_of)
         convolved = Polynomial(
             (sa * b, c * ca)
@@ -489,10 +510,9 @@ def test_coproduct_of_a_monomial_longer_than_the_recursion_limit(products):
     assert delta == Tensor(2, terms)
     assert convolved.is_zero
     assert problems == []
-    # One coproduct product per prefix: 299 fill b1^2..b1^300 and one more
-    # gives b1^298 b2 from the memoized b1^298.  The check's coproducts of
-    # the powers are all memo hits on the same table.
-    assert products["Tensor"] == 299 + 1
+    # The frame multiplies packed keys, no Tensor; the check's Tensor engine
+    # fills b1^2..b1^300 with one product each.
+    assert products["Tensor"] == 299
 
 
 @pytest.mark.parametrize("wrong", METHODS)
@@ -698,6 +718,20 @@ def test_route_identities_on_random_tables(spec):
 @given(_rescaled_tables(), st.booleans())
 def test_packed_routes_follow_their_own_recursions_on_fractional_rows(spec, shared):
     assert _assert_routes_follow_their_recursions(spec, shared) == 0
+
+
+@settings(max_examples=15, deadline=None)
+@given(_rescaled_tables())
+def test_frame_coproducts_match_the_tensor_oracle_on_fractional_rows(spec):
+    # The frame reads rows in a rescaled integer basis; the Tensor engine
+    # multiplies the table's fractions as they are.
+    top = max(g.degree for g in spec.generators.values())
+    memo = {}
+    for m in monomials_up_to(spec, top):
+        p = Polynomial.single(m, Fraction(-2, 3))
+        assert coproduct_poly(spec, p) == oracle.coproduct(spec, p, memo)
+        for k in range(1, top + 2) if m else (1,):
+            assert iterated_reduced_poly(spec, p, k) == oracle.iterated_reduced(spec, p, k, memo)
 
 
 def _partitions(n, largest):

@@ -1,17 +1,17 @@
 """Coproduct engine: reduced/full coproducts, multiplicative extension,
 iterated splitting, and the structural health checks."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfforest import cli
+import coproduct_oracle as oracle
+from hopfforest import cli, coproduct
 from hopfforest.algebra import UNIT, Polynomial, Tensor, mono
 from hopfforest.antipode import METHODS, antipode_endomap
 from hopfforest.coproduct import (
-    _coproduct_monomial,
-    _reduced_coproduct_monomial,
-    _splice,
     coassociativity_report,
     convolution_check,
     coproduct_poly,
@@ -20,7 +20,6 @@ from hopfforest.coproduct import (
     iterated_reduced,
     iterated_reduced_poly,
     monomials_up_to,
-    reduced_coproduct_generator,
 )
 from hopfforest.errors import InputError
 from hopfforest.hopfspec import (
@@ -33,21 +32,21 @@ from hopfforest.prelie import dualize, grafting_instance
 
 
 def test_reduced_coproduct_goldens(fdb6):
-    assert reduced_coproduct_generator(fdb6, 1).is_zero
-    assert reduced_coproduct_generator(fdb6, 2) == Tensor.single(
+    assert iterated_reduced(fdb6, 1, 2).is_zero
+    assert iterated_reduced(fdb6, 2, 2) == Tensor.single(
         (mono(1), mono(1)), 3
     )
-    three = reduced_coproduct_generator(fdb6, 3)
+    three = iterated_reduced(fdb6, 3, 2)
     assert three.render() == "4 b1 (x) b2 + 3 b1 (x) b1b1 + 6 b2 (x) b1"
     assert three.coefficient((mono(1), mono(1, 1))) == 3
     assert three.coefficient((mono(1), mono(2))) == 4
     assert three.coefficient((mono(2), mono(1))) == 6
     assert len(three.terms()) == 3
-    assert reduced_coproduct_generator(fdb6, 4).render() == (
+    assert iterated_reduced(fdb6, 4, 2).render() == (
         "5 b1 (x) b3 + 10 b1 (x) b1b2 + 10 b2 (x) b2 + 15 b2 (x) b1b1"
         " + 10 b3 (x) b1"
     )
-    assert reduced_coproduct_generator(fdb6, 5).render() == (
+    assert iterated_reduced(fdb6, 5, 2).render() == (
         "6 b1 (x) b4 + 15 b1 (x) b1b3 + 10 b1 (x) b2b2 + 15 b2 (x) b3"
         " + 60 b2 (x) b1b2 + 15 b2 (x) b1b1b1 + 20 b3 (x) b2"
         " + 45 b3 (x) b1b1 + 15 b4 (x) b1"
@@ -64,7 +63,7 @@ def test_full_coproduct_adds_primitive_part(fdb6):
 def test_coproduct_of_squared_generator(fdb6):
     # Hand-expanded from the product rule: the mixed middle term appears with
     # both orders of the two factors, so its weight doubles.
-    reduced = _reduced_coproduct_monomial(fdb6, mono(2, 2))
+    reduced = iterated_reduced_poly(fdb6, Polynomial.single(mono(2, 2)), 2)
     assert reduced.coefficient((mono(2), mono(2))) == 2
     assert reduced.coefficient((mono(1, 2), mono(1))) == 6
     assert reduced.coefficient((mono(1), mono(1, 2))) == 6
@@ -88,8 +87,8 @@ def test_coproduct_is_multiplicative(fdb6, a, b):
 
 
 def test_reduced_poly_rejects_constants(fdb6):
-    with pytest.raises(InputError):
-        _reduced_coproduct_monomial(fdb6, UNIT)
+    with pytest.raises(InputError, match="zero constant term, got constant 1$"):
+        iterated_reduced_poly(fdb6, Polynomial.one(), 2)
     # the zero polynomial has no monomials to split
     assert iterated_reduced_poly(fdb6, Polynomial.zero(), 2).is_zero
 
@@ -103,7 +102,7 @@ def test_iterated_reduced_rejects_a_constant_term(fdb6):
 
 def test_iterated_reduced_rank_convention(fdb6):
     assert iterated_reduced(fdb6, 3, 1) == Tensor.single((mono(3),), 1)
-    assert iterated_reduced(fdb6, 3, 2) == reduced_coproduct_generator(fdb6, 3)
+    assert iterated_reduced(fdb6, 3, 2) == oracle.reduced_coproduct(fdb6, mono(3))
     assert iterated_reduced(fdb6, 3, 3).render() == "18 b1 (x) b1 (x) b1"
     assert iterated_reduced(fdb6, 3, 4).is_zero
     with pytest.raises(InputError):
@@ -129,7 +128,7 @@ def test_iterated_reduced_leg_independence(fdb6, i, k):
     p = Polynomial.variable(i)
     left = Tensor.single((mono(i),))
     for _ in range(k - 1):
-        left = _splice(fdb6, left, 0)
+        left = oracle.splice(fdb6, left, 0)
     assert iterated_reduced_poly(fdb6, p, k) == left
     assert iterated_reduced_poly(fdb6, p, k) == iterated_reduced(fdb6, i, k)
 
@@ -153,24 +152,13 @@ def test_structure_reports_are_clean(fdb6):
 # every monomial instead of relying on the coproduct being an algebra
 # morphism.
 
-def _full_splice(spec, t, leg):
-    """Slot `leg` of every term of t replaced by its full coproduct."""
-    return Tensor(
-        t.rank + 1,
-        (
-            (key[:leg] + pair + key[leg + 1 :], c * c2)
-            for key, c in t.items()
-            for pair, c2 in _coproduct_monomial(spec, key[leg]).items()
-        ),
-    )
-
-
 def _full_coassociativity(spec, monomials):
     """(coproduct (x) id) vs (id (x) coproduct) after one full coproduct."""
-    problems = []
+    problems, memo = [], {}
+    full = oracle.full_coproduct
     for m in monomials:
-        once = _coproduct_monomial(spec, m)
-        if _full_splice(spec, once, 0) != _full_splice(spec, once, 1):
+        once = full(spec, m, memo)
+        if oracle.splice(spec, once, 0, memo, full) != oracle.splice(spec, once, 1, memo, full):
             problems.append(f"coassociativity failed on {m}")
     return problems
 
@@ -187,9 +175,9 @@ def _coassociativity_per_monomial(spec, max_degree):
 
 
 def _counit_per_monomial(spec, max_degree):
-    problems = []
+    problems, memo = [], {}
     for m in monomials_up_to(spec, max_degree):
-        once = _coproduct_monomial(spec, m).items()
+        once = oracle.full_coproduct(spec, m, memo).items()
         left = Polynomial((b, c) for (a, b), c in once if a.is_unit)
         right = Polynomial((a, c) for (a, b), c in once if b.is_unit)
         expect = Polynomial.single(m)
@@ -203,12 +191,12 @@ def _counit_per_monomial(spec, max_degree):
 def _convolution_per_monomial(spec, monomials, antipode):
     """The convolution check on each monomial given, from that monomial's
     own coproduct and antipode rather than from its generators'."""
-    problems = []
+    problems, memo = [], {}
     for m in monomials:
         expect = Polynomial.one() if m.is_unit else Polynomial.zero()
         got = Polynomial(
             (sa * b, c * ca)
-            for (a, b), c in _coproduct_monomial(spec, m).items()
+            for (a, b), c in oracle.full_coproduct(spec, m, memo).items()
             for sa, ca in antipode(a).items()
         )
         if got != expect:
@@ -313,3 +301,96 @@ def test_generator_convolution_check_gives_the_per_monomial_verdict(
                 f"antipode convolution ({method}): {'FAIL' if everywhere else 'ok'}"
             )
         assert out[4:] == verdicts + ["VERIFY: FAIL"]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: faa_di_bruno_spec(6),
+        lambda: sym_spec(8),
+        lambda: dualize(grafting_instance(5), 5),
+    ],
+    ids=["fdb-6", "sym-8", "grafting-5-dual"],
+)
+def test_frame_coproducts_match_the_tensor_oracle(make):
+    # Every monomial of degree <= 6 on its own, then all of them in one
+    # polynomial with distinct fractional coefficients: the full coproduct
+    # and the iterated reduced coproducts at ranks 1 to 5, each on a private
+    # frame, against the Tensor engine.
+    spec = make()
+    memo = {}
+    monomials = monomials_up_to(spec, 6)
+    for m in monomials:
+        p = Polynomial.single(m)
+        assert coproduct_poly(spec, p) == oracle.coproduct(spec, p, memo), m
+        for k in range(1, 6):
+            if m.is_unit and k > 1:
+                with pytest.raises(InputError, match="got constant 1$"):
+                    iterated_reduced_poly(spec, p, k)
+                continue
+            assert iterated_reduced_poly(spec, p, k) == oracle.iterated_reduced(
+                spec, p, k, memo
+            ), (m, k)
+    p = Polynomial((m, Fraction(n + 1, 3)) for n, m in enumerate(monomials[1:]))
+    assert coproduct_poly(spec, p) == oracle.coproduct(spec, p, memo)
+    for k in range(1, 6):
+        assert iterated_reduced_poly(spec, p, k) == oracle.iterated_reduced(spec, p, k, memo)
+
+
+def _coassociativity_by_reduced_splice(spec, max_degree):
+    """The report on the Tensor engine: the two splices of each generator's
+    reduced coproduct, by degree, then id."""
+    problems, memo = [], {}
+    for m in monomials_up_to(spec, max_degree):
+        if len(m) == 1:
+            once = oracle.reduced_coproduct(spec, m, memo)
+            if oracle.splice(spec, once, 0, memo) != oracle.splice(spec, once, 1, memo):
+                problems.append(f"coassociativity failed on {m}")
+    return problems
+
+
+@pytest.mark.parametrize("raise_by", [1, Fraction(1, 3)], ids=["+1", "+1/3"])
+def test_packed_coassociativity_gives_the_tensor_report_on_corruptions(corrupted, raise_by):
+    # The packed splices print the Tensor engine's lines on the clean table
+    # and on every copy with one row coefficient raised by 1 or by 1/3.
+    _, base, degree, _ = corrupted
+    assert coassociativity_report(base, degree) == []
+    for k, e in enumerate(base.entries):
+        entries = list(base.entries)
+        entries[k] = CoproductEntry(e.source, e.left, e.right, e.coeff + raise_by)
+        spec = CoproductSpec("corrupt", base.generators.values(), entries)
+        got = coassociativity_report(spec, degree)
+        assert got and got == _coassociativity_by_reduced_splice(spec, degree), e
+
+
+@pytest.fixture
+def frames_built(monkeypatch):
+    """The starts of every frame built, in order."""
+    built = []
+    init = coproduct._Frame.__init__
+
+    def counted(self, spec, starts, degree=None):
+        built.append(starts)
+        init(self, spec, starts, degree)
+
+    monkeypatch.setattr(coproduct._Frame, "__init__", counted)
+    return built
+
+
+def test_library_convolution_builds_one_frame(frames_built):
+    # The check puts one frame over the generators it visits, so the route
+    # values it reads in ascending id order share it and every lower value.
+    spec = faa_di_bruno_spec(16)
+    for method in METHODS:
+        assert convolution_check(spec, 16, antipode_endomap(spec, method)) == []
+    assert len(frames_built) == 1
+
+
+def test_verify_builds_one_frame(frames_built, monkeypatch, capsys):
+    # Coassociativity builds it; the route values, the convolution and
+    # Dyson-Salam's reduced coproducts reuse it.
+    spec = dualize(grafting_instance(5), 5)
+    monkeypatch.setattr(cli, "load_spec_file", lambda path: spec)
+    assert cli.run(["verify", "--spec", "-", "--max-degree", "5"]) == 0
+    assert capsys.readouterr().out.endswith("VERIFY: PASS\n")
+    assert len(frames_built) == 1

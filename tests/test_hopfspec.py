@@ -190,7 +190,7 @@ def test_spec_memo_binds_keywords_to_the_positional_entry():
 
 
 def test_no_functools_cache_in_the_package():
-    # Every memo lives on a spec (spec_memo, multiplicative_memo), so
+    # Every memo lives on a spec (spec_memo and the packed frame), so
     # nothing is cached across specs or CLI calls.
     caches = {"lru_cache", "cache"}
     found = []
