@@ -30,7 +30,6 @@ from .coproduct import (
     convolution_check,
     coproduct_poly,
     counit_report,
-    full_coproduct_generator,
     iterated_reduced,
     iterated_reduced_poly,
     monomials_up_to,

@@ -159,8 +159,10 @@ def antipode_endomap(
 
 def antipode_poly(spec: CoproductSpec, p: Polynomial, method: str = "forest") -> Polynomial:
     """Multiplicative-linear extension: S(b_I) is the product of the
-    generator antipodes, S(1) = 1."""
+    generator antipodes, S(1) = 1, all read off one frame over p's."""
     antipode = antipode_endomap(spec, method)
+    if ids := {j for m, _ in p.items() for j in m}:
+        frame_over(spec, ids)
     pieces = ((antipode(m), c) for m, c in p.items())
     return Polynomial._checked((m, c * cs) for s, c in pieces for m, cs in s.items())
 

@@ -10,7 +10,7 @@ carries; a rank-k key packs its k slots shift bits apart, slot 0 lowest.
 Rows are read in the basis beta_j = b_j / scale, scale the common
 denominator of the rows reached, so a row (i; l; J) of coefficient c becomes
 the integer c' = c * scale^|J|; the rescaling is an algebra isomorphism, so
-no value changes.
+no value changes; a packed monomial is decoded once per frame.
 
 A monomial's full coproduct is the product of its generators' (the
 coproduct is an algebra morphism), filled quotient by quotient so the Python
@@ -20,20 +20,19 @@ degree, which makes the degree-many-step antipode formulas finite.  As the
 coproduct is an algebra morphism, coassociativity and counit hold on every
 monomial once they hold on the generators, and so does the convolution
 identity, given an antipode multiplicative on monomials, as the algebra is
-commutative: all three reports visit generators only.
+commutative: all three reports visit generators only, on their frame.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import lcm
 from typing import Callable, Optional
 
 from .algebra import UNIT, Monomial, Polynomial, Tensor, mono
-from .algebra import _positive_int, _sorted_monomial
+from .algebra import _positive_int, _scalar, _sorted_monomial
 from .errors import InputError
-from .hopfspec import CoproductSpec, graded_monomials, spec_memo
+from .hopfspec import CoproductSpec, graded_monomials
 
 
 def _below(spec: CoproductSpec, starts, leg: str, known=()) -> list[int]:
@@ -74,7 +73,7 @@ class _Frame:
     """The numbering of what ``starts`` reach, for values of degree up to
     ``degree`` (by default the largest start's): each row as (c', l, J,
     packed b_l, packed b_J), each antipode route's packed values, and the
-    full and reduced coproducts of every packed monomial met."""
+    full and reduced coproducts and decoding of every packed monomial met."""
 
     def __init__(self, spec: CoproductSpec, starts, degree: Optional[int] = None):
         ids = sorted(_below(spec, starts, "both"))
@@ -92,7 +91,7 @@ class _Frame:
                  self.pack(right)) for _, left, right, c in spec.entries_for(j)]
             for j in ids
         }
-        self.forest, self.bogoliubov, self.reduced = {}, {}, {}
+        self.forest, self.bogoliubov, self.reduced, self.decoded = {}, {}, {}, {}
         # full coproducts: the unit's, each generator's, then each monomial met's
         self.full = {0: {0: 1}} | {
             b: {b: 1, b << shift: 1, **{l + (r << shift): c for c, *_, l, r in self.rows[j]}}
@@ -148,41 +147,45 @@ class _Frame:
         return _nonzero(acc)
 
     def _monomial(self, m: int) -> Monomial:
-        width, ids = self.width, self.ids
-        indices = []
-        while m:
-            n = ((m & -m).bit_length() - 1) // width
-            e = m >> width * n & (1 << width) - 1
+        """Packed monomial m decoded, and kept in ``decoded``."""
+        width, ids, indices, key = self.width, self.ids, [], m
+        while key:
+            n = ((key & -key).bit_length() - 1) // width
+            e = key >> width * n & (1 << width) - 1
             indices += [ids[n]] * e
-            m -= e << width * n
-        return _sorted_monomial(indices)
+            key -= e << width * n
+        monomial = self.decoded[m] = _sorted_monomial(indices)
+        return monomial
+
+    def packed(self, p: Polynomial, lift: int) -> dict:
+        """p in the basis beta, the inverse of `polynomial`: c * b_M is
+        c * scale^|M| / scale^lift * beta_M."""
+        pack, scale = self.pack, self.scale
+        return {pack(m): c if scale == 1 else _scalar(Fraction(c * scale ** len(m), scale ** lift))
+                for m, c in p.items()}
 
     def polynomial(self, packed: dict, lift: int) -> Polynomial:
         """Packed c * beta_M as c * scale^lift / scale^|M| * b_M, summed."""
-        scale, monomial = self.scale, self._monomial
+        scale, decoded, decode = self.scale, self.decoded, self._monomial
         out = []
         for m, c in packed.items():
-            m = monomial(m)
+            m = decoded[m] if m in decoded else decode(m)
             if scale > 1:
-                c = Fraction(c, scale ** (len(m) - lift))
+                c = Fraction(c * scale ** lift, scale ** len(m))
             out.append((m, c))
         return Polynomial._checked(out)
 
     def tensor(self, packed: dict, rank: int) -> Tensor:
-        """Packed rank-``rank`` terms in the table's basis, slots decoded once."""
-        shift, scale = self.shift, self.scale
+        """Packed rank-``rank`` terms in the table's basis."""
+        shift, scale, decoded, decode = self.shift, self.scale, self.decoded, self._monomial
         slot = (1 << shift) - 1
-        decoded: dict = {}
         out = []
         for key, c in packed.items():
             slots = []
             for _ in range(rank):
                 m = key & slot
                 key >>= shift
-                monomial = decoded.get(m)
-                if monomial is None:
-                    monomial = decoded[m] = self._monomial(m)
-                slots.append(monomial)
+                slots.append(decoded[m] if m in decoded else decode(m))
             if scale > 1:
                 c = Fraction(c, scale ** sum(map(len, slots)))
             out.append((tuple(slots), c))
@@ -210,15 +213,7 @@ def _poly_frame(spec: CoproductSpec, p: Polynomial) -> tuple[_Frame, dict]:
     every slot's, and p packed in its basis."""
     bound = max((spec.monomial_degree(m) for m, _ in p.items()), default=0)
     frame = _Frame(spec, {j for m, _ in p.items() for j in m}, bound)
-    return frame, {frame.pack(m): c * frame.scale ** len(m) for m, c in p.items()}
-
-
-@spec_memo
-def full_coproduct_generator(spec: CoproductSpec, i: int) -> Tensor:
-    """b_i (x) 1 + 1 (x) b_i + the table's rows for b_i."""
-    b = mono(i)
-    rows = (((mono(e.left), _sorted_monomial(e.right)), e.coeff) for e in spec.entries_for(i))
-    return Tensor._checked(2, chain([((b, UNIT), 1), ((UNIT, b), 1)], rows))
+    return frame, frame.packed(p, 0)
 
 
 def coproduct_poly(spec: CoproductSpec, p: Polynomial) -> Tensor:
@@ -262,18 +257,27 @@ def convolution_check(
     `antipode` maps a monomial to its image and must be multiplicative, with
     antipode(1) = 1, as `antipode.antipode_endomap` is: the algebra is
     commutative, so the convolution is then an algebra morphism, and a
-    monomial fails exactly when one of its generators does.  Returns failure
-    descriptions; empty means the antipode property holds."""
-    problems: list[str] = []
+    monomial fails exactly when one of its generators does.  It is read once
+    on the unit and each generator, and S(beta_i) + S(1) beta_i + sum of
+    c' S(beta_l) beta_J is summed packed.  Returns failure descriptions;
+    empty means the antipode property holds."""
     ids = _generators_up_to(spec, max_degree)
-    frame_over(spec, ids)  # one frame for every route value the antipode reads
+    if not ids:
+        return []
+    frame = frame_over(spec, ids)  # one frame for every route value the antipode reads
+    values = {0: antipode(UNIT)} | {i: antipode(mono(i)) for i in ids}
+    gens = set(ids).union(*(m for s in values.values() for m, _ in s.items()))
+    excess = max(max((len(m) for m, _ in s.items()), default=0) - (j and spec.degree(j))
+                 for j, s in values.items())
+    if excess > 0 or not gens <= frame.field.keys():  # a key could carry: widen the fields
+        frame = _Frame(spec, gens, max_degree + max(excess, 0))
+    packed = {j: frame.packed(s, j and 1) for j, s in values.items()}  # S(beta_j), S(1)
+    problems: list[str] = []
     for i in ids:
-        got = Polynomial._checked(
-            (sa * b, c * ca)
-            for (a, b), c in full_coproduct_generator(spec, i).items()
-            for sa, ca in antipode(a).items()
-        )
-        if not got.is_zero:
+        parts = [(0, 1, packed[i]), (frame.field[i], 1, packed[0])]
+        acc = _spread({}, parts + [(r, c, packed[l]) for c, l, _, _, r in frame.rows[i]])
+        if any(acc.values()):
+            got = frame.polynomial(_nonzero(acc), 1)
             problems.append(f"convolution failed on {mono(i)}: got {got}, expected 0")
     return problems
 
@@ -305,18 +309,22 @@ def coassociativity_report(spec: CoproductSpec, max_degree: int) -> list[str]:
 
 def counit_report(spec: CoproductSpec, max_degree: int) -> list[str]:
     """Check (counit (x) id) and (id (x) counit) both give the identity on
-    every generator of degree <= max_degree.  This holds by construction for
-    every table that passes `validate`: a row's left leg is a generator and
-    its right leg is nonempty, so either counit keeps only the primitive
-    part.  Both sides are algebra morphisms, so it holds on all monomials."""
+    every generator of degree <= max_degree: on spec's frame, the terms of
+    its packed full coproduct with slot 0, then slot 1, the unit.  This
+    holds by construction for every table that passes `validate`: a row's
+    left leg is a generator and its right leg is nonempty, so either counit
+    keeps only the primitive part.  Both sides are algebra morphisms, so it
+    holds on all monomials."""
     problems: list[str] = []
-    for i in _generators_up_to(spec, max_degree):
-        once = full_coproduct_generator(spec, i).items()
-        left = Polynomial._checked((b, c) for (a, b), c in once if a.is_unit)
-        right = Polynomial._checked((a, c) for (a, b), c in once if b.is_unit)
-        expect = Polynomial.variable(i)
-        if left != expect:
-            problems.append(f"left counit failed on {mono(i)}: got {left}")
-        if right != expect:
-            problems.append(f"right counit failed on {mono(i)}: got {right}")
+    ids = _generators_up_to(spec, max_degree)
+    frame = frame_over(spec, ids)
+    shift, slot = frame.shift, (1 << frame.shift) - 1
+    for i in ids:
+        once = frame.full[frame.field[i]].items()
+        left = _nonzero({k >> shift: c for k, c in once if not k & slot})
+        right = _nonzero({k & slot: c for k, c in once if not k >> shift})
+        for side, got in (("left", left), ("right", right)):
+            if got != {frame.field[i]: 1}:
+                got = frame.polynomial(got, 1)
+                problems.append(f"{side} counit failed on {mono(i)}: got {got}")
     return problems

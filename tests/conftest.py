@@ -1,9 +1,11 @@
 """Session-shared fixtures: the worked composition-algebra table, the free
 grafting preLie instance, its dualized coproduct table, and their
-single-coefficient corruptions."""
+single-coefficient corruptions; and a per-test record of the packed frames
+built."""
 
 import pytest
 
+from hopfforest import coproduct
 from hopfforest.hopfspec import (
     CoproductEntry,
     CoproductSpec,
@@ -61,3 +63,17 @@ def corrupted(request):
         entries[k] = CoproductEntry(e.source, e.left, e.right, e.coeff + 1)
         tables.append(CoproductSpec("corrupt", base.generators.values(), entries))
     return name, base, degree, tables
+
+
+@pytest.fixture
+def frames_built(monkeypatch):
+    """The starts of every frame built, in order."""
+    built = []
+    init = coproduct._Frame.__init__
+
+    def counted(self, spec, starts, degree=None):
+        built.append(starts)
+        init(self, spec, starts, degree)
+
+    monkeypatch.setattr(coproduct._Frame, "__init__", counted)
+    return built

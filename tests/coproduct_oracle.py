@@ -10,15 +10,16 @@ computation that has neither:
     Delta(b_I)   = product of Delta(b_i) over i in I, Delta(1) = 1 (x) 1
     Delta'(b_I)  = Delta(b_I) - b_I (x) 1 - 1 (x) b_I, for I nonempty
 
-Each function takes an optional ``memo``, a dict the caller keeps for one
-table: full coproducts are stored per monomial there, each prefix of a
-monomial filled from the one before, so the Python stack stays flat for any
-length.
+Each coproduct function takes an optional ``memo``, a dict the caller keeps
+for one table: full coproducts are stored per monomial there, each prefix
+of a monomial filled from the one before, so the Python stack stays flat
+for any length.  `convolution_check` and `counit_report` are the generator
+reports term by term on these tensors, with the package's lines.
 """
 
 from __future__ import annotations
 
-from hopfforest.algebra import UNIT, Monomial, Tensor, mono
+from hopfforest.algebra import UNIT, Monomial, Polynomial, Tensor, mono
 
 
 def _generator(spec, i):
@@ -80,3 +81,42 @@ def coproduct(spec, p, memo=None):
     return Tensor(
         2, [(key, c * c2) for m, c in p.items() for key, c2 in full_coproduct(spec, m, memo).items()]
     )
+
+
+def _generators_up_to(spec, max_degree):
+    """The generators of degree <= max_degree, by degree, then id."""
+    found = sorted((g.degree, g.id) for g in spec.generators.values())
+    return [i for d, i in found if d <= max_degree]
+
+
+def convolution_check(spec, max_degree, antipode):
+    """(antipode * id)(b_i) = sum of S(a) * b over the terms a (x) b of
+    Delta(b_i), which must vanish on every generator of degree <=
+    max_degree; the failures, as the package words them."""
+    problems = []
+    for i in _generators_up_to(spec, max_degree):
+        got = Polynomial(
+            (sa * b, c * ca)
+            for (a, b), c in _generator(spec, i).items()
+            for sa, ca in antipode(a).items()
+        )
+        if not got.is_zero:
+            problems.append(f"convolution failed on {mono(i)}: got {got}, expected 0")
+    return problems
+
+
+def counit_report(spec, max_degree):
+    """(counit (x) id) and (id (x) counit) of Delta(b_i) against b_i on every
+    generator of degree <= max_degree; the failures, as the package words
+    them."""
+    problems = []
+    for i in _generators_up_to(spec, max_degree):
+        once = _generator(spec, i).items()
+        left = Polynomial((b, c) for (a, b), c in once if a.is_unit)
+        right = Polynomial((a, c) for (a, b), c in once if b.is_unit)
+        expect = Polynomial.variable(i)
+        if left != expect:
+            problems.append(f"left counit failed on {mono(i)}: got {left}")
+        if right != expect:
+            problems.append(f"right counit failed on {mono(i)}: got {right}")
+    return problems

@@ -31,7 +31,6 @@ from hopfforest.coproduct import (
     counit_report,
     coproduct_poly,
     frame_over,
-    full_coproduct_generator,
     iterated_reduced_poly,
     monomials_up_to,
 )
@@ -107,6 +106,27 @@ def test_antipode_poly_extends_multiplicatively(fdb6):
         antipode_poly(fdb6, Polynomial.single(mono(2))) * 2
         + antipode_poly(fdb6, Polynomial.single(mono(1, 1)))
     )
+
+
+def test_antipode_poly_builds_one_frame(frames_built):
+    # b3, b5, b7 and b12 in ascending order share one frame over all four;
+    # a constant builds none, and bad input fails as it did per generator.
+    p = Polynomial({mono(3): 1, mono(5, 7): Fraction(1, 2), mono(12): -2})
+    for method in METHODS:
+        frames_built.clear()
+        got = antipode_poly(faa_di_bruno_spec(12), p, method)
+        assert len(frames_built) == 1, method
+        spec = faa_di_bruno_spec(12)
+        s = {i: antipode_generator(spec, i, "bogoliubov") for i in (3, 5, 7, 12)}
+        assert got == s[3] + Fraction(1, 2) * s[5] * s[7] - 2 * s[12], method
+        frames_built.clear()
+        assert antipode_poly(spec, 3 * Polynomial.one(), method) == 3 * Polynomial.one()
+        assert frames_built == []
+        with pytest.raises(InputError, match=r"^unknown generator id 99$"):
+            antipode_poly(spec, p + Polynomial.variable(99), method)
+    for q in (p + Polynomial.variable(99), Polynomial.one()):
+        with pytest.raises(InputError, match=r"^unknown antipode method 'nope'; choose from"):
+            antipode_poly(faa_di_bruno_spec(12), q, "nope")
 
 
 def test_alternating_sum_on_polynomials_cross_checks(fdb6):
@@ -322,7 +342,7 @@ def _right_convolution(spec, max_degree, antipode):
         if spec.degree(i) <= max_degree
         and not Polynomial(
             (a * sb, c * cb)
-            for (a, b), c in full_coproduct_generator(spec, i).items()
+            for (a, b), c in oracle.full_coproduct(spec, mono(i)).items()
             for sb, cb in antipode(b).items()
         ).is_zero
     ]

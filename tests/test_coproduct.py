@@ -16,7 +16,6 @@ from hopfforest.coproduct import (
     convolution_check,
     coproduct_poly,
     counit_report,
-    full_coproduct_generator,
     iterated_reduced,
     iterated_reduced_poly,
     monomials_up_to,
@@ -54,7 +53,7 @@ def test_reduced_coproduct_goldens(fdb6):
 
 
 def test_full_coproduct_adds_primitive_part(fdb6):
-    full = full_coproduct_generator(fdb6, 2)
+    full = oracle.full_coproduct(fdb6, mono(2))
     assert full.coefficient((mono(2), UNIT)) == 1
     assert full.coefficient((UNIT, mono(2))) == 1
     assert full.coefficient((mono(1), mono(1))) == 3
@@ -363,20 +362,6 @@ def test_packed_coassociativity_gives_the_tensor_report_on_corruptions(corrupted
         assert got and got == _coassociativity_by_reduced_splice(spec, degree), e
 
 
-@pytest.fixture
-def frames_built(monkeypatch):
-    """The starts of every frame built, in order."""
-    built = []
-    init = coproduct._Frame.__init__
-
-    def counted(self, spec, starts, degree=None):
-        built.append(starts)
-        init(self, spec, starts, degree)
-
-    monkeypatch.setattr(coproduct._Frame, "__init__", counted)
-    return built
-
-
 def test_library_convolution_builds_one_frame(frames_built):
     # The check puts one frame over the generators it visits, so the route
     # values it reads in ascending id order share it and every lower value.
@@ -394,3 +379,118 @@ def test_verify_builds_one_frame(frames_built, monkeypatch, capsys):
     assert cli.run(["verify", "--spec", "-", "--max-degree", "5"]) == 0
     assert capsys.readouterr().out.endswith("VERIFY: PASS\n")
     assert len(frames_built) == 1
+
+
+@pytest.mark.parametrize("raise_by", [1, Fraction(1, 3)], ids=["+1", "+1/3"])
+@pytest.mark.parametrize(
+    "make, degree, rows",
+    [
+        (lambda: faa_di_bruno_spec(6), 6, 31),
+        (lambda: faa_di_bruno_spec(8), 8, 79),
+        (lambda: dualize(grafting_instance(5), 5), 5, 68),
+    ],
+    ids=["fdb-6", "fdb-8", "grafting-5-dual"],
+)
+def test_packed_convolution_and_counit_give_the_tensor_lines(make, degree, rows, raise_by):
+    # On the clean table and on every copy with one row coefficient raised,
+    # the packed checks print the lines of the Tensor-term checks, for every
+    # route; all three read the same memoized route values.
+    base = make()
+    assert len(base.entries) == rows
+    tables = [base]
+    for k, e in enumerate(base.entries):
+        entries = list(base.entries)
+        entries[k] = CoproductEntry(e.source, e.left, e.right, e.coeff + raise_by)
+        tables.append(CoproductSpec("corrupt", base.generators.values(), entries))
+    failed = 0
+    for spec in tables:
+        assert counit_report(spec, degree) == oracle.counit_report(spec, degree) == []
+        for method in METHODS:
+            antipode = antipode_endomap(spec, method)
+            got = convolution_check(spec, degree, antipode)
+            assert got == oracle.convolution_check(spec, degree, antipode), method
+            failed += bool(got)
+    assert failed > 0
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["single", "constant-term", "unit-to-2", "fraction", "longer", "off-frame"],
+)
+@pytest.mark.parametrize("degree", [3, 5])
+def test_packed_convolution_gives_the_tensor_lines_on_hand_built_maps(name, degree):
+    # On a table whose rows have denominators (scale > 1), with no frame
+    # yet: maps that are no antipode, one with a constant term, one with
+    # S(1) = 2, one with Fraction values, one with b1^9, past the fields of
+    # any frame up to degree 7, and one with the top generator, off a frame
+    # up to degree 3.  The check widens the fields for the last two.  Every
+    # map fails some generator, so each failure line is decoded.
+    dual = dualize(grafting_instance(5), 5)
+    spec = CoproductSpec("grafting-5-dual", dual.generators.values(), dual.entries)
+    route = antipode_endomap(spec, "bogoliubov")
+    top = max(spec.generator_ids(), key=spec.degree)
+    half = Polynomial.single(UNIT, Fraction(1, 2))
+    maps = {
+        "single": Polynomial.single,
+        "constant-term": lambda m: route(m) + half if m else route(m),
+        "unit-to-2": lambda m: route(m) if m else Polynomial.single(UNIT, 2),
+        "fraction": lambda m: Fraction(2, 3) * route(m) if m else route(m),
+        "longer": lambda m: Polynomial.single(mono(*[1] * 9)) if m else route(m),
+        "off-frame": lambda m: Polynomial.variable(top) if m else route(m),
+    }
+    antipode = maps[name]
+    got = convolution_check(spec, degree, antipode)
+    assert coproduct.frame_over(spec, [1]).scale > 1
+    assert got and got == oracle.convolution_check(spec, degree, antipode)
+
+
+def test_convolution_reads_nothing_without_generators(frames_built):
+    def antipode(m):
+        raise AssertionError(f"read {m}")
+
+    assert convolution_check(faa_di_bruno_spec(4), 0, antipode) == []
+    assert frames_built == []
+
+
+def test_fdb8_verify_and_dualize_build_one_frame_each(frames_built, monkeypatch, capsys):
+    # verify on the composition table, and dualize, whose coassociativity
+    # and counit checks share one frame.
+    spec = faa_di_bruno_spec(8)
+    monkeypatch.setattr(cli, "load_spec_file", lambda path: spec)
+    assert cli.run(["verify", "--spec", "-", "--max-degree", "8"]) == 0
+    assert capsys.readouterr().out.endswith("VERIFY: PASS\n")
+    assert len(frames_built) == 1
+    monkeypatch.setattr(cli, "load_prelie_file", lambda path: grafting_instance(5))
+    assert cli.run(["dualize", "--prelie", "-", "--max-degree", "5"]) == 0
+    assert len(frames_built) == 2
+
+
+def test_verify_and_compare_decode_each_packed_monomial_once(monkeypatch, capsys):
+    # The route values of all three routes and every failure line decode
+    # through one memo on the frame.
+    decoded = []
+    decode = coproduct._Frame._monomial
+
+    def counted(self, m):
+        decoded.append((self, m))
+        return decode(self, m)
+
+    monkeypatch.setattr(coproduct._Frame, "_monomial", counted)
+    base = dualize(grafting_instance(5), 5)
+    entries = list(base.entries)
+    e = entries[-1]
+    entries[-1] = CoproductEntry(e.source, e.left, e.right, e.coeff + Fraction(1, 3))
+    for spec in (base, CoproductSpec("corrupt", base.generators.values(), entries)):
+        monkeypatch.setattr(cli, "load_spec_file", lambda path: spec)
+        for command in ("verify", "compare"):
+            cli.run([command, "--spec", "-", "--max-degree", "5"])
+    assert "convolution failed" in capsys.readouterr().err
+    assert decoded and len(decoded) == len(set(decoded))
+
+
+def test_convolution_rejects_values_over_generators_the_table_lacks():
+    # A frame numbers only the table's generators, so such a value cannot be
+    # packed; the check says which id is unknown.
+    spec = faa_di_bruno_spec(3)
+    with pytest.raises(InputError, match="^unknown generator id 99$"):
+        convolution_check(spec, 3, lambda m: Polynomial.variable(99) if m else Polynomial.one())
