@@ -49,10 +49,8 @@ from .linearize import (
     Linearization,
     alternating_sum,
     chain_of,
-    forest_expansion,
     forest_expansion_report,
     k_linearizations,
-    tree_expansion,
     tree_expansion_report,
 )
 from .prelie import (

@@ -142,7 +142,10 @@ def _antipode_of(spec: CoproductSpec, i: int, method: str) -> Polynomial:
 def antipode_generator(spec: CoproductSpec, i: int, method: str = "forest") -> Polynomial:
     """S(b_i) by ``method``, memoized on spec per id and method.  An id that
     is not a positive int skips the memo, where True would find b1's entry,
-    and the route raises on it."""
+    and the route raises on it.  A loop over ids in ascending order builds
+    one frame per id unless it first calls ``frame_over(spec, ids)``: such a
+    Bogoliubov loop over faa_di_bruno_spec(16) builds 16 frames, not 1, and
+    takes about 2.5 times as long."""
     return (_antipode_of if _positive_int(i) else _antipode_of.__wrapped__)(spec, i, method)
 
 

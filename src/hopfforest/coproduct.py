@@ -10,7 +10,9 @@ carries; a rank-k key packs its k slots shift bits apart, slot 0 lowest.
 Rows are read in the basis beta_j = b_j / scale, scale the common
 denominator of the rows reached, so a row (i; l; J) of coefficient c becomes
 the integer c' = c * scale^|J|; the rescaling is an algebra isomorphism, so
-no value changes; a packed monomial is decoded once per frame.
+no value changes; a packed monomial is decoded once per frame.  It stays
+because it pays: on the table's own Fraction rows, the grafting-6 dual
+benchmark workload ran about 18 % slower.
 
 A monomial's full coproduct is the product of its generators' (the
 coproduct is an algebra morphism), filled quotient by quotient so the Python

@@ -7,8 +7,9 @@ used) and strictly order-preserving (ancestors get strictly smaller levels).
 Its chain is the rank-k tensor whose t-th slot is the monomial of left
 decorations over the level-t fiber.  Summing chains over all k-linearizations
 of all realized trees, weighted by tree coefficient times ordered-assignment
-multiplicity, reproduces the k-fold iterated reduced coproduct; the rank-2
-version over forests reproduces the reduced coproduct of product monomials.
+multiplicity, reproduces the k-fold iterated reduced coproduct; over
+forests it reproduces that of product monomials.  Both reports run the one
+comparison, `_expansion_mismatch`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Union
 
 from .algebra import Monomial, Polynomial, Tensor, _positive_int
-from .coproduct import iterated_reduced, iterated_reduced_poly
+from .coproduct import iterated_reduced_poly
 from .errors import InputError
 from .hopfspec import CoproductSpec
 from .trees import (
@@ -26,7 +27,6 @@ from .trees import (
     TreeLike,
     _subsets,
     enumerate_forests,
-    enumerate_trees,
     tree_coefficient,
     tree_multiplicity,
     view_of,
@@ -38,16 +38,6 @@ class Linearization(NamedTuple):
     at level t+1.  Fibers are nonempty and partition the poset's vertices."""
 
     fibers: tuple[frozenset[Address], ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.fibers)
-
-    def level_of(self, a: Address) -> int:
-        for t, fiber in enumerate(self.fibers):
-            if a in fiber:
-                return t + 1
-        raise InputError(f"vertex {a!r} is not assigned a level")
 
 
 def _sort_key(lin: Linearization):
@@ -98,23 +88,6 @@ def chain_of(x: Union[TreeLike, PosetView], lin: Linearization) -> Tensor:
     return Tensor.single(key)
 
 
-def _chain_sum(spec: CoproductSpec, posets: Iterable[TreeLike], k: int) -> Tensor:
-    """Sum over trees or forests of coefficient times ordered-assignment
-    multiplicity times every k-linearization chain."""
-    weighted = (
-        (view_of(x), tree_coefficient(x, spec) * tree_multiplicity(x)) for x in posets
-    )
-    return Tensor(
-        k,
-        (
-            (key, lam * c)
-            for view, lam in weighted
-            for lin in k_linearizations(view, k)
-            for key, c in chain_of(view, lin).items()
-        ),
-    )
-
-
 def alternating_sum(t: DecoratedTree) -> int:
     """Sum over k of (-1)^k times the number of k-linearizations; equals
     (-1)^(vertex count) for every rooted tree."""
@@ -125,11 +98,30 @@ def alternating_sum(t: DecoratedTree) -> int:
     return total
 
 
-def tree_expansion(spec: CoproductSpec, i: int, k: int) -> Tensor:
-    """The tree side of the iterated-coproduct identity: sum over realized
-    trees of coefficient times ordered-assignment multiplicity times the sum
-    of k-linearization chains."""
-    return _chain_sum(spec, enumerate_trees(spec, i), k)
+def _expansion_mismatch(
+    spec: CoproductSpec, indices: tuple[int, ...], k: int, side: str
+) -> list[str]:
+    """Compares the rank-k iterated reduced coproduct of the monomial over
+    `indices` with the sum over its forests (a generator's trees are its
+    one-tree forests) of coefficient times ordered-assignment multiplicity
+    times every k-linearization chain; names the two when they differ."""
+    direct = iterated_reduced_poly(spec, Polynomial.single(Monomial(indices)), k)
+    weighted = (
+        (view_of(f), tree_coefficient(f, spec) * tree_multiplicity(f))
+        for f in enumerate_forests(spec, indices)
+    )
+    expanded = Tensor(
+        k,
+        (
+            (key, lam * c)
+            for view, lam in weighted
+            for lin in k_linearizations(view, k)
+            for key, c in chain_of(view, lin).items()
+        ),
+    )
+    if direct == expanded:
+        return []
+    return [f"direct {direct} vs {side} expansion {expanded}"]
 
 
 def tree_expansion_report(spec: CoproductSpec, i: int, k: int) -> list[str]:
@@ -137,21 +129,10 @@ def tree_expansion_report(spec: CoproductSpec, i: int, k: int) -> list[str]:
     its tree/linearization expansion; returns failure descriptions."""
     if not _positive_int(k):
         raise InputError(f"level count must be >= 1, got {k}")
-    direct = iterated_reduced(spec, i, k)
-    expanded = tree_expansion(spec, i, k)
-    if direct != expanded:
-        return [
-            f"iterated coproduct mismatch for generator {i} at rank {k}: "
-            f"direct {direct} vs tree expansion {expanded}"
-        ]
-    return []
-
-
-def forest_expansion(spec: CoproductSpec, indices: Iterable[int]) -> Tensor:
-    """The forest side of the product-coproduct identity: rank-2 chains over
-    every forest choice, weighted by forest coefficient times the components'
-    ordered-assignment multiplicities."""
-    return _chain_sum(spec, enumerate_forests(spec, indices), 2)
+    return [
+        f"iterated coproduct mismatch for generator {i} at rank {k}: {m}"
+        for m in _expansion_mismatch(spec, (i,), k, "tree")
+    ]
 
 
 def forest_expansion_report(
@@ -162,11 +143,7 @@ def forest_expansion_report(
     indices = tuple(indices)
     if not indices:
         raise InputError("the expansion needs at least one generator index")
-    direct = iterated_reduced_poly(spec, Polynomial.single(Monomial(indices)), 2)
-    expanded = forest_expansion(spec, indices)
-    if direct != expanded:
-        return [
-            f"reduced-coproduct mismatch for monomial {Monomial(indices)}: "
-            f"direct {direct} vs forest expansion {expanded}"
-        ]
-    return []
+    return [
+        f"reduced-coproduct mismatch for monomial {Monomial(indices)}: {m}"
+        for m in _expansion_mismatch(spec, indices, 2, "forest")
+    ]

@@ -55,6 +55,8 @@ from .hopfspec import (
     spec_memo,
 )
 
+_ZERO = Polynomial.zero()  # the product of a pair without one; values are immutable
+
 
 class PreLieSpec:
     """Structure constants of a truncated graded preLie algebra.
@@ -147,7 +149,7 @@ def prelie_product(spec: PreLieSpec, i: int, j: int) -> Polynomial:
             f"product ({i}, {j}) lands at degree {degree}, above the "
             f"truncation {spec.truncation}"
         )
-    return spec.products.get((i, j), Polynomial.zero())
+    return spec.products.get((i, j), _ZERO)
 
 
 @spec_memo

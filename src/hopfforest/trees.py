@@ -308,43 +308,6 @@ class PosetView(NamedTuple):
     def of_forest(cls, f: Forest) -> "PosetView":
         return cls._build([((k,), t) for k, t in enumerate(f)])
 
-    @classmethod
-    def of_parent_table(
-        cls,
-        parents: Iterable[Optional[int]],
-        source: Union[int, Iterable[int]] = 1,
-        left: Union[int, Iterable[int]] = 1,
-    ) -> "PosetView":
-        """Build a view from a parent table: parents[v] is the index of v's
-        parent, or None for a root, and must be smaller than v.  Decorations
-        default to 1 everywhere (enough for pure poset work)."""
-        table = list(parents)
-        n = len(table)
-        sources = [source] * n if isinstance(source, int) else list(source)
-        lefts = [left] * n if isinstance(left, int) else list(left)
-        if len(sources) != n or len(lefts) != n:
-            raise InputError("decoration lists must match the parent table length")
-        addr = [(v,) for v in range(n)]
-        parent: dict[Address, Optional[Address]] = {}
-        children: dict[Address, tuple[Address, ...]] = {a: () for a in addr}
-        for v, p in enumerate(table):
-            if p is None:
-                parent[addr[v]] = None
-            else:
-                if not 0 <= p < v:
-                    raise InputError(
-                        f"parent of vertex {v} must be an earlier index, got {p}"
-                    )
-                parent[addr[v]] = addr[p]
-                children[addr[p]] += (addr[v],)
-        return cls(
-            tuple(addr),
-            parent,
-            children,
-            {addr[v]: sources[v] for v in range(n)},
-            {addr[v]: lefts[v] for v in range(n)},
-        )
-
     @property
     def roots(self) -> tuple[Address, ...]:
         return tuple(a for a in self.vertices if self.parent[a] is None)

@@ -11,12 +11,14 @@ from hopfforest.algebra import Tensor, mono
 from hopfforest.errors import InputError
 from hopfforest.linearize import (
     Linearization,
+    _expansion_mismatch,
     alternating_sum,
     chain_of,
     forest_expansion_report,
     k_linearizations,
     tree_expansion_report,
 )
+from hopfforest.prelie import dualize, grafting_instance
 from hopfforest.trees import (
     PosetView,
     corolla_cuts,
@@ -61,15 +63,6 @@ def brute_force_fibers(view, k):
             )
         )
     return out
-
-
-def test_linearization_accessors():
-    lin = Linearization((frozenset({(0,)}), frozenset({(1,), (2,)})))
-    assert lin.k == 2
-    assert lin.level_of((0,)) == 1
-    assert lin.level_of((2,)) == 2
-    with pytest.raises(InputError):
-        lin.level_of((9,))
 
 
 def test_counts_on_small_shapes():
@@ -165,6 +158,22 @@ def parent_tables(draw, max_size=6):
     return parents
 
 
+def parent_table_view(parents):
+    """The view of a one-root parent table (parents[v] < v) with root-path
+    addresses, decorated 1 everywhere, and each vertex's address."""
+    addr = [()]
+    for v, p in enumerate(parents[1:], 1):
+        addr.append(addr[p] + (parents[1:v].count(p),))
+    children = {a: tuple(b for b in addr[1:] if b[:-1] == a) for a in addr}
+    parent = {a: a[:-1] if a else None for a in addr}
+    ones = dict.fromkeys(addr, 1)
+    return PosetView(tuple(addr), parent, children, ones, ones), addr
+
+
+def level(lin, a):
+    return next(t + 1 for t, fiber in enumerate(lin.fibers) if a in fiber)
+
+
 @settings(max_examples=50, deadline=None)
 @given(parent_tables())
 def test_insertion_recursion(parents):
@@ -173,19 +182,14 @@ def test_insertion_recursion(parents):
     choices per k-level assignment of the old poset) or gives x a level of
     its own (k - level(y) insertion slots per (k-1)-level assignment)."""
     n = len(parents)
-    view = PosetView.of_parent_table(parents)
+    view, _ = parent_table_view(parents)
     y = n - 1 if n == 1 else (n * 7 + 3) % n  # deterministic pick
-    grown = PosetView.of_parent_table(parents + [y])
+    grown, addr = parent_table_view(parents + [y])
     for k in range(1, n + 2):
         direct = len(k_linearizations(grown, k))
-        via_same = sum(
-            k - lin.level_of((y,)) for lin in k_linearizations(view, k)
-        )
+        via_same = sum(k - level(lin, addr[y]) for lin in k_linearizations(view, k))
         via_fresh = (
-            sum(
-                k - lin.level_of((y,))
-                for lin in k_linearizations(view, k - 1)
-            )
+            sum(k - level(lin, addr[y]) for lin in k_linearizations(view, k - 1))
             if k >= 2
             else 0
         )
@@ -195,7 +199,7 @@ def test_insertion_recursion(parents):
 @settings(max_examples=50, deadline=None)
 @given(parent_tables(max_size=7))
 def test_alternating_sum_is_parity(parents):
-    view = PosetView.of_parent_table(parents)
+    view, _ = parent_table_view(parents)
     total = sum(
         (-1) ** k * len(k_linearizations(view, k))
         for k in range(1, view.size() + 1)
@@ -257,3 +261,22 @@ def test_forest_expansion_matches_product_coproduct(fdb6, indices):
 def test_forest_expansion_needs_indices(fdb6):
     with pytest.raises(InputError):
         forest_expansion_report(fdb6, ())
+
+
+@pytest.fixture(scope="module")
+def dual5():
+    return dualize(grafting_instance(5), 5)
+
+
+@pytest.mark.parametrize(
+    "indices",
+    [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
+    + [(1, 1, 1), (1, 1, 2), (1, 2, 2), (1, 2, 3), (2, 2, 2)],
+)
+def test_forest_expansion_at_higher_ranks(fdb6, dual5, indices):
+    """The paper's forest identity past rank 2: chains of k-linearizations
+    over the forests of a product monomial sum to its rank-k iterated
+    reduced coproduct."""
+    for spec in (fdb6, dual5):
+        for k in (2, 3, 4):
+            assert _expansion_mismatch(spec, indices, k, "forest") == []

@@ -438,18 +438,6 @@ def test_poset_view_of_forest_and_passthrough():
         view_of("not a tree")
 
 
-def test_poset_view_of_parent_table():
-    view = PosetView.of_parent_table([None, 0, 0, 1])
-    assert view.size() == 4
-    assert view.roots == ((0,),)
-    assert view.children[(0,)] == ((1,), (2,))
-    assert view.less((0,), (3,))
-    with pytest.raises(InputError):
-        PosetView.of_parent_table([None, 2])
-    with pytest.raises(InputError):
-        PosetView.of_parent_table([None, 0], source=[1])
-
-
 def test_corolla_cuts_small():
     assert corolla_cuts(leaf(5)) == ()
     two_chain = node(2, 1, [leaf(1)])
