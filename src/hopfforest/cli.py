@@ -30,7 +30,6 @@ from .prelie import (
     filtration_report,
     load_prelie_file,
     prelie_check,
-    save_prelie,
 )
 from .trees import (
     PosetView,

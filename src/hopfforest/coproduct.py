@@ -248,7 +248,7 @@ def iterated_reduced(spec: CoproductSpec, i: int, k: int) -> Tensor:
 def monomials_up_to(spec: CoproductSpec, max_degree: int) -> list[Monomial]:
     """All monomials of degree <= max_degree, including the unit, in
     canonical order."""
-    return graded_monomials(spec.generators.values(), max_degree)
+    return [m for m, _ in graded_monomials(spec.generators.values(), max_degree)]
 
 
 def convolution_check(

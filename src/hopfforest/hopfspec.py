@@ -29,7 +29,7 @@ import re
 from fractions import Fraction
 from functools import wraps
 from itertools import groupby
-from math import comb
+from math import factorial, prod
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
@@ -221,10 +221,11 @@ def _coefficients(spec: CoproductSpec) -> dict[tuple, Fraction]:
 
 def graded_monomials(
     generators: Iterable[Generator], max_degree: int
-) -> list[Monomial]:
-    """All monomials in the given generators of degree <= max_degree,
-    including the unit, in canonical order (by degree, then length, then
-    indices)."""
+) -> list[tuple[Monomial, int]]:
+    """Every monomial in the given generators of degree <= max_degree, unit
+    included, as a (monomial, degree) pair, in canonical order (by degree,
+    then length, then indices): the monomials up to a lower degree are a
+    prefix."""
     degree = {g.id: g.degree for g in generators}
     # One pass per generator, so tables with more generators than the
     # recursion limit still enumerate.
@@ -237,50 +238,31 @@ def graded_monomials(
             for reps in range(1, (max_degree - used) // d + 1)
         ]
     found.sort(key=lambda f: (f[1], len(f[0]), f[0]))
-    return [Monomial(t) for t, _ in found]
+    return [(Monomial(t), used) for t, used in found]
 
 
 # --- Faa di Bruno style instance -------------------------------------------
 
-def _bell_partials(top: int) -> dict[tuple[int, int], dict[Multiset, int]]:
-    """The partial Bell polynomials B_{n,k} for k <= n <= top, as
-    {(n, k): {multiset of block sizes: count}}, filled bottom-up in k by
-    B_{n,k} = sum_j C(n-1, j-1) x_j B_{n-j,k-1}."""
-    bell: dict[tuple[int, int], dict[Multiset, int]] = {(0, 0): {(): 1}}
-    for k in range(1, top + 1):
-        for n in range(k, top + 1):
-            out: dict[Multiset, int] = {}
-            for j in range(1, n - k + 2):
-                for sizes, c in bell.get((n - j, k - 1), {}).items():
-                    key = multiset(sizes + (j,))
-                    out[key] = out.get(key, 0) + comb(n - 1, j - 1) * c
-            bell[n, k] = out
-    return bell
-
-
 def faa_di_bruno_spec(max_degree: int) -> CoproductSpec:
     """The composition Hopf algebra on generators b_1..b_max_degree with
-    deg(b_n) = n.  Entry coefficients are the set-partition block counts
-    from the partial Bell polynomials; every reduced-coproduct term has a
-    single generator on the left, which is what the tree and forest
-    machinery requires."""
+    deg(b_n) = n.  A partition of n + 1 into k parts p is a monomial of
+    degree n + 1 in the part sizes; for k >= 2 and some p >= 2 (the others
+    give the primitive terms the reduced coproduct omits) it gives the row
+    (n; k - 1; [p - 1 for each p >= 2]) with the count of set partitions of
+    that shape, (n + 1)! / (prod p! * prod m_p!), m_p the parts of size p."""
     if not _positive_int(max_degree):
         raise InputError(f"max_degree must be >= 1, got {max_degree}")
     gens = [Generator(n, n, f"b{n}") for n in range(1, max_degree + 1)]
-    bell = _bell_partials(max_degree + 1)
+    parts = [Generator(p, p) for p in range(1, max_degree + 2)]
     entries: list[CoproductEntry] = []
-    for n in range(2, max_degree + 1):
-        # Reduced terms of b_n: left leg b_{k-1} for k = 2..n, right leg the
-        # monomial of parts >= 2 in each size multiset of B_{n+1,k}, after the
-        # degree shift part p -> generator p-1.  Multisets containing only 1s
-        # would give an empty right leg; those are the primitive/group-like
-        # pieces that the reduced coproduct omits.
-        for k in range(2, n + 1):
-            for sizes, count in bell[n + 1, k].items():
-                right = multiset(p - 1 for p in sizes if p >= 2)
-                if not right:
-                    continue
-                entries.append(CoproductEntry(n, k - 1, right, Fraction(count)))
+    for shape, size in graded_monomials(parts, max_degree + 1):
+        right = tuple(p - 1 for p in shape if p >= 2)
+        if len(shape) < 2 or not right:
+            continue
+        orders = map(factorial, (*shape, *map(shape.count, set(shape))))
+        entries.append(
+            CoproductEntry(size - 1, len(shape) - 1, right, factorial(size) // prod(orders))
+        )
     return CoproductSpec(f"faa-di-bruno-{max_degree}", gens, entries)
 
 

@@ -30,7 +30,7 @@ import json
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
-from math import factorial, prod
+from math import comb, factorial, prod
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
@@ -227,16 +227,20 @@ def guin_oudom_poly(spec: PreLieSpec, p: Polynomial, q: Polynomial) -> Polynomia
 
 
 def unshuffle_coproduct(m: Monomial) -> Tensor:
-    """The coproduct making every basis element primitive, on one monomial:
-    sum over splittings of the factor positions into left/right parts."""
-    idx = m.indices
-    full = (1 << len(idx)) - 1
-
-    def part(mask: int) -> Monomial:
-        return _sorted_monomial([i for s, i in enumerate(idx) if mask >> s & 1])
-
+    """The coproduct making every basis element primitive, on one monomial,
+    as a rank-2 tensor: x^J goes to the sum over sub-multisets K of J of
+    C(J, K) x^K (x) x^(J - K), where C(J, K) is the product over the
+    distinct factors i of C(j_i, k_i).  The walk takes one distinct factor
+    at a time, so b1^4 gives 5 terms, of weights 1, 4, 6, 4, 1."""
+    splits = [((), (), 1)]
+    for i, n in Counter(m).items():  # in ascending order, as m is sorted
+        splits = [
+            (left + (i,) * k, right + (i,) * (n - k), c * comb(n, k))
+            for left, right, c in splits
+            for k in range(n + 1)
+        ]
     return Tensor._checked(
-        2, (((part(mask), part(full ^ mask)), 1) for mask in range(full + 1))
+        2, (((_sorted_monomial(a), _sorted_monomial(b)), c) for a, b, c in splits)
     )
 
 
@@ -282,7 +286,8 @@ def associativity_report(spec: PreLieSpec) -> list[str]:
     `guin_oudom_mul` gives 1*b = b by definition and (x*a')*1 = x*(a'*1),
     so a*1 = a, and no product under the truncation raises."""
     t = spec.truncation
-    mons = [(m, d, Polynomial.single(m)) for m, d in _monomial_degrees(spec, t)[1:]]
+    mons = graded_monomials(spec.basis.values(), t)[1:]  # no unit
+    mons = [(m, d, Polynomial.single(m)) for m, d in mons]
     problems: list[str] = []
     for a, da, single_a in mons:
         for b, db, _ in mons:
@@ -306,7 +311,7 @@ def filtration_report(spec: PreLieSpec) -> list[str]:
     """Checks that a length-n monomial times a length-m monomial is
     supported in word lengths n..n+m, and stays degree-homogeneous."""
     t = spec.truncation
-    mons = _monomial_degrees(spec, t)
+    mons = graded_monomials(spec.basis.values(), t)
     # Every monomial in the basis ids of degree <= t is a key, so a term that
     # is missing lies above the truncation.
     degree_of = dict(mons)
@@ -330,24 +335,9 @@ def filtration_report(spec: PreLieSpec) -> list[str]:
     return problems
 
 
-def _monomial_degrees(spec: PreLieSpec, max_degree: int) -> list[tuple[Monomial, int]]:
-    """(monomial, degree) for every monomial of degree <= max_degree, unit
-    first, in the canonical order of `graded_monomials`: ascending in
-    degree, so the monomials up to a lower degree are a prefix."""
-    degree = {i: g.degree for i, g in spec.basis.items()}
-    return [
-        (m, sum(map(degree.__getitem__, m)))
-        for m in graded_monomials(spec.basis.values(), max_degree)
-    ]
-
-
 # --- Free rooted-tree instance ----------------------------------------------
 
 ShapeTree = tuple  # nested tuples: () is a single vertex
-
-
-def _shape_size(t: ShapeTree) -> int:
-    return 1 + sum(_shape_size(c) for c in t)
 
 
 def _shape_label(t: ShapeTree) -> str:
@@ -364,34 +354,37 @@ def _graft_everywhere(host: ShapeTree, graft: ShapeTree) -> list[ShapeTree]:
     return out
 
 
-def rooted_tree_shapes(max_vertices: int) -> list[ShapeTree]:
-    """All unlabeled rooted trees with at most max_vertices vertices, as
-    canonical nested tuples, ordered by (size, shape).  Every tree of n > 1
-    vertices is one of n - 1 vertices with a leaf grafted on, so each size
-    is the previous one grafted everywhere."""
+def _sized_shapes(max_vertices: int) -> list[tuple[ShapeTree, int]]:
+    """(shape, vertex count) for each of `rooted_tree_shapes`.  Every tree
+    of n > 1 vertices is one of n - 1 vertices with a leaf grafted on, so
+    each size is the layer of the previous one grafted everywhere."""
     if not _positive_int(max_vertices):
         raise InputError(f"max_vertices must be >= 1, got {max_vertices}")
-    shapes, layer = [()], [()]
-    for _ in range(max_vertices - 1):
+    sized, layer = [((), 1)], [()]
+    for n in range(2, max_vertices + 1):
         layer = sorted({g for t in layer for g in _graft_everywhere(t, ())})
-        shapes += layer
-    return shapes
+        sized += [(t, n) for t in layer]
+    return sized
+
+
+def rooted_tree_shapes(max_vertices: int) -> list[ShapeTree]:
+    """All unlabeled rooted trees with at most max_vertices vertices, as
+    canonical nested tuples, ordered by (size, shape)."""
+    return [t for t, _ in _sized_shapes(max_vertices)]
 
 
 def grafting_instance(max_vertices: int) -> PreLieSpec:
     """The free preLie algebra on one generator, truncated: basis elements
     are unlabeled rooted trees by vertex count, and the product grafts the
     right tree at every vertex of the left tree."""
-    shapes = rooted_tree_shapes(max_vertices)
-    ids = {t: k + 1 for k, t in enumerate(shapes)}
-    basis = [
-        Generator(ids[t], _shape_size(t), _shape_label(t)) for t in shapes
-    ]
+    sized = _sized_shapes(max_vertices)
+    ids = {t: k for k, (t, _) in enumerate(sized, 1)}
+    basis = [Generator(ids[t], n, _shape_label(t)) for t, n in sized]
     products: dict[tuple[int, int], Polynomial] = {}
-    for t1 in shapes:
-        for t2 in shapes:
-            if _shape_size(t1) + _shape_size(t2) > max_vertices:
-                continue
+    for t1, n1 in sized:
+        for t2, n2 in sized:
+            if n1 + n2 > max_vertices:
+                break  # sizes ascend
             products[ids[t1], ids[t2]] = Polynomial(
                 (Monomial((ids[result],)), 1) for result in _graft_everywhere(t1, t2)
             )
@@ -434,7 +427,7 @@ def dualize(spec: PreLieSpec, max_degree: int) -> CoproductSpec:
     ]
     # every right leg fits under max_degree - 1; each generator reads the
     # prefix that fits beside it
-    rights = _monomial_degrees(spec, max_degree - 1)[1:]  # no unit
+    rights = graded_monomials(spec.basis.values(), max_degree - 1)[1:]  # no unit
     entries: list[CoproductEntry] = []
     for g in gens:
         for right, degree in rights:

@@ -691,7 +691,7 @@ def _graded_tables(draw):
             (l, m)
             for l in degree
             if degree[l] < d
-            for m in graded_monomials(generators, d - degree[l])
+            for m, _ in graded_monomials(generators, d - degree[l])
             if sum(degree[j] for j in m) == d - degree[l]
         ]
         if not rows:
