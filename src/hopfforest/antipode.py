@@ -100,7 +100,7 @@ def antipode_dyson_salam(spec: CoproductSpec, i: int) -> Polynomial:
 
 def dyson_salam_poly(spec: CoproductSpec, p: Polynomial) -> Polynomial:
     """The Dyson-Salam route on an augmentation-ideal element, on a frame
-    over p's generators sized by p's degree, which bounds every slot's."""
+    over p's generators whose degree bounds p's, and so every slot's."""
     if p.constant != 0:
         raise InputError("the alternating-sum antipode needs zero constant term")
     frame, packed = _poly_frame(spec, p)
@@ -183,34 +183,36 @@ class TermStats(NamedTuple):
 
 
 def term_stats(spec: CoproductSpec, i: int) -> TermStats:
-    """The realized trees of b_i counted through the tree recursion, bottom-up
-    over the generators below i along right legs (see `_tree_counts`): L is
-    their total vertex count, T the number of trees and T_k the number of
-    height at most k, so sum(h) = sum over k >= 0 of (T - T_k) and
-    dyson_salam_terms = L - sum(h) + T."""
-    for j in _below(spec, (i,), "right"):
-        vertices, heights = _tree_counts(spec, j)
+    """The realized trees of b_i counted through the tree recursion, filled
+    on the frame bottom-up along right legs, as the forest route's values
+    are (see `_tree_counts`): L is their total vertex count, T the number of
+    trees and T_k the number of height at most k, so sum(h) = sum over
+    k >= 0 of (T - T_k) and dyson_salam_terms = L - sum(h) + T."""
+    counts = frame_over(spec, (i,)).counts
+    for j in _below(spec, (i,), "right", counts):
+        counts[j] = _tree_counts(spec, j, counts)
+    vertices, heights = counts[i]
     trees = heights[-1]
     sum_h = sum(trees - t for t in heights[:-1])
     return TermStats(dyson_salam_terms=vertices - sum_h + trees, forest_terms=trees)
 
 
-@spec_memo
-def _tree_counts(spec: CoproductSpec, j: int) -> tuple[int, list[int]]:
+def _tree_counts(spec: CoproductSpec, j: int, counts: dict) -> tuple[int, list[int]]:
     """The total vertex count L of the realized trees of b_j, and
-    [T_0, ..., T_deg(j)] with T_k the trees of height at most k.  A tree is
-    the leaf, or a root row (j; l; J) with a multiset of m realized subtrees
-    of b_r for each distinct r of J, so a row has n = prod of
-    w_r = C(T_r + m - 1, m) trees.  Across the w_r multisets each subtree of
-    b_r appears C(T_r + m - 1, m - 1) times, so the row adds
+    [T_0, ..., T_deg(j)] with T_k the trees of height at most k, from the
+    ``counts`` of every right leg of b_j.  A tree is the leaf, or a root row
+    (j; l; J) with a multiset of m realized subtrees of b_r for each
+    distinct r of J, so a row has n = prod of w_r = C(T_r + m - 1, m)
+    trees.  Across the w_r multisets each subtree of b_r appears
+    C(T_r + m - 1, m - 1) times, so the row adds
     n + sum of L_r * C(T_r + m - 1, m - 1) * n / w_r vertices.  A tree's
     height is at most its root's degree, so T_k = T_deg(r) for k past
-    deg(r).  The caller must not change the returned list: it is memoized."""
+    deg(r)."""
     depth = spec.degree(j)
     vertices = 1
     heights = [0] + [1] * depth
     for e in spec.entries_for(j):
-        legs = [(*_tree_counts(spec, r), m) for r, m in Counter(e.right).items()]
+        legs = [(*counts[r], m) for r, m in Counter(e.right).items()]
         ways = [comb(sub[-1] + m - 1, m) for _, sub, m in legs]
         n = prod(ways)
         vertices += n + sum(

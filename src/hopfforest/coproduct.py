@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Optional
+from typing import Callable
 
 from .algebra import UNIT, Monomial, Polynomial, Tensor, mono
 from .algebra import _positive_int, _scalar, _sorted_monomial
@@ -73,16 +73,17 @@ def _nonzero(acc: dict) -> dict:
 
 class _Frame:
     """The numbering of what ``starts`` reach, for values of degree up to
-    ``degree`` (by default the largest start's): each row as (c', l, J,
-    packed b_l, packed b_J), each antipode route's packed values, and the
-    full and reduced coproducts and decoding of every packed monomial met."""
+    ``degree`` and the largest start's: each row as (c', l, J, packed b_l,
+    packed b_J), each antipode route's packed values and tree counts, and
+    the full and reduced coproducts and decoding of every packed monomial
+    met.  Only `frame_over` builds one."""
 
-    def __init__(self, spec: CoproductSpec, starts, degree: Optional[int] = None):
+    def __init__(self, spec: CoproductSpec, starts, degree: int):
         ids = sorted(_below(spec, starts, "both"))
         for i in starts:
             if not _positive_int(i):
                 raise InputError(f"generator indices must be positive integers, got {i!r}")
-        degree = max(map(spec.degree, starts), default=0) if degree is None else degree
+        degree = max([degree, *map(spec.degree, starts)])
         scale = lcm(*(e.coeff.denominator for j in ids for e in spec.entries_for(j)))
         self.ids, self.degree, self.width, self.scale = ids, degree, degree.bit_length(), scale
         self.field = field = {j: 1 << self.width * n for n, j in enumerate(ids)}
@@ -93,7 +94,7 @@ class _Frame:
                  self.pack(right)) for _, left, right, c in spec.entries_for(j)]
             for j in ids
         }
-        self.forest, self.bogoliubov, self.reduced, self.decoded = {}, {}, {}, {}
+        self.forest, self.bogoliubov, self.counts, self.reduced, self.decoded = {}, {}, {}, {}, {}
         # full coproducts: the unit's, each generator's, then each monomial met's
         self.full = {0: {0: 1}} | {
             b: {b: 1, b << shift: 1, **{l + (r << shift): c for c, *_, l, r in self.rows[j]}}
@@ -194,27 +195,28 @@ class _Frame:
         return Tensor._checked(rank, out)
 
 
-def frame_over(spec: CoproductSpec, starts) -> _Frame:
-    """spec's frame if it numbers every start, else a new frame over starts,
-    now spec's: what one command reads, so each lower value and packed
-    coproduct is computed once.  A bool never hits, though True == 1."""
+def frame_over(spec: CoproductSpec, starts, degree: int = 0) -> _Frame:
+    """spec's frame if it numbers every start and holds values of degree
+    ``degree``, else a new frame over starts, now spec's: what one command
+    reads, so each lower value and packed coproduct is computed once.  A
+    bool never hits, though True == 1."""
     frame = spec._cache.get(_Frame)
-    field = {} if frame is None else frame.field
-    for i in starts:  # a plain loop keeps a route's one-id hit cheap
-        if not (_positive_int(i) and i in field):
-            break
-    else:
-        if frame is not None:
+    if frame is not None and frame.degree >= degree:
+        field = frame.field
+        for i in starts:  # a plain loop keeps a route's one-id hit cheap
+            if not (_positive_int(i) and i in field):
+                break
+        else:
             return frame
-    frame = spec._cache[_Frame] = _Frame(spec, starts)
+    frame = spec._cache[_Frame] = _Frame(spec, starts, degree)
     return frame
 
 
 def _poly_frame(spec: CoproductSpec, p: Polynomial) -> tuple[_Frame, dict]:
-    """A private frame over p's generators sized by p's degree, which bounds
-    every slot's, and p packed in its basis."""
+    """spec's frame over p's generators, for p's degree, which bounds every
+    slot's, and p packed in its basis."""
     bound = max((spec.monomial_degree(m) for m, _ in p.items()), default=0)
-    frame = _Frame(spec, {j for m, _ in p.items() for j in m}, bound)
+    frame = frame_over(spec, {j for m, _ in p.items() for j in m}, bound)
     return frame, frame.packed(p, 0)
 
 
@@ -261,8 +263,9 @@ def convolution_check(
     commutative, so the convolution is then an algebra morphism, and a
     monomial fails exactly when one of its generators does.  It is read once
     on the unit and each generator, and S(beta_i) + S(1) beta_i + sum of
-    c' S(beta_l) beta_J is summed packed.  Returns failure descriptions;
-    empty means the antipode property holds."""
+    c' S(beta_l) beta_J is summed packed, on a new frame only when a value
+    names a generator spec's lacks or a key could carry.  Returns failure
+    descriptions; empty means the antipode property holds."""
     ids = _generators_up_to(spec, max_degree)
     if not ids:
         return []
@@ -271,8 +274,7 @@ def convolution_check(
     gens = set(ids).union(*(m for s in values.values() for m, _ in s.items()))
     excess = max(max((len(m) for m, _ in s.items()), default=0) - (j and spec.degree(j))
                  for j, s in values.items())
-    if excess > 0 or not gens <= frame.field.keys():  # a key could carry: widen the fields
-        frame = _Frame(spec, gens, max_degree + max(excess, 0))
+    frame = frame_over(spec, gens, max_degree + excess if excess > 0 else 0)  # or widen
     packed = {j: frame.packed(s, j and 1) for j, s in values.items()}  # S(beta_j), S(1)
     problems: list[str] = []
     for i in ids:

@@ -44,25 +44,14 @@ _MISSING = object()
 
 def spec_memo(fn: Callable) -> Callable:
     """Memoize ``fn(spec, *key)`` in ``spec._cache[fn]``, so the memo lives
-    and dies with the spec.  Omitted trailing arguments take ``fn``'s
-    defaults, and keyword arguments are bound through ``fn``'s signature
-    (only this path imports ``inspect``), so a keyword call and its
-    positional twin share one entry.  A positional hit is two dict lookups
-    and returns the stored object itself; a call that raises stores nothing,
-    so the next call raises again.  The memo is an unsynchronized dict:
-    threads sharing a spec may compute an entry twice."""
-    arity = fn.__code__.co_argcount - 1
-    defaults = fn.__defaults__ or ()
+    and dies with the spec.  Every argument is passed by position, so a hit
+    is two dict lookups and returns the stored object itself; a keyword
+    argument raises TypeError.  A call that raises stores nothing, so the
+    next call raises again.  The memo is an unsynchronized dict: threads
+    sharing a spec may compute an entry twice."""
 
     @wraps(fn)
-    def memoized(spec, *key, **named):
-        if named:
-            from inspect import signature
-            bound = signature(fn).bind(spec, *key, **named)
-            bound.apply_defaults()
-            key = bound.args[1:]
-        elif len(key) < arity:
-            key += defaults[len(key) - arity :]
+    def memoized(spec, *key):
         memo = spec._cache.get(fn)
         if memo is None:
             memo = spec._cache[fn] = {}
@@ -98,6 +87,7 @@ class CoproductEntry(tuple):
     def __new__(cls, source: int, left: int, right: Iterable[int], coeff: Rational):
         if type(coeff) is not Fraction:
             coeff = _fraction(_scalar(coeff))
+        multiset((source, left))  # checks both ids, as `right`'s
         return tuple.__new__(cls, (source, left, multiset(right), coeff))
 
     def __reduce__(self):
@@ -175,9 +165,11 @@ class CoproductSpec:
             if g.id in seen_ids:
                 problems.append(f"duplicate generator id {g.id}")
             seen_ids.add(g.id)
-            if g.degree < 1:
+            if not _positive_int(g.id):
+                problems.append(f"generator ids must be positive integers, got {g.id!r}")
+            if not _positive_int(g.degree):
                 problems.append(
-                    f"generator {g.id} has degree {g.degree}; degrees must be >= 1"
+                    f"generator {g.id} has degree {g.degree!r}; degrees must be positive integers"
                 )
         known = frozenset(self.generators)
         degree = {i: g.degree for i, g in self.generators.items()}.get

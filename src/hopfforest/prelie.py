@@ -1,9 +1,8 @@
 """Finite-dimensional (truncated) preLie algebras: structure constants, the
 symmetric-brace extension of the product to monomial right arguments, the
 associative enveloping product on polynomials (the Guin–Oudom recursion over
-the unshuffle coproduct, which also gives the brace its derivation term),
-identity checkers, the free rooted-tree grafting instance, and graded
-dualization into a coproduct table.
+the unshuffle coproduct), identity checkers, the free rooted-tree grafting
+instance, and graded dualization into a coproduct table.
 
 All elements live in the symmetric algebra over the basis: a basis element
 b_i is the singleton monomial, and preLie products are linear combinations
@@ -103,9 +102,11 @@ class PreLieSpec:
             if g.id in seen:
                 problems.append(f"duplicate basis id {g.id}")
             seen.add(g.id)
-            if g.degree < 1:
+            if not _positive_int(g.id):
+                problems.append(f"basis ids must be positive integers, got {g.id!r}")
+            if not _positive_int(g.degree):
                 problems.append(
-                    f"basis element {g.id} has degree {g.degree}; must be >= 1"
+                    f"basis element {g.id} has degree {g.degree!r}; must be a positive integer"
                 )
         t = self.truncation
         if not _positive_int(t):
@@ -113,9 +114,9 @@ class PreLieSpec:
                 f"truncation must be a positive integer, got {t!r}"
             )
             return problems
-        degree = {i: g.degree for i, g in self.basis.items()}
+        degree = {i: g.degree for i, g in self.basis.items() if _positive_int(g.degree)}
         for (i, j), value in sorted(self.products.items()):
-            if i not in degree or j not in degree:
+            if not (_positive_int(i) and _positive_int(j) and i in degree and j in degree):
                 problems.append(f"product ({i}, {j}): unknown basis ids")
                 continue
             expect = degree[i] + degree[j]
@@ -162,12 +163,12 @@ def brace_action(spec: PreLieSpec, i: int, right: Monomial) -> Polynomial:
                                  - a acted on by (B acted on by b)
 
     peeling the canonically last factor b.  Here B acted on by b is the
-    derivation that lets b act on each factor of B in turn, read off the
-    enveloping product as guin_oudom_mul(B, b) - B * b; the two functions
-    recurse on strictly shorter arguments.  The preLie identity makes the
-    result independent of which factor is peeled; tests exercise that.
-    Raises InputError when a nonempty right argument takes the total degree
-    above the truncation."""
+    derivation that lets b act on each factor of B in turn, the sum over k
+    of B without B_k times B_k . b, read off the products (Guin and Oudom,
+    2008), so the brace reads only products and itself, on strictly
+    shorter arguments.  The preLie identity makes the result independent of
+    which factor is peeled; tests exercise that.  Raises InputError when a
+    nonempty right argument takes the total degree above the truncation."""
     degree = spec.degree(i)  # raises for unknown ids
     if right.is_unit:
         return Polynomial.variable(i)
@@ -181,13 +182,15 @@ def brace_action(spec: PreLieSpec, i: int, right: Monomial) -> Polynomial:
     if len(right) == 1:
         return prelie_product(spec, i, last)
     rest = _sorted_monomial(right[:-1])
-    derivation = guin_oudom_mul(spec, rest, _sorted_monomial((last,)))
-    derivation -= Polynomial.single(right)
     parts = [
         (prelie_product(spec, m.indices[0], last), c)
         for m, c in brace_action(spec, i, rest).items()
     ]
-    parts += [(brace_action(spec, i, m), -c) for m, c in derivation.items()]
+    parts += [
+        (brace_action(spec, i, _sorted_monomial((*rest[:k], *rest[k + 1 :], *m))), -c)
+        for k, x in enumerate(rest)
+        for m, c in prelie_product(spec, x, last).items()
+    ]
     return Polynomial._checked((m, w * c) for value, w in parts for m, c in value.items())
 
 

@@ -71,7 +71,7 @@ def frames_built(monkeypatch):
     built = []
     init = coproduct._Frame.__init__
 
-    def counted(self, spec, starts, degree=None):
+    def counted(self, spec, starts, degree):
         built.append(starts)
         init(self, spec, starts, degree)
 

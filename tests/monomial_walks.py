@@ -1,15 +1,21 @@
 """Oracles for the package's closed forms on monomials: the partial Bell
 recurrence for the composition table, the position-mask walk for the
-unshuffle coproduct, and the Witt preLie table, whose dual is the
+unshuffle coproduct, the brace with its derivation term read off the
+enveloping product, and the Witt preLie table, whose dual is the
 composition table.
 
 Nothing in the package imports this module, and it uses only the package's
-classes, so `faa_di_bruno_spec`, `unshuffle_coproduct` and `dualize` are
-each checked against a computation that shares none of their code:
+classes, so `faa_di_bruno_spec`, `unshuffle_coproduct`, `brace_action` and
+`dualize` are each checked against a computation that shares none of their
+code:
 
     B_{n,k} = sum_j C(n-1, j-1) x_j B_{n-j,k-1}       (Bell recurrence)
     Delta(x_1 ... x_r) = sum over masks S of x_S (x) x_(not S)
+    a acted on by (B b) = (a acted on by B) acted on by b
+                          - a acted on by (B * b - B b)
     b_i acted on by b_j = C(i+j+1, i) b_{i+j}         (Witt table)
+
+where B * b is the Guin–Oudom product, itself built from the brace.
 
 The Witt table is the preLie algebra of the vector fields x^(k+1) d/dx,
 rescaled so that its structure constants are integers; its enveloping
@@ -68,6 +74,46 @@ def mask_unshuffle(m):
         return Monomial(i for s, i in enumerate(idx) if mask >> s & 1)
 
     return Tensor(2, [((part(mask), part(full ^ mask)), 1) for mask in range(full + 1)])
+
+
+def brace_through_the_product(spec):
+    """(brace, product) on one preLie table, each memoized in its own dict:
+    brace(i, J) is b_i acted on by the monomial J, its derivation term
+    B acted on by b read off the enveloping product as B * b - B b, and
+    product(a, b) is the Guin–Oudom product a * b summed over the
+    position-mask unshuffle of b.  The two recurse into each other on
+    shorter arguments; neither checks the truncation."""
+    zero = Polynomial.zero()
+    braces, products = {}, {}
+
+    def brace(i, right):
+        if (i, right) not in braces:
+            if not right:
+                value = Polynomial.variable(i)
+            elif len(right) == 1:
+                value = spec.products.get((i, right[0]), zero)
+            else:
+                rest, last = Monomial(right[:-1]), right[-1]
+                derivation = product(rest, Monomial((last,))) - Polynomial.single(right)
+                value = zero
+                for m, c in brace(i, rest).items():
+                    value = value + c * spec.products.get((m[0], last), zero)
+                for m, c in derivation.items():
+                    value = value - c * brace(i, m)
+            braces[i, right] = value
+        return braces[i, right]
+
+    def product(a, b):
+        if (a, b) not in products:
+            value = Polynomial.single(b)
+            if a:
+                value = zero
+                for (b1, b2), c in mask_unshuffle(b).items():
+                    value = value + c * brace(a[0], b1) * product(Monomial(a[1:]), b2)
+            products[a, b] = value
+        return products[a, b]
+
+    return brace, product
 
 
 def witt(n):

@@ -105,9 +105,11 @@ def test_derived_values_pass_the_public_check(monkeypatch, tmp_path, capsys):
             for k in range(1, spec.degree(i) + 1):
                 iterate = coproduct.iterated_reduced(spec, i, k)
                 made.setdefault("multiplied out", []).append(iterate.multiplied_out())
-        # the commands multiply no values; a monomial antipode does
+        # the commands multiply and sum no values; a monomial antipode
+        # multiplies, and the sum of the antipodes adds
+        total = Polynomial.zero()
         for m in coproduct.monomials_up_to(spec, 4):
-            antipode.antipode_poly(spec, Polynomial.single(m))
+            total = total + antipode.antipode_poly(spec, Polynomial.single(m))
 
     kinds = {"built", "sum", "product", "route", "guin-oudom", "multiplied out"}
     assert set(made) == kinds

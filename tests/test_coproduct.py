@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import coproduct_oracle as oracle
 from hopfforest import cli, coproduct
 from hopfforest.algebra import UNIT, Polynomial, Tensor, mono
-from hopfforest.antipode import METHODS, antipode_endomap
+from hopfforest.antipode import METHODS, antipode_endomap, antipode_generator, term_stats
 from hopfforest.coproduct import (
     coassociativity_report,
     convolution_check,
@@ -462,6 +462,52 @@ def test_fdb8_verify_and_dualize_build_one_frame_each(frames_built, monkeypatch,
     assert len(frames_built) == 1
     monkeypatch.setattr(cli, "load_prelie_file", lambda path: grafting_instance(5))
     assert cli.run(["dualize", "--prelie", "-", "--max-degree", "5"]) == 0
+    assert len(frames_built) == 2
+
+
+@pytest.mark.parametrize(
+    "make, degree",
+    [
+        (lambda: faa_di_bruno_spec(8), 8),
+        (lambda: faa_di_bruno_spec(8), 10),
+        (lambda: dualize(grafting_instance(5), 5), 7),
+        (lambda: faa_di_bruno_spec(4), 6),
+    ],
+    ids=["fdb-8-at-8", "fdb-8-at-10", "grafting-5-dual-at-7", "fdb-4-at-6"],
+)
+def test_verify_builds_one_frame_at_any_max_degree(
+    make, degree, frames_built, monkeypatch, capsys
+):
+    # A --max-degree above every generator's makes no route value longer,
+    # so no key could carry and the convolution reads the routes' frame.
+    base = make()
+    spec = CoproductSpec(base.name, base.generators.values(), base.entries)  # no frame yet
+    frames_built.clear()
+    monkeypatch.setattr(cli, "load_spec_file", lambda path: spec)
+    assert cli.run(["verify", "--spec", "-", "--max-degree", str(degree)]) == 0
+    assert capsys.readouterr().out.endswith("VERIFY: PASS\n")
+    assert len(frames_built) == 1
+
+
+def test_library_calls_share_one_frame(frames_built):
+    # The iterate's frame serves every route and the tree counts after it.
+    spec = faa_di_bruno_spec(6)
+    iterated_reduced(spec, 6, 3)
+    for method in METHODS:
+        antipode_generator(spec, 6, method)
+    term_stats(spec, 6)
+    assert len(frames_built) == 1
+
+
+def test_a_polynomial_past_the_frame_gets_a_wider_one(frames_built):
+    # b1^9 would carry out of the 3-bit fields of a frame up to degree 4.
+    spec = faa_di_bruno_spec(4)
+    narrow = coproduct.frame_over(spec, spec.generator_ids())
+    p = Polynomial.single(mono(*[1] * 9))
+    assert coproduct_poly(spec, p) == oracle.coproduct(spec, p)
+    wide = coproduct.frame_over(spec, [1], 9)
+    assert wide is not narrow and wide.degree == 9 and len(frames_built) == 2
+    assert coproduct_poly(spec, p * 2) == 2 * oracle.coproduct(spec, p)
     assert len(frames_built) == 2
 
 

@@ -96,6 +96,12 @@ def test_entry_round_trips_through_pickle_and_deepcopy():
         assert (copied.right, copied.coeff) == ((1, 2), Fraction(-3, 4))
 
 
+@pytest.mark.parametrize("source, left", [(True, 1), (2, True), (0, 1), (2, 1.0)])
+def test_entry_ids_are_positive_ints_as_the_loader_reads_them(source, left):
+    with pytest.raises(InputError, match="generator indices must be positive integers"):
+        CoproductEntry(source, left, (1,), 1)
+
+
 @pytest.mark.parametrize("coeff", [0.1, True, "3", None])
 def test_entry_coefficient_follows_the_algebra_rule(coeff):
     # The rule Polynomial applies: an int (not a bool) or a Fraction.
@@ -150,43 +156,40 @@ def test_spec_memo_fills_defaults_stores_hits_and_no_failures():
     calls = []
 
     @spec_memo
-    def scaled(spec, i, scale=2):
+    def scaled(spec, i, scale):
         calls.append((i, scale))
         if i < 0:
             raise InputError("negative")
         return [i * scale] if i else None
 
     spec = sym_spec(2)
-    first = scaled(spec, 3)
+    first = scaled(spec, 3, 2)
     assert first == [6]
-    # trailing defaults fill the key, and a hit returns the stored object
-    assert scaled(spec, 3, 2) is first and scaled(spec, 3) is first
+    # a hit returns the stored object
+    assert scaled(spec, 3, 2) is first
     assert scaled(spec, 3, 5) == [15]
-    assert scaled(spec, 0) is None and scaled(spec, 0) is None
+    assert scaled(spec, 0, 2) is None and scaled(spec, 0, 2) is None
     assert calls == [(3, 2), (3, 5), (0, 2)]
     # a call that raises stores nothing, so the next call raises again
     for _ in range(2):
         with pytest.raises(InputError):
-            scaled(spec, -1)
+            scaled(spec, -1, 2)
     assert calls[3:] == [(-1, 2), (-1, 2)]
     # the memo lives on the spec it was called with
-    assert scaled(sym_spec(2), 3) == [6] and calls[-1] == (3, 2)
+    assert scaled(sym_spec(2), 3, 2) == [6] and calls[-1] == (3, 2)
 
 
-def test_spec_memo_binds_keywords_to_the_positional_entry():
+def test_spec_memo_is_positional_only():
+    graft4 = grafting_instance(4)
+    with pytest.raises(TypeError):
+        brace_action(graft4, 1, right=mono(1))
+    assert inspect.unwrap(brace_action) not in graft4._cache
+    # antipode_generator is a plain function: its keywords reach the memo
+    # by position
     spec = faa_di_bruno_spec(4)
     by_position = antipode_generator(spec, 3, "bogoliubov")
-    assert antipode_generator(spec, 3, method="bogoliubov") is by_position
     assert antipode_generator(spec, i=3, method="bogoliubov") is by_position
     assert antipode_generator(spec, 3, method="forest") is antipode_generator(spec, 3)
-    graft4 = grafting_instance(4)
-    assert brace_action(graft4, 1, right=mono(1)) is brace_action(graft4, 1, mono(1))
-    memo = graft4._cache[inspect.unwrap(brace_action)]
-    assert list(memo) == [(1, mono(1))]
-    with pytest.raises(TypeError):
-        brace_action(graft4, 1, monomial=mono(1))
-    with pytest.raises(TypeError):
-        antipode_generator(spec, 3, "forest", method="forest")
 
 
 def test_no_functools_cache_in_the_package():
@@ -277,6 +280,10 @@ def test_validate_flags_each_violation():
     cases = [
         ((Generator(1, 1), Generator(1, 2)), [], "duplicate generator id 1"),
         ((Generator(1, 0),), [], "generator 1 has degree 0"),
+        # what load_spec refuses, the constructor refuses
+        ((Generator(0, 1), Generator(2, 2)), [], "generator ids must be positive integers, got 0"),
+        ((Generator(True, 1),), [], "generator ids must be positive integers, got True"),
+        ((Generator(1, True),), [], "generator 1 has degree True"),
         (
             g,
             [CoproductEntry(2, 1, (1,), 3)] * 2,

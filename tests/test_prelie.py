@@ -31,6 +31,8 @@ from hopfforest.prelie import (
     unshuffle_coproduct,
 )
 
+from monomial_walks import brace_through_the_product, witt
+
 SHAPE_LABELS = [
     "[]",
     "[[]]",
@@ -191,6 +193,41 @@ def test_brace_action_is_peel_order_independent(graft4):
             assert brace_action(graft4, i, right) == reference_brace(graft4, i, right)
 
 
+def _braces_match_the_product_route(spec):
+    brace, product = brace_through_the_product(spec)
+    for i in spec.basis_ids():
+        top = spec.truncation - spec.degree(i)
+        for right, _ in graded_monomials(spec.basis.values(), top):
+            assert brace_action(spec, i, right) == brace(i, right), (i, right)
+    mons = graded_monomials(spec.basis.values(), spec.truncation)
+    for a, da in mons:
+        for b, db in mons:
+            if da + db > spec.truncation:
+                break
+            assert guin_oudom_mul(spec, a, b) == product(a, b), (a, b)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda n=n: grafting_instance(n) for n in (4, 5, 6)] + [lambda: witt(8)],
+    ids=["grafting-4", "grafting-5", "grafting-6", "witt-8"],
+)
+def test_brace_from_the_products_matches_the_product_route(make):
+    # The brace, and the enveloping product built on it, equal the pair
+    # whose brace reads its derivation term off the enveloping product.
+    _braces_match_the_product_route(make())
+
+
+def test_brace_from_the_products_matches_the_product_route_off_preLie():
+    # The two derivation terms agree on every bilinear table, so also on
+    # corruptions that fail the preLie identity.
+    tables = list(_single_constant_corruptions(grafting_instance(4)))
+    assert len(tables) == 13
+    assert sum(bool(prelie_check(spec)) for spec in tables) == 10
+    for spec in tables:
+        _braces_match_the_product_route(spec)
+
+
 def test_enveloping_product_goldens(graft4):
     unit = Monomial(())
     assert guin_oudom_mul(graft4, mono(2), unit) == Polynomial.variable(2)
@@ -347,6 +384,12 @@ def test_validate_catches_structure_problems():
     cases = [
         ([Generator(1, 1), Generator(1, 2)], {}, 3, "duplicate basis id 1"),
         ([Generator(1, 0)], {}, 3, "basis element 1 has degree 0"),
+        # what load_prelie refuses, the constructor refuses
+        ([Generator(0, 1)], {}, 3, "basis ids must be positive integers, got 0"),
+        ([Generator(True, 1)], {}, 3, "basis ids must be positive integers, got True"),
+        ([Generator(1, True)], {}, 3, "basis element 1 has degree True"),
+        ([Generator(1, "1"), g[1]], {(1, 1): Polynomial.variable(2)}, 4, "degree '1'"),
+        (g, {(True, 1): Polynomial.variable(2)}, 4, "product (True, 1): unknown basis ids"),
         (g, {}, 0, "truncation must be a positive integer, got 0"),
         (g, {}, True, "truncation must be a positive integer, got True"),
         (g, {(1, 3): Polynomial.variable(2)}, 4, "product (1, 3): unknown basis ids"),
