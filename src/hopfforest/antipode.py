@@ -18,8 +18,10 @@ c * beta_M is c * scale / scale^|M| * b_M.
   reads rows only, never an antipode value (see `_dyson_salam`).
 
 Each recursion reads only its own lower values, memoized on the frame and
-filled bottom-up along its own leg, so the Python stack stays flat.  The
-antipode is multiplicative, with S(1) = 1; `term_stats` counts trees.
+filled bottom-up along its own leg, so the Python stack stays flat, and
+Dyson-Salam's value is memoized there too: `packed_route` reads the memos,
+the public routes decode them.  The antipode is multiplicative, with
+S(1) = 1; `term_stats` counts trees.
 """
 
 from __future__ import annotations
@@ -71,12 +73,10 @@ def _dyson_salam(frame: _Frame, iterate: dict, bound: int) -> dict:
     return _nonzero(terms)
 
 
-def antipode_forest(spec: CoproductSpec, i: int) -> Polynomial:
-    """Cancellation-free antipode: every realized tree contributes one term
-    with sign (-1)^(vertex count), weighted by the number of ordered subtree
-    assignments the canonical tree stands for.  Factored at the root it is
-    the right-leg recursion filled here: the ordered product over a right
-    leg that repeats an index counts each tree with its multiplicity."""
+def _forest(spec: CoproductSpec, i: int) -> tuple[_Frame, dict]:
+    """F(beta_i) packed, and its frame: the forest sum factored at the root,
+    where the ordered product over a right leg that repeats an index counts
+    each tree with its multiplicity."""
     frame = frame_over(spec, (i,))
     memo = frame.forest
     for j in _below(spec, (i,), "right", memo):
@@ -87,15 +87,38 @@ def antipode_forest(spec: CoproductSpec, i: int) -> Polynomial:
                 trees = _spread({}, ((k, c1, memo[r]) for k, c1 in trees.items()))
             _spread(acc, ((k, c1, memo[right[-1]]) for k, c1 in trees.items()))
         memo[j] = _nonzero(acc)
-    return frame.polynomial(memo[i], 1)
+    return frame, memo[i]
+
+
+def _dyson_salam_of(spec: CoproductSpec, i: int) -> tuple[_Frame, dict]:
+    """The Dyson-Salam route on one generator, packed, and its frame."""
+    frame = frame_over(spec, mono(i))  # mono checks i
+    memo = frame.dyson_salam
+    if i not in memo:
+        memo[i] = _dyson_salam(frame, {frame.field[i] << frame.shift: 1}, spec.degree(i))
+    return frame, memo[i]
+
+
+def _bogoliubov(spec: CoproductSpec, i: int) -> tuple[_Frame, dict]:
+    """Bogoliubov's S(beta_i) packed, and its frame: each left leg has
+    smaller degree, so the recursion is filled bottom-up along them."""
+    frame = frame_over(spec, (i,))
+    memo = frame.bogoliubov
+    for j in _below(spec, (i,), "left", memo):
+        parts = ((right, -c, memo[l]) for c, l, _, _, right in frame.rows[j])
+        memo[j] = _nonzero(_spread({frame.field[j]: -1}, parts))
+    return frame, memo[i]
+
+
+def antipode_forest(spec: CoproductSpec, i: int) -> Polynomial:
+    """Cancellation-free antipode, decoded: one term per realized tree, of
+    sign (-1)^(vertex count), times the ordered subtree assignments it has."""
+    return _Frame.polynomial(*_forest(spec, i), 1)
 
 
 def antipode_dyson_salam(spec: CoproductSpec, i: int) -> Polynomial:
-    """The Dyson-Salam route on one generator."""
-    mono(i)  # checks i
-    frame = frame_over(spec, (i,))
-    packed = _dyson_salam(frame, {frame.field[i] << frame.shift: 1}, spec.degree(i))
-    return frame.polynomial(packed, 1)
+    """The Dyson-Salam route on one generator, decoded."""
+    return _Frame.polynomial(*_dyson_salam_of(spec, i), 1)
 
 
 def dyson_salam_poly(spec: CoproductSpec, p: Polynomial) -> Polynomial:
@@ -109,15 +132,8 @@ def dyson_salam_poly(spec: CoproductSpec, p: Polynomial) -> Polynomial:
 
 
 def antipode_bogoliubov(spec: CoproductSpec, i: int) -> Polynomial:
-    """Triangular recursion through the coproduct table.  Every left leg is
-    a single generator of strictly smaller degree, so the recursion is
-    well-founded; it is filled bottom-up along left legs."""
-    frame = frame_over(spec, (i,))
-    memo = frame.bogoliubov
-    for j in _below(spec, (i,), "left", memo):
-        parts = ((right, -c, memo[l]) for c, l, _, _, right in frame.rows[j])
-        memo[j] = _nonzero(_spread({frame.field[j]: -1}, parts))
-    return frame.polynomial(memo[i], 1)
+    """Triangular recursion through the coproduct table, decoded."""
+    return _Frame.polynomial(*_bogoliubov(spec, i), 1)
 
 
 _GENERATOR_METHODS = {
@@ -132,6 +148,13 @@ def _route(method: str) -> Callable[[CoproductSpec, int], Polynomial]:
     if method not in _GENERATOR_METHODS:
         raise InputError(f"unknown antipode method {method!r}; choose from {METHODS}")
     return _GENERATOR_METHODS[method]
+
+
+def packed_route(method: str) -> Callable[[CoproductSpec, int], tuple[_Frame, dict]]:
+    """`_route`'s route, undecoded: (spec, i) to the frame and S(beta_i) as
+    memoized on it.  On one frame, equal packed values are equal antipodes."""
+    _route(method)
+    return {"forest": _forest, "dyson-salam": _dyson_salam_of, "bogoliubov": _bogoliubov}[method]
 
 
 @spec_memo

@@ -94,7 +94,8 @@ class _Frame:
                  self.pack(right)) for _, left, right, c in spec.entries_for(j)]
             for j in ids
         }
-        self.forest, self.bogoliubov, self.counts, self.reduced, self.decoded = {}, {}, {}, {}, {}
+        self.forest, self.dyson_salam, self.bogoliubov = {}, {}, {}
+        self.counts, self.reduced, self.decoded = {}, {}, {}
         # full coproducts: the unit's, each generator's, then each monomial met's
         self.full = {0: {0: 1}} | {
             b: {b: 1, b << shift: 1, **{l + (r << shift): c for c, *_, l, r in self.rows[j]}}
@@ -254,28 +255,33 @@ def monomials_up_to(spec: CoproductSpec, max_degree: int) -> list[Monomial]:
 
 
 def convolution_check(
-    spec: CoproductSpec, max_degree: int, antipode: Callable[[Monomial], Polynomial]
+    spec: CoproductSpec, max_degree: int, antipode: str | Callable[[Monomial], Polynomial]
 ) -> list[str]:
     """Check (antipode * id)(b) = 0 on every generator b of degree <=
     max_degree, where * is convolution through the full coproduct.
-    `antipode` maps a monomial to its image and must be multiplicative, with
-    antipode(1) = 1, as `antipode.antipode_endomap` is: the algebra is
-    commutative, so the convolution is then an algebra morphism, and a
-    monomial fails exactly when one of its generators does.  It is read once
-    on the unit and each generator, and S(beta_i) + S(1) beta_i + sum of
-    c' S(beta_l) beta_J is summed packed, on a new frame only when a value
-    names a generator spec's lacks or a key could carry.  Returns failure
-    descriptions; empty means the antipode property holds."""
+    `antipode` is a method name, whose packed route values are read off its
+    memo, or a multiplicative map from a monomial to its image with
+    antipode(1) = 1, as `antipode.antipode_endomap` is, read once on the
+    unit and each generator and packed, on a new frame only when a value
+    names a generator spec's lacks or a key could carry.  The algebra is
+    commutative, so the convolution is an algebra morphism and a monomial
+    fails exactly when one of its generators does.  S(beta_i) + S(1) beta_i
+    + sum of c' S(beta_l) beta_J is summed packed, decoded only on failure.
+    Returns failure descriptions; empty means the antipode property holds."""
     ids = _generators_up_to(spec, max_degree)
     if not ids:
         return []
     frame = frame_over(spec, ids)  # one frame for every route value the antipode reads
-    values = {0: antipode(UNIT)} | {i: antipode(mono(i)) for i in ids}
-    gens = set(ids).union(*(m for s in values.values() for m, _ in s.items()))
-    excess = max(max((len(m) for m, _ in s.items()), default=0) - (j and spec.degree(j))
-                 for j, s in values.items())
-    frame = frame_over(spec, gens, max_degree + excess if excess > 0 else 0)  # or widen
-    packed = {j: frame.packed(s, j and 1) for j, s in values.items()}  # S(beta_j), S(1)
+    if isinstance(antipode, str):  # S(1) = 1
+        from .antipode import packed_route  # which imports this module
+        packed = {0: {0: 1}} | {i: packed_route(antipode)(spec, i)[1] for i in ids}
+    else:
+        values = {0: antipode(UNIT)} | {i: antipode(mono(i)) for i in ids}
+        gens = set(ids).union(*(m for s in values.values() for m, _ in s.items()))
+        excess = max(max((len(m) for m, _ in s.items()), default=0) - (j and spec.degree(j))
+                     for j, s in values.items())
+        frame = frame_over(spec, gens, max_degree + excess if excess > 0 else 0)  # or widen
+        packed = {j: frame.packed(s, j and 1) for j, s in values.items()}  # S(beta_j), S(1)
     problems: list[str] = []
     for i in ids:
         parts = [(0, 1, packed[i]), (frame.field[i], 1, packed[0])]

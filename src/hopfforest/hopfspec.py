@@ -171,8 +171,9 @@ class CoproductSpec:
                 problems.append(
                     f"generator {g.id} has degree {g.degree!r}; degrees must be positive integers"
                 )
-        known = frozenset(self.generators)
-        degree = {i: g.degree for i, g in self.generators.items()}.get
+        # rows that touch a generator whose degree failed above are skipped
+        graded = {i: g.degree for i, g in self.generators.items() if _positive_int(g.degree)}
+        known, degree = frozenset(graded), graded.get
         # Sorted by key, so a repeated key follows its first occurrence.
         previous = None
         for e in self.entries:
@@ -183,10 +184,8 @@ class CoproductSpec:
             expect = degree(source)
             total = degree(left)
             if expect is None or total is None or not known.issuperset(right):
-                unknown = {i for i in key[:2] + right if i not in known}
-                problems.append(
-                    f"{_entry_text(e)}: unknown generator ids {sorted(unknown)}"
-                )
+                if unknown := {i for i in key[:2] + right if i not in self.generators}:
+                    problems.append(f"{_entry_text(e)}: unknown generator ids {sorted(unknown)}")
                 continue
             for j in right:
                 total += degree(j)

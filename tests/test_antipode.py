@@ -57,7 +57,7 @@ from hopfforest.trees import (
 import coproduct_oracle as oracle
 from route_recursions import bogoliubov_recursion, forest_recursion
 from series_reversion import evaluate, lagrange_antipode
-from test_coproduct import _convolution_per_monomial
+from test_coproduct import BOGOLIUBOV_DIFFERS, _convolution_per_monomial
 
 GOLDEN = {
     1: "-1 b1",
@@ -233,13 +233,6 @@ def _dyson_salam_first_slot(spec, i):
             ],
         )
     return total
-
-
-#: The corruptions of each `corrupted` table on which Bogoliubov's values
-#: differ from the forest route's: all but the fdb-6 rows (6; 3; [3]) and
-#: (6; 2; [1, 1, 2]), where c * S(b_l) * b_J and c * b_l * prod S(b_j) are
-#: the same product.
-BOGOLIUBOV_DIFFERS = {"fdb-6": 29, "grafting-5-dual": 68}
 
 
 def test_dyson_salam_is_the_forest_recursion_on_corrupted_tables(corrupted):

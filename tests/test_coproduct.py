@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 import coproduct_oracle as oracle
 from hopfforest import cli, coproduct
 from hopfforest.algebra import UNIT, Polynomial, Tensor, mono
-from hopfforest.antipode import METHODS, antipode_endomap, antipode_generator, term_stats
+from hopfforest.antipode import (
+    METHODS,
+    antipode_dyson_salam,
+    antipode_endomap,
+    antipode_generator,
+    packed_route,
+    term_stats,
+)
 from hopfforest.coproduct import (
     coassociativity_report,
     convolution_check,
@@ -532,6 +539,112 @@ def test_verify_and_compare_decode_each_packed_monomial_once(monkeypatch, capsys
             cli.run([command, "--spec", "-", "--max-degree", "5"])
     assert "convolution failed" in capsys.readouterr().err
     assert decoded and len(decoded) == len(set(decoded))
+
+
+#: The corruptions of each `corrupted` table on which Bogoliubov's values
+#: differ from the forest route's: all but the fdb-6 rows (6; 3; [3]) and
+#: (6; 2; [1, 1, 2]), where c * S(b_l) * b_J and c * b_l * prod S(b_j) are
+#: the same product.
+BOGOLIUBOV_DIFFERS = {"fdb-6": 29, "grafting-5-dual": 68}
+
+
+def _fresh(spec):
+    """A copy of spec with empty memos."""
+    return CoproductSpec(spec.name, spec.generators.values(), spec.entries)
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """The packed values `_Frame.polynomial` decodes, in order."""
+    decoded = []
+    polynomial = coproduct._Frame.polynomial
+
+    def counted(self, packed, lift):
+        decoded.append(packed)
+        return polynomial(self, packed, lift)
+
+    monkeypatch.setattr(coproduct._Frame, "polynomial", counted)
+    return decoded
+
+
+@pytest.mark.parametrize(
+    "make, degree",
+    [(lambda: faa_di_bruno_spec(8), 8), (lambda: dualize(grafting_instance(5), 5), 5)],
+    ids=["fdb-8", "grafting-5-dual"],
+)
+def test_verify_and_compare_decode_nothing_on_a_passing_table(
+    make, degree, decodes, monkeypatch, capsys
+):
+    # Every check compares or sums packed values; an answer that passes
+    # prints no value, so none is decoded.
+    spec = make()
+    monkeypatch.setattr(cli, "load_spec_file", lambda path: spec)
+    for command in ("verify", "compare"):
+        assert cli.run([command, "--spec", "-", "--max-degree", str(degree)]) == 0
+    assert capsys.readouterr().err == ""
+    assert decodes == []
+
+
+def test_verify_and_compare_decode_only_what_fails(corrupted, decodes, monkeypatch, capsys):
+    # On every single-coefficient corruption, each command on a fresh copy
+    # decodes the three route values of each generator the methods disagree
+    # on, and each failing convolution's sum, and nothing else.
+    _, _, degree, tables = corrupted
+    argv = ["--spec", "-", "--max-degree", str(degree)]
+    decoded_any = 0
+    for table in tables:
+        for command in ("verify", "compare"):
+            spec = _fresh(table)
+            monkeypatch.setattr(cli, "load_spec_file", lambda path: spec)
+            decodes.clear()
+            rc = cli.run([command, *argv])
+            out, err = capsys.readouterr()
+            lines = err.splitlines()
+            if command == "verify":
+                disagree = sum(line.startswith("  methods disagree") for line in lines)
+                failed = sum(line.startswith("  convolution failed") for line in lines)
+                coassociativity = sum(line.startswith("  coassociativity") for line in lines)
+                assert rc == 1 and len(lines) == disagree + failed + coassociativity
+            else:
+                disagree, failed = out.count("agree=NO"), 0
+                assert rc == bool(disagree) and err == ""
+            assert len(decodes) == 3 * disagree + failed
+            decoded_any += bool(decodes)
+    assert decoded_any == 2 * BOGOLIUBOV_DIFFERS[corrupted[0]]
+
+
+def test_method_convolution_and_agreement_on_packed_values(corrupted):
+    # On the clean table and every corruption: the convolution of a method
+    # name, summed off the route's packed memo, prints what the map's and
+    # the Tensor oracle's print; two routes' packed values on one frame are
+    # equal exactly when their decoded values are; and Dyson-Salam's memo
+    # holds what a fresh copy computes.
+    _, base, degree, tables = corrupted
+    for table in [base, *tables]:
+        spec = _fresh(table)
+        ids = spec.generator_ids()
+        frame = coproduct.frame_over(spec, ids)
+        for method in METHODS:
+            got = convolution_check(spec, degree, method)
+            antipode = antipode_endomap(spec, method)
+            assert got == convolution_check(spec, degree, antipode)
+            assert got == oracle.convolution_check(spec, degree, antipode)
+        assert coproduct.frame_over(spec, ids) is frame
+        for i in ids:
+            packed = [packed_route(method)(spec, i) for method in METHODS]
+            assert all(f is frame for f, _ in packed)
+            decoded = [antipode_generator(spec, i, method) for method in METHODS]
+            for (_, p), d in zip(packed[1:], decoded[1:]):
+                assert (p == packed[0][1]) == (d == decoded[0])
+        fresh = _fresh(table)
+        assert frame.dyson_salam.keys() == set(ids)
+        for i, packed in frame.dyson_salam.items():
+            assert frame.polynomial(packed, 1) == antipode_dyson_salam(fresh, i)
+
+
+def test_convolution_rejects_an_unknown_method():
+    with pytest.raises(InputError, match="^unknown antipode method 'newton'"):
+        convolution_check(faa_di_bruno_spec(3), 3, "newton")
 
 
 def test_convolution_rejects_values_over_generators_the_table_lacks():

@@ -301,6 +301,18 @@ def test_validate_flags_each_violation():
         assert message in str(exc.value)
 
 
+@pytest.mark.parametrize("bad", [object(), None, "x"], ids=["object", "None", "str"])
+def test_rows_touching_a_generator_of_bad_degree_are_skipped(bad):
+    # The degree problem is the table's only one: the row through b1 is not
+    # summed (a TypeError on object(), "xx" on "x") nor read as naming an
+    # unknown id (None).
+    with pytest.raises(InputError) as exc:
+        _spec((Generator(1, bad), Generator(2, 2)), [CoproductEntry(2, 1, (1,), 1)])
+    assert str(exc.value) == (
+        f"invalid spec: generator 1 has degree {bad!r}; degrees must be positive integers"
+    )
+
+
 def test_json_roundtrip(fdb6):
     text = save_spec(fdb6)
     again = load_spec(text)
