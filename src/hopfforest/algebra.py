@@ -184,9 +184,10 @@ class _CoefficientMap:
 
     A subclass supplies only what differs: the key check ``_key``, the key
     product ``_key_mul``, the key text ``_key_text``, ``_like`` (a value of
-    the same kind and rank), and the term order in ``terms``.  ``__init__``,
-    ``__add__`` and ``__mul__`` are bound on each subclass too, so per-class
-    timings can tell polynomial work from tensor work.
+    the same kind and rank), and the term order ``_order`` of ``terms`` and
+    ``render``.  ``__init__``, ``__add__``, ``__mul__`` and ``terms`` are
+    bound on each subclass too, so per-class timings and counts can tell
+    polynomial work from tensor work.
 
     Only the public constructors check keys.  A value derived from values
     that passed that check (a sum, product, negation or scalar multiple
@@ -237,6 +238,10 @@ class _CoefficientMap:
     def __rmul__(self, other: Scalar):
         return self * other
 
+    def terms(self) -> list:
+        """(key, Fraction) pairs in the canonical order ``_order``."""
+        return [(key, _fraction(c)) for key, c in sorted(self._terms.items(), key=self._order)]
+
     def items(self):
         """The (key, coefficient) pairs in no particular order, each
         coefficient an int or a Fraction: the read for internal sums."""
@@ -261,11 +266,12 @@ class _CoefficientMap:
         return hash((self._rank, frozenset(self._terms.items())))
 
     def render(self) -> str:
-        # "p/q" coefficients rendered by Fraction; "-1 b3 + 10 b1b2 - 15 b1b1b1".
-        # Only a bare unit monomial collapses to its coefficient; tensor keys
-        # keep their slot structure ("1 (x) b2") so the rank stays visible.
+        # "p" or "p/q" from the stored coefficients, in the order of `terms`:
+        # "-1 b3 + 10 b1b2 - 15 b1b1b1".  Only a bare unit monomial collapses
+        # to its coefficient; tensor keys keep their slot structure
+        # ("1 (x) b2") so the rank stays visible.
         chunks: list[str] = []
-        for key, c in self.terms():
+        for key, c in sorted(self._terms.items(), key=self._order):
             piece = coefficient_text(abs(c))
             if key != UNIT:
                 piece = f"{piece} {self._key_text(key)}"
@@ -286,10 +292,13 @@ class Polynomial(_CoefficientMap):
     _rank = None  # a polynomial is not a tensor of any rank
     _key_mul = staticmethod(operator.mul)
     _key_text = staticmethod(Monomial.render)
+    #: Canonical term order: shorter products first, then index-lexicographic.
+    _order = staticmethod(lambda t: (len(t[0]), t[0]))
 
     __init__ = _CoefficientMap.__init__
     __add__ = _CoefficientMap.__add__
     __mul__ = _CoefficientMap.__mul__
+    terms = _CoefficientMap.terms
 
     @staticmethod
     def _key(m: Monomial) -> Monomial:
@@ -324,11 +333,6 @@ class Polynomial(_CoefficientMap):
     def variable(cls, i: int) -> "Polynomial":
         """The generator b_i as a polynomial."""
         return cls({mono(i): 1})
-
-    def terms(self) -> list[tuple[Monomial, Fraction]]:
-        """Terms in canonical monomial order."""
-        ordered = sorted(self._terms.items(), key=lambda t: t[0].sort_key)
-        return [(m, _fraction(c)) for m, c in ordered]
 
     def coefficient(self, m: Monomial) -> Fraction:
         return _fraction(self._terms.get(m, 0))
@@ -376,6 +380,9 @@ class Tensor(_CoefficientMap):
     def _key_text(key: TensorKey) -> str:
         return " (x) ".join(m.render() for m in key)
 
+    #: Canonical term order: the monomials' order, slot by slot.
+    _order = staticmethod(lambda t: tuple((len(m), m) for m in t[0]))
+
     @classmethod
     def _checked(cls, rank: int, terms: Iterable[tuple[TensorKey, Scalar]]) -> "Tensor":
         """A rank-`rank` tensor of pairs whose keys are tuples of `rank`
@@ -415,18 +422,12 @@ class Tensor(_CoefficientMap):
             terms = [(key + (m,), c * cm) for key, c in terms for m, cm in p.items()]
         return cls(len(factors), terms)
 
-    def terms(self) -> list[tuple[TensorKey, Fraction]]:
-        """Terms in canonical order, slot by slot."""
-        ordered = sorted(
-            self._terms.items(), key=lambda t: tuple(m.sort_key for m in t[0])
-        )
-        return [(key, _fraction(c)) for key, c in ordered]
-
     def coefficient(self, key: TensorKey) -> Fraction:
         return _fraction(self._terms.get(tuple(key), 0))
 
     __add__ = _CoefficientMap.__add__
     __mul__ = _CoefficientMap.__mul__
+    terms = _CoefficientMap.terms
 
     def multiplied_out(self) -> Polynomial:
         """Multiply all slots together (the k-fold product applied to the tensor)."""

@@ -292,18 +292,54 @@ def build_parser(
     return parser
 
 
+def _plain_args(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The parser's namespace for a plain argv, ``NAME [fdb] --flag VALUE ...``
+    of str tokens, each flag NAME's own, exact and given once, and no value
+    starting with "-"; values go through `_COMMANDS`' type, choices and
+    default.  None for any other argv, so every message stays the parser's."""
+    if not argv or not all(type(token) is str for token in argv) or argv[0] not in _COMMANDS:
+        return None
+    name, *rest = argv
+    args = {"command": name}
+    if name == "gen":
+        if rest[:1] != ["fdb"]:
+            return None
+        args["generator"], *rest = rest
+    flags, given = dict(_COMMANDS[name][2]), dict(zip(rest[::2], rest[1::2]))
+    # an odd count, a repeated flag or any other word is not plain
+    if len(given) * 2 != len(rest) or not given.keys() <= flags.keys():
+        return None
+    for flag, options in flags.items():
+        value = given.get(flag, options.get("default"))
+        if flag not in given:
+            if options.get("required"):
+                return None
+        elif value.startswith("-"):
+            return None
+        else:
+            try:
+                value = options.get("type", str)(value)
+            except ValueError:
+                return None
+            if "choices" in options and value not in options["choices"]:
+                return None
+        args[flag[2:].replace("-", "_")] = value
+    return argparse.Namespace(**args)
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    """Parse and execute one command; returns the process exit code."""
+    """Parse and execute one command; returns the process exit code.  A plain
+    argv (`_plain_args`) builds no parser; argparse reads any other."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    # Build only the named subcommand's parser; --help, no arguments or an
-    # unknown name get the full parser and its messages.
-    known = bool(argv) and argv[0] in _COMMANDS
-    parser = build_parser(argv[:1] if known else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help; pass both through
-        return int(exc.code or 0)
+    args = _plain_args(argv)
+    if args is None:
+        # only the named subcommand's parser, or all for no or an unknown name
+        known = bool(argv) and argv[0] in _COMMANDS
+        try:
+            args = build_parser(argv[:1] if known else None).parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 2 on usage errors and 0 on --help; pass both through
+            return int(exc.code or 0)
     try:
         return _COMMANDS[args.command][0](args)
     except InputError as exc:

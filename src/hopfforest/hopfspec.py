@@ -29,6 +29,7 @@ import re
 from fractions import Fraction
 from functools import wraps
 from itertools import groupby
+from json.encoder import encode_basestring_ascii
 from math import factorial, prod
 from operator import itemgetter
 from types import MappingProxyType
@@ -171,6 +172,8 @@ class CoproductSpec:
                 problems.append(
                     f"generator {g.id} has degree {g.degree!r}; degrees must be positive integers"
                 )
+            if g.label is not None and not isinstance(g.label, str):
+                problems.append(f"generator {g.id} has label {g.label!r}; labels must be strings")
         # rows that touch a generator whose degree failed above are skipped
         graded = {i: g.degree for i, g in self.generators.items() if _positive_int(g.degree)}
         known, degree = frozenset(graded), graded.get
@@ -298,9 +301,37 @@ def spec_to_dict(spec: CoproductSpec) -> dict:
     return {"name": spec.name, "generators": gens, "coproduct": entries}
 
 
+#: A generator, its label and a coproduct row in ``json.dumps(indent=2)``'s layout.
+_GENERATOR_JSON = '{\n      "id": %d,\n      "degree": %d%s\n    }'
+_LABEL_JSON = ',\n      "label": %s'
+_ROW_JSON = (
+    '{\n      "source": %d,\n      "left": %d,\n      "right": [\n        %s\n      ],\n'
+    '      "coeff": %s\n    }'
+)
+
+
+def _json_list(items: list[str]) -> str:
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
+
 def save_spec(spec: CoproductSpec) -> str:
-    """Canonical JSON text for a coproduct table."""
-    return json.dumps(spec_to_dict(spec), indent=2) + "\n"
+    """Canonical JSON text for a coproduct table: the text of
+    ``json.dumps(spec_to_dict(spec), indent=2) + "\\n"``, written row by row
+    around json's C string encoder, since any ``indent`` sends ``json.dumps``
+    to its pure-Python encoder."""
+    text, number = encode_basestring_ascii, int.__repr__
+    gens = [
+        _GENERATOR_JSON % (g.id, g.degree, "" if g.label is None else _LABEL_JSON % text(g.label))
+        for g in sorted(spec.generators.values(), key=itemgetter(0))
+    ]
+    rows = [
+        _ROW_JSON
+        % (source, left, ",\n        ".join(map(number, right)), text(coefficient_text(coeff)))
+        for source, left, right, coeff in spec.entries
+    ]
+    return '{\n  "name": %s,\n  "generators": %s,\n  "coproduct": %s\n}\n' % (
+        text(spec.name), _json_list(gens), _json_list(rows)
+    )
 
 
 # --- JSON deserialization ----------------------------------------------------

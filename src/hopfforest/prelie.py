@@ -108,6 +108,8 @@ class PreLieSpec:
                 problems.append(
                     f"basis element {g.id} has degree {g.degree!r}; must be a positive integer"
                 )
+            if g.label is not None and not isinstance(g.label, str):
+                problems.append(f"basis element {g.id} has label {g.label!r}; must be a string")
         t = self.truncation
         if not _positive_int(t):
             problems.append(

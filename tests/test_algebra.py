@@ -5,7 +5,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfforest import antipode, cli, coproduct, prelie
@@ -347,6 +347,60 @@ def test_tensor_render_keeps_unit_slots():
     assert Tensor.single((mono(1), mono(1)), 3).render() == "3 b1 (x) b1"
     assert Tensor.single((UNIT, mono(2)), 2).render() == "2 1 (x) b2"
     assert Tensor.zero(2).render() == "0"
+
+
+def _render_oracle(value):
+    """``render`` as it was built before it read stored coefficients: the
+    terms in ``sort_key`` order, each coefficient through Fraction."""
+    if isinstance(value, Tensor):
+        order = lambda t: tuple(m.sort_key for m in t[0])  # noqa: E731
+        key_text = lambda key: " (x) ".join(m.render() for m in key)  # noqa: E731
+    else:
+        order, key_text = (lambda t: t[0].sort_key), Monomial.render
+    terms = [(key, Fraction(c)) for key, c in sorted(value.items(), key=order)]
+    assert value.terms() == terms
+    chunks = []
+    for key, c in terms:
+        piece = str(abs(c)) if key == UNIT else f"{abs(c)} {key_text(key)}"
+        if not chunks:
+            chunks.append(piece if c > 0 else f"-{piece}")
+        else:
+            chunks.append(("+ " if c > 0 else "- ") + piece)
+    return " ".join(chunks) or "0"
+
+
+render_scalars = st.one_of(
+    st.just(0),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.fractions(max_denominator=10**6),
+)
+render_monomials = st.one_of(st.just(UNIT), monomials)
+
+
+@st.composite
+def rendered_values(draw):
+    """A polynomial or a tensor of rank 1 to 4, unit keys and zero
+    coefficients among its pairs, so zeros and cancellations drop out."""
+    rank = draw(st.integers(min_value=0, max_value=4))
+    if not rank:
+        return Polynomial(draw(st.lists(st.tuples(render_monomials, render_scalars), max_size=8)))
+    keys = st.tuples(*[render_monomials] * rank)
+    return Tensor(rank, draw(st.lists(st.tuples(keys, render_scalars), max_size=8)))
+
+
+@settings(max_examples=200, derandomize=True)
+@given(rendered_values())
+def test_render_matches_the_fraction_oracle(value):
+    assert value.render() == str(value) == _render_oracle(value)
+
+
+@pytest.mark.parametrize("make", [Polynomial.single, lambda m, c: Tensor.single((m, UNIT), c)])
+@pytest.mark.parametrize(
+    "c", [10**4300, -(10**4300), Fraction(1, 10**4300)], ids=["int", "negative", "fraction"]
+)
+def test_render_past_the_digit_limit_raises_input_error(make, c):
+    with pytest.raises(InputError, match="coefficient too big to print"):
+        make(mono(1), c).render()
 
 
 def test_tensor_equality_requires_same_rank():

@@ -4,6 +4,8 @@ import json
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hopfforest import cli, trees
 from hopfforest.algebra import Polynomial
@@ -539,6 +541,29 @@ _ACCEPTED = {
 }
 
 
+_ANTIPODE = _ACCEPTED["antipode"]
+
+#: Near misses of a plain argv that the parser refuses or answers with help:
+#: other spellings of a flag, the parser's own words, a repeated flag and
+#: values int() or the choices refuse.
+_NEAR_MISSES = [
+    ["antipode", "--spec", "s", "--element=x", "--method", "forest"],
+    ["antipode", "--spec", "s", "--elem", "x", "--method", "forest"],
+    ["antipode", "--", "--spec", "s"],
+    ["antipode", "--spec", "s", "--element", "", "--method", "forest"],
+    ["antipode", *_ANTIPODE[:-1], "magic"],
+    ["antipode", *_ANTIPODE, "--format", "xml"],
+    ["verify", "--spec", "s", "--max-degree", "1", "--max-degree", "x"],
+    ["verify", "--spec", "s", "--max-degree", "1", "--"],
+    ["gen", "fdb", "--max-degree", "1e3"],
+    ["linearizations", "--spec", "s", "--element", "1", "--k", "-"],
+    # values int() reads, which the parser reads too, before a missing flag
+    *(["verify", "--max-degree", value, "--spec"] for value in ("-1", " 7", "+1", "1_0", "\u0663")),
+    *([name, *accepted, "-h"] for name, accepted in _ACCEPTED.items()),
+    *([name, *accepted, accepted[-2]] for name, accepted in _ACCEPTED.items()),
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -552,6 +577,7 @@ _ACCEPTED = {
         *([name] for name in _ACCEPTED),
         *([name, "--element", "x"] for name in _ACCEPTED),
         *([name, *accepted, "extra"] for name, accepted in _ACCEPTED.items()),
+        *_NEAR_MISSES,
     ],
 )
 def test_run_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
@@ -570,3 +596,91 @@ def test_run_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
     monkeypatch.setattr(cli, "build_parser", recording)
     assert invoke(capsys, *argv) == expect
     assert built == [argv[:1] if argv and argv[0] in _ACCEPTED else None]
+
+
+def _well_formed(spec, prelie):
+    """A plain argv of every subcommand, some with their optional flags and
+    some with the flags out of --help order."""
+    return [
+        ["antipode", "--spec", spec, "--element", "4", "--method", "forest"],
+        ["antipode", "--format", "json", "--method", "bogoliubov", "--element", "3",
+         "--spec", spec],
+        ["coproduct", "--spec", spec, "--element", "4", "--iterate", "3", "--format", "json"],
+        ["coproduct", "--element", "3", "--spec", spec],
+        ["trees", "--spec", spec, "--element", "3"],
+        ["linearizations", "--spec", spec, "--element", "3", "--k", "2"],
+        ["verify", "--spec", spec, "--max-degree", "4"],
+        ["compare", "--max-degree", "4", "--spec", spec],
+        ["gen", "fdb", "--max-degree", "4"],
+        ["dualize", "--prelie", prelie, "--max-degree", "4"],
+        ["prelie-verify", "--prelie", prelie],
+    ]
+
+
+def test_a_plain_argv_of_every_subcommand_builds_no_parser(
+    capsys, monkeypatch, fdb6_file, graft4_file
+):
+    built = []
+
+    def recording(commands):
+        built.append(commands)
+        return build_parser(commands)
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    runs = _well_formed(fdb6_file, graft4_file)
+    assert {argv[0] for argv in runs} == set(cli._COMMANDS)
+    for argv in runs:
+        plain = invoke(capsys, *argv)
+        assert built == [] and plain[0] == 0 and plain[1]
+        # the same command through the parser: each flag as --flag=value
+        pairs = argv[2:] if argv[0] == "gen" else argv[1:]
+        head = argv[: len(argv) - len(pairs)]
+        parsed = [*head, *(f"{f}={v}" for f, v in zip(pairs[::2], pairs[1::2]))]
+        assert invoke(capsys, *parsed) == plain
+        assert built == [argv[:1]]
+        built.clear()
+
+
+_NEAR_FLAGS = ["--element=3", "--elem", "--", "-h", "--help", "extra", "fdb"]
+_NEAR_VALUES = [
+    "-1", " 7", "+1", "1_0", "\u0663", "", "-", "-h", "--", "magic", "xml", "1e3", "s", "json"
+]
+
+
+def _good_values(options):
+    if "choices" in options:
+        return list(options["choices"])
+    return ["1", "12"] if "type" in options else ["s", "fdb"]
+
+
+@st.composite
+def _argvs(draw):
+    """An argv from a subcommand's own flags in any order, some left out,
+    each with a value its flag takes or, one time in four, a near miss; then
+    up to two stray tokens inserted: near-miss flags or values, a repeated
+    flag or a non-str token."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    arguments = cli._COMMANDS[name][2]
+    argv = [name, "fdb"] if name == "gen" else [name]
+    for flag, options in draw(st.permutations(arguments)):
+        if draw(st.sampled_from([True, True, True, False])):
+            near = draw(st.sampled_from([True, False, False, False]))
+            argv += [flag, draw(st.sampled_from(_NEAR_VALUES if near else _good_values(options)))]
+    flags = [flag for flag, _ in arguments]
+    strays = st.sampled_from([*_NEAR_FLAGS, *_NEAR_VALUES, *flags, 5])
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        argv.insert(draw(st.integers(min_value=0, max_value=len(argv))), draw(strays))
+    return argv
+
+
+@settings(max_examples=600, derandomize=True, database=None)
+@given(_argvs())
+@example(["prelie-verify", "--prelie", "-h"])
+@example(["prelie-verify", "--prelie", "--"])
+@example(["verify", "--spec", "s", "--max-degree", "-1"])
+@example(["gen", "fdb", "--max-degree", "\u0663"])
+@example(["antipode", "--spec", "s", "--element", "1", "--method", "forest", "--format", 5])
+def test_the_plain_reader_is_the_parser_or_declines(argv):
+    plain = cli._plain_args(argv)
+    if plain is not None:
+        assert vars(plain) == vars(build_parser().parse_args(argv))

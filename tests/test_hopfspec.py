@@ -16,7 +16,7 @@ from math import factorial
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopfforest
@@ -38,6 +38,8 @@ from hopfforest.hopfspec import (
     sym_spec,
 )
 from hopfforest.prelie import brace_action, dualize, grafting_instance, prelie_from_dict
+
+from monomial_walks import witt
 
 
 def partitions_with_sizes(n, sizes):
@@ -299,6 +301,23 @@ def test_validate_flags_each_violation():
             _spec(generators, entries)
         assert str(exc.value).startswith("invalid spec: ")
         assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("label", [5, b"b1", ["b1"]], ids=["int", "bytes", "list"])
+def test_a_label_the_loader_refuses_the_constructor_refuses(label):
+    # Before the constructor checked labels, this table built and saved as
+    # '"label": 5', which load_spec then refused.
+    with pytest.raises(InputError) as exc:
+        CoproductSpec(
+            "x", [Generator(1, 1, label), Generator(2, 2)], [CoproductEntry(2, 1, [1], 2)]
+        )
+    assert str(exc.value) == (
+        f"invalid spec: generator 1 has label {label!r}; labels must be strings"
+    )
+    doc = spec_to_dict(faa_di_bruno_spec(2))
+    doc["generators"][0]["label"] = label
+    with pytest.raises(InputError, match=r"^generators\[0\]: label must be a string$"):
+        spec_from_dict(doc)
 
 
 @pytest.mark.parametrize("bad", [object(), None, "x"], ids=["object", "None", "str"])
@@ -571,6 +590,72 @@ def test_save_load_is_a_fixed_point(make):
     assert all(type(e) is CoproductEntry for e in again.entries)
     for i in spec.generator_ids():
         assert again.entries_for(i) == spec.entries_for(i)
+
+
+def _dumps(spec):
+    """The layout `save_spec` writes, through json's own indented encoder."""
+    return json.dumps(spec_to_dict(spec), indent=2) + "\n"
+
+
+#: Texts json escapes: a quote, a backslash, control characters, non-ASCII,
+#: a character past the BMP (a surrogate pair) and a lone surrogate.
+_ESCAPED = [
+    'q"uote', "back\\slash", "\x00\x1f\t\n\x7f", "caf\u00e9", "\U0001F600", "\ud800", "</a>"
+]
+
+
+def _escaped_spec():
+    gens = [Generator(i, 1, label) for i, label in enumerate(_ESCAPED, 1)] + [Generator(9, 2)]
+    return CoproductSpec("".join(_ESCAPED), gens, [CoproductEntry(9, 1, [7], -3)])
+
+
+def _coefficient_spec():
+    coeffs = [-1, Fraction(-7, 3), Fraction(10**600 + 1, 7), -(10**4000), 10**299 * 3]
+    gens = [Generator(i, 1) for i in range(1, len(coeffs) + 1)] + [Generator(9, 2, "top")]
+    return CoproductSpec("c", gens, [CoproductEntry(9, 1, [i], c) for i, c in enumerate(coeffs, 1)])
+
+
+_SAVED_SPECS = {
+    **{f"fdb-{n}": (lambda n=n: faa_di_bruno_spec(n)) for n in range(1, 13)},
+    "sym-24": lambda: sym_spec(24),
+    **{f"grafting-{k}-dual": (lambda k=k: dualize(grafting_instance(k), k)) for k in range(4, 8)},
+    **{f"witt-{n}-dual": (lambda n=n: dualize(witt(n), n)) for n in (1, 4, 8, 10)},
+    "empty": lambda: CoproductSpec("", [], []),
+    "no-rows": lambda: CoproductSpec("n", [Generator(1, 1)], []),
+    "escaped-texts": _escaped_spec,
+    "coefficients": _coefficient_spec,
+}
+
+
+@pytest.mark.parametrize("make", _SAVED_SPECS.values(), ids=_SAVED_SPECS.keys())
+def test_save_spec_is_json_dumps_with_indent_two(make):
+    spec = make()
+    assert save_spec(spec) == _dumps(spec)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(
+    st.text(),
+    st.lists(st.one_of(st.none(), st.text()), min_size=1, max_size=3),
+    st.lists(st.one_of(st.integers(), st.fractions()).filter(bool), max_size=9),
+)
+def test_save_spec_is_json_dumps_on_drawn_texts_and_coefficients(name, labels, coeffs):
+    """Rows (top; i; [j]) over degree-1 generators with drawn labels, under a
+    drawn name, with drawn coefficients."""
+    top = len(labels) + 1
+    gens = [Generator(i, 1, label) for i, label in enumerate(labels, 1)] + [Generator(top, 2)]
+    pairs = [(i, j) for i in range(1, top) for j in range(i, top)]
+    entries = [CoproductEntry(top, i, [j], c) for (i, j), c in zip(pairs, coeffs)]
+    spec = CoproductSpec(name, gens, entries)
+    assert save_spec(spec) == _dumps(spec)
+
+
+def test_save_spec_past_the_digit_limit_raises_input_error():
+    entries = [CoproductEntry(2, 1, [1], 10**4300)]
+    spec = CoproductSpec("big", [Generator(1, 1), Generator(2, 2)], entries)
+    for save in (save_spec, _dumps):
+        with pytest.raises(InputError, match="coefficient too big to print"):
+            save(spec)
 
 
 def test_loader_rejects_malformed_text(tmp_path):

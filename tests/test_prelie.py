@@ -379,6 +379,22 @@ def test_identity_checker_catches_violations():
     assert any("(1, 1, 2)" in p or "(1, 2, 1)" in p for p in problems)
 
 
+@pytest.mark.parametrize("label", [5, b"b1", ["b1"]], ids=["int", "bytes", "list"])
+def test_a_label_the_loader_refuses_the_constructor_refuses(graft4, label):
+    # Before the constructor checked labels, this table built and saved as
+    # '"label": 5', which load_prelie then refused.
+    basis = [Generator(1, 1, label), Generator(2, 2)]
+    with pytest.raises(InputError) as exc:
+        PreLieSpec("x", basis, {(1, 1): Polynomial.variable(2)}, 2)
+    assert str(exc.value) == (
+        f"invalid preLie spec: basis element 1 has label {label!r}; must be a string"
+    )
+    doc = prelie_to_dict(graft4)
+    doc["basis"][0]["label"] = label
+    with pytest.raises(InputError, match=r"^basis\[0\]: label must be a string$"):
+        prelie_from_dict(doc)
+
+
 def test_validate_catches_structure_problems():
     g = [Generator(1, 1), Generator(2, 2)]
     cases = [
