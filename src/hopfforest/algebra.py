@@ -10,8 +10,8 @@ positive denominator) after that; every public read (``terms``,
 ``coefficient``, ``constant``) returns a ``Fraction``.  Since ``int`` and
 ``Fraction`` compare and hash alike, the stored form never shows in ``==``
 or ``hash``.  Every value is immutable after construction and safe to
-share between threads.  (The specs that memoize derived values are not:
-see ``hopfspec.spec_memo``.)
+share between threads.  (The specs, which memoize derived values, are
+not: see ``hopfspec.CoproductSpec`` and ``prelie.PreLieSpec``.)
 """
 
 from __future__ import annotations

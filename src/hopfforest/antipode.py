@@ -32,10 +32,10 @@ from math import comb, prod
 from operator import mul
 from typing import Callable, NamedTuple
 
-from .algebra import Monomial, Polynomial, _positive_int, mono
+from .algebra import Monomial, Polynomial, mono
 from .coproduct import _below, _Frame, _nonzero, _poly_frame, _spread, frame_over
 from .errors import InputError
-from .hopfspec import CoproductSpec, spec_memo
+from .hopfspec import CoproductSpec
 
 METHODS = ("forest", "dyson-salam", "bogoliubov")
 
@@ -157,19 +157,13 @@ def packed_route(method: str) -> Callable[[CoproductSpec, int], tuple[_Frame, di
     return {"forest": _forest, "dyson-salam": _dyson_salam_of, "bogoliubov": _bogoliubov}[method]
 
 
-@spec_memo
-def _antipode_of(spec: CoproductSpec, i: int, method: str) -> Polynomial:
-    return _route(method)(spec, i)
-
-
 def antipode_generator(spec: CoproductSpec, i: int, method: str = "forest") -> Polynomial:
-    """S(b_i) by ``method``, memoized on spec per id and method.  An id that
-    is not a positive int skips the memo, where True would find b1's entry,
-    and the route raises on it.  A loop over ids in ascending order builds
-    one frame per id unless it first calls ``frame_over(spec, ids)``: such a
-    Bogoliubov loop over faa_di_bruno_spec(16) builds 16 frames, not 1, and
-    takes about 2.5 times as long."""
-    return (_antipode_of if _positive_int(i) else _antipode_of.__wrapped__)(spec, i, method)
+    """S(b_i) by ``method``, decoded from the route's value on spec's frame
+    at each call.  A loop over ids in ascending order builds one frame per
+    id unless it first calls ``frame_over(spec, ids)``: such a Bogoliubov
+    loop over faa_di_bruno_spec(16) builds 16 frames, not 1, and takes
+    about 2.5 times as long."""
+    return _route(method)(spec, i)
 
 
 def antipode_endomap(
@@ -177,10 +171,19 @@ def antipode_endomap(
 ) -> Callable[[Monomial], Polynomial]:
     """The antipode on monomials, the product of the generator antipodes
     with S(1) = 1: multiplicative, which lets convolution_check visit
-    generators only."""
-    _route(method)
+    generators only.  The map decodes each generator's antipode once, into
+    a dict of its own."""
+    route = _route(method)
+    values: dict[int, Polynomial] = {}
     unit = [Polynomial.one()]  # S(1), and no product for a generator
-    return lambda m: reduce(mul, [antipode_generator(spec, i, method) for i in m] or unit)
+
+    def generator(i: int) -> Polynomial:
+        value = values.get(i)
+        if value is None:
+            value = values[i] = route(spec, i)
+        return value
+
+    return lambda m: reduce(mul, [generator(i) for i in m] or unit)
 
 
 def antipode_poly(spec: CoproductSpec, p: Polynomial, method: str = "forest") -> Polynomial:

@@ -201,7 +201,7 @@ def frame_over(spec: CoproductSpec, starts, degree: int = 0) -> _Frame:
     ``degree``, else a new frame over starts, now spec's: what one command
     reads, so each lower value and packed coproduct is computed once.  A
     bool never hits, though True == 1."""
-    frame = spec._cache.get(_Frame)
+    frame = spec._frame
     if frame is not None and frame.degree >= degree:
         field = frame.field
         for i in starts:  # a plain loop keeps a route's one-id hit cheap
@@ -209,7 +209,7 @@ def frame_over(spec: CoproductSpec, starts, degree: int = 0) -> _Frame:
                 break
         else:
             return frame
-    frame = spec._cache[_Frame] = _Frame(spec, starts, degree)
+    frame = spec._frame = _Frame(spec, starts, degree)
     return frame
 
 

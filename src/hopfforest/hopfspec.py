@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left
 from fractions import Fraction
-from functools import wraps
 from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from math import factorial, prod
@@ -38,30 +38,6 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 from .algebra import Monomial, Multiset, Rational, Scalar, coefficient_text, multiset
 from .algebra import _fraction, _positive_int, _scalar
 from .errors import InputError
-
-
-_MISSING = object()
-
-
-def spec_memo(fn: Callable) -> Callable:
-    """Memoize ``fn(spec, *key)`` in ``spec._cache[fn]``, so the memo lives
-    and dies with the spec.  Every argument is passed by position, so a hit
-    is two dict lookups and returns the stored object itself; a keyword
-    argument raises TypeError.  A call that raises stores nothing, so the
-    next call raises again.  The memo is an unsynchronized dict: threads
-    sharing a spec may compute an entry twice."""
-
-    @wraps(fn)
-    def memoized(spec, *key):
-        memo = spec._cache.get(fn)
-        if memo is None:
-            memo = spec._cache[fn] = {}
-        value = memo.get(key, _MISSING)
-        if value is _MISSING:
-            value = memo[key] = fn(spec, *key)
-        return value
-
-    return memoized
 
 
 class Generator(NamedTuple):
@@ -113,8 +89,9 @@ class CoproductSpec:
 
     Construction raises InputError with the `validate` report on any
     structural problem, so every spec is graded right-handed.  The table
-    never changes afterwards; derived quantities are memoized on the
-    instance through `spec_memo`, in an unsynchronized memo.
+    never changes afterwards.  Its one memo is ``_frame``, the packed frame
+    `coproduct.frame_over` built last, which holds every antipode route's
+    values; it is unsynchronized.
     """
 
     def __init__(
@@ -131,8 +108,7 @@ class CoproductSpec:
             source: tuple(rows)
             for source, rows in groupby(self.entries, itemgetter(0))
         }
-        # The spec_memo store: one dict per memoized function.
-        self._cache: dict = {}
+        self._frame = None  # set by coproduct.frame_over
         problems = self.validate()
         if problems:
             raise InputError("invalid spec: " + "; ".join(problems))
@@ -155,8 +131,12 @@ class CoproductSpec:
         return self._by_source.get(i, ())
 
     def coefficient(self, source: int, left: int, right: Sequence[int]) -> Fraction:
-        """The row's coefficient, or 0 for a row the table does not have."""
-        return _coefficients(self).get((source, left, multiset(right)), Fraction(0))
+        """The row's coefficient, or 0 for a row the table does not have,
+        found by bisection in the key-sorted ``entries``."""
+        key = (source, left, multiset(right))
+        entries = self.entries
+        n = bisect_left(entries, key, key=_entry_key)
+        return entries[n].coeff if n < len(entries) and entries[n][:3] == key else Fraction(0)
 
     def validate(self) -> list[str]:
         """Structural problems, as human-readable strings; empty means ok."""
@@ -204,13 +184,6 @@ class CoproductSpec:
                     f"degree({source}) = {expect}"
                 )
         return problems
-
-
-@spec_memo
-def _coefficients(spec: CoproductSpec) -> dict[tuple, Fraction]:
-    """The (source, left, right) -> coeff index of the table, built on the
-    first `coefficient` call: only the tree views read it."""
-    return {_entry_key(e): e.coeff for e in spec.entries}
 
 
 def graded_monomials(

@@ -51,7 +51,6 @@ from .hopfspec import (
     graded_monomials,
     parse_json,
     read_text_file,
-    spec_memo,
 )
 
 _ZERO = Polynomial.zero()  # the product of a pair without one; values are immutable
@@ -60,8 +59,9 @@ _ZERO = Polynomial.zero()  # the product of a pair without one; values are immut
 class PreLieSpec:
     """Structure constants of a truncated graded preLie algebra.
     Construction raises InputError with the `validate` report on any
-    structural problem.  Brace values are memoized on the instance through
-    `spec_memo`, in an unsynchronized memo."""
+    structural problem.  It owns two unsynchronized memos, filled only by
+    calls that succeed: ``_braces``, `brace_action`'s values by (i, right),
+    and ``_products``, `guin_oudom_mul`'s by (a, b)."""
 
     def __init__(
         self,
@@ -78,7 +78,8 @@ class PreLieSpec:
             {key: value for key, value in products.items() if not value.is_zero}
         )
         self.truncation = truncation
-        self._cache: dict = {}
+        self._braces: dict[tuple[int, Monomial], Polynomial] = {}
+        self._products: dict[tuple[Monomial, Monomial], Polynomial] = {}
         problems = self.validate()
         if problems:
             raise InputError("invalid preLie spec: " + "; ".join(problems))
@@ -155,7 +156,6 @@ def prelie_product(spec: PreLieSpec, i: int, j: int) -> Polynomial:
     return spec.products.get((i, j), _ZERO)
 
 
-@spec_memo
 def brace_action(spec: PreLieSpec, i: int, right: Monomial) -> Polynomial:
     """The symmetric-brace extension of the product to a monomial right
     argument, by the recursion
@@ -170,33 +170,38 @@ def brace_action(spec: PreLieSpec, i: int, right: Monomial) -> Polynomial:
     2008), so the brace reads only products and itself, on strictly
     shorter arguments.  The preLie identity makes the result independent of
     which factor is peeled; tests exercise that.  Raises InputError when a
-    nonempty right argument takes the total degree above the truncation."""
-    degree = spec.degree(i)  # raises for unknown ids
+    nonempty right argument takes the total degree above the truncation.
+    Memoized in ``spec._braces``."""
+    value = spec._braces.get((i, right))
+    if value is not None:
+        return value
+    degree = spec.degree(i) + spec.monomial_degree(right)  # raises for unknown ids
     if right.is_unit:
-        return Polynomial.variable(i)
-    degree += spec.monomial_degree(right)
-    if degree > spec.truncation:
+        value = Polynomial.variable(i)
+    elif degree > spec.truncation:
         raise InputError(
             f"brace ({i}; {right}) lands at degree {degree}, above the "
             f"truncation {spec.truncation}"
         )
-    last = right[-1]
-    if len(right) == 1:
-        return prelie_product(spec, i, last)
-    rest = _sorted_monomial(right[:-1])
-    parts = [
-        (prelie_product(spec, m.indices[0], last), c)
-        for m, c in brace_action(spec, i, rest).items()
-    ]
-    parts += [
-        (brace_action(spec, i, _sorted_monomial((*rest[:k], *rest[k + 1 :], *m))), -c)
-        for k, x in enumerate(rest)
-        for m, c in prelie_product(spec, x, last).items()
-    ]
-    return Polynomial._checked((m, w * c) for value, w in parts for m, c in value.items())
+    elif len(right) == 1:
+        value = prelie_product(spec, i, right[0])
+    else:
+        last = right[-1]
+        rest = _sorted_monomial(right[:-1])
+        parts = [
+            (prelie_product(spec, m.indices[0], last), c)
+            for m, c in brace_action(spec, i, rest).items()
+        ]
+        parts += [
+            (brace_action(spec, i, _sorted_monomial((*rest[:k], *rest[k + 1 :], *m))), -c)
+            for k, x in enumerate(rest)
+            for m, c in prelie_product(spec, x, last).items()
+        ]
+        value = Polynomial._checked((m, w * c) for part, w in parts for m, c in part.items())
+    spec._braces[i, right] = value
+    return value
 
 
-@spec_memo
 def guin_oudom_mul(spec: PreLieSpec, a: Monomial, b: Monomial) -> Polynomial:
     """The enveloping (associative) product of monomials, by the Guin–Oudom
     recursion on the first left factor x of a = x * a', summed over the
@@ -206,21 +211,26 @@ def guin_oudom_mul(spec: PreLieSpec, a: Monomial, b: Monomial) -> Polynomial:
         (x * a') * b  = sum over (b) of (x acted on by b1) * (a' * b2)
 
     Raises InputError when some left factor acted on by all of b lands
-    above the truncation."""
+    above the truncation.  Memoized in ``spec._products``."""
+    value = spec._products.get((a, b))
+    if value is not None:
+        return value
     if a.is_unit:
-        return Polynomial.single(b)
-    x = a[0]
-    rest = _sorted_monomial(a[1:])
-    pieces = [
-        (brace_action(spec, x, b1), guin_oudom_mul(spec, rest, b2), c)
-        for (b1, b2), c in unshuffle_coproduct(b).items()
-    ]
-    return Polynomial._checked(
-        (m1 * m2, c * c1 * c2)
-        for hit, rest_product, c in pieces
-        for m1, c1 in hit.items()
-        for m2, c2 in rest_product.items()
-    )
+        value = Polynomial.single(b)
+    else:
+        rest = _sorted_monomial(a[1:])
+        pieces = [
+            (brace_action(spec, a[0], b1), guin_oudom_mul(spec, rest, b2), c)
+            for (b1, b2), c in unshuffle_coproduct(b).items()
+        ]
+        value = Polynomial._checked(
+            (m1 * m2, c * c1 * c2)
+            for hit, rest_product, c in pieces
+            for m1, c1 in hit.items()
+            for m2, c2 in rest_product.items()
+        )
+    spec._products[a, b] = value
+    return value
 
 
 def guin_oudom_poly(spec: PreLieSpec, p: Polynomial, q: Polynomial) -> Polynomial:

@@ -28,7 +28,7 @@ from typing import Collection, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .algebra import Monomial, Rational, _positive_int
 from .errors import InputError
-from .hopfspec import CoproductSpec, spec_memo
+from .hopfspec import CoproductSpec
 
 
 def _check_decoration(value: int, what: str) -> None:
@@ -213,25 +213,28 @@ def enumerate_trees(spec: CoproductSpec, i: int) -> tuple[DecoratedTree, ...]:
     grading makes the recursion finite: right-leg indices have strictly
     smaller degree than the source.  Sums over this set that must match the
     iterated-coproduct expansion weight each tree by tree_multiplicity.
-    Memoized on spec per id; an id that is not a positive int skips the
-    memo, where True would find b1's entry, and raises.
+    The recursion keeps each id's trees in a dict local to this call, so a
+    subtree pool is built once however many rows reach it.
     """
-    return (_realized_trees if _positive_int(i) else _realized_trees.__wrapped__)(spec, i)
+    realized: dict[int, tuple[DecoratedTree, ...]] = {}
 
+    def trees_of(j: int) -> tuple[DecoratedTree, ...]:
+        if j in realized:
+            return realized[j]
+        spec.degree(j)  # raises for unknown ids
+        found = {leaf(j)}
+        for e in spec.entries_for(j):
+            pools = [
+                combinations_with_replacement(trees_of(r), mult)
+                for r, mult in Counter(e.right).items()
+            ]
+            for combo in iter_product(*pools):
+                children = tuple(t for group in combo for t in group)
+                found.add(node(j, e.left, children))
+        value = realized[j] = tuple(sorted(found))
+        return value
 
-@spec_memo
-def _realized_trees(spec: CoproductSpec, i: int) -> tuple[DecoratedTree, ...]:
-    spec.degree(i)  # raises for unknown ids
-    found = {leaf(i)}
-    for e in spec.entries_for(i):
-        pools = [
-            combinations_with_replacement(enumerate_trees(spec, j), mult)
-            for j, mult in Counter(e.right).items()
-        ]
-        for combo in iter_product(*pools):
-            children = tuple(t for group in combo for t in group)
-            found.add(node(i, e.left, children))
-    return tuple(sorted(found))
+    return trees_of(i)
 
 
 def enumerate_forests(spec: CoproductSpec, indices: Iterable[int]) -> list[Forest]:

@@ -3,7 +3,6 @@ family, and the JSON interchange format."""
 
 import ast
 import copy
-import inspect
 import json
 import os
 import pickle
@@ -33,7 +32,6 @@ from hopfforest.hopfspec import (
     load_spec_file,
     save_spec,
     spec_from_dict,
-    spec_memo,
     spec_to_dict,
     sym_spec,
 )
@@ -154,62 +152,42 @@ def test_generators_are_frozen_after_construction():
     assert spec.validate() == []
 
 
-def test_spec_memo_fills_defaults_stores_hits_and_no_failures():
-    calls = []
-
-    @spec_memo
-    def scaled(spec, i, scale):
-        calls.append((i, scale))
-        if i < 0:
-            raise InputError("negative")
-        return [i * scale] if i else None
-
-    spec = sym_spec(2)
-    first = scaled(spec, 3, 2)
-    assert first == [6]
-    # a hit returns the stored object
-    assert scaled(spec, 3, 2) is first
-    assert scaled(spec, 3, 5) == [15]
-    assert scaled(spec, 0, 2) is None and scaled(spec, 0, 2) is None
-    assert calls == [(3, 2), (3, 5), (0, 2)]
-    # a call that raises stores nothing, so the next call raises again
-    for _ in range(2):
-        with pytest.raises(InputError):
-            scaled(spec, -1, 2)
-    assert calls[3:] == [(-1, 2), (-1, 2)]
-    # the memo lives on the spec it was called with
-    assert scaled(sym_spec(2), 3, 2) == [6] and calls[-1] == (3, 2)
-
-
-def test_spec_memo_is_positional_only():
+def test_keywords_reach_the_memoized_functions():
     graft4 = grafting_instance(4)
-    with pytest.raises(TypeError):
-        brace_action(graft4, 1, right=mono(1))
-    assert inspect.unwrap(brace_action) not in graft4._cache
-    # antipode_generator is a plain function: its keywords reach the memo
-    # by position
+    by_position = brace_action(graft4, 2, mono(1, 1))
+    assert brace_action(graft4, 2, right=mono(1, 1)) is by_position
+    assert brace_action(spec=grafting_instance(4), i=2, right=mono(1, 1)) == by_position
     spec = faa_di_bruno_spec(4)
     by_position = antipode_generator(spec, 3, "bogoliubov")
-    assert antipode_generator(spec, i=3, method="bogoliubov") is by_position
-    assert antipode_generator(spec, 3, method="forest") is antipode_generator(spec, 3)
+    assert antipode_generator(spec, i=3, method="bogoliubov") == by_position
+    assert antipode_generator(spec, 3, method="forest") == antipode_generator(spec, 3)
 
 
 def test_no_functools_cache_in_the_package():
-    # Every memo lives on a spec (spec_memo and the packed frame), so
-    # nothing is cached across specs or CLI calls.
+    # One memo mechanism: each memo is a named dict of its owner, the packed
+    # frame (spec._frame), the preLie spec (_braces, _products), one call
+    # (enumerate_trees) or one map (antipode_endomap).  So nothing caches
+    # through functools, a decorator or a generic _cache attribute.
     caches = {"lru_cache", "cache"}
+    plain = {"property", "classmethod", "staticmethod"}
     found = []
     for path in sorted(Path(hopfforest.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.ImportFrom) and node.module == "functools":
                 found += [(path.name, a.name) for a in node.names if a.name in caches]
-            elif (
-                isinstance(node, ast.Attribute)
-                and node.attr in caches
+            elif isinstance(node, ast.Attribute) and (
+                node.attr == "_cache"
+                or node.attr in caches
                 and isinstance(node.value, ast.Name)
                 and node.value.id == "functools"
             ):
                 found.append((path.name, node.attr))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                found += [
+                    (path.name, ast.unparse(d))
+                    for d in node.decorator_list
+                    if not (isinstance(d, ast.Name) and d.id in plain)
+                ]
     assert found == []
 
 
@@ -245,6 +223,35 @@ def test_faa_di_bruno_rejects_bad_degree():
     for bad in (0, True):
         with pytest.raises(InputError, match=f"max_degree must be >= 1, got {bad}"):
             faa_di_bruno_spec(bad)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: faa_di_bruno_spec(8), lambda: dualize(grafting_instance(5), 5)],
+    ids=["fdb-8", "grafting-5-dual"],
+)
+def test_coefficient_reads_every_row_and_zero_elsewhere(make):
+    spec = make()
+    for e in spec.entries:
+        got = spec.coefficient(e.source, e.left, e.right)
+        assert type(got) is Fraction and got == e.coeff
+    # a right leg given unsorted still finds its row
+    e = next(e for e in spec.entries if len(set(e.right)) > 1)
+    assert spec.coefficient(e.source, e.left, list(reversed(e.right))) == e.coeff
+    top = max(spec.generator_ids())
+    e = spec.entries[-1]
+    lefts = {f.left for f in spec.entries_for(e.source)}
+    missing = next(j for j in spec.generator_ids() if j not in lefts)
+    zeros = [
+        (e.source, missing, e.right),  # a left leg no row of the source has
+        (min(spec.generator_ids()), e.left, e.right),  # a source with no rows
+        (top + 1, e.left, e.right),  # an id above all the ids
+        (e.source, top + 1, e.right),
+    ]
+    assert not spec.entries_for(zeros[1][0])
+    for source, left, right in zeros:
+        got = spec.coefficient(source, left, right)
+        assert type(got) is Fraction and got == 0
 
 
 def test_sym_table_is_a_hopf_table():

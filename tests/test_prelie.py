@@ -260,6 +260,31 @@ def test_enveloping_product_on_single_generators(graft4):
         guin_oudom_mul(graft4, mono(2), mono(1, 1, 1))
 
 
+@pytest.mark.parametrize(
+    "memoized, above, within",
+    [
+        (brace_action, (1, mono(1, 1, 1, 1)), (2, mono(1, 1))),
+        (guin_oudom_mul, (mono(2), mono(1, 1, 1)), (mono(1, 1), mono(1, 2))),
+    ],
+    ids=["brace", "enveloping-product"],
+)
+def test_prelie_memos_store_successes_on_their_spec(memoized, above, within):
+    text = save_prelie(grafting_instance(4))
+    graft4 = load_prelie(text)
+    memo = {brace_action: graft4._braces, guin_oudom_mul: graft4._products}[memoized]
+    # a call above the truncation raises, stores nothing, and raises again
+    for _ in range(2):
+        with pytest.raises(InputError, match="above the truncation 4"):
+            memoized(graft4, *above)
+        assert above not in memo
+    # a repeated call returns the stored object
+    first = memoized(graft4, *within)
+    assert memoized(graft4, *within) is first and memo[within] is first
+    # the memo lives on its spec: a second load computes the value again
+    again = memoized(load_prelie(text), *within)
+    assert again == first and again is not first
+
+
 def test_enveloping_poly_is_bilinear(graft4):
     p = Polynomial({mono(1): 2})
     q = Polynomial({mono(1): 1, mono(2): 3})
