@@ -22,7 +22,6 @@ from .antipode import (
     antipode_forest,
     antipode_generator,
     antipode_poly,
-    dyson_salam_poly,
     term_stats,
 )
 from .coproduct import (
@@ -45,14 +44,7 @@ from .hopfspec import (
     save_spec,
     sym_spec,
 )
-from .linearize import (
-    Linearization,
-    alternating_sum,
-    chain_of,
-    forest_expansion_report,
-    k_linearizations,
-    tree_expansion_report,
-)
+from .linearize import Linearization, chain_of, k_linearizations
 from .prelie import (
     PreLieSpec,
     brace_action,
@@ -70,13 +62,10 @@ from .prelie import (
 )
 from .trees import (
     Address,
-    CorollaCut,
     DecoratedTree,
     Forest,
     PosetView,
     TreeStats,
-    corolla_cuts,
-    enumerate_forests,
     enumerate_trees,
     forest,
     forest_notation,

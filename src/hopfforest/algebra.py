@@ -41,12 +41,15 @@ def _positive_int(x: object) -> bool:
 
 
 def multiset(indices: Iterable[int]) -> Multiset:
-    """Normalize an iterable of generator indices to a sorted multiset."""
-    out = tuple(sorted(indices))
+    """Normalize an iterable of generator indices to a sorted multiset.
+    Each index is checked before the sort, so ids of mixed type raise
+    InputError, not the sort's TypeError."""
+    out = list(indices)
     for i in out:
         if not _positive_int(i):
             raise InputError(f"generator indices must be positive integers, got {i!r}")
-    return out
+    out.sort()
+    return tuple(out)
 
 
 class Monomial(tuple):
@@ -96,11 +99,6 @@ class Monomial(tuple):
     @property
     def is_unit(self) -> bool:
         return not self
-
-    @property
-    def sort_key(self) -> tuple[int, Multiset]:
-        # Canonical term order: shorter products first, then index-lexicographic.
-        return (len(self), self)
 
     def render(self) -> str:
         return "".join(f"b{i}" for i in self) or "1"

@@ -33,7 +33,7 @@ from operator import mul
 from typing import Callable, NamedTuple
 
 from .algebra import Monomial, Polynomial, mono
-from .coproduct import _below, _Frame, _nonzero, _poly_frame, _spread, frame_over
+from .coproduct import _below, _Frame, _nonzero, _spread, frame_over
 from .errors import InputError
 from .hopfspec import CoproductSpec
 
@@ -119,16 +119,6 @@ def antipode_forest(spec: CoproductSpec, i: int) -> Polynomial:
 def antipode_dyson_salam(spec: CoproductSpec, i: int) -> Polynomial:
     """The Dyson-Salam route on one generator, decoded."""
     return _Frame.polynomial(*_dyson_salam_of(spec, i), 1)
-
-
-def dyson_salam_poly(spec: CoproductSpec, p: Polynomial) -> Polynomial:
-    """The Dyson-Salam route on an augmentation-ideal element, on a frame
-    over p's generators whose degree bounds p's, and so every slot's."""
-    if p.constant != 0:
-        raise InputError("the alternating-sum antipode needs zero constant term")
-    frame, packed = _poly_frame(spec, p)
-    iterate = {b << frame.shift: c for b, c in packed.items()}
-    return frame.polynomial(_dyson_salam(frame, iterate, frame.degree), 0)
 
 
 def antipode_bogoliubov(spec: CoproductSpec, i: int) -> Polynomial:

@@ -132,7 +132,9 @@ class CoproductSpec:
 
     def coefficient(self, source: int, left: int, right: Sequence[int]) -> Fraction:
         """The row's coefficient, or 0 for a row the table does not have,
-        found by bisection in the key-sorted ``entries``."""
+        found by bisection in the key-sorted ``entries``.  Every id is
+        checked first, as `CoproductEntry` checks them."""
+        multiset((source, left))
         key = (source, left, multiset(right))
         entries = self.entries
         n = bisect_left(entries, key, key=_entry_key)

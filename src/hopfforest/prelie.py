@@ -369,10 +369,12 @@ def _graft_everywhere(host: ShapeTree, graft: ShapeTree) -> list[ShapeTree]:
     return out
 
 
-def _sized_shapes(max_vertices: int) -> list[tuple[ShapeTree, int]]:
-    """(shape, vertex count) for each of `rooted_tree_shapes`.  Every tree
-    of n > 1 vertices is one of n - 1 vertices with a leaf grafted on, so
-    each size is the layer of the previous one grafted everywhere."""
+def rooted_tree_shapes(max_vertices: int) -> list[tuple[ShapeTree, int]]:
+    """(shape, vertex count) for every unlabeled rooted tree with at most
+    max_vertices vertices, shapes as canonical nested tuples, ordered by
+    (size, shape).  Every tree of n > 1 vertices is one of n - 1 vertices
+    with a leaf grafted on, so each size is the layer of the previous one
+    grafted everywhere."""
     if not _positive_int(max_vertices):
         raise InputError(f"max_vertices must be >= 1, got {max_vertices}")
     sized, layer = [((), 1)], [()]
@@ -382,17 +384,11 @@ def _sized_shapes(max_vertices: int) -> list[tuple[ShapeTree, int]]:
     return sized
 
 
-def rooted_tree_shapes(max_vertices: int) -> list[ShapeTree]:
-    """All unlabeled rooted trees with at most max_vertices vertices, as
-    canonical nested tuples, ordered by (size, shape)."""
-    return [t for t, _ in _sized_shapes(max_vertices)]
-
-
 def grafting_instance(max_vertices: int) -> PreLieSpec:
     """The free preLie algebra on one generator, truncated: basis elements
     are unlabeled rooted trees by vertex count, and the product grafts the
     right tree at every vertex of the left tree."""
-    sized = _sized_shapes(max_vertices)
+    sized = rooted_tree_shapes(max_vertices)
     ids = {t: k for k, (t, _) in enumerate(sized, 1)}
     basis = [Generator(ids[t], n, _shape_label(t)) for t, n in sized]
     products: dict[tuple[int, int], Polynomial] = {}

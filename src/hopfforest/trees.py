@@ -1,5 +1,6 @@
-"""Decorated non-planar rooted trees, forests, their statistics, exhaustive
-enumeration against a coproduct table, and corolla cuts with quotients.
+"""Decorated non-planar rooted trees, forests, their statistics,
+exhaustive enumeration against a coproduct table, and the address-level
+poset views that linearizations read.
 
 Every vertex carries two positive integers (source, left).  The source is
 the generator the vertex stands for; the left value is the generator the
@@ -24,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product as iter_product
 from math import factorial
 from operator import itemgetter
-from typing import Collection, Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .algebra import Monomial, Rational, _positive_int
 from .errors import InputError
@@ -61,10 +62,6 @@ class DecoratedTree(tuple):
     source = property(itemgetter(0))
     left = property(itemgetter(1))
     children = property(itemgetter(2))
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self[2]
 
     def __repr__(self) -> str:
         return "DecoratedTree(source=%r, left=%r, children=%r)" % self
@@ -237,16 +234,6 @@ def enumerate_trees(spec: CoproductSpec, i: int) -> tuple[DecoratedTree, ...]:
     return trees_of(i)
 
 
-def enumerate_forests(spec: CoproductSpec, indices: Iterable[int]) -> list[Forest]:
-    """One forest per choice of a realized tree for each index of the
-    multiset.  When indices repeat, the same unordered forest can appear
-    several times in the list; that multiplicity is exactly what makes the
-    coproduct expansion of a product monomial come out right, so callers
-    must not deduplicate."""
-    pools = [enumerate_trees(spec, i) for i in indices]
-    return [forest(*combo) for combo in iter_product(*pools)]
-
-
 def tree_notation(t: DecoratedTree) -> str:
     """The notation of t, read off `_vertices`.  Each internal vertex on the
     path to the current one holds an open "["; a vertex that follows a leaf
@@ -275,8 +262,8 @@ Address = tuple[int, ...]
 class PosetView(NamedTuple):
     """A concrete poset presentation of a tree or forest: vertices are
     addresses, and x < y means x is a strict ancestor of y (roots are
-    minimal).  Views exist so that linearizations and corolla cuts can talk
-    about individual vertices, which canonical trees cannot."""
+    minimal).  Views exist so that linearizations can talk about individual
+    vertices, which canonical trees cannot."""
 
     vertices: tuple[Address, ...]
     parent: dict[Address, Optional[Address]]
@@ -311,22 +298,6 @@ class PosetView(NamedTuple):
     def of_forest(cls, f: Forest) -> "PosetView":
         return cls._build([((k,), t) for k, t in enumerate(f)])
 
-    @property
-    def roots(self) -> tuple[Address, ...]:
-        return tuple(a for a in self.vertices if self.parent[a] is None)
-
-    def is_leaf_vertex(self, a: Address) -> bool:
-        return not self.children[a]
-
-    def less(self, x: Address, y: Address) -> bool:
-        """Strict ancestor order."""
-        p = self.parent[y]
-        while p is not None:
-            if p == x:
-                return True
-            p = self.parent[p]
-        return False
-
     def size(self) -> int:
         return len(self.vertices)
 
@@ -339,104 +310,3 @@ def view_of(x: Union[TreeLike, PosetView]) -> PosetView:
     if isinstance(x, Forest):
         return PosetView.of_forest(x)
     raise InputError(f"expected a tree, forest or poset view, got {x!r}")
-
-
-# --- Corolla cuts -------------------------------------------------------------
-
-class CorollaCut(NamedTuple):
-    """An upward-closed vertex set whose components are single leaves or
-    full terminal corollas (an internal vertex together with all of its
-    children, those children all being leaves).
-
-    cut       the components as a standalone decorated forest
-    quotient  the host tree with every corolla component collapsed to a
-              leaf decorated by the corolla root's source; bare-leaf
-              components stay leaves of the quotient
-    meet      addresses of the component minima (corolla roots and bare
-              leaves); these are leaves of the quotient
-    vertices  all cut vertex addresses in the host tree
-    """
-
-    vertices: frozenset[Address]
-    meet: frozenset[Address]
-    cut: Forest
-    quotient: DecoratedTree
-    cut_view: PosetView
-    quotient_view: PosetView
-
-    def __str__(self) -> str:
-        return forest_notation(self.cut)
-
-
-def _subsets(items: list[Address]):
-    """Every sublist of items, the empty one first, in mask order: bit k of
-    the mask picks items[k]."""
-    for mask in range(1 << len(items)):
-        yield [items[k] for k in range(len(items)) if mask >> k & 1]
-
-
-def _tree_from_view(view: PosetView, a: Address) -> DecoratedTree:
-    if not view.children[a]:
-        return leaf(view.left_of[a])
-    kids = [_tree_from_view(view, c) for c in view.children[a]]
-    return node(view.source_of[a], view.left_of[a], kids)
-
-
-def corolla_cuts(t: DecoratedTree) -> tuple[CorollaCut, ...]:
-    """All corolla cuts of a tree.  A single leaf has none (the only
-    candidate cut would be the whole tree with nothing left to quotient
-    onto)."""
-    view = PosetView.of_tree(t)
-    if view.size() == 1:
-        return ()
-    leaves = [a for a in view.vertices if view.is_leaf_vertex(a)]
-    terminal = [
-        a
-        for a in view.vertices
-        if view.children[a] and all(view.is_leaf_vertex(c) for c in view.children[a])
-    ]
-    out: list[CorollaCut] = []
-    for chosen in _subsets(terminal):
-        covered = {c for x in chosen for c in view.children[x]}
-        free = [a for a in leaves if a not in covered]
-        for bare in _subsets(free):
-            if not chosen and not bare:
-                continue
-            out.append(_assemble_cut(view, chosen, bare))
-    return tuple(out)
-
-
-def _restrict(
-    view: PosetView, keep: Collection[Address], relabel: Collection[Address] = ()
-) -> PosetView:
-    """The view on the vertices in `keep`: a vertex whose parent is dropped
-    becomes a root, dropped children vanish, and each vertex of `relabel`
-    emits its source."""
-    vertices = tuple(a for a in view.vertices if a in keep)
-    return PosetView(
-        vertices,
-        {a: (view.parent[a] if view.parent[a] in keep else None) for a in vertices},
-        {a: tuple(c for c in view.children[a] if c in keep) for a in vertices},
-        {a: view.source_of[a] for a in vertices},
-        {a: (view.source_of if a in relabel else view.left_of)[a] for a in vertices},
-    )
-
-
-def _assemble_cut(
-    view: PosetView, chosen: list[Address], bare: list[Address]
-) -> CorollaCut:
-    meet = frozenset(chosen) | frozenset(bare)
-    dropped = {c for x in chosen for c in view.children[x]}
-    members = meet | dropped
-    # The cut keeps its corollas whole; the quotient collapses each corolla
-    # onto its root, which then emits its source as a leaf.
-    cut_view = _restrict(view, members)
-    quotient_view = _restrict(view, view.parent.keys() - dropped, relabel=chosen)
-    return CorollaCut(
-        vertices=frozenset(members),
-        meet=meet,
-        cut=forest(*(_tree_from_view(cut_view, a) for a in cut_view.roots)),
-        quotient=_tree_from_view(quotient_view, ()),
-        cut_view=cut_view,
-        quotient_view=quotient_view,
-    )

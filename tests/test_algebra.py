@@ -131,6 +131,14 @@ def test_multiset_sorts_and_validates():
         multiset([0])
     with pytest.raises(InputError):
         multiset([True])
+    # each index is checked before the sort, so mixed types name the bad id
+    for bad, call in [
+        ("'a'", lambda: multiset([1, "a"])),
+        ("'a'", lambda: Monomial(["a", 1])),
+        ("None", lambda: mono(1, None)),
+    ]:
+        with pytest.raises(InputError, match=f"positive integers, got {bad}$"):
+            call()
 
 
 def test_monomial_normalizes_and_renders():
@@ -151,7 +159,7 @@ def test_monomial_product_and_order():
     assert mono(2) * mono(1, 3) == mono(1, 2, 3)
     assert mono(1) * mono(1) == mono(1, 1)
     # Grading by length first, then lexicographic: b3 < b1b2 < b1b1b1.
-    keys = [mono(3).sort_key, mono(1, 2).sort_key, mono(1, 1, 1).sort_key]
+    keys = [(len(m), m) for m in (mono(3), mono(1, 2), mono(1, 1, 1))]
     assert keys == sorted(keys)
 
 
@@ -351,12 +359,12 @@ def test_tensor_render_keeps_unit_slots():
 
 def _render_oracle(value):
     """``render`` as it was built before it read stored coefficients: the
-    terms in ``sort_key`` order, each coefficient through Fraction."""
+    terms in (length, indices) order, each coefficient through Fraction."""
     if isinstance(value, Tensor):
-        order = lambda t: tuple(m.sort_key for m in t[0])  # noqa: E731
+        order = lambda t: tuple((len(m), m) for m in t[0])  # noqa: E731
         key_text = lambda key: " (x) ".join(m.render() for m in key)  # noqa: E731
     else:
-        order, key_text = (lambda t: t[0].sort_key), Monomial.render
+        order, key_text = (lambda t: (len(t[0]), t[0])), Monomial.render
     terms = [(key, Fraction(c)) for key, c in sorted(value.items(), key=order)]
     assert value.terms() == terms
     chunks = []

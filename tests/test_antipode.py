@@ -21,8 +21,8 @@ from hopfforest.antipode import (
     antipode_endomap,
     antipode_forest,
     antipode_generator,
+    antipode_dyson_salam,
     antipode_poly,
-    dyson_salam_poly,
     term_stats,
 )
 from hopfforest.coproduct import (
@@ -129,17 +129,6 @@ def test_antipode_poly_builds_one_frame(frames_built):
             antipode_poly(faa_di_bruno_spec(12), q, "nope")
 
 
-def test_alternating_sum_on_polynomials_cross_checks(fdb6):
-    for m in [mono(1, 2), mono(2, 2), mono(1, 1, 2), mono(1, 3)]:
-        p = Polynomial.single(m)
-        assert dyson_salam_poly(fdb6, p) == antipode_poly(fdb6, p)
-    # Mixed degrees: each term's iterates vanish at a different rank.
-    mixed = Polynomial({mono(1, 2): 2, mono(3): -1, mono(1): 5})
-    assert dyson_salam_poly(fdb6, mixed) == antipode_poly(fdb6, mixed)
-    with pytest.raises(InputError):
-        dyson_salam_poly(fdb6, Polynomial.one())
-
-
 def _dyson_salam_by_tensors(spec, p):
     """The Dyson-Salam sum through whole tensors: each rank-k iterated
     reduced coproduct built in full, multiplied out, then summed with sign
@@ -165,8 +154,9 @@ _SPARSE = [1000, 3, 17, 2, 40, 5]
     [("fdb-9", 9), ("sym-14", 14), ("fdb-6", "mixed")]
     # the grafting-6 dual has one generator per rooted tree of <= 6 vertices
     + [("grafting-6-dual", i) for i in range(1, 38)]
-    # packed keys: exponents that fill their field (b1^7 fills 3 bits),
-    # sparse ids, and 300 fields
+    # a generator runs the packed route, any other element its
+    # multiplicative extension, antipode_poly: exponents that would fill a
+    # packed field (b1^7 fills 3 bits), sparse ids, and 300 fields
     + [("fdb-1", (1,) * k) for k in (1, 3, 7, 8)]
     + [("fdb-3", (1,) * 7 + (2,))]
     + [("fdb-6-sparse", i) for i in _SPARSE]
@@ -211,7 +201,10 @@ def test_two_slot_dyson_salam_matches_the_tensor_route(dual6, table, element):
                 mono(1, 1, 9): Fraction(1, 2),
             },
         }[element])
-    got = dyson_salam_poly(spec, p)
+    if isinstance(element, int):
+        got = antipode_dyson_salam(spec, element)
+    else:
+        got = antipode_poly(spec, p, "dyson-salam")
     assert got == _dyson_salam_by_tensors(spec, p)
     if table == "fdb-1":
         assert got == Polynomial.single(Monomial(element), (-1) ** len(element))
@@ -307,8 +300,6 @@ def test_routes_reject_ids_that_are_not_positive_integers(bad):
             antipode._GENERATOR_METHODS[method](spec, bad)
         with pytest.raises(InputError, match=f"^{re.escape(expected[method])}$"):
             antipode_generator(spec, bad, method)
-    with pytest.raises(InputError, match=f"^{re.escape(positive)}$"):
-        dyson_salam_poly(spec, Polynomial.variable(bad))
     for method in METHODS:
         for i in reversed(spec.generator_ids()):
             value = antipode_generator(spec, i, method)

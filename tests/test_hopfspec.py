@@ -6,6 +6,7 @@ import copy
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 from collections import OrderedDict
@@ -203,6 +204,58 @@ def test_no_dataclasses_in_the_package():
     assert found == []
 
 
+#: Module-level definitions that neither a command nor the benchmark reaches,
+#: kept on purpose.
+UNREACHED_ON_PURPOSE = {
+    "sym_spec": "the closed-form symmetric-function family of CI and Tier-1",
+    "spec_to_dict": "save_spec's oracle in CI and Tier-1",
+}
+
+
+def test_every_package_definition_is_reached_from_a_command_or_the_benchmark():
+    # The package is what its commands reach: starting from the console
+    # script (cli.main) and from every identifier bench/*.py uses (in code,
+    # or in strings such as the tracer's "Tensor.multiplied_out"), follow
+    # names through the bodies of module-level definitions.
+    repo = Path(__file__).resolve().parents[1]
+    defined: dict[str, list] = {}
+    for path in sorted((repo / "src" / "hopfforest").glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if not (name.startswith("__") and name.endswith("__")):
+                    defined.setdefault(name, []).append(node)
+    todo = {"main"}
+    for path in (repo / "bench").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.alias):
+                todo.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                todo.update(re.findall(r"\w+", node.value))
+            else:
+                todo.update(_names_used(node))
+    reached: set[str] = set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            for node in defined.get(name, ()):
+                todo.update(n for sub in ast.walk(node) for n in _names_used(sub))
+    assert sorted(defined.keys() - reached) == sorted(UNREACHED_ON_PURPOSE)
+
+
+def _names_used(node: ast.AST) -> list[str]:
+    if isinstance(node, ast.Name):
+        return [node.id]
+    return [node.attr] if isinstance(node, ast.Attribute) else []
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     code = (
         "import sys; before = set(sys.modules); import hopfforest.cli; "
@@ -252,6 +305,13 @@ def test_coefficient_reads_every_row_and_zero_elsewhere(make):
     for source, left, right in zeros:
         got = spec.coefficient(source, left, right)
         assert type(got) is Fraction and got == 0
+    # ids are checked as CoproductEntry checks them, each before any sort
+    for source, left, bad in [("a", 1, "'a'"), (True, 1, "True"), (e.source, None, "None")]:
+        for build in (spec.coefficient, lambda *ids: CoproductEntry(*ids, 1)):
+            with pytest.raises(InputError, match=f"positive integers, got {bad}$"):
+                build(source, left, [1])
+    with pytest.raises(InputError, match="positive integers, got 'a'$"):
+        spec.coefficient(e.source, e.left, [1, "a"])
 
 
 def test_sym_table_is_a_hopf_table():

@@ -7,27 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfforest.algebra import Tensor, mono
+from hopfforest.algebra import Monomial, Polynomial, Tensor, mono
+from hopfforest.coproduct import iterated_reduced_poly
 from hopfforest.errors import InputError
-from hopfforest.linearize import (
-    Linearization,
-    _expansion_mismatch,
-    alternating_sum,
-    chain_of,
-    forest_expansion_report,
-    k_linearizations,
-    tree_expansion_report,
-)
+from hopfforest.linearize import Linearization, chain_of, k_linearizations
 from hopfforest.prelie import dualize, grafting_instance
 from hopfforest.trees import (
     PosetView,
-    corolla_cuts,
+    enumerate_trees,
     forest,
     leaf,
     node,
-    vertex_count,
+    tree_coefficient,
+    tree_multiplicity,
     view_of,
 )
+
+from corolla_cuts import corolla_cuts
 
 
 def corolla():
@@ -209,7 +205,12 @@ def test_alternating_sum_is_parity(parents):
 
 def test_alternating_sum_on_trees():
     for t in [leaf(2), corolla(), three_chain(), example_tree()]:
-        assert alternating_sum(t) == (-1) ** vertex_count(t)
+        view = view_of(t)
+        total = sum(
+            (-1) ** k * len(k_linearizations(view, k))
+            for k in range(1, view.size() + 1)
+        )
+        assert total == (-1) ** view.size()
 
 
 @pytest.mark.parametrize(
@@ -233,21 +234,31 @@ def test_top_levels_of_linearizations_come_from_cuts(t):
         assert direct == routed
 
 
+def linearization_expansion(spec, indices, k):
+    """The paper's forest expansion of the rank-k iterated reduced coproduct
+    of the monomial over ``indices``: over every forest of one realized tree
+    per index, taken in order, so that repeated indices count each unordered
+    forest once per ordered choice (a generator's trees are its one-tree
+    forests), coefficient times multiplicity times every k-linearization
+    chain."""
+    terms = []
+    for trees in iter_product(*(enumerate_trees(spec, i) for i in indices)):
+        f = forest(*trees)
+        view, weight = view_of(f), tree_coefficient(f, spec) * tree_multiplicity(f)
+        for lin in k_linearizations(view, k):
+            terms += [(key, weight * c) for key, c in chain_of(view, lin).items()]
+    return Tensor(k, terms)
+
+
+def assert_expansion_matches(spec, indices, k):
+    direct = iterated_reduced_poly(spec, Polynomial.single(Monomial(indices)), k)
+    assert linearization_expansion(spec, indices, k) == direct
+
+
 @pytest.mark.parametrize("i", [2, 3, 4, 5])
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_tree_expansion_matches_iterated_coproduct(fdb6, i, k):
-    assert tree_expansion_report(fdb6, i, k) == []
-
-
-def test_tree_expansion_rejects_bad_rank(fdb6):
-    with pytest.raises(InputError):
-        tree_expansion_report(fdb6, 3, 0)
-
-
-def test_tree_expansion_rejects_a_bool_rank(fdb6):
-    # its own message, not the Tensor constructor's rank message
-    with pytest.raises(InputError, match="level count must be >= 1, got True"):
-        tree_expansion_report(fdb6, 3, True)
+    assert_expansion_matches(fdb6, (i,), k)
 
 
 @pytest.mark.parametrize(
@@ -255,12 +266,7 @@ def test_tree_expansion_rejects_a_bool_rank(fdb6):
     [(1,), (2,), (1, 1), (1, 2), (2, 2), (2, 3), (1, 1, 2), (2, 2, 2)],
 )
 def test_forest_expansion_matches_product_coproduct(fdb6, indices):
-    assert forest_expansion_report(fdb6, indices) == []
-
-
-def test_forest_expansion_needs_indices(fdb6):
-    with pytest.raises(InputError):
-        forest_expansion_report(fdb6, ())
+    assert_expansion_matches(fdb6, indices, 2)
 
 
 @pytest.fixture(scope="module")
@@ -279,4 +285,4 @@ def test_forest_expansion_at_higher_ranks(fdb6, dual5, indices):
     reduced coproduct."""
     for spec in (fdb6, dual5):
         for k in (2, 3, 4):
-            assert _expansion_mismatch(spec, indices, k, "forest") == []
+            assert_expansion_matches(spec, indices, k)

@@ -59,8 +59,9 @@ GRAFT_PRODUCTS = {
 def test_rooted_tree_shapes():
     shapes = rooted_tree_shapes(4)
     assert len(shapes) == 8
-    assert shapes[0] == ()
-    assert rooted_tree_shapes(1) == [()]
+    assert shapes[0] == ((), 1)
+    assert [n for _, n in shapes] == [1, 2, 3, 3, 4, 4, 4, 4]
+    assert rooted_tree_shapes(1) == [((), 1)]
     for bad in (0, True):
         with pytest.raises(InputError, match=f"max_vertices must be >= 1, got {bad}"):
             rooted_tree_shapes(bad)
@@ -68,7 +69,8 @@ def test_rooted_tree_shapes():
 
 def reference_shapes(max_vertices):
     """Oracle: the shapes of each size n as the multisets of smaller shapes
-    whose sizes sum to n - 1, drawn from a (shape, size) pool."""
+    whose sizes sum to n - 1, drawn from a (shape, size) pool, and that
+    pool."""
     pool = [((), 1)]
     for n in range(2, max_vertices + 1):
         def child_forests(total, start):
@@ -83,7 +85,7 @@ def reference_shapes(max_vertices):
 
         fresh = sorted({tuple(sorted(f)) for f in child_forests(n - 1, 0)})
         pool.extend((t, n) for t in fresh)
-    return [t for t, _ in pool]
+    return pool
 
 
 # OEIS A000081: rooted trees with n unlabeled vertices, n = 1..11.

