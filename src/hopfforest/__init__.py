@@ -61,7 +61,6 @@ from .prelie import (
     unshuffle_coproduct,
 )
 from .trees import (
-    Address,
     DecoratedTree,
     Forest,
     PosetView,

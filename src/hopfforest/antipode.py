@@ -113,17 +113,17 @@ def _bogoliubov(spec: CoproductSpec, i: int) -> tuple[_Frame, dict]:
 def antipode_forest(spec: CoproductSpec, i: int) -> Polynomial:
     """Cancellation-free antipode, decoded: one term per realized tree, of
     sign (-1)^(vertex count), times the ordered subtree assignments it has."""
-    return _Frame.polynomial(*_forest(spec, i), 1)
+    return _Frame.polynomial(*_forest(spec, i))
 
 
 def antipode_dyson_salam(spec: CoproductSpec, i: int) -> Polynomial:
     """The Dyson-Salam route on one generator, decoded."""
-    return _Frame.polynomial(*_dyson_salam_of(spec, i), 1)
+    return _Frame.polynomial(*_dyson_salam_of(spec, i))
 
 
 def antipode_bogoliubov(spec: CoproductSpec, i: int) -> Polynomial:
     """Triangular recursion through the coproduct table, decoded."""
-    return _Frame.polynomial(*_bogoliubov(spec, i), 1)
+    return _Frame.polynomial(*_bogoliubov(spec, i))
 
 
 _GENERATOR_METHODS = {

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Collection, Optional, Sequence
+from typing import Optional, Sequence
 
 from .algebra import coefficient_text
 from .antipode import METHODS, antipode_generator, packed_route, term_stats
@@ -31,12 +31,7 @@ from .prelie import (
     load_prelie_file,
     prelie_check,
 )
-from .trees import (
-    PosetView,
-    enumerate_trees,
-    tree_notation,
-    tree_stats,
-)
+from .trees import enumerate_trees, tree_notation, tree_stats, view_of
 
 
 def _print_check(name: str, problems: list[str]) -> bool:
@@ -111,7 +106,7 @@ def _cmd_linearizations(args: argparse.Namespace) -> int:
     if args.k < 1:
         raise InputError(f"--k must be >= 1, got {args.k}")
     for t in enumerate_trees(spec, args.element):
-        view = PosetView.of_tree(t)
+        view = view_of(t)
         lins = k_linearizations(view, args.k)
         print(f"{tree_notation(t)} k={args.k} count={len(lins)}")
         for lin in lins:
@@ -261,12 +256,8 @@ _COMMANDS = {
 }
 
 
-def build_parser(
-    commands: Optional[Collection[str]] = None,
-) -> argparse.ArgumentParser:
-    """The argument parser with a subparser for each of `commands`, by default
-    all of them.  A parser with only some still names every subcommand in its
-    usage line, so its messages read as the full parser's."""
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, with a subparser for each command."""
     parser = argparse.ArgumentParser(
         prog="hopfforest",
         description=(
@@ -275,14 +266,8 @@ def build_parser(
             "free tree methods."
         ),
     )
-    names = [name for name in _COMMANDS if commands is None or name in commands]
-    # The full parser keeps the default metavar: argparse also names the
-    # argument by its metavar in "invalid choice" and "required" messages.
-    every = "{" + ",".join(_COMMANDS) + "}"
-    metavar = None if len(names) == len(_COMMANDS) else every
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        _, help_text, arguments = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if name == "gen":
             gen_sub = p.add_subparsers(dest="generator", required=True)
@@ -333,10 +318,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _plain_args(argv)
     if args is None:
-        # only the named subcommand's parser, or all for no or an unknown name
-        known = bool(argv) and argv[0] in _COMMANDS
         try:
-            args = build_parser(argv[:1] if known else None).parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             # argparse exits 2 on usage errors and 0 on --help; pass both through
             return int(exc.code or 0)

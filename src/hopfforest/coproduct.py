@@ -168,14 +168,16 @@ class _Frame:
         return {pack(m): c if scale == 1 else _scalar(Fraction(c * scale ** len(m), scale ** lift))
                 for m, c in p.items()}
 
-    def polynomial(self, packed: dict, lift: int) -> Polynomial:
-        """Packed c * beta_M as c * scale^lift / scale^|M| * b_M, summed."""
+    def polynomial(self, packed: dict) -> Polynomial:
+        """Packed c * beta_M as c * scale / scale^|M| * b_M, summed: the
+        packed image of some beta_i read as that of b_i = scale * beta_i,
+        the inverse of `packed` at lift 1."""
         scale, decoded, decode = self.scale, self.decoded, self._monomial
         out = []
         for m, c in packed.items():
             m = decoded[m] if m in decoded else decode(m)
             if scale > 1:
-                c = Fraction(c * scale ** lift, scale ** len(m))
+                c = Fraction(c * scale, scale ** len(m))
             out.append((m, c))
         return Polynomial._checked(out)
 
@@ -250,7 +252,8 @@ def iterated_reduced(spec: CoproductSpec, i: int, k: int) -> Tensor:
 
 def monomials_up_to(spec: CoproductSpec, max_degree: int) -> list[Monomial]:
     """All monomials of degree <= max_degree, including the unit, in
-    canonical order."""
+    canonical order; none below 0."""
+    _check_degree_bound(max_degree)
     return [m for m, _ in graded_monomials(spec.generators.values(), max_degree)]
 
 
@@ -287,13 +290,21 @@ def convolution_check(
         parts = [(0, 1, packed[i]), (frame.field[i], 1, packed[0])]
         acc = _spread({}, parts + [(r, c, packed[l]) for c, l, _, _, r in frame.rows[i]])
         if any(acc.values()):
-            got = frame.polynomial(_nonzero(acc), 1)
+            got = frame.polynomial(_nonzero(acc))
             problems.append(f"convolution failed on {mono(i)}: got {got}, expected 0")
     return problems
 
 
+def _check_degree_bound(max_degree: object) -> None:
+    """Raise unless max_degree is an int and not a bool; below 1 it bounds
+    every generator out, so a check up to it checks nothing."""
+    if not isinstance(max_degree, int) or isinstance(max_degree, bool):
+        raise InputError(f"max_degree must be an integer, got {max_degree!r}")
+
+
 def _generators_up_to(spec: CoproductSpec, max_degree: int) -> list[int]:
     """The ids of the generators of degree <= max_degree, by degree, then id."""
+    _check_degree_bound(max_degree)
     found = sorted((g.degree, g.id) for g in spec.generators.values())
     return [i for d, i in found if d <= max_degree]
 
@@ -335,6 +346,6 @@ def counit_report(spec: CoproductSpec, max_degree: int) -> list[str]:
         right = _nonzero({k & slot: c for k, c in once if not k >> shift})
         for side, got in (("left", left), ("right", right)):
             if got != {frame.field[i]: 1}:
-                got = frame.polynomial(got, 1)
+                got = frame.polynomial(got)
                 problems.append(f"{side} counit failed on {mono(i)}: got {got}")
     return problems

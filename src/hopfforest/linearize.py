@@ -17,17 +17,17 @@ from typing import NamedTuple, Union
 
 from .algebra import Monomial, Tensor, _positive_int
 from .errors import InputError
-from .trees import Address, PosetView, TreeLike, view_of
+from .trees import PosetView, TreeLike, view_of
 
 
 class Linearization(NamedTuple):
-    """Levels presented as fibers: fibers[t] is the set of vertex addresses
+    """Levels presented as fibers: fibers[t] is the set of vertex numbers
     at level t+1.  Fibers are nonempty and partition the poset's vertices."""
 
-    fibers: tuple[frozenset[Address], ...]
+    fibers: tuple[frozenset[int], ...]
 
 
-def _subsets(items: list[Address]):
+def _subsets(items: list[int]):
     """Every sublist of items, the empty one first, in mask order: bit k of
     the mask picks items[k]."""
     for mask in range(1 << len(items)):
@@ -69,7 +69,7 @@ def k_linearizations(
 def chain_of(x: Union[TreeLike, PosetView], lin: Linearization) -> Tensor:
     """The rank-k tensor of level-fiber monomials of left decorations."""
     view = view_of(x)
-    seen: set[Address] = set()
+    seen: set[int] = set()
     for fiber in lin.fibers:
         if not fiber or fiber & seen:
             raise InputError("linearization fibers must be disjoint and nonempty")

@@ -1,6 +1,6 @@
 """Decorated non-planar rooted trees, forests, their statistics,
-exhaustive enumeration against a coproduct table, and the address-level
-poset views that linearizations read.
+exhaustive enumeration against a coproduct table, and the poset views,
+with vertices numbered in preorder, that linearizations read.
 
 Every vertex carries two positive integers (source, left).  The source is
 the generator the vertex stands for; the left value is the generator the
@@ -228,10 +228,25 @@ def enumerate_trees(spec: CoproductSpec, i: int) -> tuple[DecoratedTree, ...]:
             for combo in iter_product(*pools):
                 children = tuple(t for group in combo for t in group)
                 found.add(node(j, e.left, children))
-        value = realized[j] = tuple(sorted(found))
+        value = realized[j] = tuple(sorted(found, key=_order_key))
         return value
 
     return trees_of(i)
+
+
+def _order_key(t: DecoratedTree) -> tuple[int, ...]:
+    """A flat key whose order is t's tuple order: each vertex's (source,
+    left) in preorder, after one 0 per subtree closed since the vertex
+    before.  A 0 sorts below every decoration, as a list that ends sorts
+    below one that goes on; comparing keys walks no nested tuple, so it
+    costs no more than the keys' length however deep the trees."""
+    key: list[int] = []
+    opened = 1
+    for (source, left, _), depth in _vertices(t):
+        key += [0] * (opened - depth)
+        key += source, left
+        opened = depth + 1
+    return tuple(key)
 
 
 def tree_notation(t: DecoratedTree) -> str:
@@ -252,61 +267,35 @@ def forest_notation(f: Forest) -> str:
     return "*".join(map(tree_notation, f)) or "1"
 
 
-# --- Address-level poset views ----------------------------------------------
-
-#: A vertex address: the path of child positions from a root (forest views
-#: prefix the component index).
-Address = tuple[int, ...]
+# --- Poset views -------------------------------------------------------------
 
 
 class PosetView(NamedTuple):
-    """A concrete poset presentation of a tree or forest: vertices are
-    addresses, and x < y means x is a strict ancestor of y (roots are
-    minimal).  Views exist so that linearizations can talk about individual
-    vertices, which canonical trees cannot."""
+    """A concrete poset presentation of a tree or forest: vertex v is the
+    v-th of `_vertices`' preorder, parent[v] its parent's number (None for a
+    root) and left_of[v] its left decoration; x < y means x is a strict
+    ancestor of y (roots are minimal).  Preorder is the lexicographic order
+    of root paths, so numbers sort as those paths do.  Views exist so that
+    linearizations can talk about individual vertices, which canonical trees
+    cannot."""
 
-    vertices: tuple[Address, ...]
-    parent: dict[Address, Optional[Address]]
-    children: dict[Address, tuple[Address, ...]]
-    source_of: dict[Address, int]
-    left_of: dict[Address, int]
-
-    @classmethod
-    def _build(cls, rooted: list[tuple[Address, DecoratedTree]]) -> "PosetView":
-        """The view of the rooted trees in preorder, from an explicit stack."""
-        order: list[Address] = []
-        parent: dict[Address, Optional[Address]] = {}
-        children: dict[Address, tuple[Address, ...]] = {}
-        source_of: dict[Address, int] = {}
-        left_of: dict[Address, int] = {}
-        stack = [(addr, t, None) for addr, t in reversed(rooted)]
-        while stack:
-            addr, (source, left, kids), par = stack.pop()
-            order.append(addr)
-            parent[addr] = par
-            source_of[addr] = source
-            left_of[addr] = left
-            kid_addrs = children[addr] = tuple(addr + (k,) for k in range(len(kids)))
-            stack.extend((a, c, addr) for a, c in zip(kid_addrs[::-1], kids[::-1]))
-        return cls(tuple(order), parent, children, source_of, left_of)
-
-    @classmethod
-    def of_tree(cls, t: DecoratedTree) -> "PosetView":
-        return cls._build([((), t)])
-
-    @classmethod
-    def of_forest(cls, f: Forest) -> "PosetView":
-        return cls._build([((k,), t) for k, t in enumerate(f)])
-
-    def size(self) -> int:
-        return len(self.vertices)
+    vertices: tuple[int, ...]
+    parent: tuple[Optional[int], ...]
+    left_of: tuple[int, ...]
 
 
 def view_of(x: Union[TreeLike, PosetView]) -> PosetView:
+    """x if it is a view, else the view of a tree or forest: its parent at
+    each vertex is the last vertex seen one level up."""
     if isinstance(x, PosetView):
         return x
-    if isinstance(x, DecoratedTree):
-        return PosetView.of_tree(x)
-    if isinstance(x, Forest):
-        return PosetView.of_forest(x)
-    raise InputError(f"expected a tree, forest or poset view, got {x!r}")
+    if not isinstance(x, (DecoratedTree, Forest)):
+        raise InputError(f"expected a tree, forest or poset view, got {x!r}")
+    parent: list[Optional[int]] = []
+    left_of: list[int] = []
+    last: list[Optional[int]] = [None]  # last[d]: the latest vertex at depth d
+    for v, (t, depth) in enumerate(_vertices(x)):
+        parent.append(last[depth - 1])
+        left_of.append(t.left)
+        last[depth:] = [v]
+    return PosetView(tuple(range(len(parent))), tuple(parent), tuple(left_of))

@@ -5,16 +5,17 @@ a corolla cut, and the rest is a k-linearization of its quotient.
 A corolla cut is an upward-closed vertex set whose components are single
 leaves or full terminal corollas (an internal vertex together with all of
 its children, those children all being leaves).  Both views are built by
-hand, vertex by vertex, from the host tree's view."""
+hand, over the host tree's vertex numbers, from its view and the children
+and sources this module reads off the tree itself."""
 
 from typing import NamedTuple
 
-from hopfforest.trees import DecoratedTree, Forest, PosetView, forest, leaf, node
+from hopfforest.trees import DecoratedTree, Forest, PosetView, forest, leaf, node, view_of
 
 
 class CorollaCut(NamedTuple):
-    """vertices  all cut vertex addresses in the host tree
-    meet      addresses of the component minima (corolla roots and bare
+    """vertices  all cut vertex numbers in the host tree
+    meet      numbers of the component minima (corolla roots and bare
               leaves); these are leaves of the quotient
     cut       the components as a standalone decorated forest
     quotient  the host tree with every corolla component collapsed to a
@@ -29,11 +30,17 @@ class CorollaCut(NamedTuple):
     quotient_view: PosetView
 
 
-def _tree_from_view(view, a):
-    if not view.children[a]:
-        return leaf(view.left_of[a])
-    kids = [_tree_from_view(view, c) for c in view.children[a]]
-    return node(view.source_of[a], view.left_of[a], kids)
+def _preorder(t):
+    yield t
+    for c in t.children:
+        yield from _preorder(c)
+
+
+def _tree(a, children, source, left):
+    """The tree below vertex a, given each vertex's children and decorations."""
+    if not children[a]:
+        return leaf(left[a])
+    return node(source[a], left[a], [_tree(c, children, source, left) for c in children[a]])
 
 
 def _subsets(items):
@@ -46,56 +53,43 @@ def corolla_cuts(t):
     corollas and then of the free leaves.  A single leaf has none (the only
     candidate cut would be the whole tree with nothing left to quotient
     onto)."""
-    view = PosetView.of_tree(t)
-    if view.size() == 1:
+    view = view_of(t)
+    if len(view.vertices) == 1:
         return ()
-    leaves = [a for a in view.vertices if not view.children[a]]
+    source = [u.source for u in _preorder(t)]
+    children = [[] for _ in view.vertices]
+    for a in view.vertices[1:]:
+        children[view.parent[a]].append(a)
+    leaves = [a for a in view.vertices if not children[a]]
     terminal = [
-        a
-        for a in view.vertices
-        if view.children[a] and not any(view.children[c] for c in view.children[a])
+        a for a in view.vertices if children[a] and not any(children[c] for c in children[a])
     ]
     out = []
     for chosen in _subsets(terminal):
-        dropped = {c for x in chosen for c in view.children[x]}
+        dropped = {c for x in chosen for c in children[x]}
         for bare in _subsets([a for a in leaves if a not in dropped]):
             if not chosen and not bare:
                 continue
             meet = frozenset(chosen) | frozenset(bare)
             members = meet | dropped
             cut_view = PosetView(
-                vertices=tuple(a for a in view.vertices if a in members),
-                parent={
-                    a: (view.parent[a] if view.parent[a] in members else None)
-                    for a in view.vertices
-                    if a in members
-                },
-                children={
-                    a: (view.children[a] if a in chosen else ())
-                    for a in view.vertices
-                    if a in members
-                },
-                source_of={a: view.source_of[a] for a in members},
-                left_of={a: view.left_of[a] for a in members},
+                tuple(a for a in view.vertices if a in members),
+                tuple(p if p in members else None for p in view.parent),
+                view.left_of,
             )
-            keep = [a for a in view.vertices if a not in dropped]
+            cut_children = [c if a in chosen else [] for a, c in enumerate(children)]
             quotient_view = PosetView(
-                vertices=tuple(keep),
-                parent={a: view.parent[a] for a in keep},
-                children={a: (() if a in chosen else view.children[a]) for a in keep},
-                source_of={a: view.source_of[a] for a in keep},
-                left_of={
-                    a: (view.source_of[a] if a in chosen else view.left_of[a])
-                    for a in keep
-                },
+                tuple(a for a in view.vertices if a not in dropped),
+                view.parent,
+                tuple(s if a in chosen else l for a, (s, l) in enumerate(zip(source, view.left_of))),
             )
-            roots = [a for a in cut_view.vertices if cut_view.parent[a] is None]
+            quotient_children = [[] if a in chosen else c for a, c in enumerate(children)]
             out.append(
                 CorollaCut(
                     frozenset(members),
                     meet,
-                    forest(*(_tree_from_view(cut_view, a) for a in roots)),
-                    _tree_from_view(quotient_view, ()),
+                    forest(*(_tree(a, cut_children, source, view.left_of) for a in sorted(meet))),
+                    _tree(0, quotient_children, source, quotient_view.left_of),
                     cut_view,
                     quotient_view,
                 )

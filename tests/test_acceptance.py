@@ -151,9 +151,9 @@ def test_criterion_5_alternating_sums(capfd):
             view = view_of(t)
             total = sum(
                 (-1) ** k * len(k_linearizations(view, k))
-                for k in range(1, view.size() + 1)
+                for k in range(1, len(view.vertices) + 1)
             )
-            assert total == (-1) ** view.size()
+            assert total == (-1) ** len(view.vertices)
 
 
 def example_tree():

@@ -153,6 +153,31 @@ def test_structure_reports_are_clean(fdb6):
     assert counit_report(fdb6, max_degree=5) == []
 
 
+@pytest.mark.parametrize("max_degree", ["a", 2.5, True, None])
+def test_every_degree_bound_must_be_an_int(max_degree):
+    # A bound that is not an int, or is a bool, is refused before any
+    # comparison: "a" raised TypeError from one, and 2.5 and True checked
+    # generators as if they were numbers.
+    spec = faa_di_bruno_spec(4)
+    checks = [
+        lambda: coassociativity_report(spec, max_degree),
+        lambda: counit_report(spec, max_degree),
+        lambda: convolution_check(spec, max_degree, antipode_endomap(spec)),
+        lambda: convolution_check(spec, max_degree, "forest"),
+        lambda: monomials_up_to(spec, max_degree),
+    ]
+    for check in checks:
+        with pytest.raises(InputError, match="^max_degree must be an integer, got "):
+            check()
+
+
+def test_a_degree_bound_below_1_checks_nothing(fdb6):
+    for max_degree in (0, -1):
+        assert coassociativity_report(fdb6, max_degree) == []
+        assert counit_report(fdb6, max_degree) == []
+        assert convolution_check(fdb6, max_degree, "forest") == []
+
+
 # The reports the generator reports replaced, kept as oracles: they check
 # each identity through the full coproduct, and the per-monomial ones on
 # every monomial instead of relying on the coproduct being an algebra
@@ -559,9 +584,9 @@ def decodes(monkeypatch):
     decoded = []
     polynomial = coproduct._Frame.polynomial
 
-    def counted(self, packed, lift):
+    def counted(self, packed):
         decoded.append(packed)
-        return polynomial(self, packed, lift)
+        return polynomial(self, packed)
 
     monkeypatch.setattr(coproduct._Frame, "polynomial", counted)
     return decoded
@@ -639,7 +664,7 @@ def test_method_convolution_and_agreement_on_packed_values(corrupted):
         fresh = _fresh(table)
         assert frame.dyson_salam.keys() == set(ids)
         for i, packed in frame.dyson_salam.items():
-            assert frame.polynomial(packed, 1) == antipode_dyson_salam(fresh, i)
+            assert frame.polynomial(packed) == antipode_dyson_salam(fresh, i)
 
 
 def test_convolution_rejects_an_unknown_method():

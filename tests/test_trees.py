@@ -36,6 +36,7 @@ from hopfforest.trees import (
     vertex_monomial,
     view_of,
 )
+from hopfforest.trees import _order_key
 
 from corolla_cuts import corolla_cuts
 
@@ -102,6 +103,22 @@ def test_tuple_order_is_the_structure_key_order(ts):
         assert list(t.children) == sorted(t.children, key=structure_key)
 
 
+@settings(max_examples=200)
+@given(st.lists(decorated_trees(depth=4), max_size=8))
+def test_the_flat_order_key_is_tuple_order(ts):
+    # enumerate_trees sorts by the flat key, so that no comparison walks
+    # down nested tuples; it must order as tuples do.
+    for a in ts:
+        for b in ts:
+            assert (_order_key(a) < _order_key(b)) == (a < b)
+            assert (_order_key(a) == _order_key(b)) == (a == b)
+
+
+def test_the_flat_order_key_of_a_small_tree():
+    # (6,1), (2,1), (1,1), then 0s closing the leaf and N(2;1) before (3,1)
+    assert _order_key(example_tree()) == (6, 1, 2, 1, 1, 1, 0, 0, 3, 1, 1, 1, 0, 1, 1)
+
+
 @pytest.mark.parametrize(
     "make",
     [lambda: faa_di_bruno_spec(8), lambda: dualize(grafting_instance(5), 5)],
@@ -140,11 +157,11 @@ RECORDS = {
     "tree": (lambda spec: example_tree(), ("source", "left", "children")),
     "forest": (lambda spec: forest(example_tree(), leaf(2)), ("trees",)),
     "view": (
-        lambda spec: PosetView.of_tree(example_tree()),
-        ("vertices", "parent", "children", "source_of", "left_of"),
+        lambda spec: view_of(example_tree()),
+        ("vertices", "parent", "left_of"),
     ),
     "linearization": (
-        lambda spec: Linearization((frozenset({(0,)}),)),
+        lambda spec: Linearization((frozenset({0}),)),
         ("fibers",),
     ),
     "term-stats": (
@@ -180,8 +197,8 @@ def test_record_reprs_are_the_dataclass_reprs(fdb6):
     assert repr(forest(example_tree(), leaf(2))) == (
         f"Forest(trees=(DecoratedTree(source=2, left=2, children=()), {tree}))"
     )
-    assert repr(Linearization((frozenset({(0,)}),))) == (
-        "Linearization(fibers=(frozenset({(0,)}),))"
+    assert repr(Linearization((frozenset({0}),))) == (
+        "Linearization(fibers=(frozenset({0}),))"
     )
     assert repr(term_stats(fdb6, 3)) == "TermStats(dyson_salam_terms=6, forest_terms=5)"
 
@@ -192,8 +209,7 @@ def test_trees_and_forests_are_tuples_of_their_fields():
     assert t == (t.source, t.left, t.children)
     assert forest(t, leaf(2)) == (leaf(2), t) == forest(t, leaf(2)).trees
     assert leaf(2) < t and Forest(()) == ()
-    with pytest.raises(TypeError):
-        hash(PosetView.of_tree(t))
+    assert hash(view_of(t)) == hash(view_of(example_tree()))
 
 
 def test_statistics(fdb6):
@@ -237,7 +253,7 @@ def test_statistics_of_a_tree_deeper_than_the_recursion_limit():
         hashes = hash(chain), hash(node(n + 1, 1, [chain]))
         multiplicity = tree_multiplicity(chain)
         notation = tree_notation(chain)
-        view = PosetView.of_tree(chain)
+        view = view_of(chain)
     finally:
         sys.setrecursionlimit(limit)
     b1_300 = Monomial([1] * n)
@@ -248,8 +264,7 @@ def test_statistics_of_a_tree_deeper_than_the_recursion_limit():
     assert notation == (
         "".join(f"N({i};1)[" for i in range(n, 1, -1)) + "L(1)" + "]" * (n - 1)
     )
-    assert view.size() == n and view.vertices[-1] == (0,) * (n - 1)
-    assert view.parent[view.vertices[-1]] == view.vertices[-2]
+    assert view == (tuple(range(n)), (None, *range(n - 1)), (1,) * n)
 
     # Building a tree sorts its children by tuple order, which a chain of
     # one child per vertex never compares: it builds at the default limit.
@@ -399,23 +414,46 @@ def test_multiplicity_matches_planar_count_on_random_trees(t):
 
 
 def test_poset_view_of_tree():
-    view = PosetView.of_tree(example_tree())
-    assert view.size() == 6
-    assert [a for a in view.vertices if view.parent[a] is None] == [()]
-    assert view.children[()] == ((0,), (1,))
-    assert view.children[(0, 0)] == ()
-    assert view.parent[(1, 1)] == (1,) and view.parent[(1,)] == ()
-    assert view.source_of[(1,)] == 3 and view.left_of[(1,)] == 1
+    # preorder: N(6;1) 0, N(2;1) 1, L(1) 2, N(3;1) 3, L(1) 4, L(1) 5
+    view = view_of(example_tree())
+    assert view == PosetView(tuple(range(6)), (None, 0, 1, 0, 3, 3), (1,) * 6)
+    t = node(4, 2, [node(3, 1, [leaf(2)]), leaf(1)])
+    assert view_of(t) == ((0, 1, 2, 3), (None, 0, 0, 2), (2, 1, 1, 2))
 
 
 def test_poset_view_of_forest_and_passthrough():
-    f = forest(leaf(1), node(2, 1, [leaf(1)]))
-    view = PosetView.of_forest(f)
-    assert [a for a in view.vertices if view.parent[a] is None] == [(0,), (1,)]
-    assert view.size() == 3
+    f = forest(leaf(3), node(2, 1, [leaf(1)]))
+    view = view_of(f)
+    assert view == ((0, 1, 2), (None, 0, None), (1, 1, 3))
     assert view_of(view) is view
     with pytest.raises(InputError):
         view_of("not a tree")
+
+
+@settings(max_examples=80)
+@given(st.lists(decorated_trees(), min_size=1, max_size=3))
+def test_view_numbers_vertices_in_root_path_order(ts):
+    # The oracle: each vertex's path of child positions, led by its
+    # component's index, found by recursion.  Preorder is the paths'
+    # lexicographic order, so a vertex's number is its path's rank.
+    f = forest(*ts)
+    paths = []
+
+    def walk(t, path):
+        paths.append((path, t.left))
+        for k, c in enumerate(t.children):
+            walk(c, path + (k,))
+
+    for k, t in enumerate(f):
+        walk(t, (k,))
+    assert paths == sorted(paths)
+    number = {path: v for v, (path, _) in enumerate(paths)}
+    assert view_of(f) == (
+        tuple(range(len(paths))),
+        tuple(number.get(path[:-1]) for path, _ in paths),
+        tuple(left for _, left in paths),
+    )
+    assert view_of(ts[0]) == view_of(forest(ts[0]))
 
 
 def test_corolla_cuts_small():
@@ -454,7 +492,7 @@ def test_corolla_cuts_of_example_tree(fdb6):
 
     # The largest cut keeps everything except the root: both terminal
     # corollas come off at once and the quotient contracts each to a leaf.
-    full = [c for c in cuts if c.vertices == set(view.vertices) - {()}]
+    full = [c for c in cuts if c.vertices == set(view.vertices) - {0}]
     assert len(full) == 1
     assert full[0].quotient == node(6, 1, [leaf(2), leaf(3)])
     assert full[0].cut == forest(
