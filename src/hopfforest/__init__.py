@@ -8,7 +8,6 @@ from .algebra import (
     Monomial,
     Multiset,
     Polynomial,
-    Rational,
     Tensor,
     mono,
     multiset,

@@ -7,9 +7,9 @@ finitely supported coefficient maps that never store zeros, so ``==`` is
 structural equality.  A value stores a coefficient as an ``int`` until a
 denominator appears and as a ``fractions.Fraction`` (lowest terms,
 positive denominator) after that; every public read (``terms``,
-``coefficient``, ``constant``) returns a ``Fraction``.  Since ``int`` and
-``Fraction`` compare and hash alike, the stored form never shows in ``==``
-or ``hash``.  Every value is immutable after construction and safe to
+``coefficient``) returns a ``Fraction``.  Since ``int`` and ``Fraction``
+compare and hash alike, the stored form never shows in ``==`` or
+``hash``.  Every value is immutable after construction and safe to
 share between threads.  (The specs, which memoize derived values, are
 not: see ``hopfspec.CoproductSpec`` and ``prelie.PreLieSpec``.)
 """
@@ -24,9 +24,6 @@ from itertools import chain
 from typing import Iterable, Union
 
 from .errors import InputError
-
-#: Exact scalar type of the ground field (characteristic zero).
-Rational = Fraction
 
 Scalar = Union[Fraction, int]
 
@@ -335,11 +332,6 @@ class Polynomial(_CoefficientMap):
     def coefficient(self, m: Monomial) -> Fraction:
         return _fraction(self._terms.get(m, 0))
 
-    @property
-    def constant(self) -> Fraction:
-        """Coefficient of the unit monomial (the counit of the polynomial)."""
-        return _fraction(self._terms.get(UNIT, 0))
-
     def __repr__(self) -> str:
         return f"Polynomial<{self.render()}>"
 
@@ -398,27 +390,8 @@ class Tensor(_CoefficientMap):
         return self._rank
 
     @classmethod
-    def zero(cls, rank: int) -> "Tensor":
-        return cls(rank)
-
-    @classmethod
-    def one(cls, rank: int) -> "Tensor":
-        """The unit tensor 1 (x) ... (x) 1."""
-        return cls(rank, {(UNIT,) * rank: 1})
-
-    @classmethod
     def single(cls, key: TensorKey, c: Scalar = 1) -> "Tensor":
         return cls(len(key), {tuple(key): c})
-
-    @classmethod
-    def outer(cls, *factors: Polynomial) -> "Tensor":
-        """Tensor product of polynomials, one per slot."""
-        if not factors:
-            raise InputError("outer product needs at least one factor")
-        terms: list[tuple[TensorKey, Scalar]] = [((), 1)]  # grows rank
-        for p in factors:
-            terms = [(key + (m,), c * cm) for key, c in terms for m, cm in p.items()]
-        return cls(len(factors), terms)
 
     def coefficient(self, key: TensorKey) -> Fraction:
         return _fraction(self._terms.get(tuple(key), 0))

@@ -160,9 +160,8 @@ def antipode_endomap(
     spec: CoproductSpec, method: str = "forest"
 ) -> Callable[[Monomial], Polynomial]:
     """The antipode on monomials, the product of the generator antipodes
-    with S(1) = 1: multiplicative, which lets convolution_check visit
-    generators only.  The map decodes each generator's antipode once, into
-    a dict of its own."""
+    with S(1) = 1.  The map decodes each generator's antipode once, into a
+    dict of its own."""
     route = _route(method)
     values: dict[int, Polynomial] = {}
     unit = [Polynomial.one()]  # S(1), and no product for a generator

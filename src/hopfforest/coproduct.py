@@ -21,18 +21,19 @@ Iterating the reduced coproduct ends with zero once the rank exceeds the
 degree, which makes the degree-many-step antipode formulas finite.  As the
 coproduct is an algebra morphism, coassociativity and counit hold on every
 monomial once they hold on the generators, and so does the convolution
-identity, given an antipode multiplicative on monomials, as the algebra is
-commutative: all three reports visit generators only, on their frame.
+identity of an antipode route, whose values are multiplicative on monomials
+as the algebra is commutative: all three reports visit generators only, on
+their frame, and the convolution reads a route's packed values by its
+method name.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Callable
 
-from .algebra import UNIT, Monomial, Polynomial, Tensor, mono
-from .algebra import _positive_int, _scalar, _sorted_monomial
+from .algebra import Monomial, Polynomial, Tensor, mono
+from .algebra import _positive_int, _sorted_monomial
 from .errors import InputError
 from .hopfspec import CoproductSpec, graded_monomials
 
@@ -161,17 +162,14 @@ class _Frame:
         monomial = self.decoded[m] = _sorted_monomial(indices)
         return monomial
 
-    def packed(self, p: Polynomial, lift: int) -> dict:
-        """p in the basis beta, the inverse of `polynomial`: c * b_M is
-        c * scale^|M| / scale^lift * beta_M."""
+    def packed(self, p: Polynomial) -> dict:
+        """p in the basis beta: c * b_M is c * scale^|M| * beta_M."""
         pack, scale = self.pack, self.scale
-        return {pack(m): c if scale == 1 else _scalar(Fraction(c * scale ** len(m), scale ** lift))
-                for m, c in p.items()}
+        return {pack(m): c * scale ** len(m) for m, c in p.items()}
 
     def polynomial(self, packed: dict) -> Polynomial:
         """Packed c * beta_M as c * scale / scale^|M| * b_M, summed: the
-        packed image of some beta_i read as that of b_i = scale * beta_i,
-        the inverse of `packed` at lift 1."""
+        packed image of some beta_i read as that of b_i = scale * beta_i."""
         scale, decoded, decode = self.scale, self.decoded, self._monomial
         out = []
         for m, c in packed.items():
@@ -220,7 +218,7 @@ def _poly_frame(spec: CoproductSpec, p: Polynomial) -> tuple[_Frame, dict]:
     slot's, and p packed in its basis."""
     bound = max((spec.monomial_degree(m) for m, _ in p.items()), default=0)
     frame = frame_over(spec, {j for m, _ in p.items() for j in m}, bound)
-    return frame, frame.packed(p, 0)
+    return frame, frame.packed(p)
 
 
 def coproduct_poly(spec: CoproductSpec, p: Polynomial) -> Tensor:
@@ -257,34 +255,23 @@ def monomials_up_to(spec: CoproductSpec, max_degree: int) -> list[Monomial]:
     return [m for m, _ in graded_monomials(spec.generators.values(), max_degree)]
 
 
-def convolution_check(
-    spec: CoproductSpec, max_degree: int, antipode: str | Callable[[Monomial], Polynomial]
-) -> list[str]:
-    """Check (antipode * id)(b) = 0 on every generator b of degree <=
-    max_degree, where * is convolution through the full coproduct.
-    `antipode` is a method name, whose packed route values are read off its
-    memo, or a multiplicative map from a monomial to its image with
-    antipode(1) = 1, as `antipode.antipode_endomap` is, read once on the
-    unit and each generator and packed, on a new frame only when a value
-    names a generator spec's lacks or a key could carry.  The algebra is
-    commutative, so the convolution is an algebra morphism and a monomial
-    fails exactly when one of its generators does.  S(beta_i) + S(1) beta_i
-    + sum of c' S(beta_l) beta_J is summed packed, decoded only on failure.
+def convolution_check(spec: CoproductSpec, max_degree: int, method: str) -> list[str]:
+    """Check (S * id)(b) = 0 on every generator b of degree <= max_degree,
+    where * is convolution through the full coproduct and S the antipode of
+    ``method``, whose packed route values are read off its memo on one
+    frame over those generators.  The algebra is commutative, so the
+    convolution is an algebra morphism and a monomial fails exactly when
+    one of its generators does.  S(beta_i) + S(1) beta_i + sum of
+    c' S(beta_l) beta_J is summed packed, decoded only on failure.
     Returns failure descriptions; empty means the antipode property holds."""
+    from .antipode import packed_route  # which imports this module
+
+    route = packed_route(method)
     ids = _generators_up_to(spec, max_degree)
     if not ids:
         return []
-    frame = frame_over(spec, ids)  # one frame for every route value the antipode reads
-    if isinstance(antipode, str):  # S(1) = 1
-        from .antipode import packed_route  # which imports this module
-        packed = {0: {0: 1}} | {i: packed_route(antipode)(spec, i)[1] for i in ids}
-    else:
-        values = {0: antipode(UNIT)} | {i: antipode(mono(i)) for i in ids}
-        gens = set(ids).union(*(m for s in values.values() for m, _ in s.items()))
-        excess = max(max((len(m) for m, _ in s.items()), default=0) - (j and spec.degree(j))
-                     for j, s in values.items())
-        frame = frame_over(spec, gens, max_degree + excess if excess > 0 else 0)  # or widen
-        packed = {j: frame.packed(s, j and 1) for j, s in values.items()}  # S(beta_j), S(1)
+    frame = frame_over(spec, ids)  # one frame for every route value read
+    packed = {0: {0: 1}} | {i: route(spec, i)[1] for i in ids}  # S(1) = 1
     problems: list[str] = []
     for i in ids:
         parts = [(0, 1, packed[i]), (frame.field[i], 1, packed[0])]

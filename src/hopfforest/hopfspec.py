@@ -35,7 +35,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
-from .algebra import Monomial, Multiset, Rational, Scalar, coefficient_text, multiset
+from .algebra import Monomial, Multiset, Scalar, coefficient_text, multiset
 from .algebra import _fraction, _positive_int, _scalar
 from .errors import InputError
 
@@ -61,7 +61,7 @@ class CoproductEntry(tuple):
 
     __slots__ = ()
 
-    def __new__(cls, source: int, left: int, right: Iterable[int], coeff: Rational):
+    def __new__(cls, source: int, left: int, right: Iterable[int], coeff: Scalar):
         if type(coeff) is not Fraction:
             coeff = _fraction(_scalar(coeff))
         multiset((source, left))  # checks both ids, as `right`'s
@@ -78,6 +78,12 @@ class CoproductEntry(tuple):
 
 #: An entry's table key: (source, left, right).
 _entry_key = itemgetter(0, 1, 2)
+
+
+def _row_key(row: object) -> tuple:
+    """A table row's sort key: an entry's key, and () for anything else, so
+    such a row sorts first, for `CoproductSpec.validate` to name."""
+    return row[:3] if type(row) is CoproductEntry else ()
 
 
 def _entry_text(e: CoproductEntry) -> str:
@@ -103,15 +109,15 @@ class CoproductSpec:
         self.name = str(name)
         self._generator_list = list(generators)
         self.generators = MappingProxyType({g.id: g for g in self._generator_list})
-        self.entries = tuple(sorted(entries, key=_entry_key))
-        self._by_source = {
-            source: tuple(rows)
-            for source, rows in groupby(self.entries, itemgetter(0))
-        }
+        self.entries = tuple(sorted(entries, key=_row_key))
         self._frame = None  # set by coproduct.frame_over
         problems = self.validate()
         if problems:
             raise InputError("invalid spec: " + "; ".join(problems))
+        self._by_source = {
+            source: tuple(rows)
+            for source, rows in groupby(self.entries, itemgetter(0))
+        }
 
     def generator_ids(self) -> list[int]:
         return sorted(self.generators)
@@ -162,6 +168,9 @@ class CoproductSpec:
         # Sorted by key, so a repeated key follows its first occurrence.
         previous = None
         for e in self.entries:
+            if type(e) is not CoproductEntry:
+                problems.append(f"row {e!r} is not a CoproductEntry")
+                continue
             source, left, right = key = e[:3]
             if key == previous:
                 problems.append(f"duplicate {_entry_text(e)}")

@@ -74,9 +74,10 @@ class PreLieSpec:
         self._basis_list = list(basis)
         self.basis = MappingProxyType({g.id: g for g in self._basis_list})
         # Zero products are equivalent to absent ones; normalize away.
-        self.products = MappingProxyType(
-            {key: value for key, value in products.items() if not value.is_zero}
-        )
+        self.products = MappingProxyType({
+            key: value for key, value in products.items()
+            if not (type(value) is Polynomial and value.is_zero)
+        })
         self.truncation = truncation
         self._braces: dict[tuple[int, Monomial], Polynomial] = {}
         self._products: dict[tuple[Monomial, Monomial], Polynomial] = {}
@@ -118,9 +119,16 @@ class PreLieSpec:
             )
             return problems
         degree = {i: g.degree for i, g in self.basis.items() if _positive_int(g.degree)}
-        for (i, j), value in sorted(self.products.items()):
+        for key, value in sorted(self.products.items(), key=_product_order):
+            if not (isinstance(key, tuple) and len(key) == 2):
+                problems.append(f"product key {key!r} is not a pair of basis ids")
+                continue
+            i, j = key
             if not (_positive_int(i) and _positive_int(j) and i in degree and j in degree):
                 problems.append(f"product ({i}, {j}): unknown basis ids")
+                continue
+            if type(value) is not Polynomial:
+                problems.append(f"product ({i}, {j}): {value!r} is not a Polynomial")
                 continue
             expect = degree[i] + degree[j]
             if expect > t:
@@ -141,6 +149,14 @@ class PreLieSpec:
                         f"expected {expect}"
                     )
         return problems
+
+
+def _product_order(item: tuple) -> tuple:
+    """A product's sort key: pairs of positive ints by value, then every
+    other key in the order given, for `PreLieSpec.validate` to name."""
+    key = item[0]
+    pair = isinstance(key, tuple) and len(key) == 2 and all(map(_positive_int, key))
+    return (0, key) if pair else (1,)
 
 
 def prelie_product(spec: PreLieSpec, i: int, j: int) -> Polynomial:

@@ -27,7 +27,7 @@ from math import factorial
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
-from .algebra import Monomial, Rational, _positive_int
+from .algebra import Monomial, _positive_int
 from .errors import InputError
 from .hopfspec import CoproductSpec
 
@@ -139,7 +139,7 @@ def height(x: TreeLike) -> int:
     return max((depth for _, depth in _vertices(x)), default=0)
 
 
-def tree_coefficient(x: TreeLike, spec: CoproductSpec) -> Rational:
+def tree_coefficient(x: TreeLike, spec: CoproductSpec) -> Fraction:
     """Product over internal vertices of the coproduct coefficient for
     (source; left; children's sources).  A vertex with no matching table
     entry contributes 0: the tree is not realized by this table.
@@ -161,7 +161,7 @@ def vertex_monomial(x: TreeLike) -> Monomial:
 class TreeStats(NamedTuple):
     length: int
     height: int
-    coefficient: Rational
+    coefficient: Fraction
     value: Monomial
 
 

@@ -32,7 +32,7 @@ def full_coproduct(spec, m, memo=None):
     """Delta(b_m), the product of its generators' full coproducts."""
     memo = {} if memo is None else memo
     if not m:
-        return Tensor.one(2)
+        return Tensor.single((UNIT, UNIT))
     todo = []  # the prefixes of m to fill, longest first
     k = len(m)
     while k > 1 and Monomial(m[:k]) not in memo:

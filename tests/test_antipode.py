@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hopfforest import antipode
+from hopfforest import antipode, cli
 from hopfforest.algebra import UNIT, Monomial, Polynomial, Tensor, mono
 from hopfforest.antipode import (
     METHODS,
@@ -83,7 +83,8 @@ def test_methods_agree(fdb6, i):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_convolution_identity(fdb6, method):
-    assert convolution_check(fdb6, 5, antipode_endomap(fdb6, method)) == []
+    antipode = antipode_endomap(fdb6, method)
+    assert convolution_check(fdb6, 5, method) == oracle.convolution_check(fdb6, 5, antipode) == []
 
 
 def test_antipode_is_an_involution_here(fdb6):
@@ -346,7 +347,7 @@ def test_each_route_can_fail_only_the_convolution_its_recursion_leaves_open(
     for spec in tables:
         for method in METHODS:
             antipode = antipode_endomap(spec, method)
-            failed["left", method] += bool(convolution_check(spec, degree, antipode))
+            failed["left", method] += bool(convolution_check(spec, degree, method))
             failed["right", method] += bool(_right_convolution(spec, degree, antipode))
     caught = BOGOLIUBOV_DIFFERS[name]
     left = {"forest": caught, "dyson-salam": caught, "bogoliubov": 0}
@@ -519,18 +520,33 @@ def test_coproduct_of_a_monomial_longer_than_the_recursion_limit(products):
     assert products["Tensor"] == 299
 
 
+_PACKED_ROUTES = {
+    "forest": "_forest", "dyson-salam": "_dyson_salam_of", "bogoliubov": "_bogoliubov"
+}
+
+
 @pytest.mark.parametrize("wrong", METHODS)
-def test_each_route_has_its_own_convolution_check(monkeypatch, wrong):
-    # S(b) = -b holds only on primitive generators, so the patched route
-    # must fail its check, while the memoized monomial antipodes of the
-    # other routes stay apart from it and pass.
-    monkeypatch.setitem(
-        antipode._GENERATOR_METHODS, wrong, lambda spec, i: -Polynomial.variable(i)
-    )
+def test_each_route_has_its_own_convolution_check(monkeypatch, capsys, wrong):
+    # S(beta_i) = -beta_i holds only on primitive generators, so the patched
+    # route must fail its check and its verify line, while the packed memos
+    # of the other routes stay apart from it and pass.
+    def negated(spec, i):
+        frame = frame_over(spec, (i,))
+        return frame, {frame.field[i]: -1}
+
+    monkeypatch.setattr(antipode, _PACKED_ROUTES[wrong], negated)
     spec = faa_di_bruno_spec(4)
     for method in METHODS:
-        problems = convolution_check(spec, 4, antipode_endomap(spec, method))
+        problems = convolution_check(spec, 4, method)
         assert bool(problems) == (method == wrong), method
+    monkeypatch.setattr(cli, "load_spec_file", lambda path: faa_di_bruno_spec(4))
+    assert cli.run(["verify", "--spec", "-", "--max-degree", "4"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    convolutions = [line for line in lines if line.startswith("antipode convolution")]
+    assert convolutions == [
+        f"antipode convolution ({method}): {'FAIL' if method == wrong else 'ok'}"
+        for method in METHODS
+    ]
 
 
 def test_term_stats_goldens(fdb6):
@@ -611,7 +627,8 @@ def test_methods_agree_under_generator_relabeling(order):
     for i in spec.generator_ids():
         results = {m: antipode_generator(spec, i, m) for m in METHODS}
         assert results["forest"] == results["dyson-salam"] == results["bogoliubov"]
-    assert convolution_check(spec, 4, antipode_endomap(spec, "forest")) == []
+    forest = antipode_endomap(spec, "forest")
+    assert convolution_check(spec, 4, "forest") == oracle.convolution_check(spec, 4, forest) == []
 
 
 def _rescaled(base, lam):
@@ -645,7 +662,9 @@ def test_rescaled_table_with_signed_fractional_rows(scales):
     assert coassociativity_report(spec, 6) == []
     assert counit_report(spec, 6) == []
     for method in METHODS:
-        assert convolution_check(spec, 6, antipode_endomap(spec, method)) == []
+        antipode = antipode_endomap(spec, method)
+        got = convolution_check(spec, 6, method)
+        assert got == oracle.convolution_check(spec, 6, antipode) == []
     # S(b'_i) = lam_i S(b_i) with each b_j written as b'_j / lam_j.
     for i in spec.generator_ids():
         expected = Polynomial(
@@ -710,11 +729,11 @@ def test_route_identities_on_random_tables(spec):
     generators = [m for m in monomials if len(m) == 1]
     for method in METHODS:
         antipode = antipode_endomap(spec, method)
-        got = convolution_check(spec, top, antipode)
+        got = convolution_check(spec, top, method)
         assert got == _convolution_per_monomial(spec, generators, antipode)
         assert bool(got) == bool(_convolution_per_monomial(spec, monomials, antipode))
     # Each recursion solves its own side of the convolution on every table.
-    assert convolution_check(spec, top, antipode_endomap(spec, "bogoliubov")) == []
+    assert convolution_check(spec, top, "bogoliubov") == []
     assert _right_convolution(spec, top, antipode_endomap(spec, "forest")) == []
 
 

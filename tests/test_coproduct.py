@@ -162,7 +162,6 @@ def test_every_degree_bound_must_be_an_int(max_degree):
     checks = [
         lambda: coassociativity_report(spec, max_degree),
         lambda: counit_report(spec, max_degree),
-        lambda: convolution_check(spec, max_degree, antipode_endomap(spec)),
         lambda: convolution_check(spec, max_degree, "forest"),
         lambda: monomials_up_to(spec, max_degree),
     ]
@@ -295,13 +294,6 @@ def test_reduced_coassociativity_gives_the_full_splice_report(make, degree, rows
         assert got and got == _coassociativity_full_splice(spec, degree), e
 
 
-def test_convolution_check_rejects_non_antipode(fdb6):
-    # The identity map is not an antipode, so the convolution unit must fail.
-    failures = convolution_check(fdb6, 3, Polynomial.single)
-    assert failures
-    assert any("b2" in line for line in failures)
-
-
 def test_generator_convolution_check_gives_the_per_monomial_verdict(
     corrupted, monkeypatch, capsys
 ):
@@ -324,7 +316,7 @@ def test_generator_convolution_check_gives_the_per_monomial_verdict(
         verdicts = []
         for method in METHODS:
             antipode = antipode_endomap(spec, method)
-            got = convolution_check(spec, degree, antipode)
+            got = convolution_check(spec, degree, method)
             assert got == _convolution_per_monomial(spec, generators, antipode)
             everywhere = _convolution_per_monomial(spec, monomials, antipode)
             assert bool(got) == bool(everywhere), method
@@ -399,7 +391,7 @@ def test_library_convolution_builds_one_frame(frames_built):
     # values it reads in ascending id order share it and every lower value.
     spec = faa_di_bruno_spec(16)
     for method in METHODS:
-        assert convolution_check(spec, 16, antipode_endomap(spec, method)) == []
+        assert convolution_check(spec, 16, method) == []
     assert len(frames_built) == 1
 
 
@@ -438,49 +430,19 @@ def test_packed_convolution_and_counit_give_the_tensor_lines(make, degree, rows,
     for spec in tables:
         assert counit_report(spec, degree) == oracle.counit_report(spec, degree) == []
         for method in METHODS:
+            got = convolution_check(spec, degree, method)
             antipode = antipode_endomap(spec, method)
-            got = convolution_check(spec, degree, antipode)
             assert got == oracle.convolution_check(spec, degree, antipode), method
             failed += bool(got)
     assert failed > 0
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["single", "constant-term", "unit-to-2", "fraction", "longer", "off-frame"],
-)
-@pytest.mark.parametrize("degree", [3, 5])
-def test_packed_convolution_gives_the_tensor_lines_on_hand_built_maps(name, degree):
-    # On a table whose rows have denominators (scale > 1), with no frame
-    # yet: maps that are no antipode, one with a constant term, one with
-    # S(1) = 2, one with Fraction values, one with b1^9, past the fields of
-    # any frame up to degree 7, and one with the top generator, off a frame
-    # up to degree 3.  The check widens the fields for the last two.  Every
-    # map fails some generator, so each failure line is decoded.
-    dual = dualize(grafting_instance(5), 5)
-    spec = CoproductSpec("grafting-5-dual", dual.generators.values(), dual.entries)
-    route = antipode_endomap(spec, "bogoliubov")
-    top = max(spec.generator_ids(), key=spec.degree)
-    half = Polynomial.single(UNIT, Fraction(1, 2))
-    maps = {
-        "single": Polynomial.single,
-        "constant-term": lambda m: route(m) + half if m else route(m),
-        "unit-to-2": lambda m: route(m) if m else Polynomial.single(UNIT, 2),
-        "fraction": lambda m: Fraction(2, 3) * route(m) if m else route(m),
-        "longer": lambda m: Polynomial.single(mono(*[1] * 9)) if m else route(m),
-        "off-frame": lambda m: Polynomial.variable(top) if m else route(m),
-    }
-    antipode = maps[name]
-    got = convolution_check(spec, degree, antipode)
-    assert coproduct.frame_over(spec, [1]).scale > 1
-    assert got and got == oracle.convolution_check(spec, degree, antipode)
+def test_convolution_reads_nothing_without_generators(frames_built, monkeypatch):
+    def route(spec, i):
+        raise AssertionError(f"read b{i}")
 
-
-def test_convolution_reads_nothing_without_generators(frames_built):
-    def antipode(m):
-        raise AssertionError(f"read {m}")
-
-    assert convolution_check(faa_di_bruno_spec(4), 0, antipode) == []
+    monkeypatch.setattr("hopfforest.antipode._forest", route)
+    assert convolution_check(faa_di_bruno_spec(4), 0, "forest") == []
     assert frames_built == []
 
 
@@ -652,7 +614,6 @@ def test_method_convolution_and_agreement_on_packed_values(corrupted):
         for method in METHODS:
             got = convolution_check(spec, degree, method)
             antipode = antipode_endomap(spec, method)
-            assert got == convolution_check(spec, degree, antipode)
             assert got == oracle.convolution_check(spec, degree, antipode)
         assert coproduct.frame_over(spec, ids) is frame
         for i in ids:
@@ -668,13 +629,12 @@ def test_method_convolution_and_agreement_on_packed_values(corrupted):
 
 
 def test_convolution_rejects_an_unknown_method():
-    with pytest.raises(InputError, match="^unknown antipode method 'newton'"):
-        convolution_check(faa_di_bruno_spec(3), 3, "newton")
-
-
-def test_convolution_rejects_values_over_generators_the_table_lacks():
-    # A frame numbers only the table's generators, so such a value cannot be
-    # packed; the check says which id is unknown.
+    # The name is checked before the degree bound, so a bound that visits no
+    # generator refuses it too, as the other antipode entry points do; a map
+    # is no method name.
     spec = faa_di_bruno_spec(3)
-    with pytest.raises(InputError, match="^unknown generator id 99$"):
-        convolution_check(spec, 3, lambda m: Polynomial.variable(99) if m else Polynomial.one())
+    for max_degree in (3, 0):
+        with pytest.raises(InputError, match="^unknown antipode method 'newton'"):
+            convolution_check(spec, max_degree, "newton")
+    with pytest.raises(InputError, match="^unknown antipode method <function "):
+        convolution_check(spec, 3, antipode_endomap(spec))

@@ -204,33 +204,45 @@ def test_no_dataclasses_in_the_package():
     assert found == []
 
 
-#: Module-level definitions that neither a command nor the benchmark reaches,
-#: kept on purpose.
+#: Module-level definitions and class members that neither a command nor
+#: the benchmark reaches, kept on purpose.
 UNREACHED_ON_PURPOSE = {
     "sym_spec": "the closed-form symmetric-function family of CI and Tier-1",
     "spec_to_dict": "save_spec's oracle in CI and Tier-1",
 }
 
 
+def _definitions(node: ast.AST) -> list[str]:
+    """The names a module-level or class-body statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def test_every_package_definition_is_reached_from_a_command_or_the_benchmark():
     # The package is what its commands reach: starting from the console
     # script (cli.main) and from every identifier bench/*.py uses (in code,
     # or in strings such as the tracer's "Tensor.multiplied_out"), follow
-    # names through the bodies of module-level definitions.
+    # names through the bodies of module-level definitions.  A class member
+    # other than a dunder counts as reached once its name is, as an
+    # attribute or anywhere else, and only then is its body followed; the
+    # dunders, which Python calls itself, come with their class.
     repo = Path(__file__).resolve().parents[1]
     defined: dict[str, list] = {}
     for path in sorted((repo / "src" / "hopfforest").glob("*.py")):
         for node in ast.parse(path.read_text(), str(path)).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            for name in names:
-                if not (name.startswith("__") and name.endswith("__")):
-                    defined.setdefault(name, []).append(node)
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for top in (node, *members):
+                for name in _definitions(top):
+                    if not _dunder(name):
+                        defined.setdefault(name, []).append(top)
     todo = {"main"}
     for path in (repo / "bench").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -246,8 +258,18 @@ def test_every_package_definition_is_reached_from_a_command_or_the_benchmark():
         if name not in reached:
             reached.add(name)
             for node in defined.get(name, ()):
-                todo.update(n for sub in ast.walk(node) for n in _names_used(sub))
+                todo.update(n for sub in _followed(node) for n in _names_used(sub))
     assert sorted(defined.keys() - reached) == sorted(UNREACHED_ON_PURPOSE)
+
+
+def _followed(node: ast.AST):
+    """The nodes of a reached definition whose names it reaches: all of it,
+    but of a class only what lies outside its members other than dunders."""
+    if not isinstance(node, ast.ClassDef):
+        return ast.walk(node)
+    own = [n for n in node.body if all(map(_dunder, _definitions(n)))]
+    tops = [*node.bases, *node.keywords, *node.decorator_list, *own]
+    return [sub for top in tops for sub in ast.walk(top)]
 
 
 def _names_used(node: ast.AST) -> list[str]:
@@ -368,6 +390,17 @@ def test_validate_flags_each_violation():
             _spec(generators, entries)
         assert str(exc.value).startswith("invalid spec: ")
         assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("row", [(2, 1, (1,), 1), ("a",), 5], ids=["tuple", "short", "int"])
+def test_a_row_that_is_no_entry_is_one_problem(row):
+    # Such a row crashed the constructor: a tuple on reading its coefficient
+    # (AttributeError), a short tuple and an int in the sort (IndexError,
+    # TypeError).  Beside a good row of the same key, validate names it once.
+    g = (Generator(1, 1), Generator(2, 2))
+    with pytest.raises(InputError) as exc:
+        _spec(g, [CoproductEntry(2, 1, (1,), 3), row])
+    assert str(exc.value) == f"invalid spec: row {row!r} is not a CoproductEntry"
 
 
 @pytest.mark.parametrize("label", [5, b"b1", ["b1"]], ids=["int", "bytes", "list"])

@@ -463,6 +463,28 @@ def test_validate_catches_structure_problems():
         assert message in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "products, problem",
+    [
+        ({(1, 1): 5}, "product (1, 1): 5 is not a Polynomial"),
+        ({(1, 1): 0}, "product (1, 1): 0 is not a Polynomial"),
+        ({1: Polynomial.variable(2)}, "product key 1 is not a pair of basis ids"),
+        (
+            {1: Polynomial.variable(2), (1, 1): Polynomial.variable(2)},
+            "product key 1 is not a pair of basis ids",
+        ),
+        ({(1, 1, 1): Polynomial.variable(2)}, "product key (1, 1, 1) is not a pair of basis ids"),
+    ],
+    ids=["int-value", "zero-int-value", "int-key", "int-key-beside-a-pair", "triple-key"],
+)
+def test_a_product_that_is_no_pair_to_a_polynomial_is_one_problem(products, problem):
+    # A value without is_zero crashed the constructor (AttributeError), a key
+    # that is no pair the sort or the unpacking (TypeError).
+    with pytest.raises(InputError) as exc:
+        PreLieSpec("bad", [Generator(1, 1), Generator(2, 2)], products, 2)
+    assert str(exc.value) == f"invalid preLie spec: {problem}"
+
+
 def test_unshuffle_coproduct():
     assert unshuffle_coproduct(mono(1)) == Tensor(
         2, {(mono(1), Monomial(())): 1, (Monomial(()), mono(1)): 1}
