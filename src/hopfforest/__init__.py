@@ -57,7 +57,6 @@ from .prelie import (
     prelie_check,
     rooted_tree_shapes,
     save_prelie,
-    unshuffle_coproduct,
 )
 from .trees import (
     DecoratedTree,

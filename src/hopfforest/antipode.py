@@ -134,8 +134,8 @@ _GENERATOR_METHODS = {
 
 
 def _route(method: str) -> Callable[[CoproductSpec, int], Polynomial]:
-    """The generator antipode of a method name; an unknown name raises."""
-    if method not in _GENERATOR_METHODS:
+    """The generator antipode of a method name; anything else raises."""
+    if not isinstance(method, str) or method not in _GENERATOR_METHODS:
         raise InputError(f"unknown antipode method {method!r}; choose from {METHODS}")
     return _GENERATOR_METHODS[method]
 

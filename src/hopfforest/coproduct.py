@@ -72,7 +72,52 @@ def _nonzero(acc: dict) -> dict:
     return acc if all(acc.values()) else {k: c for k, c in acc.items() if c}
 
 
-class _Frame:
+class _Packing:
+    """Generator ids numbered in id order, each with a field of width bits,
+    the bit length of ``degree``, the largest degree a value must hold.
+    Values read in the basis b_j / scale; a packed monomial is decoded once,
+    into ``decoded``.  Both the coproduct and the preLie frame pack so."""
+
+    scale = 1
+
+    def __init__(self, ids: list[int], degree: int):
+        self.ids, self.degree, self.width = ids, degree, degree.bit_length()
+        self.field = {j: 1 << self.width * n for n, j in enumerate(ids)}
+        self.shift = self.width * len(ids)
+        self.decoded: dict[int, Monomial] = {}
+
+    def pack(self, m) -> int:
+        return sum(map(self.field.__getitem__, m))
+
+    def monomial(self, m: int) -> Monomial:
+        """Packed monomial m, decoded once."""
+        return self.decoded[m] if m in self.decoded else self._monomial(m)
+
+    def _monomial(self, m: int) -> Monomial:
+        """Packed monomial m decoded, and kept in ``decoded``."""
+        width, ids, indices, key = self.width, self.ids, [], m
+        while key:
+            n = ((key & -key).bit_length() - 1) // width
+            e = key >> width * n & (1 << width) - 1
+            indices += [ids[n]] * e
+            key -= e << width * n
+        monomial = self.decoded[m] = _sorted_monomial(indices)
+        return monomial
+
+    def polynomial(self, packed: dict) -> Polynomial:
+        """Packed c * beta_M as c * scale / scale^|M| * b_M, summed: the
+        packed image of some beta_i read as that of b_i = scale * beta_i."""
+        scale, decoded, decode = self.scale, self.decoded, self._monomial
+        out = []
+        for m, c in packed.items():
+            m = decoded[m] if m in decoded else decode(m)
+            if scale > 1:
+                c = Fraction(c * scale, scale ** len(m))
+            out.append((m, c))
+        return Polynomial._checked(out)
+
+
+class _Frame(_Packing):
     """The numbering of what ``starts`` reach, for values of degree up to
     ``degree`` and the largest start's: each row as (c', l, J, packed b_l,
     packed b_J), each antipode route's packed values and tree counts, and
@@ -84,11 +129,9 @@ class _Frame:
         for i in starts:
             if not _positive_int(i):
                 raise InputError(f"generator indices must be positive integers, got {i!r}")
-        degree = max([degree, *map(spec.degree, starts)])
-        scale = lcm(*(e.coeff.denominator for j in ids for e in spec.entries_for(j)))
-        self.ids, self.degree, self.width, self.scale = ids, degree, degree.bit_length(), scale
-        self.field = field = {j: 1 << self.width * n for n, j in enumerate(ids)}
-        self.shift = shift = self.width * len(ids)
+        super().__init__(ids, max([degree, *map(spec.degree, starts)]))
+        self.scale = scale = lcm(*(e.coeff.denominator for j in ids for e in spec.entries_for(j)))
+        field, shift = self.field, self.shift
         # c' = c * scale^|J| is an integer: c's denominator divides scale
         self.rows = {
             j: [(c.numerator * scale ** len(right) // c.denominator, left, right, field[left],
@@ -96,15 +139,12 @@ class _Frame:
             for j in ids
         }
         self.forest, self.dyson_salam, self.bogoliubov = {}, {}, {}
-        self.counts, self.reduced, self.decoded = {}, {}, {}
+        self.counts, self.reduced = {}, {}
         # full coproducts: the unit's, each generator's, then each monomial met's
         self.full = {0: {0: 1}} | {
             b: {b: 1, b << shift: 1, **{l + (r << shift): c for c, *_, l, r in self.rows[j]}}
             for j, b in field.items()
         }
-
-    def pack(self, m) -> int:
-        return sum(map(self.field.__getitem__, m))
 
     def full_of(self, b: int) -> dict:
         """The full coproduct of packed monomial b, memoized with every
@@ -151,33 +191,10 @@ class _Frame:
                 acc[k2] = get(k2, 0) + c * c2
         return _nonzero(acc)
 
-    def _monomial(self, m: int) -> Monomial:
-        """Packed monomial m decoded, and kept in ``decoded``."""
-        width, ids, indices, key = self.width, self.ids, [], m
-        while key:
-            n = ((key & -key).bit_length() - 1) // width
-            e = key >> width * n & (1 << width) - 1
-            indices += [ids[n]] * e
-            key -= e << width * n
-        monomial = self.decoded[m] = _sorted_monomial(indices)
-        return monomial
-
     def packed(self, p: Polynomial) -> dict:
         """p in the basis beta: c * b_M is c * scale^|M| * beta_M."""
         pack, scale = self.pack, self.scale
         return {pack(m): c * scale ** len(m) for m, c in p.items()}
-
-    def polynomial(self, packed: dict) -> Polynomial:
-        """Packed c * beta_M as c * scale / scale^|M| * b_M, summed: the
-        packed image of some beta_i read as that of b_i = scale * beta_i."""
-        scale, decoded, decode = self.scale, self.decoded, self._monomial
-        out = []
-        for m, c in packed.items():
-            m = decoded[m] if m in decoded else decode(m)
-            if scale > 1:
-                c = Fraction(c * scale, scale ** len(m))
-            out.append((m, c))
-        return Polynomial._checked(out)
 
     def tensor(self, packed: dict, rank: int) -> Tensor:
         """Packed rank-``rank`` terms in the table's basis."""

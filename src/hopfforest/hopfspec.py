@@ -108,7 +108,9 @@ class CoproductSpec:
     ) -> None:
         self.name = str(name)
         self._generator_list = list(generators)
-        self.generators = MappingProxyType({g.id: g for g in self._generator_list})
+        self.generators = MappingProxyType(
+            {g.id: g for g in self._generator_list if isinstance(g, Generator)}
+        )
         self.entries = tuple(sorted(entries, key=_row_key))
         self._frame = None  # set by coproduct.frame_over
         problems = self.validate()
@@ -151,6 +153,9 @@ class CoproductSpec:
         problems: list[str] = []
         seen_ids: set[int] = set()
         for g in self._generator_list:
+            if not isinstance(g, Generator):
+                problems.append(f"generator {g!r} is not a Generator")
+                continue
             if g.id in seen_ids:
                 problems.append(f"duplicate generator id {g.id}")
             seen_ids.add(g.id)
@@ -205,18 +210,22 @@ def graded_monomials(
     then length, then indices): the monomials up to a lower degree are a
     prefix."""
     degree = {g.id: g.degree for g in generators}
-    # One pass per generator, so tables with more generators than the
-    # recursion limit still enumerate.
-    found: list[tuple[tuple[int, ...], int]] = [((), 0)] if max_degree >= 0 else []
+    # levels[d]: the index tuples of degree d.  One pass per generator, so
+    # tables with more generators than the recursion limit still enumerate;
+    # each pass extends only the levels that leave it room, from the top
+    # down, so no tuple it makes takes its generator again.
+    levels: list[list[tuple[int, ...]]] = [[()]] + [[] for _ in range(max_degree)]
     for i in sorted(degree):
         d = degree[i]
-        found += [
-            (t + (i,) * reps, used + reps * d)
-            for t, used in found
-            for reps in range(1, (max_degree - used) // d + 1)
-        ]
-    found.sort(key=lambda f: (f[1], len(f[0]), f[0]))
-    return [(Monomial(t), used) for t, used in found]
+        for used in range(max_degree - d, -1, -1):
+            for t in levels[used]:
+                for reps in range(1, (max_degree - used) // d + 1):
+                    levels[used + reps * d].append(t + (i,) * reps)
+    return [
+        (Monomial(t), used)
+        for used, level in enumerate(levels[: max_degree + 1])
+        for t in sorted(level, key=lambda t: (len(t), t))
+    ]
 
 
 # --- Faa di Bruno style instance -------------------------------------------
@@ -294,8 +303,20 @@ _ROW_JSON = (
 )
 
 
-def _json_list(items: list[str]) -> str:
-    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+def _json_list(items: list[str], indent: int = 2) -> str:
+    """A list of JSON texts as ``json.dumps(indent=2)`` lays it out
+    ``indent`` spaces deep."""
+    inner = "\n" + " " * (indent + 2)
+    return "[" + inner + ("," + inner).join(items) + "\n" + " " * indent + "]" if items else "[]"
+
+
+def _generators_json(generators: Iterable[Generator]) -> str:
+    """`generators_to_list`'s list in ``json.dumps(indent=2)``'s text."""
+    text = encode_basestring_ascii
+    return _json_list([
+        _GENERATOR_JSON % (g["id"], g["degree"], _LABEL_JSON % text(g["label"]) if "label" in g else "")
+        for g in generators_to_list(generators)
+    ])
 
 
 def save_spec(spec: CoproductSpec) -> str:
@@ -304,17 +325,13 @@ def save_spec(spec: CoproductSpec) -> str:
     around json's C string encoder, since any ``indent`` sends ``json.dumps``
     to its pure-Python encoder."""
     text, number = encode_basestring_ascii, int.__repr__
-    gens = [
-        _GENERATOR_JSON % (g.id, g.degree, "" if g.label is None else _LABEL_JSON % text(g.label))
-        for g in sorted(spec.generators.values(), key=itemgetter(0))
-    ]
     rows = [
         _ROW_JSON
         % (source, left, ",\n        ".join(map(number, right)), text(coefficient_text(coeff)))
         for source, left, right, coeff in spec.entries
     ]
     return '{\n  "name": %s,\n  "generators": %s,\n  "coproduct": %s\n}\n' % (
-        text(spec.name), _json_list(gens), _json_list(rows)
+        text(spec.name), _generators_json(spec.generators.values()), _json_list(rows)
     )
 
 

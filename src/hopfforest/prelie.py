@@ -12,6 +12,13 @@ for a product that would land above D raises InputError, since the table
 cannot say what it is.  Identity checkers only evaluate equalities whose
 every intermediate stays within D.
 
+The brace, the enveloping product and every check run on one packed preLie
+frame per spec (`enveloping`): the basis in id order, each element a field
+of D's bit length, so a monomial product is one integer addition, as on the
+coproduct frame whose packing it shares.  The public functions check
+degrees before any packing, since a field holds exponents only up to its
+width, and decode their packed values to `Polynomial`s at each call.
+
 The on-disk format is JSON:
 
     {
@@ -25,17 +32,18 @@ The on-disk format is JSON:
 
 from __future__ import annotations
 
-import json
 from collections import Counter
+from collections.abc import Mapping
 from fractions import Fraction
-from itertools import chain
-from math import comb, factorial, prod
+from json.encoder import encode_basestring_ascii
+from math import factorial, prod
 from types import MappingProxyType
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
-from .algebra import Monomial, Polynomial, Scalar, Tensor, coefficient_text
+from .algebra import Monomial, Polynomial, Scalar, coefficient_text
 from .algebra import _positive_int, _sorted_monomial
-from .coproduct import coassociativity_report, counit_report
+from .coproduct import _nonzero, _spread, coassociativity_report, counit_report
+from .enveloping import _frame_of
 from .errors import ConstructionError, InputError
 from .hopfspec import (
     CoproductEntry,
@@ -43,6 +51,8 @@ from .hopfspec import (
     Generator,
     _check_document,
     _check_fields,
+    _generators_json,
+    _json_list,
     _parse_coeff,
     _parse_generator,
     _parse_id,
@@ -53,15 +63,13 @@ from .hopfspec import (
     read_text_file,
 )
 
-_ZERO = Polynomial.zero()  # the product of a pair without one; values are immutable
-
 
 class PreLieSpec:
     """Structure constants of a truncated graded preLie algebra.
     Construction raises InputError with the `validate` report on any
-    structural problem.  It owns two unsynchronized memos, filled only by
-    calls that succeed: ``_braces``, `brace_action`'s values by (i, right),
-    and ``_products``, `guin_oudom_mul`'s by (a, b)."""
+    structural problem.  Its one memo is ``_frame``, the packed preLie frame
+    `enveloping._frame_of` built last, which holds the braces and
+    enveloping products computed on it; it is unsynchronized."""
 
     def __init__(
         self,
@@ -72,15 +80,18 @@ class PreLieSpec:
     ) -> None:
         self.name = str(name)
         self._basis_list = list(basis)
-        self.basis = MappingProxyType({g.id: g for g in self._basis_list})
+        self.basis = MappingProxyType(
+            {g.id: g for g in self._basis_list if isinstance(g, Generator)}
+        )
+        if not isinstance(products, Mapping):
+            raise InputError(f"invalid preLie spec: products {products!r} are not a mapping")
         # Zero products are equivalent to absent ones; normalize away.
         self.products = MappingProxyType({
             key: value for key, value in products.items()
             if not (type(value) is Polynomial and value.is_zero)
         })
         self.truncation = truncation
-        self._braces: dict[tuple[int, Monomial], Polynomial] = {}
-        self._products: dict[tuple[Monomial, Monomial], Polynomial] = {}
+        self._frame = None  # set by _frame_of
         problems = self.validate()
         if problems:
             raise InputError("invalid preLie spec: " + "; ".join(problems))
@@ -101,6 +112,9 @@ class PreLieSpec:
         problems: list[str] = []
         seen: set[int] = set()
         for g in self._basis_list:
+            if not isinstance(g, Generator):
+                problems.append(f"basis element {g!r} is not a Generator")
+                continue
             if g.id in seen:
                 problems.append(f"duplicate basis id {g.id}")
             seen.add(g.id)
@@ -159,17 +173,23 @@ def _product_order(item: tuple) -> tuple:
     return (0, key) if pair else (1,)
 
 
-def prelie_product(spec: PreLieSpec, i: int, j: int) -> Polynomial:
-    """The basis product b_i acted on by b_j; zero when no structure
-    constant is declared.  Raises InputError when the result degree exceeds
-    the truncation."""
-    degree = spec.degree(i) + spec.degree(j)
-    if degree > spec.truncation:
+def _as_monomial(m: object) -> Monomial:
+    """A monomial argument: a Monomial, or the sorted tuple of ids it
+    equals; anything else raises InputError."""
+    if isinstance(m, tuple) and Monomial(m) == m:
+        return Monomial(m)
+    raise InputError(f"a monomial is a sorted tuple of basis ids, got {m!r}")
+
+
+def _check_brace(spec: PreLieSpec, i: int, right: Monomial) -> None:
+    """Raises InputError for an unknown id, and when a nonempty right
+    argument takes b_i acted on by it above the truncation."""
+    degree = spec.degree(i) + spec.monomial_degree(right)
+    if not right.is_unit and degree > spec.truncation:
         raise InputError(
-            f"product ({i}, {j}) lands at degree {degree}, above the "
+            f"brace ({i}; {right}) lands at degree {degree}, above the "
             f"truncation {spec.truncation}"
         )
-    return spec.products.get((i, j), _ZERO)
 
 
 def brace_action(spec: PreLieSpec, i: int, right: Monomial) -> Polynomial:
@@ -181,41 +201,16 @@ def brace_action(spec: PreLieSpec, i: int, right: Monomial) -> Polynomial:
                                  - a acted on by (B acted on by b)
 
     peeling the canonically last factor b.  Here B acted on by b is the
-    derivation that lets b act on each factor of B in turn, the sum over k
-    of B without B_k times B_k . b, read off the products (Guin and Oudom,
-    2008), so the brace reads only products and itself, on strictly
-    shorter arguments.  The preLie identity makes the result independent of
-    which factor is peeled; tests exercise that.  Raises InputError when a
-    nonempty right argument takes the total degree above the truncation.
-    Memoized in ``spec._braces``."""
-    value = spec._braces.get((i, right))
-    if value is not None:
-        return value
-    degree = spec.degree(i) + spec.monomial_degree(right)  # raises for unknown ids
-    if right.is_unit:
-        value = Polynomial.variable(i)
-    elif degree > spec.truncation:
-        raise InputError(
-            f"brace ({i}; {right}) lands at degree {degree}, above the "
-            f"truncation {spec.truncation}"
-        )
-    elif len(right) == 1:
-        value = prelie_product(spec, i, right[0])
-    else:
-        last = right[-1]
-        rest = _sorted_monomial(right[:-1])
-        parts = [
-            (prelie_product(spec, m.indices[0], last), c)
-            for m, c in brace_action(spec, i, rest).items()
-        ]
-        parts += [
-            (brace_action(spec, i, _sorted_monomial((*rest[:k], *rest[k + 1 :], *m))), -c)
-            for k, x in enumerate(rest)
-            for m, c in prelie_product(spec, x, last).items()
-        ]
-        value = Polynomial._checked((m, w * c) for part, w in parts for m, c in part.items())
-    spec._braces[i, right] = value
-    return value
+    derivation that lets b act on each factor of B in turn, read off the
+    products (Guin and Oudom, 2008).  The preLie identity makes the result
+    independent of which factor is peeled; tests exercise that.  Raises
+    InputError, before anything is packed, when a nonempty right argument
+    takes the total degree above the truncation.  Memoized packed on spec's
+    frame, decoded at each call."""
+    right = _as_monomial(right)
+    _check_brace(spec, i, right)
+    frame = _frame_of(spec)
+    return frame.polynomial(frame.brace(frame.field[i], frame.pack(right)))
 
 
 def guin_oudom_mul(spec: PreLieSpec, a: Monomial, b: Monomial) -> Polynomial:
@@ -227,52 +222,24 @@ def guin_oudom_mul(spec: PreLieSpec, a: Monomial, b: Monomial) -> Polynomial:
         (x * a') * b  = sum over (b) of (x acted on by b1) * (a' * b2)
 
     Raises InputError when some left factor acted on by all of b lands
-    above the truncation.  Memoized in ``spec._products``."""
-    value = spec._products.get((a, b))
-    if value is not None:
-        return value
-    if a.is_unit:
-        value = Polynomial.single(b)
-    else:
-        rest = _sorted_monomial(a[1:])
-        pieces = [
-            (brace_action(spec, a[0], b1), guin_oudom_mul(spec, rest, b2), c)
-            for (b1, b2), c in unshuffle_coproduct(b).items()
-        ]
-        value = Polynomial._checked(
-            (m1 * m2, c * c1 * c2)
-            for hit, rest_product, c in pieces
-            for m1, c1 in hit.items()
-            for m2, c2 in rest_product.items()
-        )
-    spec._products[a, b] = value
-    return value
+    above the truncation.  Computed as `guin_oudom_poly` computes it."""
+    single = Polynomial.single
+    return guin_oudom_poly(spec, single(_as_monomial(a)), single(_as_monomial(b)))
 
 
 def guin_oudom_poly(spec: PreLieSpec, p: Polynomial, q: Polynomial) -> Polynomial:
-    """Bilinear extension of the enveloping product."""
-    pairs = ((m1, m2, c1 * c2) for m1, c1 in p.items() for m2, c2 in q.items())
-    return Polynomial._checked(
-        (m, w * c) for m1, m2, w in pairs for m, c in guin_oudom_mul(spec, m1, m2).items()
-    )
-
-
-def unshuffle_coproduct(m: Monomial) -> Tensor:
-    """The coproduct making every basis element primitive, on one monomial,
-    as a rank-2 tensor: x^J goes to the sum over sub-multisets K of J of
-    C(J, K) x^K (x) x^(J - K), where C(J, K) is the product over the
-    distinct factors i of C(j_i, k_i).  The walk takes one distinct factor
-    at a time, so b1^4 gives 5 terms, of weights 1, 4, 6, 4, 1."""
-    splits = [((), (), 1)]
-    for i, n in Counter(m).items():  # in ascending order, as m is sorted
-        splits = [
-            (left + (i,) * k, right + (i,) * (n - k), c * comb(n, k))
-            for left, right, c in splits
-            for k in range(n + 1)
-        ]
-    return Tensor._checked(
-        2, (((_sorted_monomial(a), _sorted_monomial(b)), c) for a, b, c in splits)
-    )
+    """Bilinear extension of the enveloping product, each pair of terms
+    checked as `guin_oudom_mul` says before anything is packed.  Memoized
+    packed on spec's frame, decoded at each call."""
+    pairs = [(a, b, c1 * c2) for a, c1 in p.items() for b, c2 in q.items()]
+    degree = 0
+    for a, b, _ in pairs:
+        for x in a:
+            _check_brace(spec, x, b)
+        degree = max(degree, spec.monomial_degree(a) + spec.monomial_degree(b))
+    frame = _frame_of(spec, degree)
+    pack, mul = frame.pack, frame.mul
+    return frame.polynomial(_spread({}, [(0, c, mul(pack(a), pack(b))) for a, b, c in pairs]))
 
 
 def prelie_check(spec: PreLieSpec) -> list[str]:
@@ -281,8 +248,11 @@ def prelie_check(spec: PreLieSpec) -> list[str]:
         (x . y) . z - x . (y . z)  =  (x . z) . y - x . (z . y)
 
     on every ordered basis triple whose total degree fits under the
-    truncation; returns one message per violated triple."""
+    truncation, packed on spec's frame; returns one message per violated
+    triple."""
     t = spec.truncation
+    frame = _frame_of(spec)
+    field, acts = frame.field, frame.acts
     degree = {i: g.degree for i, g in spec.basis.items()}
     # up_to[d]: the ids of degree <= d, in id order
     up_to = [[i for i in spec.basis_ids() if degree[i] <= d] for d in range(t + 1)]
@@ -291,47 +261,51 @@ def prelie_check(spec: PreLieSpec) -> list[str]:
         for x in up_to[t]
         for y in up_to[t - degree[x]]
         for z in up_to[t - degree[x] - degree[y]]
-        if _associator(spec, x, y, z) != _associator(spec, x, z, y)
+        if _associator(acts, field[x], field[y], field[z])
+        != _associator(acts, field[x], field[z], field[y])
     ]
 
 
-def _associator(spec: PreLieSpec, x: int, y: int, z: int) -> Polynomial:
-    """(x . y) . z - x . (y . z); inputs must fit under the truncation."""
-    first = (
-        (m2, c * c2)
-        for m, c in prelie_product(spec, x, y).items()
-        for m2, c2 in prelie_product(spec, m.indices[0], z).items()
-    )
-    second = (
-        (m2, -c * c2)
-        for m, c in prelie_product(spec, y, z).items()
-        for m2, c2 in prelie_product(spec, x, m.indices[0]).items()
-    )
-    return Polynomial._checked(chain(first, second))
+def _associator(acts: dict, x: int, y: int, z: int) -> dict:
+    """(x . y) . z - x . (y . z) on packed fields; inputs must fit under
+    the truncation."""
+    by_z, none = acts.get(z, {}), {}
+    first = [(0, c, by_z.get(m, none)) for m, c in acts.get(y, none).get(x, none).items()]
+    second = [
+        (0, -c, acts.get(m, none).get(x, none)) for m, c in by_z.get(y, none).items()
+    ]
+    return _nonzero(_spread({}, first + second))
 
 
 def associativity_report(spec: PreLieSpec) -> list[str]:
     """Checks (a*b)*c = a*(b*c) for the enveloping product on every triple
-    of non-unit monomials whose total degree fits under the truncation.  A
-    triple with a unit factor holds by construction on every table:
-    `guin_oudom_mul` gives 1*b = b by definition and (x*a')*1 = x*(a'*1),
-    so a*1 = a, and no product under the truncation raises."""
+    of non-unit monomials whose total degree fits under the truncation,
+    packed on spec's frame.  A triple with a unit factor holds by
+    construction on every table: the enveloping product gives 1*b = b by
+    definition and (x*a')*1 = x*(a'*1), so a*1 = a, and no product under
+    the truncation raises."""
     t = spec.truncation
-    mons = graded_monomials(spec.basis.values(), t)[1:]  # no unit
-    mons = [(m, d, Polynomial.single(m)) for m, d in mons]
+    frame = _frame_of(spec)
+    mul, pack = frame.mul, frame.pack
+    mons = [(m, d, pack(m)) for m, d in graded_monomials(spec.basis.values(), t)[1:]]
     problems: list[str] = []
-    for a, da, single_a in mons:
-        for b, db, _ in mons:
+    for a, da, pa in mons:
+        for b, db, pb in mons:
             if da + db > t:
                 break
-            ab = guin_oudom_mul(spec, a, b)
-            for c, dc, single_c in mons:
+            ab = mul(pa, pb)
+            for c, dc, pc in mons:
                 if da + db + dc > t:
                     break
-                bc = guin_oudom_mul(spec, b, c)
-                lhs = guin_oudom_poly(spec, ab, single_c)
-                rhs = guin_oudom_poly(spec, single_a, bc)
-                if lhs != rhs:
+                acc: dict = {}
+                get = acc.get
+                for m, k in ab.items():
+                    for key, v in mul(m, pc).items():
+                        acc[key] = get(key, 0) + k * v
+                for m, k in mul(pb, pc).items():
+                    for key, v in mul(pa, m).items():
+                        acc[key] = get(key, 0) - k * v
+                if any(acc.values()):
                     problems.append(
                         f"enveloping product not associative on ({a}, {b}, {c})"
                     )
@@ -340,20 +314,27 @@ def associativity_report(spec: PreLieSpec) -> list[str]:
 
 def filtration_report(spec: PreLieSpec) -> list[str]:
     """Checks that a length-n monomial times a length-m monomial is
-    supported in word lengths n..n+m, and stays degree-homogeneous."""
+    supported in word lengths n..n+m, and stays degree-homogeneous.  Each
+    packed product's terms are looked up packed; only failing terms are
+    decoded, for their messages, in the order of `Polynomial.terms`."""
     t = spec.truncation
+    frame = _frame_of(spec)
+    mul, pack, monomial = frame.mul, frame.pack, frame.monomial
     mons = graded_monomials(spec.basis.values(), t)
     # Every monomial in the basis ids of degree <= t is a key, so a term that
     # is missing lies above the truncation.
     degree_of = dict(mons)
-    mons = mons[1:]  # no unit
+    shape = {pack(m): (len(m), d) for m, d in mons}
+    mons = [(m, d, pack(m)) for m, d in mons[1:]]  # no unit
     problems: list[str] = []
-    for a, da in mons:
-        for b, db in mons:
+    for a, da, pa in mons:
+        for b, db, pb in mons:
             degree = da + db
             if degree > t:
                 break
-            for m, _ in guin_oudom_mul(spec, a, b).terms():
+            fits = {(n, degree) for n in range(len(a), len(a) + len(b) + 1)}
+            failing = [k for k in mul(pa, pb) if shape.get(k) not in fits]
+            for m in sorted(map(monomial, failing), key=lambda m: (len(m), m)):
                 if not len(a) <= len(m) <= len(a) + len(b):
                     problems.append(
                         f"product ({a})*({b}) leaves the length window "
@@ -455,16 +436,16 @@ def dualize(spec: PreLieSpec, max_degree: int) -> CoproductSpec:
     # every right leg fits under max_degree - 1; each generator reads the
     # prefix that fits beside it
     rights = graded_monomials(spec.basis.values(), max_degree - 1)[1:]  # no unit
+    frame = _frame_of(spec)
+    brace, pack, field, monomial = frame.brace, frame.pack, frame.field, frame.monomial
     entries: list[CoproductEntry] = []
     for g in gens:
         for right, degree in rights:
             if degree > max_degree - g.degree:
                 break
             sym = _symmetry_factor(right)
-            for m, c in brace_action(spec, g.id, right).items():
-                entries.append(
-                    CoproductEntry(m.indices[0], g.id, right.indices, c / sym)
-                )
+            for z, c in brace(field[g.id], pack(right)).items():
+                entries.append(CoproductEntry(monomial(z)[0], g.id, right.indices, c / sym))
     dual = CoproductSpec(f"{spec.name}-dual", gens, entries)
     problems = coassociativity_report(dual, max_degree)
     problems += counit_report(dual, max_degree)
@@ -478,28 +459,35 @@ def dualize(spec: PreLieSpec, max_degree: int) -> CoproductSpec:
 # --- JSON serialization -------------------------------------------------------
 
 def prelie_to_dict(spec: PreLieSpec) -> dict:
-    products = []
-    for (i, j), value in sorted(spec.products.items()):
-        products.append(
-            {
-                "left": i,
-                "right": j,
-                "result": [
-                    {"id": m.indices[0], "coeff": coefficient_text(c)}
-                    for m, c in value.terms()
-                ],
-            }
-        )
-    return {
-        "name": spec.name,
-        "basis": generators_to_list(spec.basis.values()),
-        "products": products,
-        "truncation": spec.truncation,
-    }
+    products = [
+        {"left": i, "right": j,
+         "result": [{"id": m[0], "coeff": coefficient_text(c)} for m, c in value.terms()]}
+        for (i, j), value in sorted(spec.products.items())
+    ]
+    return {"name": spec.name, "basis": generators_to_list(spec.basis.values()),
+            "products": products, "truncation": spec.truncation}
+
+
+#: A product and a term of its result in ``json.dumps(indent=2)``'s layout.
+_PRODUCT_JSON = '{\n      "left": %d,\n      "right": %d,\n      "result": %s\n    }'
+_TERM_JSON = '{\n          "id": %d,\n          "coeff": %s\n        }'
 
 
 def save_prelie(spec: PreLieSpec) -> str:
-    return json.dumps(prelie_to_dict(spec), indent=2) + "\n"
+    """Canonical JSON text for a preLie table: the text of
+    ``json.dumps(prelie_to_dict(spec), indent=2) + "\\n"``, written row by
+    row as `save_spec` writes a coproduct table."""
+    text = encode_basestring_ascii
+    products = [
+        _PRODUCT_JSON % (i, j, _json_list([
+            _TERM_JSON % (m[0], text(coefficient_text(c))) for m, c in value.terms()
+        ], 6))
+        for (i, j), value in sorted(spec.products.items())
+    ]
+    return '{\n  "name": %s,\n  "basis": %s,\n  "products": %s,\n  "truncation": %d\n}\n' % (
+        text(spec.name), _generators_json(spec.basis.values()), _json_list(products),
+        spec.truncation,
+    )
 
 
 _PRODUCT_FIELDS = frozenset(("left", "right", "result"))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfforest import antipode, cli, coproduct, prelie
+from hopfforest import antipode, cli, coproduct, enveloping
 from hopfforest.algebra import (
     UNIT,
     Monomial,
@@ -79,8 +79,10 @@ def test_derived_values_pass_the_public_check(monkeypatch, tmp_path, capsys):
     # sliced or copied from checked ones skip the index check; every value
     # made while verifying two tables, checking a preLie table and
     # dualizing it must still be what the public constructors build from
-    # its pairs and indices.
+    # its pairs and indices.  The preLie frames' memos hold packed values:
+    # each stores no zero and decodes to such a value.
     made: dict[str, list] = {}
+    frames = []
 
     def record(kind, fn):
         def recorded(*args):
@@ -96,7 +98,13 @@ def test_derived_values_pass_the_public_check(monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(cls, "__mul__", record("product", cls.__mul__))
     for name, route in list(antipode._GENERATOR_METHODS.items()):
         monkeypatch.setitem(antipode._GENERATOR_METHODS, name, record("route", route))
-    monkeypatch.setattr(prelie, "guin_oudom_mul", record("guin-oudom", prelie.guin_oudom_mul))
+    init = enveloping._PreLieFrame.__init__
+
+    def recorded_frame(self, spec, degree):
+        init(self, spec, degree)
+        frames.append(self)
+
+    monkeypatch.setattr(enveloping._PreLieFrame, "__init__", recorded_frame)
 
     fdb8, graft5, dual5 = (tmp_path / name for name in ("fdb8", "graft5", "dual5"))
     fdb8.write_text(save_spec(faa_di_bruno_spec(8)))
@@ -107,6 +115,10 @@ def test_derived_values_pass_the_public_check(monkeypatch, tmp_path, capsys):
     assert cli.run(["dualize", "--prelie", str(graft5), "--max-degree", "5"]) == 0
     dual5.write_text(capsys.readouterr().out)
     assert cli.run(["verify", "--spec", str(dual5), "--max-degree", "5"]) == 0
+    for frame in frames:
+        for packed in (*frame.braces.values(), *frame.products.values()):
+            assert all(packed.values())
+            made.setdefault("preLie frame", []).append(frame.polynomial(packed))
     for path in (fdb8, dual5):
         spec = load_spec_file(str(path))
         for i in spec.generator_ids():
@@ -119,7 +131,7 @@ def test_derived_values_pass_the_public_check(monkeypatch, tmp_path, capsys):
         for m in coproduct.monomials_up_to(spec, 4):
             total = total + antipode.antipode_poly(spec, Polynomial.single(m))
 
-    kinds = {"built", "sum", "product", "route", "guin-oudom", "multiplied out"}
+    kinds = {"built", "sum", "product", "route", "preLie frame", "multiplied out"}
     assert set(made) == kinds
     for value in (v for values in made.values() for v in values):
         if isinstance(value, Tensor):

@@ -1,6 +1,7 @@
 """Coproduct engine: reduced/full coproducts, multiplicative extension,
 iterated splitting, and the structural health checks."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from hopfforest.antipode import (
     antipode_dyson_salam,
     antipode_endomap,
     antipode_generator,
+    antipode_poly,
     packed_route,
     term_stats,
 )
@@ -638,3 +640,19 @@ def test_convolution_rejects_an_unknown_method():
             convolution_check(spec, max_degree, "newton")
     with pytest.raises(InputError, match="^unknown antipode method <function "):
         convolution_check(spec, 3, antipode_endomap(spec))
+
+
+@pytest.mark.parametrize("method", [["forest"], {}, {"forest"}], ids=["list", "dict", "set"])
+def test_an_unhashable_method_is_an_unknown_method(method):
+    # Such a method crashed the name test (TypeError: unhashable type).
+    spec = faa_di_bruno_spec(3)
+    calls = [
+        lambda: convolution_check(spec, 3, method),
+        lambda: antipode_generator(spec, 2, method),
+        lambda: antipode_endomap(spec, method),
+        lambda: antipode_poly(spec, Polynomial.variable(2), method),
+        lambda: packed_route(method),
+    ]
+    for call in calls:
+        with pytest.raises(InputError, match=f"^unknown antipode method {re.escape(repr(method))}"):
+            call()

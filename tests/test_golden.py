@@ -1,16 +1,20 @@
 """Golden stdout: sha256 digests of whole CLI outputs on the degree-8
 composition table and on the degree-5 grafting dual, including the tree
-commands.  Any change to what a command prints, down to one byte, fails
-here; refactors must keep them."""
+commands, and of `prelie-verify` and `dualize` on every single-constant
+corruption of the grafting-5 table, failure text included.  Any change to
+what a command prints, down to one byte, fails here; refactors must keep
+them."""
 
 import contextlib
 import hashlib
 import io
+from fractions import Fraction
 
 import pytest
 
+from hopfforest.algebra import Polynomial
 from hopfforest.cli import run
-from hopfforest.prelie import grafting_instance, save_prelie
+from hopfforest.prelie import PreLieSpec, grafting_instance, save_prelie
 
 METHODS = ("forest", "dyson-salam", "bogoliubov")
 FDB_DEGREE = 8
@@ -123,3 +127,122 @@ def test_stdout_is_byte_identical(outputs, name):
 
 def test_every_output_is_guarded(outputs):
     assert sorted(outputs) == sorted(GOLDEN_SHA256)
+
+
+def _run(*argv: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def corrupted_graft5_records(tmp_dir) -> dict[str, str]:
+    """For every copy of the grafting-5 table with one structure constant
+    raised by 1 or by 1/3: the exit code, stdout and stderr of
+    `prelie-verify` and of `dualize --max-degree 5`, as one digest (the
+    first 16 hex digits of its sha256), keyed by the constant raised."""
+    base = grafting_instance(DUAL_DEGREE)
+    records: dict[str, str] = {}
+    for step in (Fraction(1), Fraction(1, 3)):
+        for (i, j), value in sorted(base.products.items()):
+            for m, _ in value.terms():
+                products = dict(base.products)
+                products[i, j] = value + Polynomial.single(m, step)
+                spec = PreLieSpec("corrupt", base.basis.values(), products, base.truncation)
+                path = tmp_dir / "corrupt.json"
+                path.write_text(save_prelie(spec), encoding="utf-8")
+                runs = (
+                    _run("prelie-verify", "--prelie", str(path)),
+                    _run("dualize", "--prelie", str(path), "--max-degree", str(DUAL_DEGREE)),
+                )
+                text = "\0".join(f"{code}\0{out}\0{err}" for code, out, err in runs)
+                key = f"+{step} ({i}, {j}) {m}"
+                records[key] = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    return records
+
+
+# Captured at commit 3c60594, before the preLie side ran on packed keys.
+CORRUPTED_GRAFT5_SHA256 = {
+    "+1 (1, 1) b2": "5427b4bd416c4bab",
+    "+1 (1, 2) b4": "e7dabb55049877de",
+    "+1 (1, 3) b7": "883099ed015cdbbc",
+    "+1 (1, 4) b8": "9f5ee99c3d93ca67",
+    "+1 (1, 5) b14": "d518a83707447553",
+    "+1 (1, 6) b15": "8715a098ed3f3b78",
+    "+1 (1, 7) b16": "4b38b532035515d3",
+    "+1 (1, 8) b17": "acb92748a7bfd8df",
+    "+1 (2, 1) b3": "e7dabb55049877de",
+    "+1 (2, 1) b4": "e7dabb55049877de",
+    "+1 (2, 2) b6": "e7dabb55049877de",
+    "+1 (2, 2) b8": "e7dabb55049877de",
+    "+1 (2, 3) b11": "042a12ae739cfe9a",
+    "+1 (2, 3) b16": "042a12ae739cfe9a",
+    "+1 (2, 4) b12": "9f5ee99c3d93ca67",
+    "+1 (2, 4) b17": "9f5ee99c3d93ca67",
+    "+1 (3, 1) b5": "d518a83707447553",
+    "+1 (3, 1) b6": "d518a83707447553",
+    "+1 (3, 2) b10": "c11b9e59724d6c13",
+    "+1 (3, 2) b12": "c11b9e59724d6c13",
+    "+1 (4, 1) b6": "482dc6d0fe65c31b",
+    "+1 (4, 1) b7": "482dc6d0fe65c31b",
+    "+1 (4, 1) b8": "482dc6d0fe65c31b",
+    "+1 (4, 2) b13": "c11b9e59724d6c13",
+    "+1 (4, 2) b15": "c11b9e59724d6c13",
+    "+1 (4, 2) b17": "c11b9e59724d6c13",
+    "+1 (5, 1) b9": "2b086ae777a55d4f",
+    "+1 (5, 1) b10": "7cfaea364661a899",
+    "+1 (6, 1) b10": "c11b9e59724d6c13",
+    "+1 (6, 1) b11": "c11b9e59724d6c13",
+    "+1 (6, 1) b12": "c11b9e59724d6c13",
+    "+1 (6, 1) b13": "c11b9e59724d6c13",
+    "+1 (7, 1) b11": "d518a83707447553",
+    "+1 (7, 1) b14": "d518a83707447553",
+    "+1 (7, 1) b15": "d518a83707447553",
+    "+1 (8, 1) b12": "b743eff4d393a6ab",
+    "+1 (8, 1) b15": "b743eff4d393a6ab",
+    "+1 (8, 1) b16": "b743eff4d393a6ab",
+    "+1 (8, 1) b17": "b743eff4d393a6ab",
+    "+1/3 (1, 1) b2": "5427b4bd416c4bab",
+    "+1/3 (1, 2) b4": "e7dabb55049877de",
+    "+1/3 (1, 3) b7": "883099ed015cdbbc",
+    "+1/3 (1, 4) b8": "9f5ee99c3d93ca67",
+    "+1/3 (1, 5) b14": "d518a83707447553",
+    "+1/3 (1, 6) b15": "8715a098ed3f3b78",
+    "+1/3 (1, 7) b16": "4b38b532035515d3",
+    "+1/3 (1, 8) b17": "12dcea53c065a72b",
+    "+1/3 (2, 1) b3": "e7dabb55049877de",
+    "+1/3 (2, 1) b4": "e7dabb55049877de",
+    "+1/3 (2, 2) b6": "e7dabb55049877de",
+    "+1/3 (2, 2) b8": "e7dabb55049877de",
+    "+1/3 (2, 3) b11": "042a12ae739cfe9a",
+    "+1/3 (2, 3) b16": "042a12ae739cfe9a",
+    "+1/3 (2, 4) b12": "9f5ee99c3d93ca67",
+    "+1/3 (2, 4) b17": "9f5ee99c3d93ca67",
+    "+1/3 (3, 1) b5": "d518a83707447553",
+    "+1/3 (3, 1) b6": "d518a83707447553",
+    "+1/3 (3, 2) b10": "c11b9e59724d6c13",
+    "+1/3 (3, 2) b12": "c11b9e59724d6c13",
+    "+1/3 (4, 1) b6": "482dc6d0fe65c31b",
+    "+1/3 (4, 1) b7": "482dc6d0fe65c31b",
+    "+1/3 (4, 1) b8": "482dc6d0fe65c31b",
+    "+1/3 (4, 2) b13": "c11b9e59724d6c13",
+    "+1/3 (4, 2) b15": "c11b9e59724d6c13",
+    "+1/3 (4, 2) b17": "c11b9e59724d6c13",
+    "+1/3 (5, 1) b9": "60806908dcb329b6",
+    "+1/3 (5, 1) b10": "7800f26977583e81",
+    "+1/3 (6, 1) b10": "c11b9e59724d6c13",
+    "+1/3 (6, 1) b11": "c11b9e59724d6c13",
+    "+1/3 (6, 1) b12": "c11b9e59724d6c13",
+    "+1/3 (6, 1) b13": "c11b9e59724d6c13",
+    "+1/3 (7, 1) b11": "d518a83707447553",
+    "+1/3 (7, 1) b14": "d518a83707447553",
+    "+1/3 (7, 1) b15": "d518a83707447553",
+    "+1/3 (8, 1) b12": "b743eff4d393a6ab",
+    "+1/3 (8, 1) b15": "b743eff4d393a6ab",
+    "+1/3 (8, 1) b16": "b743eff4d393a6ab",
+    "+1/3 (8, 1) b17": "b743eff4d393a6ab",
+}
+
+
+def test_prelie_failure_text_is_byte_identical(tmp_path):
+    assert corrupted_graft5_records(tmp_path) == CORRUPTED_GRAFT5_SHA256

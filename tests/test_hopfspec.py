@@ -156,7 +156,11 @@ def test_generators_are_frozen_after_construction():
 def test_keywords_reach_the_memoized_functions():
     graft4 = grafting_instance(4)
     by_position = brace_action(graft4, 2, mono(1, 1))
-    assert brace_action(graft4, 2, right=mono(1, 1)) is by_position
+    memo = dict(graft4._frame.braces)
+    assert brace_action(graft4, 2, right=mono(1, 1)) == by_position
+    # the keyword call read the frame's memo: it stored and replaced nothing
+    braces = graft4._frame.braces
+    assert len(braces) == len(memo) and all(braces[k] is v for k, v in memo.items())
     assert brace_action(spec=grafting_instance(4), i=2, right=mono(1, 1)) == by_position
     spec = faa_di_bruno_spec(4)
     by_position = antipode_generator(spec, 3, "bogoliubov")
@@ -165,8 +169,8 @@ def test_keywords_reach_the_memoized_functions():
 
 
 def test_no_functools_cache_in_the_package():
-    # One memo mechanism: each memo is a named dict of its owner, the packed
-    # frame (spec._frame), the preLie spec (_braces, _products), one call
+    # One memo mechanism: each memo is a named dict of its owner, a packed
+    # frame (spec._frame of a coproduct or a preLie spec), one call
     # (enumerate_trees) or one map (antipode_endomap).  So nothing caches
     # through functools, a decorator or a generic _cache attribute.
     caches = {"lru_cache", "cache"}
@@ -209,6 +213,7 @@ def test_no_dataclasses_in_the_package():
 UNREACHED_ON_PURPOSE = {
     "sym_spec": "the closed-form symmetric-function family of CI and Tier-1",
     "spec_to_dict": "save_spec's oracle in CI and Tier-1",
+    "prelie_to_dict": "save_prelie's oracle in CI and Tier-1",
 }
 
 
@@ -401,6 +406,15 @@ def test_a_row_that_is_no_entry_is_one_problem(row):
     with pytest.raises(InputError) as exc:
         _spec(g, [CoproductEntry(2, 1, (1,), 3), row])
     assert str(exc.value) == f"invalid spec: row {row!r} is not a CoproductEntry"
+
+
+@pytest.mark.parametrize("generator", [(1, 1), 1, "b1"], ids=["tuple", "int", "str"])
+def test_a_generator_that_is_no_generator_is_one_problem(generator):
+    # Such a generator crashed the id map built before validate
+    # (AttributeError on its id); beside a good one, validate names it.
+    with pytest.raises(InputError) as exc:
+        CoproductSpec("x", [generator, Generator(2, 1)], [])
+    assert str(exc.value) == f"invalid spec: generator {generator!r} is not a Generator"
 
 
 @pytest.mark.parametrize("label", [5, b"b1", ["b1"]], ids=["int", "bytes", "list"])

@@ -1,15 +1,18 @@
 """The closed forms on monomials against the walks of `monomial_walks`: the
 enumerator's degrees, the composition table against the Bell recurrence,
-the unshuffle coproduct against position masks, the grafting basis sizes,
-and the Witt table dualized into the composition table."""
+the unshuffle coproduct against position masks, and the preLie frame's
+packed unshuffle against it, the grafting basis sizes, and the Witt table
+dualized into the composition table."""
 
 import pytest
 
-from hopfforest.algebra import Monomial, mono
+from hopfforest.algebra import Monomial, Tensor, mono
+from hopfforest.enveloping import _frame_of
 from hopfforest.hopfspec import faa_di_bruno_spec, graded_monomials, save_spec
-from hopfforest.prelie import dualize, grafting_instance, prelie_check, unshuffle_coproduct
+from hopfforest.prelie import dualize, grafting_instance, prelie_check
 
 from monomial_walks import faa_di_bruno_recurrence, mask_unshuffle, witt
+from prelie_recursions import unshuffle_coproduct
 
 
 def test_graded_monomials_pair_each_monomial_with_its_degree():
@@ -32,6 +35,18 @@ def test_unshuffle_matches_the_position_masks():
     monomials += [mono(*[1] * k) for k in range(9)]
     for m in monomials:
         assert unshuffle_coproduct(m) == mask_unshuffle(m), m
+
+
+def test_packed_unshuffle_matches_the_unshuffle_coproduct():
+    # Each split once, weights as the walk over distinct factors gives them.
+    spec = grafting_instance(6)
+    frame = _frame_of(spec, 8)
+    monomials = [m for m, _ in graded_monomials(spec.basis.values(), 6)]
+    monomials += [mono(*[1] * k) for k in range(9)]
+    for m in monomials:
+        splits = frame.unshuffle(frame.pack(m))
+        got = Tensor(2, [((frame.monomial(b1), frame.monomial(b2)), c) for b1, b2, c in splits])
+        assert len(got) == len(splits) and got == unshuffle_coproduct(m), m
 
 
 def test_unshuffle_of_a_power_has_binomial_weights():

@@ -1,15 +1,19 @@
 """Truncated preLie algebras: brace extension, enveloping product, identity
 checkers, the free grafting instance, and graded dualization."""
 
+import json
 from collections import OrderedDict
 from enum import IntEnum
 from fractions import Fraction
 from itertools import accumulate, product as iter_product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfforest.algebra import UNIT, Monomial, Polynomial, Tensor, mono
 from hopfforest.coproduct import coassociativity_report, counit_report
+from hopfforest.enveloping import _frame_of
 from hopfforest.errors import ConstructionError, InputError
 from hopfforest.hopfspec import Generator, graded_monomials
 from hopfforest.prelie import (
@@ -24,14 +28,13 @@ from hopfforest.prelie import (
     load_prelie,
     prelie_check,
     prelie_from_dict,
-    prelie_product,
     prelie_to_dict,
     rooted_tree_shapes,
     save_prelie,
-    unshuffle_coproduct,
 )
 
 from monomial_walks import brace_through_the_product, witt
+from prelie_recursions import polynomial_recursions, prelie_product, unshuffle_coproduct
 
 SHAPE_LABELS = [
     "[]",
@@ -273,18 +276,38 @@ def test_enveloping_product_on_single_generators(graft4):
 def test_prelie_memos_store_successes_on_their_spec(memoized, above, within):
     text = save_prelie(grafting_instance(4))
     graft4 = load_prelie(text)
-    memo = {brace_action: graft4._braces, guin_oudom_mul: graft4._products}[memoized]
-    # a call above the truncation raises, stores nothing, and raises again
-    for _ in range(2):
-        with pytest.raises(InputError, match="above the truncation 4"):
-            memoized(graft4, *above)
-        assert above not in memo
-    # a repeated call returns the stored object
+
+    def stored(spec):
+        """The packed value ``within`` holds in spec's frame memo, if any."""
+        frame = spec._frame
+        if memoized is brace_action:
+            i, right = within
+            return frame.braces.get((frame.field[i], frame.pack(right)))
+        a, b = within
+        return frame.products.get((frame.pack(a), frame.pack(b)))
+
+    def sizes(spec):
+        frame = spec._frame
+        return frame and (len(frame.braces), len(frame.products), len(frame.unshuffles))
+
+    # a call above the truncation raises before any packing, so the first
+    # builds no frame; after a success, it stores nothing and raises again
+    with pytest.raises(InputError, match="above the truncation 4"):
+        memoized(graft4, *above)
+    assert graft4._frame is None
     first = memoized(graft4, *within)
-    assert memoized(graft4, *within) is first and memo[within] is first
-    # the memo lives on its spec: a second load computes the value again
-    again = memoized(load_prelie(text), *within)
-    assert again == first and again is not first
+    entry, filled = stored(graft4), sizes(graft4)
+    assert entry is not None
+    with pytest.raises(InputError, match="above the truncation 4"):
+        memoized(graft4, *above)
+    assert sizes(graft4) == filled
+    # a repeated call reads the stored packed value: nothing is added
+    assert memoized(graft4, *within) == first
+    assert stored(graft4) is entry and sizes(graft4) == filled
+    # the memo lives on its spec's frame: a second load computes it again
+    spec = load_prelie(text)
+    assert memoized(spec, *within) == first
+    assert stored(spec) == entry and stored(spec) is not entry
 
 
 def test_enveloping_poly_is_bilinear(graft4):
@@ -485,6 +508,43 @@ def test_a_product_that_is_no_pair_to_a_polynomial_is_one_problem(products, prob
     assert str(exc.value) == f"invalid preLie spec: {problem}"
 
 
+@pytest.mark.parametrize("element", [(1, 1), 1, "b1"], ids=["tuple", "int", "str"])
+def test_a_basis_element_that_is_no_generator_is_one_problem(element):
+    # Such an element crashed the id map built before validate
+    # (AttributeError on its id); beside a good one, validate names it.
+    with pytest.raises(InputError) as exc:
+        PreLieSpec("x", [element, Generator(2, 1)], {}, 2)
+    assert str(exc.value) == f"invalid preLie spec: basis element {element!r} is not a Generator"
+
+
+@pytest.mark.parametrize(
+    "products", [[((1, 1), Polynomial.variable(2))], None, 5], ids=["pairs", "none", "int"]
+)
+def test_products_that_are_no_mapping_are_refused(products):
+    # A list of (key, value) pairs crashed on .items() (AttributeError).
+    with pytest.raises(InputError) as exc:
+        PreLieSpec("x", [Generator(1, 1), Generator(2, 2)], products, 2)
+    assert str(exc.value) == f"invalid preLie spec: products {products!r} are not a mapping"
+
+
+def test_plain_tuples_are_monomials_at_the_boundary():
+    # A Monomial equals the sorted tuple of its ids, so the public brace and
+    # enveloping product read such a tuple as the monomial; they crashed on
+    # its missing is_unit (AttributeError).  Anything else is refused.
+    spec = grafting_instance(3)
+    assert brace_action(spec, 1, (1,)) == brace_action(spec, 1, mono(1))
+    assert brace_action(spec, 2, ()) == Polynomial.variable(2)
+    assert guin_oudom_mul(spec, (1,), (1,)) == guin_oudom_mul(spec, mono(1), mono(1))
+    assert guin_oudom_mul(spec, (), (1, 2)) == Polynomial.single(mono(1, 2))
+    for bad in ((2, 1), [1], 1, "1", (0,), (1.0,), (True,)):
+        with pytest.raises(InputError):
+            brace_action(spec, 1, bad)
+        with pytest.raises(InputError):
+            guin_oudom_mul(spec, bad, (1,))
+        with pytest.raises(InputError):
+            guin_oudom_mul(spec, (1,), bad)
+
+
 def test_unshuffle_coproduct():
     assert unshuffle_coproduct(mono(1)) == Tensor(
         2, {(mono(1), Monomial(())): 1, (Monomial(()), mono(1)): 1}
@@ -562,6 +622,66 @@ def test_json_roundtrip(graft4):
         assert again.products == spec.products
         assert save_prelie(again) == text
         assert load_prelie(text.encode()).products == spec.products
+
+
+def _dumps(spec):
+    """The layout `save_prelie` writes, through json's own indented encoder."""
+    return json.dumps(prelie_to_dict(spec), indent=2) + "\n"
+
+
+#: Texts json escapes: a quote, a backslash, control characters, non-ASCII,
+#: a character past the BMP (a surrogate pair) and a lone surrogate.
+_ESCAPED = [
+    'q"uote', "back\\slash", "\x00\x1f\t\n\x7f", "caf\u00e9", "\U0001F600", "\ud800", "</a>"
+]
+
+
+def _escaped_prelie():
+    basis = [Generator(i, 1, label) for i, label in enumerate(_ESCAPED, 1)] + [Generator(9, 2)]
+    return PreLieSpec("".join(_ESCAPED), basis, {(1, 7): Polynomial.variable(9) * -3}, 2)
+
+
+def _coefficient_prelie():
+    coeffs = [-1, Fraction(-7, 3), Fraction(10**600 + 1, 7), -(10**4000), 10**299 * 3]
+    basis = [Generator(i, 1) for i in range(1, len(coeffs) + 1)]
+    basis += [Generator(8, 2, "top"), Generator(9, 2)]
+    products = {
+        (i, 1): Polynomial({mono(8): c, mono(9): 1}) for i, c in enumerate(coeffs, 1)
+    }
+    return PreLieSpec("c", basis, products, 2)
+
+
+_SAVED_PRELIE = {
+    **{f"grafting-{n}": (lambda n=n: grafting_instance(n)) for n in range(1, 8)},
+    **{f"witt-{n}": (lambda n=n: witt(n)) for n in (1, 4, 8, 10)},
+    "empty": lambda: PreLieSpec("", [], {}, 1),
+    "no-products": lambda: PreLieSpec("n", [Generator(1, 1)], {}, 3),
+    "escaped-texts": _escaped_prelie,
+    "coefficients": _coefficient_prelie,
+}
+
+
+@pytest.mark.parametrize("make", _SAVED_PRELIE.values(), ids=_SAVED_PRELIE.keys())
+def test_save_prelie_is_json_dumps_with_indent_two(make):
+    spec = make()
+    assert save_prelie(spec) == _dumps(spec)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(
+    st.text(),
+    st.lists(st.one_of(st.none(), st.text()), min_size=1, max_size=3),
+    st.lists(st.one_of(st.integers(), st.fractions()).filter(bool), max_size=9),
+)
+def test_save_prelie_is_json_dumps_on_drawn_texts_and_coefficients(name, labels, coeffs):
+    """Products b_i . b_j = c b_top over degree-1 elements with drawn
+    labels, under a drawn name, with drawn coefficients."""
+    top = len(labels) + 1
+    basis = [Generator(i, 1, label) for i, label in enumerate(labels, 1)] + [Generator(top, 2)]
+    pairs = [(i, j) for i in range(1, top) for j in range(1, top)]
+    products = {key: Polynomial.variable(top) * c for key, c in zip(pairs, coeffs)}
+    spec = PreLieSpec(name, basis, products, 2)
+    assert save_prelie(spec) == _dumps(spec)
 
 
 def _product(pos, **fields):
@@ -769,13 +889,62 @@ def _associativity_with_unit(spec):
     return problems
 
 
-def _single_constant_corruptions(spec):
-    """Every copy of the table with one structure constant raised by 1."""
+def _single_constant_corruptions(spec, step=1):
+    """Every copy of the table with one structure constant raised by step."""
     for key, value in sorted(spec.products.items()):
         for m, _ in value.terms():
             products = dict(spec.products)
-            products[key] = value + Polynomial.single(m)
+            products[key] = value + Polynomial.single(m, step)
             yield PreLieSpec("corrupt", spec.basis.values(), products, spec.truncation)
+
+
+def _packed_and_polynomial_recursions_agree(spec):
+    """Every brace and enveloping product up to one degree past the
+    truncation is the same value, or the same InputError, on spec's packed
+    frame as by the `Polynomial` recursions."""
+    brace, product = polynomial_recursions(spec)
+    top = spec.truncation + 1
+
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except InputError:
+            return InputError
+
+    raised = 0
+    for i in spec.basis_ids():
+        for right, _ in graded_monomials(spec.basis.values(), top - spec.degree(i)):
+            got = outcome(brace_action, spec, i, right)
+            assert got == outcome(brace, i, right), (i, right)
+            raised += got is InputError
+    mons = graded_monomials(spec.basis.values(), top)
+    for a, da in mons:
+        for b, db in mons:
+            if da + db > top:
+                break
+            got = outcome(guin_oudom_mul, spec, a, b)
+            assert got == outcome(product, a, b), (a, b)
+            raised += got is InputError
+    assert raised
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda n=n: grafting_instance(n) for n in (4, 5, 6, 7)] + [lambda: witt(8)],
+    ids=["grafting-4", "grafting-5", "grafting-6", "grafting-7", "witt-8"],
+)
+def test_packed_frame_matches_the_polynomial_recursions(make):
+    _packed_and_polynomial_recursions_agree(make())
+
+
+def test_packed_frame_matches_the_polynomial_recursions_off_preLie():
+    # The two engines peel the same factors, so they agree on every
+    # corruption too, preLie or not.
+    base = grafting_instance(5)
+    tables = [spec for step in (1, Fraction(1, 3)) for spec in _single_constant_corruptions(base, step)]
+    assert len(tables) == 78
+    for spec in tables:
+        _packed_and_polynomial_recursions_agree(spec)
 
 
 def test_associativity_without_unit_triples_gives_the_full_report():
@@ -830,6 +999,26 @@ def test_reports_match_all_tuples_references(make):
     assert prelie_check(spec) == reference_prelie_check(spec)
     assert associativity_report(spec) == reference_associativity(spec)
     assert filtration_report(spec) == reference_filtration(spec)
+
+
+def test_filtration_report_names_each_failing_term_in_term_order():
+    # No table that validates fails the filtration, so once the report has
+    # filled the frame's memo, one packed product on it is replaced: b1 *
+    # b1b1 (degree 3, lengths 1..3) gets a term of the wrong degree, a good
+    # one, and one too long and too high.
+    spec = grafting_instance(4)
+    assert filtration_report(spec) == []
+    frame = _frame_of(spec)
+    pack = frame.pack
+    frame.products[pack(mono(1)), pack(mono(1, 1))] = {
+        pack(mono(1, 1, 1, 1)): 1, pack(mono(3)): 2, pack(mono(2)): 1
+    }
+    got = filtration_report(spec)
+    assert got == reference_filtration(spec) == [
+        "product (b1)*(b1b1) is not homogeneous: term b2",
+        "product (b1)*(b1b1) leaves the length window [1, 3]: term b1b1b1b1",
+        "product (b1)*(b1b1) is not homogeneous: term b1b1b1b1",
+    ]
 
 
 def test_prelie_loader_rejects_malformed_text():
