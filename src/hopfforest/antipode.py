@@ -26,10 +26,9 @@ S(1) = 1; `term_stats` counts trees.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import reduce
-from math import comb, prod
-from operator import mul
+from math import comb
+from operator import add, mul
 from typing import Callable, NamedTuple
 
 from .algebra import Monomial, Polynomial, mono
@@ -203,39 +202,39 @@ def term_stats(spec: CoproductSpec, i: int) -> TermStats:
     are (see `_tree_counts`): L is their total vertex count, T the number of
     trees and T_k the number of height at most k, so sum(h) = sum over
     k >= 0 of (T - T_k) and dyson_salam_terms = L - sum(h) + T."""
-    counts = frame_over(spec, (i,)).counts
-    for j in _below(spec, (i,), "right", counts):
-        counts[j] = _tree_counts(spec, j, counts)
-    vertices, heights = counts[i]
+    frame = frame_over(spec, (i,))
+    for j in _below(spec, (i,), "right", frame.counts):
+        frame.counts[j] = _tree_counts(frame.rows[j], spec.degree(j), frame.counts)
+    vertices, heights = frame.counts[i]
     trees = heights[-1]
     sum_h = sum(trees - t for t in heights[:-1])
     return TermStats(dyson_salam_terms=vertices - sum_h + trees, forest_terms=trees)
 
 
-def _tree_counts(spec: CoproductSpec, j: int, counts: dict) -> tuple[int, list[int]]:
-    """The total vertex count L of the realized trees of b_j, and
-    [T_0, ..., T_deg(j)] with T_k the trees of height at most k, from the
-    ``counts`` of every right leg of b_j.  A tree is the leaf, or a root row
-    (j; l; J) with a multiset of m realized subtrees of b_r for each
-    distinct r of J, so a row has n = prod of w_r = C(T_r + m - 1, m)
-    trees.  Across the w_r multisets each subtree of b_r appears
-    C(T_r + m - 1, m - 1) times, so the row adds
-    n + sum of L_r * C(T_r + m - 1, m - 1) * n / w_r vertices.  A tree's
-    height is at most its root's degree, so T_k = T_deg(r) for k past
-    deg(r)."""
-    depth = spec.degree(j)
-    vertices = 1
-    heights = [0] + [1] * depth
-    for e in spec.entries_for(j):
-        legs = [(*counts[r], m) for r, m in Counter(e.right).items()]
-        ways = [comb(sub[-1] + m - 1, m) for _, sub, m in legs]
-        n = prod(ways)
-        vertices += n + sum(
-            sub_vertices * comb(sub[-1] + m - 1, m - 1) * n // w
-            for (sub_vertices, sub, m), w in zip(legs, ways)
-        )
-        for k in range(1, depth + 1):
-            heights[k] += prod(
-                comb(sub[min(k - 1, len(sub) - 1)] + m - 1, m) for _, sub, m in legs
-            )
-    return vertices, heights
+def _tree_counts(rows: list, depth: int, counts: dict) -> tuple[int, list[int]]:
+    """The total vertex count L of the realized trees of a generator of
+    degree ``depth`` and frame ``rows``, and [T_0, ..., T_depth], T_k those
+    of height at most k, from the ``counts`` of its right legs.  A tree is
+    the leaf, or a row with a multiset of m realized subtrees of b_r for
+    each distinct r of J: n = prod of w_r = C(T_r + m - 1, m) trees, each
+    subtree of b_r in C(T_r + m - 1, m - 1) of the w_r multisets, so the
+    row adds n + sum of L_r * C(T_r + m - 1, m - 1) * n / w_r vertices.  A
+    subtree's height is at most deg(r), so a leg's [T_0, ..., T_deg(r)] is
+    padded to ``depth`` entries with T_deg(r), each entry t is C(t + m - 1,
+    m), and the legs' product adds into [T_1, ..., T_depth]."""
+    vertices, heights = 1, [1] * depth  # the leaf alone
+    for _, _, right, _, _ in rows:
+        n, row_vertices, row = 1, 0, None
+        for r in set(right):
+            m, (sub_vertices, sub) = right.count(r), counts[r]
+            t = sub[-1]
+            vector = sub + [t] * (depth - len(sub))
+            if m > 1:
+                vector = [comb(s + m - 1, m) for s in vector]
+            w = vector[-1]  # n / w_r is the product of the other legs' w
+            row_vertices = row_vertices * w + sub_vertices * comb(t + m - 1, m - 1) * n
+            n *= w
+            row = vector if row is None else map(mul, row, vector)
+        vertices += n + row_vertices
+        heights = list(map(add, heights, row))
+    return vertices, [0, *heights]

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import lcm
 
 from .algebra import Monomial, Polynomial, Tensor, mono
-from .algebra import _positive_int, _sorted_monomial
+from .algebra import _positive_int
 from .errors import InputError
 from .hopfspec import CoproductSpec, graded_monomials
 
@@ -94,14 +94,14 @@ class _Packing:
         return self.decoded[m] if m in self.decoded else self._monomial(m)
 
     def _monomial(self, m: int) -> Monomial:
-        """Packed monomial m decoded, and kept in ``decoded``."""
+        """Packed monomial m decoded, and kept in ``decoded``: fields read in id order."""
         width, ids, indices, key = self.width, self.ids, [], m
         while key:
             n = ((key & -key).bit_length() - 1) // width
             e = key >> width * n & (1 << width) - 1
             indices += [ids[n]] * e
             key -= e << width * n
-        monomial = self.decoded[m] = _sorted_monomial(indices)
+        monomial = self.decoded[m] = tuple.__new__(Monomial, indices)
         return monomial
 
     def polynomial(self, packed: dict) -> Polynomial:
@@ -120,7 +120,8 @@ class _Packing:
 class _Frame(_Packing):
     """The numbering of what ``starts`` reach, for values of degree up to
     ``degree`` and the largest start's: each row as (c', l, J, packed b_l,
-    packed b_J), each antipode route's packed values and tree counts, and
+    packed b_J) and each generator's full coproduct, both written in one
+    pass over its table rows, each route's packed values, tree counts, and
     the full and reduced coproducts and decoding of every packed monomial
     met.  Only `frame_over` builds one."""
 
@@ -131,20 +132,18 @@ class _Frame(_Packing):
                 raise InputError(f"generator indices must be positive integers, got {i!r}")
         super().__init__(ids, max([degree, *map(spec.degree, starts)]))
         self.scale = scale = lcm(*(e.coeff.denominator for j in ids for e in spec.entries_for(j)))
-        field, shift = self.field, self.shift
-        # c' = c * scale^|J| is an integer: c's denominator divides scale
-        self.rows = {
-            j: [(c.numerator * scale ** len(right) // c.denominator, left, right, field[left],
-                 self.pack(right)) for _, left, right, c in spec.entries_for(j)]
-            for j in ids
-        }
-        self.forest, self.dyson_salam, self.bogoliubov = {}, {}, {}
-        self.counts, self.reduced = {}, {}
-        # full coproducts: the unit's, each generator's, then each monomial met's
-        self.full = {0: {0: 1}} | {
-            b: {b: 1, b << shift: 1, **{l + (r << shift): c for c, *_, l, r in self.rows[j]}}
-            for j, b in field.items()
-        }
+        field, shift, get = self.field, self.shift, self.field.__getitem__
+        # rows; full coproducts: the unit's, each generator's, each monomial met's
+        self.rows, self.full = rows, full = {}, {0: {0: 1}}
+        for j, b in field.items():
+            row, coproduct = rows[j], full[b] = [], {b: 1, b << shift: 1}
+            for _, left, right, c in spec.entries_for(j):
+                # c' = c * scale^|J| is an integer: c's denominator divides scale
+                c = c.numerator * scale ** len(right) // c.denominator
+                l, r = field[left], sum(map(get, right))
+                row.append((c, left, right, l, r))
+                coproduct[l + (r << shift)] = c
+        self.forest, self.dyson_salam, self.bogoliubov, self.counts, self.reduced = {}, {}, {}, {}, {}
 
     def full_of(self, b: int) -> dict:
         """The full coproduct of packed monomial b, memoized with every
@@ -215,17 +214,18 @@ class _Frame(_Packing):
 
 def frame_over(spec: CoproductSpec, starts, degree: int = 0) -> _Frame:
     """spec's frame if it numbers every start and holds values of degree
-    ``degree``, else a new frame over starts, now spec's: what one command
-    reads, so each lower value and packed coproduct is computed once.  A
-    bool never hits, though True == 1."""
+    ``degree``, else a new one, now spec's, over its ids and starts at the
+    larger degree, so alternating calls settle on one.  A bool never hits."""
     frame = spec._frame
-    if frame is not None and frame.degree >= degree:
-        field = frame.field
-        for i in starts:  # a plain loop keeps a route's one-id hit cheap
-            if not (_positive_int(i) and i in field):
-                break
-        else:
-            return frame
+    if frame is not None:
+        if frame.degree >= degree:
+            field = frame.field
+            for i in starts:  # a plain loop keeps a route's one-id hit cheap
+                if not (_positive_int(i) and i in field):
+                    break
+            else:
+                return frame
+        starts, degree = [*frame.ids, *starts], max(frame.degree, degree)
     frame = spec._frame = _Frame(spec, starts, degree)
     return frame
 

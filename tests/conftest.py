@@ -1,7 +1,9 @@
 """Session-shared fixtures: the worked composition-algebra table, the free
 grafting preLie instance, its dualized coproduct table, and their
-single-coefficient corruptions; and a per-test record of the packed frames
-built."""
+single-coefficient corruptions; a per-test record of the packed frames
+built; and a time bound on every test."""
+
+import signal
 
 import pytest
 
@@ -13,6 +15,29 @@ from hopfforest.hopfspec import (
     save_spec,
 )
 from hopfforest.prelie import dualize, grafting_instance, save_prelie
+
+
+TEST_SECONDS = 60  # the slowest test takes about 2 s
+
+
+@pytest.fixture(autouse=True)
+def time_bound():
+    """Where SIGALRM exists, a test still running TEST_SECONDS after it
+    starts fails under its own name instead of hanging the run."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"test ran past {TEST_SECONDS} s", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_SECONDS)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

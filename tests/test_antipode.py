@@ -848,3 +848,32 @@ def test_counted_term_stats_match_enumeration(build):
         assert term_stats(spec, i) == _enumerated_term_stats(spec, i)
     with pytest.raises(InputError, match="unknown generator id 99"):
         term_stats(spec, 99)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(_graded_tables())
+@example(
+    CoproductSpec(
+        "repeated-leg",
+        [Generator(1, 1), Generator(2, 2), Generator(3, 5)],
+        [CoproductEntry(2, 1, (1,), 1), CoproductEntry(3, 1, (2, 2), 2)],
+    )
+)
+def test_counted_term_stats_match_enumeration_on_random_tables(spec):
+    # Right legs repeat ids here, and rows are seldom coassociative.  Below
+    # degree 5 a repeated leg has one tree; in the example the row
+    # (3; 1; [2, 2]) takes a multiset of two of b2's two trees.  One fresh
+    # table fills its counts from the top generator down, another from the
+    # bottom up.
+    again = CoproductSpec(spec.name, spec.generators.values(), spec.entries)
+    ids = spec.generator_ids()
+    for table, order in ((spec, sorted(ids, reverse=True)), (again, sorted(ids))):
+        for i in order:
+            assert term_stats(table, i) == _enumerated_term_stats(table, i)
+
+
+def test_term_stats_of_h_n_count_chains():
+    # Every realized tree of h_n is a chain, which has one linearization
+    # per rank equal to its height, and T(n) = 1 + sum over m < n of T(m).
+    for n in range(1, 41):
+        assert term_stats(sym_spec(n), n) == TermStats(2 ** (n - 1), 2 ** (n - 1))

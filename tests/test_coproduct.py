@@ -507,6 +507,18 @@ def test_a_polynomial_past_the_frame_gets_a_wider_one(frames_built):
     assert len(frames_built) == 2
 
 
+def test_alternating_calls_settle_on_one_wider_frame(frames_built):
+    # b1^20 needs a frame of degree 20 and b12 one that numbers b12: the
+    # second frame numbers what the first did as well, so it serves both.
+    spec = faa_di_bruno_spec(12)
+    power, top = Polynomial.single(mono(*[1] * 20)), Polynomial.variable(12)
+    memo = {}
+    expected = oracle.coproduct(spec, power, memo), oracle.iterated_reduced(spec, top, 3, memo)
+    for _ in range(5):
+        assert (coproduct_poly(spec, power), iterated_reduced_poly(spec, top, 3)) == expected
+    assert len(frames_built) == 2
+
+
 def test_verify_and_compare_decode_each_packed_monomial_once(monkeypatch, capsys):
     # The route values of all three routes and every failure line decode
     # through one memo on the frame.
@@ -528,6 +540,15 @@ def test_verify_and_compare_decode_each_packed_monomial_once(monkeypatch, capsys
             cli.run([command, "--spec", "-", "--max-degree", "5"])
     assert "convolution failed" in capsys.readouterr().err
     assert decoded and len(decoded) == len(set(decoded))
+
+
+def test_decoding_inverts_packing():
+    # Fields are read lowest first and numbered in id order, so a decoded
+    # monomial needs no sort.
+    spec = dualize(grafting_instance(5), 5)
+    frame = coproduct.frame_over(spec, spec.generator_ids())
+    for m in monomials_up_to(spec, frame.degree):
+        assert frame.monomial(frame.pack(m)) == m
 
 
 #: The corruptions of each `corrupted` table on which Bogoliubov's values
