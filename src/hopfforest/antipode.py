@@ -32,9 +32,9 @@ from operator import add, mul
 from typing import Callable, NamedTuple
 
 from .algebra import Monomial, Polynomial, mono
-from .coproduct import _below, _Frame, _nonzero, _spread, frame_over
+from .coproduct import _Frame, _nonzero, _spread, frame_over
 from .errors import InputError
-from .hopfspec import CoproductSpec
+from .hopfspec import CoproductSpec, _below
 
 METHODS = ("forest", "dyson-salam", "bogoliubov")
 

@@ -35,26 +35,7 @@ from math import lcm
 from .algebra import Monomial, Polynomial, Tensor, mono
 from .algebra import _positive_int
 from .errors import InputError
-from .hopfspec import CoproductSpec, graded_monomials
-
-
-def _below(spec: CoproductSpec, starts, leg: str, known=()) -> list[int]:
-    """starts and all they reach through ``leg`` ("left", "right" or "both")
-    legs of table rows, but not through ``known``, in ascending degree: a
-    leg has smaller degree than its source, so it comes first."""
-    seen = {j for j in starts if j not in known}
-    todo = list(seen)
-    while todo:
-        for e in spec.entries_for(todo.pop()):
-            if leg == "both":
-                legs = (e.left, *e.right)
-            else:
-                legs = e.right if leg == "right" else (e.left,)
-            for j in legs:
-                if j not in seen and j not in known:
-                    seen.add(j)
-                    todo.append(j)
-    return sorted(seen, key=lambda j: (spec.degree(j), j))
+from .hopfspec import CoproductSpec, _below, graded_monomials
 
 
 def _spread(acc: dict, parts) -> dict:

@@ -42,27 +42,25 @@ def k_linearizations(
     x: Union[TreeLike, PosetView], k: int
 ) -> tuple[Linearization, ...]:
     """All k-linearizations of a tree or forest (or a prebuilt view), by
-    peeling a nonempty subset of currently minimal vertices per level.
-    Remaining vertex sets are always upward closed, so minimality is a
-    direct-parent check."""
+    peeling a nonempty subset of currently minimal vertices per level, in a
+    loop over a stack of partial ones.  Remaining vertex sets are always
+    upward closed, so minimality is a direct-parent check."""
     view = view_of(x)
     if not _positive_int(k):
         raise InputError(f"level count must be >= 1, got {k}")
     found: list[Linearization] = []
-
-    def peel(remaining: frozenset, prefix: tuple, levels_left: int) -> None:
+    stack = [(frozenset(view.vertices), ())]
+    while stack:
+        remaining, prefix = stack.pop()
+        levels_left = k - len(prefix)
         if not remaining:
-            if levels_left == 0:
+            if not levels_left:
                 found.append(Linearization(prefix))
-            return
-        if levels_left == 0 or len(remaining) < levels_left:
-            return
-        minimal = sorted(a for a in remaining if view.parent[a] not in remaining)
-        for fiber in map(frozenset, _subsets(minimal)):
-            if fiber:
-                peel(remaining - fiber, prefix + (fiber,), levels_left - 1)
-
-    peel(frozenset(view.vertices), (), k)
+        elif 0 < levels_left <= len(remaining):
+            minimal = sorted(a for a in remaining if view.parent[a] not in remaining)
+            for fiber in map(frozenset, _subsets(minimal)):
+                if fiber:
+                    stack.append((remaining - fiber, prefix + (fiber,)))
     return tuple(sorted(found, key=_sort_key))
 
 

@@ -22,14 +22,14 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, product as iter_product
+from itertools import chain, combinations_with_replacement, product as iter_product
 from math import factorial
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .algebra import Monomial, _positive_int
 from .errors import InputError
-from .hopfspec import CoproductSpec
+from .hopfspec import CoproductSpec, _below
 
 
 def _check_decoration(value: int, what: str) -> None:
@@ -204,49 +204,33 @@ def enumerate_trees(spec: CoproductSpec, i: int) -> tuple[DecoratedTree, ...]:
     """Every canonical tree with root source i realized by the table (all
     entry lookups nonzero), in canonical order, each exactly once.
 
-    The leaf is always included; on top of it, every table entry
-    (i; i0; {i1..is}) contributes the trees obtained by choosing, as an
-    unordered multiset, one realized subtree per right-leg index.  The
-    grading makes the recursion finite: right-leg indices have strictly
-    smaller degree than the source.  Sums over this set that must match the
+    Each id's pool is filled bottom-up along right legs: the leaf, then per
+    row (j; l; J) one tree per choice, for each r of multiplicity m in J,
+    of a multiset of m ranks in b_r's pool.  J is sorted and the ranks come
+    out non-decreasing, so children are in canonical order as built, and
+    distinct choices give distinct trees.  A pool is sorted by the flat key
+    (l, r1, k1, r2, k2, ...) of its children's sources and ranks, (j,) for
+    the leaf, which orders as the trees do as tuples in steps that do not
+    grow with depth.  Sums over this set that must match the
     iterated-coproduct expansion weight each tree by tree_multiplicity.
-    The recursion keeps each id's trees in a dict local to this call, so a
-    subtree pool is built once however many rows reach it.
     """
-    realized: dict[int, tuple[DecoratedTree, ...]] = {}
-
-    def trees_of(j: int) -> tuple[DecoratedTree, ...]:
-        if j in realized:
-            return realized[j]
-        spec.degree(j)  # raises for unknown ids
-        found = {leaf(j)}
-        for e in spec.entries_for(j):
-            pools = [
-                combinations_with_replacement(trees_of(r), mult)
-                for r, mult in Counter(e.right).items()
+    order = _below(spec, (i,), "right")  # raises for unknown ids
+    leaf(i)  # and for ids that are not positive ints, such as True
+    pools: dict[int, list[DecoratedTree]] = {}
+    for j in order:
+        keyed = [((j,), leaf(j))]
+        for _, l, right, _ in spec.entries_for(j):
+            legs = [
+                combinations_with_replacement([(r, k) for k in range(len(pools[r]))], right.count(r))
+                for r in dict.fromkeys(right)
             ]
-            for combo in iter_product(*pools):
-                children = tuple(t for group in combo for t in group)
-                found.add(node(j, e.left, children))
-        value = realized[j] = tuple(sorted(found, key=_order_key))
-        return value
-
-    return trees_of(i)
-
-
-def _order_key(t: DecoratedTree) -> tuple[int, ...]:
-    """A flat key whose order is t's tuple order: each vertex's (source,
-    left) in preorder, after one 0 per subtree closed since the vertex
-    before.  A 0 sorts below every decoration, as a list that ends sorts
-    below one that goes on; comparing keys walks no nested tuple, so it
-    costs no more than the keys' length however deep the trees."""
-    key: list[int] = []
-    opened = 1
-    for (source, left, _), depth in _vertices(t):
-        key += [0] * (opened - depth)
-        key += source, left
-        opened = depth + 1
-    return tuple(key)
+            for choice in iter_product(*legs):
+                picks = [rank for group in choice for rank in group]
+                tree = tuple.__new__(DecoratedTree, (j, l, tuple(pools[r][k] for r, k in picks)))
+                keyed.append(((l, *chain.from_iterable(picks)), tree))
+        keyed.sort(key=itemgetter(0))
+        pools[j] = [t for _, t in keyed]
+    return tuple(pools[i])
 
 
 def tree_notation(t: DecoratedTree) -> str:

@@ -10,7 +10,7 @@ from functools import cache
 from math import comb, factorial, prod
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hopfforest import antipode, cli
@@ -58,6 +58,7 @@ import coproduct_oracle as oracle
 from route_recursions import bogoliubov_recursion, forest_recursion
 from series_reversion import evaluate, lagrange_antipode
 from test_coproduct import BOGOLIUBOV_DIFFERS, _convolution_per_monomial
+from tree_recursion import recursive_trees
 
 GOLDEN = {
     1: "-1 b1",
@@ -870,6 +871,40 @@ def test_counted_term_stats_match_enumeration_on_random_tables(spec):
     for table, order in ((spec, sorted(ids, reverse=True)), (again, sorted(ids))):
         for i in order:
             assert term_stats(table, i) == _enumerated_term_stats(table, i)
+
+
+@st.composite
+def _repeated_leg_tables(draw):
+    """A `_graded_tables` draw plus one generator d above it with the one
+    row (d; l; [r, r]), where b_r has a row and so two or more realized
+    trees: a repeated leg whose multisets of subtrees are not all pairs of
+    equal trees, which the draws of degree 4 or less never have."""
+    spec = draw(_graded_tables())
+    legs = [r for r in spec.generator_ids() if spec.entries_for(r)]
+    assume(legs)
+    r = draw(st.sampled_from(legs))
+    l = draw(st.sampled_from(spec.generator_ids()))
+    d = max(spec.generators) + 1
+    return CoproductSpec(
+        "repeated-leg",
+        [*spec.generators.values(), Generator(d, spec.degree(l) + 2 * spec.degree(r))],
+        [*spec.entries, CoproductEntry(d, l, (r, r), draw(_coefficients))],
+    )
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(_repeated_leg_tables())
+@example(faa_di_bruno_spec(7))
+@example(dualize(grafting_instance(5), 5))
+def test_enumeration_matches_the_recursive_oracle_on_repeated_legs(spec):
+    # The enumerator picks each repeated leg's subtrees as a multiset of
+    # ranks and the count as a binomial; the oracle collects checked trees
+    # in a set.  An ordered choice of ranks lists a tree once per order,
+    # and a count without the binomial misses the mixed multisets.
+    for i in spec.generator_ids():
+        trees = enumerate_trees(spec, i)
+        assert trees == recursive_trees(spec, i)
+        assert term_stats(spec, i) == _enumerated_term_stats(spec, i)
 
 
 def test_term_stats_of_h_n_count_chains():

@@ -438,29 +438,38 @@ def _left_deep(i):
     return (i, i - 1, (1,))
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [("trees",), ("linearizations", "--k", "2")],
-    ids=["trees", "linearizations"],
-)
-def test_table_deeper_than_the_recursion_limit_exits_two(capsys, tmp_path, argv):
-    # The realized trees of b_n in the right-deep chain nest n levels deep,
-    # and listing them recurses once per level.
-    n = 1100
+def test_a_chain_deeper_than_the_recursion_limit_lists_every_tree(capsys, tmp_path):
+    # The realized trees of b_n in the right-deep chain nest n levels deep.
+    # Listing them fills each id's trees bottom-up and peels levels in a
+    # loop, so no step recurses once per level; the limit is lowered
+    # instead of the chain lengthened.  Only the n-vertex chain has an
+    # n-linearization.
+    n = 300
     path = tmp_path / "chain.json"
     path.write_text(save_spec(_chain_table(n, _right_deep)))
-    code, out, err = invoke(capsys, *argv, "--spec", str(path), "--element", str(n))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and "recursion limit" in err
-    assert "Traceback" not in err
+    argv = ("--spec", str(path), "--element", str(n))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        runs = [invoke(capsys, "trees", *argv)] + [
+            invoke(capsys, "linearizations", *argv, "--k", str(k)) for k in (2, n)
+        ]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [(code, err, len(out.splitlines())) for code, out, err in runs] == [
+        (0, "", n),
+        (0, "", n + 1),
+        (0, "", n + 1),
+    ]
+    counts = [line.split(" count=")[1] for line in runs[2][1].splitlines() if " count=" in line]
+    assert counts == ["1"] + ["0"] * (n - 1)
 
 
 def test_a_120_level_chain_lists_every_tree(capsys, tmp_path):
     # b_n of the right-deep chain has one realized tree per chain length,
-    # listed longest first.  Sorting a tree set compares flat keys, where
-    # each comparison of nested tuples walked down the whole depth: at 120
-    # levels `trees` took about 10 s.  Only the 2-vertex chain has a
+    # listed longest first.  Each pool is sorted by rank keys, which compare
+    # in steps that do not grow with depth, where comparing nested tuples
+    # walks down the whole depth.  Only the 2-vertex chain has a
     # 2-linearization.
     n = 120
     path = tmp_path / "chain.json"

@@ -36,9 +36,9 @@ from hopfforest.trees import (
     vertex_monomial,
     view_of,
 )
-from hopfforest.trees import _order_key
 
 from corolla_cuts import corolla_cuts
+from test_cli import _chain_table, _right_deep
 
 
 def example_tree():
@@ -103,20 +103,27 @@ def test_tuple_order_is_the_structure_key_order(ts):
         assert list(t.children) == sorted(t.children, key=structure_key)
 
 
-@settings(max_examples=200)
-@given(st.lists(decorated_trees(depth=4), max_size=8))
-def test_the_flat_order_key_is_tuple_order(ts):
-    # enumerate_trees sorts by the flat key, so that no comparison walks
-    # down nested tuples; it must order as tuples do.
-    for a in ts:
-        for b in ts:
-            assert (_order_key(a) < _order_key(b)) == (a < b)
-            assert (_order_key(a) == _order_key(b)) == (a == b)
-
-
-def test_the_flat_order_key_of_a_small_tree():
-    # (6,1), (2,1), (1,1), then 0s closing the leaf and N(2;1) before (3,1)
-    assert _order_key(example_tree()) == (6, 1, 2, 1, 1, 1, 0, 0, 3, 1, 1, 1, 0, 1, 1)
+@pytest.mark.parametrize(
+    "make, top_only",
+    [
+        (lambda: faa_di_bruno_spec(7), False),
+        (lambda: faa_di_bruno_spec(9), False),
+        (lambda: dualize(grafting_instance(5), 5), False),
+        (lambda: dualize(grafting_instance(6), 6), False),
+        # b120's pool holds every lower pool's trees as subtrees
+        (lambda: _chain_table(120, _right_deep), True),
+    ],
+    ids=["fdb-7", "fdb-9", "grafting-5-dual", "grafting-6-dual", "chain-120"],
+)
+def test_every_pool_is_strictly_increasing_in_tuple_order(make, top_only):
+    # Pools are sorted by rank keys and built without checks; tuple order
+    # is the oracle, and each listed tree must be realized.
+    spec = make()
+    ids = spec.generator_ids()
+    for i in ids[-1:] if top_only else ids:
+        trees = enumerate_trees(spec, i)
+        assert all(a < b for a, b in zip(trees, trees[1:]))
+        assert all(tree_coefficient(t, spec) for t in trees)
 
 
 @pytest.mark.parametrize(
