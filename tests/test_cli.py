@@ -438,7 +438,8 @@ def _left_deep(i):
     return (i, i - 1, (1,))
 
 
-def test_a_chain_deeper_than_the_recursion_limit_lists_every_tree(capsys, tmp_path):
+@pytest.mark.parametrize("command", ["trees", "linearizations"])
+def test_a_chain_deeper_than_the_recursion_limit_lists_every_tree(capsys, tmp_path, command):
     # The realized trees of b_n in the right-deep chain nest n levels deep.
     # Listing them fills each id's trees bottom-up and peels levels in a
     # loop, so no step recurses once per level; the limit is lowered
@@ -448,21 +449,20 @@ def test_a_chain_deeper_than_the_recursion_limit_lists_every_tree(capsys, tmp_pa
     path = tmp_path / "chain.json"
     path.write_text(save_spec(_chain_table(n, _right_deep)))
     argv = ("--spec", str(path), "--element", str(n))
+    ks = [()] if command == "trees" else [("--k", str(k)) for k in (2, n)]
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(250)
     try:
-        runs = [invoke(capsys, "trees", *argv)] + [
-            invoke(capsys, "linearizations", *argv, "--k", str(k)) for k in (2, n)
-        ]
+        runs = [invoke(capsys, command, *argv, *k) for k in ks]
     finally:
         sys.setrecursionlimit(limit)
+    lines = n if command == "trees" else n + 1
     assert [(code, err, len(out.splitlines())) for code, out, err in runs] == [
-        (0, "", n),
-        (0, "", n + 1),
-        (0, "", n + 1),
-    ]
-    counts = [line.split(" count=")[1] for line in runs[2][1].splitlines() if " count=" in line]
-    assert counts == ["1"] + ["0"] * (n - 1)
+        (0, "", lines)
+    ] * len(ks)
+    if command == "linearizations":
+        counts = [line.split(" count=")[1] for line in runs[1][1].splitlines() if " count=" in line]
+        assert counts == ["1"] + ["0"] * (n - 1)
 
 
 def test_a_120_level_chain_lists_every_tree(capsys, tmp_path):
