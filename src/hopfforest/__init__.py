@@ -60,12 +60,9 @@ from .prelie import (
 )
 from .trees import (
     DecoratedTree,
-    Forest,
     PosetView,
     TreeStats,
     enumerate_trees,
-    forest,
-    forest_notation,
     height,
     leaf,
     node,

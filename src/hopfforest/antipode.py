@@ -57,18 +57,11 @@ def _dyson_salam(frame: _Frame, iterate: dict, bound: int) -> dict:
             key = (key & mask) + (key >> shift)
             terms[key] = get(key, 0) + sign * c
         if k < bound:
-            acc: dict = {}
-            put = acc.get
+            parts = []
             for key, c in iterate.items():
-                b = key >> shift
-                cut = reduced.get(b)
-                if cut is None:
-                    cut = reduced_of(b)
-                key &= mask
-                for k2, c2 in cut.items():
-                    k2 += key
-                    acc[k2] = put(k2, 0) + c * c2
-            iterate = _nonzero(acc)
+                cut = reduced.get(key >> shift)
+                parts.append((key & mask, c, reduced_of(key >> shift) if cut is None else cut))
+            iterate = _nonzero(_spread({}, parts))
     return _nonzero(terms)
 
 

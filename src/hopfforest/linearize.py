@@ -1,14 +1,15 @@
-"""Level assignments (linearizations) of tree and forest posets and the
-chain tensors they produce.
+"""Level assignments (linearizations) of tree posets, or of any poset
+given as a `PosetView`, and the chain tensors they produce.
 
 A k-linearization assigns every vertex a level in 1..k, onto (every level
 used) and strictly order-preserving (ancestors get strictly smaller levels).
 Its chain is the rank-k tensor whose t-th slot is the monomial of left
 decorations over the level-t fiber.  Summing chains over all k-linearizations
 of all realized trees, weighted by tree coefficient times ordered-assignment
-multiplicity, reproduces the k-fold iterated reduced coproduct; over
-forests it reproduces that of product monomials (tests/test_linearize.py
-checks both against `coproduct.iterated_reduced_poly`).
+multiplicity, reproduces the k-fold iterated reduced coproduct; over the
+views of forests, one realized tree per factor, it reproduces that of
+product monomials (tests/test_linearize.py checks both against
+`coproduct.iterated_reduced_poly`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import NamedTuple, Union
 
 from .algebra import Monomial, Tensor, _positive_int
 from .errors import InputError
-from .trees import PosetView, TreeLike, view_of
+from .trees import DecoratedTree, PosetView, view_of
 
 
 class Linearization(NamedTuple):
@@ -39,9 +40,9 @@ def _sort_key(lin: Linearization):
 
 
 def k_linearizations(
-    x: Union[TreeLike, PosetView], k: int
+    x: Union[DecoratedTree, PosetView], k: int
 ) -> tuple[Linearization, ...]:
-    """All k-linearizations of a tree or forest (or a prebuilt view), by
+    """All k-linearizations of a tree (or a prebuilt view), by
     peeling a nonempty subset of currently minimal vertices per level, in a
     loop over a stack of partial ones.  Remaining vertex sets are always
     upward closed, so minimality is a direct-parent check."""
@@ -64,9 +65,12 @@ def k_linearizations(
     return tuple(sorted(found, key=_sort_key))
 
 
-def chain_of(x: Union[TreeLike, PosetView], lin: Linearization) -> Tensor:
+def chain_of(x: Union[DecoratedTree, PosetView], lin: Linearization) -> Tensor:
     """The rank-k tensor of level-fiber monomials of left decorations."""
     view = view_of(x)
+    if not (isinstance(lin, Linearization) and isinstance(lin.fibers, tuple)
+            and all(isinstance(fiber, frozenset) for fiber in lin.fibers)):
+        raise InputError(f"expected a Linearization of frozenset fibers, got {lin!r}")
     seen: set[int] = set()
     for fiber in lin.fibers:
         if not fiber or fiber & seen:

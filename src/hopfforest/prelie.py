@@ -393,8 +393,9 @@ def grafting_instance(max_vertices: int) -> PreLieSpec:
         for t2, n2 in sized:
             if n1 + n2 > max_vertices:
                 break  # sizes ascend
-            products[ids[t1], ids[t2]] = Polynomial(
-                (Monomial((ids[result],)), 1) for result in _graft_everywhere(t1, t2)
+            products[ids[t1], ids[t2]] = Polynomial._checked(
+                (tuple.__new__(Monomial, (ids[result],)), 1)
+                for result in _graft_everywhere(t1, t2)
             )
     return PreLieSpec(f"grafting-{max_vertices}", basis, products, max_vertices)
 

@@ -1,5 +1,5 @@
-"""Decorated non-planar rooted trees, forests, their statistics,
-exhaustive enumeration against a coproduct table, and the poset views,
+"""Decorated non-planar rooted trees, their statistics, exhaustive
+enumeration against a coproduct table, and the poset views,
 with vertices numbered in preorder, that linearizations read.
 
 Every vertex carries two positive integers (source, left).  The source is
@@ -10,12 +10,14 @@ left i0 whose children have sources I corresponds to the coproduct entry
 (i; i0; I); the product of those entry coefficients over all internal
 vertices is the tree's coefficient.
 
-A tree is the tuple (source, left, children) and a forest the tuple of its
-trees; both keep their members sorted by tuple order (source, then left,
-then child lists lexicographically), the one canonical order, so equal
-trees are equal tuples and hash and compare in C.  The file format / CLI
-notation is "L(i)" for leaves, "N(i;j)[child,child,...]" for internal
-vertices, and "*" to join forest components.
+A tree is the tuple (source, left, children), its children sorted by
+tuple order (source, then left, then child lists lexicographically), the
+one canonical order, so equal trees are equal tuples and hash and compare
+in C.  A forest (a product of trees) has no type here: its statistics are
+the sums, maxima or products of its trees', and any poset, a forest's
+included, can be presented as a `PosetView` for linearizations.  The file
+format / CLI notation is "L(i)" for leaves and "N(i;j)[child,child,...]"
+for internal vertices.
 """
 
 from __future__ import annotations
@@ -85,77 +87,46 @@ def node(
     return DecoratedTree(source, left, kids)
 
 
-class Forest(tuple):
-    """A multiset of decorated trees (a commutative product): its sorted trees."""
-
-    __slots__ = ()
-
-    def __new__(cls, trees: Iterable[DecoratedTree] = ()):
-        return tuple.__new__(cls, sorted(trees))
-
-    trees = property(tuple)
-
-    def __repr__(self) -> str:
-        return f"Forest(trees={tuple(self)!r})"
-
-    def __str__(self) -> str:
-        return forest_notation(self)
-
-
-def forest(*trees: DecoratedTree) -> Forest:
-    return Forest(tuple(trees))
-
-
-TreeLike = Union[DecoratedTree, Forest]
-
-
-def _components(x: TreeLike) -> tuple[DecoratedTree, ...]:
-    if isinstance(x, DecoratedTree):
-        return (x,)
-    if isinstance(x, Forest):
-        return x
-    raise InputError(f"expected a DecoratedTree or Forest, got {x!r}")
-
-
-def _vertices(x: TreeLike) -> Iterator[tuple[DecoratedTree, int]]:
-    """Every (vertex, depth) of a tree or forest in preorder, roots at depth
-    1, walked with an explicit stack so any depth fits."""
-    stack = [(t, 1) for t in reversed(_components(x))]
+def _vertices(t: DecoratedTree) -> Iterator[tuple[DecoratedTree, int]]:
+    """Every (vertex, depth) of a tree in preorder, the root at depth 1,
+    walked with an explicit stack so any depth fits."""
+    if not isinstance(t, DecoratedTree):
+        raise InputError(f"expected a DecoratedTree, got {t!r}")
+    stack = [(t, 1)]
     while stack:
         t, depth = stack.pop()
         yield t, depth
         stack.extend((c, depth + 1) for c in reversed(t.children))
 
 
-def vertex_count(x: TreeLike) -> int:
-    """The statistic l: total number of vertices (additive over forests)."""
-    return sum(1 for _ in _vertices(x))
+def vertex_count(t: DecoratedTree) -> int:
+    """The statistic l: total number of vertices."""
+    return sum(1 for _ in _vertices(t))
 
 
-def height(x: TreeLike) -> int:
+def height(t: DecoratedTree) -> int:
     """The statistic h: vertices on a longest root-to-leaf path (a single
-    leaf has height 1); maximum over forest components, 0 for the empty
-    forest."""
-    return max((depth for _, depth in _vertices(x)), default=0)
+    leaf has height 1)."""
+    return max(depth for _, depth in _vertices(t))
 
 
-def tree_coefficient(x: TreeLike, spec: CoproductSpec) -> Fraction:
+def tree_coefficient(t: DecoratedTree, spec: CoproductSpec) -> Fraction:
     """Product over internal vertices of the coproduct coefficient for
     (source; left; children's sources).  A vertex with no matching table
-    entry contributes 0: the tree is not realized by this table.
-    Multiplicative over forests; leaves contribute 1."""
+    entry contributes 0: the tree is not realized by this table.  Leaves
+    contribute 1."""
     out = Fraction(1)
-    for t, _ in _vertices(x):
-        if t.children:
-            out *= spec.coefficient(t.source, t.left, [c.source for c in t.children])
+    for u, _ in _vertices(t):
+        if u.children:
+            out *= spec.coefficient(u.source, u.left, [c.source for c in u.children])
             if not out:
                 break
     return out
 
 
-def vertex_monomial(x: TreeLike) -> Monomial:
+def vertex_monomial(t: DecoratedTree) -> Monomial:
     """The statistic v: the monomial collecting b_left over all vertices."""
-    return Monomial(t.left for t, _ in _vertices(x))
+    return Monomial(u.left for u, _ in _vertices(t))
 
 
 class TreeStats(NamedTuple):
@@ -165,16 +136,16 @@ class TreeStats(NamedTuple):
     value: Monomial
 
 
-def tree_stats(x: TreeLike, spec: CoproductSpec) -> TreeStats:
-    """(l, h, coefficient, value) for a tree or forest."""
+def tree_stats(t: DecoratedTree, spec: CoproductSpec) -> TreeStats:
+    """(l, h, coefficient, value) for a tree."""
     return TreeStats(
-        vertex_count(x), height(x), tree_coefficient(x, spec), vertex_monomial(x)
+        vertex_count(t), height(t), tree_coefficient(t, spec), vertex_monomial(t)
     )
 
 
-def tree_multiplicity(x: TreeLike) -> int:
+def tree_multiplicity(t: DecoratedTree) -> int:
     """Number of ordered subtree assignments that collapse to this canonical
-    tree (multiplicative over forests).
+    tree.
 
     Coproduct expansions of products are sums over ordered choices: a table
     entry whose right leg repeats an index offers that many interchangeable
@@ -188,9 +159,9 @@ def tree_multiplicity(x: TreeLike) -> int:
     composition table) have multiplicity 1.
     """
     out = 1
-    for t, _ in _vertices(x):
+    for u, _ in _vertices(t):
         groups: dict[int, list] = {}
-        for c in t.children:
+        for c in u.children:
             groups.setdefault(c.source, []).append(c)
         for group in groups.values():
             if len(group) > 1:  # only then hash the subtrees: a lone child has no twin
@@ -247,18 +218,14 @@ def tree_notation(t: DecoratedTree) -> str:
     return "".join(out) + "]" * opened
 
 
-def forest_notation(f: Forest) -> str:
-    return "*".join(map(tree_notation, f)) or "1"
-
-
 # --- Poset views -------------------------------------------------------------
 
 
 class PosetView(NamedTuple):
-    """A concrete poset presentation of a tree or forest: vertex v is the
-    v-th of `_vertices`' preorder, parent[v] its parent's number (None for a
-    root) and left_of[v] its left decoration; x < y means x is a strict
-    ancestor of y (roots are minimal).  Preorder is the lexicographic order
+    """A concrete poset presentation of a tree: vertex v is the v-th of
+    `_vertices`' preorder, parent[v] its parent's number (None for a root)
+    and left_of[v] its left decoration; x < y means x is a strict ancestor
+    of y (roots are minimal).  Preorder is the lexicographic order
     of root paths, so numbers sort as those paths do.  Views exist so that
     linearizations can talk about individual vertices, which canonical trees
     cannot."""
@@ -268,13 +235,13 @@ class PosetView(NamedTuple):
     left_of: tuple[int, ...]
 
 
-def view_of(x: Union[TreeLike, PosetView]) -> PosetView:
-    """x if it is a view, else the view of a tree or forest: its parent at
-    each vertex is the last vertex seen one level up."""
+def view_of(x: Union[DecoratedTree, PosetView]) -> PosetView:
+    """x if it is a view, else the view of a tree: its parent at each
+    vertex is the last vertex seen one level up."""
     if isinstance(x, PosetView):
         return x
-    if not isinstance(x, (DecoratedTree, Forest)):
-        raise InputError(f"expected a tree, forest or poset view, got {x!r}")
+    if not isinstance(x, DecoratedTree):
+        raise InputError(f"expected a tree or poset view, got {x!r}")
     parent: list[Optional[int]] = []
     left_of: list[int] = []
     last: list[Optional[int]] = [None]  # last[d]: the latest vertex at depth d

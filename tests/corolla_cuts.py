@@ -6,28 +6,41 @@ A corolla cut is an upward-closed vertex set whose components are single
 leaves or full terminal corollas (an internal vertex together with all of
 its children, those children all being leaves).  Both views are built by
 hand, over the host tree's vertex numbers, from its view and the children
-and sources this module reads off the tree itself."""
+and sources this module reads off the tree itself.  A cut is the sorted
+tuple of its component trees; `forest_view` presents such a tuple as one
+poset."""
 
 from typing import NamedTuple
 
-from hopfforest.trees import DecoratedTree, Forest, PosetView, forest, leaf, node, view_of
+from hopfforest.trees import DecoratedTree, PosetView, leaf, node, view_of
 
 
 class CorollaCut(NamedTuple):
     """vertices  all cut vertex numbers in the host tree
     meet      numbers of the component minima (corolla roots and bare
               leaves); these are leaves of the quotient
-    cut       the components as a standalone decorated forest
+    cut       the components as standalone trees, in sorted order
     quotient  the host tree with every corolla component collapsed to a
               leaf decorated by the corolla root's source; bare-leaf
               components stay leaves of the quotient"""
 
     vertices: frozenset
     meet: frozenset
-    cut: Forest
+    cut: tuple[DecoratedTree, ...]
     quotient: DecoratedTree
     cut_view: PosetView
     quotient_view: PosetView
+
+
+def forest_view(trees):
+    """The poset of several trees side by side: their views joined, the
+    trees taken in sorted order, each numbered after the ones before it."""
+    parent, left_of = [], []
+    for t in sorted(trees):
+        view, base = view_of(t), len(parent)
+        parent += [None if p is None else p + base for p in view.parent]
+        left_of += view.left_of
+    return PosetView(tuple(range(len(parent))), tuple(parent), tuple(left_of))
 
 
 def _preorder(t):
@@ -88,7 +101,7 @@ def corolla_cuts(t):
                 CorollaCut(
                     frozenset(members),
                     meet,
-                    forest(*(_tree(a, cut_children, source, view.left_of) for a in sorted(meet))),
+                    tuple(sorted(_tree(a, cut_children, source, view.left_of) for a in meet)),
                     _tree(0, quotient_children, source, quotient_view.left_of),
                     cut_view,
                     quotient_view,

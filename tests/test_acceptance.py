@@ -10,6 +10,7 @@ import json
 import random
 import time
 from contextlib import contextmanager, redirect_stdout
+from math import prod
 
 from hopfforest.algebra import Polynomial, Tensor, mono
 from hopfforest.antipode import (
@@ -207,13 +208,13 @@ def test_criterion_6_corolla_cuts(capfd):
         t = example_tree()
         cuts = corolla_cuts(t)
         assert len(cuts) == 14
-        assert sum(1 for c in cuts if height(c.cut) == 1) == 7
-        assert sum(1 for c in cuts if height(c.cut) == 2) == 7
+        assert sum(1 for c in cuts if max(map(height, c.cut)) == 1) == 7
+        assert sum(1 for c in cuts if max(map(height, c.cut)) == 2) == 7
         lam = tree_coefficient(t, spec)
         assert lam == 315
         for c in cuts:
             quotient_lam = tree_coefficient(c.quotient, spec)
-            cut_lam = tree_coefficient(c.cut, spec)
+            cut_lam = prod(tree_coefficient(u, spec) for u in c.cut)
             assert quotient_lam != 0 and cut_lam != 0
             assert lam == quotient_lam * cut_lam
         for k in (1, 2, 3):

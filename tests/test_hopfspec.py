@@ -299,6 +299,33 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert out.stdout == "[]\n"
 
 
+def test_a_reimported_package_frees_the_old_one():
+    # Dropping every hopfforest module and importing again must leave
+    # nothing holding the old classes (a module-level typing alias of
+    # package classes once did), or each re-import keeps a whole
+    # generation of the package alive.
+    code = (
+        "import gc, sys, weakref\n"
+        "import hopfforest.cli\n"
+        "refs = [weakref.ref(sys.modules['hopfforest.trees'].DecoratedTree),\n"
+        "        weakref.ref(sys.modules['hopfforest.algebra'].Polynomial)]\n"
+        "for name in [n for n in sys.modules if n.split('.')[0] == 'hopfforest']:\n"
+        "    del sys.modules[name]\n"
+        "import hopfforest.cli\n"
+        "gc.collect()\n"
+        "print([ref() is None for ref in refs])\n"
+    )
+    root = str(Path(hopfforest.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": root},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout == "[True, True]\n"
+
+
 def test_faa_di_bruno_rejects_bad_degree():
     for bad in (0, True):
         with pytest.raises(InputError, match=f"max_degree must be >= 1, got {bad}"):

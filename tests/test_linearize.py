@@ -2,6 +2,7 @@
 linking them to iterated reduced coproducts."""
 
 from itertools import permutations, product as iter_product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,6 @@ from hopfforest.prelie import dualize, grafting_instance
 from hopfforest.trees import (
     PosetView,
     enumerate_trees,
-    forest,
     leaf,
     node,
     tree_coefficient,
@@ -23,7 +23,7 @@ from hopfforest.trees import (
     view_of,
 )
 
-from corolla_cuts import corolla_cuts
+from corolla_cuts import corolla_cuts, forest_view
 
 
 def corolla():
@@ -86,8 +86,8 @@ def test_k_linearizations_rejects_a_bool_count():
         three_chain(),
         example_tree(),
         node(4, 2, [leaf(1), node(3, 1, [leaf(2)])]),
-        forest(leaf(1), leaf(2)),
-        forest(node(2, 1, [leaf(1)]), leaf(3)),
+        forest_view([leaf(1), leaf(2)]),
+        forest_view([node(2, 1, [leaf(1)]), leaf(3)]),
     ],
 )
 def test_enumeration_matches_brute_force(shape):
@@ -119,7 +119,7 @@ def test_chain_tensors():
     (lin,) = k_linearizations(view, 2)
     assert chain_of(view, lin) == Tensor.single((mono(1), mono(1, 1)), 1)
 
-    pair = forest(leaf(1), leaf(2))
+    pair = forest_view([leaf(1), leaf(2)])
     chains = {chain_of(pair, lin) for lin in k_linearizations(pair, 2)}
     assert chains == {
         Tensor.single((mono(1), mono(2)), 1),
@@ -135,6 +135,21 @@ def test_chain_of_rejects_bad_fibers():
         chain_of(view, Linearization((frozenset({0, 1}), frozenset({1, 2}))))  # overlap
     with pytest.raises(InputError):
         chain_of(view, Linearization((frozenset({0, 1, 2}), frozenset())))  # empty fiber
+
+
+@pytest.mark.parametrize(
+    "lin",
+    [
+        (frozenset({0}),),  # fibers, not a Linearization
+        Linearization(([0],)),  # a fiber that is not a frozenset
+        Linearization(frozenset({0})),  # fibers that are not a tuple
+        None,
+    ],
+    ids=["bare-tuple", "list-fiber", "set-fibers", "none"],
+)
+def test_chain_of_refuses_a_malformed_linearization(lin):
+    with pytest.raises(InputError, match="expected a Linearization of frozenset fibers"):
+        chain_of(view_of(leaf(1)), lin)
 
 
 @st.composite
@@ -224,12 +239,12 @@ def linearization_expansion(spec, indices, k):
     of the monomial over ``indices``: over every forest of one realized tree
     per index, taken in order, so that repeated indices count each unordered
     forest once per ordered choice (a generator's trees are its one-tree
-    forests), coefficient times multiplicity times every k-linearization
-    chain."""
+    forests), the product of its trees' coefficients times multiplicities
+    times every k-linearization chain of its view."""
     terms = []
     for trees in iter_product(*(enumerate_trees(spec, i) for i in indices)):
-        f = forest(*trees)
-        view, weight = view_of(f), tree_coefficient(f, spec) * tree_multiplicity(f)
+        view = forest_view(trees)
+        weight = prod(tree_coefficient(t, spec) * tree_multiplicity(t) for t in trees)
         for lin in k_linearizations(view, k):
             terms += [(key, weight * c) for key, c in chain_of(view, lin).items()]
     return Tensor(k, terms)

@@ -1,5 +1,5 @@
-"""Decorated trees and forests: canonical forms, statistics, enumeration
-against a coproduct table, poset views, and corolla cuts (tests/corolla_cuts.py)."""
+"""Decorated trees: canonical forms, statistics, enumeration against a
+coproduct table, poset views, and corolla cuts (tests/corolla_cuts.py)."""
 
 import pickle
 import random
@@ -20,11 +20,8 @@ from hopfforest.linearize import Linearization
 from hopfforest.prelie import dualize, grafting_instance
 from hopfforest.trees import (
     DecoratedTree,
-    Forest,
     PosetView,
     enumerate_trees,
-    forest,
-    forest_notation,
     height,
     leaf,
     node,
@@ -37,7 +34,7 @@ from hopfforest.trees import (
     view_of,
 )
 
-from corolla_cuts import corolla_cuts
+from corolla_cuts import corolla_cuts, forest_view
 from test_cli import _chain_table, _right_deep
 
 
@@ -155,14 +152,11 @@ def test_notation():
     assert tree_notation(example_tree()) == (
         "N(6;1)[N(2;1)[L(1)],N(3;1)[L(1),L(1)]]"
     )
-    assert forest_notation(forest(leaf(2), leaf(1))) == "L(1)*L(2)"
-    assert forest_notation(Forest(())) == "1"
     assert str(example_tree()).startswith("N(6;1)")
 
 
 RECORDS = {
     "tree": (lambda spec: example_tree(), ("source", "left", "children")),
-    "forest": (lambda spec: forest(example_tree(), leaf(2)), ("trees",)),
     "view": (
         lambda spec: view_of(example_tree()),
         ("vertices", "parent", "left_of"),
@@ -201,21 +195,17 @@ def test_record_reprs_are_the_dataclass_reprs(fdb6):
         f"children=({leaf1}, {leaf1}))))"
     )
     assert repr(example_tree()) == tree
-    assert repr(forest(example_tree(), leaf(2))) == (
-        f"Forest(trees=(DecoratedTree(source=2, left=2, children=()), {tree}))"
-    )
     assert repr(Linearization((frozenset({0}),))) == (
         "Linearization(fibers=(frozenset({0}),))"
     )
     assert repr(term_stats(fdb6, 3)) == "TermStats(dyson_salam_terms=6, forest_terms=5)"
 
 
-def test_trees_and_forests_are_tuples_of_their_fields():
+def test_trees_are_tuples_of_their_fields():
     t = example_tree()
     assert leaf(2) == (2, 2, ()) and hash(leaf(2)) == hash((2, 2, ()))
     assert t == (t.source, t.left, t.children)
-    assert forest(t, leaf(2)) == (leaf(2), t) == forest(t, leaf(2)).trees
-    assert leaf(2) < t and Forest(()) == ()
+    assert leaf(2) < t
     assert hash(view_of(t)) == hash(view_of(example_tree()))
 
 
@@ -227,12 +217,23 @@ def test_statistics(fdb6):
     assert tree_coefficient(t, fdb6) == 315  # 35 * 3 * 3
     assert tree_stats(t, fdb6) == (6, 3, 315, mono(1, 1, 1, 1, 1, 1))
 
-    f = forest(leaf(2), node(2, 1, [leaf(1)]))
-    assert vertex_count(f) == 3
-    assert height(f) == 2
-    assert height(Forest(())) == 0
-    assert vertex_monomial(f) == mono(2, 1, 1)
-    assert tree_coefficient(f, fdb6) == 3
+    assert tree_stats(node(2, 1, [leaf(1)]), fdb6) == (2, 2, 3, mono(1, 1))
+    assert tree_stats(leaf(2), fdb6) == (1, 1, 1, mono(2))
+
+
+@pytest.mark.parametrize(
+    "fold",
+    [vertex_count, height, vertex_monomial, tree_multiplicity, tree_notation,
+     lambda x: tree_coefficient(x, faa_di_bruno_spec(3)),
+     lambda x: tree_stats(x, faa_di_bruno_spec(3))],
+    ids=["count", "height", "monomial", "multiplicity", "notation", "coefficient", "stats"],
+)
+@pytest.mark.parametrize(
+    "x", [(leaf(1), leaf(2)), (), (2, 2, ()), "L(1)"], ids=["pair", "empty", "tuple", "text"]
+)
+def test_tree_folds_refuse_anything_but_a_tree(fold, x):
+    with pytest.raises(InputError, match="expected a DecoratedTree, got"):
+        fold(x)
 
 
 def test_statistics_of_a_tree_deeper_than_the_recursion_limit():
@@ -370,7 +371,6 @@ def test_multiplicity_goldens():
     mixed = node(5, 1, [node(2, 1, [leaf(1)]), leaf(2)])
     assert tree_multiplicity(mixed) == 2
     assert tree_multiplicity(node(6, 1, [mixed])) == 2
-    assert tree_multiplicity(forest(mixed, mixed)) == 4
 
 
 def _multiplicity_by_counting(t):
@@ -429,12 +429,12 @@ def test_poset_view_of_tree():
 
 
 def test_poset_view_of_forest_and_passthrough():
-    f = forest(leaf(3), node(2, 1, [leaf(1)]))
-    view = view_of(f)
+    view = forest_view([leaf(3), node(2, 1, [leaf(1)])])
     assert view == ((0, 1, 2), (None, 0, None), (1, 1, 3))
     assert view_of(view) is view
-    with pytest.raises(InputError):
-        view_of("not a tree")
+    for x in ("not a tree", (leaf(3), leaf(1)), (2, 2, ())):
+        with pytest.raises(InputError, match="expected a tree or poset view"):
+            view_of(x)
 
 
 @settings(max_examples=80)
@@ -443,7 +443,6 @@ def test_view_numbers_vertices_in_root_path_order(ts):
     # The oracle: each vertex's path of child positions, led by its
     # component's index, found by recursion.  Preorder is the paths'
     # lexicographic order, so a vertex's number is its path's rank.
-    f = forest(*ts)
     paths = []
 
     def walk(t, path):
@@ -451,22 +450,22 @@ def test_view_numbers_vertices_in_root_path_order(ts):
         for k, c in enumerate(t.children):
             walk(c, path + (k,))
 
-    for k, t in enumerate(f):
+    for k, t in enumerate(sorted(ts)):
         walk(t, (k,))
     assert paths == sorted(paths)
     number = {path: v for v, (path, _) in enumerate(paths)}
-    assert view_of(f) == (
+    assert forest_view(ts) == (
         tuple(range(len(paths))),
         tuple(number.get(path[:-1]) for path, _ in paths),
         tuple(left for _, left in paths),
     )
-    assert view_of(ts[0]) == view_of(forest(ts[0]))
+    assert view_of(ts[0]) == forest_view(ts[:1])
 
 
 def test_corolla_cuts_small():
     assert corolla_cuts(leaf(5)) == ()
     two_chain = node(2, 1, [leaf(1)])
-    cuts = {forest_notation(c.cut): c for c in corolla_cuts(two_chain)}
+    cuts = {"*".join(map(tree_notation, c.cut)): c for c in corolla_cuts(two_chain)}
     assert set(cuts) == {"L(1)", "N(2;1)[L(1)]"}
     assert cuts["L(1)"].quotient == two_chain
     assert cuts["N(2;1)[L(1)]"].quotient == leaf(2)
@@ -477,7 +476,7 @@ def test_corolla_cuts_of_example_tree(fdb6):
     cuts = corolla_cuts(t)
     assert len(cuts) == 14
     assert len({c.vertices for c in cuts}) == 14
-    by_height = Counter(height(c.cut) for c in cuts)
+    by_height = Counter(max(map(height, c.cut)) for c in cuts)
     assert by_height == {1: 7, 2: 7}
 
     view = view_of(t)
@@ -491,10 +490,10 @@ def test_corolla_cuts_of_example_tree(fdb6):
             x for x in c.vertices if view.parent[x] not in c.vertices
         }
         assert vertex_count(t) == (
-            vertex_count(c.quotient) + vertex_count(c.cut) - len(c.meet)
+            vertex_count(c.quotient) + sum(map(vertex_count, c.cut)) - len(c.meet)
         )
-        assert lam == tree_coefficient(c.quotient, fdb6) * tree_coefficient(
-            c.cut, fdb6
+        assert lam == tree_coefficient(c.quotient, fdb6) * prod(
+            tree_coefficient(u, fdb6) for u in c.cut
         )
 
     # The largest cut keeps everything except the root: both terminal
@@ -502,9 +501,7 @@ def test_corolla_cuts_of_example_tree(fdb6):
     full = [c for c in cuts if c.vertices == set(view.vertices) - {0}]
     assert len(full) == 1
     assert full[0].quotient == node(6, 1, [leaf(2), leaf(3)])
-    assert full[0].cut == forest(
-        node(2, 1, [leaf(1)]), node(3, 1, [leaf(1), leaf(1)])
-    )
+    assert full[0].cut == (node(2, 1, [leaf(1)]), node(3, 1, [leaf(1), leaf(1)]))
 
 
 @settings(max_examples=40)
@@ -512,9 +509,10 @@ def test_corolla_cuts_of_example_tree(fdb6):
 def test_corolla_cut_invariants_hold_generically(t):
     view = view_of(t)
     for c in corolla_cuts(t):
-        assert 1 <= height(c.cut) <= 2
+        assert c.cut == tuple(sorted(c.cut))
+        assert 1 <= max(map(height, c.cut)) <= 2
         assert vertex_count(t) == (
-            vertex_count(c.quotient) + vertex_count(c.cut) - len(c.meet)
+            vertex_count(c.quotient) + sum(map(vertex_count, c.cut)) - len(c.meet)
         )
         assert c.quotient.source == t.source
         kept = set(c.quotient_view.vertices)
