@@ -63,15 +63,11 @@ from .trees import (
     PosetView,
     TreeStats,
     enumerate_trees,
-    height,
     leaf,
     node,
-    tree_coefficient,
     tree_multiplicity,
     tree_notation,
     tree_stats,
-    vertex_count,
-    vertex_monomial,
 )
 
 __version__ = "0.1.0"

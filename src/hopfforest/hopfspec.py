@@ -288,31 +288,6 @@ def sym_spec(n: int) -> CoproductSpec:
 
 # --- JSON serialization ------------------------------------------------------
 
-def generators_to_list(generators: Iterable[Generator]) -> list[dict]:
-    """The JSON form of a generator (or basis) list, sorted by id."""
-    out = []
-    for g in sorted(generators, key=lambda g: g.id):
-        item: dict = {"id": g.id, "degree": g.degree}
-        if g.label is not None:
-            item["label"] = g.label
-        out.append(item)
-    return out
-
-
-def spec_to_dict(spec: CoproductSpec) -> dict:
-    gens = generators_to_list(spec.generators.values())
-    entries = [
-        {
-            "source": e.source,
-            "left": e.left,
-            "right": list(e.right),
-            "coeff": coefficient_text(e.coeff),
-        }
-        for e in spec.entries
-    ]
-    return {"name": spec.name, "generators": gens, "coproduct": entries}
-
-
 #: A generator, its label and a coproduct row in ``json.dumps(indent=2)``'s layout.
 _GENERATOR_JSON = '{\n      "id": %d,\n      "degree": %d%s\n    }'
 _LABEL_JSON = ',\n      "label": %s'
@@ -330,17 +305,18 @@ def _json_list(items: list[str], indent: int = 2) -> str:
 
 
 def _generators_json(generators: Iterable[Generator]) -> str:
-    """`generators_to_list`'s list in ``json.dumps(indent=2)``'s text."""
+    """A generator (or basis) list, sorted by id, in ``json.dumps(indent=2)``'s
+    text; a generator without a label has no "label" field."""
     text = encode_basestring_ascii
     return _json_list([
-        _GENERATOR_JSON % (g["id"], g["degree"], _LABEL_JSON % text(g["label"]) if "label" in g else "")
-        for g in generators_to_list(generators)
+        _GENERATOR_JSON % (g.id, g.degree, "" if g.label is None else _LABEL_JSON % text(g.label))
+        for g in sorted(generators, key=lambda g: g.id)
     ])
 
 
 def save_spec(spec: CoproductSpec) -> str:
-    """Canonical JSON text for a coproduct table: the text of
-    ``json.dumps(spec_to_dict(spec), indent=2) + "\\n"``, written row by row
+    """Canonical JSON text for a coproduct table, the document `load_spec`
+    reads: ``json.dumps(doc, indent=2) + "\\n"``'s text, written row by row
     around json's C string encoder, since any ``indent`` sends ``json.dumps``
     to its pure-Python encoder."""
     text, number = encode_basestring_ascii, int.__repr__

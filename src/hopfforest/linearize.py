@@ -14,6 +14,7 @@ product monomials (tests/test_linearize.py checks both against
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import NamedTuple, Union
 
 from .algebra import Monomial, Tensor, _positive_int
@@ -26,13 +27,6 @@ class Linearization(NamedTuple):
     at level t+1.  Fibers are nonempty and partition the poset's vertices."""
 
     fibers: tuple[frozenset[int], ...]
-
-
-def _subsets(items: list[int]):
-    """Every sublist of items, the empty one first, in mask order: bit k of
-    the mask picks items[k]."""
-    for mask in range(1 << len(items)):
-        yield [items[k] for k in range(len(items)) if mask >> k & 1]
 
 
 def _sort_key(lin: Linearization):
@@ -58,9 +52,9 @@ def k_linearizations(
             if not levels_left:
                 found.append(Linearization(prefix))
         elif 0 < levels_left <= len(remaining):
-            minimal = sorted(a for a in remaining if view.parent[a] not in remaining)
-            for fiber in map(frozenset, _subsets(minimal)):
-                if fiber:
+            minimal = [a for a in remaining if view.parent[a] not in remaining]
+            for size in range(1, len(minimal) + 1):
+                for fiber in map(frozenset, combinations(minimal, size)):
                     stack.append((remaining - fiber, prefix + (fiber,)))
     return tuple(sorted(found, key=_sort_key))
 

@@ -57,7 +57,6 @@ from .hopfspec import (
     _parse_generator,
     _parse_id,
     _parse_items,
-    generators_to_list,
     graded_monomials,
     parse_json,
     read_text_file,
@@ -348,15 +347,14 @@ def filtration_report(spec: PreLieSpec) -> list[str]:
 
 
 # --- Free rooted-tree instance ----------------------------------------------
+#
+# A shape is the tuple of its children's shapes: () is a single vertex.
 
-ShapeTree = tuple  # nested tuples: () is a single vertex
-
-
-def _shape_label(t: ShapeTree) -> str:
+def _shape_label(t: tuple) -> str:
     return "[" + "".join(_shape_label(c) for c in t) + "]"
 
 
-def _graft_everywhere(host: ShapeTree, graft: ShapeTree) -> list[ShapeTree]:
+def _graft_everywhere(host: tuple, graft: tuple) -> list[tuple]:
     """One result per vertex of the host: the graft attached as a new child
     of that vertex (children re-sorted into canonical nested-tuple form)."""
     out = [tuple(sorted(host + (graft,)))]
@@ -366,7 +364,7 @@ def _graft_everywhere(host: ShapeTree, graft: ShapeTree) -> list[ShapeTree]:
     return out
 
 
-def rooted_tree_shapes(max_vertices: int) -> list[tuple[ShapeTree, int]]:
+def rooted_tree_shapes(max_vertices: int) -> list[tuple[tuple, int]]:
     """(shape, vertex count) for every unlabeled rooted tree with at most
     max_vertices vertices, shapes as canonical nested tuples, ordered by
     (size, shape).  Every tree of n > 1 vertices is one of n - 1 vertices
@@ -459,25 +457,15 @@ def dualize(spec: PreLieSpec, max_degree: int) -> CoproductSpec:
 
 # --- JSON serialization -------------------------------------------------------
 
-def prelie_to_dict(spec: PreLieSpec) -> dict:
-    products = [
-        {"left": i, "right": j,
-         "result": [{"id": m[0], "coeff": coefficient_text(c)} for m, c in value.terms()]}
-        for (i, j), value in sorted(spec.products.items())
-    ]
-    return {"name": spec.name, "basis": generators_to_list(spec.basis.values()),
-            "products": products, "truncation": spec.truncation}
-
-
 #: A product and a term of its result in ``json.dumps(indent=2)``'s layout.
 _PRODUCT_JSON = '{\n      "left": %d,\n      "right": %d,\n      "result": %s\n    }'
 _TERM_JSON = '{\n          "id": %d,\n          "coeff": %s\n        }'
 
 
 def save_prelie(spec: PreLieSpec) -> str:
-    """Canonical JSON text for a preLie table: the text of
-    ``json.dumps(prelie_to_dict(spec), indent=2) + "\\n"``, written row by
-    row as `save_spec` writes a coproduct table."""
+    """Canonical JSON text for a preLie table, the document `load_prelie`
+    reads: ``json.dumps(doc, indent=2) + "\\n"``'s text, written row by row
+    as `save_spec` writes a coproduct table."""
     text = encode_basestring_ascii
     products = [
         _PRODUCT_JSON % (i, j, _json_list([

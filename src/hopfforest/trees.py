@@ -99,36 +99,6 @@ def _vertices(t: DecoratedTree) -> Iterator[tuple[DecoratedTree, int]]:
         stack.extend((c, depth + 1) for c in reversed(t.children))
 
 
-def vertex_count(t: DecoratedTree) -> int:
-    """The statistic l: total number of vertices."""
-    return sum(1 for _ in _vertices(t))
-
-
-def height(t: DecoratedTree) -> int:
-    """The statistic h: vertices on a longest root-to-leaf path (a single
-    leaf has height 1)."""
-    return max(depth for _, depth in _vertices(t))
-
-
-def tree_coefficient(t: DecoratedTree, spec: CoproductSpec) -> Fraction:
-    """Product over internal vertices of the coproduct coefficient for
-    (source; left; children's sources).  A vertex with no matching table
-    entry contributes 0: the tree is not realized by this table.  Leaves
-    contribute 1."""
-    out = Fraction(1)
-    for u, _ in _vertices(t):
-        if u.children:
-            out *= spec.coefficient(u.source, u.left, [c.source for c in u.children])
-            if not out:
-                break
-    return out
-
-
-def vertex_monomial(t: DecoratedTree) -> Monomial:
-    """The statistic v: the monomial collecting b_left over all vertices."""
-    return Monomial(u.left for u, _ in _vertices(t))
-
-
 class TreeStats(NamedTuple):
     length: int
     height: int
@@ -137,10 +107,20 @@ class TreeStats(NamedTuple):
 
 
 def tree_stats(t: DecoratedTree, spec: CoproductSpec) -> TreeStats:
-    """(l, h, coefficient, value) for a tree."""
-    return TreeStats(
-        vertex_count(t), height(t), tree_coefficient(t, spec), vertex_monomial(t)
-    )
+    """(l, h, coefficient, value) for a tree, read in one walk: l counts
+    the vertices, h those on a longest root-to-leaf path (a single leaf has
+    height 1), v collects b_left over all vertices, and the coefficient is
+    the product over internal vertices of the table entry for (source;
+    left; children's sources).  A vertex with no matching entry makes it 0,
+    the tree not being realized by this table, and no later vertex is
+    looked up."""
+    height, coefficient, lefts = 0, Fraction(1), []
+    for u, depth in _vertices(t):
+        height = max(height, depth)
+        lefts.append(u.left)
+        if u.children and coefficient:
+            coefficient *= spec.coefficient(u.source, u.left, [c.source for c in u.children])
+    return TreeStats(len(lefts), height, coefficient, Monomial(lefts))
 
 
 def tree_multiplicity(t: DecoratedTree) -> int:
@@ -236,9 +216,25 @@ class PosetView(NamedTuple):
 
 
 def view_of(x: Union[DecoratedTree, PosetView]) -> PosetView:
-    """x if it is a view, else the view of a tree: its parent at each
-    vertex is the last vertex seen one level up."""
+    """x if it is a well-formed view, else the view of a tree: its parent
+    at each vertex is the last vertex seen one level up.  A view has one
+    left decoration per parent entry, vertex numbers strictly increasing in
+    range(len(parent)) and each parent None or an earlier number; a
+    sub-view, such as a corolla cut's, keeps its host's numbers."""
     if isinstance(x, PosetView):
+        vertices, parent, left_of = x
+        if not (
+            all(isinstance(field, tuple) for field in x)
+            and len(left_of) == len(parent)
+            and all(type(v) is int for v in vertices)
+            and all(a < b for a, b in zip((-1, *vertices), (*vertices, len(parent))))
+            and all(p is None or type(p) is int and 0 <= p < v for v, p in enumerate(parent))
+        ):
+            raise InputError(
+                "a poset view needs tuples: one left decoration per parent, vertex "
+                "numbers strictly increasing in range(len(parent)), and each parent "
+                "None or an earlier vertex number"
+            )
         return x
     if not isinstance(x, DecoratedTree):
         raise InputError(f"expected a tree or poset view, got {x!r}")

@@ -24,7 +24,7 @@ from hopfforest.coproduct import (
     convolution_check,
     iterated_reduced,
 )
-from hopfforest.hopfspec import faa_di_bruno_spec, spec_to_dict
+from hopfforest.hopfspec import faa_di_bruno_spec
 from hopfforest.linearize import Linearization, k_linearizations
 from hopfforest.prelie import (
     associativity_report,
@@ -35,11 +35,13 @@ from hopfforest.prelie import (
     guin_oudom_mul,
     prelie_check,
 )
-from hopfforest.trees import enumerate_trees, height, leaf, node, tree_coefficient, view_of
+from hopfforest.trees import enumerate_trees, leaf, node, view_of
 
 import coproduct_oracle as oracle
 from corolla_cuts import corolla_cuts
+from json_documents import spec_to_dict
 from test_linearize import assert_expansion_matches
+from tree_walkers import height, tree_coefficient
 
 
 @contextmanager

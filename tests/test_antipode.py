@@ -45,20 +45,13 @@ from hopfforest.hopfspec import (
 )
 from hopfforest.linearize import k_linearizations
 from hopfforest.prelie import dualize, grafting_instance
-from hopfforest.trees import (
-    enumerate_trees,
-    height,
-    leaf,
-    tree_coefficient,
-    tree_multiplicity,
-    vertex_count,
-    vertex_monomial,
-)
+from hopfforest.trees import enumerate_trees, leaf, tree_multiplicity
 import coproduct_oracle as oracle
 from route_recursions import bogoliubov_recursion, forest_recursion
 from series_reversion import evaluate, lagrange_antipode
 from test_coproduct import BOGOLIUBOV_DIFFERS, _convolution_per_monomial
 from tree_recursion import recursive_trees
+from tree_walkers import height, tree_coefficient, vertex_count, vertex_monomial
 
 GOLDEN = {
     1: "-1 b1",

@@ -17,9 +17,10 @@ from hopfforest.hopfspec import (
     faa_di_bruno_spec,
     load_spec,
     save_spec,
-    spec_to_dict,
 )
 from hopfforest.prelie import PreLieSpec, grafting_instance, save_prelie
+
+from json_documents import spec_to_dict
 
 
 def invoke(capsys, *argv):

@@ -33,11 +33,11 @@ from hopfforest.hopfspec import (
     load_spec_file,
     save_spec,
     spec_from_dict,
-    spec_to_dict,
     sym_spec,
 )
 from hopfforest.prelie import brace_action, dualize, grafting_instance, prelie_from_dict
 
+from json_documents import spec_to_dict
 from monomial_walks import witt
 
 
@@ -212,8 +212,6 @@ def test_no_dataclasses_in_the_package():
 #: the benchmark reaches, kept on purpose.
 UNREACHED_ON_PURPOSE = {
     "sym_spec": "the closed-form symmetric-function family of CI and Tier-1",
-    "spec_to_dict": "save_spec's oracle in CI and Tier-1",
-    "prelie_to_dict": "save_prelie's oracle in CI and Tier-1",
 }
 
 

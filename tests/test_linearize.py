@@ -18,12 +18,12 @@ from hopfforest.trees import (
     enumerate_trees,
     leaf,
     node,
-    tree_coefficient,
     tree_multiplicity,
     view_of,
 )
 
 from corolla_cuts import corolla_cuts, forest_view
+from tree_walkers import tree_coefficient
 
 
 def corolla():
@@ -150,6 +150,35 @@ def test_chain_of_rejects_bad_fibers():
 def test_chain_of_refuses_a_malformed_linearization(lin):
     with pytest.raises(InputError, match="expected a Linearization of frozenset fibers"):
         chain_of(view_of(leaf(1)), lin)
+
+
+@pytest.mark.parametrize(
+    "view",
+    [
+        PosetView((0, 1), (None, 0), (1,)),
+        PosetView((0, 1), (1, 0), (1, 1)),
+        PosetView((0, 1), (None, 1), (1, 1)),
+        PosetView((1, 0), (None, 0), (1, 1)),
+        PosetView((0, 0), (None, 0), (1, 1)),
+        PosetView((0, 2), (None, 0), (1, 1)),
+        PosetView((0, True), (None, 0), (1, 1)),
+        PosetView([0, 1], [None, 0], [1, 1]),
+    ],
+    ids=["short-left", "cycle", "own-parent", "decreasing", "repeated", "past-table",
+         "bool-vertex", "lists"],
+)
+@pytest.mark.parametrize("call", ["view_of", "k_linearizations", "chain_of"])
+def test_a_malformed_view_is_refused(view, call):
+    # Unchecked, a short left_of indexes past its end in chain_of, and a
+    # parent cycle leaves k_linearizations no minimal vertex, so it finds
+    # no linearization and says nothing: each must be one InputError.
+    calls = {
+        "view_of": view_of,
+        "k_linearizations": lambda v: k_linearizations(v, 2),
+        "chain_of": lambda v: chain_of(v, Linearization((frozenset({0}), frozenset({1})))),
+    }
+    with pytest.raises(InputError, match="a poset view needs"):
+        calls[call](view)
 
 
 @st.composite

@@ -28,11 +28,11 @@ from hopfforest.prelie import (
     load_prelie,
     prelie_check,
     prelie_from_dict,
-    prelie_to_dict,
     rooted_tree_shapes,
     save_prelie,
 )
 
+from json_documents import prelie_to_dict
 from monomial_walks import brace_through_the_product, witt
 from prelie_recursions import polynomial_recursions, prelie_product, unshuffle_coproduct
 

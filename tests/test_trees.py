@@ -21,21 +21,19 @@ from hopfforest.prelie import dualize, grafting_instance
 from hopfforest.trees import (
     DecoratedTree,
     PosetView,
+    _vertices,
     enumerate_trees,
-    height,
     leaf,
     node,
-    tree_coefficient,
     tree_multiplicity,
     tree_notation,
     tree_stats,
-    vertex_count,
-    vertex_monomial,
     view_of,
 )
 
 from corolla_cuts import corolla_cuts, forest_view
 from test_cli import _chain_table, _right_deep
+from tree_walkers import height, tree_coefficient, vertex_count, vertex_monomial
 
 
 def example_tree():
@@ -289,6 +287,45 @@ def test_statistics_of_a_tree_deeper_than_the_recursion_limit():
 def test_unrealized_vertex_gives_zero_coefficient(fdb6):
     assert tree_coefficient(node(3, 3, [leaf(1)]), fdb6) == 0
     assert tree_coefficient(node(2, 1, [leaf(2)]), fdb6) == 0
+
+
+@pytest.mark.parametrize(
+    "make, top_only",
+    [
+        (lambda: faa_di_bruno_spec(7), False),
+        (lambda: dualize(grafting_instance(5), 5), False),
+        # b300's trees are the chains of every length below it
+        (lambda: _chain_table(300, _right_deep), True),
+    ],
+    ids=["fdb-7", "grafting-5-dual", "chain-300"],
+)
+def test_tree_stats_is_one_walk_per_statistic(make, top_only):
+    spec = make()
+    ids = spec.generator_ids()
+    for i in ids[-1:] if top_only else ids:
+        for t in enumerate_trees(spec, i):
+            assert tree_stats(t, spec) == (
+                vertex_count(t), height(t), tree_coefficient(t, spec), vertex_monomial(t)
+            )
+
+
+def test_tree_stats_counts_past_an_unrealized_vertex(fdb6, monkeypatch):
+    # The root's (3; 3; [2]) is no row, so the coefficient is 0 from the
+    # first vertex on: no further row is looked up, but every vertex still
+    # counts toward l, h and v, and the tree is walked once.
+    walks, lookups = [], []
+    lookup = CoproductSpec.coefficient
+    monkeypatch.setattr("hopfforest.trees._vertices", lambda t: walks.append(t) or _vertices(t))
+    monkeypatch.setattr(
+        CoproductSpec, "coefficient", lambda spec, *row: lookups.append(row) or lookup(spec, *row)
+    )
+    t = node(3, 3, [node(2, 1, [leaf(1)])])
+    assert tree_stats(t, fdb6) == (3, 3, 0, mono(1, 1, 3))
+    assert walks == [t] and lookups == [(3, 3, [2])]
+    monkeypatch.undo()
+    assert tree_stats(t, fdb6) == (
+        vertex_count(t), height(t), tree_coefficient(t, fdb6), vertex_monomial(t)
+    )
 
 
 def test_enumeration_counts(fdb6):
