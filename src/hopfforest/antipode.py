@@ -47,8 +47,7 @@ def _dyson_salam(frame: _Frame, iterate: dict, bound: int) -> dict:
     slots, c * (slot 1 ... slot k-1) (x) (slot k) packed as the pair
     a + (b << shift), the empty product 1 at k = 1: the forest recursion,
     not Bogoliubov's, on any table (tests/test_antipode.py)."""
-    shift, reduced, reduced_of = frame.shift, frame.reduced, frame._reduced_of
-    mask = (1 << shift) - 1
+    shift, mask, reduced, reduced_of = frame.shift, frame.slot, frame.reduced, frame._reduced_of
     terms: dict = {}
     get = terms.get
     for k in range(1, bound + 1):

@@ -1,6 +1,6 @@
-"""Coproduct engine: the packed frame, which computes every monomial
-coproduct of the package, iterated reduced coproducts, and the verification
-reports (coassociativity, counit, antipode convolution).
+"""Coproduct engine: the packing, whose `full_of` computes every monomial
+coproduct on both frames, the packed frame over a table, iterated reduced
+coproducts, and the reports (coassociativity, counit, antipode convolution).
 
 A frame numbers what it starts from and all it reaches through left and
 right legs of table rows.  Each gets, in id order, a field of width bits,
@@ -15,8 +15,9 @@ because it pays: on the table's own Fraction rows, the grafting-6 dual
 benchmark workload ran about 18 % slower.
 
 A monomial's full coproduct is the product of its generators' (the
-coproduct is an algebra morphism), filled quotient by quotient so the Python
-stack stays flat; its reduced coproduct drops the two primitive terms.
+coproduct is an algebra morphism; on the preLie frame every basis element is
+primitive), filled quotient by quotient so the Python stack stays flat; its
+reduced coproduct drops the two primitive terms.
 Iterating the reduced coproduct ends with zero once the rank exceeds the
 degree, which makes the degree-many-step antipode formulas finite.  As the
 coproduct is an algebra morphism, coassociativity and counit hold on every
@@ -55,9 +56,10 @@ def _nonzero(acc: dict) -> dict:
 
 class _Packing:
     """Generator ids numbered in id order, each with a field of width bits,
-    the bit length of ``degree``, the largest degree a value must hold.
-    Values read in the basis b_j / scale; a packed monomial is decoded once,
-    into ``decoded``.  Both the coproduct and the preLie frame pack so."""
+    the bit length of ``degree``, the largest degree a value must hold; a
+    pair a (x) b packs as a + (b << shift), ``slot`` masking a.  Values read
+    in the basis b_j / scale.  A packed monomial is decoded once, into
+    ``decoded``; ``full`` holds the full coproducts, seeded by each frame."""
 
     scale = 1
 
@@ -65,7 +67,25 @@ class _Packing:
         self.ids, self.degree, self.width = ids, degree, degree.bit_length()
         self.field = {j: 1 << self.width * n for n, j in enumerate(ids)}
         self.shift = self.width * len(ids)
+        self.slot = (1 << self.shift) - 1
         self.decoded: dict[int, Monomial] = {}
+        self.full = {0: {0: 1}}  # the unit's coproduct
+
+    def full_of(self, b: int) -> dict:
+        """The full coproduct of packed monomial b, memoized with every
+        quotient met: each is its quotient's times its lowest generator's."""
+        full, width = self.full, self.width
+        todo = []
+        m = b
+        while m not in full:
+            unit = 1 << width * (((m & -m).bit_length() - 1) // width)
+            todo.append((m, unit))
+            m -= unit
+        value = full[m]
+        for m, unit in reversed(todo):
+            parts = ((k, c, full[unit]) for k, c in value.items())
+            value = full[m] = _nonzero(_spread({}, parts))
+        return value
 
     def pack(self, m) -> int:
         return sum(map(self.field.__getitem__, m))
@@ -102,9 +122,8 @@ class _Frame(_Packing):
     """The numbering of what ``starts`` reach, for values of degree up to
     ``degree`` and the largest start's: each row as (c', l, J, packed b_l,
     packed b_J) and each generator's full coproduct, both written in one
-    pass over its table rows, each route's packed values, tree counts, and
-    the full and reduced coproducts and decoding of every packed monomial
-    met.  Only `frame_over` builds one."""
+    pass over its rows, each route's packed values, tree counts and reduced
+    coproducts of monomials met.  Only `frame_over` builds one."""
 
     def __init__(self, spec: CoproductSpec, starts, degree: int):
         ids = sorted(_below(spec, starts, "both"))
@@ -113,10 +132,9 @@ class _Frame(_Packing):
                 raise InputError(f"generator indices must be positive integers, got {i!r}")
         super().__init__(ids, max([degree, *map(spec.degree, starts)]))
         self.scale = scale = lcm(*(e.coeff.denominator for j in ids for e in spec.entries_for(j)))
-        field, shift, get = self.field, self.shift, self.field.__getitem__
-        # rows; full coproducts: the unit's, each generator's, each monomial met's
-        self.rows, self.full = rows, full = {}, {0: {0: 1}}
-        for j, b in field.items():
+        field, shift, get, full = self.field, self.shift, self.field.__getitem__, self.full
+        self.rows = rows = {}
+        for j, b in field.items():  # each generator's rows and full coproduct
             row, coproduct = rows[j], full[b] = [], {b: 1, b << shift: 1}
             for _, left, right, c in spec.entries_for(j):
                 # c' = c * scale^|J| is an integer: c's denominator divides scale
@@ -125,22 +143,6 @@ class _Frame(_Packing):
                 row.append((c, left, right, l, r))
                 coproduct[l + (r << shift)] = c
         self.forest, self.dyson_salam, self.bogoliubov, self.counts, self.reduced = {}, {}, {}, {}, {}
-
-    def full_of(self, b: int) -> dict:
-        """The full coproduct of packed monomial b, memoized with every
-        quotient met: each is its quotient's times its lowest generator's."""
-        full, width = self.full, self.width
-        todo = []
-        m = b
-        while m not in full:
-            unit = 1 << width * (((m & -m).bit_length() - 1) // width)
-            todo.append((m, unit))
-            m -= unit
-        value = full[m]
-        for m, unit in reversed(todo):
-            parts = ((k, c, full[unit]) for k, c in value.items())
-            value = full[m] = _nonzero(_spread({}, parts))
-        return value
 
     def _reduced_of(self, b: int) -> dict:
         """The reduced coproduct of packed monomial b, not yet memoized: its
@@ -157,7 +159,7 @@ class _Frame(_Packing):
         by its reduced coproduct: rank k + 1, the slots above moved up one."""
         shift, reduced, reduced_of = self.shift, self.reduced, self._reduced_of
         low = shift * leg
-        below, slot = (1 << low) - 1, (1 << shift) - 1
+        below, slot = (1 << low) - 1, self.slot
         acc: dict = {}
         get = acc.get
         for key, c in iterate.items():
@@ -178,8 +180,8 @@ class _Frame(_Packing):
 
     def tensor(self, packed: dict, rank: int) -> Tensor:
         """Packed rank-``rank`` terms in the table's basis."""
-        shift, scale, decoded, decode = self.shift, self.scale, self.decoded, self._monomial
-        slot = (1 << shift) - 1
+        shift, slot, scale = self.shift, self.slot, self.scale
+        decoded, decode = self.decoded, self._monomial
         out = []
         for key, c in packed.items():
             slots = []
@@ -324,7 +326,7 @@ def counit_report(spec: CoproductSpec, max_degree: int) -> list[str]:
     problems: list[str] = []
     ids = _generators_up_to(spec, max_degree)
     frame = frame_over(spec, ids)
-    shift, slot = frame.shift, (1 << frame.shift) - 1
+    shift, slot = frame.shift, frame.slot
     for i in ids:
         once = frame.full[frame.field[i]].items()
         left = _nonzero({k >> shift: c for k, c in once if not k & slot})

@@ -6,16 +6,16 @@ order, each with a field of the bit length of the largest degree a value
 holds, so a monomial product is one integer addition.  The brace peels the
 highest field of its right argument; the enveloping product takes the
 lowest field of its left factor and sums over the unshuffle coproduct of
-its right one, split field by field with binomial weights (Guin and Oudom,
-2008).  Nothing here checks a degree: `prelie` checks every argument
-against the truncation before it packs one, so no value outgrows its
-fields, and a frame is only as wide as the widest value asked of it.
+its right one (Guin and Oudom, 2008): the packing's `full_of`, the
+coproduct frame's engine, each basis element primitive.  Nothing here
+checks a degree: `prelie` checks every argument against the truncation
+before it packs one, so no value outgrows its fields, and a frame is only
+as wide as the widest value asked of it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from math import comb
 
 from .coproduct import _nonzero, _Packing, _spread
 
@@ -23,16 +23,17 @@ from .coproduct import _nonzero, _Packing, _spread
 class _PreLieFrame(_Packing):
     """spec's basis packed for values of degree up to ``degree``: each
     product x . y as {field of z: c} in ``acts[field of y][field of x]``,
-    and the memos ``braces`` by (field of i, packed right), ``products`` by
-    (packed a, packed b) and ``unshuffles`` by packed b, filled only by
-    calls that succeed.  Only `_frame_of` builds one."""
+    the memos ``braces`` by (field of i, packed right) and ``products`` by
+    (packed a, packed b), filled only by calls that succeed, and ``full``,
+    each basis element primitive.  Only `_frame_of` builds one."""
 
     def __init__(self, spec, degree: int):
         super().__init__(sorted(spec.basis), degree)
         field, self.acts = self.field, {}
         for (i, j), value in spec.products.items():
             self.acts.setdefault(field[j], {})[field[i]] = {field[m[0]]: c for m, c in value.items()}
-        self.braces, self.products, self.unshuffles = {}, {}, {}
+        self.full.update((f, {f: 1, f << self.shift: 1}) for f in field.values())
+        self.braces, self.products = {}, {}
 
     def brace(self, x: int, right: int) -> dict:
         """b_x acted on by packed ``right``, packed: peel its highest field
@@ -54,38 +55,21 @@ class _PreLieFrame(_Packing):
             self.braces[x, right] = value
         return value
 
-    def unshuffle(self, b: int) -> list[tuple[int, int, int]]:
-        """The unshuffle coproduct of packed b as (b1, b2, C(b, b1)) splits,
-        one field at a time: x^n splits as x^k (x) x^(n - k) with weight
-        C(n, k)."""
-        splits = self.unshuffles.get(b)
-        if splits is None:
-            splits = [(0, 0, 1)]
-            for j, e in Counter(self.monomial(b)).items():
-                f = self.field[j]
-                splits = [
-                    (b1 + k * f, b2 + (e - k) * f, c * comb(e, k))
-                    for b1, b2, c in splits
-                    for k in range(e + 1)
-                ]
-            self.unshuffles[b] = splits
-        return splits
-
     def mul(self, a: int, b: int) -> dict:
         """The enveloping product of packed a and b: a unit factor gives the
         other, else the lowest field x of a = x * a' gives the sum over the
-        unshuffle (b1, b2) of b of (x acted on by b1) * (a' * b2)."""
+        unshuffle coproduct b1 (x) b2 of b of (x acted on by b1) * (a' * b2)."""
         if not a or not b:
             return {a + b: 1}
         value = self.products.get((a, b))
         if value is None:
             x = 1 << self.width * (((a & -a).bit_length() - 1) // self.width)  # lowest field
-            rest, brace, mul = a - x, self.brace, self.mul
+            rest, brace, mul, shift, slot = a - x, self.brace, self.mul, self.shift, self.slot
             parts = []
-            for b1, b2, c in self.unshuffle(b):
-                hit = brace(x, b1)
+            for key, c in self.full_of(b).items():
+                hit = brace(x, key & slot)
                 if hit:
-                    tail = mul(rest, b2)
+                    tail = mul(rest, key >> shift)
                     parts += [(m, c * c1, tail) for m, c1 in hit.items()]
             value = self.products[a, b] = _nonzero(_spread({}, parts))
         return value

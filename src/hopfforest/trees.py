@@ -27,6 +27,7 @@ from fractions import Fraction
 from itertools import chain, combinations_with_replacement, product as iter_product
 from math import factorial
 from operator import itemgetter
+from sys import getrecursionlimit
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .algebra import Monomial, _positive_int
@@ -56,7 +57,12 @@ class DecoratedTree(tuple):
                 f"a leaf has a single decoration; got source {source} "
                 f"!= left {left}"
             )
-        return tuple.__new__(cls, (source, left, tuple(sorted(kids))))
+        try:
+            kids = tuple(sorted(kids))
+        except RecursionError:  # C's tuple comparison recurses once per level
+            raise InputError(f"children that agree deeper than the recursion limit "
+                             f"{getrecursionlimit()} cannot be ordered") from None
+        return tuple.__new__(cls, (source, left, kids))
 
     def __reduce__(self):
         return (DecoratedTree, tuple(self))

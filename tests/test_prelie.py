@@ -35,6 +35,7 @@ from hopfforest.prelie import (
 from json_documents import prelie_to_dict
 from monomial_walks import brace_through_the_product, witt
 from prelie_recursions import polynomial_recursions, prelie_product, unshuffle_coproduct
+from vector_fields import vector_fields
 
 SHAPE_LABELS = [
     "[]",
@@ -288,7 +289,7 @@ def test_prelie_memos_store_successes_on_their_spec(memoized, above, within):
 
     def sizes(spec):
         frame = spec._frame
-        return frame and (len(frame.braces), len(frame.products), len(frame.unshuffles))
+        return frame and (len(frame.braces), len(frame.products), len(frame.full))
 
     # a call above the truncation raises before any packing, so the first
     # builds no frame; after a success, it stores nothing and raises again
@@ -930,8 +931,10 @@ def _packed_and_polynomial_recursions_agree(spec):
 
 @pytest.mark.parametrize(
     "make",
-    [lambda n=n: grafting_instance(n) for n in (4, 5, 6, 7)] + [lambda: witt(8)],
-    ids=["grafting-4", "grafting-5", "grafting-6", "grafting-7", "witt-8"],
+    [lambda n=n: grafting_instance(n) for n in (4, 5, 6, 7)] + [lambda: witt(8)]
+    + [lambda k=k, top=top: vector_fields(k, top) for k, top in ((2, 4), (3, 2))],
+    ids=["grafting-4", "grafting-5", "grafting-6", "grafting-7", "witt-8",
+         "vector-fields-2-4", "vector-fields-3-2"],
 )
 def test_packed_frame_matches_the_polynomial_recursions(make):
     _packed_and_polynomial_recursions_agree(make())

@@ -284,6 +284,26 @@ def test_statistics_of_a_tree_deeper_than_the_recursion_limit():
     assert tree_multiplicity(deep) == 1
 
 
+def test_siblings_that_agree_past_the_recursion_limit_are_refused():
+    # Two 3,000-vertex chains that differ only at their tips: ordering them
+    # as siblings compares down to the tips, which C's tuple comparison does
+    # by recursion.  One InputError names the limit; no RecursionError.
+    chains = []
+    for tip in (1, 2):
+        chain = leaf(tip)
+        for i in range(3, 3002):
+            chain = node(i, 1, [chain])
+        chains.append(chain)
+    a, b = chains
+    with pytest.raises(InputError, match=f"recursion limit {sys.getrecursionlimit()}") as caught:
+        node(5, 1, [a, b])
+    assert caught.value.__suppress_context__  # shown alone, without the RecursionError
+    # The same chain twice is equal by identity, and chains that differ at
+    # the root order at once: both build.
+    assert node(5, 1, [a, a]).children == (a, a)
+    assert node(5, 1, [b, node(3002, 1, [a])]).children == (b, node(3002, 1, [a]))
+
+
 def test_unrealized_vertex_gives_zero_coefficient(fdb6):
     assert tree_coefficient(node(3, 3, [leaf(1)]), fdb6) == 0
     assert tree_coefficient(node(2, 1, [leaf(2)]), fdb6) == 0
