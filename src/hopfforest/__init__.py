@@ -17,7 +17,6 @@ from .antipode import (
     TermStats,
     antipode_bogoliubov,
     antipode_dyson_salam,
-    antipode_endomap,
     antipode_forest,
     antipode_generator,
     antipode_poly,

@@ -21,18 +21,18 @@ Each recursion reads only its own lower values, memoized on the frame and
 filled bottom-up along its own leg, so the Python stack stays flat, and
 Dyson-Salam's value is memoized there too: `packed_route` reads the memos,
 the public routes decode them.  The antipode is multiplicative, with
-S(1) = 1; `term_stats` counts trees.
+S(1) = 1, so `antipode_poly` multiplies packed route values by the
+packing's `product_of`, as coproducts are; `term_stats` counts trees.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from math import comb
 from operator import add, mul
 from typing import Callable, NamedTuple
 
-from .algebra import Monomial, Polynomial, mono
-from .coproduct import _Frame, _nonzero, _spread, frame_over
+from .algebra import Polynomial, mono
+from .coproduct import _Frame, _nonzero, _poly_frame, _spread, frame_over
 from .errors import InputError
 from .hopfspec import CoproductSpec, _below
 
@@ -147,33 +147,16 @@ def antipode_generator(spec: CoproductSpec, i: int, method: str = "forest") -> P
     return _route(method)(spec, i)
 
 
-def antipode_endomap(
-    spec: CoproductSpec, method: str = "forest"
-) -> Callable[[Monomial], Polynomial]:
-    """The antipode on monomials, the product of the generator antipodes
-    with S(1) = 1.  The map decodes each generator's antipode once, into a
-    dict of its own."""
-    route = _route(method)
-    values: dict[int, Polynomial] = {}
-    unit = [Polynomial.one()]  # S(1), and no product for a generator
-
-    def generator(i: int) -> Polynomial:
-        value = values.get(i)
-        if value is None:
-            value = values[i] = route(spec, i)
-        return value
-
-    return lambda m: reduce(mul, [generator(i) for i in m] or unit)
-
-
 def antipode_poly(spec: CoproductSpec, p: Polynomial, method: str = "forest") -> Polynomial:
-    """Multiplicative-linear extension: S(b_I) is the product of the
-    generator antipodes, S(1) = 1, all read off one frame over p's."""
-    antipode = antipode_endomap(spec, method)
-    if ids := {j for m, _ in p.items() for j in m}:
-        frame_over(spec, ids)
-    pieces = ((antipode(m), c) for m, c in p.items())
-    return Polynomial._checked((m, c * cs) for s, c in pieces for m, cs in s.items())
+    """Multiplicative-linear extension on one frame over p's generators:
+    S(beta_M) is the product of their packed route values, S(1) = 1, and
+    p's packed sum is decoded once, as an element, not a generator image."""
+    route = packed_route(method)
+    frame, packed = _poly_frame(spec, p)
+    ids = {j for m, _ in p.items() for j in m}
+    values = {0: {0: 1}} | {frame.field[i]: route(spec, i)[1] for i in ids}
+    parts = ((0, c, frame.product_of(values, b)) for b, c in packed.items())
+    return frame.polynomial(_spread({}, parts), 0)
 
 
 class TermStats(NamedTuple):

@@ -1,5 +1,6 @@
-"""Coproduct engine: the packing, whose `full_of` computes every monomial
-coproduct on both frames, the packed frame over a table, iterated reduced
+"""Coproduct engine: the packing, whose `product_of` extends a map
+multiplicatively (every monomial coproduct on both frames, and
+`antipode_poly`), the packed frame over a table, iterated reduced
 coproducts, and the reports (coassociativity, counit, antipode convolution).
 
 A frame numbers what it starts from and all it reaches through left and
@@ -71,20 +72,19 @@ class _Packing:
         self.decoded: dict[int, Monomial] = {}
         self.full = {0: {0: 1}}  # the unit's coproduct
 
-    def full_of(self, b: int) -> dict:
-        """The full coproduct of packed monomial b, memoized with every
+    def product_of(self, values: dict, b: int) -> dict:
+        """Packed monomial b under the multiplicative map whose unit and
+        generator-field values ``values`` holds, memoized there with every
         quotient met: each is its quotient's times its lowest generator's."""
-        full, width = self.full, self.width
-        todo = []
-        m = b
-        while m not in full:
+        width, todo, m = self.width, [], b
+        while m not in values:
             unit = 1 << width * (((m & -m).bit_length() - 1) // width)
             todo.append((m, unit))
             m -= unit
-        value = full[m]
+        value = values[m]
         for m, unit in reversed(todo):
-            parts = ((k, c, full[unit]) for k, c in value.items())
-            value = full[m] = _nonzero(_spread({}, parts))
+            parts = ((k, c, values[unit]) for k, c in value.items())
+            value = values[m] = _nonzero(_spread({}, parts))
         return value
 
     def pack(self, m) -> int:
@@ -105,15 +105,16 @@ class _Packing:
         monomial = self.decoded[m] = tuple.__new__(Monomial, indices)
         return monomial
 
-    def polynomial(self, packed: dict) -> Polynomial:
-        """Packed c * beta_M as c * scale / scale^|M| * b_M, summed: the
-        packed image of some beta_i read as that of b_i = scale * beta_i."""
+    def polynomial(self, packed: dict, lift: int = 1) -> Polynomial:
+        """Packed c * beta_M as c * scale^lift / scale^|M| * b_M, summed: at
+        lift 1 the packed image of some beta_i read as that of b_i = scale *
+        beta_i, at lift 0 a packed element read as itself."""
         scale, decoded, decode = self.scale, self.decoded, self._monomial
-        out = []
+        lifted, out = scale ** lift, []
         for m, c in packed.items():
             m = decoded[m] if m in decoded else decode(m)
             if scale > 1:
-                c = Fraction(c * scale, scale ** len(m))
+                c = Fraction(c * lifted, scale ** len(m))
             out.append((m, c))
         return Polynomial._checked(out)
 
@@ -150,8 +151,8 @@ class _Frame(_Packing):
         if not b:
             raise InputError("reduced coproduct needs a polynomial with zero constant "
                              "term, got constant 1")
-        primitive = (b, b << self.shift)
-        value = self.reduced[b] = {k: c for k, c in self.full_of(b).items() if k not in primitive}
+        primitive, full = (b, b << self.shift), self.product_of(self.full, b)
+        value = self.reduced[b] = {k: c for k, c in full.items() if k not in primitive}
         return value
 
     def splice(self, iterate: dict, leg: int) -> dict:
@@ -215,7 +216,9 @@ def frame_over(spec: CoproductSpec, starts, degree: int = 0) -> _Frame:
 
 def _poly_frame(spec: CoproductSpec, p: Polynomial) -> tuple[_Frame, dict]:
     """spec's frame over p's generators, for p's degree, which bounds every
-    slot's, and p packed in its basis."""
+    slot's, and p packed in its basis.  Only a Polynomial is read."""
+    if not isinstance(p, Polynomial):
+        raise InputError(f"expected a Polynomial, got {type(p).__name__}")
     bound = max((spec.monomial_degree(m) for m, _ in p.items()), default=0)
     frame = frame_over(spec, {j for m, _ in p.items() for j in m}, bound)
     return frame, frame.packed(p)
@@ -224,7 +227,8 @@ def _poly_frame(spec: CoproductSpec, p: Polynomial) -> tuple[_Frame, dict]:
 def coproduct_poly(spec: CoproductSpec, p: Polynomial) -> Tensor:
     """Full coproduct, extended multiplicatively from generators."""
     frame, packed = _poly_frame(spec, p)
-    return frame.tensor(_spread({}, ((0, c, frame.full_of(b)) for b, c in packed.items())), 2)
+    full, product_of = frame.full, frame.product_of
+    return frame.tensor(_spread({}, ((0, c, product_of(full, b)) for b, c in packed.items())), 2)
 
 
 def iterated_reduced_poly(spec: CoproductSpec, p: Polynomial, k: int) -> Tensor:

@@ -6,11 +6,11 @@ order, each with a field of the bit length of the largest degree a value
 holds, so a monomial product is one integer addition.  The brace peels the
 highest field of its right argument; the enveloping product takes the
 lowest field of its left factor and sums over the unshuffle coproduct of
-its right one (Guin and Oudom, 2008): the packing's `full_of`, the
-coproduct frame's engine, each basis element primitive.  Nothing here
-checks a degree: `prelie` checks every argument against the truncation
-before it packs one, so no value outgrows its fields, and a frame is only
-as wide as the widest value asked of it.
+its right one (Guin and Oudom, 2008): the packing's `product_of` on
+``full``, the coproduct frame's engine, each basis element primitive.
+Nothing here checks a degree: `prelie` checks every argument against the
+truncation before it packs one, so no value outgrows its fields, and a
+frame is only as wide as the widest value asked of it.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class _PreLieFrame(_Packing):
             x = 1 << self.width * (((a & -a).bit_length() - 1) // self.width)  # lowest field
             rest, brace, mul, shift, slot = a - x, self.brace, self.mul, self.shift, self.slot
             parts = []
-            for key, c in self.full_of(b).items():
+            for key, c in self.product_of(self.full, b).items():
                 hit = brace(x, key & slot)
                 if hit:
                     tail = mul(rest, key >> shift)

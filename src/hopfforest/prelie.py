@@ -181,8 +181,10 @@ def _as_monomial(m: object) -> Monomial:
 
 
 def _check_brace(spec: PreLieSpec, i: int, right: Monomial) -> None:
-    """Raises InputError for an unknown id, and when a nonempty right
-    argument takes b_i acted on by it above the truncation."""
+    """Raises InputError for an id that is no positive int or unknown, and
+    when b_i acted on by a nonempty right argument lands above the truncation."""
+    if not _positive_int(i):
+        raise InputError(f"basis ids must be positive integers, got {i!r}")
     degree = spec.degree(i) + spec.monomial_degree(right)
     if not right.is_unit and degree > spec.truncation:
         raise InputError(

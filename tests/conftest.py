@@ -1,13 +1,15 @@
 """Session-shared fixtures: the worked composition-algebra table, the free
 grafting preLie instance, its dualized coproduct table, and their
 single-coefficient corruptions; a per-test record of the packed frames
-built; and a time bound on every test."""
+built; a switch that makes free-module arithmetic raise; and a time bound
+on every test."""
 
 import signal
 
 import pytest
 
 from hopfforest import coproduct
+from hopfforest.algebra import Monomial, Polynomial, Tensor
 from hopfforest.hopfspec import (
     CoproductEntry,
     CoproductSpec,
@@ -102,3 +104,25 @@ def frames_built(monkeypatch):
 
     monkeypatch.setattr(coproduct._Frame, "__init__", counted)
     return built
+
+
+@pytest.fixture
+def free_module_refused(monkeypatch):
+    """A call that, from then on in the test, makes every Polynomial and
+    Tensor sum, product, difference, negation and scalar multiple,
+    `Tensor.multiplied_out` and every monomial product raise."""
+
+    def refused(name):
+        def call(*args):
+            raise AssertionError(f"{name} called")
+
+        return call
+
+    def refuse():
+        for cls in (Polynomial, Tensor):
+            for name in ("__add__", "__mul__", "__sub__", "__neg__", "__rmul__"):
+                monkeypatch.setattr(cls, name, refused(f"{cls.__name__}.{name}"))
+        monkeypatch.setattr(Tensor, "multiplied_out", refused("Tensor.multiplied_out"))
+        monkeypatch.setattr(Monomial, "__mul__", refused("Monomial.__mul__"))
+
+    return refuse

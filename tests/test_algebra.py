@@ -19,7 +19,14 @@ from hopfforest.algebra import (
 )
 from hopfforest.errors import InputError
 from hopfforest.hopfspec import faa_di_bruno_spec, load_spec_file, save_spec
-from hopfforest.prelie import grafting_instance, save_prelie
+from hopfforest.prelie import (
+    brace_action,
+    dualize,
+    grafting_instance,
+    guin_oudom_mul,
+    guin_oudom_poly,
+    save_prelie,
+)
 
 indices = st.integers(min_value=1, max_value=5)
 monomials = st.lists(indices, max_size=4).map(lambda xs: mono(*xs))
@@ -125,11 +132,13 @@ def test_derived_values_pass_the_public_check(monkeypatch, tmp_path, capsys):
             for k in range(1, spec.degree(i) + 1):
                 iterate = coproduct.iterated_reduced(spec, i, k)
                 made.setdefault("multiplied out", []).append(iterate.multiplied_out())
-        # the commands multiply and sum no values; a monomial antipode
-        # multiplies, and the sum of the antipodes adds
+        # the commands and antipode_poly multiply and sum no values; the sum
+        # of the antipodes adds, and a product of decoded routes multiplies
         total = Polynomial.zero()
         for m in coproduct.monomials_up_to(spec, 4):
             total = total + antipode.antipode_poly(spec, Polynomial.single(m))
+        s1, s2 = (antipode.antipode_generator(spec, i) for i in (1, 2))
+        assert s1 * s2 == antipode.antipode_poly(spec, Polynomial.single(mono(1, 2)))
 
     kinds = {"built", "sum", "product", "route", "preLie frame", "multiplied out"}
     assert set(made) == kinds
@@ -142,6 +151,58 @@ def test_derived_values_pass_the_public_check(monkeypatch, tmp_path, capsys):
             keys = [m for m, _ in value.items()]
         for m in keys:
             assert m == Monomial(tuple(m))
+
+
+def _library_values():
+    """Each public free-module entry point on fresh tables: the antipode of
+    a polynomial by every method on the composition table and on a dual of
+    frame scale 24, its coproduct, a rank-3 iterate, and the brace and
+    enveloping products of a grafting table."""
+    fdb, dual, graft = faa_di_bruno_spec(6), dualize(grafting_instance(5), 5), grafting_instance(4)
+    terms = {mono(1, 2): 3, mono(1, 1, 3): Fraction(1, 2), mono(4): 2}
+    p = Polynomial({UNIT: -1, **terms})
+    q = Polynomial({mono(1, 2): Fraction(2, 3), mono(3): 1, UNIT: 5})
+    values = [antipode.antipode_poly(spec, r, method)
+              for method in antipode.METHODS for spec, r in ((fdb, p), (dual, q))]
+    values += [coproduct.coproduct_poly(fdb, p), coproduct.iterated_reduced_poly(fdb, Polynomial(terms), 3)]
+    values += [brace_action(graft, 1, mono(1, 1)), guin_oudom_mul(graft, mono(1), mono(1, 2))]
+    values.append(guin_oudom_poly(graft, Polynomial({mono(1): 2, UNIT: 1}), Polynomial({mono(1, 1): 1})))
+    return values
+
+
+def test_commands_and_library_calls_use_no_free_module_arithmetic(
+    free_module_refused, tmp_path, capsys
+):
+    # Every command and each public free-module entry point sums and
+    # multiplies packed keys on a frame: with Polynomial and Tensor
+    # arithmetic, multiplied_out and monomial products made to raise, each
+    # gives what it gave before.
+    fdb6, graft4, dual4 = (tmp_path / name for name in ("fdb6", "graft4", "dual4"))
+    fdb6.write_text(save_spec(faa_di_bruno_spec(6)))
+    graft4.write_text(save_prelie(grafting_instance(4)))
+    dual4.write_text(save_spec(dualize(grafting_instance(4), 4)))
+    element = ["--spec", str(fdb6), "--element", "5"]
+    commands = [
+        *(["antipode", *element, "--method", method, "--format", form]
+          for method in antipode.METHODS for form in ("text", "json")),
+        *(["coproduct", *element, "--iterate", "3", "--format", form] for form in ("text", "json")),
+        ["trees", *element],
+        ["linearizations", *element, "--k", "3"],
+        *([command, "--spec", str(path), "--max-degree", degree]
+          for command in ("verify", "compare") for path, degree in ((fdb6, "6"), (dual4, "4"))),
+        ["gen", "fdb", "--max-degree", "6"],
+        ["dualize", "--prelie", str(graft4), "--max-degree", "4"],
+        ["prelie-verify", "--prelie", str(graft4)],
+    ]
+
+    def outcomes():
+        return [(cli.run(argv), *capsys.readouterr()) for argv in commands]
+
+    expected, library = outcomes(), _library_values()
+    assert all(code == 0 for code, _, _ in expected)
+    free_module_refused()
+    assert outcomes() == expected
+    assert _library_values() == library
 
 
 def test_multiset_sorts_and_validates():

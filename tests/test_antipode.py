@@ -18,7 +18,6 @@ from hopfforest.algebra import UNIT, Monomial, Polynomial, Tensor, mono
 from hopfforest.antipode import (
     METHODS,
     TermStats,
-    antipode_endomap,
     antipode_forest,
     antipode_generator,
     antipode_dyson_salam,
@@ -48,8 +47,10 @@ from hopfforest.prelie import dualize, grafting_instance
 from hopfforest.trees import enumerate_trees, leaf, tree_multiplicity
 import coproduct_oracle as oracle
 from route_recursions import bogoliubov_recursion, forest_recursion
+from diffeomorphism_inversion import inverse_antipode, numbering
 from series_reversion import evaluate, lagrange_antipode
-from test_coproduct import BOGOLIUBOV_DIFFERS, _convolution_per_monomial
+from vector_fields import vector_fields
+from test_coproduct import BOGOLIUBOV_DIFFERS, _convolution_per_monomial, monomial_antipode
 from tree_recursion import recursive_trees
 from tree_walkers import height, tree_coefficient, vertex_count, vertex_monomial
 
@@ -77,7 +78,7 @@ def test_methods_agree(fdb6, i):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_convolution_identity(fdb6, method):
-    antipode = antipode_endomap(fdb6, method)
+    antipode = monomial_antipode(fdb6, method)
     assert convolution_check(fdb6, 5, method) == oracle.convolution_check(fdb6, 5, antipode) == []
 
 
@@ -122,6 +123,41 @@ def test_antipode_poly_builds_one_frame(frames_built):
     for q in (p + Polynomial.variable(99), Polynomial.one()):
         with pytest.raises(InputError, match=r"^unknown antipode method 'nope'; choose from"):
             antipode_poly(faa_di_bruno_spec(12), q, "nope")
+
+
+def _fdb6_with_a_third_more():
+    """fdb 6 with the coefficient of its last row raised by 1/3."""
+    base = faa_di_bruno_spec(6)
+    *entries, e = base.entries
+    raised = CoproductEntry(e.source, e.left, e.right, e.coeff + Fraction(1, 3))
+    return CoproductSpec("corrupt", base.generators.values(), [*entries, raised])
+
+
+@pytest.mark.parametrize(
+    "make, scale",
+    [
+        (lambda: dualize(grafting_instance(5), 5), 24),
+        (lambda: dualize(grafting_instance(6), 6), 120),
+        (_fdb6_with_a_third_more, 3),
+    ],
+    ids=["grafting-5-dual", "grafting-6-dual", "fdb-6-plus-1/3"],
+)
+def test_antipode_poly_is_the_product_of_the_decoded_generator_antipodes(make, scale):
+    # The packed sum is an element, not the image of a generator, so it is
+    # decoded without the frame scale a generator's antipode carries: the
+    # unit, a power, products and a sum with fractional coefficients.
+    spec = make()
+    ids = spec.generator_ids()
+    low, top = ids[0], ids[-1]
+    monomials = [UNIT, mono(low), mono(low, low, low), mono(low, top), mono(*ids[:3]), mono(top, top)]
+    p = Polynomial({m: Fraction(n + 1, 3) for n, m in enumerate(monomials)})
+    for method in METHODS:
+        s = {i: antipode_generator(spec, i, method) for i in ids}
+        assert frame_over(spec, ids).scale == scale
+        expected = Polynomial.zero()
+        for m, c in p.items():
+            expected = expected + c * prod((s[i] for i in m), start=Polynomial.one())
+        assert antipode_poly(spec, p, method) == expected, method
 
 
 def _dyson_salam_by_tensors(spec, p):
@@ -340,7 +376,7 @@ def test_each_route_can_fail_only_the_convolution_its_recursion_leaves_open(
     failed = {(side, method): 0 for side in ("left", "right") for method in METHODS}
     for spec in tables:
         for method in METHODS:
-            antipode = antipode_endomap(spec, method)
+            antipode = monomial_antipode(spec, method)
             failed["left", method] += bool(convolution_check(spec, degree, method))
             failed["right", method] += bool(_right_convolution(spec, degree, antipode))
     caught = BOGOLIUBOV_DIFFERS[name]
@@ -396,9 +432,8 @@ def test_unknown_method_rejected(fdb6):
     [
         # the unit's antipode needs no generator, so only an entry check sees it
         lambda spec: antipode_poly(spec, Polynomial.one(), "newton"),
-        lambda spec: antipode_endomap(spec, "newton"),
     ],
-    ids=["poly-of-unit", "endomap"],
+    ids=["poly-of-unit"],
 )
 def test_unknown_method_rejected_on_entry(fdb6, call):
     with pytest.raises(InputError, match="^unknown antipode method 'newton'"):
@@ -452,25 +487,21 @@ def products(monkeypatch):
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_a_monomial_antipode_costs_one_product_per_factor(products, method):
-    # S(b1) = -b1 needs no product on any route.  S(b_I) multiplies the
-    # memoized generator antipodes in turn, so the unit and a generator cost
-    # no product, b1^k costs k - 1, and b1^1000 costs 999 on every call.
+def test_a_monomial_antipode_multiplies_no_free_module_values(free_module_refused, method):
+    # S(b_I) multiplies the packed generator values quotient by quotient on
+    # the frame, so no Polynomial, Tensor or Monomial product is taken: not
+    # for b1^1000 on either call, nor for the unit, a generator or b1^k on
+    # a fresh table.
+    free_module_refused()
     spec = faa_di_bruno_spec(3)
     power = Monomial([1] * 1000)
-    for calls in (1, 2):
+    for _ in range(2):
         assert antipode_poly(spec, Polynomial.single(power), method) == Polynomial.single(power)
-        assert products["Polynomial"] == 999 * calls
-    fresh = antipode_endomap(faa_di_bruno_spec(3), method)
-    products.clear()
+    fresh = monomial_antipode(faa_di_bruno_spec(3), method)
     assert fresh(UNIT) == Polynomial.one()
     assert fresh(mono(2)) == Polynomial({mono(2): -1, mono(1, 1): 3})
-    assert products["Polynomial"] == 0
     for k in range(1, 40):
         assert fresh(Monomial([1] * k)) == Polynomial.single(Monomial([1] * k), (-1) ** k)
-        assert products["Polynomial"] == k - 1
-        products.clear()
-    assert products["Tensor"] == 0
 
 
 def test_coproduct_of_a_monomial_longer_than_the_recursion_limit(products):
@@ -489,7 +520,7 @@ def test_coproduct_of_a_monomial_longer_than_the_recursion_limit(products):
     try:
         delta = coproduct_poly(spec, p)
         # the check asks for every power's image, so keep each one
-        antipode_of = cache(antipode_endomap(spec, "bogoliubov"))
+        antipode_of = cache(monomial_antipode(spec, "bogoliubov"))
         problems = _convolution_per_monomial(spec, power, antipode_of)
         convolved = Polynomial(
             (sa * b, c * ca)
@@ -621,7 +652,7 @@ def test_methods_agree_under_generator_relabeling(order):
     for i in spec.generator_ids():
         results = {m: antipode_generator(spec, i, m) for m in METHODS}
         assert results["forest"] == results["dyson-salam"] == results["bogoliubov"]
-    forest = antipode_endomap(spec, "forest")
+    forest = monomial_antipode(spec, "forest")
     assert convolution_check(spec, 4, "forest") == oracle.convolution_check(spec, 4, forest) == []
 
 
@@ -656,7 +687,7 @@ def test_rescaled_table_with_signed_fractional_rows(scales):
     assert coassociativity_report(spec, 6) == []
     assert counit_report(spec, 6) == []
     for method in METHODS:
-        antipode = antipode_endomap(spec, method)
+        antipode = monomial_antipode(spec, method)
         got = convolution_check(spec, 6, method)
         assert got == oracle.convolution_check(spec, 6, antipode) == []
     # S(b'_i) = lam_i S(b_i) with each b_j written as b'_j / lam_j.
@@ -722,13 +753,13 @@ def test_route_identities_on_random_tables(spec):
     monomials = monomials_up_to(spec, top)
     generators = [m for m in monomials if len(m) == 1]
     for method in METHODS:
-        antipode = antipode_endomap(spec, method)
+        antipode = monomial_antipode(spec, method)
         got = convolution_check(spec, top, method)
         assert got == _convolution_per_monomial(spec, generators, antipode)
         assert bool(got) == bool(_convolution_per_monomial(spec, monomials, antipode))
     # Each recursion solves its own side of the convolution on every table.
     assert convolution_check(spec, top, "bogoliubov") == []
-    assert _right_convolution(spec, top, antipode_endomap(spec, "forest")) == []
+    assert _right_convolution(spec, top, monomial_antipode(spec, "forest")) == []
 
 
 @settings(max_examples=15, deadline=None)
@@ -798,6 +829,27 @@ def test_composition_antipode_matches_lagrange_inversion(fdb20, method, n):
     for _ in range(3):
         point = {i: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for i in range(1, n + 1)}
         assert evaluate(poly, point) == lagrange_antipode(n, point)
+
+
+@pytest.mark.parametrize("k, top", [(1, 8), (2, 4), (3, 3)])
+def test_vector_field_dual_antipode_matches_compositional_inversion(k, top):
+    # The dual's b_{i,alpha} is alpha! times the x^alpha coefficient of the
+    # i-th component of a diffeomorphism, and its antipode is that of the
+    # inverse; ids follow the oracle's numbering, by degree, i, then alpha.
+    spec = dualize(vector_fields(k, top), top)
+    fields = numbering(k, top)
+    assert [spec.degree(n) for n in spec.generator_ids()] == [sum(a) - 1 for _, a in fields]
+    rng = random.Random(k * 100 + top)
+    point = {n: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for n in spec.generator_ids()}
+    oracle_values = inverse_antipode(k, top, point)
+    for method in METHODS:
+        for n in spec.generator_ids():
+            value = antipode_generator(spec, n, method)
+            assert evaluate({m.indices: c for m, c in value.terms()}, point) == oracle_values[n]
+        for a, b in ((1, 1), (1, len(fields)), (2, len(fields) - 1)):
+            value = antipode_poly(spec, Polynomial.single(mono(a, b)), method)
+            got = evaluate({m.indices: c for m, c in value.terms()}, point)
+            assert got == oracle_values[a] * oracle_values[b]
 
 
 def _linearization_count_oracle(spec, i):

@@ -14,7 +14,6 @@ from hopfforest.algebra import UNIT, Polynomial, Tensor, mono
 from hopfforest.antipode import (
     METHODS,
     antipode_dyson_salam,
-    antipode_endomap,
     antipode_generator,
     antipode_poly,
     packed_route,
@@ -220,6 +219,11 @@ def _counit_per_monomial(spec, max_degree):
     return problems
 
 
+def monomial_antipode(spec, method="forest"):
+    """The antipode on monomials, one `antipode_poly` call each."""
+    return lambda m: antipode_poly(spec, Polynomial.single(m), method)
+
+
 def _convolution_per_monomial(spec, monomials, antipode):
     """The convolution check on each monomial given, from that monomial's
     own coproduct and antipode rather than from its generators'."""
@@ -317,7 +321,7 @@ def test_generator_convolution_check_gives_the_per_monomial_verdict(
         generators = [m for m in monomials if len(m) == 1]
         verdicts = []
         for method in METHODS:
-            antipode = antipode_endomap(spec, method)
+            antipode = monomial_antipode(spec, method)
             got = convolution_check(spec, degree, method)
             assert got == _convolution_per_monomial(spec, generators, antipode)
             everywhere = _convolution_per_monomial(spec, monomials, antipode)
@@ -433,7 +437,7 @@ def test_packed_convolution_and_counit_give_the_tensor_lines(make, degree, rows,
         assert counit_report(spec, degree) == oracle.counit_report(spec, degree) == []
         for method in METHODS:
             got = convolution_check(spec, degree, method)
-            antipode = antipode_endomap(spec, method)
+            antipode = monomial_antipode(spec, method)
             assert got == oracle.convolution_check(spec, degree, antipode), method
             failed += bool(got)
     assert failed > 0
@@ -636,7 +640,7 @@ def test_method_convolution_and_agreement_on_packed_values(corrupted):
         frame = coproduct.frame_over(spec, ids)
         for method in METHODS:
             got = convolution_check(spec, degree, method)
-            antipode = antipode_endomap(spec, method)
+            antipode = monomial_antipode(spec, method)
             assert got == oracle.convolution_check(spec, degree, antipode)
         assert coproduct.frame_over(spec, ids) is frame
         for i in ids:
@@ -660,7 +664,28 @@ def test_convolution_rejects_an_unknown_method():
         with pytest.raises(InputError, match="^unknown antipode method 'newton'"):
             convolution_check(spec, max_degree, "newton")
     with pytest.raises(InputError, match="^unknown antipode method <function "):
-        convolution_check(spec, 3, antipode_endomap(spec))
+        convolution_check(spec, 3, monomial_antipode(spec))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda spec, p: antipode_poly(spec, p),
+        lambda spec, p: coproduct_poly(spec, p),
+        lambda spec, p: iterated_reduced_poly(spec, p, 2),
+    ],
+    ids=["antipode_poly", "coproduct_poly", "iterated_reduced_poly"],
+)
+@pytest.mark.parametrize(
+    "p, kind",
+    [(Tensor.single((mono(2), mono(1))), "Tensor"), ({mono(1): 1}, "dict")],
+    ids=["tensor", "dict"],
+)
+def test_polynomial_entry_points_refuse_anything_else(call, p, kind):
+    # Each read any value with .items(): a rank-2 tensor failed as an
+    # unknown generator id b2, and a plain dict passed as a polynomial.
+    with pytest.raises(InputError, match=f"^expected a Polynomial, got {kind}$"):
+        call(faa_di_bruno_spec(3), p)
 
 
 @pytest.mark.parametrize("method", [["forest"], {}, {"forest"}], ids=["list", "dict", "set"])
@@ -670,7 +695,6 @@ def test_an_unhashable_method_is_an_unknown_method(method):
     calls = [
         lambda: convolution_check(spec, 3, method),
         lambda: antipode_generator(spec, 2, method),
-        lambda: antipode_endomap(spec, method),
         lambda: antipode_poly(spec, Polynomial.variable(2), method),
         lambda: packed_route(method),
     ]

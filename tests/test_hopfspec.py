@@ -170,9 +170,9 @@ def test_keywords_reach_the_memoized_functions():
 
 def test_no_functools_cache_in_the_package():
     # One memo mechanism: each memo is a named dict of its owner, a packed
-    # frame (spec._frame of a coproduct or a preLie spec), one call
-    # (enumerate_trees) or one map (antipode_endomap).  So nothing caches
-    # through functools, a decorator or a generic _cache attribute.
+    # frame (spec._frame of a coproduct or a preLie spec) or one call
+    # (antipode_poly's products).  So nothing caches through functools, a
+    # decorator or a generic _cache attribute.
     caches = {"lru_cache", "cache"}
     plain = {"property", "classmethod", "staticmethod"}
     found = []

@@ -48,7 +48,7 @@ def test_packed_unshuffle_matches_the_unshuffle_coproduct():
     monomials = [m for m, _ in graded_monomials(spec.basis.values(), 6)]
     monomials += [mono(*[1] * k) for k in range(9)]
     for m in monomials:
-        splits = frame.full_of(frame.pack(m))
+        splits = frame.product_of(frame.full, frame.pack(m))
         got = Tensor(2, [((frame.monomial(k & frame.slot), frame.monomial(k >> frame.shift)), c)
                          for k, c in splits.items()])
         assert len(got) == len(splits) and got == unshuffle_coproduct(m), m

@@ -169,6 +169,15 @@ def test_brace_action_flags_truncation(graft4):
         brace_action(graft4, 99, mono(1))
 
 
+@pytest.mark.parametrize("i", [True, False, 0, -1, 1.0, "1"])
+def test_brace_action_refuses_an_id_that_is_no_positive_int(graft4, i):
+    # True == 1 as a dict key, so the brace once read True as b1 and
+    # returned 1 b2; every id is refused with one InputError on entry.
+    with pytest.raises(InputError, match=f"^basis ids must be positive integers, got {i!r}$"):
+        brace_action(graft4, i, mono(1))
+    assert brace_action(graft4, 1, mono(1)) == Polynomial.variable(2)
+
+
 def reference_brace(spec, i, right):
     """Same recursion as brace_action but peeling the FIRST factor; the
     defining identity makes the two routes agree within the truncation."""
