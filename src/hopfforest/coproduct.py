@@ -227,8 +227,8 @@ def _poly_frame(spec: CoproductSpec, p: Polynomial) -> tuple[_Frame, dict]:
 def coproduct_poly(spec: CoproductSpec, p: Polynomial) -> Tensor:
     """Full coproduct, extended multiplicatively from generators."""
     frame, packed = _poly_frame(spec, p)
-    full, product_of = frame.full, frame.product_of
-    return frame.tensor(_spread({}, ((0, c, product_of(full, b)) for b, c in packed.items())), 2)
+    parts = ((0, c, frame.product_of(frame.full, b)) for b, c in packed.items())
+    return frame.tensor(_spread({}, parts), 2)
 
 
 def iterated_reduced_poly(spec: CoproductSpec, p: Polynomial, k: int) -> Tensor:

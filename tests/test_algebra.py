@@ -164,9 +164,11 @@ def _library_values():
     q = Polynomial({mono(1, 2): Fraction(2, 3), mono(3): 1, UNIT: 5})
     values = [antipode.antipode_poly(spec, r, method)
               for method in antipode.METHODS for spec, r in ((fdb, p), (dual, q))]
-    values += [coproduct.coproduct_poly(fdb, p), coproduct.iterated_reduced_poly(fdb, Polynomial(terms), 3)]
+    values += [coproduct.coproduct_poly(fdb, p)]
+    values += [coproduct.iterated_reduced_poly(fdb, Polynomial(terms), 3)]
     values += [brace_action(graft, 1, mono(1, 1)), guin_oudom_mul(graft, mono(1), mono(1, 2))]
-    values.append(guin_oudom_poly(graft, Polynomial({mono(1): 2, UNIT: 1}), Polynomial({mono(1, 1): 1})))
+    left, right = Polynomial({mono(1): 2, UNIT: 1}), Polynomial({mono(1, 1): 1})
+    values.append(guin_oudom_poly(graft, left, right))
     return values
 
 
