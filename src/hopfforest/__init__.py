@@ -60,13 +60,11 @@ from .prelie import (
 from .trees import (
     DecoratedTree,
     PosetView,
-    TreeStats,
     enumerate_trees,
     leaf,
     node,
     tree_multiplicity,
     tree_notation,
-    tree_stats,
 )
 
 __version__ = "0.1.0"

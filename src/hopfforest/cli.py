@@ -12,7 +12,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .algebra import coefficient_text
+from .algebra import Monomial, Scalar, coefficient_text
 from .antipode import METHODS, antipode_generator, packed_route, term_stats
 from .coproduct import (
     coassociativity_report,
@@ -31,7 +31,7 @@ from .prelie import (
     load_prelie_file,
     prelie_check,
 )
-from .trees import enumerate_trees, tree_notation, tree_stats, view_of
+from .trees import DecoratedTree, _vertices, enumerate_trees, pool_fill, tree_notation, view_of
 
 
 def _print_check(name: str, problems: list[str]) -> bool:
@@ -89,15 +89,25 @@ def _cmd_coproduct(args: argparse.Namespace) -> int:
     return 0
 
 
+def _tree_line(t: DecoratedTree, lam: Scalar) -> str:
+    """The line `trees` prints for a tree of coefficient lam: its notation,
+    then l, h, sign, λ and v.  One walk reads l (the vertices), h (those on
+    a longest root-to-leaf path) and v (the product of b_left over them)."""
+    height, lefts = 0, []
+    for u, depth in _vertices(t):
+        height = max(height, depth)
+        lefts.append(u.left)
+    sign = "-1" if len(lefts) % 2 else "+1"
+    return (
+        f"{tree_notation(t)} l={len(lefts)} h={height} sign={sign} "
+        f"lambda={coefficient_text(lam)} v={Monomial(lefts).render()}"
+    )
+
+
 def _cmd_trees(args: argparse.Namespace) -> int:
     spec = _load_with_element(args)
-    for t in enumerate_trees(spec, args.element):
-        l, h, lam, value = tree_stats(t, spec)
-        sign = "-1" if l % 2 else "+1"
-        print(
-            f"{tree_notation(t)} l={l} h={h} sign={sign} "
-            f"lambda={coefficient_text(lam)} v={value.render()}"
-        )
+    for t, lam in zip(*pool_fill(spec, args.element)):
+        print(_tree_line(t, lam))
     return 0
 
 

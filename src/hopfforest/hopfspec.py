@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_left
 from fractions import Fraction
 from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from math import factorial, prod
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .algebra import Monomial, Multiset, Scalar, coefficient_text, multiset
 from .algebra import _fraction, _positive_int, _scalar
@@ -74,10 +73,6 @@ class CoproductEntry(tuple):
     left = property(itemgetter(1))
     right = property(itemgetter(2))
     coeff = property(itemgetter(3))
-
-
-#: An entry's table key: (source, left, right).
-_entry_key = itemgetter(0, 1, 2)
 
 
 def _row_key(row: object) -> tuple:
@@ -137,16 +132,6 @@ class CoproductSpec:
         if i not in self.generators:
             raise InputError(f"unknown generator id {i}")
         return self._by_source.get(i, ())
-
-    def coefficient(self, source: int, left: int, right: Sequence[int]) -> Fraction:
-        """The row's coefficient, or 0 for a row the table does not have,
-        found by bisection in the key-sorted ``entries``.  Every id is
-        checked first, as `CoproductEntry` checks them."""
-        multiset((source, left))
-        key = (source, left, multiset(right))
-        entries = self.entries
-        n = bisect_left(entries, key, key=_entry_key)
-        return entries[n].coeff if n < len(entries) and entries[n][:3] == key else Fraction(0)
 
     def validate(self) -> list[str]:
         """Structural problems, as human-readable strings; empty means ok."""

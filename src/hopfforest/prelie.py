@@ -231,7 +231,10 @@ def guin_oudom_mul(spec: PreLieSpec, a: Monomial, b: Monomial) -> Polynomial:
 def guin_oudom_poly(spec: PreLieSpec, p: Polynomial, q: Polynomial) -> Polynomial:
     """Bilinear extension of the enveloping product, each pair of terms
     checked as `guin_oudom_mul` says before anything is packed.  Memoized
-    packed on spec's frame, decoded at each call."""
+    packed on spec's frame, decoded at each call.  Only Polynomials are read."""
+    for value in (p, q):
+        if not isinstance(value, Polynomial):
+            raise InputError(f"expected a Polynomial, got {type(value).__name__}")
     pairs = [(a, b, c1 * c2) for a, c1 in p.items() for b, c2 in q.items()]
     degree = 0
     for a, b, _ in pairs:

@@ -1,6 +1,6 @@
-"""Decorated non-planar rooted trees, their statistics, exhaustive
-enumeration against a coproduct table, and the poset views,
-with vertices numbered in preorder, that linearizations read.
+"""Decorated non-planar rooted trees, their exhaustive enumeration against
+a coproduct table with each tree's coefficient, and the poset views, with
+vertices numbered in preorder, that linearizations read.
 
 Every vertex carries two positive integers (source, left).  The source is
 the generator the vertex stands for; the left value is the generator the
@@ -23,14 +23,13 @@ for internal vertices.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from itertools import chain, combinations_with_replacement, product as iter_product
-from math import factorial
+from math import factorial, prod
 from operator import itemgetter
 from sys import getrecursionlimit
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
-from .algebra import Monomial, _positive_int
+from .algebra import Scalar, _positive_int, _scalar
 from .errors import InputError
 from .hopfspec import CoproductSpec, _below
 
@@ -105,30 +104,6 @@ def _vertices(t: DecoratedTree) -> Iterator[tuple[DecoratedTree, int]]:
         stack.extend((c, depth + 1) for c in reversed(t.children))
 
 
-class TreeStats(NamedTuple):
-    length: int
-    height: int
-    coefficient: Fraction
-    value: Monomial
-
-
-def tree_stats(t: DecoratedTree, spec: CoproductSpec) -> TreeStats:
-    """(l, h, coefficient, value) for a tree, read in one walk: l counts
-    the vertices, h those on a longest root-to-leaf path (a single leaf has
-    height 1), v collects b_left over all vertices, and the coefficient is
-    the product over internal vertices of the table entry for (source;
-    left; children's sources).  A vertex with no matching entry makes it 0,
-    the tree not being realized by this table, and no later vertex is
-    looked up."""
-    height, coefficient, lefts = 0, Fraction(1), []
-    for u, depth in _vertices(t):
-        height = max(height, depth)
-        lefts.append(u.left)
-        if u.children and coefficient:
-            coefficient *= spec.coefficient(u.source, u.left, [c.source for c in u.children])
-    return TreeStats(len(lefts), height, coefficient, Monomial(lefts))
-
-
 def tree_multiplicity(t: DecoratedTree) -> int:
     """Number of ordered subtree assignments that collapse to this canonical
     tree.
@@ -157,26 +132,32 @@ def tree_multiplicity(t: DecoratedTree) -> int:
     return out
 
 
-def enumerate_trees(spec: CoproductSpec, i: int) -> tuple[DecoratedTree, ...]:
-    """Every canonical tree with root source i realized by the table (all
-    entry lookups nonzero), in canonical order, each exactly once.
+def pool_fill(
+    spec: CoproductSpec, i: int
+) -> tuple[tuple[DecoratedTree, ...], tuple[Scalar, ...]]:
+    """Every canonical tree with root source i realized by the table, in
+    canonical order, each exactly once, and beside each its coefficient λ:
+    the product of its internal vertices' row coefficients, in stored form
+    (an int until a denominator appears).
 
-    Each id's pool is filled bottom-up along right legs: the leaf, then per
-    row (j; l; J) one tree per choice, for each r of multiplicity m in J,
-    of a multiset of m ranks in b_r's pool.  J is sorted and the ranks come
-    out non-decreasing, so children are in canonical order as built, and
-    distinct choices give distinct trees.  A pool is sorted by the flat key
-    (l, r1, k1, r2, k2, ...) of its children's sources and ranks, (j,) for
-    the leaf, which orders as the trees do as tuples in steps that do not
-    grow with depth.  Sums over this set that must match the
-    iterated-coproduct expansion weight each tree by tree_multiplicity.
+    Each id's pool is filled bottom-up along right legs: the leaf, of λ 1,
+    then per row (j; l; J) of coefficient c one tree per choice, for each r
+    of multiplicity m in J, of a multiset of m ranks in b_r's pool, of
+    λ = c · Π λ(children).  So each row is read once per tree built from
+    it.  J is sorted and the ranks come out non-decreasing, so children are
+    in canonical order as built, and distinct choices give distinct trees.
+    A pool is sorted by the flat key (l, r1, k1, r2, k2, ...) of its
+    children's sources and ranks, (j,) for the leaf, which orders as the
+    trees do as tuples in steps that do not grow with depth.
     """
     order = _below(spec, (i,), "right")  # raises for unknown ids
     leaf(i)  # and for ids that are not positive ints, such as True
-    pools: dict[int, list[DecoratedTree]] = {}
+    pools: dict[int, tuple[DecoratedTree, ...]] = {}
+    lams: dict[int, tuple[Scalar, ...]] = {}
     for j in order:
-        keyed = [((j,), leaf(j))]
-        for _, l, right, _ in spec.entries_for(j):
+        keyed = [((j,), leaf(j), 1)]
+        for _, l, right, coeff in spec.entries_for(j):
+            c = _scalar(coeff)
             legs = [
                 combinations_with_replacement([(r, k) for k in range(len(pools[r]))], right.count(r))
                 for r in dict.fromkeys(right)
@@ -184,10 +165,20 @@ def enumerate_trees(spec: CoproductSpec, i: int) -> tuple[DecoratedTree, ...]:
             for choice in iter_product(*legs):
                 picks = [rank for group in choice for rank in group]
                 tree = tuple.__new__(DecoratedTree, (j, l, tuple(pools[r][k] for r, k in picks)))
-                keyed.append(((l, *chain.from_iterable(picks)), tree))
+                lam = _scalar(prod((lams[r][k] for r, k in picks), start=c))
+                keyed.append(((l, *chain.from_iterable(picks)), tree, lam))
         keyed.sort(key=itemgetter(0))
-        pools[j] = [t for _, t in keyed]
-    return tuple(pools[i])
+        pools[j] = tuple(map(itemgetter(1), keyed))
+        lams[j] = tuple(map(itemgetter(2), keyed))
+    return pools[i], lams[i]
+
+
+def enumerate_trees(spec: CoproductSpec, i: int) -> tuple[DecoratedTree, ...]:
+    """The trees of `pool_fill`: every canonical tree with root source i
+    realized by the table (all entry lookups nonzero), in canonical order,
+    each exactly once.  Sums over this set that must match the
+    iterated-coproduct expansion weight each tree by tree_multiplicity."""
+    return pool_fill(spec, i)[0]
 
 
 def tree_notation(t: DecoratedTree) -> str:

@@ -18,9 +18,13 @@ from hopfforest.hopfspec import (
     load_spec,
     save_spec,
 )
-from hopfforest.prelie import PreLieSpec, grafting_instance, save_prelie
+from hopfforest.antipode import antipode_generator
+from hopfforest.prelie import PreLieSpec, dualize, grafting_instance, save_prelie
+from hopfforest.trees import pool_fill, tree_multiplicity, tree_notation
 
 from json_documents import spec_to_dict
+from tree_recursion import recursive_trees
+from tree_walkers import height, tree_coefficient, vertex_count, vertex_monomial
 
 
 def invoke(capsys, *argv):
@@ -115,6 +119,63 @@ def test_trees_listing(capsys, fdb6_file):
     ]
 
 
+def _oracle_trees_text(spec, i):
+    """What `trees` prints for b_i, from the recursive enumerator and one
+    walker per statistic: no pool, rank, stored coefficient or shared walk."""
+    lines = []
+    for t in recursive_trees(spec, i):
+        l = vertex_count(t)
+        lines.append(
+            f"{tree_notation(t)} l={l} h={height(t)} sign={'-1' if l % 2 else '+1'} "
+            f"lambda={tree_coefficient(t, spec)} v={vertex_monomial(t).render()}\n"
+        )
+    return "".join(lines)
+
+
+def _negative_fractional(spec):
+    """spec with row k's coefficient c made -c / (k % 4 + 2)."""
+    rows = [
+        CoproductEntry(e.source, e.left, e.right, -e.coeff / (k % 4 + 2))
+        for k, e in enumerate(spec.entries)
+    ]
+    return CoproductSpec(f"{spec.name}-negative", spec.generators.values(), rows)
+
+
+@pytest.mark.parametrize(
+    "make, top_only",
+    [
+        (lambda: faa_di_bruno_spec(7), False),
+        (lambda: dualize(grafting_instance(5), 5), False),
+        (lambda: _negative_fractional(faa_di_bruno_spec(6)), False),
+        (lambda: _chain_table(120, _right_deep), True),
+    ],
+    ids=["fdb-7", "grafting-5-dual", "fdb-6-negative-fractional", "chain-120"],
+)
+def test_trees_prints_what_the_recursive_oracle_prints(capsys, tmp_path, make, top_only):
+    # λ is carried by the pool fill and l, h and v read in one walk; the
+    # oracle reads each row by key and walks once per statistic.
+    spec = make()
+    path = tmp_path / "spec.json"
+    path.write_text(save_spec(spec))
+    ids = spec.generator_ids()
+    for i in ids[-1:] if top_only else ids:
+        code, out, err = invoke(capsys, "trees", "--spec", str(path), "--element", str(i))
+        assert (code, err) == (0, "")
+        assert out == _oracle_trees_text(spec, i)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_the_fill_sums_to_the_forest_antipode(n):
+    # S(b_i) = sum over realized trees of (-1)^l λ multiplicity v
+    spec = dualize(grafting_instance(n), n)
+    for i in spec.generator_ids():
+        forest = Polynomial(
+            (vertex_monomial(t), (-1) ** vertex_count(t) * lam * tree_multiplicity(t))
+            for t, lam in zip(*pool_fill(spec, i))
+        )
+        assert forest == antipode_generator(spec, i, "forest")
+
+
 def test_linearizations_listing(capsys, fdb6_file):
     code, out, _ = invoke(
         capsys,
@@ -185,14 +246,14 @@ def test_antipode_and_compare_list_no_trees(capsys, tmp_path, monkeypatch):
     # The forest route and the compare counts sum and count the realized
     # trees without listing them, so they run with enumeration unavailable.
     def refuse(spec, i):
-        raise AssertionError("enumerate_trees called")
+        raise AssertionError("the tree fill was called")
 
-    # every module that imported it holds its own binding
-    original = trees.enumerate_trees
-    for name, module in list(sys.modules.items()):
-        held = getattr(module, "enumerate_trees", None)
-        if name.startswith("hopfforest") and held is original:
-            monkeypatch.setattr(module, "enumerate_trees", refuse)
+    # every module that imported them holds its own bindings
+    for fill in ("enumerate_trees", "pool_fill"):
+        original = getattr(trees, fill)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("hopfforest") and getattr(module, fill, None) is original:
+                monkeypatch.setattr(module, fill, refuse)
     path = tmp_path / "fdb8.json"
     path.write_text(save_spec(faa_di_bruno_spec(8)))
     code, out, _ = invoke(

@@ -103,6 +103,15 @@ def test_entry_ids_are_positive_ints_as_the_loader_reads_them(source, left):
         CoproductEntry(source, left, (1,), 1)
 
 
+def test_entry_ids_are_named_as_given_before_any_sort():
+    # the right leg's ids too: a bad id is named, not compared
+    for source, left, right, bad in [
+        ("a", 1, [1], "'a'"), (True, 1, [1], "True"), (2, None, [1], "None"), (2, 1, [1, "a"], "'a'")
+    ]:
+        with pytest.raises(InputError, match=f"positive integers, got {bad}$"):
+            CoproductEntry(source, left, right, 1)
+
+
 @pytest.mark.parametrize("coeff", [0.1, True, "3", None])
 def test_entry_coefficient_follows_the_algebra_rule(coeff):
     # The rule Polynomial applies: an int (not a bool) or a Fraction.
@@ -330,42 +339,6 @@ def test_faa_di_bruno_rejects_bad_degree():
             faa_di_bruno_spec(bad)
 
 
-@pytest.mark.parametrize(
-    "make",
-    [lambda: faa_di_bruno_spec(8), lambda: dualize(grafting_instance(5), 5)],
-    ids=["fdb-8", "grafting-5-dual"],
-)
-def test_coefficient_reads_every_row_and_zero_elsewhere(make):
-    spec = make()
-    for e in spec.entries:
-        got = spec.coefficient(e.source, e.left, e.right)
-        assert type(got) is Fraction and got == e.coeff
-    # a right leg given unsorted still finds its row
-    e = next(e for e in spec.entries if len(set(e.right)) > 1)
-    assert spec.coefficient(e.source, e.left, list(reversed(e.right))) == e.coeff
-    top = max(spec.generator_ids())
-    e = spec.entries[-1]
-    lefts = {f.left for f in spec.entries_for(e.source)}
-    missing = next(j for j in spec.generator_ids() if j not in lefts)
-    zeros = [
-        (e.source, missing, e.right),  # a left leg no row of the source has
-        (min(spec.generator_ids()), e.left, e.right),  # a source with no rows
-        (top + 1, e.left, e.right),  # an id above all the ids
-        (e.source, top + 1, e.right),
-    ]
-    assert not spec.entries_for(zeros[1][0])
-    for source, left, right in zeros:
-        got = spec.coefficient(source, left, right)
-        assert type(got) is Fraction and got == 0
-    # ids are checked as CoproductEntry checks them, each before any sort
-    for source, left, bad in [("a", 1, "'a'"), (True, 1, "True"), (e.source, None, "None")]:
-        for build in (spec.coefficient, lambda *ids: CoproductEntry(*ids, 1)):
-            with pytest.raises(InputError, match=f"positive integers, got {bad}$"):
-                build(source, left, [1])
-    with pytest.raises(InputError, match="positive integers, got 'a'$"):
-        spec.coefficient(e.source, e.left, [1, "a"])
-
-
 def test_sym_table_is_a_hopf_table():
     spec = sym_spec(8)
     assert coassociativity_report(spec, 8) == []
@@ -378,8 +351,10 @@ def test_sym_table_is_a_hopf_table():
 
 
 def test_coefficient_lookup(fdb6):
-    assert fdb6.coefficient(3, 1, (2,)) == 4
-    assert fdb6.coefficient(3, 1, (3,)) == 0
+    # a row's coefficient is read off the key-sorted entries
+    rows = {e[:3]: e.coeff for e in fdb6.entries}
+    assert rows[3, 1, (2,)] == 4
+    assert (3, 1, (3,)) not in rows
     assert fdb6.monomial_degree((1, 1, 2)) == 4
     with pytest.raises(InputError):
         fdb6.entries_for(9)
@@ -676,25 +651,8 @@ def test_loader_accepts_int_and_dict_subclasses():
     doc["generators"][0]["id"] = Id.ONE
     loaded = spec_from_dict(doc)
     assert loaded.entries == plain.entries
-    assert loaded.coefficient(2, 1, [1]) == 3
+    assert loaded.entries[0] == (2, 1, (1,), 3)
     assert save_spec(loaded) == save_spec(plain)
-
-
-@pytest.mark.parametrize(
-    "make",
-    [lambda: faa_di_bruno_spec(6), lambda: dualize(grafting_instance(5), 5)],
-    ids=["fdb-6", "grafting-5-dual"],
-)
-def test_coefficient_reads_each_row_and_zero_elsewhere(make):
-    spec = make()  # fresh, so the first lookup builds the index
-    assert all(
-        spec.coefficient(e.source, e.left, e.right) == e.coeff for e in spec.entries
-    )
-    e = spec.entries[-1]
-    absent = [(e.source, e.left, e.right + (1,)), (e.source, e.source, e.right)]
-    for key in absent:
-        got = spec.coefficient(*key)
-        assert got == 0 and type(got) is Fraction
 
 
 def test_loaded_entries_are_the_constructors_entries():

@@ -331,6 +331,21 @@ def test_enveloping_poly_is_bilinear(graft4):
     assert got == expected
 
 
+@pytest.mark.parametrize("side", ["p", "q"])
+@pytest.mark.parametrize(
+    "value, kind",
+    [({mono(1): 1}, "dict"), (Tensor.single((mono(2), mono(1))), "Tensor")],
+    ids=["dict", "tensor"],
+)
+def test_enveloping_poly_refuses_anything_but_a_polynomial(graft4, side, value, kind):
+    # Each side was read through .items(): a plain dict passed as a
+    # polynomial, and a rank-2 tensor failed as a malformed basis id.
+    one = Polynomial.single(mono(1))
+    p, q = (value, one) if side == "p" else (one, value)
+    with pytest.raises(InputError, match=f"^expected a Polynomial, got {kind}$"):
+        guin_oudom_poly(graft4, p, q)
+
+
 def test_identity_reports_are_clean(graft4):
     assert associativity_report(graft4) == []
     assert filtration_report(graft4) == []

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from hopfforest.algebra import Monomial, mono
 from hopfforest.antipode import term_stats
+from hopfforest.cli import _tree_line
 from hopfforest.errors import InputError
 from hopfforest.hopfspec import CoproductEntry, CoproductSpec, Generator, faa_di_bruno_spec
 from hopfforest.linearize import Linearization
@@ -25,9 +26,9 @@ from hopfforest.trees import (
     enumerate_trees,
     leaf,
     node,
+    pool_fill,
     tree_multiplicity,
     tree_notation,
-    tree_stats,
     view_of,
 )
 
@@ -213,17 +214,20 @@ def test_statistics(fdb6):
     assert height(t) == 3
     assert vertex_monomial(t) == mono(1, 1, 1, 1, 1, 1)
     assert tree_coefficient(t, fdb6) == 315  # 35 * 3 * 3
-    assert tree_stats(t, fdb6) == (6, 3, 315, mono(1, 1, 1, 1, 1, 1))
+    trees, lams = pool_fill(fdb6, 6)
+    assert lams[trees.index(t)] == 315
+    assert _tree_line(t, 315) == f"{tree_notation(t)} l=6 h=3 sign=+1 lambda=315 v=b1b1b1b1b1b1"
 
-    assert tree_stats(node(2, 1, [leaf(1)]), fdb6) == (2, 2, 3, mono(1, 1))
-    assert tree_stats(leaf(2), fdb6) == (1, 1, 1, mono(2))
+    assert pool_fill(fdb6, 2) == ((node(2, 1, [leaf(1)]), leaf(2)), (3, 1))
+    assert _tree_line(node(2, 1, [leaf(1)]), 3) == "N(2;1)[L(1)] l=2 h=2 sign=+1 lambda=3 v=b1b1"
+    assert _tree_line(leaf(2), 1) == "L(2) l=1 h=1 sign=-1 lambda=1 v=b2"
 
 
 @pytest.mark.parametrize(
     "fold",
     [vertex_count, height, vertex_monomial, tree_multiplicity, tree_notation,
      lambda x: tree_coefficient(x, faa_di_bruno_spec(3)),
-     lambda x: tree_stats(x, faa_di_bruno_spec(3))],
+     lambda x: _tree_line(x, 1)],
     ids=["count", "height", "monomial", "multiplicity", "notation", "coefficient", "stats"],
 )
 @pytest.mark.parametrize(
@@ -254,8 +258,9 @@ def test_statistics_of_a_tree_deeper_than_the_recursion_limit():
             height(chain),
             vertex_monomial(chain),
             tree_coefficient(chain, spec),
-            tree_stats(chain, spec),
+            _tree_line(chain, 2 ** (n - 1)),
         )
+        fill = pool_fill(spec, n)
         hashes = hash(chain), hash(node(n + 1, 1, [chain]))
         multiplicity = tree_multiplicity(chain)
         notation = tree_notation(chain)
@@ -264,7 +269,9 @@ def test_statistics_of_a_tree_deeper_than_the_recursion_limit():
         sys.setrecursionlimit(limit)
     b1_300 = Monomial([1] * n)
     assert stats[:4] == (n, n, b1_300, 2 ** (n - 1))
-    assert stats[4] == (n, n, 2 ** (n - 1), b1_300)
+    assert stats[4].endswith(f" l={n} h={n} sign=+1 lambda={2 ** (n - 1)} v={'b1' * n}")
+    # the chain ranks first in b300's pool, the leaf last
+    assert (fill[0][0], fill[1][0], len(fill[0])) == (chain, 2 ** (n - 1), n)
     assert hashes[0] == hash(chain) and hashes[0] != hashes[1]
     assert multiplicity == 1
     assert notation == (
@@ -320,32 +327,41 @@ def test_unrealized_vertex_gives_zero_coefficient(fdb6):
     ids=["fdb-7", "grafting-5-dual", "chain-300"],
 )
 def test_tree_stats_is_one_walk_per_statistic(make, top_only):
+    # λ comes from the fill, in stored form, and l, h and v from the one
+    # walk of the line `trees` prints: each agrees with its own walker.
     spec = make()
     ids = spec.generator_ids()
     for i in ids[-1:] if top_only else ids:
-        for t in enumerate_trees(spec, i):
-            assert tree_stats(t, spec) == (
-                vertex_count(t), height(t), tree_coefficient(t, spec), vertex_monomial(t)
+        trees, lams = pool_fill(spec, i)
+        assert trees == enumerate_trees(spec, i) and len(lams) == len(trees)
+        for t, lam in zip(trees, lams):
+            assert lam == tree_coefficient(t, spec)
+            assert type(lam) is int or lam.denominator != 1
+            l = vertex_count(t)
+            assert _tree_line(t, lam) == (
+                f"{tree_notation(t)} l={l} h={height(t)} sign={'-1' if l % 2 else '+1'} "
+                f"lambda={lam} v={vertex_monomial(t).render()}"
             )
 
 
 def test_tree_stats_counts_past_an_unrealized_vertex(fdb6, monkeypatch):
-    # The root's (3; 3; [2]) is no row, so the coefficient is 0 from the
-    # first vertex on: no further row is looked up, but every vertex still
-    # counts toward l, h and v, and the tree is walked once.
+    # The root's (3; 3; [2]) is no row, so the fill lists no such tree and
+    # the walkers give it coefficient 0.  The line's walk reads no row: every
+    # vertex still counts toward l, h and v, and the tree is walked once
+    # beside the walk of its notation.
     walks, lookups = [], []
-    lookup = CoproductSpec.coefficient
-    monkeypatch.setattr("hopfforest.trees._vertices", lambda t: walks.append(t) or _vertices(t))
-    monkeypatch.setattr(
-        CoproductSpec, "coefficient", lambda spec, *row: lookups.append(row) or lookup(spec, *row)
-    )
+    monkeypatch.setattr("hopfforest.cli._vertices", lambda t: walks.append(t) or _vertices(t))
+    for name in ("entries_for", "degree"):
+        read = getattr(CoproductSpec, name)
+        monkeypatch.setattr(
+            CoproductSpec, name, lambda spec, *a, read=read: lookups.append(a) or read(spec, *a)
+        )
     t = node(3, 3, [node(2, 1, [leaf(1)])])
-    assert tree_stats(t, fdb6) == (3, 3, 0, mono(1, 1, 3))
-    assert walks == [t] and lookups == [(3, 3, [2])]
+    assert _tree_line(t, 0) == "N(3;3)[N(2;1)[L(1)]] l=3 h=3 sign=-1 lambda=0 v=b1b1b3"
+    assert walks == [t] and lookups == []
     monkeypatch.undo()
-    assert tree_stats(t, fdb6) == (
-        vertex_count(t), height(t), tree_coefficient(t, fdb6), vertex_monomial(t)
-    )
+    assert tree_coefficient(t, fdb6) == 0 and t not in pool_fill(fdb6, 3)[0]
+    assert (vertex_count(t), height(t), vertex_monomial(t)) == (3, 3, mono(1, 1, 3))
 
 
 def test_enumeration_counts(fdb6):

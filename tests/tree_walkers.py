@@ -1,10 +1,12 @@
-"""One walk per statistic of a decorated tree: an oracle for
-`hopfforest.trees.tree_stats`, which reads all four in a single walk.
+"""One walk per statistic of a decorated tree: an oracle for the statistics
+`trees` prints, λ from `hopfforest.trees.pool_fill` and l, h and v from
+the one walk of `hopfforest.cli._tree_line`.
 
 Nothing in the package imports this module.  Each function folds
-`_vertices` for its own statistic, so a mistake in how the one-walk
-version shares its loop (a fold cut short, a statistic skipped past a zero
-coefficient) shows as a difference from these.
+`_vertices` for its own statistic, and the coefficient reads the table's
+rows by key rather than as the fill builds them, so a mistake in how the
+package shares its work (a product taken over the wrong pool entry, a
+statistic skipped in the shared walk) shows as a difference from these.
 """
 
 from __future__ import annotations
@@ -32,10 +34,11 @@ def tree_coefficient(t: DecoratedTree, spec: CoproductSpec) -> Fraction:
     (source; left; children's sources).  A vertex with no matching table
     entry contributes 0: the tree is not realized by this table.  Leaves
     contribute 1."""
+    rows = {e[:3]: e.coeff for e in spec.entries}
     out = Fraction(1)
     for u, _ in _vertices(t):
         if u.children:
-            out *= spec.coefficient(u.source, u.left, [c.source for c in u.children])
+            out *= rows.get((u.source, u.left, tuple(c.source for c in u.children)), 0)
             if not out:
                 break
     return out
