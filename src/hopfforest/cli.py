@@ -135,24 +135,31 @@ def _disagreements(spec: CoproductSpec, max_degree: int):
         yield i, values if len(set(values.values())) > 1 else None
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    spec = load_spec_file(args.spec)
+def _max_degree(args: argparse.Namespace) -> int:
+    """The --max-degree flag, at least 1; a command with an input file
+    checks it after loading that file."""
     if args.max_degree < 1:
         raise InputError(f"--max-degree must be >= 1, got {args.max_degree}")
+    return args.max_degree
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    spec = load_spec_file(args.spec)
+    max_degree = _max_degree(args)
     _print_check("structural validation", [])  # the loader validated the table
-    ok = _print_check("coassociativity", coassociativity_report(spec, args.max_degree))
-    ok &= _print_check("counit", counit_report(spec, args.max_degree))
+    ok = _print_check("coassociativity", coassociativity_report(spec, max_degree))
+    ok &= _print_check("counit", counit_report(spec, max_degree))
     agreement = [
         f"methods disagree on generator {i}: "
         + "; ".join(f"{m}: {v.render()}" for m, v in values.items())
-        for i, values in _disagreements(spec, args.max_degree)
+        for i, values in _disagreements(spec, max_degree)
         if values
     ]
     ok &= _print_check("method agreement", agreement)
     for method in METHODS:
         ok &= _print_check(
             f"antipode convolution ({method})",
-            convolution_check(spec, args.max_degree, method),
+            convolution_check(spec, max_degree, method),
         )
     print(f"VERIFY: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
@@ -160,10 +167,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     spec = load_spec_file(args.spec)
-    if args.max_degree < 1:
-        raise InputError(f"--max-degree must be >= 1, got {args.max_degree}")
+    max_degree = _max_degree(args)
     all_agree = True
-    for i, values in _disagreements(spec, args.max_degree):
+    for i, values in _disagreements(spec, max_degree):
         agree = values is None
         all_agree &= agree
         stats = term_stats(spec, i)
@@ -176,15 +182,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.max_degree < 1:
-        raise InputError(f"--max-degree must be >= 1, got {args.max_degree}")
-    sys.stdout.write(save_spec(faa_di_bruno_spec(args.max_degree)))
+    sys.stdout.write(save_spec(faa_di_bruno_spec(_max_degree(args))))
     return 0
 
 
 def _cmd_dualize(args: argparse.Namespace) -> int:
     prelie = load_prelie_file(args.prelie)
-    sys.stdout.write(save_spec(dualize(prelie, args.max_degree)))
+    sys.stdout.write(save_spec(dualize(prelie, _max_degree(args))))
     return 0
 
 

@@ -88,11 +88,13 @@ def _entry_text(e: CoproductEntry) -> str:
 class CoproductSpec:
     """A generator table plus reduced-coproduct entries.
 
-    Construction raises InputError with the `validate` report on any
-    structural problem, so every spec is graded right-handed.  The table
-    never changes afterwards.  Its one memo is ``_frame``, the packed frame
-    `coproduct.frame_over` built last, which holds every antipode route's
-    values; it is unsynchronized.
+    Construction sorts the rows by (source, left, right) and raises
+    InputError with the `validate` report on any structural problem, so
+    every spec is graded right-handed.  The loader builds a table whose rows
+    it has already proved valid and strictly ascending through `_checked`,
+    with neither step.  The table never changes afterwards.  Its one memo is
+    ``_frame``, the packed frame `coproduct.frame_over` built last, which
+    holds every antipode route's values; it is unsynchronized.
     """
 
     def __init__(
@@ -101,16 +103,35 @@ class CoproductSpec:
         generators: Iterable[Generator],
         entries: Iterable[CoproductEntry],
     ) -> None:
-        self.name = str(name)
-        self._generator_list = list(generators)
-        self.generators = MappingProxyType(
-            {g.id: g for g in self._generator_list if isinstance(g, Generator)}
-        )
-        self.entries = tuple(sorted(entries, key=_row_key))
-        self._frame = None  # set by coproduct.frame_over
+        self._fill(name, list(generators), sorted(entries, key=_row_key))
         problems = self.validate()
         if problems:
             raise InputError("invalid spec: " + "; ".join(problems))
+        self._group()
+
+    @classmethod
+    def _checked(
+        cls, name: str, generators: list[Generator], entries: list[CoproductEntry]
+    ) -> "CoproductSpec":
+        """A spec of Generators with distinct ids and of rows that `validate`
+        would pass, in strictly ascending (source, left, right) order: no
+        re-sort and no `validate` walk."""
+        spec = object.__new__(cls)
+        spec._fill(name, generators, entries)
+        spec._group()
+        return spec
+
+    def _fill(self, name: str, generators: list, entries: list) -> None:
+        self.name = str(name)
+        self._generator_list = generators
+        self.generators = MappingProxyType(
+            {g.id: g for g in generators if isinstance(g, Generator)}
+        )
+        self.entries = tuple(entries)
+        self._frame = None  # set by coproduct.frame_over
+
+    def _group(self) -> None:
+        """The rows by source, read from the sorted ``entries``."""
         self._by_source = {
             source: tuple(rows)
             for source, rows in groupby(self.entries, itemgetter(0))
@@ -402,7 +423,8 @@ def _parse_coeff(raw: object) -> Scalar:
 
 
 _GENERATOR_FIELDS = frozenset(("id", "degree", "label"))
-_ROW_FIELDS = frozenset(("source", "left", "right", "coeff"))
+_ROW_ORDER = ("source", "left", "right", "coeff")
+_ROW_FIELDS = frozenset(_ROW_ORDER)
 
 
 def _parse_generator(item: object) -> Generator:
@@ -418,24 +440,44 @@ def _parse_generator(item: object) -> Generator:
     return Generator(gid, degree, label)
 
 
-def _parse_rows(items: list) -> list[CoproductEntry]:
+def _parse_rows(items: list, degree: Optional[dict]) -> tuple[list[CoproductEntry], bool]:
     """The coproduct rows in one pass, each field through its parser in the
     order the messages name them.  Every command loads a table, so the
     exact-type tests of the row and of its ids are inlined, and each row is
-    built as a tuple.  `coeffs` maps the coefficient texts read so far."""
+    built as a tuple.  `coeffs` maps the coefficient texts read so far.
+
+    Given ``degree`` (not None), the degrees of distinct generators by id,
+    the same pass proves what `CoproductSpec.validate` checks of a row
+    (known ids, ``degree(left) + sum degree(right) == degree(source)``, a
+    nonzero coefficient) and that the rows strictly ascend by (source,
+    left, right).  The flag returned beside the rows says that every row
+    passed and was a plain dict of plain ints; the checks stop at the first
+    row that fails them, and a malformed row still raises."""
     coeffs: dict[str, Fraction] = {}
     entries = []
+    canonical = degree is not None
+    ls, ll, lr = 0, 0, ()  # the (source, left, right) of the row before
     for pos, item in enumerate(items):
         try:
-            if type(item) is not dict or not item.keys() <= _ROW_FIELDS:
+            # A plain dict of the four fields is read by key; any other row
+            # goes through `_check_fields`, which names an unknown field.
+            fields = None
+            if type(item) is dict and len(item) == 4:
+                try:
+                    fields = item["source"], item["left"], item["right"], item["coeff"]
+                except KeyError:
+                    pass
+            if fields is None:
                 _check_fields(item, _ROW_FIELDS)
-            source = item.get("source")
+                fields = map(item.get, _ROW_ORDER)
+                canonical = False
+            source, left, right, raw = fields
             if type(source) is not int or source < 1:
                 source = _parse_id(source)
-            left = item.get("left")
+                canonical = False
             if type(left) is not int or left < 1:
                 left = _parse_id(left)
-            right = item.get("right")
+                canonical = False
             if type(right) is list and right:
                 low = 1
                 for i in right:
@@ -446,21 +488,53 @@ def _parse_rows(items: list) -> list[CoproductEntry]:
                     right = tuple(right)
             if type(right) is not tuple:
                 right = _parse_right(right)
-            raw = item.get("coeff")
+                canonical = False
+            # A zero is found when its text is first read: `coeffs` keeps it.
             if type(raw) is not str:
                 coeff = _fraction(_parse_coeff(raw))
+                canonical = canonical and coeff != 0
             elif (coeff := coeffs.get(raw)) is None:
                 coeff = coeffs[raw] = _fraction(_parse_coeff(raw))
+                canonical = canonical and coeff != 0
             entries.append(tuple.__new__(CoproductEntry, (source, left, right, coeff)))
+            if canonical:
+                try:
+                    total = degree[left] - degree[source]
+                    for i in right:
+                        total += degree[i]
+                except KeyError:
+                    total = None
+                # after the row before, field by field: no key tuple per row
+                if total == 0 and (
+                    source > ls or source == ls and (left > ll or left == ll and right > lr)
+                ):
+                    ls, ll, lr = source, left, right
+                else:
+                    canonical = False
         except InputError as exc:
             raise InputError(f"coproduct[{pos}]{exc}") from None
-    return entries
+    return entries, canonical
 
 
 def spec_from_dict(doc: object) -> CoproductSpec:
+    """A coproduct table from its JSON document, read in one pass: the
+    generators, then the rows.  A table of plain JSON values whose rows
+    `validate` would pass, in the ascending order `save_spec` writes, is
+    built as read, with no re-sort and no `validate` walk; any other goes
+    through the `CoproductSpec` constructor, whose `validate` names every
+    structural problem."""
     _check_document(doc, "spec", "spec", ("generators", "coproduct"))
-    gens = _parse_items(doc["generators"], "generators", _parse_generator)
-    return CoproductSpec(doc["name"], gens, _parse_rows(doc["coproduct"]))
+    items = doc["generators"]
+    gens = _parse_items(items, "generators", _parse_generator)
+    degree = {g.id: g.degree for g in gens}
+    plain = len(degree) == len(gens) and all(
+        type(item) is dict and type(g.id) is type(g.degree) is int
+        for item, g in zip(items, gens)
+    )
+    entries, canonical = _parse_rows(doc["coproduct"], degree if plain else None)
+    if canonical:
+        return CoproductSpec._checked(doc["name"], gens, entries)
+    return CoproductSpec(doc["name"], gens, entries)
 
 
 def parse_json(text: Union[str, bytes]) -> object:

@@ -348,7 +348,7 @@ def test_bad_prelie_truncation_is_a_structural_error(capsys, tmp_path, truncatio
     )
 
 
-def test_exit_code_two_on_bad_input(capsys, fdb6_file, tmp_path):
+def test_exit_code_two_on_bad_input(capsys, fdb6_file, graft4_file, tmp_path):
     # Unknown generator id.
     code, _, err = invoke(
         capsys,
@@ -356,15 +356,23 @@ def test_exit_code_two_on_bad_input(capsys, fdb6_file, tmp_path):
     )
     assert code == 2 and "error:" in err
 
-    # Bad iterate / k / max-degree values.
+    # Bad iterate / k values.
     for argv in (
         ("coproduct", "--spec", fdb6_file, "--element", "2", "--iterate", "0"),
         ("linearizations", "--spec", fdb6_file, "--element", "2", "--k", "0"),
-        ("verify", "--spec", fdb6_file, "--max-degree", "0"),
-        ("gen", "fdb", "--max-degree", "0"),
     ):
         code, _, err = invoke(capsys, *argv)
         assert code == 2 and "error:" in err
+
+    # Every command that takes --max-degree names the flag alike.
+    for argv in (
+        ("verify", "--spec", fdb6_file),
+        ("compare", "--spec", fdb6_file),
+        ("gen", "fdb"),
+        ("dualize", "--prelie", graft4_file),
+    ):
+        code, out, err = invoke(capsys, *argv, "--max-degree", "0")
+        assert (code, out, err) == (2, "", "error: --max-degree must be >= 1, got 0\n")
 
     # Missing and malformed spec files.
     code, _, err = invoke(

@@ -591,6 +591,15 @@ LOADER_CASES = [
     ),
     (lambda d: d.update(generators={}), "spec needs a 'generators' list"),
     (lambda d: d.pop("coproduct"), "spec needs a 'coproduct' list"),
+    # an unknown field in place of a known one, so the field count is right
+    (
+        lambda d: (d["coproduct"][0].pop("coeff"), _row(0, extra=1)(d)),
+        "coproduct[0]: unknown fields ['extra']",
+    ),
+    (
+        lambda d: (d["generators"][0].pop("label"), d["generators"][0].update(extra=1)),
+        "generators[0]: unknown fields ['extra']",
+    ),
 ]
 
 
