@@ -31,7 +31,7 @@ from math import comb
 from operator import add, mul
 from typing import Callable, NamedTuple
 
-from .algebra import Polynomial, mono
+from .algebra import Polynomial
 from .coproduct import _Frame, _nonzero, _poly_frame, _spread, frame_over
 from .errors import InputError
 from .hopfspec import CoproductSpec, _below
@@ -82,8 +82,9 @@ def _forest(spec: CoproductSpec, i: int) -> tuple[_Frame, dict]:
 
 
 def _dyson_salam_of(spec: CoproductSpec, i: int) -> tuple[_Frame, dict]:
-    """The Dyson-Salam route on one generator, packed, and its frame."""
-    frame = frame_over(spec, mono(i))  # mono checks i
+    """The Dyson-Salam route on one generator, packed, and its frame,
+    which checks i as the recursions' frames do."""
+    frame = frame_over(spec, (i,))
     memo = frame.dyson_salam
     if i not in memo:
         memo[i] = _dyson_salam(frame, {frame.field[i] << frame.shift: 1}, spec.degree(i))

@@ -127,10 +127,7 @@ class _Frame(_Packing):
     coproducts of monomials met.  Only `frame_over` builds one."""
 
     def __init__(self, spec: CoproductSpec, starts, degree: int):
-        ids = sorted(_below(spec, starts, "both"))
-        for i in starts:
-            if not _positive_int(i):
-                raise InputError(f"generator indices must be positive integers, got {i!r}")
+        ids = sorted(_below(spec, starts, "both"))  # checks every start
         super().__init__(ids, max([degree, *map(spec.degree, starts)]))
         self.scale = scale = lcm(*(e.coeff.denominator for j in ids for e in spec.entries_for(j)))
         field, shift, get, full = self.field, self.shift, self.field.__getitem__, self.full

@@ -90,11 +90,12 @@ class CoproductSpec:
 
     Construction sorts the rows by (source, left, right) and raises
     InputError with the `validate` report on any structural problem, so
-    every spec is graded right-handed.  The loader builds a table whose rows
-    it has already proved valid and strictly ascending through `_checked`,
-    with neither step.  The table never changes afterwards.  Its one memo is
-    ``_frame``, the packed frame `coproduct.frame_over` built last, which
-    holds every antipode route's values; it is unsynchronized.
+    every spec is graded right-handed.  The loader builds a table of
+    distinct generator ids whose rows it has already proved valid and
+    strictly ascending, int and dict subclasses included, through
+    `_checked`, with neither step.  The table never changes afterwards.
+    Its one memo is ``_frame``, the packed frame `coproduct.frame_over`
+    built last, which holds every antipode route's values; it is unsynchronized.
     """
 
     def __init__(
@@ -144,14 +145,14 @@ class CoproductSpec:
         try:
             return self.generators[i].degree
         except KeyError:
-            raise InputError(f"unknown generator id {i}") from None
+            raise InputError(f"unknown generator id {i!r}") from None
 
     def monomial_degree(self, m: Monomial) -> int:
         return sum(self.degree(i) for i in m)
 
     def entries_for(self, i: int) -> tuple[CoproductEntry, ...]:
         if i not in self.generators:
-            raise InputError(f"unknown generator id {i}")
+            raise InputError(f"unknown generator id {i!r}")
         return self._by_source.get(i, ())
 
     def validate(self) -> list[str]:
@@ -237,8 +238,10 @@ def graded_monomials(
 def _below(spec: CoproductSpec, starts, leg: str, known=()) -> list[int]:
     """starts and all they reach through ``leg`` ("left", "right" or "both")
     legs of table rows, but not through ``known``, in ascending degree: a
-    leg has smaller degree than its source, so it comes first."""
-    seen = {j for j in starts if j not in known}
+    leg has smaller degree than its source, so it comes first.  Every table
+    walk starts here: a start that is no positive int, such as True or '1',
+    is refused before any lookup, and `entries_for` names an unknown one."""
+    seen = {j for j in multiset(starts) if j not in known}
     todo = list(seen)
     while todo:
         for e in spec.entries_for(todo.pop()):
@@ -440,22 +443,22 @@ def _parse_generator(item: object) -> Generator:
     return Generator(gid, degree, label)
 
 
-def _parse_rows(items: list, degree: Optional[dict]) -> tuple[list[CoproductEntry], bool]:
+def _parse_rows(items: list, degree: dict) -> tuple[list[CoproductEntry], bool]:
     """The coproduct rows in one pass, each field through its parser in the
     order the messages name them.  Every command loads a table, so the
     exact-type tests of the row and of its ids are inlined, and each row is
     built as a tuple.  `coeffs` maps the coefficient texts read so far.
 
-    Given ``degree`` (not None), the degrees of distinct generators by id,
-    the same pass proves what `CoproductSpec.validate` checks of a row
-    (known ids, ``degree(left) + sum degree(right) == degree(source)``, a
-    nonzero coefficient) and that the rows strictly ascend by (source,
-    left, right).  The flag returned beside the rows says that every row
-    passed and was a plain dict of plain ints; the checks stop at the first
-    row that fails them, and a malformed row still raises."""
+    Against ``degree``, the generators' degrees by id, the same pass
+    proves what `CoproductSpec.validate` checks of a row (known ids,
+    ``degree(left) + sum degree(right) == degree(source)``, a nonzero
+    coefficient) and that the rows strictly ascend by (source, left,
+    right).  The flag returned beside the rows says that every row passed;
+    the checks stop at the first row that fails them, and a malformed row
+    still raises.  An int or dict subclass is proved as a plain value is."""
     coeffs: dict[str, Fraction] = {}
     entries = []
-    canonical = degree is not None
+    canonical = True
     ls, ll, lr = 0, 0, ()  # the (source, left, right) of the row before
     for pos, item in enumerate(items):
         try:
@@ -470,14 +473,11 @@ def _parse_rows(items: list, degree: Optional[dict]) -> tuple[list[CoproductEntr
             if fields is None:
                 _check_fields(item, _ROW_FIELDS)
                 fields = map(item.get, _ROW_ORDER)
-                canonical = False
             source, left, right, raw = fields
             if type(source) is not int or source < 1:
                 source = _parse_id(source)
-                canonical = False
             if type(left) is not int or left < 1:
                 left = _parse_id(left)
-                canonical = False
             if type(right) is list and right:
                 low = 1
                 for i in right:
@@ -488,7 +488,6 @@ def _parse_rows(items: list, degree: Optional[dict]) -> tuple[list[CoproductEntr
                     right = tuple(right)
             if type(right) is not tuple:
                 right = _parse_right(right)
-                canonical = False
             # A zero is found when its text is first read: `coeffs` keeps it.
             if type(raw) is not str:
                 coeff = _fraction(_parse_coeff(raw))
@@ -518,21 +517,16 @@ def _parse_rows(items: list, degree: Optional[dict]) -> tuple[list[CoproductEntr
 
 def spec_from_dict(doc: object) -> CoproductSpec:
     """A coproduct table from its JSON document, read in one pass: the
-    generators, then the rows.  A table of plain JSON values whose rows
+    generators, then the rows.  A table of distinct generator ids whose rows
     `validate` would pass, in the ascending order `save_spec` writes, is
     built as read, with no re-sort and no `validate` walk; any other goes
     through the `CoproductSpec` constructor, whose `validate` names every
     structural problem."""
     _check_document(doc, "spec", "spec", ("generators", "coproduct"))
-    items = doc["generators"]
-    gens = _parse_items(items, "generators", _parse_generator)
+    gens = _parse_items(doc["generators"], "generators", _parse_generator)
     degree = {g.id: g.degree for g in gens}
-    plain = len(degree) == len(gens) and all(
-        type(item) is dict and type(g.id) is type(g.degree) is int
-        for item, g in zip(items, gens)
-    )
-    entries, canonical = _parse_rows(doc["coproduct"], degree if plain else None)
-    if canonical:
+    entries, canonical = _parse_rows(doc["coproduct"], degree)
+    if canonical and len(degree) == len(gens):
         return CoproductSpec._checked(doc["name"], gens, entries)
     return CoproductSpec(doc["name"], gens, entries)
 

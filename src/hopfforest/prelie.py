@@ -102,7 +102,7 @@ class PreLieSpec:
         try:
             return self.basis[i].degree
         except KeyError:
-            raise InputError(f"unknown basis id {i}") from None
+            raise InputError(f"unknown basis id {i!r}") from None
 
     def monomial_degree(self, m: Monomial) -> int:
         return sum(self.degree(i) for i in m)

@@ -148,10 +148,10 @@ def pool_fill(
     in canonical order as built, and distinct choices give distinct trees.
     A pool is sorted by the flat key (l, r1, k1, r2, k2, ...) of its
     children's sources and ranks, (j,) for the leaf, which orders as the
-    trees do as tuples in steps that do not grow with depth.
+    trees do as tuples in steps that do not grow with depth.  The walk
+    that orders the fill refuses an i that is not a known generator id.
     """
-    order = _below(spec, (i,), "right")  # raises for unknown ids
-    leaf(i)  # and for ids that are not positive ints, such as True
+    order = _below(spec, (i,), "right")
     pools: dict[int, tuple[DecoratedTree, ...]] = {}
     lams: dict[int, tuple[Scalar, ...]] = {}
     for j in order:

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from hopfforest.algebra import (
     Monomial,
     Polynomial,
     Tensor,
+    _scalar,
     mono,
     multiset,
 )
@@ -263,6 +265,29 @@ def test_monomial_is_immutable():
     with pytest.raises(AttributeError):
         del m.indices
     assert m == mono(1, 2) and hash(m) == hash(mono(2, 1))
+
+
+def test_polynomial_and_tensor_refuse_attribute_assignment():
+    for value in (Polynomial({mono(1): 2}), Tensor.single((mono(1), UNIT), 2)):
+        before = value.terms()
+        for name in ("_terms", "extra"):
+            with pytest.raises(AttributeError, match="is immutable$"):
+                setattr(value, name, {})
+        assert value.terms() == before
+
+
+def test_tensor_repr():
+    assert repr(Tensor.single((mono(1), mono(2)), 3)) == "Tensor<rank 2: 3 b1 (x) b2>"
+
+
+class Three(IntEnum):
+    THREE = 3
+
+
+def test_an_int_subclass_coefficient_is_stored_as_a_plain_int():
+    assert type(_scalar(Three.THREE)) is int and _scalar(Three.THREE) == 3
+    [(_, c)] = Polynomial({mono(1): Three.THREE}).items()
+    assert type(c) is int and c == 3
 
 
 def test_monomial_round_trips_through_pickle_and_deepcopy():

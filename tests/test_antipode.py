@@ -30,6 +30,7 @@ from hopfforest.coproduct import (
     counit_report,
     coproduct_poly,
     frame_over,
+    iterated_reduced,
     iterated_reduced_poly,
     monomials_up_to,
 )
@@ -321,16 +322,14 @@ def test_packed_routes_follow_their_own_recursions_on_corrupted_tables(corrupted
 
 @pytest.mark.parametrize("bad", [True, 0, -1])
 def test_routes_reject_ids_that_are_not_positive_integers(bad):
-    # The recursions look the id up in the table first, so 0 and -1 are
-    # unknown ids there; Dyson-Salam checks the monomial b_i first.
-    positive = f"generator indices must be positive integers, got {bad!r}"
-    unknown = positive if bad is True else f"unknown generator id {bad}"
-    expected = {"forest": unknown, "dyson-salam": positive, "bogoliubov": unknown}
+    # Every route's frame walks the table from the id, and that walk checks
+    # it before any lookup, so all three say the same.
+    expected = f"generator indices must be positive integers, got {bad!r}"
     spec = faa_di_bruno_spec(3)
     for method in METHODS:
-        with pytest.raises(InputError, match=f"^{re.escape(expected[method])}$"):
+        with pytest.raises(InputError, match=f"^{re.escape(expected)}$"):
             antipode._GENERATOR_METHODS[method](spec, bad)
-        with pytest.raises(InputError, match=f"^{re.escape(expected[method])}$"):
+        with pytest.raises(InputError, match=f"^{re.escape(expected)}$"):
             antipode_generator(spec, bad, method)
     for method in METHODS:
         for i in reversed(spec.generator_ids()):
@@ -347,6 +346,38 @@ def test_a_frame_that_numbers_1_rejects_true():
         antipode._GENERATOR_METHODS[method](spec, 3)
         with pytest.raises(InputError, match="^generator indices must be positive"):
             antipode._GENERATOR_METHODS[method](spec, True)
+
+
+def _id_entry_points(spec, i):
+    """Every coproduct-side entry point that takes a generator id, as
+    zero-argument calls on ``i``."""
+    calls = [lambda m=m: antipode_generator(spec, i, m) for m in METHODS]
+    calls += [lambda f=f: f(spec, i) for f in antipode._GENERATOR_METHODS.values()]
+    calls += [
+        lambda: term_stats(spec, i),
+        lambda: enumerate_trees(spec, i),
+        lambda: frame_over(spec, (i,)),
+        lambda: iterated_reduced(spec, i, 2),
+    ]
+    return calls
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+def test_every_entry_point_names_a_non_id_with_one_message(warm):
+    # On a fresh table and on one whose frame numbers b1..b3 and holds
+    # every route's values.
+    spec = faa_di_bruno_spec(3)
+    if warm:
+        for method in METHODS:
+            antipode_generator(spec, 3, method)
+    for bad in (True, 0, -1, 1.0, "1", None):
+        expected = f"^{re.escape(f'generator indices must be positive integers, got {bad!r}')}$"
+        for call in _id_entry_points(spec, bad):
+            with pytest.raises(InputError, match=expected):
+                call()
+    for call in _id_entry_points(spec, 99):
+        with pytest.raises(InputError, match="^unknown generator id 99$"):
+            call()
 
 
 def _right_convolution(spec, max_degree, antipode):
@@ -466,7 +497,7 @@ def test_a_bool_id_never_reads_the_memo_of_b1():
         for method in METHODS:
             with pytest.raises(InputError, match="^generator indices must be positive integers, got True$"):
                 antipode_generator(spec, True, method)
-        with pytest.raises(InputError, match="^source decoration must be a positive integer, got True$"):
+        with pytest.raises(InputError, match="^generator indices must be positive integers, got True$"):
             enumerate_trees(spec, True)
         for method in METHODS:
             assert antipode_generator(spec, 1, method) == -Polynomial.variable(1)

@@ -390,6 +390,17 @@ def test_exit_code_two_on_bad_input(capsys, fdb6_file, graft4_file, tmp_path):
     assert code == 2 and "error:" in err
 
 
+def test_a_recursion_error_in_a_command_exits_two_with_one_line(capsys, monkeypatch):
+    def nests_too_deeply(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setitem(cli._COMMANDS, "gen", (nests_too_deeply, *cli._COMMANDS["gen"][1:]))
+    limit = sys.getrecursionlimit()
+    assert invoke(capsys, "gen", "fdb", "--max-degree", "2") == (
+        2, "", f"error: table nests deeper than recursion limit {limit}\n"
+    )
+
+
 UNREADABLE_FILES = {
     "deeply nested": "[" * 200000,
     "not UTF-8": b'{"name": "\xff"}',

@@ -362,6 +362,17 @@ def test_coefficient_lookup(fdb6):
         fdb6.degree(0)
 
 
+def test_unknown_ids_are_named_by_their_repr(fdb6):
+    # '1' is no id even though b1 exists, so its message must not read as b1's.
+    graft4 = grafting_instance(4)
+    for bad in ("1", 1.5):
+        for lookup in (fdb6.degree, fdb6.entries_for):
+            with pytest.raises(InputError, match=f"^{re.escape(f'unknown generator id {bad!r}')}$"):
+                lookup(bad)
+        with pytest.raises(InputError, match=f"^{re.escape(f'unknown basis id {bad!r}')}$"):
+            graft4.degree(bad)
+
+
 def _grafting_dual():
     return dualize(grafting_instance(6), 6)
 

@@ -66,6 +66,8 @@ def test_construction_rules():
         leaf(0)
     with pytest.raises(InputError):
         node(2, True, [leaf(1)])
+    with pytest.raises(InputError, match=r"^children must be DecoratedTree, got \(1, 1, \(\)\)$"):
+        DecoratedTree(2, 1, [(1, 1, ())])
     assert not leaf(3).children
     assert example_tree().children
 
